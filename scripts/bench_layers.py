@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Time the group and ring-proof layers of the phrchain on the import path.
+
+Prints one JSON object of medians in seconds:
+
+    PYTHONPATH=src python scripts/bench_layers.py --seed 2 --repeats 5
+
+Rows: ``g^x`` (fixed-base), ``pow`` (a 256-bit variable-base ``pow``, the
+speed reference), the subgroup test, the 2m-base product that ring
+verification evaluates, and ring prove / verify at m = 1000 and 4000.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import time
+
+from phrchain import keygen, ring_prove, ring_verify
+from phrchain.group import GroupParams
+
+
+def median_time(fn, repeats: int, per_call: int = 1) -> float:
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - started) / per_call)
+    return statistics.median(samples)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=2)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    group = GroupParams.default()
+    rng = random.Random(args.seed)
+    p, q, g = group.modulus, group.order, group.generator
+    scalars = [rng.randrange(1, q) for _ in range(2000)]
+    elements = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(2000)]
+    rows = {
+        "pow_s": median_time(lambda: [pow(g, x, p) for x in scalars], args.repeats, len(scalars)),
+        "g_exp_s": median_time(lambda: [group.exp(g, x) for x in scalars], args.repeats, len(scalars)),
+        "is_element_s": median_time(
+            lambda: [group.is_element(x) for x in elements], args.repeats, len(elements)
+        ),
+    }
+    for m in (1000, 4000):
+        kps = [keygen(group, rng) for _ in range(m)]
+        ring = [kp.public for kp in kps]
+        bases = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(m)] + ring
+        exponents = [rng.getrandbits(128) for _ in range(m)] + [rng.randrange(q) for _ in range(m)]
+        proof = ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", rng)
+        if not ring_verify(group, ring, proof, b"ctx"):
+            raise SystemExit(f"honest ring proof rejected at m={m}")
+        rows[f"multi_exp_{2 * m}_bases_s"] = median_time(
+            lambda: group.multi_exp(bases, exponents), args.repeats
+        )
+        rows[f"ring_prove_m{m}_s"] = median_time(
+            lambda: ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", rng), args.repeats
+        )
+        rows[f"ring_verify_m{m}_s"] = median_time(
+            lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats
+        )
+    print(json.dumps({
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "medians": rows,
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,9 +3,16 @@
 The reference instantiation works in the quadratic-residue subgroup of
 Z_p* for the largest 256-bit safe prime p = 2q + 1, giving a prime group
 order q of 255 bits and a canonical fixed-width byte encoding (32 bytes
-per element and per scalar). Any other (p, q, g) triple with g generating
-an order-q subgroup can be plugged in through the same dataclass; tests
-use tiny groups to cross-check arithmetic by brute force.
+per element and per scalar). Any other safe-prime triple (p = 2q + 1
+with p and q prime, g generating the order-q subgroup) can be plugged in
+through the same dataclass; tests use tiny groups to cross-check
+arithmetic by brute force.
+
+Because p is a safe prime, the order-q subgroup is exactly the set of
+quadratic residues mod p, so subgroup membership is a Jacobi-symbol test
+rather than an exponentiation. Powers of the generator are read from a
+fixed-base comb table built once per parameter triple on first use, and
+products of many powers use a Pippenger bucket multi-exponentiation.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -13,8 +20,10 @@ work, not for production key material.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import encoding as enc
 
@@ -30,9 +39,52 @@ def _rng(rng: random.Random | None) -> random.Random:
     return _SYSTEM_RNG if rng is None else rng
 
 
+@functools.lru_cache(maxsize=8)
+def _comb_table(modulus: int, order: int, generator: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds generator**(d * 256**i) for every byte value d."""
+    rows = []
+    base = generator
+    for _ in range((order.bit_length() + 7) // 8):
+        row = [1, base]
+        for _ in range(254):
+            row.append(row[-1] * base % modulus)
+        rows.append(tuple(row))
+        base = row[-1] * base % modulus
+    return tuple(rows)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0.
+
+    Binary reduction: strip factors of two (each flips the sign when
+    n = 3 or 5 mod 8), then swap by quadratic reciprocity (a flip when both
+    are 3 mod 4) and reduce.
+    """
+    a %= n
+    sign = 1
+    while a:
+        if not a & 1:
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            if twos & 1 and n & 7 in (3, 5):
+                sign = -sign
+        if a & n & 2:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _window_bits(n_bases: int, exponent_bits: int) -> int:
+    """Pippenger window minimising digit additions plus bucket sums."""
+    return min(
+        range(1, 17),
+        key=lambda c: -(-exponent_bits // c) * (n_bases + (2 << c)),
+    )
+
+
 @dataclass(frozen=True)
 class GroupParams:
-    """A prime-order cyclic subgroup of Z_modulus*."""
+    """The prime-order subgroup of Z_modulus* for a safe prime modulus = 2 * order + 1."""
 
     group_id: str
     modulus: int
@@ -40,10 +92,18 @@ class GroupParams:
     generator: int
 
     def __post_init__(self) -> None:
+        if self.modulus != 2 * self.order + 1:
+            raise ValueError("modulus must be the safe prime 2 * order + 1")
         if not (1 < self.generator < self.modulus):
             raise ValueError("generator out of range")
         if pow(self.generator, self.order, self.modulus) != 1:
             raise ValueError("generator order does not divide the declared group order")
+
+    @functools.cached_property
+    def _comb(self) -> tuple[tuple[int, ...], ...]:
+        # Built on the first power of the generator, not when parameters
+        # are decoded: the table grows with the square of the modulus size.
+        return _comb_table(self.modulus, self.order, self.generator)
 
     @classmethod
     def default(cls) -> "GroupParams":
@@ -59,7 +119,50 @@ class GroupParams:
 
     def exp(self, base: int, exponent: int) -> int:
         """base**exponent for a subgroup element; negative exponents allowed."""
-        return pow(base, exponent % self.order, self.modulus)
+        exponent %= self.order
+        if base != self.generator:
+            return pow(base, exponent, self.modulus)
+        modulus = self.modulus
+        result = 1
+        for row, digit in zip(self._comb, exponent.to_bytes(len(self._comb), "little")):
+            if digit:
+                result = result * row[digit] % modulus
+        return result
+
+    def multi_exp(self, bases: Sequence[int], exponents: Sequence[int]) -> int:
+        """Product of base**exponent mod the modulus, for non-negative exponents.
+
+        Pippenger's bucket method: exponents are cut into c-bit windows,
+        top window first. Within a window each base is multiplied into the
+        bucket of its digit, and the buckets are summed as
+        sum_d d * bucket[d] with two multiplications per bucket. Digits are
+        taken one window at a time, so memory stays at 2**c buckets.
+        """
+        if len(bases) != len(exponents):
+            raise ValueError("bases and exponents differ in length")
+        if exponents and min(exponents) < 0:
+            raise ValueError("multi_exp takes non-negative exponents")
+        modulus = self.modulus
+        bits = max(exponents, default=0).bit_length()
+        c = _window_bits(len(bases), bits)
+        mask = (1 << c) - 1
+        result = 1
+        for shift in range((bits - 1) // c * c if bits else -1, -1, -c):
+            result = pow(result, 1 << c, modulus)
+            buckets = [1] * (mask + 1)
+            for base, exponent in zip(bases, exponents):
+                digit = (exponent >> shift) & mask
+                if digit:
+                    buckets[digit] = buckets[digit] * base % modulus
+            running = 1
+            window = 1
+            for digit in range(mask, 0, -1):
+                bucket = buckets[digit]
+                if bucket != 1:
+                    running = running * bucket % modulus
+                window = window * running % modulus
+            result = result * window % modulus
+        return result
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
@@ -72,10 +175,12 @@ class GroupParams:
         return _rng(rng).randbytes(n)
 
     def is_element(self, value: int) -> bool:
-        """True iff value is in the prime-order subgroup (identity excluded)."""
-        if not (1 <= value < self.modulus):
-            return False
-        return value != 1 and pow(value, self.order, self.modulus) == 1
+        """True iff value is in the prime-order subgroup (identity excluded).
+
+        The subgroup is the quadratic residues mod the safe prime modulus,
+        so membership is the Jacobi symbol (value / modulus) being 1.
+        """
+        return 1 < value < self.modulus and _jacobi(value, self.modulus) == 1
 
     def encode_element(self, value: int) -> bytes:
         return value.to_bytes(self.element_size, "big")
@@ -113,4 +218,7 @@ class GroupParams:
         modulus = int.from_bytes(reader.prefixed(), "big")
         order = int.from_bytes(reader.prefixed(), "big")
         generator = int.from_bytes(reader.prefixed(), "big")
-        return cls(group_id=group_id, modulus=modulus, order=order, generator=generator)
+        try:
+            return cls(group_id=group_id, modulus=modulus, order=order, generator=generator)
+        except ValueError as exc:
+            raise enc.FormatError(f"invalid group parameters: {exc}") from exc

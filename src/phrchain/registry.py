@@ -33,40 +33,63 @@ class UnknownConditionError(KeyError):
 
 @dataclass
 class Registry:
-    """Ordered public-key registry for one role. Single-writer."""
+    """Ordered public-key registry for one role. Single-writer.
+
+    Every key is a distinct prime-order subgroup element, checked at
+    construction, at ``enroll`` and so at ``load``; the batched ring
+    verifier relies on it. The key tuple and the digest are cached and
+    rebuilt at most once per change.
+    """
 
     group: GroupParams
     role: str
     _keys: list[int] = field(default_factory=list)
-    digest: bytes = b""
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
-        self.digest = key_list_digest(self.group, self._keys)
+        initial, self._keys = self._keys, []
+        self._index: dict[int, int] = {}
+        self._keys_cache: tuple[int, ...] | None = None
+        self._digest_cache: bytes | None = None
+        for public in initial:
+            self.enroll(public)
 
     @property
     def keys(self) -> tuple[int, ...]:
-        return tuple(self._keys)
+        if self._keys_cache is None:
+            self._keys_cache = tuple(self._keys)
+        return self._keys_cache
+
+    @property
+    def digest(self) -> bytes:
+        if self._digest_cache is None:
+            self._digest_cache = key_list_digest(self.group, self._keys)
+        return self._digest_cache
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def __contains__(self, public: int) -> bool:
-        return public in self._keys
+        return public in self._index
 
     def enroll(self, public: int) -> int:
         """Append a verified public key; returns its stable index."""
         if not self.group.is_element(public):
             raise ValueError("public key is not a valid group element")
-        if public in self._keys:
+        if public in self._index:
             raise DuplicateKeyError(f"key already enrolled in {self.role} registry")
+        self._index[public] = len(self._keys)
         self._keys.append(public)
-        self.digest = key_list_digest(self.group, self._keys)
+        self._keys_cache = None
+        self._digest_cache = None
         return len(self._keys) - 1
 
     def index_of(self, public: int) -> int:
-        return self._keys.index(public)
+        try:
+            return self._index[public]
+        except KeyError:
+            raise ValueError(f"key not enrolled in {self.role} registry") from None
 
     def to_bytes(self) -> bytes:
         parts = [enc.prefixed(self.group.to_bytes()), enc.prefixed_str(self.role), enc.u32(len(self._keys))]
@@ -78,8 +101,11 @@ class Registry:
         group = GroupParams.read_from(enc.Reader(reader.prefixed()))
         role = reader.prefixed_str()
         count = reader.u32()
-        keys = [group.decode_element(reader.take(group.element_size)) for _ in range(count)]
-        return cls(group=group, role=role, _keys=keys)
+        encoded = [reader.take(group.element_size) for _ in range(count)]
+        try:
+            return cls(group=group, role=role, _keys=[group.decode_element(e) for e in encoded])
+        except ValueError as exc:
+            raise enc.FormatError(f"invalid {role} registry: {exc}") from exc
 
     def save(self, path: Path | str) -> None:
         enc.write_versioned(path, _REGISTRY_MAGIC, _FILE_VERSION, self.to_bytes())

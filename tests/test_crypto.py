@@ -23,7 +23,12 @@ from phrchain import (
     sym_encrypt,
     verify_signature,
 )
-from phrchain.crypto import DecryptionError, _ring_binding_challenge
+from phrchain.crypto import (
+    DecryptionError,
+    _ring_binding_challenge,
+    _schnorr_challenge,
+    _signature_challenge,
+)
 from phrchain.encoding import FormatError, Reader
 
 # Published SHA-256 vectors (empty input and "abc").
@@ -330,6 +335,43 @@ class TestSignature:
             except (FormatError, ValueError):
                 continue
             assert not verify_signature(group, kp.public, b"msg", parsed), position
+
+
+def _small_order_keys(group):
+    # The identity (order 1) and p - 1 (order 2): in range, outside the subgroup.
+    return {"identity": 1, "minus-one": group.modulus - 1}
+
+
+@pytest.mark.parametrize("key_name", ["identity", "minus-one"])
+def test_small_order_key_cannot_accept_forged_signatures(group, key_name):
+    # Forgery without a secret: commitment g^s, so the equation holds
+    # whenever key^challenge == 1 (always for 1, for even challenges for -1).
+    public = _small_order_keys(group)[key_name]
+    rng = random.Random(116)
+    equation_holds = 0
+    for i in range(20):
+        message = f"arbitrary message {i}".encode()
+        response = group.random_scalar(rng)
+        forged = Signature(group.exp(group.generator, response), response)
+        challenge = _signature_challenge(group, public, forged.commitment, message)
+        equation_holds += pow(public, challenge, group.modulus) == 1
+        assert not verify_signature(group, public, message, forged)
+    assert equation_holds >= (20 if key_name == "identity" else 5)
+
+
+@pytest.mark.parametrize("key_name", ["identity", "minus-one"])
+def test_small_order_key_cannot_accept_forged_schnorr_proofs(group, key_name):
+    public = _small_order_keys(group)[key_name]
+    rng = random.Random(117)
+    equation_holds = 0
+    for i in range(20):
+        context = f"context {i}".encode()
+        response = group.random_scalar(rng)
+        commitment = group.exp(group.generator, response)
+        challenge = _schnorr_challenge(group, context, public, commitment)
+        equation_holds += pow(public, challenge, group.modulus) == 1
+        assert not schnorr_verify(group, public, SchnorrProof(commitment, challenge, response), context)
+    assert equation_holds >= (20 if key_name == "identity" else 5)
 
 
 class TestSymmetric:

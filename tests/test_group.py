@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from phrchain import keygen
 from phrchain.group import GroupParams
@@ -93,3 +94,96 @@ def test_tiny_group_discrete_log_oracle(tiny_group):
     assert len(subgroup) == tiny_group.order
     for value in range(1, tiny_group.modulus):
         assert tiny_group.is_element(value) == (value in subgroup and value != 1)
+
+
+def test_modulus_must_be_safe_prime_of_order():
+    # 4**22 == 1 mod 23 (Fermat), but 22 is not (23 - 1) / 2, so the order-22
+    # "subgroup" would contain non-residues and the Jacobi test would be wrong.
+    with pytest.raises(ValueError):
+        GroupParams(group_id="bad", modulus=23, order=22, generator=4)
+
+
+def test_generator_table_shared_across_default_calls():
+    assert GroupParams.default()._comb is GroupParams.default()._comb
+
+
+@given(exponent=st.integers(-(2**300), 2**300))
+@settings(max_examples=200, deadline=None)
+def test_comb_exp_equals_pow(group, exponent):
+    assert group.exp(group.generator, exponent) == pow(
+        group.generator, exponent % group.order, group.modulus
+    )
+
+
+def test_comb_exp_exhaustive_on_tiny_group(tiny_group):
+    for exponent in range(-30, 30):
+        assert tiny_group.exp(tiny_group.generator, exponent) == pow(
+            tiny_group.generator, exponent % tiny_group.order, tiny_group.modulus
+        )
+
+
+def _pow_product(group, bases, exponents):
+    result = 1
+    for base, exponent in zip(bases, exponents):
+        result = result * pow(base, exponent, group.modulus) % group.modulus
+    return result
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(1, 2**256), st.one_of(st.just(0), st.integers(0, 2**300))),
+        max_size=40,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_multi_exp_equals_pow_product(group, pairs):
+    # Arbitrary residues, not only subgroup elements: multi_exp is exact.
+    bases = [base % group.modulus or 1 for base, _ in pairs]
+    exponents = [exponent for _, exponent in pairs]
+    assert group.multi_exp(bases, exponents) == _pow_product(group, bases, exponents)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 64, 300])
+def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
+    rng = random.Random(count)
+    for g in (group, tiny_group):
+        bases = [rng.randrange(1, g.modulus) for _ in range(count)]
+        for exponents in (
+            [rng.randrange(g.order) for _ in range(count)],
+            [rng.getrandbits(128) for _ in range(count)],
+            [0] * count,
+        ):
+            assert g.multi_exp(bases, exponents) == _pow_product(g, bases, exponents)
+
+
+def test_multi_exp_rejects_length_mismatch_and_negative_exponents(group):
+    with pytest.raises(ValueError):
+        group.multi_exp([group.generator], [])
+    for count in (1, 10):
+        with pytest.raises(ValueError):
+            group.multi_exp([group.generator] * count, [1] * (count - 1) + [-1])
+
+
+def _euler_is_element(group, value):
+    return 1 < value < group.modulus and pow(value, group.order, group.modulus) == 1
+
+
+def test_jacobi_is_element_exhaustive_on_tiny_group(tiny_group):
+    for value in range(-3, tiny_group.modulus + 3):
+        assert tiny_group.is_element(value) == _euler_is_element(tiny_group, value)
+
+
+@given(value=st.integers(-5, 2**256 + 5))
+@settings(max_examples=300, deadline=None)
+def test_jacobi_is_element_equals_euler(group, value):
+    assert group.is_element(value) == _euler_is_element(group, value)
+
+
+def test_jacobi_is_element_on_edge_values(group):
+    p = group.modulus
+    for value in (0, 1, 2, 3, 4, p - 4, p - 2, p - 1, p, p + 1):
+        assert group.is_element(value) == _euler_is_element(group, value)
+    rng = random.Random(9)
+    squares = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(200)]
+    assert all(group.is_element(x) for x in squares)
+    assert not any(group.is_element(p - x) for x in squares)

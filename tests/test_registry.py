@@ -1,11 +1,14 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phrchain import ConditionCodebook, Registry, codes_match, keygen
-from phrchain.encoding import u32
+from phrchain import registry as registry_module
+from phrchain.encoding import FormatError, u32, write_versioned
+from phrchain.group import GroupParams
 from phrchain.registry import DuplicateKeyError, UnknownConditionError
 
 
@@ -73,6 +76,74 @@ class TestRegistry:
         text = registry.describe()
         assert "patient registry: 1 keys" in text
         assert "[   0]" in text
+
+
+    def test_construction_checks_every_key(self, group):
+        keys = [keygen(group, random.Random(i)).public for i in range(3)]
+        for bad in (1, group.modulus - 1, 0, group.modulus):
+            with pytest.raises(ValueError):
+                Registry(group, "patient", keys + [bad])
+        with pytest.raises(DuplicateKeyError):
+            Registry(group, "patient", keys + [keys[0]])
+
+    @pytest.mark.parametrize("bad", ["minus-one", "duplicate"])
+    def test_load_rejects_non_subgroup_and_duplicate_keys(self, group, tmp_path, bad):
+        keys = [keygen(group, random.Random(i)).public for i in range(3)]
+        registry = Registry(group, "hospital", keys)
+        replacement = group.modulus - 1 if bad == "minus-one" else keys[0]
+        raw = registry.to_bytes()
+        raw = raw[: -group.element_size] + group.encode_element(replacement)
+        path = tmp_path / "tampered.reg"
+        write_versioned(path, b"PHRR", 1, raw)
+        with pytest.raises(FormatError):
+            Registry.load(path)
+
+    def test_load_rejects_invalid_group_with_format_error(self, group, tmp_path):
+        raw = Registry(group, "patient").to_bytes()
+        # Swap the generator 4 for 5, a non-residue mod the default modulus.
+        assert raw.count(b"\x00\x00\x00\x01\x04") == 1
+        raw = raw.replace(b"\x00\x00\x00\x01\x04", b"\x00\x00\x00\x01\x05")
+        path = tmp_path / "bad-group.reg"
+        write_versioned(path, b"PHRR", 1, raw)
+        with pytest.raises(FormatError):
+            Registry.load(path)
+
+    def test_loading_an_oversized_group_builds_no_generator_table(self, tmp_path):
+        # 2**4423 - 1 is a Mersenne prime, so generator 4 passes the
+        # constructor's checks. Its generator table would hold 553 rows of
+        # 256 elements of 553 bytes each, about 80 MB.
+        modulus = 2**4423 - 1
+        big = GroupParams(group_id="oversized", modulus=modulus, order=modulus // 2, generator=4)
+        path = tmp_path / "oversized.reg"
+        Registry(big, "patient").save(path)
+        tracemalloc.start()
+        try:
+            loaded = Registry.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.group == big
+        assert peak < 1 << 20
+        assert "_comb" not in vars(loaded.group)
+
+    def test_digest_computed_once_per_change(self, group, monkeypatch):
+        calls = []
+        original = registry_module.key_list_digest
+        monkeypatch.setattr(
+            registry_module, "key_list_digest", lambda *args: calls.append(1) or original(*args)
+        )
+        registry = Registry(group, "patient")
+        rng = random.Random(5)
+        keys = [keygen(group, rng).public for _ in range(50)]
+        for key in keys:
+            registry.enroll(key)
+        assert calls == []
+        assert registry.digest == registry.digest == reference_digest(group, keys)
+        assert len(calls) == 1
+        assert registry.keys is registry.keys
+        assert registry.index_of(keys[17]) == 17
+        with pytest.raises(ValueError):
+            registry.index_of(keygen(group, rng).public)
 
 
 class TestConditionCodebook:

@@ -1,0 +1,220 @@
+"""Differential tests: batched ``ring_verify`` against the per-branch verifier.
+
+``reference_ring_verify`` is the straightforward verifier that checks each
+branch equation on its own. It is kept here as the oracle; the library
+verifies all branches with one weighted multi-exponentiation. The corpus
+mixes honest proofs, forged responses, the byte-flip / omission /
+transposition / witness-free-forgery mutation classes of the acceptance
+suite, commitments outside the subgroup, and the identity commitment the
+per-branch equation accepts.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from phrchain import (
+    RingProof,
+    SchnorrProof,
+    credential_prove,
+    keygen,
+    ring_prove,
+    ring_verify,
+    schnorr_prove,
+    sign,
+)
+from phrchain.crypto import _ring_binding_challenge
+from phrchain.encoding import FormatError, Reader
+
+RING_SIZES = (1, 2, 3, 8, 64)
+
+
+def reference_ring_verify(group, ring, proof, context):
+    """Per-branch verifier: range checks, binding hash, challenge sum, m equations."""
+    if len(proof.branches) != len(ring) or len(ring) == 0:
+        return False
+    for branch in proof.branches:
+        if not (0 <= branch.challenge < group.order and 0 <= branch.response < group.order):
+            return False
+        if not (1 <= branch.commitment < group.modulus):
+            return False
+    binding = _ring_binding_challenge(group, context, [b.commitment for b in proof.branches])
+    if binding != proof.binding_challenge:
+        return False
+    if sum(b.challenge for b in proof.branches) % group.order != binding:
+        return False
+    for key, branch in zip(ring, proof.branches):
+        lhs = pow(group.generator, branch.response, group.modulus)
+        rhs = branch.commitment * pow(key, branch.challenge, group.modulus) % group.modulus
+        if lhs != rhs:
+            return False
+    return True
+
+
+def craft(group, ring, index, secret, context, rng, *, fixed=None, nonce=None, replace=None):
+    """A ring proof built the way ``ring_prove`` builds one, with overrides.
+
+    ``fixed`` maps a simulated branch to its (challenge, response);
+    ``nonce`` sets the witness nonce; ``replace`` maps a branch to a
+    commitment substituted before the binding hash, so the hash and the
+    challenge split stay consistent and only the branch equation can fail.
+    """
+    fixed = fixed or {}
+    replace = replace or {}
+    witness_nonce = group.random_scalar(rng) if nonce is None else nonce
+    commitments, simulated = [], {}
+    for i, key in enumerate(ring):
+        if i == index:
+            commitment = pow(group.generator, witness_nonce, group.modulus)
+        else:
+            c, s = fixed.get(i) or (group.random_scalar(rng), group.random_scalar(rng))
+            commitment = group.mul(group.exp(group.generator, s), group.exp(key, -c))
+            simulated[i] = (c, s)
+        commitments.append(replace.get(i, commitment))
+    binding = _ring_binding_challenge(group, context, commitments)
+    real_c = (binding - sum(c for c, _ in simulated.values())) % group.order
+    real_s = (witness_nonce + real_c * secret) % group.order
+    branches = tuple(
+        SchnorrProof(t, real_c, real_s) if i == index else SchnorrProof(t, *simulated[i])
+        for i, t in enumerate(commitments)
+    )
+    return RingProof(branches, binding)
+
+
+def _with_branch(proof, i, branch):
+    branches = list(proof.branches)
+    branches[i] = branch
+    return RingProof(tuple(branches), proof.binding_challenge)
+
+
+def corpus(group, size, rng):
+    """(label, ring, proof, expected verdict or None when either is allowed) triples."""
+    kps = [keygen(group, rng) for _ in range(size)]
+    ring = [kp.public for kp in kps]
+    ctx = b"ctx"
+    p, q = group.modulus, group.order
+    witness = size // 2
+    secret = kps[witness].secret
+    other = (witness + 1) % size
+
+    honest = {}
+    for index in range(size):
+        honest[index] = ring_prove(group, ring, index, kps[index].secret, ctx, rng)
+        yield f"honest@{index}", ring, honest[index], True
+    base = honest[witness]
+
+    for i, branch in enumerate(base.branches):
+        forged = SchnorrProof(branch.commitment, branch.challenge, (branch.response + 1) % q)
+        yield f"forged-response@{i}", ring, _with_branch(base, i, forged), False
+
+    # Acceptance 08: every single-byte flip of the serialized proof.
+    if size <= 3:
+        raw = base.to_bytes(group)
+        for position in range(len(raw)):
+            mutated = bytearray(raw)
+            mutated[position] ^= 0x01
+            try:
+                reader = Reader(bytes(mutated))
+                parsed = RingProof.read_from(reader, group)
+                reader.expect_end()
+            except (FormatError, ValueError):
+                continue
+            yield f"byte-flip@{position}", ring, parsed, None
+
+    # Acceptance 08: witness-free forgery, every branch simulated.
+    branches = []
+    for key in ring:
+        c, s = group.random_scalar(rng), group.random_scalar(rng)
+        branches.append(SchnorrProof(group.mul(group.exp(group.generator, s), group.exp(key, -c)), c, s))
+    binding = _ring_binding_challenge(group, ctx, [b.commitment for b in branches])
+    yield "witness-free", ring, RingProof(tuple(branches), binding), None
+
+    # Acceptance 07: omission, transposition, wrong context.
+    yield "omitted-branch", ring, RingProof(base.branches[1:], base.binding_challenge), False
+    if size > 1:
+        swapped = list(base.branches)
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        yield "transposed", ring, RingProof(tuple(swapped), base.binding_challenge), None
+        yield "wrong-ring", list(reversed(ring)), base, None
+    yield "wrong-context", ring, craft(group, ring, witness, secret, b"other", rng), False
+
+    if size > 1:
+        # Two forged responses whose errors cancel in an unweighted product.
+        up, down = base.branches[0], base.branches[-1]
+        pair = _with_branch(base, 0, SchnorrProof(up.commitment, up.challenge, (up.response + 1) % q))
+        pair = _with_branch(
+            pair, size - 1, SchnorrProof(down.commitment, down.challenge, (down.response - 1) % q)
+        )
+        yield "compensating-responses", ring, pair, False
+
+    # Commitment substitutions, each re-bound into the hash.
+    def rebound(**overrides):
+        return craft(group, ring, witness, secret, ctx, rng, **overrides)
+
+    t = base.branches[witness].commitment
+    yield "negated-witness-commitment", ring, rebound(replace={witness: p - t}), False
+    yield "identity-witness-commitment", ring, rebound(nonce=0), True
+    if size > 1:
+        yield "identity-c0-s0", ring, rebound(fixed={other: (0, 0)}), True
+        for label, value in (("zero", 0), ("one", 1), ("minus-one", p - 1), ("modulus", p)):
+            yield f"commitment-{label}", ring, rebound(replace={other: value}), False
+        simulated = base.branches[other]
+        yield "negated-simulated-commitment", ring, rebound(
+            fixed={other: (simulated.challenge, simulated.response)},
+            replace={other: p - simulated.commitment},
+        ), False
+
+
+@pytest.fixture(params=["default", "tiny-23"])
+def any_group(request, group, tiny_group):
+    return group if request.param == "default" else tiny_group
+
+
+@pytest.mark.parametrize("size", RING_SIZES)
+def test_batched_verify_agrees_with_per_branch_oracle(any_group, size):
+    rng = random.Random(1000 + size)
+    verdicts = set()
+    for label, ring, proof, expected in corpus(any_group, size, rng):
+        reference = reference_ring_verify(any_group, ring, proof, b"ctx")
+        assert ring_verify(any_group, ring, proof, b"ctx") == reference, label
+        # In a group of order 11 a wrong branch or hash matches by chance one
+        # time in eleven, so only the default group pins the verdict itself.
+        if expected is not None and any_group.order > 2**128:
+            assert reference == expected, label
+        verdicts.add(reference)
+    assert verdicts == {True, False}
+
+
+def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
+    # A prover who controls the caller's RNG must not control the weights.
+    rng = random.Random(5)
+    kps = [keygen(group, rng) for _ in range(8)]
+    ring = [kp.public for kp in kps]
+    proof = craft(group, ring, 0, kps[0].secret, b"ctx", rng)
+    branch = proof.branches[3]
+    forged = _with_branch(
+        proof, 3, SchnorrProof(branch.commitment, branch.challenge, (branch.response + 1) % group.order)
+    )
+    monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: 0)
+    monkeypatch.setattr(random.Random, "randrange", lambda self, *args: 0)
+    assert not ring_verify(group, ring, forged, b"ctx")
+
+
+def test_seeded_transcripts_match_recorded_digest(group):
+    # Recorded from the per-branch implementation: proving draws from the
+    # caller's RNG in the same order, so transcripts stay byte-identical.
+    rng = random.Random(2024)
+    kps = [keygen(group, rng) for _ in range(9)]
+    ring = [kp.public for kp in kps]
+    block_kp = keygen(group, rng)
+    blob = b"".join([
+        credential_prove(group, ring, 4, kps[4].secret, block_kp, rng).to_bytes(group),
+        ring_prove(group, ring, 0, kps[0].secret, b"ctx", rng).to_bytes(group),
+        schnorr_prove(group, block_kp, b"ctx", rng).to_bytes(group),
+        sign(group, block_kp, b"message", rng).to_bytes(group),
+    ])
+    assert len(blob) == 2156
+    assert hashlib.sha256(blob).hexdigest() == (
+        "100952b125bf627beefa3ead02c0795847c73dae2db96783a98b430bf7480079"
+    )
