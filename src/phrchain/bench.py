@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import mean
+from typing import Callable
 
 from .access import (
     build_disclosure_package,
@@ -63,17 +64,23 @@ class BenchConfig:
     verify_jitter: float = 0.0
     pair_seconds: float = 1e-6
     timing_reps: int = 8
-    out: Path | None = None
 
     def __post_init__(self) -> None:
         if self.folds < 1:
-            raise ValueError("folds must be >= 1")
-        if any(not 0.0 <= f <= 0.5 for f in self.malicious):
-            raise ValueError("robustness runs sweep malicious fractions in [0, 0.5]")
-        if any(n < 1 for n in self.miners):
-            raise ValueError("miner counts must be positive")
+            raise ValueError(f"folds must be >= 1, got {self.folds}")
+        for fraction in self.malicious:
+            if not 0.0 <= fraction <= 0.5:
+                raise ValueError(f"malicious fraction {fraction:g} is outside [0, 0.5]")
+        for name in ("patients", "hospitals", "miners"):
+            if any(n < 1 for n in getattr(self, name)):
+                raise ValueError(f"{name} must all be positive, got {min(getattr(self, name))}")
         if self.timing_reps < 1:
-            raise ValueError("timing_reps must be >= 1")
+            raise ValueError(f"timing_reps must be >= 1, got {self.timing_reps}")
+        self.pool(1, 0.0)  # MinerPool rejects negative timing constants
+
+    def pool(self, n_miners: int, malicious_fraction: float) -> MinerPool:
+        """A miner pool under this configuration's virtual timing model."""
+        return MinerPool(n_miners, malicious_fraction, self.verify_seconds, self.verify_jitter, self.pair_seconds)
 
 
 @contextmanager
@@ -86,27 +93,6 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _registry_from_keys(group: GroupParams, role: str, keys: list[int]) -> Registry:
-    return Registry(group=group, role=role, _keys=keys)
-
-
-def _keygen_many(group: GroupParams, n: int, rng: random.Random) -> list:
-    return [keygen(group, rng) for _ in range(n)]
-
-
-def write_csv(rows: list[dict], fieldnames: list[str], out: Path | None, comment: str) -> None:
-    """Write rows with a single leading '#' comment line; None means stdout."""
-    handle = sys.stdout if out is None else open(out, "w", newline="")
-    try:
-        handle.write(f"# {comment}\n")
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not None:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +112,16 @@ def bench_block_creation(config: BenchConfig) -> list[dict]:
     bits = codebook.encode([codebook.lifetime_codes[0]], [codebook.visit_codes[0]])
 
     max_p, max_h = max(config.patients), max(config.hospitals)
-    patient_kps = _keygen_many(group, max_p, rng)
-    hospital_kps = _keygen_many(group, max_h, rng)
+    patient_kps = [keygen(group, rng) for _ in range(max_p)]
+    hospital_kps = [keygen(group, rng) for _ in range(max_h)]
 
     rows = []
     for n_patients in config.patients:
         for n_hospitals in config.hospitals:
             directories = Directories(
-                patients=_registry_from_keys(group, "patient", [kp.public for kp in patient_kps[:n_patients]]),
-                hospitals=_registry_from_keys(group, "hospital", [kp.public for kp in hospital_kps[:n_hospitals]]),
-                researchers=_registry_from_keys(group, "researcher", []),
+                patients=Registry(group, "patient", [kp.public for kp in patient_kps[:n_patients]]),
+                hospitals=Registry(group, "hospital", [kp.public for kp in hospital_kps[:n_hospitals]]),
+                researchers=Registry(group, "researcher"),
             )
             hospital = HospitalContext(identity=hospital_kps[0], index=0)
             timings = []
@@ -175,12 +161,12 @@ def bench_block_creation(config: BenchConfig) -> list[dict]:
 
 def _small_valid_block(group: GroupParams, rng: random.Random):
     """A verifiable patient block over small registries, for consensus runs."""
-    patient_kps = _keygen_many(group, 4, rng)
-    hospital_kps = _keygen_many(group, 4, rng)
+    patient_kps = [keygen(group, rng) for _ in range(4)]
+    hospital_kps = [keygen(group, rng) for _ in range(4)]
     directories = Directories(
-        patients=_registry_from_keys(group, "patient", [kp.public for kp in patient_kps]),
-        hospitals=_registry_from_keys(group, "hospital", [kp.public for kp in hospital_kps]),
-        researchers=_registry_from_keys(group, "researcher", []),
+        patients=Registry(group, "patient", [kp.public for kp in patient_kps]),
+        hospitals=Registry(group, "hospital", [kp.public for kp in hospital_kps]),
+        researchers=Registry(group, "researcher"),
     )
     codebook = ConditionCodebook.default()
     bits = codebook.encode([], [])
@@ -202,13 +188,7 @@ def bench_consensus(config: BenchConfig) -> list[dict]:
     rows = []
     for n_miners in config.miners:
         for fraction in config.malicious:
-            pool = MinerPool(
-                n_miners=n_miners,
-                malicious_fraction=fraction,
-                verify_seconds=config.verify_seconds,
-                verify_jitter=config.verify_jitter,
-                pair_seconds=config.pair_seconds,
-            )
+            pool = config.pool(n_miners, fraction)
             simulated = []
             for fold in range(config.folds):
                 result = run_consensus(block, pool, directories, seed=config.seed + fold)
@@ -256,13 +236,7 @@ def bench_researcher_access(config: BenchConfig) -> list[dict]:
     reps = config.timing_reps
     rows = []
     for fraction in config.malicious:
-        pool = MinerPool(
-            n_miners=n_miners,
-            malicious_fraction=fraction,
-            verify_seconds=config.verify_seconds,
-            verify_jitter=config.verify_jitter,
-            pair_seconds=config.pair_seconds,
-        )
+        pool = config.pool(n_miners, fraction)
         samples: dict[str, list[float]] = {phase: [] for phase in _RESEARCHER_PHASES}
         for fold in range(config.folds):
             seed = config.seed + fold
@@ -309,3 +283,59 @@ def bench_researcher_access(config: BenchConfig) -> list[dict]:
     if not report.all_ok:
         raise BenchError("disclosure package failed verification")
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The experiment table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper experiment: its run function, CSV layout and default grid."""
+
+    run: Callable[[BenchConfig], list[dict]]
+    columns: tuple[str, ...]
+    label: str
+    defaults: BenchConfig
+
+
+# One row per measured claim of the paper. The block-creation and consensus
+# grids are BenchConfig's own field defaults.
+EXPERIMENTS: dict[str, Experiment] = {
+    "block_creation": Experiment(
+        bench_block_creation,
+        ("patients", "hospitals", "creation_seconds", "transcript_bytes"),
+        "block creation",
+        BenchConfig(),
+    ),
+    "consensus": Experiment(
+        bench_consensus,
+        ("miners", "malicious_pct", "simulated_seconds"),
+        "consensus; virtual clock",
+        BenchConfig(),
+    ),
+    "researcher_access": Experiment(
+        bench_researcher_access,
+        ("malicious_pct", "phase", "seconds"),
+        "researcher access; wall clock",
+        BenchConfig(miners=(800,), malicious=(0.1, 0.2, 0.3, 0.4, 0.5)),
+    ),
+}
+
+
+def run_experiment(name: str, config: BenchConfig, out: Path | None) -> None:
+    """Run one experiment and write its CSV after one '#' comment line; None means stdout."""
+    experiment = EXPERIMENTS[name]
+    rows = experiment.run(config)
+    handle = sys.stdout if out is None else open(out, "w", newline="")
+    try:
+        handle.write(
+            f"# {experiment.label}; aggregation: mean over {config.folds} folds; seed={config.seed}\n"
+        )
+        writer = csv.DictWriter(handle, fieldnames=experiment.columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    finally:
+        if out is not None:
+            handle.close()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -16,14 +17,7 @@ from .access import (
     scan_blocks,
     verify_disclosure,
 )
-from .bench import (
-    BenchConfig,
-    BenchError,
-    bench_block_creation,
-    bench_consensus,
-    bench_researcher_access,
-    write_csv,
-)
+from .bench import EXPERIMENTS, BenchConfig, BenchError, run_experiment
 from .consensus import MinerPool, run_consensus
 from .crypto import keygen
 from .group import GroupParams
@@ -42,32 +36,34 @@ from .ledger import (
 from .registry import ConditionCodebook, new_directories
 
 
-def _int_list(_ctx, _param, value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter("expected comma-separated integers") from exc
+def _grid_option(name: str, row: str, percent: bool = False, **kwargs):
+    """A comma-separated grid of integers, or of percentages, defaulting to the table row's grid."""
+    kind = "percentages" if percent else "integers"
+
+    def parse(_ctx, _param, text: str) -> tuple:
+        try:
+            return tuple(int(part) / 100 if percent else int(part) for part in text.split(","))
+        except ValueError as exc:
+            raise click.BadParameter(f"expected comma-separated {kind}") from exc
+
+    values = getattr(EXPERIMENTS[row].defaults, name.removeprefix("--"))
+    default = ",".join(str(round(v * 100)) if percent else str(v) for v in values)
+    return click.option(name, callback=parse, default=default, show_default=True, **kwargs)
 
 
-def _pct_list(_ctx, _param, value: str) -> tuple[float, ...]:
-    try:
-        return tuple(int(part) / 100 for part in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter("expected comma-separated percentages") from exc
-
-
+_DEFAULTS = BenchConfig()  # run and timing defaults, shared by every table row
 _out_option = click.option(
     "--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
     help="CSV output path (default: stdout).",
 )
-_folds_option = click.option("--folds", type=int, default=4, show_default=True)
-_seed_option = click.option("--seed", type=int, default=0, show_default=True)
+_folds_option = click.option("--folds", type=int, default=_DEFAULTS.folds, show_default=True)
+_seed_option = click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True)
 _timing_options = [
-    click.option("--verify-seconds", type=float, default=1e-3, show_default=True,
+    click.option("--verify-seconds", type=float, default=_DEFAULTS.verify_seconds, show_default=True,
                  help="Virtual per-miner verification cost."),
-    click.option("--verify-jitter", type=float, default=0.0, show_default=True,
+    click.option("--verify-jitter", type=float, default=_DEFAULTS.verify_jitter, show_default=True,
                  help="Uniform per-miner jitter added to the verification cost."),
-    click.option("--pair-seconds", type=float, default=1e-6, show_default=True,
+    click.option("--pair-seconds", type=float, default=_DEFAULTS.pair_seconds, show_default=True,
                  help="Virtual propagation cost per ordered miner pair."),
 ]
 
@@ -92,77 +88,64 @@ def bench() -> None:
 
 
 @bench.command("block-creation")
-@click.option("--patients", callback=_int_list, default="500,1000,2000", show_default=True)
-@click.option("--hospitals", callback=_int_list, default="500,1000,2000", show_default=True)
+@_grid_option("--patients", "block_creation")
+@_grid_option("--hospitals", "block_creation")
 @_folds_option
 @_seed_option
 @_out_option
-def bench_block_creation_cmd(patients, hospitals, folds, seed, out) -> None:
+def bench_block_creation_cmd(out, **options) -> None:
     """Block creation time and proof transcript size vs registry sizes."""
-    config = BenchConfig(patients=patients, hospitals=hospitals, folds=folds, seed=seed, out=out)
-    rows = _run_bench(bench_block_creation, config)
-    write_csv(
-        rows,
-        ["patients", "hospitals", "creation_seconds", "transcript_bytes"],
-        out,
-        f"block creation; aggregation: mean over {folds} folds; seed={seed}",
-    )
+    _run_experiment("block_creation", options, out)
 
 
 @bench.command("consensus")
-@click.option("--miners", callback=_int_list, default="100,200,400,800", show_default=True)
-@click.option("--malicious", callback=_pct_list, default="10,20,30,40", show_default=True,
-              help="Malicious miner percentages.")
+@_grid_option("--miners", "consensus")
+@_grid_option("--malicious", "consensus", percent=True, help="Malicious miner percentages.")
 @_folds_option
 @_seed_option
 @_apply(_timing_options)
 @_out_option
-def bench_consensus_cmd(miners, malicious, folds, seed, verify_seconds, verify_jitter, pair_seconds, out) -> None:
+def bench_consensus_cmd(out, **options) -> None:
     """Simulated consensus time vs pool size and malicious fraction."""
-    config = BenchConfig(
-        miners=miners, malicious=malicious, folds=folds, seed=seed,
-        verify_seconds=verify_seconds, verify_jitter=verify_jitter, pair_seconds=pair_seconds, out=out,
-    )
-    rows = _run_bench(bench_consensus, config)
-    write_csv(
-        rows,
-        ["miners", "malicious_pct", "simulated_seconds"],
-        out,
-        f"consensus; virtual clock; aggregation: mean over {folds} folds; seed={seed}",
-    )
+    _run_experiment("consensus", options, out)
 
 
 @bench.command("researcher")
-@click.option("--miners", callback=_int_list, default="800", show_default=True,
-              help="Pool size; the largest value is used.")
-@click.option("--malicious", callback=_pct_list, default="10,20,30,40,50", show_default=True)
-@click.option("--timing-reps", type=int, default=8, show_default=True,
+@_grid_option("--miners", "researcher_access", help="Pool size; the largest value is used.")
+@_grid_option("--malicious", "researcher_access", percent=True)
+@click.option("--timing-reps", type=int, default=EXPERIMENTS["researcher_access"].defaults.timing_reps, show_default=True,
               help="Inner repetitions per timed phase.")
 @_folds_option
 @_seed_option
 @_apply(_timing_options)
 @_out_option
-def bench_researcher_cmd(
-    miners, malicious, timing_reps, folds, seed, verify_seconds, verify_jitter, pair_seconds, out
-) -> None:
+def bench_researcher_cmd(out, **options) -> None:
     """Researcher request/approval phase timings vs malicious fraction."""
-    config = BenchConfig(
-        miners=miners, malicious=malicious, folds=folds, seed=seed,
-        verify_seconds=verify_seconds, verify_jitter=verify_jitter, pair_seconds=pair_seconds,
-        timing_reps=timing_reps, out=out,
-    )
-    rows = _run_bench(bench_researcher_access, config)
-    write_csv(
-        rows,
-        ["malicious_pct", "phase", "seconds"],
-        out,
-        f"researcher access; wall clock; aggregation: mean over {folds} folds; seed={seed}",
-    )
+    _run_experiment("researcher_access", options, out)
 
 
-def _run_bench(fn, config: BenchConfig):
+@bench.command("all")
+@click.option("--out-dir", type=click.Path(file_okay=False, path_type=Path), default=Path("results"),
+              show_default=True)
+@_folds_option
+@_seed_option
+def bench_all_cmd(out_dir, folds, seed) -> None:
+    """Every experiment at its default grid, one CSV per experiment in OUT_DIR."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in EXPERIMENTS:
+        out = out_dir / f"{name}.csv"
+        _run_experiment(name, {"folds": folds, "seed": seed}, out)
+        click.echo(f"wrote {out}")
+
+
+def _run_experiment(name: str, options: dict, out: Path | None) -> None:
+    """Overlay the command-line options on the row's defaults and run it."""
     try:
-        return fn(config)
+        config = replace(EXPERIMENTS[name].defaults, **options)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    try:
+        run_experiment(name, config, out)
     except BenchError as exc:
         click.echo(f"benchmark verification failure: {exc}", err=True)
         sys.exit(1)

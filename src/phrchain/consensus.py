@@ -16,9 +16,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import encoding as enc
 from .crypto import credential_verify, verify_signature
-from .ledger import ApprovalBlock, Block, Chain, PatientBlock, RequestBlock
+from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, MinerVote, PatientBlock, RequestBlock
 from .registry import Directories
 
 
@@ -51,52 +50,6 @@ class MinerPool:
         # The epsilon absorbs float error in fraction * n when the fraction
         # was written as count/n (e.g. 15/22 * 22 rounds below 15).
         return math.floor(self.malicious_fraction * self.n_miners + 1e-9)
-
-
-@dataclass(frozen=True)
-class MinerVote:
-    miner: int
-    malicious: bool
-    approve: bool
-    seconds: float
-
-    def to_bytes(self) -> bytes:
-        return enc.u32(self.miner) + enc.u8(self.malicious) + enc.u8(self.approve) + enc.f64(self.seconds)
-
-    @classmethod
-    def read_from(cls, reader: enc.Reader) -> "MinerVote":
-        return cls(reader.u32(), bool(reader.u8()), bool(reader.u8()), reader.f64())
-
-
-@dataclass(frozen=True)
-class ConsensusResult:
-    approved: bool
-    approvals: int
-    rejections: int
-    simulated_time: float
-    votes: tuple[MinerVote, ...]
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            enc.u8(self.approved),
-            enc.u32(self.approvals),
-            enc.u32(self.rejections),
-            enc.f64(self.simulated_time),
-            enc.u32(len(self.votes)),
-        ]
-        parts.extend(v.to_bytes() for v in self.votes)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ConsensusResult":
-        reader = enc.Reader(data)
-        approved = bool(reader.u8())
-        approvals = reader.u32()
-        rejections = reader.u32()
-        simulated = reader.f64()
-        votes = tuple(MinerVote.read_from(reader) for _ in range(reader.u32()))
-        reader.expect_end()
-        return cls(approved, approvals, rejections, simulated, votes)
 
 
 def approval_threshold(n_miners: int) -> int:

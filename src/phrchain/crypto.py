@@ -186,8 +186,13 @@ class _RingCommitState:
 
 
 def _ring_commit(
-    group: GroupParams, ring: Sequence[int], index: int, rng: random.Random | None
+    group: GroupParams, ring: Sequence[int], index: int, secret: int, rng: random.Random | None
 ) -> _RingCommitState:
+    """Commit to every branch, after checking the witness and before any RNG draw."""
+    if not 0 <= index < len(ring):
+        raise IndexError(f"witness index {index} outside ring of {len(ring)}")
+    if group.exp(group.generator, secret) != ring[index]:
+        raise ValueError("witness secret does not match the ring key at the given index")
     commitments: list[int] = []
     simulated: list[tuple[int, int]] = []
     nonce = 0
@@ -231,11 +236,7 @@ def ring_prove(
     rng: random.Random | None = None,
 ) -> RingProof:
     """Prove knowledge of the secret for ring[index] without revealing the index."""
-    if not 0 <= index < len(ring):
-        raise IndexError(f"witness index {index} outside ring of {len(ring)}")
-    if group.exp(group.generator, secret) != ring[index]:
-        raise ValueError("witness secret does not match the ring key at the given index")
-    state = _ring_commit(group, ring, index, rng)
+    state = _ring_commit(group, ring, index, secret, rng)
     binding = _ring_binding_challenge(group, context, state.commitments)
     return _ring_finish(group, state, secret, binding)
 
@@ -349,11 +350,7 @@ def credential_prove(
     rng: random.Random | None = None,
 ) -> CredentialProof:
     """Bind ring membership of an identity key to possession of a block key."""
-    if not 0 <= index < len(ring):
-        raise IndexError(f"witness index {index} outside ring of {len(ring)}")
-    if group.exp(group.generator, identity_secret) != ring[index]:
-        raise ValueError("identity secret does not match the ring key at the given index")
-    ring_state = _ring_commit(group, ring, index, rng)
+    ring_state = _ring_commit(group, ring, index, identity_secret, rng)
     possession_nonce = group.random_scalar(rng)
     possession_commitment = group.exp(group.generator, possession_nonce)
     joint = _joint_context(group, ring, block_kp.public, possession_commitment, ring_state.commitments)

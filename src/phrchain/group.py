@@ -187,10 +187,10 @@ class GroupParams:
 
     def decode_element(self, data: bytes) -> int:
         if len(data) != self.element_size:
-            raise ValueError(f"element encoding must be {self.element_size} bytes")
+            raise enc.FormatError(f"element encoding must be {self.element_size} bytes")
         value = int.from_bytes(data, "big")
         if not (1 <= value < self.modulus):
-            raise ValueError("element out of range")
+            raise enc.FormatError("element out of range")
         return value
 
     def encode_scalar(self, value: int) -> bytes:
@@ -198,10 +198,10 @@ class GroupParams:
 
     def decode_scalar(self, data: bytes) -> int:
         if len(data) != self.scalar_size:
-            raise ValueError(f"scalar encoding must be {self.scalar_size} bytes")
+            raise enc.FormatError(f"scalar encoding must be {self.scalar_size} bytes")
         value = int.from_bytes(data, "big")
         if value >= self.order:
-            raise ValueError("scalar out of range")
+            raise enc.FormatError("scalar out of range")
         return value
 
     def to_bytes(self) -> bytes:

@@ -467,9 +467,55 @@ def _check_enrolled(keys: tuple[int, ...], index: int, public: int, who: str) ->
 
 
 @dataclass(frozen=True)
+class MinerVote:
+    miner: int
+    malicious: bool
+    approve: bool
+    seconds: float
+
+    def to_bytes(self) -> bytes:
+        return enc.u32(self.miner) + enc.u8(self.malicious) + enc.u8(self.approve) + enc.f64(self.seconds)
+
+    @classmethod
+    def read_from(cls, reader: enc.Reader) -> "MinerVote":
+        return cls(reader.u32(), bool(reader.u8()), bool(reader.u8()), reader.f64())
+
+
+@dataclass(frozen=True)
+class ConsensusResult:
+    approved: bool
+    approvals: int
+    rejections: int
+    simulated_time: float
+    votes: tuple[MinerVote, ...]
+
+    def to_bytes(self) -> bytes:
+        parts = [
+            enc.u8(self.approved),
+            enc.u32(self.approvals),
+            enc.u32(self.rejections),
+            enc.f64(self.simulated_time),
+            enc.u32(len(self.votes)),
+        ]
+        parts.extend(v.to_bytes() for v in self.votes)
+        return b"".join(parts)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ConsensusResult":
+        reader = enc.Reader(data)
+        approved = bool(reader.u8())
+        approvals = reader.u32()
+        rejections = reader.u32()
+        simulated = reader.f64()
+        votes = tuple(MinerVote.read_from(reader) for _ in range(reader.u32()))
+        reader.expect_end()
+        return cls(approved, approvals, rejections, simulated, votes)
+
+
+@dataclass(frozen=True)
 class ChainEntry:
     block: Block
-    record: object  # consensus.ConsensusResult; duck-typed to avoid an import cycle
+    record: ConsensusResult
 
 
 class Chain:
@@ -483,7 +529,7 @@ class Chain:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def append(self, block: Block, record) -> None:
+    def append(self, block: Block, record: ConsensusResult) -> None:
         if not record.approved:
             raise NotApprovedError("consensus record is not approved")
         if block.block_id in self._index:
@@ -513,15 +559,16 @@ class Chain:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Chain":
-        from .consensus import ConsensusResult
-
         reader = enc.Reader(data)
         group = GroupParams.read_from(enc.Reader(reader.prefixed()))
         chain = cls(group)
         for _ in range(reader.u32()):
             block = decode_block(reader.prefixed(), group)
             record = ConsensusResult.from_bytes(reader.prefixed())
-            chain.append(block, record)
+            try:
+                chain.append(block, record)
+            except ValueError as exc:  # an unapproved record or a repeated block
+                raise enc.FormatError(f"invalid chain entry: {exc}") from exc
         reader.expect_end()
         return chain
 

@@ -208,7 +208,10 @@ class ConditionCodebook:
     def read_from(cls, reader: enc.Reader) -> "ConditionCodebook":
         lifetime = tuple(reader.prefixed_str() for _ in range(reader.u32()))
         visit = tuple(reader.prefixed_str() for _ in range(reader.u32()))
-        return cls(lifetime_codes=lifetime, visit_codes=visit)
+        try:
+            return cls(lifetime_codes=lifetime, visit_codes=visit)
+        except ValueError as exc:
+            raise enc.FormatError(f"invalid condition codebook: {exc}") from exc
 
     def save(self, path: Path | str) -> None:
         enc.write_versioned(path, _CODEBOOK_MAGIC, _FILE_VERSION, self.to_bytes())

@@ -17,7 +17,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(miners=(0,))
     with pytest.raises(ValueError):
+        BenchConfig(patients=(4, 0))
+    with pytest.raises(ValueError):
+        BenchConfig(hospitals=(-1,))
+    with pytest.raises(ValueError):
         BenchConfig(timing_reps=0)
+    with pytest.raises(ValueError):
+        BenchConfig(pair_seconds=-1.0)
 
 
 class TestBlockCreationBench:

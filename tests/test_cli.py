@@ -1,10 +1,16 @@
 import csv
 import io
+from dataclasses import replace
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from phrchain.cli import main
+from phrchain.bench import EXPERIMENTS, BenchConfig
+from phrchain.cli import bench, main
+
+# Table row name -> the `phrchain bench` command that runs that row alone.
+COMMANDS = {"block_creation": "block-creation", "consensus": "consensus", "researcher_access": "researcher"}
 
 
 @pytest.fixture()
@@ -57,7 +63,8 @@ class TestBenchCommands:
 
     def test_rejects_fraction_above_half(self, runner):
         result = runner.invoke(main, ["bench", "consensus", "--malicious", "60"])
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert "malicious fraction 0.6 is outside [0, 0.5]" in result.output
 
     def test_exits_nonzero_on_internal_verification_failure(self, runner, monkeypatch):
         monkeypatch.setattr("phrchain.bench.verify_block", lambda *a, **k: False)
@@ -66,6 +73,43 @@ class TestBenchCommands:
         )
         assert result.exit_code == 1
         assert "verification failure" in result.output
+
+
+class TestExperimentTable:
+    def test_all_matches_the_single_commands(self, runner, tmp_path, monkeypatch):
+        tiny = {
+            "block_creation": (BenchConfig(patients=(4,), hospitals=(4, 6)),
+                               ["--patients", "4", "--hospitals", "4,6"]),
+            "consensus": (BenchConfig(miners=(8, 12), malicious=(0.1, 0.4)),
+                          ["--miners", "8,12", "--malicious", "10,40"]),
+            "researcher_access": (BenchConfig(miners=(8,), malicious=(0.0, 0.5), timing_reps=1),
+                                  ["--miners", "8", "--malicious", "0,50", "--timing-reps", "1"]),
+        }
+        for name, (defaults, _) in tiny.items():
+            monkeypatch.setitem(EXPERIMENTS, name, replace(EXPERIMENTS[name], defaults=defaults))
+        out_dir = tmp_path / "results"
+        result = runner.invoke(main, ["bench", "all", "--out-dir", str(out_dir), "--folds", "1", "--seed", "5"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out_dir.iterdir()) == [f"{name}.csv" for name in sorted(tiny)]
+
+        for name, (_, args) in tiny.items():
+            single = runner.invoke(main, ["bench", COMMANDS[name], *args, "--folds", "1", "--seed", "5"])
+            assert single.exit_code == 0, single.output
+            written = (out_dir / f"{name}.csv").read_bytes()
+            assert written.splitlines()[:2] == single.stdout_bytes.splitlines()[:2]
+            if name == "consensus":
+                assert written == single.stdout_bytes
+
+    def test_option_defaults_are_the_table_defaults(self):
+        for name, command_name in COMMANDS.items():
+            command = bench.commands[command_name]
+            ctx = click.Context(command)
+            for param in command.params:
+                if param.name == "out":
+                    continue
+                assert param.show_default
+                value = param.process_value(ctx, param.get_default(ctx))
+                assert value == getattr(EXPERIMENTS[name].defaults, param.name), (command_name, param.name)
 
 
 class TestDemoAndInspect:

@@ -234,6 +234,18 @@ class TestCredentialProof:
         proof = credential_prove(group, ring, 1, kps[1].secret, block_kp, rng)
         assert credential_verify(group, ring, block_kp.public, proof)
 
+    def test_bad_witness_refused_before_any_random_draw(self, group):
+        rng = random.Random(30)
+        kps, ring = _ring(group, rng, 3)
+        block_kp = keygen(group, rng)
+        state = rng.getstate()
+        for error, index, secret in ((IndexError, 3, kps[0].secret), (ValueError, 1, kps[0].secret)):
+            with pytest.raises(error):
+                credential_prove(group, ring, index, secret, block_kp, rng)
+            with pytest.raises(error):
+                ring_prove(group, ring, index, secret, b"ctx", rng)
+        assert rng.getstate() == state
+
     def test_block_key_substitution_rejected(self, group):
         rng = random.Random(17)
         kps, ring = _ring(group, rng, 4)

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from phrchain import keygen
+from phrchain.encoding import FormatError
 from phrchain.group import GroupParams
 
 
@@ -33,13 +34,17 @@ def test_encode_decode_round_trip(group):
 
 
 def test_decode_rejects_out_of_range(group):
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         group.decode_element(group.encode_element(group.modulus - 1)[:-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         group.decode_element(bytes(32))  # zero is not an element
+    with pytest.raises(FormatError):
+        group.decode_element(group.modulus.to_bytes(32, "big"))
     too_big = (group.order + 5).to_bytes(32, "big")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         group.decode_scalar(too_big)
+    with pytest.raises(FormatError):
+        group.decode_scalar(bytes(33))
 
 
 def test_invalid_generator_rejected(group):

@@ -20,7 +20,7 @@ from phrchain import (
     verify_block,
 )
 from phrchain.consensus import ConsensusResult, MinerVote
-from phrchain.encoding import FormatError
+from phrchain.encoding import FormatError, prefixed, u32
 from phrchain.ledger import BlockSecrets, EnrollmentError, NotApprovedError, decode_block
 
 
@@ -273,6 +273,20 @@ class TestChain:
         chain.append(block, _approved_record())
         with pytest.raises(ValueError):
             chain.append(block, _approved_record())
+
+    @pytest.mark.parametrize("case", ["unapproved", "repeated"])
+    def test_from_bytes_rejects_invalid_entries_with_format_error(self, make_world, case):
+        world = make_world()
+        block, _ = world.submit_block(world.patient(), b"data", 1, append=False)
+        if case == "unapproved":
+            entries = [(block, _rejected_record())]
+        else:
+            entries = [(block, _approved_record())] * 2
+        parts = [prefixed(world.group.to_bytes()), u32(len(entries))]
+        for entry_block, record in entries:
+            parts += [prefixed(entry_block.canonical_bytes()), prefixed(record.to_bytes())]
+        with pytest.raises(FormatError):
+            Chain.from_bytes(b"".join(parts))
 
     def test_save_load_round_trip(self, make_world, tmp_path):
         world = make_world()

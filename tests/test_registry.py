@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from phrchain import ConditionCodebook, Registry, codes_match, keygen
 from phrchain import registry as registry_module
-from phrchain.encoding import FormatError, u32, write_versioned
+from phrchain.encoding import FormatError, Reader, prefixed_str, u32, write_versioned
 from phrchain.group import GroupParams
 from phrchain.registry import DuplicateKeyError, UnknownConditionError
 
@@ -196,6 +196,11 @@ class TestConditionCodebook:
         path = tmp_path / "codes.book"
         codebook.save(path)
         assert ConditionCodebook.load(path) == codebook
+
+    def test_read_rejects_duplicate_names_with_format_error(self):
+        data = u32(1) + prefixed_str("asthma") + u32(1) + prefixed_str("asthma")
+        with pytest.raises(FormatError):
+            ConditionCodebook.read_from(Reader(data))
 
     @given(vector=st.integers(0, 2**16 - 1), mask=st.integers(0, 2**16 - 1))
     @settings(max_examples=300)
