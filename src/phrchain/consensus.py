@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
@@ -23,17 +22,17 @@ from .registry import Directories
 
 @dataclass(frozen=True)
 class MinerPool:
-    """Simulation parameters for one mining group.
+    """Simulation parameters for one mining group, in virtual seconds.
 
-    verify_seconds is the honest per-miner verification cost; set it to
-    None to use the measured wall time of the actual block verification
-    instead (results are then no longer reproducible across machines).
-    verify_jitter adds a per-miner uniform [0, jitter) sample on top.
+    An honest miner's verification costs verify_seconds plus its own
+    uniform [0, verify_jitter) sample; propagating a vote costs
+    pair_seconds per ordered pair of miners. No timing is measured, so a
+    seed gives the same result on every machine.
     """
 
     n_miners: int
     malicious_fraction: float = 0.0
-    verify_seconds: float | None = 1e-3
+    verify_seconds: float = 1e-3
     verify_jitter: float = 0.0
     pair_seconds: float = 1e-6
 
@@ -42,7 +41,7 @@ class MinerPool:
             raise ValueError("pool needs at least one miner")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ValueError("malicious_fraction must be in [0, 1]")
-        if self.verify_jitter < 0 or self.pair_seconds < 0:
+        if not all(t >= 0 for t in (self.verify_seconds, self.verify_jitter, self.pair_seconds)):
             raise ValueError("timing constants must be nonnegative")
 
     @property
@@ -63,17 +62,22 @@ def approval_threshold(n_miners: int) -> int:
 
 
 def verify_block(block: Block, directories: Directories, chain: Chain | None = None) -> bool:
-    """Full miner-side validity check; returns False on any malformed input."""
-    try:
-        if isinstance(block, PatientBlock):
-            return _verify_patient_block(block, directories)
-        if isinstance(block, RequestBlock):
-            return _verify_request_block(block, directories, chain)
-        if isinstance(block, ApprovalBlock):
-            return _verify_approval_block(block, directories, chain)
+    """Full miner-side validity check.
+
+    Request and approval blocks are checked against their parents in
+    ``chain`` and are rejected without one; anything that is not a block is
+    rejected. Every decoded block yields True or False, so whatever is raised
+    here is a program bug and propagates.
+    """
+    if isinstance(block, PatientBlock):
+        return _verify_patient_block(block, directories)
+    if chain is None:
         return False
-    except Exception:
-        return False
+    if isinstance(block, RequestBlock):
+        return _verify_request_block(block, directories, chain)
+    if isinstance(block, ApprovalBlock):
+        return _verify_approval_block(block, directories, chain)
+    return False
 
 
 def _verify_patient_block(block: PatientBlock, directories: Directories) -> bool:
@@ -92,9 +96,7 @@ def _verify_patient_block(block: PatientBlock, directories: Directories) -> bool
     return verify_signature(group, block.hospital_block_pk, body, block.hospital_sig)
 
 
-def _verify_request_block(block: RequestBlock, directories: Directories, chain: Chain | None) -> bool:
-    if chain is None:
-        return False
+def _verify_request_block(block: RequestBlock, directories: Directories, chain: Chain) -> bool:
     group = directories.group
     parent = chain.get(block.parent_ptr)
     if not isinstance(parent, PatientBlock):
@@ -105,9 +107,7 @@ def _verify_request_block(block: RequestBlock, directories: Directories, chain: 
     return verify_signature(group, block.researcher_pk, message, block.signature)
 
 
-def _verify_approval_block(block: ApprovalBlock, directories: Directories, chain: Chain | None) -> bool:
-    if chain is None:
-        return False
+def _verify_approval_block(block: ApprovalBlock, directories: Directories, chain: Chain) -> bool:
     group = directories.group
     request = chain.get(block.parent_ptr)
     if not isinstance(request, RequestBlock):
@@ -140,35 +140,24 @@ def run_consensus(
     malicious miners reject without verifying. The simulated time is the
     slowest miner's verification cost plus all-to-all vote propagation.
     """
+    valid = verify_block(block, directories, chain)
     rng = random.Random(seed)
     malicious = frozenset(rng.sample(range(pool.n_miners), pool.n_malicious))
-
-    if pool.verify_seconds is None:
-        started = time.perf_counter()
-        valid = verify_block(block, directories, chain)
-        base_cost = time.perf_counter() - started
-    else:
-        valid = verify_block(block, directories, chain)
-        base_cost = pool.verify_seconds
-
-    votes = []
-    approvals = 0
-    for miner in range(pool.n_miners):
-        # One jitter draw per miner regardless of role keeps the RNG stream
-        # and the per-round bookkeeping independent of the malicious count.
-        jitter = rng.random() * pool.verify_jitter
-        if miner in malicious:
-            votes.append(MinerVote(miner=miner, malicious=True, approve=False, seconds=0.0))
-        else:
-            votes.append(MinerVote(miner=miner, malicious=False, approve=valid, seconds=base_cost + jitter))
-            approvals += int(valid)
-
+    # One jitter draw per miner regardless of role keeps the RNG stream
+    # independent of the malicious count.
+    jitters = [rng.random() * pool.verify_jitter for _ in range(pool.n_miners)]
+    votes = tuple(
+        MinerVote(miner, True, False, 0.0)
+        if miner in malicious
+        else MinerVote(miner, False, valid, pool.verify_seconds + jitter)
+        for miner, jitter in enumerate(jitters)
+    )
+    approvals = sum(vote.approve for vote in votes)
     propagation = pool.pair_seconds * pool.n_miners * (pool.n_miners - 1)
-    simulated = max((v.seconds for v in votes), default=0.0) + propagation
     return ConsensusResult(
         approved=approvals >= approval_threshold(pool.n_miners),
         approvals=approvals,
         rejections=pool.n_miners - approvals,
-        simulated_time=simulated,
-        votes=tuple(votes),
+        simulated_time=max(vote.seconds for vote in votes) + propagation,
+        votes=votes,
     )

@@ -123,10 +123,11 @@ def schnorr_prove(
 
 def schnorr_verify(group: GroupParams, public: int, proof: SchnorrProof, context: bytes) -> bool:
     """True iff the challenge recomputes from the context and the equation holds."""
-    if not _scalar_ok(group, proof.challenge) or not _scalar_ok(group, proof.response):
+    if not _scalar_ok(group, proof.response) or not (1 <= proof.commitment < group.modulus):
         return False
-    if not (1 <= proof.commitment < group.modulus) or not group.is_element(public):
+    if not group.is_element(public):
         return False
+    # The recomputed challenge is in [0, order), so this also range-checks it.
     if proof.challenge != _schnorr_challenge(group, context, public, proof.commitment):
         return False
     lhs = group.exp(group.generator, proof.response)
@@ -182,7 +183,9 @@ class _RingCommitState:
     index: int
     nonce: int
     commitments: tuple[int, ...]
-    simulated: tuple[tuple[int, int], ...]  # (challenge, response) per branch; witness slot unused
+    # Per branch; the witness slot holds 0 until _ring_finish fills it.
+    challenges: tuple[int, ...]
+    responses: tuple[int, ...]
 
 
 def _ring_commit(
@@ -194,36 +197,29 @@ def _ring_commit(
     if group.exp(group.generator, secret) != ring[index]:
         raise ValueError("witness secret does not match the ring key at the given index")
     commitments: list[int] = []
-    simulated: list[tuple[int, int]] = []
+    challenges, responses = [0] * len(ring), [0] * len(ring)
     nonce = 0
     for i, key in enumerate(ring):
         if i == index:
             nonce = group.random_scalar(rng)
             commitments.append(group.exp(group.generator, nonce))
-            simulated.append((0, 0))
         else:
             # Simulated branch: pick the challenge and response first, then
             # solve for the commitment that satisfies the verification equation.
-            c = group.random_scalar(rng)
-            s = group.random_scalar(rng)
+            c = challenges[i] = group.random_scalar(rng)
+            s = responses[i] = group.random_scalar(rng)
             commitments.append(group.mul(group.exp(group.generator, s), group.exp(key, -c)))
-            simulated.append((c, s))
-    return _RingCommitState(index, nonce, tuple(commitments), tuple(simulated))
+    return _RingCommitState(index, nonce, tuple(commitments), tuple(challenges), tuple(responses))
 
 
 def _ring_finish(
     group: GroupParams, state: _RingCommitState, secret: int, binding: int
 ) -> RingProof:
-    simulated_sum = sum(c for i, (c, _) in enumerate(state.simulated) if i != state.index)
-    real_challenge = (binding - simulated_sum) % group.order
-    real_response = (state.nonce + real_challenge * secret) % group.order
-    branches = []
-    for i, commitment in enumerate(state.commitments):
-        if i == state.index:
-            branches.append(SchnorrProof(commitment, real_challenge, real_response))
-        else:
-            c, s = state.simulated[i]
-            branches.append(SchnorrProof(commitment, c, s))
+    challenges = list(state.challenges)
+    responses = list(state.responses)
+    challenges[state.index] = (binding - sum(challenges)) % group.order
+    responses[state.index] = (state.nonce + challenges[state.index] * secret) % group.order
+    branches = map(SchnorrProof, state.commitments, challenges, responses)
     return RingProof(tuple(branches), binding)
 
 
@@ -369,8 +365,6 @@ def credential_verify(
 ) -> bool:
     """True iff both halves verify under the joint context recomputed from inputs."""
     if not group.is_element(block_public):
-        return False
-    if len(proof.membership.branches) != len(ring):
         return False
     expected = _joint_context(
         group,

@@ -171,9 +171,6 @@ class GroupParams:
         """Uniform nonzero scalar in [1, order)."""
         return _rng(rng).randrange(1, self.order)
 
-    def random_bytes(self, n: int, rng: random.Random | None = None) -> bytes:
-        return _rng(rng).randbytes(n)
-
     def is_element(self, value: int) -> bool:
         """True iff value is in the prime-order subgroup (identity excluded).
 

@@ -466,7 +466,7 @@ def _check_enrolled(keys: tuple[int, ...], index: int, public: int, who: str) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinerVote:
     miner: int
     malicious: bool

@@ -66,6 +66,12 @@ class TestBenchCommands:
         assert result.exit_code == 2
         assert "malicious fraction 0.6 is outside [0, 0.5]" in result.output
 
+    def test_rejects_negative_verify_seconds(self, runner):
+        args = ["bench", "consensus", "--verify-seconds", "-1", "--miners", "4", "--malicious", "0", "--folds", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "timing constants must be nonnegative" in result.output
+
     def test_exits_nonzero_on_internal_verification_failure(self, runner, monkeypatch):
         monkeypatch.setattr("phrchain.bench.verify_block", lambda *a, **k: False)
         result = runner.invoke(

@@ -1,11 +1,19 @@
 import dataclasses
+import hashlib
 import math
 import random
 from statistics import fmean
 
 import pytest
 
-from phrchain import MinerPool, run_consensus, verify_block
+from phrchain import (
+    MinerPool,
+    TimeRange,
+    create_approval_block,
+    create_request_block,
+    run_consensus,
+    verify_block,
+)
 from phrchain.consensus import ConsensusResult, approval_threshold
 from phrchain.encoding import FormatError
 from phrchain.ledger import decode_block
@@ -146,15 +154,37 @@ class TestTiming:
         assert len(malicious) == 4
         assert all(v.seconds == 0.0 and not v.approve for v in malicious)
 
-    def test_measured_mode_runs(self, valid_world):
-        world, block, _ = valid_world
-        pool = MinerPool(n_miners=3, verify_seconds=None)
-        result = run_consensus(block, pool, world.directories, seed=6)
-        assert result.approved
-        assert result.simulated_time > 0
+    @pytest.mark.parametrize("field", ["verify_seconds", "verify_jitter", "pair_seconds"])
+    def test_pool_rejects_negative_timing(self, field):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MinerPool(n_miners=4, **{field: -1e-9})
+        with pytest.raises(ValueError, match="nonnegative"):
+            MinerPool(n_miners=4, **{field: float("nan")})
+        assert getattr(MinerPool(n_miners=4, **{field: 0.0}), field) == 0.0
+
+
+# (pool, seed, SHA-256 of ConsensusResult.to_bytes()) for valid_world's block,
+# recorded while the round still had a wall-clock mode: the role draw, the
+# jitter stream and the clock's float operations must not change.
+PINNED_ROUNDS = [
+    (MinerPool(12, 0.25, verify_jitter=1e-4), 42,
+     "d0d64dca8fcaa353da142e58113fe882d58f8a5bb31990820348e1465a8e970e"),
+    (MinerPool(800, 0.4), 3,
+     "eda1b4b23685dfa7ef5ec4df0e3fddd218843b0506345812bb40be2c4269c924"),
+    (MinerPool(5, 1.0), 9,
+     "1c46f819c1b0a104a92a0e1d659a53bb1c695a6f54954fe7116e96b50041f898"),
+    (MinerPool(9, 0.5, verify_seconds=0.0, verify_jitter=1e-4, pair_seconds=0.0), 17,
+     "dd75f7fb36acc38e89ac504d0b56fd303765f0a9d74c186341e54594ab662689"),
+]
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(("pool", "seed", "expected"), PINNED_ROUNDS)
+    def test_seeded_result_bytes_pinned(self, valid_world, pool, seed, expected):
+        world, block, _ = valid_world
+        result = run_consensus(block, pool, world.directories, seed=seed)
+        assert hashlib.sha256(result.to_bytes()).hexdigest() == expected
+
     def test_identical_seed_identical_result_bytes(self, valid_world):
         world, block, _ = valid_world
         pool = MinerPool(n_miners=12, malicious_fraction=0.25, verify_jitter=1e-4)
@@ -176,7 +206,42 @@ class TestDeterminism:
         assert ConsensusResult.from_bytes(result.to_bytes()) == result
 
 
+@pytest.fixture()
+def access_world(make_world):
+    """A chain holding a patient block and a request for it, plus its approval."""
+    world = make_world(seed=14)
+    block, patient = world.submit_block(world.patient(), b"data", 1)
+    request = create_request_block(world.group, world.researcher_kps[0], block, TimeRange(1, 1), world.rng)
+    world.chain.append(request, run_consensus(request, world.pool, world.directories, 1, chain=world.chain))
+    approval = create_approval_block(world.group, patient.secrets, request, TimeRange(1, 1), world.rng)
+    return world, request, approval
+
+
 class TestRequestAndApprovalVerification:
+    @pytest.mark.parametrize("kind", ["request", "approval"])
+    def test_bit_flip_scan_never_raises(self, access_world, kind):
+        world, request, approval = access_world
+        raw = (request if kind == "request" else approval).canonical_bytes()
+        assert verify_block(decode_block(raw, world.group), world.directories, chain=world.chain)
+        for bit in range(8 * len(raw)):
+            mutated = bytearray(raw)
+            mutated[bit // 8] ^= 1 << (bit % 8)
+            try:
+                parsed = decode_block(bytes(mutated), world.group)
+            except (FormatError, ValueError):
+                continue
+            assert verify_block(parsed, world.directories, chain=world.chain) is False, bit
+
+    def test_program_bug_propagates(self, access_world, monkeypatch):
+        world, request, _ = access_world
+
+        def broken(*args):
+            raise RuntimeError("bug in a verifier")
+
+        monkeypatch.setattr("phrchain.consensus.verify_signature", broken)
+        with pytest.raises(RuntimeError, match="bug in a verifier"):
+            verify_block(request, world.directories, chain=world.chain)
+
     def test_request_requires_chain(self, make_world):
         import phrchain as phr
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -25,6 +26,7 @@ from phrchain import (
 )
 from phrchain.crypto import (
     DecryptionError,
+    _joint_context,
     _ring_binding_challenge,
     _schnorr_challenge,
     _signature_challenge,
@@ -112,6 +114,16 @@ class TestSchnorr:
             except (FormatError, ValueError):
                 continue
             assert not schnorr_verify(group, kp.public, parsed, b"ctx"), position
+
+    def test_scalars_shifted_by_the_order_rejected(self, group):
+        # public^order == 1, so the equation still holds for a shifted challenge;
+        # the recomputed-challenge comparison and the response range check refuse it.
+        rng = random.Random(62)
+        kp = keygen(group, rng)
+        proof = schnorr_prove(group, kp, b"ctx", rng)
+        for shifted in (replace(proof, challenge=proof.challenge + group.order),
+                        replace(proof, response=proof.response + group.order)):
+            assert not schnorr_verify(group, kp.public, shifted, b"ctx")
 
 
 def _ring(group, rng, size):
@@ -263,6 +275,23 @@ class TestCredentialProof:
         proof = credential_prove(group, ring_a, 2, kps_a[2].secret, block_kp, rng)
         assert credential_verify(group, ring_a, block_kp.public, proof)
         assert not credential_verify(group, ring_b, block_kp.public, proof)
+
+    def test_branch_count_mismatch_rejected(self, group):
+        # The joint context and the possession proof are re-bound to the
+        # altered commitment list, so only the ring half can refuse it.
+        rng = random.Random(22)
+        kps, ring = _ring(group, rng, 4)
+        block_kp = keygen(group, rng)
+        membership = credential_prove(group, ring, 1, kps[1].secret, block_kp, rng).membership
+        for branches in (membership.branches[:-1], membership.branches + membership.branches[:1]):
+            nonce = group.random_scalar(rng)
+            commitment = group.exp(group.generator, nonce)
+            joint = _joint_context(group, ring, block_kp.public, commitment, [b.commitment for b in branches])
+            challenge = _schnorr_challenge(group, joint, block_kp.public, commitment)
+            possession = SchnorrProof(commitment, challenge, (nonce + challenge * block_kp.secret) % group.order)
+            assert schnorr_verify(group, block_kp.public, possession, joint)
+            forged = CredentialProof(replace(membership, branches=branches), possession, joint)
+            assert not credential_verify(group, ring, block_kp.public, forged)
 
     def test_single_byte_mutation_rejected_exhaustively(self, group):
         rng = random.Random(19)
