@@ -6,8 +6,11 @@ Prints one JSON object of medians in seconds:
     PYTHONPATH=src python scripts/bench_layers.py --seed 2 --repeats 5
 
 Rows: ``g^x`` (fixed-base), ``pow`` (a 256-bit variable-base ``pow``, the
-speed reference), the subgroup test, the 2m-base product that ring
-verification evaluates, and ring prove / verify at m = 1000 and 4000.
+speed reference), the subgroup test, one consensus vote over 800 miners
+(40% malicious) on a request block given no chain, which ``verify_block``
+rejects at once so that the row times the vote loop alone, the 2m-base
+product that ring verification evaluates, and ring prove / verify at
+m = 1000 and 4000.
 """
 
 import argparse
@@ -18,7 +21,17 @@ import random
 import statistics
 import time
 
-from phrchain import keygen, ring_prove, ring_verify
+from phrchain import (
+    MinerPool,
+    RequestBlock,
+    TimeRange,
+    keygen,
+    new_directories,
+    ring_prove,
+    ring_verify,
+    run_consensus,
+    sign,
+)
 from phrchain.group import GroupParams
 
 
@@ -65,6 +78,15 @@ def main() -> None:
         rows[f"ring_verify_m{m}_s"] = median_time(
             lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats
         )
+    researcher = keygen(group, rng)
+    signature = sign(group, researcher, b"", rng)
+    request = RequestBlock(bytes(32), TimeRange(1, 2), researcher.public, signature, group)
+    directories, pool = new_directories(group), MinerPool(800, 0.4)
+    if run_consensus(request, pool, directories, 0).approvals:
+        raise SystemExit("a request block given no chain was approved")
+    rows["run_consensus_800_s"] = median_time(
+        lambda: [run_consensus(request, pool, directories, seed) for seed in range(50)], args.repeats, 50
+    )
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
-from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, MinerVote, PatientBlock, RequestBlock
+from .ledger import VOTE_RECORD, ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock
 from .registry import Directories
 
 
@@ -139,25 +139,33 @@ def run_consensus(
     miners all apply the same deterministic validity check (run once);
     malicious miners reject without verifying. The simulated time is the
     slowest miner's verification cost plus all-to-all vote propagation.
+
+    The votes are written straight into the result's 14-byte records
+    (``ledger.VOTE_RECORD``); no per-miner object is built. A seed always
+    gives the same result bytes, so the role draw, the jitter stream and
+    the order of the float operations must not change.
     """
     valid = verify_block(block, directories, chain)
+    n = pool.n_miners
     rng = random.Random(seed)
-    malicious = frozenset(rng.sample(range(pool.n_miners), pool.n_malicious))
+    malicious = frozenset(rng.sample(range(n), pool.n_malicious))
     # One jitter draw per miner regardless of role keeps the RNG stream
-    # independent of the malicious count.
-    jitters = [rng.random() * pool.verify_jitter for _ in range(pool.n_miners)]
-    votes = tuple(
-        MinerVote(miner, True, False, 0.0)
-        if miner in malicious
-        else MinerVote(miner, False, valid, pool.verify_seconds + jitter)
-        for miner, jitter in enumerate(jitters)
+    # independent of the malicious count; a malicious miner then costs nothing.
+    seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
+    for miner in malicious:
+        seconds[miner] = 0.0
+    approve = int(valid)
+    pack = VOTE_RECORD.pack
+    vote_records = b"".join(
+        pack(miner, 1, 0, cost) if miner in malicious else pack(miner, 0, approve, cost)
+        for miner, cost in enumerate(seconds)
     )
-    approvals = sum(vote.approve for vote in votes)
-    propagation = pool.pair_seconds * pool.n_miners * (pool.n_miners - 1)
+    approvals = n - len(malicious) if valid else 0
+    propagation = pool.pair_seconds * n * (n - 1)
     return ConsensusResult(
-        approved=approvals >= approval_threshold(pool.n_miners),
+        approved=approvals >= approval_threshold(n),
         approvals=approvals,
-        rejections=pool.n_miners - approvals,
-        simulated_time=max(vote.seconds for vote in votes) + propagation,
-        votes=votes,
+        rejections=n - approvals,
+        simulated_time=max(seconds) + propagation,
+        vote_records=vote_records,
     )

@@ -16,6 +16,7 @@ first block in a patient's history chains from a state of 32 zero bytes.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -298,17 +299,23 @@ class PatientSecrets:
             raise ValueError("visit times must be strictly increasing")
         return PatientSecrets(self.records + (record,))
 
-    def index_of(self, block_id: bytes) -> int:
+    @cached_property
+    def _positions(self) -> dict[bytes, int]:
+        """Block id -> index of its first record, built on the first lookup."""
+        positions: dict[bytes, int] = {}
         for i, record in enumerate(self.records):
-            if record.block_id == block_id:
-                return i
-        raise KeyError("block not in this patient's history")
+            positions.setdefault(record.block_id, i)
+        return positions
+
+    def index_of(self, block_id: bytes) -> int:
+        try:
+            return self._positions[block_id]
+        except KeyError:
+            raise KeyError("block not in this patient's history") from None
 
     def find(self, block_id: bytes) -> BlockSecrets | None:
-        for record in self.records:
-            if record.block_id == block_id:
-                return record
-        return None
+        i = self._positions.get(block_id)
+        return None if i is None else self.records[i]
 
     def state_before(self, index: int) -> bytes:
         return self.records[index - 1].state if index > 0 else GENESIS_STATE
@@ -466,50 +473,76 @@ def _check_enrolled(keys: tuple[int, ...], index: int, public: int, who: str) ->
 # ---------------------------------------------------------------------------
 
 
+# One vote as stored: u32 miner, u8 malicious, u8 approve, f64 seconds.
+VOTE_RECORD = struct.Struct(">IBBd")
+
+
 @dataclass(frozen=True, slots=True)
 class MinerVote:
+    """One miner's vote, decoded from its ``VOTE_RECORD``."""
+
     miner: int
     malicious: bool
     approve: bool
     seconds: float
 
-    def to_bytes(self) -> bytes:
-        return enc.u32(self.miner) + enc.u8(self.malicious) + enc.u8(self.approve) + enc.f64(self.seconds)
-
-    @classmethod
-    def read_from(cls, reader: enc.Reader) -> "MinerVote":
-        return cls(reader.u32(), bool(reader.u8()), bool(reader.u8()), reader.f64())
-
 
 @dataclass(frozen=True)
 class ConsensusResult:
+    """The record of one consensus round, stored beside its block on the chain.
+
+    ``vote_records`` holds one 14-byte ``VOTE_RECORD`` per miner, in miner
+    order: u32 miner, u8 malicious flag, u8 approve flag, f64 virtual
+    seconds, big-endian. These are the bytes ``to_bytes`` writes after the
+    header and the u32 vote count, so a round keeps no per-miner objects;
+    ``votes`` decodes them into a fresh tuple of ``MinerVote`` on each access.
+    """
+
     approved: bool
     approvals: int
     rejections: int
     simulated_time: float
-    votes: tuple[MinerVote, ...]
+    vote_records: bytes
+
+    @property
+    def votes(self) -> tuple[MinerVote, ...]:
+        return tuple(
+            MinerVote(miner, bool(malicious), bool(approve), seconds)
+            for miner, malicious, approve, seconds in VOTE_RECORD.iter_unpack(self.vote_records)
+        )
 
     def to_bytes(self) -> bytes:
-        parts = [
+        return b"".join((
             enc.u8(self.approved),
             enc.u32(self.approvals),
             enc.u32(self.rejections),
             enc.f64(self.simulated_time),
-            enc.u32(len(self.votes)),
-        ]
-        parts.extend(v.to_bytes() for v in self.votes)
-        return b"".join(parts)
+            enc.u32(len(self.vote_records) // VOTE_RECORD.size),
+            self.vote_records,
+        ))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ConsensusResult":
+        """Decode a record; raises FormatError unless it re-encodes to ``data``
+        and its counts match its votes."""
         reader = enc.Reader(data)
-        approved = bool(reader.u8())
+        approved = reader.u8()
         approvals = reader.u32()
         rejections = reader.u32()
         simulated = reader.f64()
-        votes = tuple(MinerVote.read_from(reader) for _ in range(reader.u32()))
+        n_votes = reader.u32()
+        records = reader.take(n_votes * VOTE_RECORD.size)
         reader.expect_end()
-        return cls(approved, approvals, rejections, simulated, votes)
+        # Byte offsets 4 and 5 of each record hold its two flags.
+        malicious_flags, approve_flags = records[4::VOTE_RECORD.size], records[5::VOTE_RECORD.size]
+        if approved > 1 or (malicious_flags + approve_flags).translate(None, b"\x00\x01"):
+            raise enc.FormatError("flag byte is neither 0 nor 1")
+        approving = approve_flags.count(1)
+        if approvals != approving:
+            raise enc.FormatError(f"{approvals} approvals recorded, {approving} votes approve")
+        if approvals + rejections != n_votes:
+            raise enc.FormatError(f"{approvals} + {rejections} votes counted, {n_votes} recorded")
+        return cls(bool(approved), approvals, rejections, simulated, records)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class TestConsensusBench:
 def _rejecting_consensus(block, pool, directories, seed, chain=None):
     from phrchain.consensus import ConsensusResult
 
-    return ConsensusResult(False, 0, pool.n_miners, 0.0, ())
+    return ConsensusResult(False, 0, pool.n_miners, 0.0, b"")
 
 
 class TestResearcherBench:

@@ -1,27 +1,33 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phrchain import (
     GENESIS_STATE,
     Chain,
+    MinerPool,
     OffChainStore,
     PatientContext,
     PatientSecrets,
     TimeRange,
     chain_state,
+    create_approval_block,
     create_patient_block,
+    create_request_block,
     digest,
     keygen,
     new_sym_key,
+    run_consensus,
     state_commitment,
     sym_decrypt,
     verify_block,
 )
-from phrchain.consensus import ConsensusResult, MinerVote
+from phrchain.consensus import ConsensusResult
 from phrchain.encoding import FormatError, prefixed, u32
-from phrchain.ledger import BlockSecrets, EnrollmentError, NotApprovedError, decode_block
+from phrchain.ledger import VOTE_RECORD, BlockSecrets, EnrollmentError, NotApprovedError, decode_block
 
 
 def oracle_state(sym_key, ptr, data_digest, prev):
@@ -154,6 +160,26 @@ class TestPatientSecrets:
         assert secrets.state_before(0) == GENESIS_STATE
         assert secrets.state_before(1) == secrets.records[0].state
 
+    def test_lookups_over_a_long_history_match_a_scan(self, group):
+        rng = random.Random(8)
+        key = keygen(group, rng)
+        secrets = PatientSecrets()
+        for t in range(1, 201):
+            fields = [rng.randbytes(32) for _ in range(6)]
+            secrets = secrets.with_record(BlockSecrets(fields[0], key, *fields[1:], visit_time=t))
+        assert secrets.index_of(secrets.records[0].block_id) == 0  # fills the lookup map
+        for i, record in enumerate(secrets.records):
+            assert secrets.index_of(record.block_id) == i
+            assert secrets.find(record.block_id) is record
+        missing = rng.randbytes(32)
+        assert secrets.find(missing) is None
+        with pytest.raises(KeyError):
+            secrets.index_of(missing)
+        # A record added after a lookup is found in the new history, not in the old one.
+        extended = secrets.with_record(dataclasses.replace(secrets.records[-1], block_id=missing, visit_time=201))
+        assert extended.index_of(missing) == 200
+        assert secrets.find(missing) is None
+
 
 class TestBlockCreation:
     def test_created_block_verifies(self, make_world):
@@ -247,12 +273,12 @@ class TestBlockCreation:
 
 
 def _approved_record(n=3):
-    votes = tuple(MinerVote(i, False, True, 0.001) for i in range(n))
+    votes = b"".join(VOTE_RECORD.pack(i, False, True, 0.001) for i in range(n))
     return ConsensusResult(True, n, 0, 0.01, votes)
 
 
 def _rejected_record(n=3):
-    votes = tuple(MinerVote(i, True, False, 0.0) for i in range(n))
+    votes = b"".join(VOTE_RECORD.pack(i, True, False, 0.0) for i in range(n))
     return ConsensusResult(False, 0, n, 0.01, votes)
 
 
@@ -316,3 +342,45 @@ class TestChain:
             }
             assert not (values & seen)
             seen |= values
+
+
+# SHA-256 of the seeded chain's file bytes, recorded while consensus records
+# still held one object per vote: the chain file format must not change.
+PINNED_CHAIN_SHA256 = "54c393a684a35ad174b7b72f5577a55beff765658c99004e9e0e1d8f77f24fe7"
+
+
+@pytest.fixture()
+def small_chain(make_world):
+    """One patient block, a request for it and its approval, voted in by 20 miners."""
+    world = make_world(seed=23)
+    world.pool = MinerPool(n_miners=20, malicious_fraction=0.25, verify_jitter=1e-4)
+    block, patient = world.submit_block(world.patient(), b"pinned", 1)
+    request = create_request_block(world.group, world.researcher_kps[0], block, TimeRange(1, 2), world.rng)
+    world.chain.append(request, run_consensus(request, world.pool, world.directories, 2, chain=world.chain))
+    approval = create_approval_block(world.group, patient.secrets, request, TimeRange(1, 1), world.rng)
+    world.chain.append(approval, run_consensus(approval, world.pool, world.directories, 3, chain=world.chain))
+    return world.chain
+
+
+class TestChainFormat:
+    def test_seeded_chain_bytes_pinned(self, small_chain):
+        assert len(small_chain) == 3
+        assert hashlib.sha256(small_chain.to_bytes()).hexdigest() == PINNED_CHAIN_SHA256
+
+    @given(data=st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # fixture is read-only here
+    )
+    def test_from_bytes_on_mutated_chain_returns_or_raises_format_error(self, small_chain, data):
+        raw = bytearray(small_chain.to_bytes())
+        for _ in range(data.draw(st.integers(1, 4))):
+            position = data.draw(st.integers(0, len(raw) - 1))
+            raw[position] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.integers(0, len(raw)))
+        try:
+            decoded = Chain.from_bytes(bytes(raw[:cut]))
+        except FormatError:
+            return
+        assert isinstance(decoded, Chain)

@@ -1,0 +1,164 @@
+"""Consensus records hold their votes as packed 14-byte records.
+
+The per-miner loop that built one ``MinerVote`` per miner is kept here as
+the oracle: ``run_consensus`` must produce the same votes and the same
+bytes without building them.
+"""
+
+import dataclasses
+import gc
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from phrchain import MinerPool, run_consensus
+from phrchain.consensus import ConsensusResult, approval_threshold
+from phrchain.encoding import FormatError, f64, u8, u32
+from phrchain.ledger import VOTE_RECORD, MinerVote
+
+
+def oracle_votes(valid: bool, pool: MinerPool, seed: int) -> tuple[MinerVote, ...]:
+    """The per-miner vote loop, one object per miner."""
+    rng = random.Random(seed)
+    malicious = frozenset(rng.sample(range(pool.n_miners), pool.n_malicious))
+    jitters = [rng.random() * pool.verify_jitter for _ in range(pool.n_miners)]
+    return tuple(
+        MinerVote(miner, True, False, 0.0)
+        if miner in malicious
+        else MinerVote(miner, False, valid, pool.verify_seconds + jitter)
+        for miner, jitter in enumerate(jitters)
+    )
+
+
+def oracle_bytes(votes: tuple[MinerVote, ...], pool: MinerPool) -> bytes:
+    """A consensus record serialized field by field from vote objects."""
+    approvals = sum(vote.approve for vote in votes)
+    propagation = pool.pair_seconds * pool.n_miners * (pool.n_miners - 1)
+    header = (
+        u8(approvals >= approval_threshold(pool.n_miners))
+        + u32(approvals)
+        + u32(pool.n_miners - approvals)
+        + f64(max(vote.seconds for vote in votes) + propagation)
+        + u32(len(votes))
+    )
+    return header + b"".join(
+        u32(v.miner) + u8(v.malicious) + u8(v.approve) + f64(v.seconds) for v in votes
+    )
+
+
+ORACLE_POOLS = [
+    (MinerPool(12, 0.25, verify_jitter=1e-4), 42),
+    (MinerPool(800, 0.4), 3),
+    (MinerPool(5, 1.0), 9),
+    (MinerPool(9, 0.5, verify_seconds=0.0, verify_jitter=1e-4, pair_seconds=0.0), 17),
+    (MinerPool(800, 0.4, verify_jitter=1e-4), 5),
+]
+
+
+@pytest.fixture()
+def blocks(make_world):
+    """A valid patient block and a tampered copy of it, with the world that made them."""
+    world = make_world(patients=2, hospitals=2, miners=8, seed=11)
+    block, _ = world.submit_block(world.patient(), b"consensus target", 1, append=False)
+    bad = dataclasses.replace(block, condition_bits=b"\xff" + block.condition_bits[1:])
+    return world, {True: block, False: bad}
+
+
+class TestAgainstThePerMinerLoop:
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    @pytest.mark.parametrize(("pool", "seed"), ORACLE_POOLS)
+    def test_votes_and_bytes_match_the_oracle(self, blocks, pool, seed, valid):
+        world, by_validity = blocks
+        result = run_consensus(by_validity[valid], pool, world.directories, seed=seed)
+        expected = oracle_votes(valid, pool, seed)
+        assert result.votes == expected
+        assert result.to_bytes() == oracle_bytes(expected, pool)
+        assert len(result.vote_records) == VOTE_RECORD.size * pool.n_miners == 14 * pool.n_miners
+
+    def test_an_800_miner_record_keeps_under_16_kib(self, blocks):
+        world, by_validity = blocks
+        pool = MinerPool(800, 0.4)
+        run_consensus(by_validity[True], pool, world.directories, seed=1)  # warm every cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_consensus(by_validity[True], pool, world.directories, seed=2)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.approvals == 480
+        assert kept < 16 * 1024, kept
+
+
+class TestStrictDecoding:
+    @pytest.fixture()
+    def raw(self, blocks):
+        world, by_validity = blocks
+        pool = MinerPool(5, 0.4, verify_jitter=1e-4)
+        return bytearray(run_consensus(by_validity[True], pool, world.directories, seed=7).to_bytes())
+
+    HEADER = 1 + 4 + 4 + 8 + 4  # approved, approvals, rejections, simulated time, vote count
+
+    @pytest.mark.parametrize("offset", [4, 5], ids=["malicious", "approve"])
+    def test_vote_flag_above_one_raises(self, raw, offset):
+        raw[self.HEADER + 2 * VOTE_RECORD.size + offset] = 2
+        with pytest.raises(FormatError, match="neither 0 nor 1"):
+            ConsensusResult.from_bytes(bytes(raw))
+
+    def test_approved_flag_above_one_raises(self, raw):
+        raw[0] = 0x80
+        with pytest.raises(FormatError, match="neither 0 nor 1"):
+            ConsensusResult.from_bytes(bytes(raw))
+
+    def test_approvals_differing_from_the_approve_flags_raise(self, raw):
+        result = ConsensusResult.from_bytes(bytes(raw))
+        shifted = dataclasses.replace(result, approvals=result.approvals - 1, rejections=result.rejections + 1)
+        with pytest.raises(FormatError, match="votes approve"):
+            ConsensusResult.from_bytes(shifted.to_bytes())
+
+    def test_counts_differing_from_the_vote_count_raise(self, raw):
+        result = ConsensusResult.from_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="votes counted"):
+            ConsensusResult.from_bytes(dataclasses.replace(result, rejections=result.rejections + 1).to_bytes())
+
+
+votes_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.floats(allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+class TestFuzz:
+    @given(votes=votes_strategy, approved=st.booleans(), simulated=st.floats(allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_of_arbitrary_votes(self, votes, approved, simulated):
+        records = b"".join(VOTE_RECORD.pack(*vote) for vote in votes)
+        approvals = sum(approve for _, _, approve, _ in votes)
+        result = ConsensusResult(approved, approvals, len(votes) - approvals, simulated, records)
+        assert ConsensusResult.from_bytes(result.to_bytes()) == result
+        assert result.votes == tuple(MinerVote(*vote) for vote in votes)
+
+    @given(votes=votes_strategy, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_from_bytes_on_mutated_records_returns_or_raises_format_error(self, votes, data):
+        records = b"".join(VOTE_RECORD.pack(*vote) for vote in votes)
+        approvals = sum(approve for _, _, approve, _ in votes)
+        raw = bytearray(ConsensusResult(True, approvals, len(votes) - approvals, 1.0, records).to_bytes())
+        for _ in range(data.draw(st.integers(0, 3))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        raw = raw[: data.draw(st.integers(0, len(raw)))] + data.draw(st.binary(max_size=16))
+        try:
+            decoded = ConsensusResult.from_bytes(bytes(raw))
+        except FormatError:
+            return
+        # Whatever decodes is canonical: it encodes back to the same bytes.
+        assert decoded.to_bytes() == raw
