@@ -38,9 +38,6 @@ from .ledger import (
 )
 from .registry import codes_match
 
-_PACKAGE_MAGIC = b"PHRD"
-_FILE_VERSION = 1
-
 
 class RangeError(ValueError):
     """Granted range is not contained in the requested range."""
@@ -123,8 +120,10 @@ class DisclosureEntry:
 
 
 @dataclass(frozen=True)
-class DisclosurePackage:
+class DisclosurePackage(enc.Stored):
     """Off-chain bundle granting verifiable access to k contiguous blocks."""
+
+    MAGIC = b"PHRD"
 
     entries: tuple[DisclosureEntry, ...]
     prefix_state: bytes
@@ -154,28 +153,17 @@ class DisclosurePackage:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "DisclosurePackage":
-        reader = enc.Reader(data)
+    def read_from(cls, reader: enc.Reader) -> "DisclosurePackage":
         count = reader.u32()
         entries = tuple(
             DisclosureEntry(reader.take(32), reader.take(32), reader.take(32)) for _ in range(count)
         )
-        package = cls(
+        return cls(
             entries=entries,
             prefix_state=reader.take(32),
             last_nonce=reader.take(NONCE_SIZE),
             last_block_id=reader.take(32),
         )
-        reader.expect_end()
-        return package
-
-    def save(self, path) -> None:
-        enc.write_versioned(path, _PACKAGE_MAGIC, _FILE_VERSION, self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "DisclosurePackage":
-        reader = enc.read_versioned(path, _PACKAGE_MAGIC, _FILE_VERSION)
-        return cls.from_bytes(reader.take(reader.remaining()))
 
     def describe(self) -> str:
         lines = [f"disclosure package: {self.k} blocks, {len(self.items)} items"]

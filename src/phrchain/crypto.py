@@ -315,10 +315,7 @@ class CredentialProof:
 
     @classmethod
     def from_bytes(cls, data: bytes, group: GroupParams) -> "CredentialProof":
-        reader = enc.Reader(data)
-        proof = cls.read_from(reader, group)
-        reader.expect_end()
-        return proof
+        return enc.decode(data, cls.read_from, group)
 
 
 def _joint_context(

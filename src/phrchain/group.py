@@ -83,7 +83,7 @@ def _window_bits(n_bases: int, exponent_bits: int) -> int:
 
 
 @dataclass(frozen=True)
-class GroupParams:
+class GroupParams(enc.Wire):
     """The prime-order subgroup of Z_modulus* for a safe prime modulus = 2 * order + 1."""
 
     group_id: str
@@ -204,18 +204,13 @@ class GroupParams:
     def to_bytes(self) -> bytes:
         return (
             enc.prefixed_str(self.group_id)
-            + enc.prefixed(self.modulus.to_bytes((self.modulus.bit_length() + 7) // 8, "big"))
-            + enc.prefixed(self.order.to_bytes((self.order.bit_length() + 7) // 8, "big"))
-            + enc.prefixed(self.generator.to_bytes((self.generator.bit_length() + 7) // 8, "big"))
+            + enc.prefixed_int(self.modulus)
+            + enc.prefixed_int(self.order)
+            + enc.prefixed_int(self.generator)
         )
 
     @classmethod
-    def read_from(cls, reader) -> "GroupParams":
-        group_id = reader.prefixed_str()
-        modulus = int.from_bytes(reader.prefixed(), "big")
-        order = int.from_bytes(reader.prefixed(), "big")
-        generator = int.from_bytes(reader.prefixed(), "big")
-        try:
-            return cls(group_id=group_id, modulus=modulus, order=order, generator=generator)
-        except ValueError as exc:
-            raise enc.FormatError(f"invalid group parameters: {exc}") from exc
+    def read_from(cls, reader: enc.Reader) -> "GroupParams":
+        return enc.build(
+            cls, reader.prefixed_str(), reader.prefixed_int(), reader.prefixed_int(), reader.prefixed_int()
+        )

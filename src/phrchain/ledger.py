@@ -19,7 +19,6 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from . import encoding as enc
 from .crypto import (
@@ -44,10 +43,6 @@ PTR_SIZE = 32
 _KIND_PATIENT = 1
 _KIND_REQUEST = 2
 _KIND_APPROVAL = 3
-
-_CHAIN_MAGIC = b"PHRC"
-_STORE_MAGIC = b"PHRS"
-_FILE_VERSION = 1
 
 
 class EnrollmentError(ValueError):
@@ -98,11 +93,7 @@ class TimeRange:
 
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "TimeRange":
-        start = reader.u64()
-        end = reader.u64()
-        if start > end:
-            raise enc.FormatError("range start exceeds end")
-        return cls(start, end)
+        return enc.build(cls, reader.u64(), reader.u64())
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +246,11 @@ _BLOCK_KINDS = {
 
 
 def decode_block(data: bytes, group: GroupParams) -> Block:
-    """Parse canonical block bytes; raises FormatError/ValueError on malformed input."""
-    reader = enc.Reader(data)
-    kind = reader.u8()
-    if kind not in _BLOCK_KINDS:
-        raise enc.FormatError(f"unknown block kind {kind}")
-    block = _BLOCK_KINDS[kind].read_from(reader, group)
-    reader.expect_end()
-    return block
+    """Parse canonical block bytes; raises FormatError on malformed input."""
+    kind = _BLOCK_KINDS.get(data[0] if data else None)
+    if kind is None:
+        raise enc.FormatError("missing or unknown block kind")
+    return enc.decode(data[1:], kind.read_from, group)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +331,10 @@ class HospitalContext:
 # ---------------------------------------------------------------------------
 
 
-class OffChainStore:
+class OffChainStore(enc.Stored):
     """Pointer-addressed ciphertext store; never sees plaintext or keys."""
+
+    MAGIC = b"PHRS"
 
     def __init__(self) -> None:
         self._items: dict[bytes, bytes] = {}
@@ -377,22 +367,17 @@ class OffChainStore:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "OffChainStore":
-        reader = enc.Reader(data)
+    def read_from(cls, reader: enc.Reader) -> "OffChainStore":
+        """Entries must come in strictly increasing pointer order, as ``to_bytes`` writes them."""
         store = cls()
+        last = b""
         for _ in range(reader.u32()):
             ptr = reader.take(PTR_SIZE)
+            if ptr <= last:
+                raise enc.FormatError("store pointers are not strictly increasing")
             store._items[ptr] = reader.prefixed()
-        reader.expect_end()
+            last = ptr
         return store
-
-    def save(self, path: Path | str) -> None:
-        enc.write_versioned(path, _STORE_MAGIC, _FILE_VERSION, self.to_bytes())
-
-    @classmethod
-    def load(cls, path: Path | str) -> "OffChainStore":
-        reader = enc.read_versioned(path, _STORE_MAGIC, _FILE_VERSION)
-        return cls.from_bytes(reader.take(reader.remaining()))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +473,7 @@ class MinerVote:
 
 
 @dataclass(frozen=True)
-class ConsensusResult:
+class ConsensusResult(enc.Wire):
     """The record of one consensus round, stored beside its block on the chain.
 
     ``vote_records`` holds one 14-byte ``VOTE_RECORD`` per miner, in miner
@@ -522,17 +507,15 @@ class ConsensusResult:
         ))
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ConsensusResult":
-        """Decode a record; raises FormatError unless it re-encodes to ``data``
-        and its counts match its votes."""
-        reader = enc.Reader(data)
+    def read_from(cls, reader: enc.Reader) -> "ConsensusResult":
+        """Decode a record; raises FormatError unless it re-encodes to the bytes
+        read and its counts match its votes."""
         approved = reader.u8()
         approvals = reader.u32()
         rejections = reader.u32()
         simulated = reader.f64()
         n_votes = reader.u32()
         records = reader.take(n_votes * VOTE_RECORD.size)
-        reader.expect_end()
         # Byte offsets 4 and 5 of each record hold its two flags.
         malicious_flags, approve_flags = records[4::VOTE_RECORD.size], records[5::VOTE_RECORD.size]
         if approved > 1 or (malicious_flags + approve_flags).translate(None, b"\x00\x01"):
@@ -551,8 +534,10 @@ class ChainEntry:
     record: ConsensusResult
 
 
-class Chain:
+class Chain(enc.Stored):
     """Append-only block list; appending requires an approved consensus record."""
+
+    MAGIC = b"PHRC"
 
     def __init__(self, group: GroupParams):
         self.group = group
@@ -591,24 +576,11 @@ class Chain:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Chain":
-        reader = enc.Reader(data)
-        group = GroupParams.read_from(enc.Reader(reader.prefixed()))
+    def read_from(cls, reader: enc.Reader) -> "Chain":
+        group = GroupParams.from_bytes(reader.prefixed())
         chain = cls(group)
         for _ in range(reader.u32()):
             block = decode_block(reader.prefixed(), group)
             record = ConsensusResult.from_bytes(reader.prefixed())
-            try:
-                chain.append(block, record)
-            except ValueError as exc:  # an unapproved record or a repeated block
-                raise enc.FormatError(f"invalid chain entry: {exc}") from exc
-        reader.expect_end()
+            enc.build(chain.append, block, record)  # an unapproved record or a repeated block
         return chain
-
-    def save(self, path: Path | str) -> None:
-        enc.write_versioned(path, _CHAIN_MAGIC, _FILE_VERSION, self.to_bytes())
-
-    @classmethod
-    def load(cls, path: Path | str) -> "Chain":
-        reader = enc.read_versioned(path, _CHAIN_MAGIC, _FILE_VERSION)
-        return cls.from_bytes(reader.take(reader.remaining()))

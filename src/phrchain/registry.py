@@ -9,16 +9,11 @@ list digest, and a key's index is stable for the life of the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 from . import encoding as enc
 from .crypto import key_list_digest
 from .group import GroupParams
-
-_REGISTRY_MAGIC = b"PHRR"
-_CODEBOOK_MAGIC = b"PHRB"
-_FILE_VERSION = 1
 
 ROLES = ("patient", "hospital", "researcher")
 
@@ -32,7 +27,7 @@ class UnknownConditionError(KeyError):
 
 
 @dataclass
-class Registry:
+class Registry(enc.Stored):
     """Ordered public-key registry for one role. Single-writer.
 
     Every key is a distinct prime-order subgroup element, checked at
@@ -40,6 +35,8 @@ class Registry:
     verifier relies on it. The key tuple and the digest are cached and
     rebuilt at most once per change.
     """
+
+    MAGIC = b"PHRR"
 
     group: GroupParams
     role: str
@@ -98,24 +95,10 @@ class Registry:
 
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "Registry":
-        group = GroupParams.read_from(enc.Reader(reader.prefixed()))
+        group = GroupParams.from_bytes(reader.prefixed())
         role = reader.prefixed_str()
-        count = reader.u32()
-        encoded = [reader.take(group.element_size) for _ in range(count)]
-        try:
-            return cls(group=group, role=role, _keys=[group.decode_element(e) for e in encoded])
-        except ValueError as exc:
-            raise enc.FormatError(f"invalid {role} registry: {exc}") from exc
-
-    def save(self, path: Path | str) -> None:
-        enc.write_versioned(path, _REGISTRY_MAGIC, _FILE_VERSION, self.to_bytes())
-
-    @classmethod
-    def load(cls, path: Path | str) -> "Registry":
-        reader = enc.read_versioned(path, _REGISTRY_MAGIC, _FILE_VERSION)
-        registry = cls.read_from(reader)
-        reader.expect_end()
-        return registry
+        keys = [group.decode_element(reader.take(group.element_size)) for _ in range(reader.u32())]
+        return enc.build(cls, group, role, keys)
 
     def describe(self) -> str:
         lines = [f"{self.role} registry: {len(self._keys)} keys, digest {self.digest.hex()[:16]}"]
@@ -146,13 +129,15 @@ def new_directories(group: GroupParams) -> Directories:
 
 
 @dataclass(frozen=True)
-class ConditionCodebook:
+class ConditionCodebook(enc.Stored):
     """Stable-position condition names backing the public bit vector.
 
     Bit i covers lifetime_codes[i]; bit len(lifetime_codes) + j covers
     visit_codes[j]. The codebook is public configuration shared by all
     parties, so positions must never be reordered once blocks exist.
     """
+
+    MAGIC = b"PHRB"
 
     lifetime_codes: tuple[str, ...]
     visit_codes: tuple[str, ...]
@@ -208,20 +193,7 @@ class ConditionCodebook:
     def read_from(cls, reader: enc.Reader) -> "ConditionCodebook":
         lifetime = tuple(reader.prefixed_str() for _ in range(reader.u32()))
         visit = tuple(reader.prefixed_str() for _ in range(reader.u32()))
-        try:
-            return cls(lifetime_codes=lifetime, visit_codes=visit)
-        except ValueError as exc:
-            raise enc.FormatError(f"invalid condition codebook: {exc}") from exc
-
-    def save(self, path: Path | str) -> None:
-        enc.write_versioned(path, _CODEBOOK_MAGIC, _FILE_VERSION, self.to_bytes())
-
-    @classmethod
-    def load(cls, path: Path | str) -> "ConditionCodebook":
-        reader = enc.read_versioned(path, _CODEBOOK_MAGIC, _FILE_VERSION)
-        codebook = cls.read_from(reader)
-        reader.expect_end()
-        return codebook
+        return enc.build(cls, lifetime, visit)
 
     def describe(self) -> str:
         lines = [

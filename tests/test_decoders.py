@@ -1,0 +1,183 @@
+"""Canonical decoding: every decoder returns a value or raises FormatError,
+and whatever it returns re-encodes to exactly the bytes it was given."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from phrchain import (
+    Chain,
+    ConditionCodebook,
+    ConsensusResult,
+    CredentialProof,
+    DisclosurePackage,
+    HospitalContext,
+    MinerPool,
+    OffChainStore,
+    PatientContext,
+    PatientSecrets,
+    Registry,
+    TimeRange,
+    build_disclosure_package,
+    create_approval_block,
+    create_patient_block,
+    create_request_block,
+    keygen,
+    new_directories,
+    run_consensus,
+)
+from phrchain.encoding import FILE_VERSION, FormatError, prefixed, prefixed_str, u16, u32, write_versioned
+from phrchain.group import GroupParams
+from phrchain.ledger import PTR_SIZE, decode_block
+
+GROUP = GroupParams.default()
+
+
+@pytest.fixture(scope="module")
+def samples():
+    """Canonical bytes of one value of every wire type, from a seeded run."""
+    rng = random.Random(41)
+    directories = new_directories(GROUP)
+    patient_kp, hospital_kp, researcher_kp = (keygen(GROUP, rng) for _ in range(3))
+    for registry, kp in ((directories.patients, patient_kp), (directories.hospitals, hospital_kp),
+                         (directories.researchers, researcher_kp)):
+        registry.enroll(kp.public)
+        registry.enroll(keygen(GROUP, rng).public)
+    codebook = ConditionCodebook.default(lifetime=3, visit=2)
+    store = OffChainStore()
+    pool = MinerPool(n_miners=6, malicious_fraction=0.34, verify_jitter=1e-4)
+    chain = Chain(GROUP)
+    secrets = PatientSecrets()
+    for visit in (1, 2):
+        patient = PatientContext(patient_kp, 0, secrets)
+        block, secrets = create_patient_block(
+            patient, HospitalContext(hospital_kp, 0), b"visit %d" % visit,
+            codebook.encode(["lifetime-001"], ["visit-000"]), directories, store, visit, rng,
+        )
+        chain.append(block, run_consensus(block, pool, directories, seed=visit))
+    request = create_request_block(GROUP, researcher_kp, block, TimeRange(1, 9), rng)
+    chain.append(request, run_consensus(request, pool, directories, 3, chain=chain))
+    approval = create_approval_block(GROUP, secrets, request, TimeRange(1, 2), rng)
+    chain.append(approval, run_consensus(approval, pool, directories, 4, chain=chain))
+    return {
+        "patient-block": block.canonical_bytes(),
+        "request-block": request.canonical_bytes(),
+        "approval-block": approval.canonical_bytes(),
+        "credential": block.patient_credential.to_bytes(GROUP),
+        "consensus-result": chain.entries()[-1].record.to_bytes(),
+        "chain": chain.to_bytes(),
+        "store": store.to_bytes(),
+        "package": build_disclosure_package(secrets, [e.block_id for e in secrets.records]).to_bytes(),
+        "group": GROUP.to_bytes(),
+        "registry": Registry.MAGIC + u16(FILE_VERSION) + directories.hospitals.to_bytes(),
+        "codebook": ConditionCodebook.MAGIC + u16(FILE_VERSION) + codebook.to_bytes(),
+    }
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decoders")
+
+
+def _through_file(cls, tmp_dir):
+    def decode(data):
+        path = tmp_dir / "in.bin"
+        path.write_bytes(data)
+        return cls.load(path)
+
+    def encode(value):
+        path = tmp_dir / "out.bin"
+        value.save(path)
+        return path.read_bytes()
+
+    return decode, encode
+
+
+# name -> (decode(bytes) -> value, encode(value) -> bytes); files go through load and save.
+CODECS = {
+    "patient-block": (lambda data: decode_block(data, GROUP), lambda block: block.canonical_bytes()),
+    "request-block": (lambda data: decode_block(data, GROUP), lambda block: block.canonical_bytes()),
+    "approval-block": (lambda data: decode_block(data, GROUP), lambda block: block.canonical_bytes()),
+    "credential": (lambda data: CredentialProof.from_bytes(data, GROUP), lambda proof: proof.to_bytes(GROUP)),
+    "consensus-result": (ConsensusResult.from_bytes, ConsensusResult.to_bytes),
+    "chain": (Chain.from_bytes, Chain.to_bytes),
+    "store": (OffChainStore.from_bytes, OffChainStore.to_bytes),
+    "package": (DisclosurePackage.from_bytes, DisclosurePackage.to_bytes),
+    "group": (GroupParams.from_bytes, GroupParams.to_bytes),
+    "registry": Registry,
+    "codebook": ConditionCodebook,
+}
+
+
+def damaged(data: bytes):
+    """The input after up to four edits, each overwriting, inserting or removing
+    up to eight bytes at some position, and then perhaps cut short."""
+    position = st.integers(0, len(data))
+    chunk = st.binary(min_size=1, max_size=8)
+    edit = st.one_of(
+        st.tuples(position, chunk).map(lambda e: (e[0], len(e[1]), e[1])),  # overwrite
+        st.tuples(position, st.just(0), chunk),  # insert
+        st.tuples(position, st.integers(1, 8), st.just(b"")),  # remove
+    )
+
+    def apply(edits):
+        changes, cut = edits
+        raw = data
+        for at, removed, inserted in changes:
+            at %= len(raw) + 1
+            raw = raw[:at] + inserted + raw[at + removed:]
+        return raw[:cut]
+
+    return st.tuples(st.lists(edit, max_size=4), st.integers(0, len(data) + 32) | st.none()).map(apply)
+
+
+@pytest.mark.parametrize("name", list(CODECS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_decoder_returns_canonical_value_or_raises_format_error(samples, file_dir, name, data):
+    codec = CODECS[name]
+    decode, encode = codec if isinstance(codec, tuple) else _through_file(codec, file_dir)
+    raw = data.draw(damaged(samples[name]), label="input")
+    try:
+        value = decode(raw)
+    except FormatError:
+        return
+    assert encode(value) == raw
+
+
+def _store_bytes(*entries):
+    return u32(len(entries)) + b"".join(ptr + prefixed(ciphertext) for ptr, ciphertext in entries)
+
+
+class TestStoreOrder:
+    def test_duplicate_pointer_rejected(self):
+        ptr = bytes(range(PTR_SIZE))
+        with pytest.raises(FormatError, match="strictly increasing"):
+            OffChainStore.from_bytes(_store_bytes((ptr, b"a"), (ptr, b"b")))
+
+    def test_out_of_order_pointers_rejected(self):
+        with pytest.raises(FormatError, match="strictly increasing"):
+            OffChainStore.from_bytes(_store_bytes((b"\xff" * PTR_SIZE, b"a"), (bytes(PTR_SIZE), b"b")))
+
+
+class TestGroupField:
+    def test_leading_zero_byte_rejected(self, tiny_group):
+        def encoded(modulus):
+            return prefixed_str("tiny-23") + prefixed(modulus) + prefixed(b"\x0b") + prefixed(b"\x04")
+
+        assert tiny_group.to_bytes() == encoded(b"\x17")
+        assert GroupParams.from_bytes(encoded(b"\x17")) == tiny_group
+        with pytest.raises(FormatError, match="leading zero"):
+            GroupParams.from_bytes(encoded(b"\x00\x17"))
+
+    def test_junk_inside_registry_group_field_rejected(self, tiny_group, tmp_path):
+        path = tmp_path / "padded.registry"
+        write_versioned(path, Registry.MAGIC, FILE_VERSION,
+                        prefixed(tiny_group.to_bytes() + b"junk") + prefixed_str("patient") + u32(0))
+        with pytest.raises(FormatError, match="trailing"):
+            Registry.load(path)
+
+    def test_junk_inside_chain_group_field_rejected(self, tiny_group):
+        with pytest.raises(FormatError, match="trailing"):
+            Chain.from_bytes(prefixed(tiny_group.to_bytes() + b"junk") + u32(0))
