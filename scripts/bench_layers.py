@@ -6,7 +6,10 @@ Prints one JSON object of medians in seconds:
     PYTHONPATH=src python scripts/bench_layers.py --seed 2 --repeats 5
 
 Rows: ``g^x`` (fixed-base), ``pow`` (a 256-bit variable-base ``pow``, the
-speed reference), the subgroup test, one consensus vote over 800 miners
+speed reference), building one ring key's comb table and one keyed
+exponentiation through a built table (``keygen`` keys, the same scalars
+as ``pow``; every keyed result is checked against ``pow`` first), the
+subgroup test, one consensus vote over 800 miners
 (40% malicious) on a request block given no chain, which ``verify_block``
 rejects at once so that the row times the vote loop alone, the 2m-base
 product that ring verification evaluates, and ring prove / verify at
@@ -32,7 +35,7 @@ from phrchain import (
     run_consensus,
     sign,
 )
-from phrchain.group import GroupParams
+from phrchain.group import GroupParams, _key_comb_table
 
 
 def median_time(fn, repeats: int, per_call: int = 1) -> float:
@@ -57,6 +60,23 @@ def main() -> None:
     rows = {
         "pow_s": median_time(lambda: [pow(g, x, p) for x in scalars], args.repeats, len(scalars)),
         "g_exp_s": median_time(lambda: [group.exp(g, x) for x in scalars], args.repeats, len(scalars)),
+    }
+    # A separate stream, so the rows below draw the same inputs as before.
+    key_rng = random.Random(f"keys-{args.seed}")
+    keys = [keygen(group, key_rng).public for _ in scalars]
+    if any(group.key_exp(y, x) != pow(y, x, p) for y, x in zip(keys, scalars)):
+        raise SystemExit("a keyed exponentiation differs from pow")
+
+    def build_tables():
+        _key_comb_table.cache_clear()
+        for y in keys:
+            _key_comb_table(p, q, y)
+
+    rows |= {
+        "key_comb_build_s": median_time(build_tables, args.repeats, len(keys)),
+        "key_comb_exp_s": median_time(
+            lambda: [group.key_exp(y, x) for y, x in zip(keys, scalars)], args.repeats, len(scalars)
+        ),
         "is_element_s": median_time(
             lambda: [group.is_element(x) for x in elements], args.repeats, len(elements)
         ),

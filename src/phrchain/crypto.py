@@ -21,6 +21,7 @@ the default is the operating system RNG.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import secrets
@@ -64,6 +65,13 @@ def key_list_digest(group: GroupParams, keys: Sequence[int]) -> bytes:
     parts = [enc.u32(len(keys))]
     parts.extend(group.encode_element(k) for k in keys)
     return digest(b"".join(parts))
+
+
+@functools.lru_cache(maxsize=8)
+def _ring_digest(group: GroupParams, ring: tuple[int, ...]) -> bytes:
+    # A registry's key tuple is proved against and verified against several
+    # times per block; hashing the tuple is far cheaper than re-encoding it.
+    return key_list_digest(group, ring)
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,7 @@ def _ring_commit(
             # solve for the commitment that satisfies the verification equation.
             c = challenges[i] = group.random_scalar(rng)
             s = responses[i] = group.random_scalar(rng)
-            commitments.append(group.mul(group.exp(group.generator, s), group.exp(key, -c)))
+            commitments.append(group.mul(group.exp(group.generator, s), group.key_exp(key, -c)))
     return _RingCommitState(index, nonce, tuple(commitments), tuple(challenges), tuple(responses))
 
 
@@ -328,7 +336,7 @@ def _joint_context(
     commit_parts = [group.encode_element(possession_commitment), enc.u32(len(ring_commitments))]
     commit_parts.extend(group.encode_element(t) for t in ring_commitments)
     return (
-        key_list_digest(group, ring)
+        _ring_digest(group, tuple(ring))
         + group.encode_element(block_public)
         + digest(b"".join(commit_parts))
     )

@@ -13,6 +13,9 @@ quadratic residues mod p, so subgroup membership is a Jacobi-symbol test
 rather than an exponentiation. Powers of the generator are read from a
 fixed-base comb table built once per parameter triple on first use, and
 products of many powers use a Pippenger bucket multi-exponentiation.
+Long-lived keys such as ring keys get a smaller comb of their own: a
+16-entry Lim-Lee table per key, built lazily on the key's first power
+and kept packed as bytes in a bounded module-level cache.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -51,6 +54,35 @@ def _comb_table(modulus: int, order: int, generator: int) -> tuple[tuple[int, ..
         rows.append(tuple(row))
         base = row[-1] * base % modulus
     return tuple(rows)
+
+
+# Per-key comb tables cached at once: enough for two registries of 8192
+# keys. A table is 16 packed elements (512 bytes in the default group).
+_KEY_TABLES = 16384
+_HEX_DIGITS = "0123456789abcdef"
+
+
+def _key_span(order: int) -> int:
+    """Bits per slice when an exponent below order is cut into four slices."""
+    return -(-order.bit_length() // 4)
+
+
+@functools.lru_cache(maxsize=_KEY_TABLES)
+def _key_comb_table(modulus: int, order: int, key: int) -> bytes:
+    """Entry d (of 16) is the product of key**(2**(span*j)) over the set bits j of d.
+
+    Packed as one little-endian integer of 16 fixed-width fields, so a
+    cached table costs 16 * element_size bytes rather than 16 int objects.
+    """
+    span = _key_span(order)
+    powers = [key]
+    for _ in range(3):
+        powers.append(pow(powers[-1], 1 << span, modulus))
+    table = [1]
+    for power in powers:
+        table += [entry * power % modulus for entry in table]
+    size = (modulus.bit_length() + 7) // 8
+    return b"".join(entry.to_bytes(size, "little") for entry in table)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -127,6 +159,30 @@ class GroupParams(enc.Wire):
         for row, digit in zip(self._comb, exponent.to_bytes(len(self._comb), "little")):
             if digit:
                 result = result * row[digit] % modulus
+        return result
+
+    def key_exp(self, key: int, exponent: int) -> int:
+        """key**exponent for a long-lived subgroup element such as a ring key.
+
+        Lim-Lee comb: the reduced exponent is cut into four slices of span
+        bits, and bit b of every slice together picks one of the key's 16
+        table entries. Reading the bits from the top, one exponentiation is
+        span squarings and span multiplications, against about
+        bits(order) squarings for ``pow``. The table is built on the key's
+        first call and shared through a cache keyed by (modulus, order, key).
+        """
+        exponent %= self.order
+        modulus, width, span = self.modulus, 8 * self.element_size, _key_span(self.order)
+        packed = int.from_bytes(_key_comb_table(modulus, self.order, key), "little")
+        entry_mask = (1 << width) - 1
+        entries = {digit: packed >> width * i & entry_mask for i, digit in enumerate(_HEX_DIGITS)}
+        # Writing a slice in binary and reading it back as hex spreads its
+        # bits four apart, so hex digit b of the sum below is the index for bit b.
+        mask = (1 << span) - 1
+        interleaved = sum(int(f"{exponent >> span * j & mask:b}", 16) << j for j in range(4))
+        result = 1
+        for digit in f"{interleaved:0{span}x}":
+            result = result * result * entries[digit] % modulus
         return result
 
     def multi_exp(self, bases: Sequence[int], exponents: Sequence[int]) -> int:

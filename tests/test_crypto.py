@@ -32,6 +32,7 @@ from phrchain.crypto import (
     _signature_challenge,
 )
 from phrchain.encoding import FormatError, Reader
+from phrchain.group import _key_comb_table
 
 # Published SHA-256 vectors (empty input and "abc").
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -189,6 +190,16 @@ class TestRingProof:
         a = ring_prove(group, ring, 2, kps[2].secret, b"ctx", random.Random(8))
         b = ring_prove(group, ring, 2, kps[2].secret, b"ctx", random.Random(8))
         assert a.to_bytes(group) == b.to_bytes(group)
+
+    def test_seeded_transcripts_same_with_cold_and_warm_key_tables(self, group):
+        # Simulated branches read the ring keys' comb tables; building them
+        # draws nothing from the caller's RNG.
+        kps, ring = _ring(group, random.Random(112), 6)
+        _key_comb_table.cache_clear()
+        cold = ring_prove(group, ring, 3, kps[3].secret, b"ctx", random.Random(9)).to_bytes(group)
+        assert _key_comb_table.cache_info().currsize == len(ring) - 1
+        warm = ring_prove(group, ring, 3, kps[3].secret, b"ctx", random.Random(9)).to_bytes(group)
+        assert cold == warm
 
     def test_transcript_growth_ratio(self, group):
         # One branch record per ring key: size must scale linearly.

@@ -2,6 +2,8 @@
 and whatever it returns re-encodes to exactly the bytes it was given."""
 
 import random
+import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,8 @@ from phrchain import (
     new_directories,
     run_consensus,
 )
-from phrchain.encoding import FILE_VERSION, FormatError, prefixed, prefixed_str, u16, u32, write_versioned
+from phrchain import encoding as enc
+from phrchain.encoding import FILE_VERSION, FormatError, Reader, prefixed, prefixed_str, u16, u32, write_versioned
 from phrchain.group import GroupParams
 from phrchain.ledger import PTR_SIZE, decode_block
 
@@ -110,6 +113,11 @@ CODECS = {
 }
 
 
+def _codec(name, tmp_dir):
+    codec = CODECS[name]
+    return codec if isinstance(codec, tuple) else _through_file(codec, tmp_dir)
+
+
 def damaged(data: bytes):
     """The input after up to four edits, each overwriting, inserting or removing
     up to eight bytes at some position, and then perhaps cut short."""
@@ -136,9 +144,176 @@ def damaged(data: bytes):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_decoder_returns_canonical_value_or_raises_format_error(samples, file_dir, name, data):
-    codec = CODECS[name]
-    decode, encode = codec if isinstance(codec, tuple) else _through_file(codec, file_dir)
+    decode, encode = _codec(name, file_dir)
     raw = data.draw(damaged(samples[name]), label="input")
+    try:
+        value = decode(raw)
+    except FormatError:
+        return
+    assert encode(value) == raw
+
+
+# ---------------------------------------------------------------------------
+# Field-built inputs: a canonical sample is decoded once through a recording
+# Reader, and new inputs are rebuilt from its fields with a few of them
+# redrawn. Lengths of enclosing fields are recomputed, so one draw can make
+# a coordinated edit (a padded integer and its length) at any depth.
+# ---------------------------------------------------------------------------
+
+_READS = ("take", "u8", "u16", "u32", "u64", "f64", "prefixed", "prefixed_str", "prefixed_int")
+_FORMATS = {"u8": ">B", "u16": ">H", "u32": ">I", "u64": ">Q", "f64": ">d"}
+
+
+@dataclass
+class Field:
+    """One top-level read: its kind and value, and for a length-prefixed
+    field that was decoded further, the bytes before the nested structure."""
+
+    kind: str
+    value: object
+    head: bytes = b""
+    nested: "_Recorder | None" = None
+
+
+class _Recorder(Reader):
+    """A Reader that keeps its top-level reads, and links the Reader over a
+    prefixed field's bytes to that field."""
+
+    root: "_Recorder | None" = None
+    last: Field | None = None
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.fields: list[Field] = []
+        self._depth = 0
+        last = _Recorder.last
+        if last is not None and last.kind == "prefixed" and last.nested is None and last.value.endswith(data):
+            last.head, last.nested = last.value[: len(last.value) - len(data)], self
+        _Recorder.root = _Recorder.root or self
+
+
+def _recorded(kind):
+    def read(self, *args):
+        self._depth += 1
+        try:
+            value = getattr(Reader, kind)(self, *args)
+        finally:
+            self._depth -= 1
+        if not self._depth:
+            _Recorder.last = Field(kind, value)
+            self.fields.append(_Recorder.last)
+        return value
+
+    return read
+
+
+for _kind in _READS:
+    setattr(_Recorder, _kind, _recorded(_kind))
+
+
+def record(decode, data: bytes) -> tuple[bytes, _Recorder]:
+    """The file header (if any) and the recorded root Reader of one decode."""
+    _Recorder.root, _Recorder.last = None, None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enc, "Reader", _Recorder)
+        decode(data)
+    root = _Recorder.root
+    assert data.endswith(root._data)
+    return data[: len(data) - len(root._data)], root
+
+
+def _fields(reader: _Recorder):
+    for field in reader.fields:
+        yield field
+        if field.nested is not None:
+            yield from _fields(field.nested)
+
+
+def rebuild(reader: _Recorder, replace) -> bytes:
+    """The reader's input from its fields, nested ones rebuilt first;
+    ``replace(field, content)`` returns other bytes for a field, or None."""
+    parts = []
+    for field in reader.fields:
+        kind, value = field.kind, field.value
+        content = field.head + rebuild(field.nested, replace) if field.nested is not None else value
+        encoded = replace(field, content)
+        if encoded is not None:
+            parts.append(encoded)
+        elif kind == "take":
+            parts.append(value)
+        elif kind in _FORMATS:
+            parts.append(struct.pack(_FORMATS[kind], value))
+        elif kind == "prefixed":
+            parts.append(prefixed(content))
+        elif kind == "prefixed_str":
+            parts.append(prefixed_str(value))
+        else:
+            parts.append(enc.prefixed_int(value))
+    return b"".join(parts)
+
+
+def field_built(header: bytes, root: _Recorder):
+    """Inputs rebuilt from the recorded fields with one to three of them
+    redrawn: counts and lengths from a small pool, fixed-width chunks from
+    the sample's other chunks of that width (pointers, elements, scalars),
+    integers with leading zero bytes, framing lengths off by one."""
+    fields = list(_fields(root))
+    index = {id(field): i for i, field in enumerate(fields)}
+    chunks: dict[int, list[bytes]] = {}
+    numbers: dict[str, set[int]] = {}
+    for field in fields:
+        if field.kind == "take":
+            chunks.setdefault(len(field.value), []).append(field.value)
+        elif field.kind in _FORMATS and field.kind != "f64":
+            numbers.setdefault(field.kind, set()).add(field.value)
+
+    def redrawn(field: Field, content) -> st.SearchStrategy[bytes]:
+        kind, value = field.kind, field.value
+        if kind == "take":
+            return st.sampled_from(chunks[len(value)]) | st.binary(min_size=len(value), max_size=len(value))
+        if kind == "f64":
+            return st.binary(min_size=8, max_size=8)
+        if kind in _FORMATS:
+            width = struct.calcsize(_FORMATS[kind])
+            pool = numbers[kind] | {0, 1, value - 1, value + 1, -1}
+            return st.sampled_from(sorted(pool)).map(lambda n: (n % 256**width).to_bytes(width, "big"))
+        if kind == "prefixed":
+            misframed = st.sampled_from([-1, 1]).map(lambda off: u32((len(content) + off) % 2**32) + content)
+            return misframed | st.binary(max_size=40).map(prefixed)
+        if kind == "prefixed_str":
+            return st.sampled_from([b"", b"\xff", b"\xc3"]).map(prefixed)
+        minimal = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        padded = st.integers(1, 2).map(lambda zeros: prefixed(bytes(zeros) + minimal))
+        return padded | st.sampled_from([0, 1, value - 1, value + 1]).map(lambda n: enc.prefixed_int(max(n, 0)))
+
+    @st.composite
+    def built(draw):
+        chosen = draw(st.sets(st.integers(0, len(fields) - 1), min_size=1, max_size=3), label="fields")
+        return header + rebuild(
+            root, lambda field, content: draw(redrawn(field, content)) if index[id(field)] in chosen else None
+        )
+
+    return built()
+
+
+@pytest.fixture(scope="module")
+def recorded(samples, file_dir):
+    return {name: record(_codec(name, file_dir)[0], samples[name]) for name in CODECS}
+
+
+def test_recorded_fields_rebuild_every_sample(samples, recorded):
+    for name, (header, root) in recorded.items():
+        assert header + rebuild(root, lambda field, content: None) == samples[name], name
+    nested = [field.nested for field in _fields(recorded["chain"][1]) if field.nested is not None]
+    assert len(nested) == 1 + 2 * 4 + 2 * 2  # the group, 4 blocks and records, 2 patient blocks' credentials
+
+
+@pytest.mark.parametrize("name", list(CODECS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_decoder_on_field_built_input(recorded, file_dir, name, data):
+    decode, encode = _codec(name, file_dir)
+    raw = data.draw(field_built(*recorded[name]), label="input")
     try:
         value = decode(raw)
     except FormatError:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from phrchain import keygen
 from phrchain.encoding import FormatError
-from phrchain.group import GroupParams
+from phrchain.group import GroupParams, _key_comb_table
 
 
 def test_default_parameters_are_a_safe_prime_group(group):
@@ -125,6 +125,54 @@ def test_comb_exp_exhaustive_on_tiny_group(tiny_group):
         assert tiny_group.exp(tiny_group.generator, exponent) == pow(
             tiny_group.generator, exponent % tiny_group.order, tiny_group.modulus
         )
+
+
+def _key_exp_oracle(group, key, exponent):
+    return pow(key, exponent % group.order, group.modulus)
+
+
+@given(secret=st.integers(1, GroupParams.default().order - 1), exponent=st.integers(-(2**300), 2**300))
+@settings(max_examples=300, deadline=None)
+def test_key_exp_equals_pow(group, secret, exponent):
+    key = pow(group.generator, secret, group.modulus)
+    assert group.key_exp(key, exponent) == _key_exp_oracle(group, key, exponent)
+
+
+def test_key_exp_edge_exponents(group):
+    rng = random.Random(16)
+    q = group.order
+    for key in [keygen(group, rng).public for _ in range(5)] + [1, group.generator]:
+        for exponent in (0, 1, q - 1, q, q + 1, -1, -q, 2**256, 2**256 + 1):
+            assert group.key_exp(key, exponent) == _key_exp_oracle(group, key, exponent)
+
+
+def test_key_exp_exhaustive_on_tiny_group(tiny_group):
+    # Every subgroup element, the identity included, at every exponent
+    # class from both sides of zero.
+    elements = [x for x in range(1, tiny_group.modulus) if pow(x, tiny_group.order, tiny_group.modulus) == 1]
+    assert len(elements) == tiny_group.order
+    for key in elements:
+        for exponent in range(-2 * tiny_group.order, 2 * tiny_group.order + 1):
+            assert tiny_group.key_exp(key, exponent) == _key_exp_oracle(tiny_group, key, exponent)
+
+
+def test_key_exp_cold_and_warm_cache_agree(group):
+    rng = random.Random(17)
+    key, exponent = keygen(group, rng).public, group.random_scalar(rng)
+    _key_comb_table.cache_clear()
+    cold = group.key_exp(key, -exponent)
+    assert _key_comb_table.cache_info().currsize == 1
+    warm = group.key_exp(key, -exponent)
+    assert _key_comb_table.cache_info().hits >= 1
+    assert cold == warm == _key_exp_oracle(group, key, -exponent)
+
+
+def test_key_table_is_sixteen_packed_elements(group, tiny_group):
+    for g in (group, tiny_group):
+        key = g.generator
+        packed = _key_comb_table(g.modulus, g.order, key)
+        assert len(packed) == 16 * g.element_size
+        assert packed[: g.element_size] == (1).to_bytes(g.element_size, "little")
 
 
 def _pow_product(group, bases, exponents):
