@@ -13,7 +13,9 @@ subgroup test, one consensus vote over 800 miners
 (40% malicious) on a request block given no chain, which ``verify_block``
 rejects at once so that the row times the vote loop alone, the 2m-base
 product that ring verification evaluates, and ring prove / verify at
-m = 1000 and 4000.
+m = 1000 and 4000, with ring verify also at m = 200. A second object,
+``counts``, holds the Jacobi-symbol evaluations one ring verification
+makes at m = 200, 1000 and 4000.
 """
 
 import argparse
@@ -35,6 +37,7 @@ from phrchain import (
     run_consensus,
     sign,
 )
+from phrchain import group as group_module
 from phrchain.group import GroupParams, _key_comb_table
 
 
@@ -45,6 +48,24 @@ def median_time(fn, repeats: int, per_call: int = 1) -> float:
         fn()
         samples.append((time.perf_counter() - started) / per_call)
     return statistics.median(samples)
+
+
+def jacobi_calls(fn) -> int:
+    """Jacobi symbols evaluated by the group module during fn()."""
+    calls = 0
+    original = group_module._jacobi
+
+    def counted(a: int, n: int) -> int:
+        nonlocal calls
+        calls += 1
+        return original(a, n)
+
+    group_module._jacobi = counted
+    try:
+        fn()
+    finally:
+        group_module._jacobi = original
+    return calls
 
 
 def main() -> None:
@@ -81,6 +102,21 @@ def main() -> None:
             lambda: [group.is_element(x) for x in elements], args.repeats, len(elements)
         ),
     }
+    counts = {}
+    # The 200-key ring draws from its own stream, so the rows at 1000 and
+    # 4000 keys keep the inputs they had before it was added.
+    small_rng = random.Random(f"ring-200-{args.seed}")
+    small = [keygen(group, small_rng) for _ in range(200)]
+    small_ring = [kp.public for kp in small]
+    small_proof = ring_prove(group, small_ring, 100, small[100].secret, b"ctx", small_rng)
+    if not ring_verify(group, small_ring, small_proof, b"ctx"):
+        raise SystemExit("honest ring proof rejected at m=200")
+    rows["ring_verify_m200_s"] = median_time(
+        lambda: ring_verify(group, small_ring, small_proof, b"ctx"), args.repeats
+    )
+    counts["jacobi_calls_per_verify_m200"] = jacobi_calls(
+        lambda: ring_verify(group, small_ring, small_proof, b"ctx")
+    )
     for m in (1000, 4000):
         kps = [keygen(group, rng) for _ in range(m)]
         ring = [kp.public for kp in kps]
@@ -98,6 +134,9 @@ def main() -> None:
         rows[f"ring_verify_m{m}_s"] = median_time(
             lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats
         )
+        counts[f"jacobi_calls_per_verify_m{m}"] = jacobi_calls(
+            lambda: ring_verify(group, ring, proof, b"ctx")
+        )
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)
     request = RequestBlock(bytes(32), TimeRange(1, 2), researcher.public, signature, group)
@@ -113,6 +152,7 @@ def main() -> None:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "medians": rows,
+        "counts": counts,
     }))
 
 

@@ -42,7 +42,8 @@ TAG_CHAIN = b"CHAIN"
 SYM_KEY_SIZE = 32
 _GCM_NONCE_SIZE = 12
 # Batched ring verification agrees with the per-branch check except with
-# probability at most 2**-_BATCH_SECURITY_BITS.
+# probability at most 2**-_BATCH_SECURITY_BITS. Rings above this many keys
+# test commitment membership through the batch's buckets, not one by one.
 _BATCH_SECURITY_BITS = 128
 
 
@@ -252,23 +253,37 @@ def ring_verify(
 
     The m branch equations g^s_i == t_i * y_i^c_i are checked as one
     (Bellare-Garay-Rabin small-exponent batching): each is raised to a
-    fresh weight w_i below 2^128, drawn from the operating system RNG and
-    never from a caller's ``random.Random``, and
+    fresh k-bit weight w_i, k = min(128, bits(q) - 1), drawn from the
+    operating system RNG and never from a caller's ``random.Random``, and
     g^(sum w_i s_i) == prod t_i^w_i * y_i^(w_i c_i mod q) is tested with one
-    multi-exponentiation. The verdict differs from the per-branch check
-    with probability at most 2^-128.
+    multi-exponentiation. If every commitment is in the subgroup, the
+    verdict differs from the per-branch check with probability at most 2^-k
+    per round, and groups with k < 128 repeat the round.
 
-    Batching is exact only inside the prime-order subgroup. Every commitment
-    is tested here (the identity is admitted, as the per-branch equation
-    admits it); every ring key must already be a subgroup element, which
-    ``Registry`` guarantees for the key lists it hands out.
+    Batching is exact only inside the prime-order subgroup (Boyd-Pavlovski):
+    a commitment -t gives (-t)^w == t^w for every even w. Every commitment
+    must be in [1, p); the identity is admitted, as the per-branch equation
+    admits it. Rings of at most 128 keys test each commitment's Jacobi
+    symbol. Larger rings read membership off the multi-exponentiation's
+    buckets instead: for each bit b < k, the product of the bases whose
+    exponent has bit b set must have symbol 1. That product is the
+    commitments whose weight has bit b set times some ring keys, and ring
+    keys are residues, which ``Registry`` guarantees for the key lists it
+    hands out. If some commitments are non-residues, all k products pass
+    only when the XOR of their weights is zero, with probability 2^-k.
+    Either way the verdict differs from the per-branch check with
+    probability at most 2^-128.
     """
     if len(proof.branches) != len(ring) or len(ring) == 0:
         return False
+    per_commitment = len(ring) <= _BATCH_SECURITY_BITS
     for branch in proof.branches:
         if not _scalar_ok(group, branch.challenge) or not _scalar_ok(group, branch.response):
             return False
-        if branch.commitment != 1 and not group.is_element(branch.commitment):
+        commitment = branch.commitment
+        if not 1 <= commitment < group.modulus:
+            return False
+        if per_commitment and commitment != 1 and not group.is_element(commitment):
             return False
     commitments = [b.commitment for b in proof.branches]
     binding = _ring_binding_challenge(group, context, commitments)
@@ -276,15 +291,15 @@ def ring_verify(
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
         return False
-    # A round misses a failing equation with probability at most 1/bound, so
-    # groups of order below 2**128 repeat it until the product is 2**-128.
-    bound = min(group.order, 1 << _BATCH_SECURITY_BITS)
+    k = min(_BATCH_SECURITY_BITS, group.order.bit_length() - 1)
+    planes = 0 if per_commitment else k
     bases = commitments + list(ring)
-    for _ in range(-(-_BATCH_SECURITY_BITS // (bound.bit_length() - 1))):
-        weights = [secrets.randbelow(bound) for _ in ring]
+    for _ in range(-(-_BATCH_SECURITY_BITS // k)):
+        weights = [secrets.randbits(k) for _ in ring]
         lhs = group.exp(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)))
         key_exponents = [w * b.challenge % group.order for w, b in zip(weights, proof.branches)]
-        if lhs != group.multi_exp(bases, weights + key_exponents):
+        rhs, plane_products = group.multi_exp_planes(bases, weights + key_exponents, planes)
+        if lhs != rhs or not all(map(group.is_residue, plane_products)):
             return False
     return True
 

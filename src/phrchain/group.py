@@ -13,9 +13,13 @@ quadratic residues mod p, so subgroup membership is a Jacobi-symbol test
 rather than an exponentiation. Powers of the generator are read from a
 fixed-base comb table built once per parameter triple on first use, and
 products of many powers use a Pippenger bucket multi-exponentiation.
-Long-lived keys such as ring keys get a smaller comb of their own: a
-16-entry Lim-Lee table per key, built lazily on the key's first power
-and kept packed as bytes in a bounded module-level cache.
+The same bucket loop can also fold each low window's buckets into one
+product per exponent bit, the product of the bases whose exponent has
+that bit set; since the Jacobi symbol is multiplicative, the symbols of
+those products test many bases for membership at once. Long-lived keys
+such as ring keys get a smaller comb of their own: a 16-entry Lim-Lee
+table per key, built lazily on the key's first power and kept packed as
+bytes in a bounded module-level cache.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -106,6 +110,27 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+def _fold_bit_planes(buckets: Sequence[int], modulus: int) -> list[int]:
+    """Entry b is the product of buckets[d] over the digits d with bit b set.
+
+    The top half of the digits are those with the top bit set. Multiplying
+    each of them into its partner in the bottom half keeps every lower bit,
+    so the next bit folds half as many buckets: about 2 * len(buckets)
+    multiplications for all log2(len(buckets)) bits.
+    """
+    planes = []
+    while len(buckets) > 1:
+        half = len(buckets) // 2
+        low, high = buckets[:half], buckets[half:]
+        top = 1
+        for bucket in high:
+            if bucket != 1:
+                top = top * bucket % modulus
+        planes.append(top)
+        buckets = [a * b % modulus for a, b in zip(low, high)]
+    return planes[::-1]
+
+
 def _window_bits(n_bases: int, exponent_bits: int) -> int:
     """Pippenger window minimising digit additions plus bucket sums."""
     return min(
@@ -186,13 +211,22 @@ class GroupParams(enc.Wire):
         return result
 
     def multi_exp(self, bases: Sequence[int], exponents: Sequence[int]) -> int:
-        """Product of base**exponent mod the modulus, for non-negative exponents.
+        """Product of base**exponent mod the modulus, for non-negative exponents."""
+        return self.multi_exp_planes(bases, exponents, 0)[0]
+
+    def multi_exp_planes(
+        self, bases: Sequence[int], exponents: Sequence[int], planes: int
+    ) -> tuple[int, list[int]]:
+        """``multi_exp``, and for each bit b < planes the product of the bases
+        whose exponent has bit b set.
 
         Pippenger's bucket method: exponents are cut into c-bit windows,
         top window first. Within a window each base is multiplied into the
         bucket of its digit, and the buckets are summed as
         sum_d d * bucket[d] with two multiplications per bucket. Digits are
-        taken one window at a time, so memory stays at 2**c buckets.
+        taken one window at a time, so memory stays at 2**c buckets. A
+        window below bit ``planes`` also folds its buckets into one product
+        per bit (``_fold_bit_planes``), about 2 * 2**c more multiplications.
         """
         if len(bases) != len(exponents):
             raise ValueError("bases and exponents differ in length")
@@ -203,6 +237,7 @@ class GroupParams(enc.Wire):
         c = _window_bits(len(bases), bits)
         mask = (1 << c) - 1
         result = 1
+        plane_products = [1] * planes
         for shift in range((bits - 1) // c * c if bits else -1, -1, -c):
             result = pow(result, 1 << c, modulus)
             buckets = [1] * (mask + 1)
@@ -210,6 +245,8 @@ class GroupParams(enc.Wire):
                 digit = (exponent >> shift) & mask
                 if digit:
                     buckets[digit] = buckets[digit] * base % modulus
+            if shift < planes:
+                plane_products[shift : shift + c] = _fold_bit_planes(buckets, modulus)[: planes - shift]
             running = 1
             window = 1
             for digit in range(mask, 0, -1):
@@ -218,7 +255,7 @@ class GroupParams(enc.Wire):
                     running = running * bucket % modulus
                 window = window * running % modulus
             result = result * window % modulus
-        return result
+        return result, plane_products
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
@@ -235,10 +272,25 @@ class GroupParams(enc.Wire):
         """
         return 1 < value < self.modulus and _jacobi(value, self.modulus) == 1
 
+    def is_residue(self, value: int) -> bool:
+        """True iff value mod the modulus is in the subgroup, the identity
+        included: a nonzero quadratic residue, read from its Jacobi symbol."""
+        return _jacobi(value, self.modulus) == 1
+
     def encode_element(self, value: int) -> bytes:
         return value.to_bytes(self.element_size, "big")
 
     def decode_element(self, data: bytes) -> int:
+        """A value in [1, modulus), not tested for subgroup membership.
+
+        Membership is tested where a value is used. ``Registry.enroll``,
+        ``credential_verify`` and ``schnorr_verify`` / ``verify_signature``
+        test public keys with ``is_element``. ``ring_verify`` tests its
+        commitments, one by one in rings of up to 128 keys and through its
+        multi-exponentiation's buckets above. A Schnorr or signature
+        commitment outside the subgroup fails its single equation, whose
+        other two terms are in the subgroup.
+        """
         if len(data) != self.element_size:
             raise enc.FormatError(f"element encoding must be {self.element_size} bytes")
         value = int.from_bytes(data, "big")

@@ -7,14 +7,26 @@ from statistics import fmean
 import pytest
 
 from phrchain import (
+    CredentialProof,
     MinerPool,
+    SchnorrProof,
     TimeRange,
     create_approval_block,
     create_request_block,
+    credential_prove,
+    keygen,
     run_consensus,
+    sign,
     verify_block,
 )
 from phrchain.consensus import ConsensusResult, approval_threshold
+from phrchain.crypto import (
+    _joint_context,
+    _ring_binding_challenge,
+    _ring_commit,
+    _ring_finish,
+    _schnorr_challenge,
+)
 from phrchain.encoding import FormatError
 from phrchain.ledger import decode_block
 
@@ -54,6 +66,109 @@ class TestVerifyBlock:
         world = make_world()
         assert not verify_block(None, world.directories)
         assert not verify_block(object(), world.directories)
+
+
+def _negated_credential(group, ring, index, secret, block_kp, rng, branch):
+    """``credential_prove`` with one commitment negated before anything is
+    hashed: ring branch ``branch``, or the possession commitment for None."""
+    state = _ring_commit(group, ring, index, secret, rng)
+    nonce = group.random_scalar(rng)
+    possession = group.exp(group.generator, nonce)
+    if branch is None:
+        possession = group.modulus - possession
+    else:
+        commitments = list(state.commitments)
+        commitments[branch] = group.modulus - commitments[branch]
+        state = dataclasses.replace(state, commitments=tuple(commitments))
+    joint = _joint_context(group, ring, block_kp.public, possession, state.commitments)
+    membership = _ring_finish(group, state, secret, _ring_binding_challenge(group, joint, state.commitments))
+    challenge = _schnorr_challenge(group, joint, block_kp.public, possession)
+    response = (nonce + challenge * block_kp.secret) % group.order
+    return CredentialProof(membership, SchnorrProof(possession, challenge, response), joint)
+
+
+class TestNonSubgroupElements:
+    """``decode_element`` admits any value in [1, p), so values outside the
+    subgroup reach the verifiers, which must reject them without raising.
+    The patient ring has 130 keys (above the 128 up to which ring_verify
+    tests each commitment) and the hospital ring 4."""
+
+    @pytest.fixture()
+    def large_world(self, make_world):
+        world = make_world(patients=130, hospitals=4, seed=21)
+        block, _ = world.submit_block(world.patient(5), b"non-subgroup target", 1, append=False)
+        assert verify_block(block, world.directories)
+        return world, block
+
+    def test_substituted_element_slots_rejected(self, large_world):
+        world, block = large_world
+        group = world.group
+        p = group.modulus
+        patient, hospital = block.patient_credential, block.hospital_credential
+        slots = {
+            "patient-ring-branch@0": patient.membership.branches[0].commitment,
+            "patient-ring-branch@5": patient.membership.branches[5].commitment,
+            "patient-ring-branch@129": patient.membership.branches[129].commitment,
+            "hospital-ring-branch@1": hospital.membership.branches[1].commitment,
+            "patient-possession": patient.possession.commitment,
+            "hospital-possession": hospital.possession.commitment,
+            "patient-signature": block.patient_sig.commitment,
+            "hospital-signature": block.hospital_sig.commitment,
+            # A block key also sits in its credential's joint context; the
+            # last occurrence is the element slot of the body.
+            "patient-block-key": block.patient_block_pk,
+            "hospital-block-key": block.hospital_block_pk,
+        }
+        wire = block.canonical_bytes()
+        for label, value in slots.items():
+            at = wire.rindex(group.encode_element(value))
+            for substitute in (p - 1, p - value):
+                mutated = wire[:at] + group.encode_element(substitute) + wire[at + group.element_size :]
+                decoded = decode_block(mutated, group)
+                assert not verify_block(decoded, world.directories), (label, substitute)
+
+    @pytest.mark.parametrize(
+        "negated",
+        [None, ("patient", 0), ("patient", 129), ("hospital", 2), ("patient", None), ("hospital", None)],
+        ids=["honest", "patient-branch@0", "patient-branch@129", "hospital-branch@2",
+             "patient-possession", "hospital-possession"],
+    )
+    def test_negated_commitment_rebound_by_prover_rejected(self, large_world, negated):
+        # The prover negates a commitment before hashing, so the joint context
+        # and every challenge match and only membership separates the proof
+        # from an honest one; None is the honest control.
+        world, block = large_world
+        group, rng = world.group, random.Random(31)
+        keys = {"patient": keygen(group, rng), "hospital": keygen(group, rng)}
+        credentials = {}
+        for party, directory, identity in (
+            ("patient", world.directories.patients, world.patient_kps[5]),
+            ("hospital", world.directories.hospitals, world.hospital_kps[0]),
+        ):
+            index = directory.keys.index(identity.public)
+            if negated is not None and negated[0] == party:
+                credentials[party] = _negated_credential(
+                    group, directory.keys, index, identity.secret, keys[party], rng, negated[1]
+                )
+            else:
+                credentials[party] = credential_prove(
+                    group, directory.keys, index, identity.secret, keys[party], rng
+                )
+        unsigned = dataclasses.replace(
+            block,
+            patient_credential=credentials["patient"],
+            hospital_credential=credentials["hospital"],
+            patient_block_pk=keys["patient"].public,
+            hospital_block_pk=keys["hospital"].public,
+        )
+        body = unsigned.body_bytes()
+        forged = dataclasses.replace(
+            unsigned,
+            patient_sig=sign(group, keys["patient"], body, rng),
+            hospital_sig=sign(group, keys["hospital"], body, rng),
+        )
+        decoded = decode_block(forged.canonical_bytes(), group)
+        assert verify_block(decoded, world.directories) == (negated is None)
 
 
 class TestThreshold:

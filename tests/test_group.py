@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from phrchain import keygen
 from phrchain.encoding import FormatError
-from phrchain.group import GroupParams, _key_comb_table
+from phrchain.group import GroupParams, _fold_bit_planes, _key_comb_table
 
 
 def test_default_parameters_are_a_safe_prime_group(group):
@@ -215,6 +216,89 @@ def test_multi_exp_rejects_length_mismatch_and_negative_exponents(group):
     for count in (1, 10):
         with pytest.raises(ValueError):
             group.multi_exp([group.generator] * count, [1] * (count - 1) + [-1])
+
+
+def _naive_plane(values, selectors, bit, modulus):
+    """Product of the values whose selector has the given bit set."""
+    result = 1
+    for value, selector in zip(values, selectors):
+        if selector >> bit & 1:
+            result = result * value % modulus
+    return result
+
+
+@given(data=st.data(), c=st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_fold_bit_planes_equals_naive_products(group, data, c):
+    p = group.modulus
+    buckets = data.draw(st.lists(st.one_of(st.just(1), st.integers(1, p - 1)), min_size=2**c, max_size=2**c))
+    planes = _fold_bit_planes(buckets, p)
+    assert planes == [_naive_plane(buckets, range(2**c), bit, p) for bit in range(c)]
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(1, 2**256), st.integers(0, 2**300)), max_size=40),
+    planes=st.integers(0, 140),
+)
+@settings(max_examples=60, deadline=None)
+def test_multi_exp_planes_reads_bit_products(group, pairs, planes):
+    # Plane b is the product of the bases whose exponent has bit b set,
+    # whatever the window size multi_exp picks for this many bases.
+    p = group.modulus
+    bases = [base % p or 1 for base, _ in pairs]
+    exponents = [exponent for _, exponent in pairs]
+    product, products = group.multi_exp_planes(bases, exponents, planes)
+    assert product == _pow_product(group, bases, exponents)
+    assert products == [_naive_plane(bases, exponents, bit, p) for bit in range(planes)]
+
+
+@pytest.mark.parametrize("count", [1, 300, 8000])
+def test_multi_exp_planes_at_ring_verify_sizes(group, count):
+    # 8000 bases is a 4000-key ring, where the windows are 10 bits wide and
+    # the window at bit 120 reaches past the 128 planes that are read.
+    rng = random.Random(count)
+    p = group.modulus
+    bases = [rng.randrange(1, p) for _ in range(count)]
+    half = count // 2
+    exponents = [rng.getrandbits(128) for _ in range(half)]
+    exponents += [rng.randrange(group.order) for _ in range(count - half)]
+    product, products = group.multi_exp_planes(bases, exponents, 128)
+    assert product == group.multi_exp(bases, exponents)
+    for bit in (0, 9, 10, 119, 120, 127):
+        assert products[bit] == _naive_plane(bases, exponents, bit, p)
+
+
+def _bucket_membership(group, commitments, keys, rng):
+    """The membership read of ring_verify above 128 keys, alone: rounds of
+    fresh k-bit weights on the commitments and exponents below the order on
+    the keys, each passing only if every bit-plane product is a residue."""
+    k = min(128, group.order.bit_length() - 1)
+    for _ in range(-(-128 // k)):
+        exponents = [rng.getrandbits(k) for _ in commitments] + [rng.randrange(group.order) for _ in keys]
+        _, planes = group.multi_exp_planes(commitments + keys, exponents, k)
+        if not all(map(group.is_residue, planes)):
+            return False
+    return True
+
+
+def test_bucket_membership_exhaustive_on_tiny_group(tiny_group):
+    # Every multiset of up to three values in [1, 23) among the commitments
+    # of a 129-key ring whose other commitments and keys are subgroup elements.
+    g = tiny_group
+    rng = random.Random(23)
+    keys = [keygen(g, rng).public for _ in range(129)]
+    fill = [g.exp(g.generator, g.random_scalar(rng)) for _ in range(129)]
+    for count in range(4):
+        for values in itertools.combinations_with_replacement(range(1, g.modulus), count):
+            commitments = list(values) + fill[count:]
+            members = all(g.is_element(v) or v == 1 for v in values)
+            assert _bucket_membership(g, commitments, keys, rng) == members, values
+
+
+def test_is_residue_admits_the_identity(group, tiny_group):
+    for g in (group, tiny_group):
+        for value in (0, 1, 2, g.modulus - 1, g.modulus, g.modulus + 1):
+            assert g.is_residue(value) == (value % g.modulus == 1 or g.is_element(value % g.modulus))
 
 
 def _euler_is_element(group, value):

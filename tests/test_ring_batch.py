@@ -6,7 +6,9 @@ verifies all branches with one weighted multi-exponentiation. The corpus
 mixes honest proofs, forged responses, the byte-flip / omission /
 transposition / witness-free-forgery mutation classes of the acceptance
 suite, commitments outside the subgroup, and the identity commitment the
-per-branch equation accepts.
+per-branch equation accepts. Rings above 128 keys, where ``ring_verify``
+reads commitment membership off its multi-exponentiation's buckets, get
+their own corpus and the sign attack of Boyd and Pavlovski.
 """
 
 import hashlib
@@ -28,6 +30,8 @@ from phrchain.crypto import _ring_binding_challenge
 from phrchain.encoding import FormatError, Reader
 
 RING_SIZES = (1, 2, 3, 8, 64)
+# Above 128 keys ring_verify drops the per-commitment Jacobi test.
+LARGE_RING_SIZES = (129, 200)
 
 
 def reference_ring_verify(group, ring, proof, context):
@@ -72,14 +76,33 @@ def craft(group, ring, index, secret, context, rng, *, fixed=None, nonce=None, r
             commitment = group.mul(group.exp(group.generator, s), group.exp(key, -c))
             simulated[i] = (c, s)
         commitments.append(replace.get(i, commitment))
+    return bind(group, context, commitments, index, secret, witness_nonce, simulated)
+
+
+def bind(group, context, commitments, index, secret, nonce, simulated):
+    """Hash the commitments and solve the witness branch, as the prover does.
+
+    ``simulated`` maps every other branch to its (challenge, response).
+    """
     binding = _ring_binding_challenge(group, context, commitments)
     real_c = (binding - sum(c for c, _ in simulated.values())) % group.order
-    real_s = (witness_nonce + real_c * secret) % group.order
+    real_s = (nonce + real_c * secret) % group.order
     branches = tuple(
         SchnorrProof(t, real_c, real_s) if i == index else SchnorrProof(t, *simulated[i])
         for i, t in enumerate(commitments)
     )
     return RingProof(branches, binding)
+
+
+def negate_simulated(group, ring, index, secret, context, rng, base, positions):
+    """``base`` re-proved with the simulated commitments at ``positions``
+    negated and re-bound into the hash: each of those branch equations is off
+    by a factor -1 alone, which a batch raises to its weight."""
+    return craft(
+        group, ring, index, secret, context, rng,
+        fixed={i: (base.branches[i].challenge, base.branches[i].response) for i in positions},
+        replace={i: group.modulus - base.branches[i].commitment for i in positions},
+    )
 
 
 def _with_branch(proof, i, branch):
@@ -159,10 +182,46 @@ def corpus(group, size, rng):
         yield "identity-c0-s0", ring, rebound(fixed={other: (0, 0)}), True
         for label, value in (("zero", 0), ("one", 1), ("minus-one", p - 1), ("modulus", p)):
             yield f"commitment-{label}", ring, rebound(replace={other: value}), False
-        simulated = base.branches[other]
-        yield "negated-simulated-commitment", ring, rebound(
-            fixed={other: (simulated.challenge, simulated.response)},
-            replace={other: p - simulated.commitment},
+        yield "negated-simulated-commitment", ring, negate_simulated(
+            group, ring, witness, secret, ctx, rng, base, (other,)
+        ), False
+    simulated = [i for i in range(size) if i != witness]
+    for count in (2, 3):
+        if len(simulated) >= count:
+            yield f"negated-simulated-{count}", ring, negate_simulated(
+                group, ring, witness, secret, ctx, rng, base, simulated[:count]
+            ), False
+
+
+def large_corpus(group, size, rng):
+    """The labels of ``corpus`` that matter above 128 keys, at the first,
+    middle and last branch, as (label, ring, proof, expected) triples."""
+    kps = [keygen(group, rng) for _ in range(size)]
+    ring = [kp.public for kp in kps]
+    ctx = b"ctx"
+    q = group.order
+    witness = size // 3
+    secret = kps[witness].secret
+    ends = (0, size // 2, size - 1)
+    for index in ends:
+        yield f"honest@{index}", ring, ring_prove(group, ring, index, kps[index].secret, ctx, rng), True
+    base = ring_prove(group, ring, witness, secret, ctx, rng)
+    for i in ends:
+        branch = base.branches[i]
+        forged = SchnorrProof(branch.commitment, branch.challenge, (branch.response + 1) % q)
+        yield f"forged-response@{i}", ring, _with_branch(base, i, forged), False
+    p = group.modulus
+    for label, value in (("zero", 0), ("one", 1), ("minus-one", p - 1), ("modulus", p)):
+        replaced = craft(group, ring, witness, secret, ctx, rng, replace={ends[1]: value})
+        yield f"commitment-{label}", ring, replaced, False
+    for i in ends:
+        yield f"negated-simulated-commitment@{i}", ring, negate_simulated(
+            group, ring, witness, secret, ctx, rng, base, (i,)
+        ), False
+    # Two signs cancel in one product of the negated commitments; three do not.
+    for count in (2, 3):
+        yield f"negated-simulated-{count}", ring, negate_simulated(
+            group, ring, witness, secret, ctx, rng, base, ends[:count]
         ), False
 
 
@@ -171,11 +230,12 @@ def any_group(request, group, tiny_group):
     return group if request.param == "default" else tiny_group
 
 
-@pytest.mark.parametrize("size", RING_SIZES)
+@pytest.mark.parametrize("size", RING_SIZES + LARGE_RING_SIZES)
 def test_batched_verify_agrees_with_per_branch_oracle(any_group, size):
     rng = random.Random(1000 + size)
     verdicts = set()
-    for label, ring, proof, expected in corpus(any_group, size, rng):
+    cases = corpus if size in RING_SIZES else large_corpus
+    for label, ring, proof, expected in cases(any_group, size, rng):
         reference = reference_ring_verify(any_group, ring, proof, b"ctx")
         assert ring_verify(any_group, ring, proof, b"ctx") == reference, label
         # In a group of order 11 a wrong branch or hash matches by chance one
@@ -218,3 +278,35 @@ def test_seeded_transcripts_match_recorded_digest(group):
     assert hashlib.sha256(blob).hexdigest() == (
         "100952b125bf627beefa3ead02c0795847c73dae2db96783a98b430bf7480079"
     )
+
+
+def batch_only_verify(group, ring, proof, rng):
+    """ring_verify's weighted product with no membership test of any kind."""
+    weights = [rng.getrandbits(128) for _ in ring]
+    lhs = pow(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)), group.modulus)
+    key_exponents = [w * b.challenge % group.order for w, b in zip(weights, proof.branches)]
+    commitments = [b.commitment for b in proof.branches]
+    return lhs == group.multi_exp(commitments + list(ring), weights + key_exponents)
+
+
+def test_sign_attack_rejected_above_threshold(group):
+    # A prover negates one to three simulated commitments before hashing.
+    # Each bad equation is off by -1 alone, so a weighted product without a
+    # membership test holds whenever the negated weights sum to an even number.
+    rng = random.Random(77)
+    size = 200
+    kps = [keygen(group, rng) for _ in range(size)]
+    ring = [kp.public for kp in kps]
+    witness, nonce = 7, group.random_scalar(rng)
+    honest = craft(group, ring, witness, kps[witness].secret, b"ctx", rng, nonce=nonce)
+    simulated = {i: (b.challenge, b.response) for i, b in enumerate(honest.branches) if i != witness}
+    batch_only_accepted = 0
+    for _ in range(120):
+        positions = rng.sample(sorted(simulated), rng.randint(1, 3))
+        commitments = [b.commitment for b in honest.branches]
+        for i in positions:
+            commitments[i] = group.modulus - commitments[i]
+        proof = bind(group, b"ctx", commitments, witness, kps[witness].secret, nonce, simulated)
+        assert not ring_verify(group, ring, proof, b"ctx"), positions
+        batch_only_accepted += batch_only_verify(group, ring, proof, rng)
+    assert batch_only_accepted > 0
