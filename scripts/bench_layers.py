@@ -13,12 +13,17 @@ subgroup test, one consensus vote over 800 miners
 (40% malicious) on a request block given no chain, which ``verify_block``
 rejects at once so that the row times the vote loop alone, the 2m-base
 product that ring verification evaluates, and ring prove / verify at
-m = 1000 and 4000, with ring verify also at m = 200. A second object,
+m = 1000 and 4000, with ring verify also at m = 200, and, last, the two
+chain reads of a researcher round on an 800-block chain (640 patient
+blocks of 16 patients, 80 requests and 80 approvals; see
+``researcher_chain``): one ``scan_blocks`` for a one-condition mask and
+one ``pending_requests`` for a 40-visit history. A second object,
 ``counts``, holds the Jacobi-symbol evaluations one ring verification
 makes at m = 200, 1000 and 4000.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -27,18 +32,31 @@ import statistics
 import time
 
 from phrchain import (
+    ApprovalBlock,
+    BlockSecrets,
+    Chain,
+    ConditionCodebook,
+    ConsensusResult,
+    HospitalContext,
     MinerPool,
+    OffChainStore,
+    PatientContext,
+    PatientSecrets,
     RequestBlock,
     TimeRange,
+    create_patient_block,
     keygen,
     new_directories,
+    pending_requests,
     ring_prove,
     ring_verify,
     run_consensus,
+    scan_blocks,
     sign,
 )
 from phrchain import group as group_module
 from phrchain.group import GroupParams, _key_comb_table
+from phrchain.ledger import VOTE_RECORD
 
 
 def median_time(fn, repeats: int, per_call: int = 1) -> float:
@@ -66,6 +84,52 @@ def jacobi_calls(fn) -> int:
     finally:
         group_module._jacobi = original
     return calls
+
+
+def researcher_chain(group: GroupParams, rng: random.Random, patients=16, visits=40, rounds=80):
+    """An 800-block chain shaped like a researcher workload's, and its patients' histories.
+
+    Each patient holds one or two of the first 8 lifetime conditions and
+    each visit adds one to three visit conditions. The patient blocks are
+    one real block with its condition bits and commitment varied, and
+    every round appends a request forking a random patient block and an
+    approval of it. Nothing here is verified, so every request and
+    approval carries the same signature. Returns the chain, the
+    histories, and one one-condition mask per round, drawn as a
+    researcher would draw them.
+    """
+    codebook = ConditionCodebook.default()
+    directories = new_directories(group)
+    patient, hospital = keygen(group, rng), keygen(group, rng)
+    directories.patients.enroll(patient.public)
+    directories.hospitals.enroll(hospital.public)
+    template, _ = create_patient_block(
+        PatientContext(patient, 0, PatientSecrets()), HospitalContext(hospital, 0),
+        b"", codebook.encode([], []), directories, OffChainStore(), 1, rng,
+    )
+    signature = sign(group, patient, b"", rng)
+    record = ConsensusResult(True, 1, 0, 0.0, VOTE_RECORD.pack(0, 0, 1, 0.0))
+    lifetime = [rng.sample(codebook.lifetime_codes[:8], rng.randint(1, 2)) for _ in range(patients)]
+    chain, owned = Chain(group), [[] for _ in range(patients)]
+    for visit in range(visits):
+        for i in range(patients):
+            bits = codebook.encode(lifetime[i], rng.sample(codebook.visit_codes, rng.randint(1, 3)))
+            block = dataclasses.replace(template, condition_bits=bits, commitment=rng.randbytes(32))
+            chain.append(block, record)
+            owned[i].append(block.block_id)
+    for i in range(rounds):
+        parent = owned[rng.randrange(patients)][rng.randrange(visits)]
+        request = RequestBlock(parent, TimeRange(i, i + 1), patient.public, signature, group)
+        chain.append(request, record)
+        chain.append(ApprovalBlock(request.block_id, TimeRange(i, i + 1), signature, group), record)
+    histories = []
+    for ids in owned:
+        secrets = PatientSecrets()
+        for t, block_id in enumerate(ids, start=1):
+            secrets = secrets.with_record(BlockSecrets(block_id, patient, b"", b"", b"", b"", b"", t))
+        histories.append(secrets)
+    masks = [codebook.encode([rng.choice(lifetime[rng.randrange(patients)])], []) for _ in range(rounds)]
+    return chain, histories, masks
 
 
 def main() -> None:
@@ -145,6 +209,15 @@ def main() -> None:
         raise SystemExit("a request block given no chain was approved")
     rows["run_consensus_800_s"] = median_time(
         lambda: [run_consensus(request, pool, directories, seed) for seed in range(50)], args.repeats, 50
+    )
+    # Its own stream, as for the 200-key ring: the chain does not depend on
+    # the draws above, and rows added before it keep their inputs.
+    chain, histories, masks = researcher_chain(group, random.Random(f"chain-{args.seed}"))
+    rows["scan_blocks_s"] = median_time(
+        lambda: [scan_blocks(chain, mask) for mask in masks], args.repeats, len(masks)
+    )
+    rows["pending_requests_s"] = median_time(
+        lambda: [pending_requests(chain, secrets) for secrets in histories], args.repeats, len(histories)
     )
     print(json.dumps({
         "seed": args.seed,

@@ -48,10 +48,15 @@ class NonContiguousError(ValueError):
 
 
 def scan_blocks(chain: Chain, query_mask: bytes) -> list[bytes]:
-    """Ids of the patient blocks whose condition bits cover the query mask."""
+    """Ids of the patient blocks whose condition bits cover the query mask, in chain order.
+
+    Reads the chain's per-bit index: the cost is one ``codes_match`` per
+    block carrying the mask's rarest bit (every patient block for a zero
+    mask), not one per block on the chain.
+    """
     return [
         block.block_id
-        for block in chain.patient_blocks()
+        for block in chain.carrying(query_mask)
         if codes_match(block.condition_bits, query_mask)
     ]
 
@@ -75,9 +80,12 @@ def create_request_block(
 
 
 def pending_requests(chain: Chain, secrets: PatientSecrets) -> list[RequestBlock]:
-    """Requests on chain that fork one of this patient's own blocks."""
-    own = {record.block_id for record in secrets.records}
-    return [b for b in chain.blocks() if isinstance(b, RequestBlock) and b.parent_ptr in own]
+    """Requests on chain that fork one of this patient's own blocks, in chain order.
+
+    Reads the chain's per-parent index: the cost grows with the patient's
+    history and the requests found, not with the chain.
+    """
+    return chain.forks_of(record.block_id for record in secrets.records)
 
 
 def create_approval_block(

@@ -11,12 +11,15 @@ square of the pool size.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
 from .ledger import VOTE_RECORD, ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock
+from .ledger import VOTE_APPROVE, VOTE_MALICIOUS, VOTE_MINER, VOTE_SECONDS
 from .registry import Directories
 
 
@@ -141,25 +144,28 @@ def run_consensus(
     slowest miner's verification cost plus all-to-all vote propagation.
 
     The votes are written straight into the result's 14-byte records
-    (``ledger.VOTE_RECORD``); no per-miner object is built. A seed always
-    gives the same result bytes, so the role draw, the jitter stream and
-    the order of the float operations must not change.
+    (``ledger.VOTE_RECORD``) one field at a time across all miners; no
+    per-miner object or ``pack`` call is made. A seed always gives the same
+    result bytes, so the role draw, the jitter stream and the order of the
+    float operations must not change.
     """
     valid = verify_block(block, directories, chain)
     n = pool.n_miners
     rng = random.Random(seed)
-    malicious = frozenset(rng.sample(range(n), pool.n_malicious))
+    malicious = rng.sample(range(n), pool.n_malicious)
     # One jitter draw per miner regardless of role keeps the RNG stream
     # independent of the malicious count; a malicious miner then costs nothing.
     seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
+    flags = bytearray(n)
     for miner in malicious:
         seconds[miner] = 0.0
-    approve = int(valid)
-    pack = VOTE_RECORD.pack
-    vote_records = b"".join(
-        pack(miner, 1, 0, cost) if miner in malicious else pack(miner, 0, approve, cost)
-        for miner, cost in enumerate(seconds)
-    )
+        flags[miner] = 1
+    ids, seconds_column = _vote_columns(n)
+    records = bytearray(ids)
+    records[VOTE_MALICIOUS :: VOTE_RECORD.size] = flags
+    if valid:
+        records[VOTE_APPROVE :: VOTE_RECORD.size] = flags.translate(_HONEST)
+    _write_field(records, VOTE_SECONDS, seconds_column.pack(*seconds))
     approvals = n - len(malicious) if valid else 0
     propagation = pool.pair_seconds * n * (n - 1)
     return ConsensusResult(
@@ -167,5 +173,24 @@ def run_consensus(
         approvals=approvals,
         rejections=n - approvals,
         simulated_time=max(seconds) + propagation,
-        vote_records=vote_records,
+        vote_records=bytes(records),
     )
+
+
+# Maps a malicious flag to the approve flag of a vote on a valid block.
+_HONEST = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _write_field(records: bytearray, offset: int, column: bytes) -> None:
+    """Scatter a column of equal-width values, one per record, into the field at offset."""
+    width = len(column) * VOTE_RECORD.size // len(records)
+    for k in range(width):
+        records[offset + k :: VOTE_RECORD.size] = column[k::width]
+
+
+@functools.lru_cache(maxsize=16)
+def _vote_columns(n: int) -> tuple[bytes, struct.Struct]:
+    """Blank records for n miners with the miner ids written, and the packer of n seconds."""
+    records = bytearray(VOTE_RECORD.size * n)
+    _write_field(records, VOTE_MINER, struct.pack(f">{n}I", *range(n)))
+    return bytes(records), struct.Struct(f">{n}d")

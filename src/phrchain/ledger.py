@@ -460,6 +460,10 @@ def _check_enrolled(keys: tuple[int, ...], index: int, public: int, who: str) ->
 
 # One vote as stored: u32 miner, u8 malicious, u8 approve, f64 seconds.
 VOTE_RECORD = struct.Struct(">IBBd")
+# Byte offset of each field within a record: the size of the fields before it.
+VOTE_MINER, VOTE_MALICIOUS, VOTE_APPROVE, VOTE_SECONDS = (
+    struct.calcsize(VOTE_RECORD.format[:i]) for i in range(1, 5)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -516,8 +520,8 @@ class ConsensusResult(enc.Wire):
         simulated = reader.f64()
         n_votes = reader.u32()
         records = reader.take(n_votes * VOTE_RECORD.size)
-        # Byte offsets 4 and 5 of each record hold its two flags.
-        malicious_flags, approve_flags = records[4::VOTE_RECORD.size], records[5::VOTE_RECORD.size]
+        malicious_flags = records[VOTE_MALICIOUS::VOTE_RECORD.size]
+        approve_flags = records[VOTE_APPROVE::VOTE_RECORD.size]
         if approved > 1 or (malicious_flags + approve_flags).translate(None, b"\x00\x01"):
             raise enc.FormatError("flag byte is neither 0 nor 1")
         approving = approve_flags.count(1)
@@ -528,6 +532,15 @@ class ConsensusResult(enc.Wire):
         return cls(bool(approved), approvals, rejections, simulated, records)
 
 
+def _set_bits(vector: bytes):
+    """Positions of the set bits of a condition vector read as a big-endian integer."""
+    value = int.from_bytes(vector, "big")
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
+
+
 @dataclass(frozen=True)
 class ChainEntry:
     block: Block
@@ -535,7 +548,18 @@ class ChainEntry:
 
 
 class Chain(enc.Stored):
-    """Append-only block list; appending requires an approved consensus record."""
+    """Append-only block list; appending requires an approved consensus record.
+
+    Beside the entries, ``append`` keeps three indexes, so a chain read
+    from bytes or rebuilt by re-appending its entries has them too:
+
+    - ``_index``: block id -> position;
+    - ``_patients``: the patient blocks in chain order, and
+      ``_by_condition``: per condition bit (see ``_set_bits``), the patient
+      blocks that carry it, in chain order;
+    - ``_forks``: parent id -> positions of the request blocks that fork
+      it, in chain order, whatever the parent's kind.
+    """
 
     MAGIC = b"PHRC"
 
@@ -543,6 +567,9 @@ class Chain(enc.Stored):
         self.group = group
         self._entries: list[ChainEntry] = []
         self._index: dict[bytes, int] = {}
+        self._patients: list[PatientBlock] = []
+        self._by_condition: dict[int, list[PatientBlock]] = {}
+        self._forks: dict[bytes, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -552,8 +579,15 @@ class Chain(enc.Stored):
             raise NotApprovedError("consensus record is not approved")
         if block.block_id in self._index:
             raise ValueError("block already on chain")
-        self._index[block.block_id] = len(self._entries)
+        position = len(self._entries)
+        self._index[block.block_id] = position
         self._entries.append(ChainEntry(block, record))
+        if isinstance(block, PatientBlock):
+            self._patients.append(block)
+            for bit in _set_bits(block.condition_bits):
+                self._by_condition.setdefault(bit, []).append(block)
+        elif isinstance(block, RequestBlock):
+            self._forks.setdefault(block.parent_ptr, []).append(position)
 
     def get(self, block_id: bytes) -> Block | None:
         pos = self._index.get(block_id)
@@ -562,11 +596,22 @@ class Chain(enc.Stored):
     def entries(self) -> tuple[ChainEntry, ...]:
         return tuple(self._entries)
 
-    def blocks(self):
-        return (entry.block for entry in self._entries)
+    def patient_blocks(self) -> tuple[PatientBlock, ...]:
+        return tuple(self._patients)
 
-    def patient_blocks(self):
-        return (b for b in self.blocks() if isinstance(b, PatientBlock))
+    def carrying(self, query_mask: bytes) -> tuple[PatientBlock, ...]:
+        """Candidates for a condition query: the patient blocks, in chain order,
+        that carry the mask's rarest set bit, or all of them for a zero mask.
+
+        A superset of the matches; the caller re-checks each candidate.
+        """
+        lists = [self._by_condition.get(bit, ()) for bit in _set_bits(query_mask)]
+        return tuple(min(lists, key=len, default=self._patients))
+
+    def forks_of(self, parent_ids) -> list[RequestBlock]:
+        """The request blocks forking any of the given ids, in chain order."""
+        positions = [pos for parent in set(parent_ids) for pos in self._forks.get(parent, ())]
+        return [self._entries[pos].block for pos in sorted(positions)]
 
     def to_bytes(self) -> bytes:
         parts = [enc.prefixed(self.group.to_bytes()), enc.u32(len(self._entries))]

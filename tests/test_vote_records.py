@@ -77,6 +77,18 @@ class TestAgainstThePerMinerLoop:
         assert result.to_bytes() == oracle_bytes(expected, pool)
         assert len(result.vote_records) == VOTE_RECORD.size * pool.n_miners == 14 * pool.n_miners
 
+    @pytest.mark.parametrize("jitter", [0.0, 1e-4], ids=["no-jitter", "jitter"])
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_column_writer_matches_the_oracle_byte_for_byte(self, blocks, valid, jitter):
+        world, by_validity = blocks
+        for n in (1, 2, 3, 800, 801):
+            for fraction in (0.0, 0.4, 1.0):
+                pool = MinerPool(n, fraction, verify_jitter=jitter)
+                seed = 1000 * n + int(10 * fraction)
+                result = run_consensus(by_validity[valid], pool, world.directories, seed=seed)
+                expected = oracle_bytes(oracle_votes(valid, pool, seed), pool)
+                assert result.to_bytes() == expected, (n, fraction)
+
     def test_an_800_miner_record_keeps_under_16_kib(self, blocks):
         world, by_validity = blocks
         pool = MinerPool(800, 0.4)
