@@ -154,11 +154,7 @@ class DisclosurePackage(enc.Stored):
         return tuple(flat)
 
     def to_bytes(self) -> bytes:
-        parts = [enc.u32(len(self.entries))]
-        for entry in self.entries:
-            parts.extend((entry.sym_key, entry.data_ptr, entry.data_digest))
-        parts.extend((self.prefix_state, self.last_nonce, self.last_block_id))
-        return b"".join(parts)
+        return enc.u32(self.k) + b"".join(self.items)
 
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "DisclosurePackage":

@@ -229,8 +229,7 @@ def bench_researcher_access(config: BenchConfig) -> list[dict]:
 
     chain = Chain(group)
     n_miners = max(config.miners)
-    bootstrap_pool = MinerPool(n_miners=n_miners, malicious_fraction=0.0, verify_seconds=config.verify_seconds)
-    chain.append(block, run_consensus(block, bootstrap_pool, directories, seed=config.seed))
+    chain.append(block, run_consensus(block, config.pool(n_miners, 0.0), directories, seed=config.seed))
 
     window = TimeRange(1, 1)
     reps = config.timing_reps

@@ -11,15 +11,12 @@ square of the pool size.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-import struct
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
-from .ledger import VOTE_RECORD, ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock
-from .ledger import VOTE_APPROVE, VOTE_MALICIOUS, VOTE_MINER, VOTE_SECONDS
+from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock, pack_votes
 from .registry import Directories
 
 
@@ -143,11 +140,9 @@ def run_consensus(
     malicious miners reject without verifying. The simulated time is the
     slowest miner's verification cost plus all-to-all vote propagation.
 
-    The votes are written straight into the result's 14-byte records
-    (``ledger.VOTE_RECORD``) one field at a time across all miners; no
-    per-miner object or ``pack`` call is made. A seed always gives the same
-    result bytes, so the role draw, the jitter stream and the order of the
-    float operations must not change.
+    The votes are stored as the result's packed records (``ledger.pack_votes``).
+    A seed always gives the same result bytes, so the role draw, the jitter
+    stream and the order of the float operations must not change.
     """
     valid = verify_block(block, directories, chain)
     n = pool.n_miners
@@ -160,12 +155,6 @@ def run_consensus(
     for miner in malicious:
         seconds[miner] = 0.0
         flags[miner] = 1
-    ids, seconds_column = _vote_columns(n)
-    records = bytearray(ids)
-    records[VOTE_MALICIOUS :: VOTE_RECORD.size] = flags
-    if valid:
-        records[VOTE_APPROVE :: VOTE_RECORD.size] = flags.translate(_HONEST)
-    _write_field(records, VOTE_SECONDS, seconds_column.pack(*seconds))
     approvals = n - len(malicious) if valid else 0
     propagation = pool.pair_seconds * n * (n - 1)
     return ConsensusResult(
@@ -173,24 +162,6 @@ def run_consensus(
         approvals=approvals,
         rejections=n - approvals,
         simulated_time=max(seconds) + propagation,
-        vote_records=bytes(records),
+        vote_records=pack_votes(flags, valid, seconds),
     )
 
-
-# Maps a malicious flag to the approve flag of a vote on a valid block.
-_HONEST = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _write_field(records: bytearray, offset: int, column: bytes) -> None:
-    """Scatter a column of equal-width values, one per record, into the field at offset."""
-    width = len(column) * VOTE_RECORD.size // len(records)
-    for k in range(width):
-        records[offset + k :: VOTE_RECORD.size] = column[k::width]
-
-
-@functools.lru_cache(maxsize=16)
-def _vote_columns(n: int) -> tuple[bytes, struct.Struct]:
-    """Blank records for n miners with the miner ids written, and the packer of n seconds."""
-    records = bytearray(VOTE_RECORD.size * n)
-    _write_field(records, VOTE_MINER, struct.pack(f">{n}I", *range(n)))
-    return bytes(records), struct.Struct(f">{n}d")

@@ -132,16 +132,28 @@ def schnorr_prove(
 
 def schnorr_verify(group: GroupParams, public: int, proof: SchnorrProof, context: bytes) -> bool:
     """True iff the challenge recomputes from the context and the equation holds."""
-    if not _scalar_ok(group, proof.response) or not (1 <= proof.commitment < group.modulus):
-        return False
-    if not group.is_element(public):
+    if not _schnorr_gate(group, public, proof.commitment, proof.response):
         return False
     # The recomputed challenge is in [0, order), so this also range-checks it.
     if proof.challenge != _schnorr_challenge(group, context, public, proof.commitment):
         return False
-    lhs = group.exp(group.generator, proof.response)
-    rhs = group.mul(proof.commitment, group.exp(public, proof.challenge))
-    return lhs == rhs
+    return _schnorr_equation(group, public, proof.commitment, proof.challenge, proof.response)
+
+
+def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: int) -> bool:
+    """The input checks of a Schnorr-shaped verifier, run before anything is hashed.
+
+    Response in [0, order), commitment in [1, modulus), public key in the
+    subgroup: no int that ``encode_element`` cannot write reaches it, and a
+    small-order key cannot make the equation hold without a secret.
+    """
+    return _scalar_ok(group, response) and 1 <= commitment < group.modulus and group.is_element(public)
+
+
+def _schnorr_equation(group: GroupParams, public: int, commitment: int, challenge: int, response: int) -> bool:
+    """g^response == commitment * public^challenge (mod p)."""
+    lhs = group.exp(group.generator, response)
+    return lhs == group.mul(commitment, group.exp(public, challenge))
 
 
 def _scalar_ok(group: GroupParams, value: int) -> bool:
@@ -283,7 +295,7 @@ def ring_verify(
         commitment = branch.commitment
         if not 1 <= commitment < group.modulus:
             return False
-        if per_commitment and commitment != 1 and not group.is_element(commitment):
+        if per_commitment and not group.is_residue(commitment):
             return False
     commitments = [b.commitment for b in proof.branches]
     binding = _ring_binding_challenge(group, context, commitments)
@@ -384,19 +396,21 @@ def credential_verify(
     group: GroupParams, ring: Sequence[int], block_public: int, proof: CredentialProof
 ) -> bool:
     """True iff both halves verify under the joint context recomputed from inputs."""
-    if not group.is_element(block_public):
+    possession = proof.possession
+    # The joint context encodes the block key and the possession commitment.
+    if not _schnorr_gate(group, block_public, possession.commitment, possession.response):
         return False
     expected = _joint_context(
         group,
         ring,
         block_public,
-        proof.possession.commitment,
+        possession.commitment,
         [b.commitment for b in proof.membership.branches],
     )
     if proof.joint_context != expected:
         return False
     return ring_verify(group, ring, proof.membership, expected) and schnorr_verify(
-        group, block_public, proof.possession, expected
+        group, block_public, possession, expected
     )
 
 
@@ -435,14 +449,10 @@ def sign(group: GroupParams, kp: KeyPair, message: bytes, rng: random.Random | N
 
 
 def verify_signature(group: GroupParams, public: int, message: bytes, sig: Signature) -> bool:
-    if not _scalar_ok(group, sig.response) or not (1 <= sig.commitment < group.modulus):
-        return False
-    if not group.is_element(public):
+    if not _schnorr_gate(group, public, sig.commitment, sig.response):
         return False
     challenge = _signature_challenge(group, public, sig.commitment, message)
-    lhs = group.exp(group.generator, sig.response)
-    rhs = group.mul(sig.commitment, group.exp(public, challenge))
-    return lhs == rhs
+    return _schnorr_equation(group, public, sig.commitment, challenge, sig.response)
 
 
 # ---------------------------------------------------------------------------

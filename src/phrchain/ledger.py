@@ -18,7 +18,8 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from . import encoding as enc
 from .crypto import (
@@ -101,8 +102,16 @@ class TimeRange:
 # ---------------------------------------------------------------------------
 
 
+class _Block:
+    """Content addressing, shared by the three block kinds."""
+
+    @cached_property
+    def block_id(self) -> bytes:
+        return digest(self.canonical_bytes())
+
+
 @dataclass(frozen=True)
-class PatientBlock:
+class PatientBlock(_Block):
     """One visit's record block: anonymous credentials in the header, public
     condition bits, chained commitment, and the two fresh block keys in the body."""
 
@@ -135,10 +144,6 @@ class PatientBlock:
         )
         return enc.u8(_KIND_PATIENT) + header + self.body_bytes()
 
-    @cached_property
-    def block_id(self) -> bytes:
-        return digest(self.canonical_bytes())
-
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "PatientBlock":
         patient_credential = CredentialProof.from_bytes(reader.prefixed(), group)
@@ -163,7 +168,7 @@ class PatientBlock:
 
 
 @dataclass(frozen=True)
-class RequestBlock:
+class RequestBlock(_Block):
     """Researcher fork of a patient block, asking for a visit-time window."""
 
     parent_ptr: bytes
@@ -181,10 +186,6 @@ class RequestBlock:
             + self.signature.to_bytes(self.group)
         )
 
-    @cached_property
-    def block_id(self) -> bytes:
-        return digest(self.canonical_bytes())
-
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "RequestBlock":
         parent_ptr = reader.take(32)
@@ -195,7 +196,7 @@ class RequestBlock:
 
 
 @dataclass(frozen=True)
-class ApprovalBlock:
+class ApprovalBlock(_Block):
     """Patient grant: signs the request under the forked block's key, with the
     (possibly narrowed) range the patient is actually willing to disclose."""
 
@@ -211,10 +212,6 @@ class ApprovalBlock:
             + self.granted_range.to_bytes()
             + self.signature.to_bytes(self.group)
         )
-
-    @cached_property
-    def block_id(self) -> bytes:
-        return digest(self.canonical_bytes())
 
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "ApprovalBlock":
@@ -461,9 +458,43 @@ def _check_enrolled(keys: tuple[int, ...], index: int, public: int, who: str) ->
 # One vote as stored: u32 miner, u8 malicious, u8 approve, f64 seconds.
 VOTE_RECORD = struct.Struct(">IBBd")
 # Byte offset of each field within a record: the size of the fields before it.
-VOTE_MINER, VOTE_MALICIOUS, VOTE_APPROVE, VOTE_SECONDS = (
+_VOTE_MINER, _VOTE_MALICIOUS, _VOTE_APPROVE, _VOTE_SECONDS = (
     struct.calcsize(VOTE_RECORD.format[:i]) for i in range(1, 5)
 )
+# Maps a malicious flag to the approve flag of a vote on a valid block.
+_HONEST = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def pack_votes(malicious: bytes, valid: bool, seconds: Sequence[float]) -> bytes:
+    """The ``VOTE_RECORD``s of one round, in miner order.
+
+    ``malicious[i]`` is miner i's flag (0 or 1) and ``seconds[i]`` its
+    virtual verification time; honest miners approve iff the block is
+    valid, malicious miners never. The records are written one field at a
+    time across all miners, with no per-miner object or ``pack`` call.
+    """
+    ids, seconds_column = _vote_columns(len(malicious))
+    records = bytearray(ids)
+    records[_VOTE_MALICIOUS :: VOTE_RECORD.size] = malicious
+    if valid:
+        records[_VOTE_APPROVE :: VOTE_RECORD.size] = malicious.translate(_HONEST)
+    _write_field(records, _VOTE_SECONDS, seconds_column.pack(*seconds))
+    return bytes(records)
+
+
+def _write_field(records: bytearray, offset: int, column: bytes) -> None:
+    """Scatter a column of equal-width values, one per record, into the field at offset."""
+    width = len(column) * VOTE_RECORD.size // len(records)
+    for k in range(width):
+        records[offset + k :: VOTE_RECORD.size] = column[k::width]
+
+
+@lru_cache(maxsize=16)
+def _vote_columns(n: int) -> tuple[bytes, struct.Struct]:
+    """Blank records for n miners with the miner ids written, and the packer of n seconds."""
+    records = bytearray(VOTE_RECORD.size * n)
+    _write_field(records, _VOTE_MINER, struct.pack(f">{n}I", *range(n)))
+    return bytes(records), struct.Struct(f">{n}d")
 
 
 @dataclass(frozen=True, slots=True)
@@ -520,8 +551,8 @@ class ConsensusResult(enc.Wire):
         simulated = reader.f64()
         n_votes = reader.u32()
         records = reader.take(n_votes * VOTE_RECORD.size)
-        malicious_flags = records[VOTE_MALICIOUS::VOTE_RECORD.size]
-        approve_flags = records[VOTE_APPROVE::VOTE_RECORD.size]
+        malicious_flags = records[_VOTE_MALICIOUS::VOTE_RECORD.size]
+        approve_flags = records[_VOTE_APPROVE::VOTE_RECORD.size]
         if approved > 1 or (malicious_flags + approve_flags).translate(None, b"\x00\x01"):
             raise enc.FormatError("flag byte is neither 0 nor 1")
         approving = approve_flags.count(1)

@@ -426,6 +426,70 @@ def test_small_order_key_cannot_accept_forged_schnorr_proofs(group, key_name):
     assert equation_holds >= (20 if key_name == "identity" else 5)
 
 
+# Hostile values per transcript field, named so the ids read the same for every group.
+_HOSTILE = {
+    "commitment": ("-1", "0", "p", "2^256"),
+    "challenge": ("-1", "q", "2^256"),
+    "response": ("-1", "q", "2^256"),
+    "public": ("-1", "0", "1", "p-1", "p", "2^256"),
+}
+_HOSTILE_FIELDS = {
+    "schnorr": ("commitment", "challenge", "response", "public"),
+    "signature": ("commitment", "response", "public"),
+    "credential": ("commitment", "challenge", "response", "public"),
+    "ring": ("commitment", "challenge", "response", "public"),
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_targets(group):
+    """Per verifier: an honest public key, the Schnorr-shaped part it checks
+    against that key, and a call that verifies the pair in context.
+
+    For ``credential_verify`` the part is the possession half and the key the
+    block key; for ``ring_verify`` it is the first branch and its ring key.
+    """
+    rng = random.Random(118)
+    kp, block_kp = keygen(group, rng), keygen(group, rng)
+    kps, ring = _ring(group, rng, 2)
+    credential = credential_prove(group, ring, 1, kps[1].secret, block_kp, rng)
+    membership = ring_prove(group, ring, 0, kps[0].secret, b"ctx", rng)
+
+    def verify_ring(key, branch):
+        proof = replace(membership, branches=(branch,) + membership.branches[1:])
+        return ring_verify(group, [key] + ring[1:], proof, b"ctx")
+
+    return {
+        "schnorr": (kp.public, schnorr_prove(group, kp, b"ctx", rng),
+                    lambda key, proof: schnorr_verify(group, key, proof, b"ctx")),
+        "signature": (kp.public, sign(group, kp, b"msg", rng),
+                      lambda key, sig: verify_signature(group, key, b"msg", sig)),
+        "credential": (block_kp.public, credential.possession,
+                       lambda key, possession: credential_verify(
+                           group, ring, key, replace(credential, possession=possession))),
+        "ring": (ring[0], membership.branches[0], verify_ring),
+    }
+
+
+@pytest.mark.parametrize(
+    "verifier, field, value",
+    [(v, f, x) for v, fields in _HOSTILE_FIELDS.items() for f in fields for x in _HOSTILE[f]],
+)
+def test_hostile_values_rejected_without_raising(group, hostile_targets, verifier, field, value):
+    # Decoders never produce these values; in-memory callers can. Each verifier
+    # must gate them before hashing or encoding: an int below 0 or at least
+    # 2**256 would otherwise raise OverflowError in encode_element.
+    p, q = group.modulus, group.order
+    number = {"-1": -1, "0": 0, "1": 1, "p-1": p - 1, "p": p, "q": q, "2^256": 2**256}[value]
+    public, part, verify = hostile_targets[verifier]
+    assert verify(public, part) is True
+    if field == "public":
+        public = number
+    else:
+        part = replace(part, **{field: number})
+    assert verify(public, part) is False
+
+
 class TestSymmetric:
     def test_round_trip(self):
         rng = random.Random(26)
