@@ -17,7 +17,10 @@ m = 1000 and 4000, with ring verify also at m = 200, and, last, the two
 chain reads of a researcher round on an 800-block chain (640 patient
 blocks of 16 patients, 80 requests and 80 approvals; see
 ``researcher_chain``): one ``scan_blocks`` for a one-condition mask and
-one ``pending_requests`` for a 40-visit history. A second object,
+one ``pending_requests`` for a 40-visit history, and then two
+signature checks: ``verify_signature`` under one key whose comb table is
+warm, as an enrolled researcher's is after its first request, and under a
+key seen for the first time, whose table the check builds. A second object,
 ``counts``, holds the Jacobi-symbol evaluations one ring verification
 makes at m = 200, 1000 and 4000.
 """
@@ -53,6 +56,7 @@ from phrchain import (
     run_consensus,
     scan_blocks,
     sign,
+    verify_signature,
 )
 from phrchain import group as group_module
 from phrchain.group import GroupParams, _key_comb_table
@@ -219,6 +223,26 @@ def main() -> None:
     rows["pending_requests_s"] = median_time(
         lambda: [pending_requests(chain, secrets) for secrets in histories], args.repeats, len(histories)
     )
+    # Again its own stream. 200 signatures under one key, and one under each of 200 keys.
+    sig_rng = random.Random(f"signatures-{args.seed}")
+    signer = keygen(group, sig_rng)
+    warm = [(signer, sig_rng.randbytes(64)) for _ in range(200)]
+    cold = [(keygen(group, sig_rng), sig_rng.randbytes(64)) for _ in range(200)]
+    checks = [(kp.public, message, sign(group, kp, message, sig_rng)) for kp, message in warm + cold]
+    if not all(verify_signature(group, *check) for check in checks):
+        raise SystemExit("an honest signature was rejected")
+    warm_checks, cold_checks = checks[: len(warm)], checks[len(warm):]
+    rows["verify_signature_s"] = median_time(
+        lambda: [verify_signature(group, *check) for check in warm_checks], args.repeats, len(warm_checks)
+    )
+    cold_samples = []
+    for _ in range(args.repeats):
+        _key_comb_table.cache_clear()
+        started = time.perf_counter()
+        for check in cold_checks:
+            verify_signature(group, *check)
+        cold_samples.append((time.perf_counter() - started) / len(cold_checks))
+    rows["verify_signature_cold_key_s"] = statistics.median(cold_samples)
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,

@@ -36,7 +36,7 @@ from .ledger import (
     chain_state,
     state_commitment,
 )
-from .registry import codes_match
+from .registry import mask_matcher
 
 
 class RangeError(ValueError):
@@ -52,13 +52,10 @@ def scan_blocks(chain: Chain, query_mask: bytes) -> list[bytes]:
 
     Reads the chain's per-bit index: the cost is one ``codes_match`` per
     block carrying the mask's rarest bit (every patient block for a zero
-    mask), not one per block on the chain.
+    mask), not one per block on the chain. The mask is converted once.
     """
-    return [
-        block.block_id
-        for block in chain.carrying(query_mask)
-        if codes_match(block.condition_bits, query_mask)
-    ]
+    matches = mask_matcher(query_mask)
+    return [block.block_id for block in chain.carrying(query_mask) if matches(block.condition_bits)]
 
 
 def create_request_block(

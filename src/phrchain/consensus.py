@@ -15,9 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .crypto import credential_verify, verify_signature
+from .crypto import CredentialProof, credential_verify, verify_signature
 from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock, pack_votes
-from .registry import Directories
+from .registry import Directories, Registry
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,14 @@ def approval_threshold(n_miners: int) -> int:
 def verify_block(block: Block, directories: Directories, chain: Chain | None = None) -> bool:
     """Full miner-side validity check.
 
+    A patient block's credentials are each checked against the prefix of
+    their registry that the prover chose: a ring proof of m branches is
+    verified against the first m enrolled keys, and m must be between 1 and
+    the registry's size. Registries only append and an index never changes,
+    so a block stays valid as enrollments land, and its anonymity set is
+    that prefix, not the whole registry. A reordered or substituted ring of
+    the same length fails the ring digest in the joint context.
+
     Request and approval blocks are checked against their parents in
     ``chain`` and are rejected without one; anything that is not a block is
     rejected. Every decoded block yields True or False, so whatever is raised
@@ -82,18 +90,27 @@ def verify_block(block: Block, directories: Directories, chain: Chain | None = N
 
 def _verify_patient_block(block: PatientBlock, directories: Directories) -> bool:
     group = directories.group
-    if not credential_verify(
-        group, directories.patients.keys, block.patient_block_pk, block.patient_credential
+    for registry, block_public, credential in (
+        (directories.patients, block.patient_block_pk, block.patient_credential),
+        (directories.hospitals, block.hospital_block_pk, block.hospital_credential),
     ):
-        return False
-    if not credential_verify(
-        group, directories.hospitals.keys, block.hospital_block_pk, block.hospital_credential
-    ):
-        return False
+        ring = _prover_ring(registry, credential)
+        if ring is None or not credential_verify(group, ring, block_public, credential):
+            return False
     body = block.body_bytes()
     if not verify_signature(group, block.patient_block_pk, body, block.patient_sig):
         return False
     return verify_signature(group, block.hospital_block_pk, body, block.hospital_sig)
+
+
+def _prover_ring(registry: Registry, credential: CredentialProof) -> tuple[int, ...] | None:
+    """The registry's first m keys for a credential of m ring branches, or
+    None if m is 0 or above the registry's size. The whole key tuple when
+    m is the size, so the ring digest cache sees the same tuple."""
+    m, keys = len(credential.membership.branches), registry.keys
+    if not 0 < m <= len(keys):
+        return None
+    return keys if m == len(keys) else keys[:m]
 
 
 def _verify_request_block(block: RequestBlock, directories: Directories, chain: Chain) -> bool:
@@ -143,14 +160,22 @@ def run_consensus(
     The votes are stored as the result's packed records (``ledger.pack_votes``).
     A seed always gives the same result bytes, so the role draw, the jitter
     stream and the order of the float operations must not change.
+
+    At zero jitter no jitter draw is made. The bytes stay the same: nothing
+    reads the RNG after those draws, and for every draw r in [0, 1) and a
+    jitter of 0.0 or -0.0, ``r * jitter`` is ``0.0 * jitter`` bit for bit,
+    so each miner's seconds are the same float, signed zeros included.
     """
     valid = verify_block(block, directories, chain)
     n = pool.n_miners
     rng = random.Random(seed)
     malicious = rng.sample(range(n), pool.n_malicious)
-    # One jitter draw per miner regardless of role keeps the RNG stream
-    # independent of the malicious count; a malicious miner then costs nothing.
-    seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
+    if pool.verify_jitter:
+        # One jitter draw per miner regardless of role keeps the RNG stream
+        # independent of the malicious count; a malicious miner then costs nothing.
+        seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
+    else:
+        seconds = [pool.verify_seconds + 0.0 * pool.verify_jitter] * n
     flags = bytearray(n)
     for miner in malicious:
         seconds[miner] = 0.0

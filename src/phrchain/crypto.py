@@ -126,8 +126,7 @@ def schnorr_prove(
     r = group.random_scalar(rng)
     commitment = group.exp(group.generator, r)
     challenge = _schnorr_challenge(group, context, kp.public, commitment)
-    response = (r + challenge * kp.secret) % group.order
-    return SchnorrProof(commitment, challenge, response)
+    return SchnorrProof(commitment, challenge, _schnorr_response(group, r, challenge, kp.secret))
 
 
 def schnorr_verify(group: GroupParams, public: int, proof: SchnorrProof, context: bytes) -> bool:
@@ -147,17 +146,36 @@ def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: in
     subgroup: no int that ``encode_element`` cannot write reaches it, and a
     small-order key cannot make the equation hold without a secret.
     """
-    return _scalar_ok(group, response) and 1 <= commitment < group.modulus and group.is_element(public)
+    return _scalar_ok(group, response) and _commitment_ok(group, commitment) and group.is_element(public)
 
 
 def _schnorr_equation(group: GroupParams, public: int, commitment: int, challenge: int, response: int) -> bool:
-    """g^response == commitment * public^challenge (mod p)."""
+    """g^response == commitment * public^challenge (mod p).
+
+    ``public^challenge`` is read through the key's comb table
+    (``GroupParams.key_exp``): verifiers meet the same keys again and again
+    (an enrolled researcher's key signs every request, a patient block key
+    every approval of that block), and a fresh block key is checked twice
+    per patient block (possession proof and signature), so even its table
+    about pays for itself. Every caller runs ``_schnorr_gate`` first, so
+    only subgroup elements get a table.
+    """
     lhs = group.exp(group.generator, response)
-    return lhs == group.mul(commitment, group.exp(public, challenge))
+    return lhs == group.mul(commitment, group.key_exp(public, challenge))
+
+
+def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:
+    """The response that makes the Schnorr equation hold for this nonce's commitment."""
+    return (nonce + challenge * secret) % group.order
 
 
 def _scalar_ok(group: GroupParams, value: int) -> bool:
     return 0 <= value < group.order
+
+
+def _commitment_ok(group: GroupParams, value: int) -> bool:
+    """In [1, modulus): a value ``encode_element`` writes, not yet tested for membership."""
+    return 1 <= value < group.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +257,7 @@ def _ring_finish(
     challenges = list(state.challenges)
     responses = list(state.responses)
     challenges[state.index] = (binding - sum(challenges)) % group.order
-    responses[state.index] = (state.nonce + challenges[state.index] * secret) % group.order
+    responses[state.index] = _schnorr_response(group, state.nonce, challenges[state.index], secret)
     branches = map(SchnorrProof, state.commitments, challenges, responses)
     return RingProof(tuple(branches), binding)
 
@@ -286,17 +304,32 @@ def ring_verify(
     Either way the verdict differs from the per-branch check with
     probability at most 2^-128.
     """
+    return _ring_gate(group, ring, proof) and _ring_equations(group, ring, proof, context)
+
+
+def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bool:
+    """The input checks of ``ring_verify``, run before anything is hashed or encoded.
+
+    One branch per ring key, every challenge and response in [0, order),
+    every commitment in [1, modulus), and in rings of at most 128 keys every
+    commitment a residue. ``credential_verify`` runs it before its joint
+    context encodes the commitments.
+    """
     if len(proof.branches) != len(ring) or len(ring) == 0:
         return False
     per_commitment = len(ring) <= _BATCH_SECURITY_BITS
     for branch in proof.branches:
         if not _scalar_ok(group, branch.challenge) or not _scalar_ok(group, branch.response):
             return False
-        commitment = branch.commitment
-        if not 1 <= commitment < group.modulus:
+        if not _commitment_ok(group, branch.commitment):
             return False
-        if per_commitment and not group.is_residue(commitment):
+        if per_commitment and not group.is_residue(branch.commitment):
             return False
+    return True
+
+
+def _ring_equations(group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes) -> bool:
+    """The binding challenge and the batched branch equations of a proof past ``_ring_gate``."""
     commitments = [b.commitment for b in proof.branches]
     binding = _ring_binding_challenge(group, context, commitments)
     if binding != proof.binding_challenge:
@@ -304,7 +337,7 @@ def ring_verify(
     if sum(b.challenge for b in proof.branches) % group.order != binding:
         return False
     k = min(_BATCH_SECURITY_BITS, group.order.bit_length() - 1)
-    planes = 0 if per_commitment else k
+    planes = 0 if len(ring) <= _BATCH_SECURITY_BITS else k
     bases = commitments + list(ring)
     for _ in range(-(-_BATCH_SECURITY_BITS // k)):
         weights = [secrets.randbits(k) for _ in ring]
@@ -387,7 +420,7 @@ def credential_prove(
     membership = _ring_finish(group, ring_state, identity_secret, binding)
 
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession_commitment)
-    response = (possession_nonce + challenge * block_kp.secret) % group.order
+    response = _schnorr_response(group, possession_nonce, challenge, block_kp.secret)
     possession = SchnorrProof(possession_commitment, challenge, response)
     return CredentialProof(membership, possession, joint)
 
@@ -397,8 +430,10 @@ def credential_verify(
 ) -> bool:
     """True iff both halves verify under the joint context recomputed from inputs."""
     possession = proof.possession
-    # The joint context encodes the block key and the possession commitment.
+    # The joint context encodes the block key and every commitment of both halves.
     if not _schnorr_gate(group, block_public, possession.commitment, possession.response):
+        return False
+    if not _ring_gate(group, ring, proof.membership):
         return False
     expected = _joint_context(
         group,
@@ -409,7 +444,7 @@ def credential_verify(
     )
     if proof.joint_context != expected:
         return False
-    return ring_verify(group, ring, proof.membership, expected) and schnorr_verify(
+    return _ring_equations(group, ring, proof.membership, expected) and schnorr_verify(
         group, block_public, possession, expected
     )
 
@@ -444,8 +479,7 @@ def sign(group: GroupParams, kp: KeyPair, message: bytes, rng: random.Random | N
     r = group.random_scalar(rng)
     commitment = group.exp(group.generator, r)
     challenge = _signature_challenge(group, kp.public, commitment, message)
-    response = (r + challenge * kp.secret) % group.order
-    return Signature(commitment, response)
+    return Signature(commitment, _schnorr_response(group, r, challenge, kp.secret))
 
 
 def verify_signature(group: GroupParams, public: int, message: bytes, sig: Signature) -> bool:

@@ -16,10 +16,12 @@ products of many powers use a Pippenger bucket multi-exponentiation.
 The same bucket loop can also fold each low window's buckets into one
 product per exponent bit, the product of the bases whose exponent has
 that bit set; since the Jacobi symbol is multiplicative, the symbols of
-those products test many bases for membership at once. Long-lived keys
-such as ring keys get a smaller comb of their own: a 16-entry Lim-Lee
-table per key, built lazily on the key's first power and kept packed as
-bytes in a bounded module-level cache.
+those products test many bases for membership at once. Keys raised to
+many powers get a smaller comb of their own: a 16-entry Lim-Lee table
+per key, built lazily on the key's first power and kept packed as bytes
+in a bounded module-level cache. Ring provers read the tables of the
+ring keys, and every Schnorr-shaped verification (signatures, Schnorr
+proofs, the possession half of a credential) reads its public key's.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -61,7 +63,9 @@ def _comb_table(modulus: int, order: int, generator: int) -> tuple[tuple[int, ..
 
 
 # Per-key comb tables cached at once: enough for two registries of 8192
-# keys. A table is 16 packed elements (512 bytes in the default group).
+# keys, or for the ring keys and the verified keys of a smaller world. A
+# table is 16 packed elements (512 bytes in the default group), about
+# 0.7 KiB with its cache entry, so a full cache holds about 11 MiB.
 _KEY_TABLES = 16384
 _HEX_DIGITS = "0123456789abcdef"
 
@@ -187,7 +191,8 @@ class GroupParams(enc.Wire):
         return result
 
     def key_exp(self, key: int, exponent: int) -> int:
-        """key**exponent for a long-lived subgroup element such as a ring key.
+        """key**exponent for a subgroup element raised to many powers: a ring
+        key, or a public key whose signatures and proofs are verified.
 
         Lim-Lee comb: the reduced exponent is cut into four slices of span
         bits, and bit b of every slice together picks one of the key's 16
@@ -195,6 +200,9 @@ class GroupParams(enc.Wire):
         span squarings and span multiplications, against about
         bits(order) squarings for ``pow``. The table is built on the key's
         first call and shared through a cache keyed by (modulus, order, key).
+        Building it costs about one ``pow`` and a warm call about half of
+        one, so a key used twice about breaks even. The caller vouches that
+        the key is in the subgroup: a table is kept for whatever it is given.
         """
         exponent %= self.order
         modulus, width, span = self.modulus, 8 * self.element_size, _key_span(self.order)

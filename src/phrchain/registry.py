@@ -9,7 +9,7 @@ list digest, and a key's index is stable for the life of the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import encoding as enc
 from .crypto import key_list_digest
@@ -209,8 +209,17 @@ class ConditionCodebook(enc.Stored):
 
 def codes_match(bits: bytes, query_mask: bytes) -> bool:
     """True iff every condition set in the mask is also set in the vector."""
-    if len(bits) != len(query_mask):
-        return False
-    vector = int.from_bytes(bits, "big")
-    mask = int.from_bytes(query_mask, "big")
-    return vector & mask == mask
+    return mask_matcher(query_mask)(bits)
+
+
+def mask_matcher(query_mask: bytes) -> Callable[[bytes], bool]:
+    """``codes_match`` against one mask, converted once for a scan's many vectors.
+
+    A vector of another length than the mask never matches.
+    """
+    size, mask = len(query_mask), int.from_bytes(query_mask, "big")
+
+    def matches(bits: bytes) -> bool:
+        return len(bits) == size and int.from_bytes(bits, "big") & mask == mask
+
+    return matches

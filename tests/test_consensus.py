@@ -15,6 +15,7 @@ from phrchain import (
     create_request_block,
     credential_prove,
     keygen,
+    new_directories,
     run_consensus,
     sign,
     verify_block,
@@ -66,6 +67,65 @@ class TestVerifyBlock:
         world = make_world()
         assert not verify_block(None, world.directories)
         assert not verify_block(object(), world.directories)
+
+
+def _directories_with(world, patients=None, hospitals=None):
+    """Fresh registries holding the given key lists (the world's, by default)."""
+    directories = new_directories(world.group)
+    for registry, keys in (
+        (directories.patients, patients or world.directories.patients.keys),
+        (directories.hospitals, hospitals or world.directories.hospitals.keys),
+    ):
+        for key in keys:
+            registry.enroll(key)
+    return directories
+
+
+class TestRingIsTheRegistryPrefix:
+    """A credential of m branches is checked against its registry's first m keys."""
+
+    @pytest.fixture()
+    def grown(self, make_world):
+        world = make_world(patients=6, hospitals=4, miners=4, seed=31)
+        block, _ = world.submit_block(world.patient(2), b"before the enrollments", 1, append=False)
+        assert verify_block(block, world.directories)
+        for registry in (world.directories.patients, world.directories.hospitals):
+            for _ in range(3):
+                registry.enroll(keygen(world.group, world.rng).public)
+        return world, block
+
+    def test_block_verifies_after_enrollments_into_both_registries(self, grown):
+        world, block = grown
+        assert len(world.directories.patients) == 9 and len(world.directories.hospitals) == 7
+        assert verify_block(block, world.directories)
+        assert run_consensus(block, world.pool, world.directories, seed=1).approved
+
+    @pytest.mark.parametrize("role", ["patients", "hospitals"])
+    def test_reordered_prefix_rejected(self, grown, role):
+        world, block = grown
+        keys = list(getattr(world.directories, role).keys)
+        keys[0], keys[1] = keys[1], keys[0]
+        assert not verify_block(block, _directories_with(world, **{role: keys}))
+
+    @pytest.mark.parametrize("role", ["patients", "hospitals"])
+    def test_substituted_prefix_key_rejected(self, grown, role):
+        world, block = grown
+        keys = list(getattr(world.directories, role).keys)
+        keys[0] = keygen(world.group, world.rng).public
+        assert not verify_block(block, _directories_with(world, **{role: keys}))
+
+    @pytest.mark.parametrize("role", ["patients", "hospitals"])
+    def test_ring_longer_than_the_registry_rejected(self, grown, role):
+        world, block = grown
+        credential = getattr(block, role[:-1] + "_credential")
+        shorter = getattr(world.directories, role).keys[: len(credential.membership.branches) - 1]
+        assert not verify_block(block, _directories_with(world, **{role: shorter}))
+
+    def test_empty_ring_rejected(self, grown):
+        world, block = grown
+        credential = block.patient_credential
+        empty = dataclasses.replace(credential, membership=dataclasses.replace(credential.membership, branches=()))
+        assert not verify_block(dataclasses.replace(block, patient_credential=empty), world.directories)
 
 
 def _negated_credential(group, ring, index, secret, block_kp, rng, branch):

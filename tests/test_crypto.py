@@ -438,6 +438,7 @@ _HOSTILE_FIELDS = {
     "signature": ("commitment", "response", "public"),
     "credential": ("commitment", "challenge", "response", "public"),
     "ring": ("commitment", "challenge", "response", "public"),
+    "membership": ("commitment",),
 }
 
 
@@ -448,6 +449,8 @@ def hostile_targets(group):
 
     For ``credential_verify`` the part is the possession half and the key the
     block key; for ``ring_verify`` it is the first branch and its ring key.
+    For ``membership`` it is the first ring branch of the credential, whose
+    commitment the joint context encodes.
     """
     rng = random.Random(118)
     kp, block_kp = keygen(group, rng), keygen(group, rng)
@@ -459,6 +462,11 @@ def hostile_targets(group):
         proof = replace(membership, branches=(branch,) + membership.branches[1:])
         return ring_verify(group, [key] + ring[1:], proof, b"ctx")
 
+    def verify_membership(key, branch):
+        branches = (branch,) + credential.membership.branches[1:]
+        proof = replace(credential, membership=replace(credential.membership, branches=branches))
+        return credential_verify(group, ring, key, proof)
+
     return {
         "schnorr": (kp.public, schnorr_prove(group, kp, b"ctx", rng),
                     lambda key, proof: schnorr_verify(group, key, proof, b"ctx")),
@@ -468,6 +476,7 @@ def hostile_targets(group):
                        lambda key, possession: credential_verify(
                            group, ring, key, replace(credential, possession=possession))),
         "ring": (ring[0], membership.branches[0], verify_ring),
+        "membership": (block_kp.public, credential.membership.branches[0], verify_membership),
     }
 
 
@@ -488,6 +497,72 @@ def test_hostile_values_rejected_without_raising(group, hostile_targets, verifie
     else:
         part = replace(part, **{field: number})
     assert verify(public, part) is False
+
+
+def _pow_equation(group, public, commitment, challenge, response):
+    """The Schnorr equation with both powers taken by ``pow``: the reference."""
+    p = group.modulus
+    return pow(group.generator, response, p) == commitment * pow(public, challenge, p) % p
+
+
+class TestVerifiersAgainstThePowEquation:
+    """Verifiers take public^challenge from the key's comb table; ``pow`` is the oracle."""
+
+    CASES = ["valid", "wrong-message", "wrong-key"]
+
+    @pytest.fixture(scope="class")
+    def keys(self, group):
+        rng = random.Random(119)
+        return [(keygen(group, rng), keygen(group, rng).public) for _ in range(8)], rng
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_verify_signature(self, group, keys, case):
+        pairs, rng = keys
+        for kp, other in pairs:
+            sig = sign(group, kp, b"message", rng)
+            public = other if case == "wrong-key" else kp.public
+            message = b"other message" if case == "wrong-message" else b"message"
+            challenge = _signature_challenge(group, public, sig.commitment, message)
+            expected = _pow_equation(group, public, sig.commitment, challenge, sig.response)
+            assert expected is (case == "valid")
+            assert verify_signature(group, public, message, sig) is expected
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_schnorr_verify(self, group, keys, case):
+        pairs, rng = keys
+        for kp, other in pairs:
+            proof = schnorr_prove(group, kp, b"context", rng)
+            public = other if case == "wrong-key" else kp.public
+            context = b"other context" if case == "wrong-message" else b"context"
+            expected = proof.challenge == _schnorr_challenge(
+                group, context, public, proof.commitment
+            ) and _pow_equation(group, public, proof.commitment, proof.challenge, proof.response)
+            assert expected is (case == "valid")
+            assert schnorr_verify(group, public, proof, context) is expected
+
+    def test_one_table_per_verified_key(self, group):
+        rng = random.Random(120)
+        kp = keygen(group, rng)
+        sig = sign(group, kp, b"m", rng)
+        _key_comb_table.cache_clear()
+        assert verify_signature(group, kp.public, b"m", sig)
+        assert verify_signature(group, kp.public, b"m", sig)
+        info = _key_comb_table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    def test_gate_rejected_key_gets_no_table(self, group):
+        rng = random.Random(121)
+        kp = keygen(group, rng)
+        sig, proof = sign(group, kp, b"m", rng), schnorr_prove(group, kp, b"ctx", rng)
+        p = group.modulus
+        _key_comb_table.cache_clear()
+        assert verify_signature(group, kp.public, b"m", sig)
+        before = _key_comb_table.cache_info().currsize
+        # Out of range, the identity, order two, and a non-residue (-1 is one mod a safe prime).
+        for public in (-1, 0, 1, p - 1, p, 2**256, p - kp.public):
+            assert not verify_signature(group, public, b"m", sig)
+            assert not schnorr_verify(group, public, proof, b"ctx")
+        assert _key_comb_table.cache_info().currsize == before == 1
 
 
 class TestSymmetric:

@@ -54,6 +54,10 @@ ORACLE_POOLS = [
     (MinerPool(5, 1.0), 9),
     (MinerPool(9, 0.5, verify_seconds=0.0, verify_jitter=1e-4, pair_seconds=0.0), 17),
     (MinerPool(800, 0.4, verify_jitter=1e-4), 5),
+    # No jitter draws are made at zero jitter; a signed zero must still pack
+    # as the oracle's verify_seconds + r * jitter does.
+    (MinerPool(7, 0.25, verify_seconds=-0.0), 23),
+    (MinerPool(7, 0.25, verify_seconds=-0.0, verify_jitter=-0.0), 29),
 ]
 
 
