@@ -34,6 +34,7 @@ from .ledger import (
     RequestBlock,
     TimeRange,
     chain_state,
+    range_message,
     state_commitment,
 )
 from .registry import mask_matcher
@@ -66,12 +67,11 @@ def create_request_block(
     rng: random.Random | None = None,
 ) -> RequestBlock:
     """Fork a patient block into a signed access request."""
-    message = parent.canonical_bytes() + requested_range.to_bytes()
     return RequestBlock(
         parent_ptr=parent.block_id,
         requested_range=requested_range,
         researcher_pk=researcher_kp.public,
-        signature=sign(group, researcher_kp, message, rng),
+        signature=sign(group, researcher_kp, range_message(parent, requested_range), rng),
         group=group,
     )
 
@@ -101,11 +101,10 @@ def create_approval_block(
     record = secrets.find(request.parent_ptr)
     if record is None:
         raise KeyError("request does not fork a block owned by this patient")
-    message = request.canonical_bytes() + granted_range.to_bytes()
     return ApprovalBlock(
         parent_ptr=request.block_id,
         granted_range=granted_range,
-        signature=sign(group, record.block_key, message, rng),
+        signature=sign(group, record.block_key, range_message(request, granted_range), rng),
         group=group,
     )
 
@@ -126,7 +125,7 @@ class DisclosureEntry:
 
 @dataclass(frozen=True)
 class DisclosurePackage(enc.Stored):
-    """Off-chain bundle granting verifiable access to k contiguous blocks."""
+    """Off-chain bundle granting verifiable access to k >= 1 contiguous blocks."""
 
     MAGIC = b"PHRD"
 
@@ -134,6 +133,10 @@ class DisclosurePackage(enc.Stored):
     prefix_state: bytes
     last_nonce: bytes
     last_block_id: bytes
+
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("a disclosure must cover at least one block")
 
     @property
     def k(self) -> int:
@@ -159,12 +162,7 @@ class DisclosurePackage(enc.Stored):
         entries = tuple(
             DisclosureEntry(reader.take(32), reader.take(32), reader.take(32)) for _ in range(count)
         )
-        return cls(
-            entries=entries,
-            prefix_state=reader.take(32),
-            last_nonce=reader.take(NONCE_SIZE),
-            last_block_id=reader.take(32),
-        )
+        return enc.build(cls, entries, reader.take(32), reader.take(NONCE_SIZE), reader.take(32))
 
     def describe(self) -> str:
         lines = [f"disclosure package: {self.k} blocks, {len(self.items)} items"]

@@ -160,7 +160,8 @@ def bench_block_creation(config: BenchConfig) -> list[dict]:
 
 
 def _small_valid_block(group: GroupParams, rng: random.Random):
-    """A verifiable patient block over small registries, for consensus runs."""
+    """A verifiable patient block over small registries, for consensus runs:
+    the block, the patient's secrets, the directories and the data store."""
     patient_kps = [keygen(group, rng) for _ in range(4)]
     hospital_kps = [keygen(group, rng) for _ in range(4)]
     directories = Directories(
@@ -176,14 +177,14 @@ def _small_valid_block(group: GroupParams, rng: random.Random):
     block, secrets = create_patient_block(
         patient, hospital, b"consensus probe", bits, directories, store, visit_time=1, rng=rng
     )
-    return block, secrets, directories, store, patient_kps, hospital_kps
+    return block, secrets, directories, store
 
 
 def bench_consensus(config: BenchConfig) -> list[dict]:
     """Simulated consensus time across the (miners, malicious fraction) grid."""
     group = GroupParams.default()
     rng = random.Random(config.seed)
-    block, _, directories, _, _, _ = _small_valid_block(group, rng)
+    block, _, directories, _ = _small_valid_block(group, rng)
 
     rows = []
     for n_miners in config.miners:
@@ -223,7 +224,7 @@ def bench_researcher_access(config: BenchConfig) -> list[dict]:
     """
     group = GroupParams.default()
     rng = random.Random(config.seed)
-    block, secrets, directories, store, patient_kps, _ = _small_valid_block(group, rng)
+    block, secrets, directories, store = _small_valid_block(group, rng)
     researcher_kp = keygen(group, rng)
     directories.researchers.enroll(researcher_kp.public)
 

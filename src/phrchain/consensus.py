@@ -15,9 +15,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .crypto import CredentialProof, credential_verify, verify_signature
+from .crypto import credential_verify, verify_signature
 from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock, pack_votes
-from .registry import Directories, Registry
+from .ledger import range_message
+from .registry import Directories
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,10 @@ def verify_block(block: Block, directories: Directories, chain: Chain | None = N
 
     A patient block's credentials are each checked against the prefix of
     their registry that the prover chose: a ring proof of m branches is
-    verified against the first m enrolled keys, and m must be between 1 and
-    the registry's size. Registries only append and an index never changes,
+    verified against the first m enrolled keys. The ring gate
+    (``crypto._ring_gate``) enforces 1 <= m <= the registry's size: m = 0
+    gives an empty ring, and a larger m a ring shorter than the proof.
+    Registries only append and an index never changes,
     so a block stays valid as enrollments land, and its anonymity set is
     that prefix, not the whole registry. A reordered or substituted ring of
     the same length fails the ring digest in the joint context.
@@ -94,23 +97,13 @@ def _verify_patient_block(block: PatientBlock, directories: Directories) -> bool
         (directories.patients, block.patient_block_pk, block.patient_credential),
         (directories.hospitals, block.hospital_block_pk, block.hospital_credential),
     ):
-        ring = _prover_ring(registry, credential)
-        if ring is None or not credential_verify(group, ring, block_public, credential):
+        ring = registry.keys[: len(credential.membership.branches)]
+        if not credential_verify(group, ring, block_public, credential):
             return False
     body = block.body_bytes()
     if not verify_signature(group, block.patient_block_pk, body, block.patient_sig):
         return False
     return verify_signature(group, block.hospital_block_pk, body, block.hospital_sig)
-
-
-def _prover_ring(registry: Registry, credential: CredentialProof) -> tuple[int, ...] | None:
-    """The registry's first m keys for a credential of m ring branches, or
-    None if m is 0 or above the registry's size. The whole key tuple when
-    m is the size, so the ring digest cache sees the same tuple."""
-    m, keys = len(credential.membership.branches), registry.keys
-    if not 0 < m <= len(keys):
-        return None
-    return keys if m == len(keys) else keys[:m]
 
 
 def _verify_request_block(block: RequestBlock, directories: Directories, chain: Chain) -> bool:
@@ -120,7 +113,7 @@ def _verify_request_block(block: RequestBlock, directories: Directories, chain: 
         return False
     if block.researcher_pk not in directories.researchers:
         return False
-    message = parent.canonical_bytes() + block.requested_range.to_bytes()
+    message = range_message(parent, block.requested_range)
     return verify_signature(group, block.researcher_pk, message, block.signature)
 
 
@@ -134,7 +127,7 @@ def _verify_approval_block(block: ApprovalBlock, directories: Directories, chain
         return False
     if not request.requested_range.encloses(block.granted_range):
         return False
-    message = request.canonical_bytes() + block.granted_range.to_bytes()
+    message = range_message(request, block.granted_range)
     return verify_signature(group, forked.patient_block_pk, message, block.signature)
 
 

@@ -310,10 +310,13 @@ def ring_verify(
 def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bool:
     """The input checks of ``ring_verify``, run before anything is hashed or encoded.
 
-    One branch per ring key, every challenge and response in [0, order),
-    every commitment in [1, modulus), and in rings of at most 128 keys every
-    commitment a residue. ``credential_verify`` runs it before its joint
-    context encodes the commitments.
+    A non-empty ring with one branch per key, every challenge and response
+    in [0, order), every commitment in [1, modulus), and in rings of at most
+    128 keys every commitment a residue. ``credential_verify`` runs it before
+    its joint context encodes the commitments. The length test is also the
+    bound of the registry prefix rule (``consensus.verify_block``): a proof
+    of m branches checked against the first m keys of a registry with fewer
+    keys, or with m = 0, meets a ring of another length or an empty one.
     """
     if len(proof.branches) != len(ring) or len(ring) == 0:
         return False
@@ -444,8 +447,10 @@ def credential_verify(
     )
     if proof.joint_context != expected:
         return False
-    return _ring_equations(group, ring, proof.membership, expected) and schnorr_verify(
-        group, block_public, possession, expected
+    if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
+        return False
+    return _ring_equations(group, ring, proof.membership, expected) and _schnorr_equation(
+        group, block_public, possession.commitment, possession.challenge, possession.response
     )
 
 

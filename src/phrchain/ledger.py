@@ -35,15 +35,11 @@ from .crypto import (
     sym_encrypt,
 )
 from .group import GroupParams, _rng
-from .registry import Directories
+from .registry import Directories, conditions_in
 
 GENESIS_STATE = bytes(32)
 NONCE_SIZE = 32
 PTR_SIZE = 32
-
-_KIND_PATIENT = 1
-_KIND_REQUEST = 2
-_KIND_APPROVAL = 3
 
 
 class EnrollmentError(ValueError):
@@ -103,7 +99,10 @@ class TimeRange:
 
 
 class _Block:
-    """Content addressing, shared by the three block kinds."""
+    """Content addressing, shared by the three block kinds. Each kind's
+    canonical bytes open with its ``KIND`` byte, which ``decode_block`` reads."""
+
+    KIND: int
 
     @cached_property
     def block_id(self) -> bytes:
@@ -115,6 +114,7 @@ class PatientBlock(_Block):
     """One visit's record block: anonymous credentials in the header, public
     condition bits, chained commitment, and the two fresh block keys in the body."""
 
+    KIND = 1
     patient_credential: CredentialProof
     hospital_credential: CredentialProof
     patient_sig: Signature
@@ -142,7 +142,7 @@ class PatientBlock(_Block):
             + self.patient_sig.to_bytes(self.group)
             + self.hospital_sig.to_bytes(self.group)
         )
-        return enc.u8(_KIND_PATIENT) + header + self.body_bytes()
+        return enc.u8(self.KIND) + header + self.body_bytes()
 
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "PatientBlock":
@@ -169,8 +169,10 @@ class PatientBlock(_Block):
 
 @dataclass(frozen=True)
 class RequestBlock(_Block):
-    """Researcher fork of a patient block, asking for a visit-time window."""
+    """Researcher fork of a patient block, asking for a visit-time window.
+    The researcher signs ``range_message(parent, requested_range)``."""
 
+    KIND = 2
     parent_ptr: bytes
     requested_range: TimeRange
     researcher_pk: int
@@ -179,7 +181,7 @@ class RequestBlock(_Block):
 
     def canonical_bytes(self) -> bytes:
         return (
-            enc.u8(_KIND_REQUEST)
+            enc.u8(self.KIND)
             + self.parent_ptr
             + self.requested_range.to_bytes()
             + self.group.encode_element(self.researcher_pk)
@@ -198,8 +200,10 @@ class RequestBlock(_Block):
 @dataclass(frozen=True)
 class ApprovalBlock(_Block):
     """Patient grant: signs the request under the forked block's key, with the
-    (possibly narrowed) range the patient is actually willing to disclose."""
+    (possibly narrowed) range the patient is actually willing to disclose.
+    The signed message is ``range_message(request, granted_range)``."""
 
+    KIND = 3
     parent_ptr: bytes
     granted_range: TimeRange
     signature: Signature
@@ -207,7 +211,7 @@ class ApprovalBlock(_Block):
 
     def canonical_bytes(self) -> bytes:
         return (
-            enc.u8(_KIND_APPROVAL)
+            enc.u8(self.KIND)
             + self.parent_ptr
             + self.granted_range.to_bytes()
             + self.signature.to_bytes(self.group)
@@ -233,13 +237,18 @@ def _body_bytes(
     )
 
 
+def range_message(block: PatientBlock | RequestBlock, window: TimeRange) -> bytes:
+    """What a request or an approval signs: the block it answers, then a range.
+
+    A request signs its parent patient block's bytes ‖ the requested range;
+    an approval signs its request's bytes ‖ the granted range.
+    """
+    return block.canonical_bytes() + window.to_bytes()
+
+
 Block = PatientBlock | RequestBlock | ApprovalBlock
 
-_BLOCK_KINDS = {
-    _KIND_PATIENT: PatientBlock,
-    _KIND_REQUEST: RequestBlock,
-    _KIND_APPROVAL: ApprovalBlock,
-}
+_BLOCK_KINDS = {kind.KIND: kind for kind in Block.__args__}
 
 
 def decode_block(data: bytes, group: GroupParams) -> Block:
@@ -563,15 +572,6 @@ class ConsensusResult(enc.Wire):
         return cls(bool(approved), approvals, rejections, simulated, records)
 
 
-def _set_bits(vector: bytes):
-    """Positions of the set bits of a condition vector read as a big-endian integer."""
-    value = int.from_bytes(vector, "big")
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
-
-
 @dataclass(frozen=True)
 class ChainEntry:
     block: Block
@@ -586,7 +586,7 @@ class Chain(enc.Stored):
 
     - ``_index``: block id -> position;
     - ``_patients``: the patient blocks in chain order, and
-      ``_by_condition``: per condition bit (see ``_set_bits``), the patient
+      ``_by_condition``: per condition bit (``registry.conditions_in``), the patient
       blocks that carry it, in chain order;
     - ``_forks``: parent id -> positions of the request blocks that fork
       it, in chain order, whatever the parent's kind.
@@ -615,7 +615,7 @@ class Chain(enc.Stored):
         self._entries.append(ChainEntry(block, record))
         if isinstance(block, PatientBlock):
             self._patients.append(block)
-            for bit in _set_bits(block.condition_bits):
+            for bit in conditions_in(block.condition_bits):
                 self._by_condition.setdefault(bit, []).append(block)
         elif isinstance(block, RequestBlock):
             self._forks.setdefault(block.parent_ptr, []).append(position)
@@ -636,7 +636,7 @@ class Chain(enc.Stored):
 
         A superset of the matches; the caller re-checks each candidate.
         """
-        lists = [self._by_condition.get(bit, ()) for bit in _set_bits(query_mask)]
+        lists = [self._by_condition.get(bit, ()) for bit in conditions_in(query_mask)]
         return tuple(min(lists, key=len, default=self._patients))
 
     def forks_of(self, parent_ids) -> list[RequestBlock]:

@@ -9,7 +9,7 @@ list digest, and a key's index is stable for the life of the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import encoding as enc
 from .crypto import key_list_digest
@@ -133,8 +133,10 @@ class ConditionCodebook(enc.Stored):
     """Stable-position condition names backing the public bit vector.
 
     Bit i covers lifetime_codes[i]; bit len(lifetime_codes) + j covers
-    visit_codes[j]. The codebook is public configuration shared by all
-    parties, so positions must never be reordered once blocks exist.
+    visit_codes[j]. Bit i is bit i of the vector read as a big-endian
+    integer: ``encode`` writes that order, and ``mask_matcher`` and
+    ``conditions_in`` read it. The codebook is public configuration shared by
+    all parties, so positions must never be reordered once blocks exist.
     """
 
     MAGIC = b"PHRB"
@@ -162,24 +164,17 @@ class ConditionCodebook(enc.Stored):
     def n_bytes(self) -> int:
         return (self.n_bits + 7) // 8
 
-    def position(self, name: str) -> int:
-        if name in self.lifetime_codes:
-            return self.lifetime_codes.index(name)
-        if name in self.visit_codes:
-            return len(self.lifetime_codes) + self.visit_codes.index(name)
-        raise UnknownConditionError(name)
-
     def encode(self, lifetime_set: Iterable[str], visit_set: Iterable[str]) -> bytes:
         """Bit vector with a 1 at each named condition's position."""
         value = 0
-        for name in lifetime_set:
-            if name not in self.lifetime_codes:
-                raise UnknownConditionError(name)
-            value |= 1 << self.position(name)
-        for name in visit_set:
-            if name not in self.visit_codes:
-                raise UnknownConditionError(name)
-            value |= 1 << self.position(name)
+        for names, codes, offset in (
+            (lifetime_set, self.lifetime_codes, 0),
+            (visit_set, self.visit_codes, len(self.lifetime_codes)),
+        ):
+            for name in names:
+                if name not in codes:
+                    raise UnknownConditionError(name)
+                value |= 1 << (offset + codes.index(name))
         return value.to_bytes(self.n_bytes, "big")
 
     def to_bytes(self) -> bytes:
@@ -194,17 +189,6 @@ class ConditionCodebook(enc.Stored):
         lifetime = tuple(reader.prefixed_str() for _ in range(reader.u32()))
         visit = tuple(reader.prefixed_str() for _ in range(reader.u32()))
         return enc.build(cls, lifetime, visit)
-
-    def describe(self) -> str:
-        lines = [
-            f"condition codebook: {len(self.lifetime_codes)} lifetime + "
-            f"{len(self.visit_codes)} visit codes ({self.n_bits} bits)"
-        ]
-        for offset, name in enumerate(self.lifetime_codes):
-            lines.append(f"  bit {offset:3d}  {name}")
-        for offset, name in enumerate(self.visit_codes):
-            lines.append(f"  bit {len(self.lifetime_codes) + offset:3d}  {name}")
-        return "\n".join(lines)
 
 
 def codes_match(bits: bytes, query_mask: bytes) -> bool:
@@ -223,3 +207,12 @@ def mask_matcher(query_mask: bytes) -> Callable[[bytes], bool]:
         return len(bits) == size and int.from_bytes(bits, "big") & mask == mask
 
     return matches
+
+
+def conditions_in(vector: bytes) -> Iterator[int]:
+    """The positions of the conditions set in a vector, lowest first."""
+    value = int.from_bytes(vector, "big")
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low

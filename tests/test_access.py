@@ -22,6 +22,7 @@ from phrchain import (
     verify_disclosure,
 )
 from phrchain.access import DisclosureEntry, NonContiguousError, RangeError
+from phrchain.encoding import FormatError, u32
 from phrchain.ledger import BlockSecrets
 
 
@@ -231,6 +232,13 @@ class TestDisclosurePackage:
         with pytest.raises(ValueError):
             build_disclosure_package(secrets, [])
 
+    def test_zero_block_package_refused(self, group):
+        fields = (bytes(32), bytes(32), bytes(32))
+        with pytest.raises(FormatError):
+            DisclosurePackage.from_bytes(u32(0) + b"".join(fields))
+        with pytest.raises(ValueError):
+            DisclosurePackage(entries=(), prefix_state=fields[0], last_nonce=fields[1], last_block_id=fields[2])
+
     def test_terminal_fields_are_last_blocks(self, group):
         secrets = synth_secrets(group, 5)
         ids = [r.block_id for r in secrets.records]
@@ -268,6 +276,20 @@ class TestVerifyDisclosure:
         assert report.data_ok == (True, True, True)
         assert report.failure_index is None
         assert report.all_ok
+
+    def test_empty_replay_of_a_verified_package_refused(self, granted_world):
+        # A researcher who verified blocks 1-2 can refold them to block 2's
+        # state; with block 2's nonce and id that state matches block 2's
+        # commitment, so an empty package ending at block 2 would pass the fold.
+        world, patient, _ = granted_world
+        package = self._package(world, patient, 0, 1)
+        assert verify_disclosure(package, world.chain, world.store).all_ok
+        state = package.prefix_state
+        for entry in package.entries:
+            state = chain_state(entry.sym_key, entry.data_ptr, entry.data_digest, state)
+        replay = u32(0) + state + package.last_nonce + package.last_block_id
+        with pytest.raises(FormatError):
+            DisclosurePackage.from_bytes(replay)
 
     def test_single_item_flip_detected(self, granted_world):
         world, patient, _ = granted_world

@@ -32,7 +32,7 @@ from phrchain.crypto import (
     _signature_challenge,
 )
 from phrchain.encoding import FormatError, Reader
-from phrchain.group import _key_comb_table
+from phrchain.group import GroupParams, _key_comb_table
 
 # Published SHA-256 vectors (empty input and "abc").
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -303,6 +303,22 @@ class TestCredentialProof:
             assert schnorr_verify(group, block_kp.public, possession, joint)
             forged = CredentialProof(replace(membership, branches=branches), possession, joint)
             assert not credential_verify(group, ring, block_kp.public, forged)
+
+    def test_block_key_membership_tested_once(self, group, monkeypatch):
+        rng = random.Random(23)
+        kps, ring = _ring(group, rng, 4)
+        block_kp = keygen(group, rng)
+        proof = credential_prove(group, ring, 2, kps[2].secret, block_kp, rng)
+        tested = []
+        is_element = GroupParams.is_element
+
+        def recording(self, value):
+            tested.append(value)
+            return is_element(self, value)
+
+        monkeypatch.setattr(GroupParams, "is_element", recording)
+        assert credential_verify(group, ring, block_kp.public, proof)
+        assert tested.count(block_kp.public) == 1
 
     def test_single_byte_mutation_rejected_exhaustively(self, group):
         rng = random.Random(19)

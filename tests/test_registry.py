@@ -9,7 +9,7 @@ from phrchain import ConditionCodebook, Registry, codes_match, keygen
 from phrchain import registry as registry_module
 from phrchain.encoding import FormatError, Reader, prefixed_str, u32, write_versioned
 from phrchain.group import GroupParams
-from phrchain.registry import DuplicateKeyError, UnknownConditionError
+from phrchain.registry import DuplicateKeyError, UnknownConditionError, conditions_in, mask_matcher
 
 
 def reference_digest(group, keys):
@@ -201,6 +201,19 @@ class TestConditionCodebook:
         data = u32(1) + prefixed_str("asthma") + u32(1) + prefixed_str("asthma")
         with pytest.raises(FormatError):
             ConditionCodebook.read_from(Reader(data))
+
+    @given(positions=st.sets(st.integers(0, 9)))
+    def test_encoder_and_readers_share_one_bit_order(self, positions):
+        codebook = ConditionCodebook.default(lifetime=6, visit=4)
+        names = codebook.lifetime_codes + codebook.visit_codes
+
+        def encode(chosen):
+            return codebook.encode([names[i] for i in chosen if i < 6], [names[i] for i in chosen if i >= 6])
+
+        bits = encode(positions)
+        assert list(conditions_in(bits)) == sorted(positions)
+        for i in range(10):
+            assert mask_matcher(encode({i}))(bits) == (i in positions)
 
     @given(vector=st.integers(0, 2**16 - 1), mask=st.integers(0, 2**16 - 1))
     @settings(max_examples=300)
