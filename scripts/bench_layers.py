@@ -20,7 +20,11 @@ blocks of 16 patients, 80 requests and 80 approvals; see
 one ``pending_requests`` for a 40-visit history, and then two
 signature checks: ``verify_signature`` under one key whose comb table is
 warm, as an enrolled researcher's is after its first request, and under a
-key seen for the first time, whose table the check builds. A second object,
+key seen for the first time, whose table the check builds, and, last of
+all, three block-bytes rows on a 16/8-key patient block (16 patient and 8
+hospital keys): its first ``canonical_bytes`` (an encoding, timed on fresh
+``dataclasses.replace`` copies), a repeat ``canonical_bytes`` of the same
+block, and ``range_message`` on a block whose bytes are kept. A second object,
 ``counts``, holds the Jacobi-symbol evaluations one ring verification
 makes at m = 200, 1000 and 4000.
 """
@@ -60,7 +64,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.group import GroupParams, _key_comb_table
-from phrchain.ledger import VOTE_RECORD
+from phrchain.ledger import VOTE_RECORD, range_message
 
 
 def median_time(fn, repeats: int, per_call: int = 1) -> float:
@@ -88,6 +92,21 @@ def jacobi_calls(fn) -> int:
     finally:
         group_module._jacobi = original
     return calls
+
+
+def patient_block(group: GroupParams, rng: random.Random, patients: int, hospitals: int):
+    """One patient block proved against registries of the given sizes."""
+    directories = new_directories(group)
+    patient_kps = [keygen(group, rng) for _ in range(patients)]
+    hospital_kps = [keygen(group, rng) for _ in range(hospitals)]
+    for registry, kps in ((directories.patients, patient_kps), (directories.hospitals, hospital_kps)):
+        for kp in kps:
+            registry.enroll(kp.public)
+    block, _ = create_patient_block(
+        PatientContext(patient_kps[0], 0, PatientSecrets()), HospitalContext(hospital_kps[0], 0),
+        b"", ConditionCodebook.default().encode([], []), directories, OffChainStore(), 1, rng,
+    )
+    return block
 
 
 def researcher_chain(group: GroupParams, rng: random.Random, patients=16, visits=40, rounds=80):
@@ -238,11 +257,30 @@ def main() -> None:
     cold_samples = []
     for _ in range(args.repeats):
         _key_comb_table.cache_clear()
+        group_module._key_verdict.cache_clear()
         started = time.perf_counter()
         for check in cold_checks:
             verify_signature(group, *check)
         cold_samples.append((time.perf_counter() - started) / len(cold_checks))
     rows["verify_signature_cold_key_s"] = statistics.median(cold_samples)
+    # Its own stream again: one 16/8-key patient block, as in a researcher workload.
+    block = patient_block(group, random.Random(f"block-{args.seed}"), 16, 8)
+    first_samples = []
+    for _ in range(args.repeats):
+        fresh = [dataclasses.replace(block) for _ in range(200)]
+        started = time.perf_counter()
+        for copy in fresh:
+            copy.canonical_bytes()
+        first_samples.append((time.perf_counter() - started) / len(fresh))
+    rows["patient_block_first_bytes_s"] = statistics.median(first_samples)
+    block.canonical_bytes()
+    rows["patient_block_repeat_bytes_s"] = median_time(
+        lambda: [block.canonical_bytes() for _ in range(200)], args.repeats, 200
+    )
+    window = TimeRange(1, 2)
+    rows["range_message_kept_s"] = median_time(
+        lambda: [range_message(block, window) for _ in range(200)], args.repeats, 200
+    )
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,

@@ -144,9 +144,11 @@ def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: in
 
     Response in [0, order), commitment in [1, modulus), public key in the
     subgroup: no int that ``encode_element`` cannot write reaches it, and a
-    small-order key cannot make the equation hold without a secret.
+    small-order key cannot make the equation hold without a secret. The
+    key's verdict is kept (``GroupParams.key_is_element``), so a key is
+    tested once however often it signs.
     """
-    return _scalar_ok(group, response) and _commitment_ok(group, commitment) and group.is_element(public)
+    return _scalar_ok(group, response) and _commitment_ok(group, commitment) and group.key_is_element(public)
 
 
 def _schnorr_equation(group: GroupParams, public: int, commitment: int, challenge: int, response: int) -> bool:
@@ -209,12 +211,17 @@ class RingProof:
         return cls(branches, binding)
 
 
-def _ring_binding_challenge(
-    group: GroupParams, context: bytes, commitments: Sequence[int]
-) -> int:
-    parts = [enc.prefixed(context), enc.u32(len(commitments))]
-    parts.extend(group.encode_element(t) for t in commitments)
-    return hash_to_scalar(group, TAG_FS_OR, b"".join(parts))
+def _commitment_bytes(group: GroupParams, commitments: Sequence[int]) -> bytes:
+    """The ring commitments as hashed: a u32 count, then each element.
+
+    Encoded once per proof or check and read by both the joint context and
+    the binding challenge.
+    """
+    return enc.u32(len(commitments)) + b"".join(map(group.encode_element, commitments))
+
+
+def _ring_binding_challenge(group: GroupParams, context: bytes, commitment_bytes: bytes) -> int:
+    return hash_to_scalar(group, TAG_FS_OR, enc.prefixed(context) + commitment_bytes)
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,7 @@ def ring_prove(
 ) -> RingProof:
     """Prove knowledge of the secret for ring[index] without revealing the index."""
     state = _ring_commit(group, ring, index, secret, rng)
-    binding = _ring_binding_challenge(group, context, state.commitments)
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, state.commitments))
     return _ring_finish(group, state, secret, binding)
 
 
@@ -304,7 +311,10 @@ def ring_verify(
     Either way the verdict differs from the per-branch check with
     probability at most 2^-128.
     """
-    return _ring_gate(group, ring, proof) and _ring_equations(group, ring, proof, context)
+    if not _ring_gate(group, ring, proof):
+        return False
+    commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.branches])
+    return _ring_equations(group, ring, proof, _ring_binding_challenge(group, context, commitment_bytes))
 
 
 def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bool:
@@ -331,17 +341,16 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> boo
     return True
 
 
-def _ring_equations(group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes) -> bool:
-    """The binding challenge and the batched branch equations of a proof past ``_ring_gate``."""
-    commitments = [b.commitment for b in proof.branches]
-    binding = _ring_binding_challenge(group, context, commitments)
+def _ring_equations(group: GroupParams, ring: Sequence[int], proof: RingProof, binding: int) -> bool:
+    """The binding challenge, recomputed by the caller, and the batched
+    branch equations of a proof past ``_ring_gate``."""
     if binding != proof.binding_challenge:
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
         return False
     k = min(_BATCH_SECURITY_BITS, group.order.bit_length() - 1)
     planes = 0 if len(ring) <= _BATCH_SECURITY_BITS else k
-    bases = commitments + list(ring)
+    bases = [b.commitment for b in proof.branches] + list(ring)
     for _ in range(-(-_BATCH_SECURITY_BITS // k)):
         weights = [secrets.randbits(k) for _ in ring]
         lhs = group.exp(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)))
@@ -394,14 +403,14 @@ def _joint_context(
     ring: Sequence[int],
     block_public: int,
     possession_commitment: int,
-    ring_commitments: Sequence[int],
+    commitment_bytes: bytes,
 ) -> bytes:
-    commit_parts = [group.encode_element(possession_commitment), enc.u32(len(ring_commitments))]
-    commit_parts.extend(group.encode_element(t) for t in ring_commitments)
+    """Ring digest, block key, and the digest of both halves' commitments;
+    ``commitment_bytes`` is ``_commitment_bytes`` of the ring commitments."""
     return (
         _ring_digest(group, tuple(ring))
         + group.encode_element(block_public)
-        + digest(b"".join(commit_parts))
+        + digest(group.encode_element(possession_commitment) + commitment_bytes)
     )
 
 
@@ -417,9 +426,10 @@ def credential_prove(
     ring_state = _ring_commit(group, ring, index, identity_secret, rng)
     possession_nonce = group.random_scalar(rng)
     possession_commitment = group.exp(group.generator, possession_nonce)
-    joint = _joint_context(group, ring, block_kp.public, possession_commitment, ring_state.commitments)
+    commitment_bytes = _commitment_bytes(group, ring_state.commitments)
+    joint = _joint_context(group, ring, block_kp.public, possession_commitment, commitment_bytes)
 
-    binding = _ring_binding_challenge(group, joint, ring_state.commitments)
+    binding = _ring_binding_challenge(group, joint, commitment_bytes)
     membership = _ring_finish(group, ring_state, identity_secret, binding)
 
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession_commitment)
@@ -438,18 +448,14 @@ def credential_verify(
         return False
     if not _ring_gate(group, ring, proof.membership):
         return False
-    expected = _joint_context(
-        group,
-        ring,
-        block_public,
-        possession.commitment,
-        [b.commitment for b in proof.membership.branches],
-    )
+    commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.membership.branches])
+    expected = _joint_context(group, ring, block_public, possession.commitment, commitment_bytes)
     if proof.joint_context != expected:
         return False
     if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
         return False
-    return _ring_equations(group, ring, proof.membership, expected) and _schnorr_equation(
+    binding = _ring_binding_challenge(group, expected, commitment_bytes)
+    return _ring_equations(group, ring, proof.membership, binding) and _schnorr_equation(
         group, block_public, possession.commitment, possession.challenge, possession.response
     )
 

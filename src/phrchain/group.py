@@ -21,7 +21,8 @@ many powers get a smaller comb of their own: a 16-entry Lim-Lee table
 per key, built lazily on the key's first power and kept packed as bytes
 in a bounded module-level cache. Ring provers read the tables of the
 ring keys, and every Schnorr-shaped verification (signatures, Schnorr
-proofs, the possession half of a credential) reads its public key's.
+proofs, the possession half of a credential) reads its public key's. A
+public key's membership verdict is kept in a cache of the same bound.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -91,6 +92,11 @@ def _key_comb_table(modulus: int, order: int, key: int) -> bytes:
         table += [entry * power % modulus for entry in table]
     size = (modulus.bit_length() + 7) // 8
     return b"".join(entry.to_bytes(size, "little") for entry in table)
+
+
+@functools.lru_cache(maxsize=_KEY_TABLES)
+def _key_verdict(group: "GroupParams", key: int) -> bool:
+    return group.is_element(key)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -170,11 +176,11 @@ class GroupParams(enc.Wire):
     def default(cls) -> "GroupParams":
         return cls(group_id="modp256-v1", modulus=_P, order=_Q, generator=_G)
 
-    @property
+    @functools.cached_property
     def element_size(self) -> int:
         return (self.modulus.bit_length() + 7) // 8
 
-    @property
+    @functools.cached_property
     def scalar_size(self) -> int:
         return (self.order.bit_length() + 7) // 8
 
@@ -217,6 +223,17 @@ class GroupParams(enc.Wire):
         for digit in f"{interleaved:0{span}x}":
             result = result * result * entries[digit] % modulus
         return result
+
+    def key_is_element(self, key: int) -> bool:
+        """``is_element`` for a public key, whose verdict is kept: verifiers
+        meet the same keys again and again (an enrolled researcher's key
+        signs every request; a fresh block key is tested by its possession
+        proof, again by its block's signature, and a patient block key by
+        every approval it signs). The verdicts
+        sit in a cache keyed by (parameters, key), with as many entries as
+        the comb-table cache; a miss goes through ``is_element``.
+        """
+        return _key_verdict(self, key)
 
     def multi_exp(self, bases: Sequence[int], exponents: Sequence[int]) -> int:
         """Product of base**exponent mod the modulus, for non-negative exponents."""
@@ -300,7 +317,8 @@ class GroupParams(enc.Wire):
         0.28-0.31 s on a 2-vCPU host where a 256-bit ``pow`` takes about
         0.2 ms. ``Registry.enroll`` tests the keys it admits.
         ``credential_verify``, ``schnorr_verify`` and ``verify_signature``
-        test their public keys in one shared gate. ``ring_verify`` tests its
+        test their public keys in one shared gate, once per key
+        (``key_is_element``). ``ring_verify`` tests its
         commitments, one by one in rings of up to 128 keys and through its
         multi-exponentiation's buckets above. A Schnorr or signature
         commitment outside the subgroup fails its single equation, whose

@@ -100,13 +100,31 @@ class TimeRange:
 
 class _Block:
     """Content addressing, shared by the three block kinds. Each kind's
-    canonical bytes open with its ``KIND`` byte, which ``decode_block`` reads."""
+    canonical bytes open with its ``KIND`` byte, which ``decode_block`` reads.
+
+    Blocks are frozen, so their bytes are kept once made: a kind's
+    ``_encode`` runs on the first ``canonical_bytes`` call (``block_id`` and
+    ``range_message`` ask through it), and later calls return the same
+    bytes, as ``block_id`` returns the same id. ``Chain.to_bytes`` reads
+    kept bytes but keeps none. ``dataclasses.replace`` builds a new block,
+    which encodes and hashes itself afresh. Each kind keeps its own
+    ``canonical_bytes`` so that a tracer can time the kinds apart.
+    """
 
     KIND: int
 
     @cached_property
+    def _encoding(self) -> bytes:
+        return self._encode()
+
+    @cached_property
     def block_id(self) -> bytes:
         return digest(self.canonical_bytes())
+
+    def _unkept_bytes(self) -> bytes:
+        """The canonical bytes, kept ones if the block has them, else a
+        fresh encoding that is not kept."""
+        return self.__dict__.get("_encoding") or self._encode()
 
 
 @dataclass(frozen=True)
@@ -136,6 +154,9 @@ class PatientBlock(_Block):
         )
 
     def canonical_bytes(self) -> bytes:
+        return self._encoding
+
+    def _encode(self) -> bytes:
         header = (
             enc.prefixed(self.patient_credential.to_bytes(self.group))
             + enc.prefixed(self.hospital_credential.to_bytes(self.group))
@@ -180,6 +201,9 @@ class RequestBlock(_Block):
     group: GroupParams
 
     def canonical_bytes(self) -> bytes:
+        return self._encoding
+
+    def _encode(self) -> bytes:
         return (
             enc.u8(self.KIND)
             + self.parent_ptr
@@ -210,6 +234,9 @@ class ApprovalBlock(_Block):
     group: GroupParams
 
     def canonical_bytes(self) -> bytes:
+        return self._encoding
+
+    def _encode(self) -> bytes:
         return (
             enc.u8(self.KIND)
             + self.parent_ptr
@@ -252,11 +279,19 @@ _BLOCK_KINDS = {kind.KIND: kind for kind in Block.__args__}
 
 
 def decode_block(data: bytes, group: GroupParams) -> Block:
-    """Parse canonical block bytes; raises FormatError on malformed input."""
+    """Parse canonical block bytes; raises FormatError on malformed input.
+
+    Decoding is canonical (the block re-encodes to ``data``), so the
+    block's id is the hash of ``data``. The bytes themselves are not kept,
+    so a chain of decoded blocks holds no second copy of them; a block
+    that is asked for its bytes encodes them then.
+    """
     kind = _BLOCK_KINDS.get(data[0] if data else None)
     if kind is None:
         raise enc.FormatError("missing or unknown block kind")
-    return enc.decode(data[1:], kind.read_from, group)
+    block = enc.decode(data[1:], kind.read_from, group)
+    block.__dict__["block_id"] = digest(data)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +682,8 @@ class Chain(enc.Stored):
     def to_bytes(self) -> bytes:
         parts = [enc.prefixed(self.group.to_bytes()), enc.u32(len(self._entries))]
         for entry in self._entries:
-            parts.append(enc.prefixed(entry.block.canonical_bytes()))
+            # Saving keeps no bytes, so a saved chain holds no second copy of its blocks.
+            parts.append(enc.prefixed(entry.block._unkept_bytes()))
             parts.append(enc.prefixed(entry.record.to_bytes()))
         return b"".join(parts)
 

@@ -31,7 +31,7 @@ from phrchain import (
 )
 from phrchain.bench import BenchConfig, bench_researcher_access
 from phrchain.consensus import approval_threshold
-from phrchain.crypto import _joint_context, _ring_binding_challenge
+from phrchain.crypto import _commitment_bytes, _joint_context, _ring_binding_challenge
 from phrchain.encoding import FormatError
 
 from test_access import synth_secrets
@@ -259,7 +259,7 @@ def test_criterion_08_proof_soundness_and_completeness(group):
             c, s = group.random_scalar(rng), group.random_scalar(rng)
             t = group.mul(group.exp(group.generator, s), group.exp(key, -c))
             branches.append(SchnorrProof(t, c, s))
-        commitments = [b.commitment for b in branches]
+        commitments = _commitment_bytes(group, [b.commitment for b in branches])
         possession_nonce = group.random_scalar(rng)
         possession_commitment = group.exp(group.generator, possession_nonce)
         joint = _joint_context(group, ring, block_kp.public, possession_commitment, commitments)

@@ -22,6 +22,7 @@ from phrchain import (
 )
 from phrchain.consensus import ConsensusResult, approval_threshold
 from phrchain.crypto import (
+    _commitment_bytes,
     _joint_context,
     _ring_binding_challenge,
     _ring_commit,
@@ -140,8 +141,9 @@ def _negated_credential(group, ring, index, secret, block_kp, rng, branch):
         commitments = list(state.commitments)
         commitments[branch] = group.modulus - commitments[branch]
         state = dataclasses.replace(state, commitments=tuple(commitments))
-    joint = _joint_context(group, ring, block_kp.public, possession, state.commitments)
-    membership = _ring_finish(group, state, secret, _ring_binding_challenge(group, joint, state.commitments))
+    commitment_bytes = _commitment_bytes(group, state.commitments)
+    joint = _joint_context(group, ring, block_kp.public, possession, commitment_bytes)
+    membership = _ring_finish(group, state, secret, _ring_binding_challenge(group, joint, commitment_bytes))
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession)
     response = (nonce + challenge * block_kp.secret) % group.order
     return CredentialProof(membership, SchnorrProof(possession, challenge, response), joint)

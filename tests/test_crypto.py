@@ -26,6 +26,7 @@ from phrchain import (
 )
 from phrchain.crypto import (
     DecryptionError,
+    _commitment_bytes,
     _joint_context,
     _ring_binding_challenge,
     _schnorr_challenge,
@@ -172,7 +173,7 @@ class TestRingProof:
                 c, s = group.random_scalar(rng), group.random_scalar(rng)
                 t = group.mul(group.exp(group.generator, s), group.exp(key, -c))
                 branches.append(SchnorrProof(t, c, s))
-            binding = _ring_binding_challenge(group, b"ctx", [b.commitment for b in branches])
+            binding = _ring_binding_challenge(group, b"ctx", _commitment_bytes(group, [b.commitment for b in branches]))
             forgery = RingProof(tuple(branches), binding)
             rejected += not ring_verify(group, ring, forgery, b"ctx")
         assert rejected == 1000
@@ -297,7 +298,8 @@ class TestCredentialProof:
         for branches in (membership.branches[:-1], membership.branches + membership.branches[:1]):
             nonce = group.random_scalar(rng)
             commitment = group.exp(group.generator, nonce)
-            joint = _joint_context(group, ring, block_kp.public, commitment, [b.commitment for b in branches])
+            commitment_bytes = _commitment_bytes(group, [b.commitment for b in branches])
+            joint = _joint_context(group, ring, block_kp.public, commitment, commitment_bytes)
             challenge = _schnorr_challenge(group, joint, block_kp.public, commitment)
             possession = SchnorrProof(commitment, challenge, (nonce + challenge * block_kp.secret) % group.order)
             assert schnorr_verify(group, block_kp.public, possession, joint)

@@ -25,6 +25,7 @@ from phrchain import (
     create_approval_block,
     create_patient_block,
     create_request_block,
+    digest,
     keygen,
     new_directories,
     run_consensus,
@@ -319,6 +320,15 @@ def test_decoder_on_field_built_input(recorded, file_dir, name, data):
     except FormatError:
         return
     assert encode(value) == raw
+
+
+@pytest.mark.parametrize("name", ["patient-block", "request-block", "approval-block"])
+def test_decoded_block_id_is_the_hash_of_its_input(samples, name):
+    data = samples[name]
+    block = decode_block(data, GROUP)
+    assert "_encoding" not in vars(block)  # the input bytes are not kept
+    assert block.block_id == digest(data) == digest(block._encode())
+    assert block.canonical_bytes() == data
 
 
 def _store_bytes(*entries):

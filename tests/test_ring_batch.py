@@ -26,7 +26,7 @@ from phrchain import (
     schnorr_prove,
     sign,
 )
-from phrchain.crypto import _ring_binding_challenge
+from phrchain.crypto import _commitment_bytes, _ring_binding_challenge
 from phrchain.encoding import FormatError, Reader
 
 RING_SIZES = (1, 2, 3, 8, 64)
@@ -43,7 +43,7 @@ def reference_ring_verify(group, ring, proof, context):
             return False
         if not (1 <= branch.commitment < group.modulus):
             return False
-    binding = _ring_binding_challenge(group, context, [b.commitment for b in proof.branches])
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, [b.commitment for b in proof.branches]))
     if binding != proof.binding_challenge:
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
@@ -84,7 +84,7 @@ def bind(group, context, commitments, index, secret, nonce, simulated):
 
     ``simulated`` maps every other branch to its (challenge, response).
     """
-    binding = _ring_binding_challenge(group, context, commitments)
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, commitments))
     real_c = (binding - sum(c for c, _ in simulated.values())) % group.order
     real_s = (nonce + real_c * secret) % group.order
     branches = tuple(
@@ -150,7 +150,7 @@ def corpus(group, size, rng):
     for key in ring:
         c, s = group.random_scalar(rng), group.random_scalar(rng)
         branches.append(SchnorrProof(group.mul(group.exp(group.generator, s), group.exp(key, -c)), c, s))
-    binding = _ring_binding_challenge(group, ctx, [b.commitment for b in branches])
+    binding = _ring_binding_challenge(group, ctx, _commitment_bytes(group, [b.commitment for b in branches]))
     yield "witness-free", ring, RingProof(tuple(branches), binding), None
 
     # Acceptance 07: omission, transposition, wrong context.
