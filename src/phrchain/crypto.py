@@ -314,7 +314,7 @@ def ring_verify(
     if not _ring_gate(group, ring, proof):
         return False
     commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.branches])
-    return _ring_equations(group, ring, proof, _ring_binding_challenge(group, context, commitment_bytes))
+    return _ring_equations(group, ring, proof, context, commitment_bytes)
 
 
 def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bool:
@@ -341,9 +341,13 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> boo
     return True
 
 
-def _ring_equations(group: GroupParams, ring: Sequence[int], proof: RingProof, binding: int) -> bool:
-    """The binding challenge, recomputed by the caller, and the batched
-    branch equations of a proof past ``_ring_gate``."""
+def _ring_equations(
+    group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes, commitment_bytes: bytes
+) -> bool:
+    """The binding challenge and the batched branch equations of a proof
+    past ``_ring_gate``; ``commitment_bytes`` is ``_commitment_bytes`` of
+    its commitments, which the caller encodes once."""
+    binding = _ring_binding_challenge(group, context, commitment_bytes)
     if binding != proof.binding_challenge:
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
@@ -454,8 +458,7 @@ def credential_verify(
         return False
     if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
         return False
-    binding = _ring_binding_challenge(group, expected, commitment_bytes)
-    return _ring_equations(group, ring, proof.membership, binding) and _schnorr_equation(
+    return _ring_equations(group, ring, proof.membership, expected, commitment_bytes) and _schnorr_equation(
         group, block_public, possession.commitment, possession.challenge, possession.response
     )
 

@@ -105,10 +105,10 @@ class _Block:
     Blocks are frozen, so their bytes are kept once made: a kind's
     ``_encode`` runs on the first ``canonical_bytes`` call (``block_id`` and
     ``range_message`` ask through it), and later calls return the same
-    bytes, as ``block_id`` returns the same id. ``Chain.to_bytes`` reads
-    kept bytes but keeps none. ``dataclasses.replace`` builds a new block,
-    which encodes and hashes itself afresh. Each kind keeps its own
-    ``canonical_bytes`` so that a tracer can time the kinds apart.
+    bytes, as ``block_id`` returns the same id. ``dataclasses.replace``
+    builds a new block, which encodes and hashes itself afresh. Each kind
+    keeps its own ``canonical_bytes`` so that a tracer can time the kinds
+    apart.
     """
 
     KIND: int
@@ -120,11 +120,6 @@ class _Block:
     @cached_property
     def block_id(self) -> bytes:
         return digest(self.canonical_bytes())
-
-    def _unkept_bytes(self) -> bytes:
-        """The canonical bytes, kept ones if the block has them, else a
-        fresh encoding that is not kept."""
-        return self.__dict__.get("_encoding") or self._encode()
 
 
 @dataclass(frozen=True)
@@ -682,8 +677,7 @@ class Chain(enc.Stored):
     def to_bytes(self) -> bytes:
         parts = [enc.prefixed(self.group.to_bytes()), enc.u32(len(self._entries))]
         for entry in self._entries:
-            # Saving keeps no bytes, so a saved chain holds no second copy of its blocks.
-            parts.append(enc.prefixed(entry.block._unkept_bytes()))
+            parts.append(enc.prefixed(entry.block.canonical_bytes()))
             parts.append(enc.prefixed(entry.record.to_bytes()))
         return b"".join(parts)
 

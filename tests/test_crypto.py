@@ -33,7 +33,7 @@ from phrchain.crypto import (
     _signature_challenge,
 )
 from phrchain.encoding import FormatError, Reader
-from phrchain.group import GroupParams, _key_comb_table
+from phrchain.group import GroupParams, _key_comb_table, _key_verdict
 
 # Published SHA-256 vectors (empty input and "abc").
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -307,6 +307,7 @@ class TestCredentialProof:
             assert not credential_verify(group, ring, block_kp.public, forged)
 
     def test_block_key_membership_tested_once(self, group, monkeypatch):
+        _key_verdict.cache_clear()  # an earlier test may have kept this key's verdict
         rng = random.Random(23)
         kps, ring = _ring(group, rng, 4)
         block_kp = keygen(group, rng)

@@ -71,16 +71,6 @@ class TestBlockBytes:
         assert [encodings[id(b)] for b in blocks] == [1, 1, 1, 1, 1, 0]
         assert sum(encodings.values()) == 5
 
-    def test_saving_a_chain_reads_kept_bytes_and_keeps_none(self, make_world, encodings):
-        world = make_world(patients=2, hospitals=2)
-        block, _ = world.submit_block(world.patient(), b"visit", 1, append=False)
-        received = publish(world, block, 1)
-        saved = world.chain.to_bytes()
-        assert encodings[id(received)] == 1 and "_encoding" not in vars(received)
-        assert received.canonical_bytes() == block.canonical_bytes()  # encoded again, and kept
-        assert world.chain.to_bytes() == saved
-        assert encodings[id(received)] == 2  # the second save read the kept bytes
-
     def test_replace_encodes_and_hashes_afresh(self, make_world):
         world = make_world(patients=2, hospitals=2)
         block, _ = world.submit_block(world.patient(), b"visit", 1, append=False)
