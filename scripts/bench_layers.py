@@ -13,7 +13,9 @@ subgroup test, one consensus vote over 800 miners
 (40% malicious) on a request block given no chain, which ``verify_block``
 rejects at once so that the row times the vote loop alone, the 2m-base
 product that ring verification evaluates, and ring prove / verify at
-m = 1000 and 4000, with ring verify also at m = 200, and, last, the two
+m = 1000 and 4000, with ring verify also at m = 8, 16, 64, 128 (checked
+branch by branch; each verdict is first compared with a per-branch check
+through ``pow``) and 200, and, last, the two
 chain reads of a researcher round on an 800-block chain (640 patient
 blocks of 16 patients, 80 requests and 80 approvals; see
 ``researcher_chain``): one ``scan_blocks`` for a one-condition mask and
@@ -26,7 +28,7 @@ hospital keys): its first ``canonical_bytes`` (an encoding, timed on fresh
 ``dataclasses.replace`` copies), a repeat ``canonical_bytes`` of the same
 block, and ``range_message`` on a block whose bytes are kept. A second object,
 ``counts``, holds the Jacobi-symbol evaluations one ring verification
-makes at m = 200, 1000 and 4000.
+makes at each of those ring sizes.
 """
 
 import argparse
@@ -92,6 +94,17 @@ def jacobi_calls(fn) -> int:
     finally:
         group_module._jacobi = original
     return calls
+
+
+def pow_ring_verdict(group: GroupParams, ring, proof) -> bool:
+    """Each branch equation g^s == t * y^c through ``pow``, and the challenge sum."""
+    p = group.modulus
+    if sum(b.challenge for b in proof.branches) % group.order != proof.binding_challenge:
+        return False
+    return all(
+        pow(group.generator, b.response, p) == b.commitment * pow(y, b.challenge, p) % p
+        for y, b in zip(ring, proof.branches)
+    )
 
 
 def patient_block(group: GroupParams, rng: random.Random, patients: int, hospitals: int):
@@ -204,6 +217,22 @@ def main() -> None:
     counts["jacobi_calls_per_verify_m200"] = jacobi_calls(
         lambda: ring_verify(group, small_ring, small_proof, b"ctx")
     )
+    # Rings checked branch by branch, each size on its own stream as well.
+    for m in (8, 16, 64, 128):
+        ring_rng = random.Random(f"ring-{m}-{args.seed}")
+        kps = [keygen(group, ring_rng) for _ in range(m)]
+        ring = [kp.public for kp in kps]
+        proof = ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", ring_rng)
+        first = proof.branches[0]
+        forged = dataclasses.replace(proof, branches=(
+            dataclasses.replace(first, response=(first.response + 1) % q), *proof.branches[1:]
+        ))
+        for candidate, expected in ((proof, True), (forged, False)):
+            verdicts = (ring_verify(group, ring, candidate, b"ctx"), pow_ring_verdict(group, ring, candidate))
+            if verdicts != (expected, expected):
+                raise SystemExit(f"ring_verify and the pow check gave {verdicts} at m={m}, not {expected}")
+        rows[f"ring_verify_m{m}_s"] = median_time(lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats)
+        counts[f"jacobi_calls_per_verify_m{m}"] = jacobi_calls(lambda: ring_verify(group, ring, proof, b"ctx"))
     for m in (1000, 4000):
         kps = [keygen(group, rng) for _ in range(m)]
         ring = [kp.public for kp in kps]

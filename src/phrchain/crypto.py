@@ -42,8 +42,10 @@ TAG_CHAIN = b"CHAIN"
 SYM_KEY_SIZE = 32
 _GCM_NONCE_SIZE = 12
 # Batched ring verification agrees with the per-branch check except with
-# probability at most 2**-_BATCH_SECURITY_BITS. Rings above this many keys
-# test commitment membership through the batch's buckets, not one by one.
+# probability at most 2**-_BATCH_SECURITY_BITS. Rings of at most this many
+# keys check each branch equation on its own instead: spread over so few
+# equations, the weighted product and its membership test cost more than
+# the per-branch powers through the ring keys' comb tables.
 _BATCH_SECURITY_BITS = 128
 
 
@@ -159,8 +161,11 @@ def _schnorr_equation(group: GroupParams, public: int, commitment: int, challeng
     (an enrolled researcher's key signs every request, a patient block key
     every approval of that block), and a fresh block key is checked twice
     per patient block (possession proof and signature), so even its table
-    about pays for itself. Every caller runs ``_schnorr_gate`` first, so
-    only subgroup elements get a table.
+    about pays for itself. Schnorr proofs, signatures and the possession
+    half run ``_schnorr_gate`` first; ring keys come from a ``Registry``,
+    which tests each key it admits. The comb computes ``public^challenge``
+    exactly for any int, so a key outside the subgroup gets a table and the
+    verdict ``pow`` would give.
     """
     lhs = group.exp(group.generator, response)
     return lhs == group.mul(commitment, group.key_exp(public, challenge))
@@ -288,10 +293,16 @@ def ring_verify(
 ) -> bool:
     """True iff challenges sum to the recomputed binding and every branch equation holds.
 
-    The m branch equations g^s_i == t_i * y_i^c_i are checked as one
-    (Bellare-Garay-Rabin small-exponent batching): each is raised to a
-    fresh k-bit weight w_i, k = min(128, bits(q) - 1), drawn from the
-    operating system RNG and never from a caller's ``random.Random``, and
+    Rings of at most 128 keys check each equation g^s_i == t_i * y_i^c_i
+    on its own (``_schnorr_equation``: the generator comb and the ring
+    key's comb table). The verdict is exact, and no commitment needs a
+    membership test: if y_i is in the subgroup, a holding equation puts
+    t_i = g^s_i / y_i^c_i there too.
+
+    Larger rings check the m equations as one (Bellare-Garay-Rabin
+    small-exponent batching): each is raised to a fresh k-bit weight w_i,
+    k = min(128, bits(q) - 1), drawn from the operating system RNG and never
+    from a caller's ``random.Random``, and
     g^(sum w_i s_i) == prod t_i^w_i * y_i^(w_i c_i mod q) is tested with one
     multi-exponentiation. If every commitment is in the subgroup, the
     verdict differs from the per-branch check with probability at most 2^-k
@@ -300,16 +311,14 @@ def ring_verify(
     Batching is exact only inside the prime-order subgroup (Boyd-Pavlovski):
     a commitment -t gives (-t)^w == t^w for every even w. Every commitment
     must be in [1, p); the identity is admitted, as the per-branch equation
-    admits it. Rings of at most 128 keys test each commitment's Jacobi
-    symbol. Larger rings read membership off the multi-exponentiation's
-    buckets instead: for each bit b < k, the product of the bases whose
-    exponent has bit b set must have symbol 1. That product is the
-    commitments whose weight has bit b set times some ring keys, and ring
-    keys are residues, which ``Registry`` guarantees for the key lists it
-    hands out. If some commitments are non-residues, all k products pass
-    only when the XOR of their weights is zero, with probability 2^-k.
-    Either way the verdict differs from the per-branch check with
-    probability at most 2^-128.
+    admits it. Membership is read off the multi-exponentiation's buckets:
+    for each bit b < k, the product of the bases whose exponent has bit b
+    set must have symbol 1. That product is the commitments whose weight
+    has bit b set times some ring keys, and ring keys are residues, which
+    ``Registry`` guarantees for the key lists it hands out. If some
+    commitments are non-residues, all k products pass only when the XOR of
+    their weights is zero, with probability 2^-k. Either way the verdict
+    differs from the per-branch check with probability at most 2^-128.
     """
     if not _ring_gate(group, ring, proof):
         return False
@@ -321,45 +330,45 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> boo
     """The input checks of ``ring_verify``, run before anything is hashed or encoded.
 
     A non-empty ring with one branch per key, every challenge and response
-    in [0, order), every commitment in [1, modulus), and in rings of at most
-    128 keys every commitment a residue. ``credential_verify`` runs it before
-    its joint context encodes the commitments. The length test is also the
-    bound of the registry prefix rule (``consensus.verify_block``): a proof
-    of m branches checked against the first m keys of a registry with fewer
+    in [0, order), and every commitment in [1, modulus); membership is left
+    to ``_ring_equations``. ``credential_verify`` runs it before its joint
+    context encodes the commitments. The length test is also the bound of
+    the registry prefix rule (``consensus.verify_block``): a proof of m
+    branches checked against the first m keys of a registry with fewer
     keys, or with m = 0, meets a ring of another length or an empty one.
     """
     if len(proof.branches) != len(ring) or len(ring) == 0:
         return False
-    per_commitment = len(ring) <= _BATCH_SECURITY_BITS
-    for branch in proof.branches:
-        if not _scalar_ok(group, branch.challenge) or not _scalar_ok(group, branch.response):
-            return False
-        if not _commitment_ok(group, branch.commitment):
-            return False
-        if per_commitment and not group.is_residue(branch.commitment):
-            return False
-    return True
+    return all(
+        _scalar_ok(group, b.challenge) and _scalar_ok(group, b.response) and _commitment_ok(group, b.commitment)
+        for b in proof.branches
+    )
 
 
 def _ring_equations(
     group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes, commitment_bytes: bytes
 ) -> bool:
-    """The binding challenge and the batched branch equations of a proof
-    past ``_ring_gate``; ``commitment_bytes`` is ``_commitment_bytes`` of
-    its commitments, which the caller encodes once."""
+    """The binding challenge and the branch equations of a proof past
+    ``_ring_gate``, one by one in rings of at most 128 keys and batched
+    above (see ``ring_verify``); ``commitment_bytes`` is
+    ``_commitment_bytes`` of its commitments, which the caller encodes once."""
     binding = _ring_binding_challenge(group, context, commitment_bytes)
     if binding != proof.binding_challenge:
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
         return False
+    if len(ring) <= _BATCH_SECURITY_BITS:
+        return all(
+            _schnorr_equation(group, key, b.commitment, b.challenge, b.response)
+            for key, b in zip(ring, proof.branches)
+        )
     k = min(_BATCH_SECURITY_BITS, group.order.bit_length() - 1)
-    planes = 0 if len(ring) <= _BATCH_SECURITY_BITS else k
     bases = [b.commitment for b in proof.branches] + list(ring)
     for _ in range(-(-_BATCH_SECURITY_BITS // k)):
         weights = [secrets.randbits(k) for _ in ring]
         lhs = group.exp(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)))
         key_exponents = [w * b.challenge % group.order for w, b in zip(weights, proof.branches)]
-        rhs, plane_products = group.multi_exp_planes(bases, weights + key_exponents, planes)
+        rhs, plane_products = group.multi_exp_planes(bases, weights + key_exponents, k)
         if lhs != rhs or not all(map(group.is_residue, plane_products)):
             return False
     return True

@@ -20,9 +20,11 @@ those products test many bases for membership at once. Keys raised to
 many powers get a smaller comb of their own: a 16-entry Lim-Lee table
 per key, built lazily on the key's first power and kept packed as bytes
 in a bounded module-level cache. Ring provers read the tables of the
-ring keys, and every Schnorr-shaped verification (signatures, Schnorr
-proofs, the possession half of a credential) reads its public key's. A
-public key's membership verdict is kept in a cache of the same bound.
+ring keys, and so does ring verification in rings of up to 128 keys,
+which checks each branch equation on its own; every other Schnorr-shaped
+verification (signatures, Schnorr proofs, the possession half of a
+credential) reads its public key's. A public key's membership verdict is
+kept in a cache of the same bound.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -299,9 +301,10 @@ class GroupParams(enc.Wire):
 
     def is_residue(self, value: int) -> bool:
         """True iff value mod the modulus is in the subgroup, the identity
-        included: a nonzero quadratic residue. The symbol is taken by
-        ``is_element``, so ``_jacobi`` has one caller and a traced
-        ``is_element`` counts every symbol."""
+        included: a nonzero quadratic residue. Batched ring verification
+        tests its bucket products with it, and a product may be the
+        identity. The symbol is taken by ``is_element``, so ``_jacobi`` has
+        one caller and a traced ``is_element`` counts every symbol."""
         value %= self.modulus
         return value == 1 or self.is_element(value)
 
@@ -318,11 +321,12 @@ class GroupParams(enc.Wire):
         0.2 ms. ``Registry.enroll`` tests the keys it admits.
         ``credential_verify``, ``schnorr_verify`` and ``verify_signature``
         test their public keys in one shared gate, once per key
-        (``key_is_element``). ``ring_verify`` tests its
-        commitments, one by one in rings of up to 128 keys and through its
-        multi-exponentiation's buckets above. A Schnorr or signature
-        commitment outside the subgroup fails its single equation, whose
-        other two terms are in the subgroup.
+        (``key_is_element``). A Schnorr, signature or ring-branch
+        commitment outside the subgroup fails its equation, whose other two
+        terms are in the subgroup; rings of up to 128 keys check each branch
+        equation, so they need no test of their own. Larger rings batch
+        their equations and test the commitments through the
+        multi-exponentiation's buckets.
         """
         if len(data) != self.element_size:
             raise enc.FormatError(f"element encoding must be {self.element_size} bytes")

@@ -1,14 +1,16 @@
-"""Differential tests: batched ``ring_verify`` against the per-branch verifier.
+"""Differential tests: ``ring_verify`` against the per-branch verifier.
 
 ``reference_ring_verify`` is the straightforward verifier that checks each
-branch equation on its own. It is kept here as the oracle; the library
-verifies all branches with one weighted multi-exponentiation. The corpus
-mixes honest proofs, forged responses, the byte-flip / omission /
+branch equation on its own with ``pow``. It is kept here as the oracle.
+The library checks rings of up to 128 keys branch by branch through the
+key tables, and larger rings with one weighted multi-exponentiation. The
+corpus mixes honest proofs, forged responses, the byte-flip / omission /
 transposition / witness-free-forgery mutation classes of the acceptance
-suite, commitments outside the subgroup, and the identity commitment the
-per-branch equation accepts. Rings above 128 keys, where ``ring_verify``
-reads commitment membership off its multi-exponentiation's buckets, get
-their own corpus and the sign attack of Boyd and Pavlovski.
+suite, commitments outside the subgroup, the identity commitment the
+per-branch equation accepts, and ring keys a ``Registry`` would refuse.
+Rings above 128 keys, where ``ring_verify`` batches and reads commitment
+membership off its multi-exponentiation's buckets, get their own corpus
+and the sign attack of Boyd and Pavlovski.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ from phrchain import (
     RingProof,
     SchnorrProof,
     credential_prove,
+    credential_verify,
+    crypto,
     keygen,
     ring_prove,
     ring_verify,
@@ -28,9 +32,10 @@ from phrchain import (
 )
 from phrchain.crypto import _commitment_bytes, _ring_binding_challenge
 from phrchain.encoding import FormatError, Reader
+from phrchain.group import GroupParams
 
-RING_SIZES = (1, 2, 3, 8, 64)
-# Above 128 keys ring_verify drops the per-commitment Jacobi test.
+# Up to 128 keys ring_verify checks each branch; above, it batches.
+RING_SIZES = (1, 2, 3, 8, 64, 128)
 LARGE_RING_SIZES = (129, 200)
 
 
@@ -121,13 +126,17 @@ def corpus(group, size, rng):
     secret = kps[witness].secret
     other = (witness + 1) % size
 
+    # Every branch up to 64 keys; the ends and the middle above, to keep the
+    # 128-key corpus fast.
+    spots = range(size) if size <= 64 else (0, witness, size - 1)
     honest = {}
-    for index in range(size):
+    for index in spots:
         honest[index] = ring_prove(group, ring, index, kps[index].secret, ctx, rng)
         yield f"honest@{index}", ring, honest[index], True
     base = honest[witness]
 
-    for i, branch in enumerate(base.branches):
+    for i in spots:
+        branch = base.branches[i]
         forged = SchnorrProof(branch.commitment, branch.challenge, (branch.response + 1) % q)
         yield f"forged-response@{i}", ring, _with_branch(base, i, forged), False
 
@@ -192,6 +201,24 @@ def corpus(group, size, rng):
                 group, ring, witness, secret, ctx, rng, base, simulated[:count]
             ), False
 
+    # Ring keys a Registry refuses, at a simulated branch: the honest proof,
+    # one simulated with the hostile key itself, and one whose hostile branch
+    # has c = s = 0, which any key passes.
+    if size > 1:
+        y = ring[other]
+        hostile_keys = (
+            ("plus-modulus", y + p, True), ("minus-modulus", y - p, True), ("zero", 0, False),
+            ("negated", -y, None), ("wide", y + 2**256, None),
+        )
+        for label, key, honest_verdict in hostile_keys:
+            hostile = list(ring)
+            hostile[other] = key
+            yield f"key-{label}", hostile, base, honest_verdict
+            yield f"key-{label}-simulated", hostile, craft(group, hostile, witness, secret, ctx, rng), None
+            yield f"key-{label}-c0-s0", hostile, craft(
+                group, hostile, witness, secret, ctx, rng, fixed={other: (0, 0)}
+            ), True
+
 
 def large_corpus(group, size, rng):
     """The labels of ``corpus`` that matter above 128 keys, at the first,
@@ -247,9 +274,10 @@ def test_batched_verify_agrees_with_per_branch_oracle(any_group, size):
 
 
 def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
-    # A prover who controls the caller's RNG must not control the weights.
+    # A prover who controls the caller's RNG must not control the weights,
+    # which only rings above 128 keys draw.
     rng = random.Random(5)
-    kps = [keygen(group, rng) for _ in range(8)]
+    kps = [keygen(group, rng) for _ in range(129)]
     ring = [kp.public for kp in kps]
     proof = craft(group, ring, 0, kps[0].secret, b"ctx", rng)
     branch = proof.branches[3]
@@ -259,6 +287,65 @@ def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
     monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: 0)
     monkeypatch.setattr(random.Random, "randrange", lambda self, *args: 0)
     assert not ring_verify(group, ring, forged, b"ctx")
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Records the weight draws, the planes asked of every multi-exponentiation
+    and the values tested for membership during a check."""
+    seen = {"randbits": 0, "planes": [], "is_element": []}
+    randbits = crypto.secrets.randbits
+    multi_exp_planes, is_element = GroupParams.multi_exp_planes, GroupParams.is_element
+
+    def counted_randbits(k):
+        seen["randbits"] += 1
+        return randbits(k)
+
+    def counted_multi_exp_planes(self, bases, exponents, planes):
+        seen["planes"].append(planes)
+        return multi_exp_planes(self, bases, exponents, planes)
+
+    def counted_is_element(self, value):
+        seen["is_element"].append(value)
+        return is_element(self, value)
+
+    monkeypatch.setattr(crypto.secrets, "randbits", counted_randbits)
+    monkeypatch.setattr(GroupParams, "multi_exp_planes", counted_multi_exp_planes)
+    monkeypatch.setattr(GroupParams, "is_element", counted_is_element)
+    return seen
+
+
+def test_small_rings_check_each_branch(group, calls):
+    # Up to 128 keys: no weights, no multi-exponentiation, and no membership
+    # test of a commitment, for bare ring proofs of 16 and 128 keys and for
+    # both credentials of a 16/8-key patient block.
+    rng = random.Random(14)
+    kps = [keygen(group, rng) for _ in range(128)]
+    ring = [kp.public for kp in kps]
+    proofs = []
+    for size in (16, 128):
+        proof = ring_prove(group, ring[:size], 3, kps[3].secret, b"ctx", rng)
+        assert ring_verify(group, ring[:size], proof, b"ctx")
+        proofs.append(proof)
+    for size in (16, 8):
+        block_kp = keygen(group, rng)
+        credential = credential_prove(group, ring[:size], 1, kps[1].secret, block_kp, rng)
+        assert credential_verify(group, ring[:size], block_kp.public, credential)
+        proofs.append(credential.membership)
+    commitments = {b.commitment for proof in proofs for b in proof.branches}
+    assert calls["randbits"] == 0
+    assert calls["planes"] == []
+    assert not commitments & set(calls["is_element"])
+
+
+def test_large_rings_batch_with_bucket_membership(group, calls):
+    rng = random.Random(15)
+    kps = [keygen(group, rng) for _ in range(129)]
+    ring = [kp.public for kp in kps]
+    proof = ring_prove(group, ring, 64, kps[64].secret, b"ctx", rng)
+    assert ring_verify(group, ring, proof, b"ctx")
+    assert calls["planes"] == [128]
+    assert calls["randbits"] == 129
 
 
 def test_seeded_transcripts_match_recorded_digest(group):
