@@ -5,30 +5,27 @@ Prints one JSON object of medians in seconds:
 
     PYTHONPATH=src python scripts/bench_layers.py --seed 2 --repeats 5
 
-Rows: ``g^x`` (fixed-base), ``pow`` (a 256-bit variable-base ``pow``, the
-speed reference), building one ring key's comb table and one keyed
-exponentiation through a built table (``keygen`` keys, the same scalars
-as ``pow``; every keyed result is checked against ``pow`` first), the
-subgroup test, one consensus vote over 800 miners
-(40% malicious) on a request block given no chain, which ``verify_block``
-rejects at once so that the row times the vote loop alone, the 2m-base
-product that ring verification evaluates, and ring prove / verify at
-m = 1000 and 4000, with ring verify also at m = 8, 16, 64, 128 (checked
-branch by branch; each verdict is first compared with a per-branch check
-through ``pow``) and 200, and, last, the two
-chain reads of a researcher round on an 800-block chain (640 patient
-blocks of 16 patients, 80 requests and 80 approvals; see
-``researcher_chain``): one ``scan_blocks`` for a one-condition mask and
-one ``pending_requests`` for a 40-visit history, and then two
-signature checks: ``verify_signature`` under one key whose comb table is
-warm, as an enrolled researcher's is after its first request, and under a
-key seen for the first time, whose table the check builds, and, last of
-all, three block-bytes rows on a 16/8-key patient block (16 patient and 8
-hospital keys): its first ``canonical_bytes`` (an encoding, timed on fresh
+Rows, each checked against ``pow`` before it is timed: ``pow`` (a 256-bit
+variable-base ``pow``, the speed reference), the kernel's ``exp`` of the
+generator and of a ``keygen`` key (the same scalars as ``pow``),
+``exp2`` in the shape of every Schnorr check (g^s * y^-c, the exponent
+taken mod p - 1), and the subgroup test ``is_element`` (checked against
+Euler's criterion). Then ring prove and ring verify at m = 8, 128, 1000
+and 4000, each proof first checked branch by branch through ``pow``, an
+honest one accepted and one with a forged response rejected; one
+consensus vote over 800 miners (40% malicious) on a request block given
+no chain, which ``verify_block`` rejects at once so that the row times the
+vote loop alone; the two chain reads of a researcher round on an
+800-block chain (640 patient blocks of 16 patients, 80 requests and 80
+approvals; see ``researcher_chain``): one ``scan_blocks`` for a
+one-condition mask and one ``pending_requests`` for a 40-visit history;
+two signature checks: ``verify_signature`` under one key whose membership
+verdict is kept, as an enrolled researcher's is after its first request,
+and under a key seen for the first time; and, last of all, three
+block-bytes rows on a 16/8-key patient block (16 patient and 8 hospital
+keys): its first ``canonical_bytes`` (an encoding, timed on fresh
 ``dataclasses.replace`` copies), a repeat ``canonical_bytes`` of the same
-block, and ``range_message`` on a block whose bytes are kept. A second object,
-``counts``, holds the Jacobi-symbol evaluations one ring verification
-makes at each of those ring sizes.
+block, and ``range_message`` on a block whose bytes are kept.
 """
 
 import argparse
@@ -65,7 +62,7 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
-from phrchain.group import GroupParams, _key_comb_table
+from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, range_message
 
 
@@ -76,24 +73,6 @@ def median_time(fn, repeats: int, per_call: int = 1) -> float:
         fn()
         samples.append((time.perf_counter() - started) / per_call)
     return statistics.median(samples)
-
-
-def jacobi_calls(fn) -> int:
-    """Jacobi symbols evaluated by the group module during fn()."""
-    calls = 0
-    original = group_module._jacobi
-
-    def counted(a: int, n: int) -> int:
-        nonlocal calls
-        calls += 1
-        return original(a, n)
-
-    group_module._jacobi = counted
-    try:
-        fn()
-    finally:
-        group_module._jacobi = original
-    return calls
 
 
 def pow_ring_verdict(group: GroupParams, ring, proof) -> bool:
@@ -178,47 +157,35 @@ def main() -> None:
     p, q, g = group.modulus, group.order, group.generator
     scalars = [rng.randrange(1, q) for _ in range(2000)]
     elements = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(2000)]
+    # Keys draw from a stream of their own.
+    key_rng = random.Random(f"keys-{args.seed}")
+    keys = [keygen(group, key_rng).public for _ in scalars]
+    challenges = [rng.randrange(q) for _ in scalars]
+    if any(group.exp(g, x) != pow(g, x, p) or group.exp(y, x) != pow(y, x, p) for y, x in zip(keys, scalars)):
+        raise SystemExit("an exponentiation differs from pow")
+    if any(
+        group.exp2(g, s, y, -c % (p - 1)) * pow(y, c, p) % p != pow(g, s, p)
+        for y, s, c in zip(keys, scalars, challenges)
+    ):
+        raise SystemExit("g^s * y^-c differs from pow")
+    if any(group.is_element(x) != (pow(x, q, p) == 1) for x in elements + [p - x for x in elements]):
+        raise SystemExit("is_element differs from Euler's criterion")
     rows = {
         "pow_s": median_time(lambda: [pow(g, x, p) for x in scalars], args.repeats, len(scalars)),
         "g_exp_s": median_time(lambda: [group.exp(g, x) for x in scalars], args.repeats, len(scalars)),
-    }
-    # A separate stream, so the rows below draw the same inputs as before.
-    key_rng = random.Random(f"keys-{args.seed}")
-    keys = [keygen(group, key_rng).public for _ in scalars]
-    if any(group.key_exp(y, x) != pow(y, x, p) for y, x in zip(keys, scalars)):
-        raise SystemExit("a keyed exponentiation differs from pow")
-
-    def build_tables():
-        _key_comb_table.cache_clear()
-        for y in keys:
-            _key_comb_table(p, q, y)
-
-    rows |= {
-        "key_comb_build_s": median_time(build_tables, args.repeats, len(keys)),
-        "key_comb_exp_s": median_time(
-            lambda: [group.key_exp(y, x) for y, x in zip(keys, scalars)], args.repeats, len(scalars)
+        "key_exp_s": median_time(
+            lambda: [group.exp(y, x) for y, x in zip(keys, scalars)], args.repeats, len(scalars)
+        ),
+        "exp2_schnorr_s": median_time(
+            lambda: [group.exp2(g, s, y, -c % (p - 1)) for y, s, c in zip(keys, scalars, challenges)],
+            args.repeats, len(scalars),
         ),
         "is_element_s": median_time(
             lambda: [group.is_element(x) for x in elements], args.repeats, len(elements)
         ),
     }
-    counts = {}
-    # The 200-key ring draws from its own stream, so the rows at 1000 and
-    # 4000 keys keep the inputs they had before it was added.
-    small_rng = random.Random(f"ring-200-{args.seed}")
-    small = [keygen(group, small_rng) for _ in range(200)]
-    small_ring = [kp.public for kp in small]
-    small_proof = ring_prove(group, small_ring, 100, small[100].secret, b"ctx", small_rng)
-    if not ring_verify(group, small_ring, small_proof, b"ctx"):
-        raise SystemExit("honest ring proof rejected at m=200")
-    rows["ring_verify_m200_s"] = median_time(
-        lambda: ring_verify(group, small_ring, small_proof, b"ctx"), args.repeats
-    )
-    counts["jacobi_calls_per_verify_m200"] = jacobi_calls(
-        lambda: ring_verify(group, small_ring, small_proof, b"ctx")
-    )
-    # Rings checked branch by branch, each size on its own stream as well.
-    for m in (8, 16, 64, 128):
+    # Each ring size on its own stream.
+    for m in (8, 128, 1000, 4000):
         ring_rng = random.Random(f"ring-{m}-{args.seed}")
         kps = [keygen(group, ring_rng) for _ in range(m)]
         ring = [kp.public for kp in kps]
@@ -231,28 +198,10 @@ def main() -> None:
             verdicts = (ring_verify(group, ring, candidate, b"ctx"), pow_ring_verdict(group, ring, candidate))
             if verdicts != (expected, expected):
                 raise SystemExit(f"ring_verify and the pow check gave {verdicts} at m={m}, not {expected}")
-        rows[f"ring_verify_m{m}_s"] = median_time(lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats)
-        counts[f"jacobi_calls_per_verify_m{m}"] = jacobi_calls(lambda: ring_verify(group, ring, proof, b"ctx"))
-    for m in (1000, 4000):
-        kps = [keygen(group, rng) for _ in range(m)]
-        ring = [kp.public for kp in kps]
-        bases = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(m)] + ring
-        exponents = [rng.getrandbits(128) for _ in range(m)] + [rng.randrange(q) for _ in range(m)]
-        proof = ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", rng)
-        if not ring_verify(group, ring, proof, b"ctx"):
-            raise SystemExit(f"honest ring proof rejected at m={m}")
-        rows[f"multi_exp_{2 * m}_bases_s"] = median_time(
-            lambda: group.multi_exp(bases, exponents), args.repeats
-        )
         rows[f"ring_prove_m{m}_s"] = median_time(
-            lambda: ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", rng), args.repeats
+            lambda: ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", ring_rng), args.repeats
         )
-        rows[f"ring_verify_m{m}_s"] = median_time(
-            lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats
-        )
-        counts[f"jacobi_calls_per_verify_m{m}"] = jacobi_calls(
-            lambda: ring_verify(group, ring, proof, b"ctx")
-        )
+        rows[f"ring_verify_m{m}_s"] = median_time(lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats)
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)
     request = RequestBlock(bytes(32), TimeRange(1, 2), researcher.public, signature, group)
@@ -285,7 +234,6 @@ def main() -> None:
     )
     cold_samples = []
     for _ in range(args.repeats):
-        _key_comb_table.cache_clear()
         group_module._key_verdict.cache_clear()
         started = time.perf_counter()
         for check in cold_checks:
@@ -316,7 +264,6 @@ def main() -> None:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "medians": rows,
-        "counts": counts,
     }))
 
 

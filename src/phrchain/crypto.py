@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-import secrets
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,12 +40,6 @@ TAG_CHAIN = b"CHAIN"
 
 SYM_KEY_SIZE = 32
 _GCM_NONCE_SIZE = 12
-# Batched ring verification agrees with the per-branch check except with
-# probability at most 2**-_BATCH_SECURITY_BITS. Rings of at most this many
-# keys check each branch equation on its own instead: spread over so few
-# equations, the weighted product and its membership test cost more than
-# the per-branch powers through the ring keys' comb tables.
-_BATCH_SECURITY_BITS = 128
 
 
 class DecryptionError(ValueError):
@@ -153,22 +146,28 @@ def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: in
     return _scalar_ok(group, response) and _commitment_ok(group, commitment) and group.key_is_element(public)
 
 
-def _schnorr_equation(group: GroupParams, public: int, commitment: int, challenge: int, response: int) -> bool:
-    """g^response == commitment * public^challenge (mod p).
+def _schnorr_commitment(group: GroupParams, public: int, challenge: int, response: int) -> int:
+    """g^response * public^((-challenge) mod (p - 1)): the commitment that
+    makes the Schnorr equation hold for this key, challenge and response.
 
-    ``public^challenge`` is read through the key's comb table
-    (``GroupParams.key_exp``): verifiers meet the same keys again and again
-    (an enrolled researcher's key signs every request, a patient block key
-    every approval of that block), and a fresh block key is checked twice
-    per patient block (possession proof and signature), so even its table
-    about pays for itself. Schnorr proofs, signatures and the possession
-    half run ``_schnorr_gate`` first; ring keys come from a ``Registry``,
-    which tests each key it admits. The comb computes ``public^challenge``
-    exactly for any int, so a key outside the subgroup gets a table and the
-    verdict ``pow`` would give.
+    One ``exp2``. The exponent is reduced mod p - 1, not mod the order, so
+    the value is public^-challenge exactly for every invertible int key,
+    not only for subgroup elements; at a key of 0 mod p it is 0 unless the
+    challenge is 0, where ``pow`` gives 0^challenge the same way. A
+    simulated ring branch takes it as its commitment.
     """
-    lhs = group.exp(group.generator, response)
-    return lhs == group.mul(commitment, group.key_exp(public, challenge))
+    return group.exp2(group.generator, response, public, -challenge % (group.modulus - 1))
+
+
+def _schnorr_equation(group: GroupParams, public: int, commitment: int, challenge: int, response: int) -> bool:
+    """g^response == commitment * public^challenge (mod p), for a commitment in [1, p).
+
+    Checked as commitment == ``_schnorr_commitment``: the verdict ``pow``
+    gives, for any int key, ring keys a ``Registry`` would refuse included.
+    Schnorr proofs, signatures and the possession half run
+    ``_schnorr_gate`` first; ring branches run ``_ring_gate``.
+    """
+    return commitment == _schnorr_commitment(group, public, challenge, response)
 
 
 def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:
@@ -259,7 +258,7 @@ def _ring_commit(
             # solve for the commitment that satisfies the verification equation.
             c = challenges[i] = group.random_scalar(rng)
             s = responses[i] = group.random_scalar(rng)
-            commitments.append(group.mul(group.exp(group.generator, s), group.key_exp(key, -c)))
+            commitments.append(_schnorr_commitment(group, key, c, s))
     return _RingCommitState(index, nonce, tuple(commitments), tuple(challenges), tuple(responses))
 
 
@@ -293,32 +292,11 @@ def ring_verify(
 ) -> bool:
     """True iff challenges sum to the recomputed binding and every branch equation holds.
 
-    Rings of at most 128 keys check each equation g^s_i == t_i * y_i^c_i
-    on its own (``_schnorr_equation``: the generator comb and the ring
-    key's comb table). The verdict is exact, and no commitment needs a
-    membership test: if y_i is in the subgroup, a holding equation puts
-    t_i = g^s_i / y_i^c_i there too.
-
-    Larger rings check the m equations as one (Bellare-Garay-Rabin
-    small-exponent batching): each is raised to a fresh k-bit weight w_i,
-    k = min(128, bits(q) - 1), drawn from the operating system RNG and never
-    from a caller's ``random.Random``, and
-    g^(sum w_i s_i) == prod t_i^w_i * y_i^(w_i c_i mod q) is tested with one
-    multi-exponentiation. If every commitment is in the subgroup, the
-    verdict differs from the per-branch check with probability at most 2^-k
-    per round, and groups with k < 128 repeat the round.
-
-    Batching is exact only inside the prime-order subgroup (Boyd-Pavlovski):
-    a commitment -t gives (-t)^w == t^w for every even w. Every commitment
-    must be in [1, p); the identity is admitted, as the per-branch equation
-    admits it. Membership is read off the multi-exponentiation's buckets:
-    for each bit b < k, the product of the bases whose exponent has bit b
-    set must have symbol 1. That product is the commitments whose weight
-    has bit b set times some ring keys, and ring keys are residues, which
-    ``Registry`` guarantees for the key lists it hands out. If some
-    commitments are non-residues, all k products pass only when the XOR of
-    their weights is zero, with probability 2^-k. Either way the verdict
-    differs from the per-branch check with probability at most 2^-128.
+    Each equation g^s_i == t_i * y_i^c_i is checked on its own
+    (``_schnorr_equation``), at every ring size, so the verdict is the one
+    ``pow`` gives branch by branch, and it draws no randomness. No
+    commitment needs a membership test: if y_i is in the subgroup, a
+    holding equation puts t_i = g^s_i / y_i^c_i there too.
     """
     if not _ring_gate(group, ring, proof):
         return False
@@ -349,29 +327,17 @@ def _ring_equations(
     group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes, commitment_bytes: bytes
 ) -> bool:
     """The binding challenge and the branch equations of a proof past
-    ``_ring_gate``, one by one in rings of at most 128 keys and batched
-    above (see ``ring_verify``); ``commitment_bytes`` is
+    ``_ring_gate`` (see ``ring_verify``); ``commitment_bytes`` is
     ``_commitment_bytes`` of its commitments, which the caller encodes once."""
     binding = _ring_binding_challenge(group, context, commitment_bytes)
     if binding != proof.binding_challenge:
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
         return False
-    if len(ring) <= _BATCH_SECURITY_BITS:
-        return all(
-            _schnorr_equation(group, key, b.commitment, b.challenge, b.response)
-            for key, b in zip(ring, proof.branches)
-        )
-    k = min(_BATCH_SECURITY_BITS, group.order.bit_length() - 1)
-    bases = [b.commitment for b in proof.branches] + list(ring)
-    for _ in range(-(-_BATCH_SECURITY_BITS // k)):
-        weights = [secrets.randbits(k) for _ in ring]
-        lhs = group.exp(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)))
-        key_exponents = [w * b.challenge % group.order for w, b in zip(weights, proof.branches)]
-        rhs, plane_products = group.multi_exp_planes(bases, weights + key_exponents, k)
-        if lhs != rhs or not all(map(group.is_residue, plane_products)):
-            return False
-    return True
+    return all(
+        _schnorr_equation(group, key, b.commitment, b.challenge, b.response)
+        for key, b in zip(ring, proof.branches)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +426,11 @@ def credential_verify(
     if not _schnorr_gate(group, block_public, possession.commitment, possession.response):
         return False
     if not _ring_gate(group, ring, proof.membership):
+        return False
+    # The joint context encodes every ring key as an element too; a key
+    # outside [1, modulus) has no canonical encoding, and no Registry
+    # admits one. The ring is not empty past the gate.
+    if not (1 <= min(ring) and max(ring) < group.modulus):
         return False
     commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.membership.branches])
     expected = _joint_context(group, ring, block_public, possession.commitment, commitment_bytes)

@@ -31,8 +31,9 @@ class Registry(enc.Stored):
     """Ordered public-key registry for one role. Single-writer.
 
     Every key is a distinct prime-order subgroup element, checked at
-    construction, at ``enroll`` and so at ``load``; the batched ring
-    verifier relies on it. The key tuple and the digest are cached and
+    construction, at ``enroll`` and so at ``load``; a ring verifier's
+    holding equations put the commitments in the subgroup only because
+    the keys are. The key tuple and the digest are cached and
     rebuilt at most once per change.
     """
 

@@ -33,7 +33,8 @@ from phrchain.crypto import (
     _signature_challenge,
 )
 from phrchain.encoding import FormatError, Reader
-from phrchain.group import GroupParams, _key_comb_table, _key_verdict
+from phrchain import group as group_module
+from phrchain.group import GroupParams, _key_verdict
 
 # Published SHA-256 vectors (empty input and "abc").
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -192,13 +193,13 @@ class TestRingProof:
         b = ring_prove(group, ring, 2, kps[2].secret, b"ctx", random.Random(8))
         assert a.to_bytes(group) == b.to_bytes(group)
 
-    def test_seeded_transcripts_same_with_cold_and_warm_key_tables(self, group):
-        # Simulated branches read the ring keys' comb tables; building them
-        # draws nothing from the caller's RNG.
+    def test_seeded_transcripts_same_with_cold_and_warm_montgomery_context(self, group):
+        # Building the modulus's Montgomery context draws nothing from the
+        # caller's RNG.
         kps, ring = _ring(group, random.Random(112), 6)
-        _key_comb_table.cache_clear()
+        group_module._montgomery.cache_clear()
         cold = ring_prove(group, ring, 3, kps[3].secret, b"ctx", random.Random(9)).to_bytes(group)
-        assert _key_comb_table.cache_info().currsize == len(ring) - 1
+        assert group_module._montgomery.cache_info().currsize == 1
         warm = ring_prove(group, ring, 3, kps[3].secret, b"ctx", random.Random(9)).to_bytes(group)
         assert cold == warm
 
@@ -451,6 +452,7 @@ _HOSTILE = {
     "challenge": ("-1", "q", "2^256"),
     "response": ("-1", "q", "2^256"),
     "public": ("-1", "0", "1", "p-1", "p", "2^256"),
+    "ring_key": ("-y", "0", "p", "y+p", "2^300"),
 }
 _HOSTILE_FIELDS = {
     "schnorr": ("commitment", "challenge", "response", "public"),
@@ -458,6 +460,7 @@ _HOSTILE_FIELDS = {
     "credential": ("commitment", "challenge", "response", "public"),
     "ring": ("commitment", "challenge", "response", "public"),
     "membership": ("commitment",),
+    "credential_ring": ("ring_key",),
 }
 
 
@@ -469,7 +472,9 @@ def hostile_targets(group):
     For ``credential_verify`` the part is the possession half and the key the
     block key; for ``ring_verify`` it is the first branch and its ring key.
     For ``membership`` it is the first ring branch of the credential, whose
-    commitment the joint context encodes.
+    commitment the joint context encodes. For ``credential_ring`` the key is
+    the first ring key, which the joint context encodes too, and the part is
+    the whole credential.
     """
     rng = random.Random(118)
     kp, block_kp = keygen(group, rng), keygen(group, rng)
@@ -496,6 +501,8 @@ def hostile_targets(group):
                            group, ring, key, replace(credential, possession=possession))),
         "ring": (ring[0], membership.branches[0], verify_ring),
         "membership": (block_kp.public, credential.membership.branches[0], verify_membership),
+        "credential_ring": (ring[0], credential,
+                            lambda key, proof: credential_verify(group, [key] + ring[1:], block_kp.public, proof)),
     }
 
 
@@ -508,10 +515,13 @@ def test_hostile_values_rejected_without_raising(group, hostile_targets, verifie
     # must gate them before hashing or encoding: an int below 0 or at least
     # 2**256 would otherwise raise OverflowError in encode_element.
     p, q = group.modulus, group.order
-    number = {"-1": -1, "0": 0, "1": 1, "p-1": p - 1, "p": p, "q": q, "2^256": 2**256}[value]
     public, part, verify = hostile_targets[verifier]
+    number = {
+        "-1": -1, "0": 0, "1": 1, "p-1": p - 1, "p": p, "q": q, "2^256": 2**256, "2^300": 2**300,
+        "-y": -public, "y+p": public + p,
+    }[value]
     assert verify(public, part) is True
-    if field == "public":
+    if field in ("public", "ring_key"):
         public = number
     else:
         part = replace(part, **{field: number})
@@ -525,7 +535,7 @@ def _pow_equation(group, public, commitment, challenge, response):
 
 
 class TestVerifiersAgainstThePowEquation:
-    """Verifiers take public^challenge from the key's comb table; ``pow`` is the oracle."""
+    """Verifiers check each equation through ``exp2``; ``pow`` is the oracle."""
 
     CASES = ["valid", "wrong-message", "wrong-key"]
 
@@ -559,29 +569,27 @@ class TestVerifiersAgainstThePowEquation:
             assert expected is (case == "valid")
             assert schnorr_verify(group, public, proof, context) is expected
 
-    def test_one_table_per_verified_key(self, group):
-        rng = random.Random(120)
-        kp = keygen(group, rng)
-        sig = sign(group, kp, b"m", rng)
-        _key_comb_table.cache_clear()
-        assert verify_signature(group, kp.public, b"m", sig)
-        assert verify_signature(group, kp.public, b"m", sig)
-        info = _key_comb_table.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
-
-    def test_gate_rejected_key_gets_no_table(self, group):
+    def test_gate_rejected_key_gets_no_table(self, group, monkeypatch):
+        # A key the gate refuses reaches no exponentiation at all.
         rng = random.Random(121)
         kp = keygen(group, rng)
         sig, proof = sign(group, kp, b"m", rng), schnorr_prove(group, kp, b"ctx", rng)
         p = group.modulus
-        _key_comb_table.cache_clear()
+        keyed = []
+        exp2 = GroupParams.exp2
+
+        def recording(self, a, x, b, y):
+            keyed.append(b)
+            return exp2(self, a, x, b, y)
+
+        monkeypatch.setattr(GroupParams, "exp2", recording)
         assert verify_signature(group, kp.public, b"m", sig)
-        before = _key_comb_table.cache_info().currsize
+        assert keyed == [kp.public]
         # Out of range, the identity, order two, and a non-residue (-1 is one mod a safe prime).
         for public in (-1, 0, 1, p - 1, p, 2**256, p - kp.public):
             assert not verify_signature(group, public, b"m", sig)
             assert not schnorr_verify(group, public, proof, b"ctx")
-        assert _key_comb_table.cache_info().currsize == before == 1
+        assert keyed == [kp.public]
 
 
 class TestSymmetric:

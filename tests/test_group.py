@@ -1,13 +1,28 @@
-import itertools
 import random
+import sys
+import threading
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from phrchain import keygen
+from phrchain import (
+    credential_prove,
+    credential_verify,
+    keygen,
+    ring_prove,
+    ring_verify,
+    schnorr_prove,
+    schnorr_verify,
+    sign,
+    verify_signature,
+)
+from phrchain import group as group_module
 from phrchain.encoding import FormatError
-from phrchain.group import GroupParams, _fold_bit_planes, _key_comb_table
+from phrchain.group import BignumError, GroupParams
+
+# Safe primes p = 2q + 1; 4 generates the order-q subgroup of each.
+SAFE_PRIMES = (5, 7, 11, 23, 47, 59, 83, 107, 167, 179, 227, 263)
 
 
 def test_default_parameters_are_a_safe_prime_group(group):
@@ -109,10 +124,6 @@ def test_modulus_must_be_safe_prime_of_order():
         GroupParams(group_id="bad", modulus=23, order=22, generator=4)
 
 
-def test_generator_table_shared_across_default_calls():
-    assert GroupParams.default()._comb is GroupParams.default()._comb
-
-
 @given(exponent=st.integers(-(2**300), 2**300))
 @settings(max_examples=200, deadline=None)
 def test_comb_exp_equals_pow(group, exponent):
@@ -128,199 +139,199 @@ def test_comb_exp_exhaustive_on_tiny_group(tiny_group):
         )
 
 
-def _key_exp_oracle(group, key, exponent):
-    return pow(key, exponent % group.order, group.modulus)
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0: the oracle for ``is_element``.
 
-
-@given(secret=st.integers(1, GroupParams.default().order - 1), exponent=st.integers(-(2**300), 2**300))
-@settings(max_examples=300, deadline=None)
-def test_key_exp_equals_pow(group, secret, exponent):
-    key = pow(group.generator, secret, group.modulus)
-    assert group.key_exp(key, exponent) == _key_exp_oracle(group, key, exponent)
-
-
-def test_key_exp_edge_exponents(group):
-    rng = random.Random(16)
-    q = group.order
-    for key in [keygen(group, rng).public for _ in range(5)] + [1, group.generator]:
-        for exponent in (0, 1, q - 1, q, q + 1, -1, -q, 2**256, 2**256 + 1):
-            assert group.key_exp(key, exponent) == _key_exp_oracle(group, key, exponent)
-
-
-def test_key_exp_exhaustive_on_tiny_group(tiny_group):
-    # Every subgroup element, the identity included, at every exponent
-    # class from both sides of zero.
-    elements = [x for x in range(1, tiny_group.modulus) if pow(x, tiny_group.order, tiny_group.modulus) == 1]
-    assert len(elements) == tiny_group.order
-    for key in elements:
-        for exponent in range(-2 * tiny_group.order, 2 * tiny_group.order + 1):
-            assert tiny_group.key_exp(key, exponent) == _key_exp_oracle(tiny_group, key, exponent)
-
-
-def test_key_exp_cold_and_warm_cache_agree(group):
-    rng = random.Random(17)
-    key, exponent = keygen(group, rng).public, group.random_scalar(rng)
-    _key_comb_table.cache_clear()
-    cold = group.key_exp(key, -exponent)
-    assert _key_comb_table.cache_info().currsize == 1
-    warm = group.key_exp(key, -exponent)
-    assert _key_comb_table.cache_info().hits >= 1
-    assert cold == warm == _key_exp_oracle(group, key, -exponent)
-
-
-def test_key_table_is_sixteen_packed_elements(group, tiny_group):
-    for g in (group, tiny_group):
-        key = g.generator
-        packed = _key_comb_table(g.modulus, g.order, key)
-        assert len(packed) == 16 * g.element_size
-        assert packed[: g.element_size] == (1).to_bytes(g.element_size, "little")
-
-
-def _pow_product(group, bases, exponents):
-    result = 1
-    for base, exponent in zip(bases, exponents):
-        result = result * pow(base, exponent, group.modulus) % group.modulus
-    return result
-
-
-@given(
-    pairs=st.lists(
-        st.tuples(st.integers(1, 2**256), st.one_of(st.just(0), st.integers(0, 2**300))),
-        max_size=40,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_multi_exp_equals_pow_product(group, pairs):
-    # Arbitrary residues, not only subgroup elements: multi_exp is exact.
-    bases = [base % group.modulus or 1 for base, _ in pairs]
-    exponents = [exponent for _, exponent in pairs]
-    assert group.multi_exp(bases, exponents) == _pow_product(group, bases, exponents)
-
-
-@pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 64, 300])
-def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
-    rng = random.Random(count)
-    for g in (group, tiny_group):
-        bases = [rng.randrange(1, g.modulus) for _ in range(count)]
-        for exponents in (
-            [rng.randrange(g.order) for _ in range(count)],
-            [rng.getrandbits(128) for _ in range(count)],
-            [0] * count,
-        ):
-            assert g.multi_exp(bases, exponents) == _pow_product(g, bases, exponents)
-
-
-def test_multi_exp_rejects_length_mismatch_and_negative_exponents(group):
-    with pytest.raises(ValueError):
-        group.multi_exp([group.generator], [])
-    for count in (1, 10):
-        with pytest.raises(ValueError):
-            group.multi_exp([group.generator] * count, [1] * (count - 1) + [-1])
-
-
-def _naive_plane(values, selectors, bit, modulus):
-    """Product of the values whose selector has the given bit set."""
-    result = 1
-    for value, selector in zip(values, selectors):
-        if selector >> bit & 1:
-            result = result * value % modulus
-    return result
-
-
-@given(data=st.data(), c=st.integers(1, 8))
-@settings(max_examples=80, deadline=None)
-def test_fold_bit_planes_equals_naive_products(group, data, c):
-    p = group.modulus
-    buckets = data.draw(st.lists(st.one_of(st.just(1), st.integers(1, p - 1)), min_size=2**c, max_size=2**c))
-    planes = _fold_bit_planes(buckets, p)
-    assert planes == [_naive_plane(buckets, range(2**c), bit, p) for bit in range(c)]
-
-
-@given(
-    pairs=st.lists(st.tuples(st.integers(1, 2**256), st.integers(0, 2**300)), max_size=40),
-    planes=st.integers(0, 140),
-)
-@settings(max_examples=60, deadline=None)
-def test_multi_exp_planes_reads_bit_products(group, pairs, planes):
-    # Plane b is the product of the bases whose exponent has bit b set,
-    # whatever the window size multi_exp picks for this many bases.
-    p = group.modulus
-    bases = [base % p or 1 for base, _ in pairs]
-    exponents = [exponent for _, exponent in pairs]
-    product, products = group.multi_exp_planes(bases, exponents, planes)
-    assert product == _pow_product(group, bases, exponents)
-    assert products == [_naive_plane(bases, exponents, bit, p) for bit in range(planes)]
-
-
-@pytest.mark.parametrize("count", [1, 300, 8000])
-def test_multi_exp_planes_at_ring_verify_sizes(group, count):
-    # 8000 bases is a 4000-key ring, where the windows are 10 bits wide and
-    # the window at bit 120 reaches past the 128 planes that are read.
-    rng = random.Random(count)
-    p = group.modulus
-    bases = [rng.randrange(1, p) for _ in range(count)]
-    half = count // 2
-    exponents = [rng.getrandbits(128) for _ in range(half)]
-    exponents += [rng.randrange(group.order) for _ in range(count - half)]
-    product, products = group.multi_exp_planes(bases, exponents, 128)
-    assert product == group.multi_exp(bases, exponents)
-    for bit in (0, 9, 10, 119, 120, 127):
-        assert products[bit] == _naive_plane(bases, exponents, bit, p)
-
-
-def _bucket_membership(group, commitments, keys, rng):
-    """The membership read of ring_verify above 128 keys, alone: rounds of
-    fresh k-bit weights on the commitments and exponents below the order on
-    the keys, each passing only if every bit-plane product is a residue."""
-    k = min(128, group.order.bit_length() - 1)
-    for _ in range(-(-128 // k)):
-        exponents = [rng.getrandbits(k) for _ in commitments] + [rng.randrange(group.order) for _ in keys]
-        _, planes = group.multi_exp_planes(commitments + keys, exponents, k)
-        if not all(map(group.is_residue, planes)):
-            return False
-    return True
-
-
-def test_bucket_membership_exhaustive_on_tiny_group(tiny_group):
-    # Every multiset of up to three values in [1, 23) among the commitments
-    # of a 129-key ring whose other commitments and keys are subgroup elements.
-    g = tiny_group
-    rng = random.Random(23)
-    keys = [keygen(g, rng).public for _ in range(129)]
-    fill = [g.exp(g.generator, g.random_scalar(rng)) for _ in range(129)]
-    for count in range(4):
-        for values in itertools.combinations_with_replacement(range(1, g.modulus), count):
-            commitments = list(values) + fill[count:]
-            members = all(g.is_element(v) or v == 1 for v in values)
-            assert _bucket_membership(g, commitments, keys, rng) == members, values
-
-
-def test_is_residue_admits_the_identity(group, tiny_group):
-    for g in (group, tiny_group):
-        for value in (0, 1, 2, g.modulus - 1, g.modulus, g.modulus + 1):
-            assert g.is_residue(value) == (value % g.modulus == 1 or g.is_element(value % g.modulus))
+    Binary reduction: strip factors of two (each flips the sign when
+    n = 3 or 5 mod 8), then swap by quadratic reciprocity (a flip when both
+    are 3 mod 4) and reduce.
+    """
+    a %= n
+    sign = 1
+    while a:
+        if not a & 1:
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            if twos & 1 and n & 7 in (3, 5):
+                sign = -sign
+        if a & n & 2:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def _euler_is_element(group, value):
     return 1 < value < group.modulus and pow(value, group.order, group.modulus) == 1
 
 
+def _jacobi_is_element(group, value):
+    return 1 < value < group.modulus and _jacobi(value, group.modulus) == 1
+
+
 def test_jacobi_is_element_exhaustive_on_tiny_group(tiny_group):
     for value in range(-3, tiny_group.modulus + 3):
-        assert tiny_group.is_element(value) == _euler_is_element(tiny_group, value)
+        expected = _euler_is_element(tiny_group, value)
+        assert tiny_group.is_element(value) == _jacobi_is_element(tiny_group, value) == expected
 
 
 @given(value=st.integers(-5, 2**256 + 5))
 @settings(max_examples=300, deadline=None)
 def test_jacobi_is_element_equals_euler(group, value):
-    assert group.is_element(value) == _euler_is_element(group, value)
+    assert group.is_element(value) == _jacobi_is_element(group, value) == _euler_is_element(group, value)
 
 
 def test_jacobi_is_element_on_edge_values(group):
     p = group.modulus
     for value in (0, 1, 2, 3, 4, p - 4, p - 2, p - 1, p, p + 1):
-        assert group.is_element(value) == _euler_is_element(group, value)
+        assert group.is_element(value) == _jacobi_is_element(group, value) == _euler_is_element(group, value)
     rng = random.Random(9)
     squares = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(200)]
     assert all(group.is_element(x) for x in squares)
     assert not any(group.is_element(p - x) for x in squares)
+
+
+@pytest.mark.parametrize("modulus", SAFE_PRIMES)
+def test_is_element_against_the_jacobi_oracle_on_small_safe_primes(modulus):
+    g = GroupParams(f"tiny-{modulus}", modulus, modulus // 2, 4)
+    for value in range(-2, 2 * modulus):
+        assert g.is_element(value) == _jacobi_is_element(g, value)
+
+
+# ---------------------------------------------------------------------------
+# The libcrypto kernel against pow
+# ---------------------------------------------------------------------------
+
+
+def _bases(group):
+    """Subgroup keys, the values a key can be mistaken for (0, p, -y, y + p,
+    2^300), and any int."""
+    p, q, g = group.modulus, group.order, group.generator
+    key = st.integers(1, q - 1).map(lambda secret: pow(g, secret, p))
+    return st.one_of(
+        st.sampled_from([0, 1, p - 1, p, 2**300, -(2**300)]),
+        key,
+        key.map(lambda y: -y),
+        key.map(lambda y: y + p),
+        st.integers(-(2**300), 2**300),
+    )
+
+
+_EXPONENTS = st.one_of(st.just(0), st.integers(0, 2**300))
+
+
+@given(base=_bases(GroupParams.default()), exponent=st.one_of(st.just(0), st.integers(-(2**300), 2**300)))
+@settings(max_examples=300, deadline=None)
+def test_exp_equals_pow(group, base, exponent):
+    assert group.exp(base, exponent) == pow(base, exponent % group.order, group.modulus)
+
+
+@given(a=_bases(GroupParams.default()), x=_EXPONENTS, b=_bases(GroupParams.default()), y=_EXPONENTS)
+@settings(max_examples=300, deadline=None)
+def test_exp2_equals_pow_product(group, a, x, b, y):
+    p = group.modulus
+    assert group.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
+
+
+@pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
+def test_exp_and_exp2_exhaustive_on_tiny_groups(modulus):
+    # Every residue, 0 and the modulus itself among the bases, and every
+    # exponent class mod p - 1 (and p - 1 itself): 0^0 = 1 on either side.
+    g = GroupParams(f"tiny-{modulus}", modulus, modulus // 2, 4)
+    bases = range(-1, modulus + 1)
+    exponents = range(modulus)
+    for a in bases:
+        for x in range(-2 * g.order, 2 * g.order + 1):
+            assert g.exp(a, x) == pow(a, x % g.order, modulus)
+        for x in exponents:
+            ax = pow(a, x, modulus)
+            for b in bases:
+                for y in exponents:
+                    assert g.exp2(a, x, b, y) == ax * pow(b, y, modulus) % modulus, (a, x, b, y)
+
+
+def test_exp2_rejects_negative_exponents(group):
+    for x, y in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            group.exp2(group.generator, x, group.generator, y)
+
+
+def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
+    groups = [GroupParams(f"tiny-{p}", p, p // 2, 4) for p in SAFE_PRIMES] + [group]
+    for _ in range(2):
+        for g in groups:
+            p = g.modulus
+            assert g.exp2(3, 5, g.generator, 7) == pow(3, 5, p) * pow(4, 7, p) % p
+    assert group_module._montgomery.cache_info().currsize <= group_module._montgomery.cache_info().maxsize == 8
+
+
+def test_threads_compute_exp2_exactly(group, tiny_group):
+    # ctypes releases the GIL around each libcrypto call, so the threads
+    # (more of them than cores, switching often) overlap inside the kernel,
+    # each with its own scratch numbers; two of them share the tiny modulus.
+    rng = random.Random(31)
+    groups = [group, tiny_group, group, tiny_group]
+    jobs = [
+        [(rng.randrange(g.modulus), rng.getrandbits(256), rng.randrange(g.modulus), rng.getrandbits(256))
+         for _ in range(300)]
+        for g in groups
+    ]
+    start = threading.Barrier(len(groups))
+    results = [None] * len(groups)
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = [groups[i].exp2(*job) for job in jobs[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(groups))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for g, job_list, result in zip(groups, jobs, results):
+        p = g.modulus
+        assert result == [pow(a, x, p) * pow(b, y, p) % p for a, x, b, y in job_list]
+
+
+def test_a_failing_bignum_call_raises():
+    # libcrypto has no Montgomery form for an even modulus, and says so.
+    with pytest.raises(BignumError, match="BN_MONT_CTX_set"):
+        group_module._mod_exp(3, 5, 24)
+
+
+def test_verifiers_raise_on_a_failing_bignum_call(group, monkeypatch):
+    # A kernel fault is a program fault: no verifier may turn it into False.
+    rng = random.Random(32)
+    kps = [keygen(group, rng) for _ in range(3)]
+    ring = [kp.public for kp in kps]
+    block_kp = keygen(group, rng)
+    signature = sign(group, kps[0], b"message", rng)
+    proof = schnorr_prove(group, kps[0], b"ctx", rng)
+    membership = ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng)
+    credential = credential_prove(group, ring, 2, kps[2].secret, block_kp, rng)
+    checks = (
+        lambda: verify_signature(group, ring[0], b"message", signature),
+        lambda: schnorr_verify(group, ring[0], proof, b"ctx"),
+        lambda: ring_verify(group, ring, membership, b"ctx"),
+        lambda: credential_verify(group, ring, block_kp.public, credential),
+    )
+    assert all(check() for check in checks)
+    even = group_module._BN_bin2bn(b"\x18", 1, None)
+    real = group_module._BN_mod_exp2_mont
+
+    def refused(result, a, x, b, y, modulus, ctx, mont):
+        # The real call, with a modulus libcrypto refuses.
+        return real(result, a, x, b, y, even, ctx, None)
+
+    monkeypatch.setattr(group_module, "_BN_mod_exp2_mont", refused)
+    try:
+        for check in checks:
+            with pytest.raises(BignumError, match="BN_mod_exp2_mont"):
+                check()
+    finally:
+        group_module._BN_free(even)

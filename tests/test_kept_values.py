@@ -120,14 +120,15 @@ class TestKeyVerdicts:
         assert symbols[block_kp.public] == 1
 
     def test_a_non_member_key_is_rejected_every_time_and_gets_no_table(self, group, monkeypatch, symbols):
+        # The gate stops the key before any keyed exponentiation.
         tabled = []
-        key_exp = GroupParams.key_exp
+        exp2 = GroupParams.exp2
 
-        def recording(self, key, exponent):
+        def recording(self, a, x, key, y):
             tabled.append(key)
-            return key_exp(self, key, exponent)
+            return exp2(self, a, x, key, y)
 
-        monkeypatch.setattr(GroupParams, "key_exp", recording)
+        monkeypatch.setattr(GroupParams, "exp2", recording)
         kp = keygen(group)
         signature = sign(group, kp, b"message")
         # -y is a non-residue (p = 3 mod 4); p - 1 has order 2.
@@ -140,9 +141,8 @@ class TestKeyVerdicts:
         assert tabled == [kp.public]
 
     def test_the_verdicts_are_bounded_like_the_tables(self, tiny_group, symbols):
-        bound = group_module._KEY_TABLES
-        assert group_module._key_verdict.cache_info().maxsize == bound
-        assert group_module._key_comb_table.cache_info().maxsize == bound
+        bound = group_module._KEY_VERDICTS
+        assert group_module._key_verdict.cache_info().maxsize == bound == 16384
         # Values outside [2, modulus) are tested cheaply and are all distinct keys.
         for key in range(-1, -bound - 11, -1):
             assert not tiny_group.key_is_element(key)

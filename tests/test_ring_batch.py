@@ -2,19 +2,20 @@
 
 ``reference_ring_verify`` is the straightforward verifier that checks each
 branch equation on its own with ``pow``. It is kept here as the oracle.
-The library checks rings of up to 128 keys branch by branch through the
-key tables, and larger rings with one weighted multi-exponentiation. The
-corpus mixes honest proofs, forged responses, the byte-flip / omission /
-transposition / witness-free-forgery mutation classes of the acceptance
-suite, commitments outside the subgroup, the identity commitment the
-per-branch equation accepts, and ring keys a ``Registry`` would refuse.
-Rings above 128 keys, where ``ring_verify`` batches and reads commitment
-membership off its multi-exponentiation's buckets, get their own corpus
-and the sign attack of Boyd and Pavlovski.
+The library checks every branch on its own as well, through one ``exp2``
+each (t == g^s * y^-c). The corpus mixes honest proofs, forged responses,
+the byte-flip / omission / transposition / witness-free-forgery mutation
+classes of the acceptance suite, commitments outside the subgroup, the
+identity commitment the per-branch equation accepts, and ring keys a
+``Registry`` would refuse. Rings above 128 keys, which an earlier
+verifier batched, keep their own corpus and the sign attack of Boyd and
+Pavlovski, which defeats a weighted batch without a membership test.
 """
 
 import hashlib
+import os
 import random
+import secrets
 
 import pytest
 
@@ -34,7 +35,7 @@ from phrchain.crypto import _commitment_bytes, _ring_binding_challenge
 from phrchain.encoding import FormatError, Reader
 from phrchain.group import GroupParams
 
-# Up to 128 keys ring_verify checks each branch; above, it batches.
+# The full corpus runs at the small sizes and a lighter one at the large.
 RING_SIZES = (1, 2, 3, 8, 64, 128)
 LARGE_RING_SIZES = (129, 200)
 
@@ -274,8 +275,8 @@ def test_batched_verify_agrees_with_per_branch_oracle(any_group, size):
 
 
 def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
-    # A prover who controls the caller's RNG must not control the weights,
-    # which only rings above 128 keys draw.
+    # A prover who controls the caller's RNG controls nothing the verifier
+    # decides with.
     rng = random.Random(5)
     kps = [keygen(group, rng) for _ in range(129)]
     ring = [kp.public for kp in kps]
@@ -291,61 +292,82 @@ def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """Records the weight draws, the planes asked of every multi-exponentiation
-    and the values tested for membership during a check."""
-    seen = {"randbits": 0, "planes": [], "is_element": []}
-    randbits = crypto.secrets.randbits
-    multi_exp_planes, is_element = GroupParams.multi_exp_planes, GroupParams.is_element
+    """Records the draws from the operating system RNG (``secrets.randbits``,
+    ``random.SystemRandom`` and ``os.urandom``), the ``exp2`` calls and the
+    values tested for membership during a check."""
+    seen = {"system_draws": 0, "exp2": 0, "is_element": []}
+    randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
+    exp2, is_element = GroupParams.exp2, GroupParams.is_element
 
-    def counted_randbits(k):
-        seen["randbits"] += 1
-        return randbits(k)
+    def counted(draw):
+        def wrapper(*args):
+            seen["system_draws"] += 1
+            return draw(*args)
+        return wrapper
 
-    def counted_multi_exp_planes(self, bases, exponents, planes):
-        seen["planes"].append(planes)
-        return multi_exp_planes(self, bases, exponents, planes)
+    def counted_exp2(self, a, x, b, y):
+        seen["exp2"] += 1
+        return exp2(self, a, x, b, y)
 
     def counted_is_element(self, value):
         seen["is_element"].append(value)
         return is_element(self, value)
 
-    monkeypatch.setattr(crypto.secrets, "randbits", counted_randbits)
-    monkeypatch.setattr(GroupParams, "multi_exp_planes", counted_multi_exp_planes)
+    monkeypatch.setattr(secrets, "randbits", counted(randbits))
+    monkeypatch.setattr(random.SystemRandom, "getrandbits", counted(getrandbits))
+    monkeypatch.setattr(os, "urandom", counted(urandom))
+    monkeypatch.setattr(GroupParams, "exp2", counted_exp2)
     monkeypatch.setattr(GroupParams, "is_element", counted_is_element)
     return seen
 
 
-def test_small_rings_check_each_branch(group, calls):
-    # Up to 128 keys: no weights, no multi-exponentiation, and no membership
-    # test of a commitment, for bare ring proofs of 16 and 128 keys and for
-    # both credentials of a 16/8-key patient block.
-    rng = random.Random(14)
-    kps = [keygen(group, rng) for _ in range(128)]
+def _seeded_proofs(group, sizes, seed):
+    """Per size, a ring of that many keys and an honest proof over it."""
+    rng = random.Random(seed)
+    kps = [keygen(group, rng) for _ in range(max(sizes))]
     ring = [kp.public for kp in kps]
-    proofs = []
-    for size in (16, 128):
-        proof = ring_prove(group, ring[:size], 3, kps[3].secret, b"ctx", rng)
-        assert ring_verify(group, ring[:size], proof, b"ctx")
-        proofs.append(proof)
+    return [(ring[:m], ring_prove(group, ring[:m], 3, kps[3].secret, b"ctx", rng)) for m in sizes]
+
+
+def test_small_rings_check_each_branch(group, calls):
+    # One commitment per branch (one exp2 each), no randomness and no
+    # membership test of a commitment, for bare ring proofs of 16 and 128
+    # keys and for both credentials of a 16/8-key patient block, whose
+    # possession half takes one more exp2.
+    rng = random.Random(14)
+    kps = [keygen(group, rng) for _ in range(16)]
+    ring = [kp.public for kp in kps]
+    proofs = _seeded_proofs(group, (16, 128), 14)
+    calls["exp2"] = 0
+    for subring, proof in proofs:
+        assert ring_verify(group, subring, proof, b"ctx")
+    assert calls["exp2"] == 16 + 128
+    credentials = []
     for size in (16, 8):
         block_kp = keygen(group, rng)
         credential = credential_prove(group, ring[:size], 1, kps[1].secret, block_kp, rng)
-        assert credential_verify(group, ring[:size], block_kp.public, credential)
-        proofs.append(credential.membership)
-    commitments = {b.commitment for proof in proofs for b in proof.branches}
-    assert calls["randbits"] == 0
-    assert calls["planes"] == []
+        credentials.append((ring[:size], block_kp.public, credential))
+    calls["exp2"] = 0
+    for subring, public, credential in credentials:
+        assert credential_verify(group, subring, public, credential)
+    assert calls["exp2"] == 16 + 1 + 8 + 1
+    commitments = {b.commitment for _, proof in proofs for b in proof.branches}
+    commitments |= {b.commitment for _, _, c in credentials for b in c.membership.branches}
+    assert calls["system_draws"] == 0
     assert not commitments & set(calls["is_element"])
 
 
-def test_large_rings_batch_with_bucket_membership(group, calls):
-    rng = random.Random(15)
-    kps = [keygen(group, rng) for _ in range(129)]
-    ring = [kp.public for kp in kps]
-    proof = ring_prove(group, ring, 64, kps[64].secret, b"ctx", rng)
-    assert ring_verify(group, ring, proof, b"ctx")
-    assert calls["planes"] == [128]
-    assert calls["randbits"] == 129
+def test_large_rings_check_each_branch(group, calls):
+    # Rings of 129 and 1000 keys take the same path as small ones: no bits
+    # from the operating system RNG, and one commitment per branch.
+    proofs = _seeded_proofs(group, (129, 1000), 15)
+    calls["exp2"] = 0
+    for ring, proof in proofs:
+        assert ring_verify(group, ring, proof, b"ctx")
+    assert calls["exp2"] == 129 + 1000
+    assert calls["system_draws"] == 0
+    assert not {b.commitment for _, proof in proofs for b in proof.branches} & set(calls["is_element"])
+    assert not hasattr(crypto, "secrets")
 
 
 def test_seeded_transcripts_match_recorded_digest(group):
@@ -368,12 +390,14 @@ def test_seeded_transcripts_match_recorded_digest(group):
 
 
 def batch_only_verify(group, ring, proof, rng):
-    """ring_verify's weighted product with no membership test of any kind."""
+    """A weighted batch of the branch equations with no membership test of
+    any kind: g^(sum w_i s_i) == prod t_i^w_i * y_i^(w_i c_i mod q)."""
     weights = [rng.getrandbits(128) for _ in ring]
     lhs = pow(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)), group.modulus)
-    key_exponents = [w * b.challenge % group.order for w, b in zip(weights, proof.branches)]
-    commitments = [b.commitment for b in proof.branches]
-    return lhs == group.multi_exp(commitments + list(ring), weights + key_exponents)
+    rhs = 1
+    for w, key, b in zip(weights, ring, proof.branches):
+        rhs = group.mul(rhs, group.exp2(b.commitment, w, key, w * b.challenge % group.order))
+    return lhs == rhs
 
 
 def test_sign_attack_rejected_above_threshold(group):
