@@ -569,6 +569,18 @@ class TestVerifiersAgainstThePowEquation:
             assert expected is (case == "valid")
             assert schnorr_verify(group, public, proof, context) is expected
 
+    def test_one_table_per_verified_key(self, group):
+        # The one per-key table a verifier keeps is the key's membership
+        # verdict: the first check of a key makes it, the second reads it.
+        rng = random.Random(120)
+        kp = keygen(group, rng)
+        sig = sign(group, kp, b"m", rng)
+        _key_verdict.cache_clear()
+        assert verify_signature(group, kp.public, b"m", sig)
+        assert verify_signature(group, kp.public, b"m", sig)
+        info = _key_verdict.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
     def test_gate_rejected_key_gets_no_table(self, group, monkeypatch):
         # A key the gate refuses reaches no exponentiation at all.
         rng = random.Random(121)

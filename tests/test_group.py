@@ -18,6 +18,7 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
+from phrchain.crypto import _schnorr_commitment
 from phrchain.encoding import FormatError
 from phrchain.group import BignumError, GroupParams
 
@@ -253,6 +254,102 @@ def test_exp2_rejects_negative_exponents(group):
     for x, y in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             group.exp2(group.generator, x, group.generator, y)
+
+
+# ---------------------------------------------------------------------------
+# Keyed powers and products of powers through the kernel
+# ---------------------------------------------------------------------------
+
+
+def _key_exp_oracle(group, key, exponent):
+    return pow(key, exponent % group.order, group.modulus)
+
+
+def _key_powers(group, key, exponent):
+    """key^exponent both ways the program computes a power of a public key:
+    ``exp``, and the key half of the Schnorr commitment, where
+    g^0 * key^-(-exponent) is one ``exp2``."""
+    return group.exp(key, exponent), _schnorr_commitment(group, key, -exponent, 0)
+
+
+@given(secret=st.integers(1, GroupParams.default().order - 1), exponent=st.integers(-(2**300), 2**300))
+@settings(max_examples=300, deadline=None)
+def test_key_exp_equals_pow(group, secret, exponent):
+    key = pow(group.generator, secret, group.modulus)
+    assert _key_powers(group, key, exponent) == (_key_exp_oracle(group, key, exponent),) * 2
+
+
+def test_key_exp_edge_exponents(group):
+    rng = random.Random(16)
+    q = group.order
+    for key in [keygen(group, rng).public for _ in range(5)] + [1, group.generator]:
+        for exponent in (0, 1, q - 1, q, q + 1, -1, -q, 2**256, 2**256 + 1):
+            assert _key_powers(group, key, exponent) == (_key_exp_oracle(group, key, exponent),) * 2
+
+
+def test_key_exp_exhaustive_on_tiny_group(tiny_group):
+    # Every subgroup element, the identity included, at every exponent
+    # class from both sides of zero.
+    elements = [x for x in range(1, tiny_group.modulus) if pow(x, tiny_group.order, tiny_group.modulus) == 1]
+    assert len(elements) == tiny_group.order
+    for key in elements:
+        for exponent in range(-2 * tiny_group.order, 2 * tiny_group.order + 1):
+            expected = _key_exp_oracle(tiny_group, key, exponent)
+            assert _key_powers(tiny_group, key, exponent) == (expected, expected)
+
+
+def test_key_exp_cold_and_warm_cache_agree(group):
+    # The one cache a keyed power reads is the modulus's Montgomery context.
+    rng = random.Random(17)
+    key, exponent = keygen(group, rng).public, group.random_scalar(rng)
+    group_module._montgomery.cache_clear()
+    cold = _key_powers(group, key, -exponent)
+    assert group_module._montgomery.cache_info().currsize == 1
+    warm = _key_powers(group, key, -exponent)
+    assert group_module._montgomery.cache_info().hits >= 1
+    assert cold == warm == (_key_exp_oracle(group, key, -exponent),) * 2
+
+
+def _pow_product(group, bases, exponents):
+    result = 1
+    for base, exponent in zip(bases, exponents):
+        result = result * pow(base, exponent, group.modulus) % group.modulus
+    return result
+
+
+def _multi_exp(group, bases, exponents):
+    """The product of bases[i]^exponents[i] through the kernel, two bases per
+    ``exp2`` (one ``BN_mod_exp2_mont``); an odd last base is paired with 1^0.
+    The weighted batch in ``test_ring_batch`` multiplies its terms this way."""
+    terms = list(zip(bases, exponents))
+    if len(terms) % 2:
+        terms.append((1, 0))
+    result = 1
+    for (a, x), (b, y) in zip(terms[::2], terms[1::2]):
+        result = group.mul(result, group.exp2(a, x, b, y))
+    return result
+
+
+@given(pairs=st.lists(st.tuples(_bases(GroupParams.default()), _EXPONENTS), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_multi_exp_equals_pow_product(group, pairs):
+    # Any int bases, not only subgroup elements: exp2 is exact.
+    bases = [base for base, _ in pairs]
+    exponents = [exponent for _, exponent in pairs]
+    assert _multi_exp(group, bases, exponents) == _pow_product(group, bases, exponents)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 64, 300])
+def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
+    rng = random.Random(count)
+    for g in (group, tiny_group):
+        bases = [rng.randrange(1, g.modulus) for _ in range(count)]
+        for exponents in (
+            [rng.randrange(g.order) for _ in range(count)],
+            [rng.getrandbits(128) for _ in range(count)],
+            [0] * count,
+        ):
+            assert _multi_exp(g, bases, exponents) == _pow_product(g, bases, exponents)
 
 
 def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
