@@ -11,10 +11,8 @@ square of the pool size.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from array import array
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
@@ -138,24 +136,6 @@ def _verify_approval_block(block: ApprovalBlock, directories: Directories, chain
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _draws(seed: int, n_miners: int, n_malicious: int, jittered: bool) -> tuple[array, array]:
-    """Everything a round takes from its seed's RNG, in stream order: the
-    malicious miners, then (for a jittered pool) one uniform draw per miner.
-
-    One jitter draw per miner regardless of role keeps the stream
-    independent of the malicious count; a malicious miner then costs
-    nothing. The draws are kept, packed (4 bytes per malicious miner, 8 per
-    jitter draw), because a timing loop repeats a round with the same seed
-    and pool, and the role draw is the one part of a round whose cost grows
-    with the malicious count (about 40 us more at 50% than at 10% of 400
-    miners).
-    """
-    rng = random.Random(seed)
-    malicious = array("I", rng.sample(range(n_miners), n_malicious))
-    return malicious, array("d", [rng.random() for _ in range(n_miners)] if jittered else ())
-
-
 def run_consensus(
     block: Block,
     pool: MinerPool,
@@ -181,9 +161,12 @@ def run_consensus(
     """
     valid = verify_block(block, directories, chain)
     n = pool.n_miners
-    malicious, draws = _draws(seed, n, pool.n_malicious, bool(pool.verify_jitter))
-    if draws:
-        seconds = [pool.verify_seconds + r * pool.verify_jitter for r in draws]
+    rng = random.Random(seed)
+    malicious = rng.sample(range(n), pool.n_malicious)
+    if pool.verify_jitter:
+        # One jitter draw per miner regardless of role keeps the RNG stream
+        # independent of the malicious count; a malicious miner then costs nothing.
+        seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
     else:
         seconds = [pool.verify_seconds + 0.0 * pool.verify_jitter] * n
     flags = bytearray(n)

@@ -34,8 +34,6 @@ import random
 import threading
 from dataclasses import dataclass
 
-import _hashlib  # noqa: F401  -- loads the libcrypto the kernel binds to
-
 from . import encoding as enc
 
 # Largest safe prime below 2**256: p = 2**256 - 36113, q = (p - 1) // 2.
@@ -56,8 +54,10 @@ def _rng(rng: random.Random | None) -> random.Random:
 
 _LIBCRYPTO = "libcrypto.so.3"
 try:
+    import _hashlib  # noqa: F401  -- loads the libcrypto the kernel binds to
+
     _lib = ctypes.CDLL(_LIBCRYPTO)
-except OSError as exc:
+except (ImportError, OSError) as exc:
     raise ImportError(
         f"phrchain computes in the group through {_LIBCRYPTO}, the OpenSSL library hashlib loads, "
         f"and could not load it: {exc}"

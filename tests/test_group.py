@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 import sympy
@@ -21,6 +24,8 @@ from phrchain import group as group_module
 from phrchain.crypto import _schnorr_commitment
 from phrchain.encoding import FormatError
 from phrchain.group import BignumError, GroupParams
+
+PACKAGE_ROOT = Path(group_module.__file__).resolve().parents[1]
 
 # Safe primes p = 2q + 1; 4 generates the order-q subgroup of each.
 SAFE_PRIMES = (5, 7, 11, 23, 47, 59, 83, 107, 167, 179, 227, 263)
@@ -310,46 +315,32 @@ def test_key_exp_cold_and_warm_cache_agree(group):
     assert cold == warm == (_key_exp_oracle(group, key, -exponent),) * 2
 
 
-def _pow_product(group, bases, exponents):
-    result = 1
-    for base, exponent in zip(bases, exponents):
-        result = result * pow(base, exponent, group.modulus) % group.modulus
-    return result
+# More inputs for exp2: runs of up to 40 hostile (base, exponent) pairs, and
+# random bases at fixed counts with exponents mod q, 128-bit and 0, every
+# adjacent two pairs against pow.
 
 
-def _multi_exp(group, bases, exponents):
-    """The product of bases[i]^exponents[i] through the kernel, two bases per
-    ``exp2`` (one ``BN_mod_exp2_mont``); an odd last base is paired with 1^0.
-    The weighted batch in ``test_ring_batch`` multiplies its terms this way."""
-    terms = list(zip(bases, exponents))
-    if len(terms) % 2:
-        terms.append((1, 0))
-    result = 1
-    for (a, x), (b, y) in zip(terms[::2], terms[1::2]):
-        result = group.mul(result, group.exp2(a, x, b, y))
-    return result
-
-
-@given(pairs=st.lists(st.tuples(_bases(GroupParams.default()), _EXPONENTS), max_size=40))
+@given(pairs=st.lists(st.tuples(_bases(GroupParams.default()), _EXPONENTS), min_size=2, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_multi_exp_equals_pow_product(group, pairs):
-    # Any int bases, not only subgroup elements: exp2 is exact.
-    bases = [base for base, _ in pairs]
-    exponents = [exponent for _, exponent in pairs]
-    assert _multi_exp(group, bases, exponents) == _pow_product(group, bases, exponents)
+    p = group.modulus
+    for (a, x), (b, y) in zip(pairs, pairs[1:]):
+        assert group.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 64, 300])
 def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
     rng = random.Random(count)
     for g in (group, tiny_group):
-        bases = [rng.randrange(1, g.modulus) for _ in range(count)]
+        p = g.modulus
+        bases = [rng.randrange(1, p) for _ in range(count)] + [1]
         for exponents in (
-            [rng.randrange(g.order) for _ in range(count)],
-            [rng.getrandbits(128) for _ in range(count)],
-            [0] * count,
+            [rng.randrange(g.order) for _ in range(count)] + [0],
+            [rng.getrandbits(128) for _ in range(count)] + [0],
+            [0] * (count + 1),
         ):
-            assert _multi_exp(g, bases, exponents) == _pow_product(g, bases, exponents)
+            for a, x, b, y in zip(bases, exponents, bases[1:], exponents[1:]):
+                assert g.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
 
 
 def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
@@ -399,6 +390,24 @@ def test_a_failing_bignum_call_raises():
     # libcrypto has no Montgomery form for an even modulus, and says so.
     with pytest.raises(BignumError, match="BN_MONT_CTX_set"):
         group_module._mod_exp(3, 5, 24)
+
+
+@pytest.mark.parametrize(
+    "blocker",
+    [
+        "sys.modules['_hashlib'] = None",
+        "def refuse(name, *args, **kwargs):\n    raise OSError(f'{name}: cannot open shared object file')\n"
+        "ctypes.CDLL = refuse",
+    ],
+    ids=["no-hashlib", "no-libcrypto"],
+)
+def test_import_fails_naming_libcrypto(blocker):
+    # No fallback: without the library, importing the package fails and says which library.
+    code = f"import ctypes, sys\n{blocker}\nimport phrchain\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode != 0
+    assert "ImportError: phrchain computes in the group through libcrypto.so.3" in result.stderr
 
 
 def test_verifiers_raise_on_a_failing_bignum_call(group, monkeypatch):

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phrchain import MinerPool, consensus, run_consensus
+from phrchain import MinerPool, run_consensus
 from phrchain.consensus import ConsensusResult, approval_threshold
 from phrchain.encoding import FormatError, f64, u8, u32
 from phrchain.ledger import VOTE_RECORD, MinerVote
@@ -92,17 +92,6 @@ class TestAgainstThePerMinerLoop:
                 result = run_consensus(by_validity[valid], pool, world.directories, seed=seed)
                 expected = oracle_bytes(oracle_votes(valid, pool, seed), pool)
                 assert result.to_bytes() == expected, (n, fraction)
-
-    @pytest.mark.parametrize("jitter", [0.0, 1e-4], ids=["no-jitter", "jitter"])
-    def test_a_repeated_round_matches_the_oracle(self, blocks, jitter):
-        # The second round reads the draws the first one kept.
-        world, by_validity = blocks
-        pool = MinerPool(50, 0.3, verify_jitter=jitter)
-        consensus._draws.cache_clear()
-        first = run_consensus(by_validity[True], pool, world.directories, seed=9)
-        second = run_consensus(by_validity[True], pool, world.directories, seed=9)
-        assert consensus._draws.cache_info().hits == 1
-        assert first.to_bytes() == second.to_bytes() == oracle_bytes(oracle_votes(True, pool, 9), pool)
 
     def test_an_800_miner_record_keeps_under_16_kib(self, blocks):
         world, by_validity = blocks
