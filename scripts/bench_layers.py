@@ -12,7 +12,9 @@ generator and of a ``keygen`` key (the same scalars as ``pow``),
 taken mod p - 1), and the subgroup test ``is_element`` (checked against
 Euler's criterion). Then ring prove and ring verify at m = 8, 128, 1000
 and 4000, each proof first checked branch by branch through ``pow``, an
-honest one accepted and one with a forged response rejected; one
+honest one accepted and one with a forged response rejected; the
+commitment column (``schnorr_commitments``) over the 4000-key ring, per
+branch, checked against ``pow`` first; one
 consensus vote over 800 miners (40% malicious) on a request block given
 no chain, which ``verify_block`` rejects at once so that the row times the
 vote loop alone; the two chain reads of a researcher round on an
@@ -25,7 +27,9 @@ and under a key seen for the first time; and, last of all, three
 block-bytes rows on a 16/8-key patient block (16 patient and 8 hospital
 keys): its first ``canonical_bytes`` (an encoding, timed on fresh
 ``dataclasses.replace`` copies), a repeat ``canonical_bytes`` of the same
-block, and ``range_message`` on a block whose bytes are kept.
+block, and ``range_message`` on a block whose bytes are kept; and
+``decode_block`` of a 4000/1000-key patient block's bytes, checked to
+re-encode to them.
 """
 
 import argparse
@@ -63,7 +67,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.group import GroupParams
-from phrchain.ledger import VOTE_RECORD, range_message
+from phrchain.ledger import VOTE_RECORD, decode_block, range_message
 
 
 def median_time(fn, repeats: int, per_call: int = 1) -> float:
@@ -202,6 +206,19 @@ def main() -> None:
             lambda: ring_prove(group, ring, m // 2, kps[m // 2].secret, b"ctx", ring_rng), args.repeats
         )
         rows[f"ring_verify_m{m}_s"] = median_time(lambda: ring_verify(group, ring, proof, b"ctx"), args.repeats)
+    # The commitment column over the 4000-key ring, on a stream of its own.
+    column_rng = random.Random(f"column-{args.seed}")
+    column_challenges = [group.random_scalar(column_rng) for _ in ring]
+    column_responses = [group.random_scalar(column_rng) for _ in ring]
+    column = list(group.schnorr_commitments(ring, column_challenges, column_responses))
+    if column != [
+        pow(g, s, p) * pow(y, -c % (p - 1), p) % p for y, c, s in zip(ring, column_challenges, column_responses)
+    ]:
+        raise SystemExit("the commitment column differs from pow")
+    rows["ring_commitments_per_branch_s"] = median_time(
+        lambda: list(group.schnorr_commitments(ring, column_challenges, column_responses)),
+        args.repeats, len(ring),
+    )
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)
     request = RequestBlock(bytes(32), TimeRange(1, 2), researcher.public, signature, group)
@@ -258,6 +275,11 @@ def main() -> None:
     rows["range_message_kept_s"] = median_time(
         lambda: [range_message(block, window) for _ in range(200)], args.repeats, 200
     )
+    # Its own stream: one 4000/1000-key patient block, decoded from its bytes.
+    wire = patient_block(group, random.Random(f"large-block-{args.seed}"), 4000, 1000).canonical_bytes()
+    if decode_block(wire, group).canonical_bytes() != wire:
+        raise SystemExit("a decoded 4000/1000-key block does not re-encode to its bytes")
+    rows["decode_block_s"] = median_time(lambda: decode_block(wire, group), args.repeats)
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,

@@ -153,8 +153,9 @@ def _schnorr_commitment(group: GroupParams, public: int, challenge: int, respons
     One ``exp2``. The exponent is reduced mod p - 1, not mod the order, so
     the value is public^-challenge exactly for every invertible int key,
     not only for subgroup elements; at a key of 0 mod p it is 0 unless the
-    challenge is 0, where ``pow`` gives 0^challenge the same way. A
-    simulated ring branch takes it as its commitment.
+    challenge is 0, where ``pow`` gives 0^challenge the same way. Ring
+    branches get the same values, a column at a time, from
+    ``GroupParams.schnorr_commitments``.
     """
     return group.exp2(group.generator, response, public, -challenge % (group.modulus - 1))
 
@@ -163,9 +164,9 @@ def _schnorr_equation(group: GroupParams, public: int, commitment: int, challeng
     """g^response == commitment * public^challenge (mod p), for a commitment in [1, p).
 
     Checked as commitment == ``_schnorr_commitment``: the verdict ``pow``
-    gives, for any int key, ring keys a ``Registry`` would refuse included.
-    Schnorr proofs, signatures and the possession half run
-    ``_schnorr_gate`` first; ring branches run ``_ring_gate``.
+    gives, for any int key. Schnorr proofs, signatures and the possession
+    half run ``_schnorr_gate`` first; ring branches are checked by
+    ``_ring_equations`` after ``_ring_gate``.
     """
     return commitment == _schnorr_commitment(group, public, challenge, response)
 
@@ -209,10 +210,23 @@ class RingProof:
 
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "RingProof":
+        """The branches come in one read of their whole body, decoded a field
+        at a time across all branches, under the ranges ``SchnorrProof.read_from``
+        enforces: every commitment in [1, modulus), every scalar below the order."""
         count = reader.u32()
-        branches = tuple(SchnorrProof.read_from(reader, group) for _ in range(count))
+        element, scalar = group.element_size, group.scalar_size
+        width = element + 2 * scalar
+        body = reader.take(count * width)
+        starts = range(0, len(body), width)
+        commitments = [int.from_bytes(body[i : i + element], "big") for i in starts]
+        challenges = [int.from_bytes(body[i + element : i + width - scalar], "big") for i in starts]
+        responses = [int.from_bytes(body[i + width - scalar : i + width], "big") for i in starts]
+        if count and not (1 <= min(commitments) and max(commitments) < group.modulus):
+            raise enc.FormatError("element out of range")
+        if count and max(max(challenges), max(responses)) >= group.order:
+            raise enc.FormatError("scalar out of range")
         binding = group.decode_scalar(reader.take(group.scalar_size))
-        return cls(branches, binding)
+        return cls(tuple(map(SchnorrProof, commitments, challenges, responses)), binding)
 
 
 def _commitment_bytes(group: GroupParams, commitments: Sequence[int]) -> bytes:
@@ -233,7 +247,6 @@ class _RingCommitState:
     index: int
     nonce: int
     commitments: tuple[int, ...]
-    # Per branch; the witness slot holds 0 until _ring_finish fills it.
     challenges: tuple[int, ...]
     responses: tuple[int, ...]
 
@@ -241,24 +254,32 @@ class _RingCommitState:
 def _ring_commit(
     group: GroupParams, ring: Sequence[int], index: int, secret: int, rng: random.Random | None
 ) -> _RingCommitState:
-    """Commit to every branch, after checking the witness and before any RNG draw."""
+    """Commit to every branch, after checking the witness and before any RNG draw.
+
+    The draws come in branch order: a simulated branch's challenge and
+    response, the witness branch's nonce. Then the simulated branches'
+    commitments, the ones that satisfy their verification equations, come
+    from one commitment column, and the witness commitment is g^nonce.
+    """
     if not 0 <= index < len(ring):
         raise IndexError(f"witness index {index} outside ring of {len(ring)}")
     if group.exp(group.generator, secret) != ring[index]:
         raise ValueError("witness secret does not match the ring key at the given index")
-    commitments: list[int] = []
-    challenges, responses = [0] * len(ring), [0] * len(ring)
+    challenges: list[int] = []
+    responses: list[int] = []
     nonce = 0
-    for i, key in enumerate(ring):
+    for i in range(len(ring)):
         if i == index:
             nonce = group.random_scalar(rng)
-            commitments.append(group.exp(group.generator, nonce))
         else:
-            # Simulated branch: pick the challenge and response first, then
-            # solve for the commitment that satisfies the verification equation.
-            c = challenges[i] = group.random_scalar(rng)
-            s = responses[i] = group.random_scalar(rng)
-            commitments.append(_schnorr_commitment(group, key, c, s))
+            challenges.append(group.random_scalar(rng))
+            responses.append(group.random_scalar(rng))
+    others = [*ring[:index], *ring[index + 1 :]]
+    commitments = list(group.schnorr_commitments(others, challenges, responses))
+    commitments.insert(index, group.exp(group.generator, nonce))
+    # The witness slot holds 0 until _ring_finish fills it.
+    challenges.insert(index, 0)
+    responses.insert(index, 0)
     return _RingCommitState(index, nonce, tuple(commitments), tuple(challenges), tuple(responses))
 
 
@@ -292,11 +313,15 @@ def ring_verify(
 ) -> bool:
     """True iff challenges sum to the recomputed binding and every branch equation holds.
 
-    Each equation g^s_i == t_i * y_i^c_i is checked on its own
-    (``_schnorr_equation``), at every ring size, so the verdict is the one
-    ``pow`` gives branch by branch, and it draws no randomness. No
-    commitment needs a membership test: if y_i is in the subgroup, a
-    holding equation puts t_i = g^s_i / y_i^c_i there too.
+    Each equation g^s_i == t_i * y_i^c_i is checked on its own, at every
+    ring size, as t_i == g^s_i * y_i^-c_i: the commitment column
+    (``GroupParams.schnorr_commitments``, one ``BN_mod_exp2_mont`` a branch,
+    the generator pinned) gives the right sides in one kernel loop, the
+    values ``_schnorr_commitment`` gives one at a time. So the verdict is
+    the one ``pow`` gives branch by branch; it draws no randomness and
+    stops at the first failing branch. No commitment needs a membership
+    test: if y_i is in the subgroup, a holding equation puts
+    t_i = g^s_i / y_i^c_i there too.
     """
     if not _ring_gate(group, ring, proof):
         return False
@@ -328,16 +353,21 @@ def _ring_equations(
 ) -> bool:
     """The binding challenge and the branch equations of a proof past
     ``_ring_gate`` (see ``ring_verify``); ``commitment_bytes`` is
-    ``_commitment_bytes`` of its commitments, which the caller encodes once."""
+    ``_commitment_bytes`` of its commitments, which the caller encodes once.
+
+    Each branch's commitment is compared with its value in the lazy
+    commitment column (``GroupParams.schnorr_commitments``), so the check
+    stops at the first branch whose equation fails, and the branches after
+    it cost no exponentiation.
+    """
+    branches = proof.branches
     binding = _ring_binding_challenge(group, context, commitment_bytes)
     if binding != proof.binding_challenge:
         return False
-    if sum(b.challenge for b in proof.branches) % group.order != binding:
+    if sum(b.challenge for b in branches) % group.order != binding:
         return False
-    return all(
-        _schnorr_equation(group, key, b.commitment, b.challenge, b.response)
-        for key, b in zip(ring, proof.branches)
-    )
+    column = group.schnorr_commitments(ring, (b.challenge for b in branches), (b.response for b in branches))
+    return all(b.commitment == commitment for b, commitment in zip(branches, column))
 
 
 # ---------------------------------------------------------------------------

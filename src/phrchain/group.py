@@ -15,12 +15,22 @@ library that ``hashlib`` already loads. ``exp`` is ``BN_mod_exp_mont``,
 ``BN_mod_exp2_mont``, and ``is_element`` is ``BN_kronecker``: because p
 is a safe prime, the order-q subgroup is exactly the set of quadratic
 residues mod p, so membership is a Jacobi symbol rather than an
-exponentiation. Each modulus keeps a Montgomery context in a bounded
-cache, each thread its own scratch BIGNUMs (ctypes releases the GIL
-around every call), and every BIGNUM call's return code is checked: a
-failure raises ``BignumError``, never a value. A public key's membership
-verdict is kept in a bounded cache, since verifiers meet the same keys
-again and again.
+exponentiation. ``schnorr_commitments`` is the column of a ring proof:
+g^s * y^-c for branch after branch in one loop over ``BN_mod_exp2_mont``,
+with the generator pinned in a BIGNUM kept per (modulus, generator), and
+computed lazily, so a verifier that stops at the first failing branch
+stops the kernel there too. ``exp2`` and the column share one loader
+(every operand written at the modulus's byte size) and one return-code
+check.
+
+The functions are bound without ``argtypes`` and are handed ctypes
+pointers, so a call converts nothing. Each modulus keeps a Montgomery
+context in a bounded cache, each thread its own scratch BIGNUMs and
+output buffers (ctypes releases the GIL around every call), and every
+BIGNUM call's return code is checked where it is made: a failure raises
+``BignumError`` naming the call, never a value. A public key's
+membership verdict is kept in a bounded cache, since verifiers meet the
+same keys again and again.
 
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
@@ -33,6 +43,7 @@ import functools
 import random
 import threading
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NoReturn
 
 from . import encoding as enc
 
@@ -68,59 +79,94 @@ class BignumError(RuntimeError):
     """A libcrypto BIGNUM call reported failure: a program or library fault, never a verdict."""
 
 
-def _bind(name: str, restype, *argtypes, failed=None):
-    """The libcrypto function ``name`` with its C signature. A call whose
-    result makes ``failed`` true raises ``BignumError`` with OpenSSL's error code."""
-    function = getattr(_lib, name)
-    function.restype, function.argtypes = restype, argtypes
+class _Pointer(ctypes.c_void_p):
+    """A pointer libcrypto returned. A subclass of ``c_void_p`` stays a ctypes
+    object (``c_void_p`` itself would become an int), so it goes back into
+    libcrypto as a pointer with no conversion, and it is false when NULL."""
 
-    def check(result, _function, _args):
-        if failed(result):
-            code = _ERR_get_error()
-            _ERR_clear_error()
-            raise BignumError(f"{name} failed (OpenSSL error {code:#x})")
-        return result
 
-    if failed is not None:
-        function.errcheck = check
+def _function(name: str, restype=ctypes.c_int):
+    """libcrypto's ``name`` returning ``restype``, with no ``argtypes`` and no
+    ``errcheck``: every argument is passed as a ctypes pointer (``_Pointer``,
+    a string buffer, bytes or None), or as an int for a C ``int``, and every
+    caller checks the result itself (``_fail``). ``_lib[name]`` builds a
+    fresh function object, where ``getattr`` would hand out CDLL's shared one."""
+    function = _lib[name]
+    function.restype = restype
     return function
 
 
-def _zero(result) -> bool:
-    """The failure value of calls that return 1 or a pointer on success."""
-    return not result
+_ERR_get_error = _function("ERR_get_error", ctypes.c_ulong)
+_ERR_clear_error = _function("ERR_clear_error", None)
+_BN_CTX_new = _function("BN_CTX_new", _Pointer)
+_BN_new = _function("BN_new", _Pointer)
+_BN_bin2bn = _function("BN_bin2bn", _Pointer)
+_BN_bn2binpad = _function("BN_bn2binpad")
+_BN_MONT_CTX_new = _function("BN_MONT_CTX_new", _Pointer)
+_BN_MONT_CTX_set = _function("BN_MONT_CTX_set")
+_BN_mod_exp_mont = _function("BN_mod_exp_mont")
+_BN_mod_exp2_mont = _function("BN_mod_exp2_mont")
+_BN_kronecker = _function("BN_kronecker")
+_BN_free = _function("BN_free", None)
+_BN_CTX_free = _function("BN_CTX_free", None)
+_BN_MONT_CTX_free = _function("BN_MONT_CTX_free", None)
 
 
-_ptr, _bytes, _int = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
-_ERR_get_error = _bind("ERR_get_error", ctypes.c_ulong)
-_ERR_clear_error = _bind("ERR_clear_error", None)
-_BN_CTX_new = _bind("BN_CTX_new", _ptr, failed=_zero)
-_BN_new = _bind("BN_new", _ptr, failed=_zero)
-_BN_bin2bn = _bind("BN_bin2bn", _ptr, _bytes, _int, _ptr, failed=_zero)
-_BN_bn2binpad = _bind("BN_bn2binpad", _int, _ptr, _bytes, _int, failed=lambda result: result < 0)
-_BN_MONT_CTX_new = _bind("BN_MONT_CTX_new", _ptr, failed=_zero)
-_BN_MONT_CTX_set = _bind("BN_MONT_CTX_set", _int, _ptr, _ptr, _ptr, failed=_zero)
-_BN_mod_exp_mont = _bind("BN_mod_exp_mont", _int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, failed=_zero)
-_BN_mod_exp2_mont = _bind("BN_mod_exp2_mont", _int, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, failed=_zero)
-_BN_kronecker = _bind("BN_kronecker", _int, _ptr, _ptr, _ptr, failed=lambda result: result == -2)
-_BN_free = _bind("BN_free", None, _ptr)
-_BN_CTX_free = _bind("BN_CTX_free", None, _ptr)
-_BN_MONT_CTX_free = _bind("BN_MONT_CTX_free", None, _ptr)
+def _fail(name: str) -> NoReturn:
+    """Raise ``BignumError`` for the failed call ``name``, with OpenSSL's error code."""
+    code = _ERR_get_error()
+    _ERR_clear_error()
+    raise BignumError(f"{name} failed (OpenSSL error {code:#x})")
+
+
+def _allocated(pointer: _Pointer, name: str) -> _Pointer:
+    if not pointer:
+        _fail(name)
+    return pointer
+
+
+def _load(number: _Pointer | None, value: int, size: int) -> _Pointer:
+    """Set a BIGNUM (a new one when ``number`` is None) to a non-negative
+    int, written at ``size`` bytes, or at its own length when it is wider."""
+    try:
+        data = value.to_bytes(size, "big")
+    except OverflowError:
+        data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    number = _BN_bin2bn(data, len(data), number)
+    if not number:
+        _fail("BN_bin2bn")
+    return number
+
+
+def _read(number: _Pointer, buffer) -> int:
+    """A BIGNUM below 2**(8 * len(buffer)) as an int, read through ``buffer``."""
+    if _BN_bn2binpad(number, buffer, len(buffer)) < 0:
+        _fail("BN_bn2binpad")
+    return int.from_bytes(buffer.raw, "big")
 
 
 class _Scratch:
-    """One thread's BN_CTX, four operand BIGNUMs and a result BIGNUM.
+    """One thread's BN_CTX, four operand BIGNUMs, a result BIGNUM and one
+    output buffer per byte size.
 
     Freed with its thread. Each pointer is None (NULL, which the free
     functions ignore) until its allocation succeeds, and the free
     functions are bound as defaults so that they outlive module teardown.
+    Nothing is kept in them from one kernel call to the next, so calls
+    that interleave in one thread (two commitment columns) cannot clash.
     """
 
     def __init__(self) -> None:
-        self.ctx, self.operands, self.result = None, [], None
-        self.ctx = _BN_CTX_new()
-        self.operands = [_BN_new() for _ in range(4)]
-        self.result = _BN_new()
+        self.ctx, self.operands, self.result, self.buffers = None, [], None, {}
+        self.ctx = _allocated(_BN_CTX_new(), "BN_CTX_new")
+        self.operands = [_allocated(_BN_new(), "BN_new") for _ in range(4)]
+        self.result = _allocated(_BN_new(), "BN_new")
+
+    def buffer(self, size: int):
+        buffer = self.buffers.get(size)
+        if buffer is None:
+            buffer = self.buffers[size] = ctypes.create_string_buffer(size)
+        return buffer
 
     def __del__(self, free=_BN_free, free_ctx=_BN_CTX_free) -> None:
         for number in (*self.operands, self.result):
@@ -142,9 +188,10 @@ class _Montgomery:
     def __init__(self, modulus: int) -> None:
         self.size = (modulus.bit_length() + 7) // 8
         self.modulus = self.context = None
-        self.modulus = _BN_bin2bn(modulus.to_bytes(self.size, "big"), self.size, None)
-        self.context = _BN_MONT_CTX_new()
-        _BN_MONT_CTX_set(self.context, self.modulus, _THREADS.scratch.ctx)
+        self.modulus = _load(None, modulus, self.size)
+        self.context = _allocated(_BN_MONT_CTX_new(), "BN_MONT_CTX_new")
+        if not _BN_MONT_CTX_set(self.context, self.modulus, _THREADS.scratch.ctx):
+            _fail("BN_MONT_CTX_set")
 
     def __del__(self, free=_BN_free, free_context=_BN_MONT_CTX_free) -> None:
         free_context(self.context)
@@ -156,43 +203,51 @@ def _montgomery(modulus: int) -> _Montgomery:
     return _Montgomery(modulus)
 
 
-def _load(number, value: int) -> None:
-    """Set a scratch BIGNUM to a non-negative int."""
-    size = (value.bit_length() + 7) // 8
-    _BN_bin2bn(value.to_bytes(size, "big"), size, number)
+class _Pinned:
+    """A fixed base in [0, modulus) as a BIGNUM, read by every thread and never written."""
+
+    def __init__(self, modulus: int, base: int) -> None:
+        self.number = None
+        self.number = _load(None, base, (modulus.bit_length() + 7) // 8)
+
+    def __del__(self, free=_BN_free) -> None:
+        free(self.number)
 
 
-def _read(number, size: int) -> int:
-    """A BIGNUM below 2**(8 * size) as an int."""
-    buffer = ctypes.create_string_buffer(size)
-    _BN_bn2binpad(number, buffer, size)
-    return int.from_bytes(buffer.raw, "big")
+@functools.lru_cache(maxsize=8)
+def _pinned(modulus: int, base: int) -> _Pinned:
+    return _Pinned(modulus, base)
 
 
 def _mod_exp(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod an odd modulus > 1, for 0 <= base < modulus and exponent >= 0."""
     mont, scratch = _montgomery(modulus), _THREADS.scratch
     a, x = scratch.operands[:2]
-    _load(a, base)
-    _load(x, exponent)
-    _BN_mod_exp_mont(scratch.result, a, x, mont.modulus, scratch.ctx, mont.context)
-    return _read(scratch.result, mont.size)
+    _load(a, base, mont.size)
+    _load(x, exponent, mont.size)
+    if not _BN_mod_exp_mont(scratch.result, a, x, mont.modulus, scratch.ctx, mont.context):
+        _fail("BN_mod_exp_mont")
+    return _read(scratch.result, scratch.buffer(mont.size))
 
 
 def _mod_exp2(a: int, x: int, b: int, y: int, modulus: int) -> int:
     """a**x * b**y mod an odd modulus > 1, for bases in [1, modulus) and exponents >= 0."""
     mont, scratch = _montgomery(modulus), _THREADS.scratch
     for number, value in zip(scratch.operands, (a, x, b, y)):
-        _load(number, value)
-    _BN_mod_exp2_mont(scratch.result, *scratch.operands, mont.modulus, scratch.ctx, mont.context)
-    return _read(scratch.result, mont.size)
+        _load(number, value, mont.size)
+    if not _BN_mod_exp2_mont(scratch.result, *scratch.operands, mont.modulus, scratch.ctx, mont.context):
+        _fail("BN_mod_exp2_mont")
+    return _read(scratch.result, scratch.buffer(mont.size))
 
 
 def _kronecker(value: int, modulus: int) -> int:
-    """The Jacobi symbol (value / modulus) for 0 <= value and an odd modulus."""
+    """The Jacobi symbol (value / modulus) for 0 <= value < modulus and an odd modulus."""
     mont, scratch = _montgomery(modulus), _THREADS.scratch
-    _load(scratch.operands[0], value)
-    return _BN_kronecker(scratch.operands[0], mont.modulus, scratch.ctx)
+    number = _load(scratch.operands[0], value, mont.size)
+    symbol = _BN_kronecker(number, mont.modulus, scratch.ctx)
+    if symbol == -2:
+        _fail("BN_kronecker")
+    return symbol
 
 
 # Public keys whose membership verdict is kept: enough for two registries
@@ -255,6 +310,42 @@ class GroupParams(enc.Wire):
         if not b:
             return 0 if y else _mod_exp(a, x, modulus)
         return _mod_exp2(a, x, b, y, modulus)
+
+    def schnorr_commitments(
+        self, keys: Iterable[int], challenges: Iterable[int], responses: Iterable[int]
+    ) -> Iterator[int]:
+        """Lazily, for each (key y, challenge c, response s >= 0), the commitment
+        g^s * y^((-c) mod (p - 1)): ``exp2(generator, s, y, -c % (p - 1))``
+        for any int key and challenge, one ``BN_mod_exp2_mont`` a branch.
+
+        The column of a ring proof: the prover's simulated branches and the
+        verifier's branch equations. It is one loop over the kernel, with
+        the generator pinned in a BIGNUM kept per (modulus, generator) and
+        every operand written at the modulus's byte size. Each value is
+        computed when it is asked for, so a verifier that stops at the
+        first failing branch makes no further exponentiation. The iterator
+        belongs to the thread that first advances it.
+        """
+        modulus, generator = self.modulus, self.generator
+        mont, pinned, scratch = _montgomery(modulus), _pinned(modulus, generator), _THREADS.scratch
+        size, exponent_modulus, mod_exp2 = mont.size, modulus - 1, _BN_mod_exp2_mont
+        key_number, response_number, exponent_number = scratch.operands[:3]
+        result, buffer = scratch.result, scratch.buffer(size)
+        for key, challenge, response in zip(keys, challenges, responses):
+            key %= modulus
+            exponent = -challenge % exponent_modulus
+            if not key:  # BN_mod_exp2_mont answers 0 for a zero base; 0**0 = 1
+                yield 0 if exponent else _mod_exp(generator, response, modulus)
+                continue
+            _load(key_number, key, size)
+            _load(response_number, response, size)
+            _load(exponent_number, exponent, size)
+            if not mod_exp2(
+                result, pinned.number, response_number, key_number, exponent_number,
+                mont.modulus, scratch.ctx, mont.context,
+            ):
+                _fail("BN_mod_exp2_mont")
+            yield _read(result, buffer)
 
     def key_is_element(self, key: int) -> bool:
         """``is_element`` for a public key, whose verdict is kept: verifiers

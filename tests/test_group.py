@@ -343,6 +343,110 @@ def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
                 assert g.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
 
 
+# ---------------------------------------------------------------------------
+# The commitment column: g^s * y^((-c) mod (p - 1)) for each ring branch
+# ---------------------------------------------------------------------------
+
+
+def _column_oracle(group, keys, challenges, responses):
+    p = group.modulus
+    return [
+        pow(group.generator, s, p) * pow(y, -c % (p - 1), p) % p for y, c, s in zip(keys, challenges, responses)
+    ]
+
+
+def _column_inputs(group, m, seed):
+    rng = random.Random(seed)
+    keys = [keygen(group, rng).public for _ in range(m)]
+    return keys, [group.random_scalar(rng) for _ in keys], [group.random_scalar(rng) for _ in keys]
+
+
+@pytest.mark.parametrize("m", [1, 2, 128, 4000])
+def test_commitment_column_equals_pow(group, m):
+    keys, challenges, responses = _column_inputs(group, m, 40 + m)
+    column = group.schnorr_commitments(keys, challenges, responses)
+    assert list(column) == _column_oracle(group, keys, challenges, responses)
+
+
+def test_commitment_column_on_hostile_keys(group):
+    # Keys a Registry refuses, each with every challenge shape: 0 (so a key
+    # of 0 mod p meets 0^0), 1, order - 1 and a random one; responses 0 and random.
+    p = group.modulus
+    rng = random.Random(41)
+    non_residue = p - keygen(group, rng).public
+    assert not group.is_element(non_residue)
+    hostile = (0, 1, p - 1, p, -1, 2**256, non_residue, 2 * p, -p)
+    rows = [
+        (key, challenge, response)
+        for key in hostile
+        for challenge in (0, 1, group.order - 1, group.random_scalar(rng))
+        for response in (0, group.random_scalar(rng))
+    ]
+    keys, challenges, responses = zip(*rows)
+    column = list(group.schnorr_commitments(keys, challenges, responses))
+    assert column == _column_oracle(group, keys, challenges, responses)
+    assert column == [_schnorr_commitment(group, *row) for row in rows]
+
+
+@pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
+def test_commitment_column_exhaustive_on_tiny_groups(modulus):
+    # Every key residue (0 and the modulus among them), every challenge
+    # class mod p - 1 and every response below the order, in one column.
+    g = GroupParams(f"tiny-{modulus}", modulus, modulus // 2, 4)
+    rows = [
+        (key, challenge, response)
+        for key in range(-1, modulus + 1)
+        for challenge in range(modulus)
+        for response in range(g.order)
+    ]
+    keys, challenges, responses = zip(*rows)
+    assert list(g.schnorr_commitments(keys, challenges, responses)) == _column_oracle(g, keys, challenges, responses)
+
+
+def test_interleaved_columns_in_one_thread(group, tiny_group):
+    # Two columns share the thread's scratch numbers, advanced in turn,
+    # with single exp2 calls between their steps.
+    first = _column_inputs(group, 50, 42)
+    second = _column_inputs(tiny_group, 50, 43)
+    second = ([y + 23 * i for i, y in enumerate(second[0])], *second[1:])
+    a, b = group.schnorr_commitments(*first), tiny_group.schnorr_commitments(*second)
+    a_values, b_values = [], []
+    for _ in range(50):
+        a_values.append(next(a))
+        group.exp2(3, 5, 7, 11)
+        b_values.append(next(b))
+    assert next(a, None) is next(b, None) is None
+    assert a_values == _column_oracle(group, *first)
+    assert b_values == _column_oracle(tiny_group, *second)
+
+
+def test_threads_compute_columns_exactly(group, tiny_group):
+    # As for exp2: more threads than cores, switching often, overlapping in
+    # the kernel on the pinned generator that every thread of a modulus reads.
+    groups = [group, tiny_group, group, tiny_group]
+    jobs = [_column_inputs(g, 300, 50 + i) for i, g in enumerate(groups)]
+    start = threading.Barrier(len(groups))
+    results = [None] * len(groups)
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = list(groups[i].schnorr_commitments(*jobs[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(groups))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for g, job, result in zip(groups, jobs, results):
+        assert result == _column_oracle(g, *job)
+
+
 def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
     groups = [GroupParams(f"tiny-{p}", p, p // 2, 4) for p in SAFE_PRIMES] + [group]
     for _ in range(2):
@@ -441,3 +545,42 @@ def test_verifiers_raise_on_a_failing_bignum_call(group, monkeypatch):
                 check()
     finally:
         group_module._BN_free(even)
+
+
+@pytest.mark.parametrize(
+    "call, failure", [("BN_mod_exp2_mont", 0), ("BN_bin2bn", None), ("BN_bn2binpad", -1)]
+)
+def test_provers_raise_on_a_failing_bignum_call_in_the_column(group, monkeypatch, call, failure):
+    # A kernel fault while a prover computes its simulated branches is a
+    # program fault too: the prover raises and returns no proof. The call
+    # answers its failure value only inside the commitment column.
+    rng = random.Random(33)
+    kps = [keygen(group, rng) for _ in range(3)]
+    ring = [kp.public for kp in kps]
+    block_kp = keygen(group, rng)
+    real, column = getattr(group_module, f"_{call}"), GroupParams.schnorr_commitments
+    inside = []
+
+    def refused(*args):
+        return failure if inside else real(*args)
+
+    def watched(self, *args):
+        inside.append(True)
+        try:
+            yield from column(self, *args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(group_module, f"_{call}", refused)
+    monkeypatch.setattr(GroupParams, "schnorr_commitments", watched)
+    provers = (
+        lambda: ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng),
+        lambda: credential_prove(group, ring, 2, kps[2].secret, block_kp, rng),
+        lambda: list(group.schnorr_commitments(ring, [1, 2, 3], [4, 5, 6])),
+    )
+    for prove in provers:
+        with pytest.raises(BignumError, match=call):
+            prove()
+    monkeypatch.undo()
+    # The fault left nothing behind in the thread's scratch numbers.
+    assert ring_verify(group, ring, ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng), b"ctx")

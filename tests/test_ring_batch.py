@@ -2,12 +2,12 @@
 
 ``reference_ring_verify`` is the straightforward verifier that checks each
 branch equation on its own with ``pow``. It is kept here as the oracle.
-The library checks every branch on its own as well, through one ``exp2``
-each (t == g^s * y^-c). The corpus mixes honest proofs, forged responses,
-the byte-flip / omission / transposition / witness-free-forgery mutation
-classes of the acceptance suite, commitments outside the subgroup, the
-identity commitment the per-branch equation accepts, and ring keys a
-``Registry`` would refuse. Rings above 128 keys, which an earlier
+The library checks every branch on its own as well, through one value
+of the commitment column each (t == g^s * y^-c). The corpus mixes honest
+proofs, forged responses, the byte-flip / omission / transposition /
+witness-free-forgery mutation classes of the acceptance suite,
+commitments outside the subgroup, the identity commitment the per-branch
+equation accepts, and ring keys a ``Registry`` would refuse. Rings above 128 keys, which an earlier
 verifier batched, keep their own corpus and the sign attack of Boyd and
 Pavlovski, which defeats a weighted batch without a membership test.
 """
@@ -31,6 +31,7 @@ from phrchain import (
     schnorr_prove,
     sign,
 )
+from phrchain import group as group_module
 from phrchain.crypto import _commitment_bytes, _ring_binding_challenge
 from phrchain.encoding import FormatError, Reader
 from phrchain.group import GroupParams
@@ -293,11 +294,13 @@ def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
 @pytest.fixture()
 def calls(monkeypatch):
     """Records the draws from the operating system RNG (``secrets.randbits``,
-    ``random.SystemRandom`` and ``os.urandom``), the ``exp2`` calls and the
-    values tested for membership during a check."""
+    ``random.SystemRandom`` and ``os.urandom``), the values tested for
+    membership during a check, and under ``exp2`` the products of two
+    powers: each ``exp2`` call and each value the commitment column
+    (``schnorr_commitments``) yields, one per ring branch it computes."""
     seen = {"system_draws": 0, "exp2": 0, "is_element": []}
     randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
-    exp2, is_element = GroupParams.exp2, GroupParams.is_element
+    exp2, column, is_element = GroupParams.exp2, GroupParams.schnorr_commitments, GroupParams.is_element
 
     def counted(draw):
         def wrapper(*args):
@@ -309,6 +312,11 @@ def calls(monkeypatch):
         seen["exp2"] += 1
         return exp2(self, a, x, b, y)
 
+    def counted_column(self, keys, challenges, responses):
+        for commitment in column(self, keys, challenges, responses):
+            seen["exp2"] += 1
+            yield commitment
+
     def counted_is_element(self, value):
         seen["is_element"].append(value)
         return is_element(self, value)
@@ -317,6 +325,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(random.SystemRandom, "getrandbits", counted(getrandbits))
     monkeypatch.setattr(os, "urandom", counted(urandom))
     monkeypatch.setattr(GroupParams, "exp2", counted_exp2)
+    monkeypatch.setattr(GroupParams, "schnorr_commitments", counted_column)
     monkeypatch.setattr(GroupParams, "is_element", counted_is_element)
     return seen
 
@@ -370,6 +379,29 @@ def test_large_rings_check_each_branch(group, calls):
     assert not hasattr(crypto, "secrets")
 
 
+def test_verify_stops_at_the_first_failing_branch(group, calls, monkeypatch):
+    # A response forged at branch 3 of a 129-key ring: the column computes
+    # branches 0 to 3, and the kernel runs four times, not 129.
+    [(ring, proof)] = _seeded_proofs(group, (129,), 16)
+    branch = proof.branches[3]
+    forged = _with_branch(
+        proof, 3, SchnorrProof(branch.commitment, branch.challenge, (branch.response + 1) % group.order)
+    )
+    kernel = []
+    exp2 = group_module._BN_mod_exp2_mont
+
+    def counted(*args):
+        kernel.append(args)
+        return exp2(*args)
+
+    monkeypatch.setattr(group_module, "_BN_mod_exp2_mont", counted)
+    calls["exp2"] = 0
+    assert not ring_verify(group, ring, forged, b"ctx")
+    assert calls["exp2"] == len(kernel) == 4
+    assert ring_verify(group, ring, proof, b"ctx")
+    assert calls["exp2"] == 4 + 129
+
+
 def test_seeded_transcripts_match_recorded_digest(group):
     # Recorded from the per-branch implementation: proving draws from the
     # caller's RNG in the same order, so transcripts stay byte-identical.
@@ -421,3 +453,24 @@ def test_sign_attack_rejected_above_threshold(group):
         assert not ring_verify(group, ring, proof, b"ctx"), positions
         batch_only_accepted += batch_only_verify(group, ring, proof, rng)
     assert batch_only_accepted > 0
+
+
+def test_prover_kernel_calls_do_not_depend_on_the_witness_index(group, monkeypatch):
+    # The witness check, the simulated branches' column, then the witness
+    # commitment: one sequence of kernel calls for every index of an 8-key ring.
+    rng = random.Random(17)
+    kps = [keygen(group, rng) for _ in range(8)]
+    ring = [kp.public for kp in kps]
+    sequence = []
+    for name in ("_BN_mod_exp_mont", "_BN_mod_exp2_mont"):
+        def recorded(*args, name=name, real=getattr(group_module, name)):
+            sequence.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(group_module, name, recorded)
+    sequences = set()
+    for index, kp in enumerate(kps):
+        sequence.clear()
+        ring_prove(group, ring, index, kp.secret, b"ctx", rng)
+        sequences.add(tuple(sequence))
+    assert sequences == {("_BN_mod_exp_mont",) + ("_BN_mod_exp2_mont",) * 7 + ("_BN_mod_exp_mont",)}
