@@ -210,23 +210,10 @@ class RingProof:
 
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "RingProof":
-        """The branches come in one read of their whole body, decoded a field
-        at a time across all branches, under the ranges ``SchnorrProof.read_from``
-        enforces: every commitment in [1, modulus), every scalar below the order."""
         count = reader.u32()
-        element, scalar = group.element_size, group.scalar_size
-        width = element + 2 * scalar
-        body = reader.take(count * width)
-        starts = range(0, len(body), width)
-        commitments = [int.from_bytes(body[i : i + element], "big") for i in starts]
-        challenges = [int.from_bytes(body[i + element : i + width - scalar], "big") for i in starts]
-        responses = [int.from_bytes(body[i + width - scalar : i + width], "big") for i in starts]
-        if count and not (1 <= min(commitments) and max(commitments) < group.modulus):
-            raise enc.FormatError("element out of range")
-        if count and max(max(challenges), max(responses)) >= group.order:
-            raise enc.FormatError("scalar out of range")
+        branches = tuple(SchnorrProof.read_from(reader, group) for _ in range(count))
         binding = group.decode_scalar(reader.take(group.scalar_size))
-        return cls(tuple(map(SchnorrProof, commitments, challenges, responses)), binding)
+        return cls(branches, binding)
 
 
 def _commitment_bytes(group: GroupParams, commitments: Sequence[int]) -> bytes:
@@ -315,9 +302,9 @@ def ring_verify(
 
     Each equation g^s_i == t_i * y_i^c_i is checked on its own, at every
     ring size, as t_i == g^s_i * y_i^-c_i: the commitment column
-    (``GroupParams.schnorr_commitments``, one ``BN_mod_exp2_mont`` a branch,
-    the generator pinned) gives the right sides in one kernel loop, the
-    values ``_schnorr_commitment`` gives one at a time. So the verdict is
+    (``GroupParams.schnorr_commitments``, the generator pinned) gives the
+    right sides through the same kernel step as ``exp2``, so each is the
+    value ``_schnorr_commitment`` gives. So the verdict is
     the one ``pow`` gives branch by branch; it draws no randomness and
     stops at the first failing branch. No commitment needs a membership
     test: if y_i is in the subgroup, a holding equation puts

@@ -16,12 +16,12 @@ library that ``hashlib`` already loads. ``exp`` is ``BN_mod_exp_mont``,
 is a safe prime, the order-q subgroup is exactly the set of quadratic
 residues mod p, so membership is a Jacobi symbol rather than an
 exponentiation. ``schnorr_commitments`` is the column of a ring proof:
-g^s * y^-c for branch after branch in one loop over ``BN_mod_exp2_mont``,
-with the generator pinned in a BIGNUM kept per (modulus, generator), and
-computed lazily, so a verifier that stops at the first failing branch
-stops the kernel there too. ``exp2`` and the column share one loader
-(every operand written at the modulus's byte size) and one return-code
-check.
+g^s * y^-c for branch after branch, with the generator pinned in a BIGNUM
+kept per (modulus, generator), computed lazily, so a verifier that stops
+at the first failing branch stops the kernel there too. ``exp2`` and the
+column take the same step for each value (``_mod_exp2``: the zero-base
+rule, operands written at the modulus's byte size, the one
+``BN_mod_exp2_mont`` call and its return-code check).
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
@@ -230,14 +230,28 @@ def _mod_exp(base: int, exponent: int, modulus: int) -> int:
     return _read(scratch.result, scratch.buffer(mont.size))
 
 
-def _mod_exp2(a: int, x: int, b: int, y: int, modulus: int) -> int:
-    """a**x * b**y mod an odd modulus > 1, for bases in [1, modulus) and exponents >= 0."""
-    mont, scratch = _montgomery(modulus), _THREADS.scratch
-    for number, value in zip(scratch.operands, (a, x, b, y)):
-        _load(number, value, mont.size)
-    if not _BN_mod_exp2_mont(scratch.result, *scratch.operands, mont.modulus, scratch.ctx, mont.context):
+def _mod_exp2(mont: _Montgomery, scratch: _Scratch, a: _Pointer, x: int, b: int, y: int) -> int:
+    """a**x * b**y mod ``mont``'s modulus, with 0**0 = 1, for a base ``a``
+    in [1, modulus) already in a BIGNUM, b in [0, modulus) and exponents >= 0.
+
+    The one call of ``BN_mod_exp2_mont``, under ``exp2`` and the commitment
+    column alike. The kernel answers 0 whenever a base is 0, so a zero b is
+    settled here: 0 for a positive exponent, else b**0 = 1 = 1**0.
+    """
+    if not b:
+        if y:
+            return 0
+        b = 1
+    _, x_number, b_number, y_number = scratch.operands
+    size = mont.size
+    _load(x_number, x, size)
+    _load(b_number, b, size)
+    _load(y_number, y, size)
+    if not _BN_mod_exp2_mont(
+        scratch.result, a, x_number, b_number, y_number, mont.modulus, scratch.ctx, mont.context
+    ):
         _fail("BN_mod_exp2_mont")
-    return _read(scratch.result, scratch.buffer(mont.size))
+    return _read(scratch.result, scratch.buffer(size))
 
 
 def _kronecker(value: int, modulus: int) -> int:
@@ -297,55 +311,40 @@ class GroupParams(enc.Wire):
     def exp2(self, a: int, x: int, b: int, y: int) -> int:
         """a**x * b**y mod the modulus, for any int bases and exponents >= 0.
 
-        Equal to ``pow(a, x, p) * pow(b, y, p) % p``, with 0**0 = 1.
-        ``BN_mod_exp2_mont`` answers 0 whenever a base is 0, so a zero base
-        is settled here.
+        Equal to ``pow(a, x, p) * pow(b, y, p) % p``, with 0**0 = 1. A zero
+        base goes second, where ``_mod_exp2`` settles it.
         """
         if x < 0 or y < 0:
             raise ValueError("exp2 takes non-negative exponents")
         modulus = self.modulus
         a, b = a % modulus, b % modulus
         if not a:
-            return 0 if x else _mod_exp(b, y, modulus)
-        if not b:
-            return 0 if y else _mod_exp(a, x, modulus)
-        return _mod_exp2(a, x, b, y, modulus)
+            a, x, b, y = b, y, a, x
+            if not a:
+                return 0 if x or y else 1
+        mont, scratch = _montgomery(modulus), _THREADS.scratch
+        return _mod_exp2(mont, scratch, _load(scratch.operands[0], a, mont.size), x, b, y)
 
     def schnorr_commitments(
         self, keys: Iterable[int], challenges: Iterable[int], responses: Iterable[int]
     ) -> Iterator[int]:
         """Lazily, for each (key y, challenge c, response s >= 0), the commitment
         g^s * y^((-c) mod (p - 1)): ``exp2(generator, s, y, -c % (p - 1))``
-        for any int key and challenge, one ``BN_mod_exp2_mont`` a branch.
+        for any int key and challenge.
 
         The column of a ring proof: the prover's simulated branches and the
-        verifier's branch equations. It is one loop over the kernel, with
-        the generator pinned in a BIGNUM kept per (modulus, generator) and
-        every operand written at the modulus's byte size. Each value is
-        computed when it is asked for, so a verifier that stops at the
-        first failing branch makes no further exponentiation. The iterator
-        belongs to the thread that first advances it.
+        verifier's branch equations. Each branch is one ``_mod_exp2``, the
+        step ``exp2`` takes, with the generator pinned in a BIGNUM kept per
+        (modulus, generator). Each value is computed when it is asked for,
+        so a verifier that stops at the first failing branch makes no
+        further exponentiation. The iterator belongs to the thread that
+        first advances it.
         """
-        modulus, generator = self.modulus, self.generator
-        mont, pinned, scratch = _montgomery(modulus), _pinned(modulus, generator), _THREADS.scratch
-        size, exponent_modulus, mod_exp2 = mont.size, modulus - 1, _BN_mod_exp2_mont
-        key_number, response_number, exponent_number = scratch.operands[:3]
-        result, buffer = scratch.result, scratch.buffer(size)
+        modulus, exponent_modulus = self.modulus, self.modulus - 1
+        mont, scratch = _montgomery(modulus), _THREADS.scratch
+        pinned = _pinned(modulus, self.generator)
         for key, challenge, response in zip(keys, challenges, responses):
-            key %= modulus
-            exponent = -challenge % exponent_modulus
-            if not key:  # BN_mod_exp2_mont answers 0 for a zero base; 0**0 = 1
-                yield 0 if exponent else _mod_exp(generator, response, modulus)
-                continue
-            _load(key_number, key, size)
-            _load(response_number, response, size)
-            _load(exponent_number, exponent, size)
-            if not mod_exp2(
-                result, pinned.number, response_number, key_number, exponent_number,
-                mont.modulus, scratch.ctx, mont.context,
-            ):
-                _fail("BN_mod_exp2_mont")
-            yield _read(result, buffer)
+            yield _mod_exp2(mont, scratch, pinned.number, response, key % modulus, -challenge % exponent_modulus)
 
     def key_is_element(self, key: int) -> bool:
         """``is_element`` for a public key, whose verdict is kept: verifiers

@@ -403,6 +403,26 @@ def test_commitment_column_exhaustive_on_tiny_groups(modulus):
     assert list(g.schnorr_commitments(keys, challenges, responses)) == _column_oracle(g, keys, challenges, responses)
 
 
+def test_exp2_and_the_column_take_one_step(group, monkeypatch):
+    # Both reach BN_mod_exp2_mont through _mod_exp2 alone, once a value,
+    # the column with the generator first and its exponent reduced mod p - 1.
+    real, steps = group_module._mod_exp2, []
+
+    def counted(mont, scratch, a, x, b, y):
+        steps.append((x, b, y))
+        return real(mont, scratch, a, x, b, y)
+
+    monkeypatch.setattr(group_module, "_mod_exp2", counted)
+    p = group.modulus
+    assert group.exp2(0, 5, 3, 7) == 0 and group.exp2(0, 0, 3, 7) == pow(3, 7, p)
+    assert steps == [(7, 0, 5), (7, 0, 0)]
+    keys, challenges, responses = _column_inputs(group, 3, 44)
+    assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
+        group, keys, challenges, responses
+    )
+    assert steps[2:] == [(s, y, -c % (p - 1)) for y, c, s in zip(keys, challenges, responses)]
+
+
 def test_interleaved_columns_in_one_thread(group, tiny_group):
     # Two columns share the thread's scratch numbers, advanced in turn,
     # with single exp2 calls between their steps.
