@@ -8,13 +8,16 @@ Prints one JSON object of medians in seconds:
 Rows, each checked against ``pow`` before it is timed: ``pow`` (a 256-bit
 variable-base ``pow``, the speed reference), the kernel's ``exp`` of the
 generator and of a ``keygen`` key (the same scalars as ``pow``),
-``exp2`` in the shape of every Schnorr check (g^s * y^-c, the exponent
-taken mod p - 1), and the subgroup test ``is_element`` (checked against
-Euler's criterion). Then ring prove and ring verify at m = 8, 128, 1000
-and 4000, each proof first checked branch by branch through ``pow``, an
-honest one accepted and one with a forged response rejected; the
-commitment column (``schnorr_commitments``) over the 4000-key ring, per
-branch, checked against ``pow`` first; one
+``exp2_schnorr_s``, the Schnorr equation as a signature's check takes it
+(t == g^s * y^-c, the right side a commitment column of one value, the
+exponent taken mod p - 1), and the subgroup test ``is_element`` (checked
+against Euler's criterion). Then ring prove and ring verify at m = 8,
+128, 1000 and 4000, each proof first checked branch by branch through
+``pow``, an honest one accepted and one with a forged response rejected;
+the commitment column (``schnorr_commitments``) over the 4000-key ring,
+per branch, checked against ``pow`` first; the ring-key gate of a ring
+verifier (``key_is_element`` for every key) over 5000 keys whose
+verdicts are kept, as a 4000/1000-key block's verifier meets them; one
 consensus vote over 800 miners (40% malicious) on a request block given
 no chain, which ``verify_block`` rejects at once so that the row times the
 vote loop alone; the two chain reads of a researcher round on an
@@ -66,6 +69,7 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
+from phrchain.crypto import _schnorr_equations
 from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, decode_block, range_message
 
@@ -167,11 +171,15 @@ def main() -> None:
     challenges = [rng.randrange(q) for _ in scalars]
     if any(group.exp(g, x) != pow(g, x, p) or group.exp(y, x) != pow(y, x, p) for y, x in zip(keys, scalars)):
         raise SystemExit("an exponentiation differs from pow")
-    if any(
-        group.exp2(g, s, y, -c % (p - 1)) * pow(y, c, p) % p != pow(g, s, p)
-        for y, s, c in zip(keys, scalars, challenges)
-    ):
-        raise SystemExit("g^s * y^-c differs from pow")
+    # One Schnorr-shaped check per key, its commitment the column's value, checked through pow.
+    schnorr_checks = []
+    for y, s, c in zip(keys, scalars, challenges):
+        t = next(group.schnorr_commitments((y,), (c,), (s,)))
+        if t * pow(y, c, p) % p != pow(g, s, p):
+            raise SystemExit("g^s * y^-c differs from pow")
+        schnorr_checks.append(((y,), (t,), (c,), (s,)))
+    if not all(_schnorr_equations(group, *check) for check in schnorr_checks):
+        raise SystemExit("an honest Schnorr equation was rejected")
     if any(group.is_element(x) != (pow(x, q, p) == 1) for x in elements + [p - x for x in elements]):
         raise SystemExit("is_element differs from Euler's criterion")
     rows = {
@@ -181,8 +189,7 @@ def main() -> None:
             lambda: [group.exp(y, x) for y, x in zip(keys, scalars)], args.repeats, len(scalars)
         ),
         "exp2_schnorr_s": median_time(
-            lambda: [group.exp2(g, s, y, -c % (p - 1)) for y, s, c in zip(keys, scalars, challenges)],
-            args.repeats, len(scalars),
+            lambda: [_schnorr_equations(group, *check) for check in schnorr_checks], args.repeats, len(scalars)
         ),
         "is_element_s": median_time(
             lambda: [group.is_element(x) for x in elements], args.repeats, len(elements)
@@ -218,6 +225,16 @@ def main() -> None:
     rows["ring_commitments_per_branch_s"] = median_time(
         lambda: list(group.schnorr_commitments(ring, column_challenges, column_responses)),
         args.repeats, len(ring),
+    )
+    # The ring-key gate over the 4000-key ring and 1000 of the keys above,
+    # every verdict kept, as after Registry.enroll.
+    gate_keys = ring + keys[:1000]
+    if len(set(gate_keys)) != 5000 or not all(pow(y, q, p) == 1 for y in gate_keys):
+        raise SystemExit("the gate's keys are not 5000 distinct subgroup elements")
+    if not all(map(group.key_is_element, gate_keys)):
+        raise SystemExit("key_is_element refused a subgroup element")
+    rows["ring_key_gate_m5000_s"] = median_time(
+        lambda: all(map(group.key_is_element, gate_keys)), args.repeats
     )
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -131,7 +132,7 @@ def schnorr_verify(group: GroupParams, public: int, proof: SchnorrProof, context
     # The recomputed challenge is in [0, order), so this also range-checks it.
     if proof.challenge != _schnorr_challenge(group, context, public, proof.commitment):
         return False
-    return _schnorr_equation(group, public, proof.commitment, proof.challenge, proof.response)
+    return _schnorr_equations(group, (public,), (proof.commitment,), (proof.challenge,), (proof.response,))
 
 
 def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: int) -> bool:
@@ -146,29 +147,25 @@ def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: in
     return _scalar_ok(group, response) and _commitment_ok(group, commitment) and group.key_is_element(public)
 
 
-def _schnorr_commitment(group: GroupParams, public: int, challenge: int, response: int) -> int:
-    """g^response * public^((-challenge) mod (p - 1)): the commitment that
-    makes the Schnorr equation hold for this key, challenge and response.
+def _schnorr_equations(
+    group: GroupParams,
+    keys: Iterable[int],
+    commitments: Iterable[int],
+    challenges: Iterable[int],
+    responses: Iterable[int],
+) -> bool:
+    """g^s == t * y^c (mod p) for each key y, commitment t in [1, p),
+    challenge c and response s in turn.
 
-    One ``exp2``. The exponent is reduced mod p - 1, not mod the order, so
-    the value is public^-challenge exactly for every invertible int key,
-    not only for subgroup elements; at a key of 0 mod p it is 0 unless the
-    challenge is 0, where ``pow`` gives 0^challenge the same way. Ring
-    branches get the same values, a column at a time, from
-    ``GroupParams.schnorr_commitments``.
+    Each is checked as t == g^s * y^-c, its value in the commitment
+    column (``GroupParams.schnorr_commitments``): the verdict ``pow``
+    gives, for any int key. The column is lazy, so the check stops at the
+    first equation that fails, and the ones after it cost no
+    exponentiation. A Schnorr proof, a signature and the possession half
+    are one-key columns, checked after ``_schnorr_gate``; ring branches
+    are checked by ``_ring_equations`` after ``_ring_gate``.
     """
-    return group.exp2(group.generator, response, public, -challenge % (group.modulus - 1))
-
-
-def _schnorr_equation(group: GroupParams, public: int, commitment: int, challenge: int, response: int) -> bool:
-    """g^response == commitment * public^challenge (mod p), for a commitment in [1, p).
-
-    Checked as commitment == ``_schnorr_commitment``: the verdict ``pow``
-    gives, for any int key. Schnorr proofs, signatures and the possession
-    half run ``_schnorr_gate`` first; ring branches are checked by
-    ``_ring_equations`` after ``_ring_gate``.
-    """
-    return commitment == _schnorr_commitment(group, public, challenge, response)
+    return all(map(operator.eq, commitments, group.schnorr_commitments(keys, challenges, responses)))
 
 
 def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:
@@ -298,16 +295,15 @@ def ring_prove(
 def ring_verify(
     group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes
 ) -> bool:
-    """True iff challenges sum to the recomputed binding and every branch equation holds.
+    """True iff every ring key is in the subgroup, the challenges sum to the
+    recomputed binding and every branch equation holds.
 
     Each equation g^s_i == t_i * y_i^c_i is checked on its own, at every
-    ring size, as t_i == g^s_i * y_i^-c_i: the commitment column
-    (``GroupParams.schnorr_commitments``, the generator pinned) gives the
-    right sides through the same kernel step as ``exp2``, so each is the
-    value ``_schnorr_commitment`` gives. So the verdict is
-    the one ``pow`` gives branch by branch; it draws no randomness and
-    stops at the first failing branch. No commitment needs a membership
-    test: if y_i is in the subgroup, a holding equation puts
+    ring size, as t_i == g^s_i * y_i^-c_i, the branch's value in the
+    commitment column (``_schnorr_equations``). So the verdict is the one
+    ``pow`` gives branch by branch; it draws no randomness and stops at
+    the first failing branch. No commitment needs a membership test: the
+    gate puts each y_i in the subgroup, and a holding equation puts
     t_i = g^s_i / y_i^c_i there too.
     """
     if not _ring_gate(group, ring, proof):
@@ -320,19 +316,24 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> boo
     """The input checks of ``ring_verify``, run before anything is hashed or encoded.
 
     A non-empty ring with one branch per key, every challenge and response
-    in [0, order), and every commitment in [1, modulus); membership is left
-    to ``_ring_equations``. ``credential_verify`` runs it before its joint
-    context encodes the commitments. The length test is also the bound of
-    the registry prefix rule (``consensus.verify_block``): a proof of m
-    branches checked against the first m keys of a registry with fewer
-    keys, or with m = 0, meets a ring of another length or an empty one.
+    in [0, order), every commitment in [1, modulus), and every ring key in
+    the subgroup. A key of order one or two (1, p - 1) would let a proof
+    hold with no secret, and only a key in [1, modulus) has the canonical
+    encoding that ``credential_verify``'s joint context hashes. Each key's
+    verdict is kept (``GroupParams.key_is_element``); ``Registry.enroll``
+    made it when it admitted the key. ``credential_verify`` runs the gate
+    before its joint context encodes the commitments. The length test is
+    also the bound of the registry prefix rule
+    (``consensus.verify_block``): a proof of m branches checked against
+    the first m keys of a registry with fewer keys, or with m = 0, meets a
+    ring of another length or an empty one.
     """
     if len(proof.branches) != len(ring) or len(ring) == 0:
         return False
     return all(
         _scalar_ok(group, b.challenge) and _scalar_ok(group, b.response) and _commitment_ok(group, b.commitment)
         for b in proof.branches
-    )
+    ) and all(map(group.key_is_element, ring))
 
 
 def _ring_equations(
@@ -342,10 +343,8 @@ def _ring_equations(
     ``_ring_gate`` (see ``ring_verify``); ``commitment_bytes`` is
     ``_commitment_bytes`` of its commitments, which the caller encodes once.
 
-    Each branch's commitment is compared with its value in the lazy
-    commitment column (``GroupParams.schnorr_commitments``), so the check
-    stops at the first branch whose equation fails, and the branches after
-    it cost no exponentiation.
+    The branch equations are one column (``_schnorr_equations``), which
+    stops at the first branch whose equation fails.
     """
     branches = proof.branches
     binding = _ring_binding_challenge(group, context, commitment_bytes)
@@ -353,8 +352,13 @@ def _ring_equations(
         return False
     if sum(b.challenge for b in branches) % group.order != binding:
         return False
-    column = group.schnorr_commitments(ring, (b.challenge for b in branches), (b.response for b in branches))
-    return all(b.commitment == commitment for b, commitment in zip(branches, column))
+    return _schnorr_equations(
+        group,
+        ring,
+        (b.commitment for b in branches),
+        (b.challenge for b in branches),
+        (b.response for b in branches),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +448,14 @@ def credential_verify(
         return False
     if not _ring_gate(group, ring, proof.membership):
         return False
-    # The joint context encodes every ring key as an element too; a key
-    # outside [1, modulus) has no canonical encoding, and no Registry
-    # admits one. The ring is not empty past the gate.
-    if not (1 <= min(ring) and max(ring) < group.modulus):
-        return False
     commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.membership.branches])
     expected = _joint_context(group, ring, block_public, possession.commitment, commitment_bytes)
     if proof.joint_context != expected:
         return False
     if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
         return False
-    return _ring_equations(group, ring, proof.membership, expected, commitment_bytes) and _schnorr_equation(
-        group, block_public, possession.commitment, possession.challenge, possession.response
+    return _ring_equations(group, ring, proof.membership, expected, commitment_bytes) and _schnorr_equations(
+        group, (block_public,), (possession.commitment,), (possession.challenge,), (possession.response,)
     )
 
 
@@ -497,7 +496,7 @@ def verify_signature(group: GroupParams, public: int, message: bytes, sig: Signa
     if not _schnorr_gate(group, public, sig.commitment, sig.response):
         return False
     challenge = _signature_challenge(group, public, sig.commitment, message)
-    return _schnorr_equation(group, public, sig.commitment, challenge, sig.response)
+    return _schnorr_equations(group, (public,), (sig.commitment,), (challenge,), (sig.response,))
 
 
 # ---------------------------------------------------------------------------

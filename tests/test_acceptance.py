@@ -257,7 +257,7 @@ def test_criterion_08_proof_soundness_and_completeness(group):
         branches = []
         for key in ring:
             c, s = group.random_scalar(rng), group.random_scalar(rng)
-            t = group.mul(group.exp(group.generator, s), group.exp(key, -c))
+            t = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
             branches.append(SchnorrProof(t, c, s))
         commitments = _commitment_bytes(group, [b.commitment for b in branches])
         possession_nonce = group.random_scalar(rng)

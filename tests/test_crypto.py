@@ -172,7 +172,7 @@ class TestRingProof:
             branches = []
             for key in ring:
                 c, s = group.random_scalar(rng), group.random_scalar(rng)
-                t = group.mul(group.exp(group.generator, s), group.exp(key, -c))
+                t = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
                 branches.append(SchnorrProof(t, c, s))
             binding = _ring_binding_challenge(group, b"ctx", _commitment_bytes(group, [b.commitment for b in branches]))
             forgery = RingProof(tuple(branches), binding)
@@ -446,19 +446,68 @@ def test_small_order_key_cannot_accept_forged_schnorr_proofs(group, key_name):
     assert equation_holds >= (20 if key_name == "identity" else 5)
 
 
+def _forged_ring_proof(group, ring, index, context, rng):
+    """A ring proof made with no secret: every branch but ``index`` simulated,
+    and at ``index`` a commitment g^r answered with s = r whatever its
+    challenge. That branch's equation holds whenever ring[index]^c == 1."""
+    p, q = group.modulus, group.order
+    nonce = group.random_scalar(rng)
+    branches = {}
+    for i, key in enumerate(ring):
+        if i != index:
+            c, s = group.random_scalar(rng), group.random_scalar(rng)
+            branches[i] = (pow(group.generator, s, p) * pow(key, -c % (p - 1), p) % p, c, s)
+    commitments = [branches[i][0] if i != index else pow(group.generator, nonce, p) for i in range(len(ring))]
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, commitments))
+    challenge = (binding - sum(c for _, c, _ in branches.values())) % q
+    branches[index] = (commitments[index], challenge, nonce)
+    return RingProof(tuple(SchnorrProof(*branches[i]) for i in range(len(ring))), binding)
+
+
+@pytest.mark.parametrize("shape", ["minus-one", "key-then-minus-one"])
+def test_small_order_ring_key_cannot_accept_forged_ring_proofs(group, shape):
+    # The forged branch sits at p - 1 (order 2), so every equation holds
+    # for an even challenge; the gate refuses the key first.
+    rng = random.Random(122)
+    p = group.modulus
+    ring = [p - 1] if shape == "minus-one" else [keygen(group, rng).public, p - 1]
+    equations_hold = 0
+    for i in range(20):
+        context = f"context {i}".encode()
+        proof = _forged_ring_proof(group, ring, len(ring) - 1, context, rng)
+        equations_hold += all(
+            _pow_equation(group, key, b.commitment, b.challenge, b.response) for key, b in zip(ring, proof.branches)
+        )
+        assert not ring_verify(group, ring, proof, context)
+    assert equations_hold >= 5
+
+
+def test_identity_ring_key_cannot_accept_forged_credentials(group):
+    # The secret 0 opens the identity, so the prover accepts it as a witness
+    # and every equation of the credential holds; the gate refuses the key.
+    rng = random.Random(123)
+    for _ in range(10):
+        block_kp = keygen(group, rng)
+        credential = credential_prove(group, [1], 0, 0, block_kp, rng)
+        [branch], possession = credential.membership.branches, credential.possession
+        assert _pow_equation(group, 1, branch.commitment, branch.challenge, branch.response)
+        assert _pow_equation(group, block_kp.public, possession.commitment, possession.challenge, possession.response)
+        assert not credential_verify(group, [1], block_kp.public, credential)
+
+
 # Hostile values per transcript field, named so the ids read the same for every group.
 _HOSTILE = {
     "commitment": ("-1", "0", "p", "2^256"),
     "challenge": ("-1", "q", "2^256"),
     "response": ("-1", "q", "2^256"),
     "public": ("-1", "0", "1", "p-1", "p", "2^256"),
-    "ring_key": ("-y", "0", "p", "y+p", "2^300"),
+    "ring_key": ("-y", "0", "p", "y+p", "2^300", "-1", "1", "p-1", "2^256", "p-y"),
 }
 _HOSTILE_FIELDS = {
     "schnorr": ("commitment", "challenge", "response", "public"),
     "signature": ("commitment", "response", "public"),
     "credential": ("commitment", "challenge", "response", "public"),
-    "ring": ("commitment", "challenge", "response", "public"),
+    "ring": ("commitment", "challenge", "response", "public", "ring_key"),
     "membership": ("commitment",),
     "credential_ring": ("ring_key",),
 }
@@ -470,7 +519,8 @@ def hostile_targets(group):
     against that key, and a call that verifies the pair in context.
 
     For ``credential_verify`` the part is the possession half and the key the
-    block key; for ``ring_verify`` it is the first branch and its ring key.
+    block key; for ``ring_verify`` it is the first branch and its ring key
+    (its ``public`` and ``ring_key`` values alike replace that ring key).
     For ``membership`` it is the first ring branch of the credential, whose
     commitment the joint context encodes. For ``credential_ring`` the key is
     the first ring key, which the joint context encodes too, and the part is
@@ -518,7 +568,7 @@ def test_hostile_values_rejected_without_raising(group, hostile_targets, verifie
     public, part, verify = hostile_targets[verifier]
     number = {
         "-1": -1, "0": 0, "1": 1, "p-1": p - 1, "p": p, "q": q, "2^256": 2**256, "2^300": 2**300,
-        "-y": -public, "y+p": public + p,
+        "-y": -public, "y+p": public + p, "p-y": p - public,
     }[value]
     assert verify(public, part) is True
     if field in ("public", "ring_key"):
@@ -535,7 +585,7 @@ def _pow_equation(group, public, commitment, challenge, response):
 
 
 class TestVerifiersAgainstThePowEquation:
-    """Verifiers check each equation through ``exp2``; ``pow`` is the oracle."""
+    """Verifiers check each equation through the commitment column; ``pow`` is the oracle."""
 
     CASES = ["valid", "wrong-message", "wrong-key"]
 
@@ -588,13 +638,14 @@ class TestVerifiersAgainstThePowEquation:
         sig, proof = sign(group, kp, b"m", rng), schnorr_prove(group, kp, b"ctx", rng)
         p = group.modulus
         keyed = []
-        exp2 = GroupParams.exp2
+        column = GroupParams.schnorr_commitments
 
-        def recording(self, a, x, b, y):
-            keyed.append(b)
-            return exp2(self, a, x, b, y)
+        def recording(self, keys, challenges, responses):
+            keys = list(keys)
+            keyed.extend(keys)
+            return column(self, keys, challenges, responses)
 
-        monkeypatch.setattr(GroupParams, "exp2", recording)
+        monkeypatch.setattr(GroupParams, "schnorr_commitments", recording)
         assert verify_signature(group, kp.public, b"m", sig)
         assert keyed == [kp.public]
         # Out of range, the identity, order two, and a non-residue (-1 is one mod a safe prime).

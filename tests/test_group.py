@@ -21,7 +21,6 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
-from phrchain.crypto import _schnorr_commitment
 from phrchain.encoding import FormatError
 from phrchain.group import BignumError, GroupParams
 
@@ -81,7 +80,7 @@ def test_exp_handles_negative_exponents(group):
     rng = random.Random(1)
     y = group.exp(group.generator, group.random_scalar(rng))
     c = group.random_scalar(rng)
-    assert group.mul(group.exp(y, c), group.exp(y, -c)) == 1
+    assert group.exp(y, c) * group.exp(y, -c) % group.modulus == 1
 
 
 def test_identity_exponent_gives_generator(group):
@@ -231,34 +230,41 @@ def test_exp_equals_pow(group, base, exponent):
     assert group.exp(base, exponent) == pow(base, exponent % group.order, group.modulus)
 
 
-@given(a=_bases(GroupParams.default()), x=_EXPONENTS, b=_bases(GroupParams.default()), y=_EXPONENTS)
+# The kernel's one two-base product, g^s * y^e (``BN_mod_exp2_mont``), is a
+# value of the commitment column; a signature's check takes a column of one.
+
+
+def _one_value(group, key, challenge, response):
+    """g^response * key^((-challenge) mod (p - 1)) as a signature's check takes it."""
+    [value] = group.schnorr_commitments((key,), (challenge,), (response,))
+    return value
+
+
+@given(
+    key=_bases(GroupParams.default()),
+    challenge=st.integers(-(2**300), 2**300),
+    response=_EXPONENTS,
+)
 @settings(max_examples=300, deadline=None)
-def test_exp2_equals_pow_product(group, a, x, b, y):
-    p = group.modulus
-    assert group.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
+def test_exp2_equals_pow_product(group, key, challenge, response):
+    assert [_one_value(group, key, challenge, response)] == _column_oracle(group, [key], [challenge], [response])
 
 
 @pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
 def test_exp_and_exp2_exhaustive_on_tiny_groups(modulus):
-    # Every residue, 0 and the modulus itself among the bases, and every
-    # exponent class mod p - 1 (and p - 1 itself): 0^0 = 1 on either side.
+    # Every residue, 0 and the modulus itself among the bases and keys,
+    # every exponent class (and p - 1 itself) for exp, and for the
+    # one-value column every challenge class mod p - 1 (so a key of 0 meets
+    # 0^0) and every response below the modulus.
     g = GroupParams(f"tiny-{modulus}", modulus, modulus // 2, 4)
     bases = range(-1, modulus + 1)
-    exponents = range(modulus)
     for a in bases:
         for x in range(-2 * g.order, 2 * g.order + 1):
             assert g.exp(a, x) == pow(a, x % g.order, modulus)
-        for x in exponents:
-            ax = pow(a, x, modulus)
-            for b in bases:
-                for y in exponents:
-                    assert g.exp2(a, x, b, y) == ax * pow(b, y, modulus) % modulus, (a, x, b, y)
-
-
-def test_exp2_rejects_negative_exponents(group):
-    for x, y in ((-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            group.exp2(group.generator, x, group.generator, y)
+        for challenge in range(modulus):
+            for response in range(modulus):
+                expected = pow(4, response, modulus) * pow(a, -challenge % (modulus - 1), modulus) % modulus
+                assert _one_value(g, a, challenge, response) == expected, (a, challenge, response)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +279,8 @@ def _key_exp_oracle(group, key, exponent):
 def _key_powers(group, key, exponent):
     """key^exponent both ways the program computes a power of a public key:
     ``exp``, and the key half of the Schnorr commitment, where
-    g^0 * key^-(-exponent) is one ``exp2``."""
-    return group.exp(key, exponent), _schnorr_commitment(group, key, -exponent, 0)
+    g^0 * key^-(-exponent) is a column of one value."""
+    return group.exp(key, exponent), _one_value(group, key, -exponent, 0)
 
 
 @given(secret=st.integers(1, GroupParams.default().order - 1), exponent=st.integers(-(2**300), 2**300))
@@ -315,32 +321,39 @@ def test_key_exp_cold_and_warm_cache_agree(group):
     assert cold == warm == (_key_exp_oracle(group, key, -exponent),) * 2
 
 
-# More inputs for exp2: runs of up to 40 hostile (base, exponent) pairs, and
-# random bases at fixed counts with exponents mod q, 128-bit and 0, every
-# adjacent two pairs against pow.
+# More inputs for the column: runs of up to 40 hostile (key, challenge,
+# response) rows, and random keys at fixed counts with exponents mod q,
+# 128-bit and 0, each run one column against pow.
 
 
-@given(pairs=st.lists(st.tuples(_bases(GroupParams.default()), _EXPONENTS), min_size=2, max_size=40))
+@given(
+    rows=st.lists(
+        st.tuples(_bases(GroupParams.default()), st.integers(-(2**300), 2**300), _EXPONENTS),
+        min_size=2,
+        max_size=40,
+    )
+)
 @settings(max_examples=60, deadline=None)
-def test_multi_exp_equals_pow_product(group, pairs):
-    p = group.modulus
-    for (a, x), (b, y) in zip(pairs, pairs[1:]):
-        assert group.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
+def test_multi_exp_equals_pow_product(group, rows):
+    keys, challenges, responses = zip(*rows)
+    assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
+        group, keys, challenges, responses
+    )
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 64, 300])
 def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
     rng = random.Random(count)
     for g in (group, tiny_group):
-        p = g.modulus
-        bases = [rng.randrange(1, p) for _ in range(count)] + [1]
+        keys = [rng.randrange(1, g.modulus) for _ in range(count)] + [1]
         for exponents in (
             [rng.randrange(g.order) for _ in range(count)] + [0],
             [rng.getrandbits(128) for _ in range(count)] + [0],
             [0] * (count + 1),
         ):
-            for a, x, b, y in zip(bases, exponents, bases[1:], exponents[1:]):
-                assert g.exp2(a, x, b, y) == pow(a, x, p) * pow(b, y, p) % p
+            responses = exponents[1:] + exponents[:1]
+            column = g.schnorr_commitments(keys, exponents, responses)
+            assert list(column) == _column_oracle(g, keys, exponents, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +398,7 @@ def test_commitment_column_on_hostile_keys(group):
     keys, challenges, responses = zip(*rows)
     column = list(group.schnorr_commitments(keys, challenges, responses))
     assert column == _column_oracle(group, keys, challenges, responses)
-    assert column == [_schnorr_commitment(group, *row) for row in rows]
+    assert column == [_one_value(group, *row) for row in rows]
 
 
 @pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
@@ -403,29 +416,51 @@ def test_commitment_column_exhaustive_on_tiny_groups(modulus):
     assert list(g.schnorr_commitments(keys, challenges, responses)) == _column_oracle(g, keys, challenges, responses)
 
 
-def test_exp2_and_the_column_take_one_step(group, monkeypatch):
-    # Both reach BN_mod_exp2_mont through _mod_exp2 alone, once a value,
-    # the column with the generator first and its exponent reduced mod p - 1.
-    real, steps = group_module._mod_exp2, []
+def test_provers_and_verifiers_reach_the_kernel_only_through_the_column(group, monkeypatch):
+    # Every BN_mod_exp2_mont call is made while the commitment column is
+    # computing a value, once a value, for every prover and every verifier.
+    rng = random.Random(44)
+    kps = [keygen(group, rng) for _ in range(4)]
+    ring = [kp.public for kp in kps]
+    block_kp = keygen(group, rng)
+    real, column = group_module._BN_mod_exp2_mont, GroupParams.schnorr_commitments
+    inside, kernel, values = [], [], []
 
-    def counted(mont, scratch, a, x, b, y):
-        steps.append((x, b, y))
-        return real(mont, scratch, a, x, b, y)
+    def recorded(*args):
+        kernel.append(bool(inside))
+        return real(*args)
 
-    monkeypatch.setattr(group_module, "_mod_exp2", counted)
-    p = group.modulus
-    assert group.exp2(0, 5, 3, 7) == 0 and group.exp2(0, 0, 3, 7) == pow(3, 7, p)
-    assert steps == [(7, 0, 5), (7, 0, 0)]
-    keys, challenges, responses = _column_inputs(group, 3, 44)
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
-        group, keys, challenges, responses
-    )
-    assert steps[2:] == [(s, y, -c % (p - 1)) for y, c, s in zip(keys, challenges, responses)]
+    def watched(self, *args):
+        computing = column(self, *args)
+        while True:
+            inside.append(True)
+            try:
+                value = next(computing)
+            except StopIteration:
+                return
+            finally:
+                inside.pop()
+            values.append(value)
+            yield value
+
+    monkeypatch.setattr(group_module, "_BN_mod_exp2_mont", recorded)
+    monkeypatch.setattr(GroupParams, "schnorr_commitments", watched)
+    signature = sign(group, kps[0], b"message", rng)
+    proof = schnorr_prove(group, kps[0], b"ctx", rng)
+    membership = ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng)
+    credential = credential_prove(group, ring, 2, kps[2].secret, block_kp, rng)
+    assert len(kernel) == len(values) == 2 * (len(ring) - 1)
+    assert verify_signature(group, ring[0], b"message", signature)
+    assert schnorr_verify(group, ring[0], proof, b"ctx")
+    assert ring_verify(group, ring, membership, b"ctx")
+    assert credential_verify(group, ring, block_kp.public, credential)
+    assert len(kernel) == len(values) == 2 * (len(ring) - 1) + 1 + 1 + len(ring) + len(ring) + 1
+    assert all(kernel)
 
 
 def test_interleaved_columns_in_one_thread(group, tiny_group):
     # Two columns share the thread's scratch numbers, advanced in turn,
-    # with single exp2 calls between their steps.
+    # with a one-value column, an exp and a membership test between their steps.
     first = _column_inputs(group, 50, 42)
     second = _column_inputs(tiny_group, 50, 43)
     second = ([y + 23 * i for i, y in enumerate(second[0])], *second[1:])
@@ -433,7 +468,8 @@ def test_interleaved_columns_in_one_thread(group, tiny_group):
     a_values, b_values = [], []
     for _ in range(50):
         a_values.append(next(a))
-        group.exp2(3, 5, 7, 11)
+        assert _one_value(group, 7, -11, 5) == pow(4, 5, group.modulus) * pow(7, 11, group.modulus) % group.modulus
+        assert group.exp(3, 5) == 243 and not group.is_element(group.modulus - 4)
         b_values.append(next(b))
     assert next(a, None) is next(b, None) is None
     assert a_values == _column_oracle(group, *first)
@@ -441,8 +477,9 @@ def test_interleaved_columns_in_one_thread(group, tiny_group):
 
 
 def test_threads_compute_columns_exactly(group, tiny_group):
-    # As for exp2: more threads than cores, switching often, overlapping in
-    # the kernel on the pinned generator that every thread of a modulus reads.
+    # As for one-value columns: more threads than cores, switching often,
+    # overlapping in the kernel on the pinned generator that every thread of
+    # a modulus reads.
     groups = [group, tiny_group, group, tiny_group]
     jobs = [_column_inputs(g, 300, 50 + i) for i, g in enumerate(groups)]
     start = threading.Barrier(len(groups))
@@ -472,19 +509,21 @@ def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
     for _ in range(2):
         for g in groups:
             p = g.modulus
-            assert g.exp2(3, 5, g.generator, 7) == pow(3, 5, p) * pow(4, 7, p) % p
-    assert group_module._montgomery.cache_info().currsize <= group_module._montgomery.cache_info().maxsize == 8
+            assert _one_value(g, 3, -5, 7) == pow(3, 5, p) * pow(4, 7, p) % p
+    for cache in (group_module._montgomery, group_module._pinned):
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize == 8
 
 
 def test_threads_compute_exp2_exactly(group, tiny_group):
     # ctypes releases the GIL around each libcrypto call, so the threads
     # (more of them than cores, switching often) overlap inside the kernel,
     # each with its own scratch numbers; two of them share the tiny modulus.
+    # Each value is a column of its own, as a signature's check takes it,
+    # so every value looks up the modulus's context and pinned generator.
     rng = random.Random(31)
     groups = [group, tiny_group, group, tiny_group]
     jobs = [
-        [(rng.randrange(g.modulus), rng.getrandbits(256), rng.randrange(g.modulus), rng.getrandbits(256))
-         for _ in range(300)]
+        [(rng.randrange(g.modulus), rng.getrandbits(256), rng.getrandbits(256)) for _ in range(300)]
         for g in groups
     ]
     start = threading.Barrier(len(groups))
@@ -492,7 +531,7 @@ def test_threads_compute_exp2_exactly(group, tiny_group):
 
     def work(i):
         start.wait(timeout=60)
-        results[i] = [groups[i].exp2(*job) for job in jobs[i]]
+        results[i] = [_one_value(groups[i], *job) for job in jobs[i]]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(groups))]
     interval = sys.getswitchinterval()
@@ -506,8 +545,7 @@ def test_threads_compute_exp2_exactly(group, tiny_group):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     for g, job_list, result in zip(groups, jobs, results):
-        p = g.modulus
-        assert result == [pow(a, x, p) * pow(b, y, p) % p for a, x, b, y in job_list]
+        assert result == _column_oracle(g, *zip(*job_list))
 
 
 def test_a_failing_bignum_call_raises():

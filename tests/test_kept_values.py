@@ -17,6 +17,7 @@ from phrchain import (
     credential_verify,
     digest,
     keygen,
+    ring_verify,
     run_consensus,
     schnorr_prove,
     schnorr_verify,
@@ -119,16 +120,31 @@ class TestKeyVerdicts:
         assert schnorr_verify(group, block_kp.public, schnorr_prove(group, block_kp, b"ctx", world.rng), b"ctx")
         assert symbols[block_kp.public] == 1
 
+    def test_enrolled_ring_keys_are_tested_once_at_enrollment(self, group, make_world, symbols):
+        # Registry.enroll makes the verdicts that the ring gate reads: one
+        # kept per enrolled key (5 patients, 1 hospital, 1 researcher).
+        world = make_world(patients=5, hospitals=1)
+        ring = world.directories.patients.keys
+        assert group_module._key_verdict.cache_info().currsize == 7
+        assert all(symbols[key] == 1 for key in ring)
+        block_kp = keygen(group, world.rng)
+        for index in (0, 3):
+            credential = credential_prove(group, ring, index, world.patient_kps[index].secret, block_kp, world.rng)
+            assert credential_verify(group, ring, block_kp.public, credential)
+            assert ring_verify(group, ring, credential.membership, credential.joint_context)
+        assert all(symbols[key] == 1 for key in ring)
+
     def test_a_non_member_key_is_rejected_every_time_and_gets_no_table(self, group, monkeypatch, symbols):
         # The gate stops the key before any keyed exponentiation.
         tabled = []
-        exp2 = GroupParams.exp2
+        column = GroupParams.schnorr_commitments
 
-        def recording(self, a, x, key, y):
-            tabled.append(key)
-            return exp2(self, a, x, key, y)
+        def recording(self, keys, challenges, responses):
+            keys = list(keys)
+            tabled.extend(keys)
+            return column(self, keys, challenges, responses)
 
-        monkeypatch.setattr(GroupParams, "exp2", recording)
+        monkeypatch.setattr(GroupParams, "schnorr_commitments", recording)
         kp = keygen(group)
         signature = sign(group, kp, b"message")
         # -y is a non-residue (p = 3 mod 4); p - 1 has order 2.

@@ -7,11 +7,13 @@ of the commitment column each (t == g^s * y^-c). The corpus mixes honest
 proofs, forged responses, the byte-flip / omission / transposition /
 witness-free-forgery mutation classes of the acceptance suite,
 commitments outside the subgroup, the identity commitment the per-branch
-equation accepts, and ring keys a ``Registry`` would refuse. Rings above 128 keys, which an earlier
+equation accepts, and ring keys a ``Registry`` would refuse, which both
+verifiers reject before any equation. Rings above 128 keys, which an earlier
 verifier batched, keep their own corpus and the sign attack of Boyd and
 Pavlovski, which defeats a weighted batch without a membership test.
 """
 
+import functools
 import hashlib
 import os
 import random
@@ -41,9 +43,17 @@ RING_SIZES = (1, 2, 3, 8, 64, 128)
 LARGE_RING_SIZES = (129, 200)
 
 
+@functools.lru_cache(maxsize=None)
+def _euler_member(p, q, key):
+    return 1 < key < p and pow(key, q, p) == 1
+
+
 def reference_ring_verify(group, ring, proof, context):
-    """Per-branch verifier: range checks, binding hash, challenge sum, m equations."""
+    """Per-branch verifier: range checks, ring keys in the subgroup (Euler's
+    criterion), binding hash, challenge sum, m equations."""
     if len(proof.branches) != len(ring) or len(ring) == 0:
+        return False
+    if not all(_euler_member(group.modulus, group.order, key) for key in ring):
         return False
     for branch in proof.branches:
         if not (0 <= branch.challenge < group.order and 0 <= branch.response < group.order):
@@ -80,7 +90,7 @@ def craft(group, ring, index, secret, context, rng, *, fixed=None, nonce=None, r
             commitment = pow(group.generator, witness_nonce, group.modulus)
         else:
             c, s = fixed.get(i) or (group.random_scalar(rng), group.random_scalar(rng))
-            commitment = group.mul(group.exp(group.generator, s), group.exp(key, -c))
+            commitment = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
             simulated[i] = (c, s)
         commitments.append(replace.get(i, commitment))
     return bind(group, context, commitments, index, secret, witness_nonce, simulated)
@@ -160,7 +170,8 @@ def corpus(group, size, rng):
     branches = []
     for key in ring:
         c, s = group.random_scalar(rng), group.random_scalar(rng)
-        branches.append(SchnorrProof(group.mul(group.exp(group.generator, s), group.exp(key, -c)), c, s))
+        t = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
+        branches.append(SchnorrProof(t, c, s))
     binding = _ring_binding_challenge(group, ctx, _commitment_bytes(group, [b.commitment for b in branches]))
     yield "witness-free", ring, RingProof(tuple(branches), binding), None
 
@@ -203,23 +214,24 @@ def corpus(group, size, rng):
                 group, ring, witness, secret, ctx, rng, base, simulated[:count]
             ), False
 
-    # Ring keys a Registry refuses, at a simulated branch: the honest proof,
-    # one simulated with the hostile key itself, and one whose hostile branch
-    # has c = s = 0, which any key passes.
+    # Ring keys a Registry refuses, at a simulated branch, each rejected by
+    # the gate: the honest proof (whose equation still holds at y + p and
+    # y - p), one simulated with the hostile key itself, and one whose
+    # hostile branch has c = s = 0, whose equation any key satisfies.
     if size > 1:
         y = ring[other]
         hostile_keys = (
-            ("plus-modulus", y + p, True), ("minus-modulus", y - p, True), ("zero", 0, False),
-            ("negated", -y, None), ("wide", y + 2**256, None),
+            ("plus-modulus", y + p), ("minus-modulus", y - p), ("zero", 0), ("negated", -y),
+            ("wide", y + 2**256), ("minus-one", p - 1), ("identity", 1),
         )
-        for label, key, honest_verdict in hostile_keys:
+        for label, key in hostile_keys:
             hostile = list(ring)
             hostile[other] = key
-            yield f"key-{label}", hostile, base, honest_verdict
-            yield f"key-{label}-simulated", hostile, craft(group, hostile, witness, secret, ctx, rng), None
+            yield f"key-{label}", hostile, base, False
+            yield f"key-{label}-simulated", hostile, craft(group, hostile, witness, secret, ctx, rng), False
             yield f"key-{label}-c0-s0", hostile, craft(
                 group, hostile, witness, secret, ctx, rng, fixed={other: (0, 0)}
-            ), True
+            ), False
 
 
 def large_corpus(group, size, rng):
@@ -295,12 +307,12 @@ def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
 def calls(monkeypatch):
     """Records the draws from the operating system RNG (``secrets.randbits``,
     ``random.SystemRandom`` and ``os.urandom``), the values tested for
-    membership during a check, and under ``exp2`` the products of two
-    powers: each ``exp2`` call and each value the commitment column
-    (``schnorr_commitments``) yields, one per ring branch it computes."""
-    seen = {"system_draws": 0, "exp2": 0, "is_element": []}
+    membership during a check, and under ``commitments`` the products of
+    two powers: each value the commitment column (``schnorr_commitments``)
+    yields, one per ring branch and one per Schnorr-shaped check."""
+    seen = {"system_draws": 0, "commitments": 0, "is_element": []}
     randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
-    exp2, column, is_element = GroupParams.exp2, GroupParams.schnorr_commitments, GroupParams.is_element
+    column, is_element = GroupParams.schnorr_commitments, GroupParams.is_element
 
     def counted(draw):
         def wrapper(*args):
@@ -308,13 +320,9 @@ def calls(monkeypatch):
             return draw(*args)
         return wrapper
 
-    def counted_exp2(self, a, x, b, y):
-        seen["exp2"] += 1
-        return exp2(self, a, x, b, y)
-
     def counted_column(self, keys, challenges, responses):
         for commitment in column(self, keys, challenges, responses):
-            seen["exp2"] += 1
+            seen["commitments"] += 1
             yield commitment
 
     def counted_is_element(self, value):
@@ -324,7 +332,6 @@ def calls(monkeypatch):
     monkeypatch.setattr(secrets, "randbits", counted(randbits))
     monkeypatch.setattr(random.SystemRandom, "getrandbits", counted(getrandbits))
     monkeypatch.setattr(os, "urandom", counted(urandom))
-    monkeypatch.setattr(GroupParams, "exp2", counted_exp2)
     monkeypatch.setattr(GroupParams, "schnorr_commitments", counted_column)
     monkeypatch.setattr(GroupParams, "is_element", counted_is_element)
     return seen
@@ -339,41 +346,42 @@ def _seeded_proofs(group, sizes, seed):
 
 
 def test_small_rings_check_each_branch(group, calls):
-    # One commitment per branch (one exp2 each), no randomness and no
-    # membership test of a commitment, for bare ring proofs of 16 and 128
-    # keys and for both credentials of a 16/8-key patient block, whose
-    # possession half takes one more exp2.
+    # One commitment per branch, no randomness and membership tests of
+    # public keys alone, for bare ring proofs of 16 and 128 keys and for
+    # both credentials of a 16/8-key patient block, whose possession half
+    # is one more value. Both streams start from seed 14, so some of the
+    # credentials' commitments equal keys of the 128-key ring: a value is
+    # tested as a key, never as a commitment.
     rng = random.Random(14)
     kps = [keygen(group, rng) for _ in range(16)]
     ring = [kp.public for kp in kps]
     proofs = _seeded_proofs(group, (16, 128), 14)
-    calls["exp2"] = 0
+    calls["commitments"] = 0
     for subring, proof in proofs:
         assert ring_verify(group, subring, proof, b"ctx")
-    assert calls["exp2"] == 16 + 128
+    assert calls["commitments"] == 16 + 128
     credentials = []
     for size in (16, 8):
         block_kp = keygen(group, rng)
         credential = credential_prove(group, ring[:size], 1, kps[1].secret, block_kp, rng)
         credentials.append((ring[:size], block_kp.public, credential))
-    calls["exp2"] = 0
+    calls["commitments"] = 0
     for subring, public, credential in credentials:
         assert credential_verify(group, subring, public, credential)
-    assert calls["exp2"] == 16 + 1 + 8 + 1
-    commitments = {b.commitment for _, proof in proofs for b in proof.branches}
-    commitments |= {b.commitment for _, _, c in credentials for b in c.membership.branches}
+    assert calls["commitments"] == 16 + 1 + 8 + 1
+    keys = {y for subring, _ in proofs for y in subring} | {public for _, public, _ in credentials}
     assert calls["system_draws"] == 0
-    assert not commitments & set(calls["is_element"])
+    assert set(calls["is_element"]) <= keys
 
 
 def test_large_rings_check_each_branch(group, calls):
     # Rings of 129 and 1000 keys take the same path as small ones: no bits
     # from the operating system RNG, and one commitment per branch.
     proofs = _seeded_proofs(group, (129, 1000), 15)
-    calls["exp2"] = 0
+    calls["commitments"] = 0
     for ring, proof in proofs:
         assert ring_verify(group, ring, proof, b"ctx")
-    assert calls["exp2"] == 129 + 1000
+    assert calls["commitments"] == 129 + 1000
     assert calls["system_draws"] == 0
     assert not {b.commitment for _, proof in proofs for b in proof.branches} & set(calls["is_element"])
     assert not hasattr(crypto, "secrets")
@@ -388,18 +396,18 @@ def test_verify_stops_at_the_first_failing_branch(group, calls, monkeypatch):
         proof, 3, SchnorrProof(branch.commitment, branch.challenge, (branch.response + 1) % group.order)
     )
     kernel = []
-    exp2 = group_module._BN_mod_exp2_mont
+    real = group_module._BN_mod_exp2_mont
 
     def counted(*args):
         kernel.append(args)
-        return exp2(*args)
+        return real(*args)
 
     monkeypatch.setattr(group_module, "_BN_mod_exp2_mont", counted)
-    calls["exp2"] = 0
+    calls["commitments"] = 0
     assert not ring_verify(group, ring, forged, b"ctx")
-    assert calls["exp2"] == len(kernel) == 4
+    assert calls["commitments"] == len(kernel) == 4
     assert ring_verify(group, ring, proof, b"ctx")
-    assert calls["exp2"] == 4 + 129
+    assert calls["commitments"] == 4 + 129
 
 
 def test_seeded_transcripts_match_recorded_digest(group):
@@ -423,12 +431,17 @@ def test_seeded_transcripts_match_recorded_digest(group):
 
 def batch_only_verify(group, ring, proof, rng):
     """A weighted batch of the branch equations with no membership test of
-    any kind: g^(sum w_i s_i) == prod t_i^w_i * y_i^(w_i c_i mod q)."""
+    any kind: g^(sum w_i s_i) == prod t_i^w_i * y_i^(w_i c_i mod q).
+
+    Each power is one ``exp``, exact here: every weight is below the order,
+    so t_i^w_i needs no reduction even for a commitment outside the subgroup.
+    """
+    p = group.modulus
     weights = [rng.getrandbits(128) for _ in ring]
-    lhs = pow(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)), group.modulus)
+    lhs = pow(group.generator, sum(w * b.response for w, b in zip(weights, proof.branches)), p)
     rhs = 1
     for w, key, b in zip(weights, ring, proof.branches):
-        rhs = group.mul(rhs, group.exp2(b.commitment, w, key, w * b.challenge % group.order))
+        rhs = rhs * group.exp(b.commitment, w) * group.exp(key, w * b.challenge) % p
     return lhs == rhs
 
 
