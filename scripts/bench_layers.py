@@ -227,7 +227,7 @@ def main() -> None:
         args.repeats, len(ring),
     )
     # The ring-key gate over the 4000-key ring and 1000 of the keys above,
-    # every verdict kept, as after Registry.enroll.
+    # every verdict kept, as after the first check of a block over them.
     gate_keys = ring + keys[:1000]
     if len(set(gate_keys)) != 5000 or not all(pow(y, q, p) == 1 for y in gate_keys):
         raise SystemExit("the gate's keys are not 5000 distinct subgroup elements")

@@ -320,9 +320,10 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> boo
     the subgroup. A key of order one or two (1, p - 1) would let a proof
     hold with no secret, and only a key in [1, modulus) has the canonical
     encoding that ``credential_verify``'s joint context hashes. Each key's
-    verdict is kept (``GroupParams.key_is_element``); ``Registry.enroll``
-    made it when it admitted the key. ``credential_verify`` runs the gate
-    before its joint context encodes the commitments. The length test is
+    verdict is kept (``GroupParams.key_is_element``), so a ring's keys
+    are tested once however many proofs over them are checked.
+    ``credential_verify`` runs the gate before its joint context encodes
+    the commitments. The length test is
     also the bound of the registry prefix rule
     (``consensus.verify_block``): a proof of m branches checked against
     the first m keys of a registry with fewer keys, or with m = 0, meets a

@@ -31,10 +31,8 @@ class Registry(enc.Stored):
     """Ordered public-key registry for one role. Single-writer.
 
     Every key is a distinct prime-order subgroup element, checked at
-    construction, at ``enroll`` and so at ``load``, through the kept
-    verdicts (``GroupParams.key_is_element``) that ring verifiers read
-    when they gate the same keys. The key tuple and the digest are cached
-    and rebuilt at most once per change.
+    construction, at ``enroll`` and so at ``load``. The key tuple and the
+    digest are cached and rebuilt at most once per change.
     """
 
     MAGIC = b"PHRR"
@@ -73,7 +71,7 @@ class Registry(enc.Stored):
 
     def enroll(self, public: int) -> int:
         """Append a verified public key; returns its stable index."""
-        if not self.group.key_is_element(public):
+        if not self.group.is_element(public):
             raise ValueError("public key is not a valid group element")
         if public in self._index:
             raise DuplicateKeyError(f"key already enrolled in {self.role} registry")

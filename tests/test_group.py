@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -512,6 +513,26 @@ def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
             assert _one_value(g, 3, -5, 7) == pow(3, 5, p) * pow(4, 7, p) % p
     for cache in (group_module._montgomery, group_module._pinned):
         assert cache.cache_info().currsize <= cache.cache_info().maxsize == 8
+
+
+def test_a_suspended_column_keeps_its_generator_through_eviction(group):
+    # A ring verifier advances its column branch by branch. Meanwhile other
+    # groups' checks push the column's pinned generator and Montgomery
+    # context out of their caches; the column must still hold them, so
+    # that no later value reads a freed BIGNUM.
+    keys, challenges, responses = _column_inputs(group, 6, 47)
+    column = group.schnorr_commitments(keys, challenges, responses)
+    values = [next(column)]
+    pinned = weakref.ref(group_module._pinned(group.modulus, group.generator))
+    for p in SAFE_PRIMES:
+        g = GroupParams(f"tiny-{p}", p, p // 2, 4)
+        assert _one_value(g, 3, -5, 7) == pow(3, 5, p) * pow(4, 7, p) % p
+    assert pinned() is not None
+    assert group_module._pinned(group.modulus, group.generator) is not pinned()  # evicted: built afresh
+    values.extend(column)
+    assert values == _column_oracle(group, keys, challenges, responses)
+    del column
+    assert pinned() is None
 
 
 def test_threads_compute_exp2_exactly(group, tiny_group):

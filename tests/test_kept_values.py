@@ -120,19 +120,19 @@ class TestKeyVerdicts:
         assert schnorr_verify(group, block_kp.public, schnorr_prove(group, block_kp, b"ctx", world.rng), b"ctx")
         assert symbols[block_kp.public] == 1
 
-    def test_enrolled_ring_keys_are_tested_once_at_enrollment(self, group, make_world, symbols):
-        # Registry.enroll makes the verdicts that the ring gate reads: one
-        # kept per enrolled key (5 patients, 1 hospital, 1 researcher).
+    def test_ring_keys_are_tested_once_across_ring_checks(self, group, make_world, symbols):
+        # Registry.enroll tests each key and keeps no verdict; the ring
+        # gate's first check of a key makes the verdict that later checks read.
         world = make_world(patients=5, hospitals=1)
         ring = world.directories.patients.keys
-        assert group_module._key_verdict.cache_info().currsize == 7
+        assert group_module._key_verdict.cache_info().currsize == 0
         assert all(symbols[key] == 1 for key in ring)
         block_kp = keygen(group, world.rng)
         for index in (0, 3):
             credential = credential_prove(group, ring, index, world.patient_kps[index].secret, block_kp, world.rng)
             assert credential_verify(group, ring, block_kp.public, credential)
             assert ring_verify(group, ring, credential.membership, credential.joint_context)
-        assert all(symbols[key] == 1 for key in ring)
+        assert all(symbols[key] == 2 for key in ring)
 
     def test_a_non_member_key_is_rejected_every_time_and_gets_no_table(self, group, monkeypatch, symbols):
         # The gate stops the key before any keyed exponentiation.
