@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the group and ring-proof layers of the phrchain on the import path.
 
-Prints one JSON object of medians in seconds:
+Prints one JSON object of medians in seconds, and one count of bytes:
 
     PYTHONPATH=src python scripts/bench_layers.py --seed 2 --repeats 5
 
@@ -32,7 +32,8 @@ keys): its first ``canonical_bytes`` (an encoding, timed on fresh
 ``dataclasses.replace`` copies), a repeat ``canonical_bytes`` of the same
 block, and ``range_message`` on a block whose bytes are kept; and
 ``decode_block`` of a 4000/1000-key patient block's bytes, checked to
-re-encode to them.
+re-encode to them, and ``decoded_block_held_bytes``, the bytes one decoded
+copy of that block holds (``tracemalloc``; its input is not counted).
 """
 
 import argparse
@@ -43,6 +44,7 @@ import platform
 import random
 import statistics
 import time
+import tracemalloc
 
 from phrchain import (
     ApprovalBlock,
@@ -297,6 +299,13 @@ def main() -> None:
     if decode_block(wire, group).canonical_bytes() != wire:
         raise SystemExit("a decoded 4000/1000-key block does not re-encode to its bytes")
     rows["decode_block_s"] = median_time(lambda: decode_block(wire, group), args.repeats)
+    # What one decoded copy of that block holds (its input bytes excluded).
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    decoded = decode_block(wire, group)
+    rows["decoded_block_held_bytes"] = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    del decoded
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,

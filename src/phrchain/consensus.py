@@ -97,7 +97,7 @@ def _verify_patient_block(block: PatientBlock, directories: Directories) -> bool
         (directories.patients, block.patient_block_pk, block.patient_credential),
         (directories.hospitals, block.hospital_block_pk, block.hospital_credential),
     ):
-        ring = registry.keys[: len(credential.membership.branches)]
+        ring = registry.keys[: credential.membership.branch_count]
         if not credential_verify(group, ring, block_public, credential):
             return False
     body = block.body_bytes()

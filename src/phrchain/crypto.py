@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import operator
 import random
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -144,7 +146,7 @@ def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: in
     key's verdict is kept (``GroupParams.key_is_element``), so a key is
     tested once however often it signs.
     """
-    return _scalar_ok(group, response) and _commitment_ok(group, commitment) and group.key_is_element(public)
+    return 0 <= response < group.order and 1 <= commitment < group.modulus and group.key_is_element(public)
 
 
 def _schnorr_equations(
@@ -173,18 +175,84 @@ def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: in
     return (nonce + challenge * secret) % group.order
 
 
-def _scalar_ok(group: GroupParams, value: int) -> bool:
-    return 0 <= value < group.order
-
-
-def _commitment_ok(group: GroupParams, value: int) -> bool:
-    """In [1, modulus): a value ``encode_element`` writes, not yet tested for membership."""
-    return 1 <= value < group.modulus
-
-
 # ---------------------------------------------------------------------------
 # Ring membership proof (one-of-many OR composition)
 # ---------------------------------------------------------------------------
+
+
+class _BranchLayout:
+    """A ring branch's wire record in one group, and the range rules it obeys.
+
+    The record is commitment || challenge || response, each fixed-width
+    big-endian (96 bytes in the default group), and a proof's branches are
+    its records back to back. The rules are commitment in [1, modulus) and
+    challenge, response below the order. Fixed-width big-endian bytes order
+    as their values do, so each rule is a comparison of bytes. The decoder,
+    the packer and the verifier's gate all read records through here.
+    """
+
+    COMMITMENT, CHALLENGE, RESPONSE = range(3)
+
+    def __init__(self, group: GroupParams) -> None:
+        e, s = group.element_size, group.scalar_size
+        self.size, self.scalar_size = e + 2 * s, s
+        self.record = struct.Struct(f">{e}s{s}s{s}s")
+        self.element = struct.Struct(f">{e}s")
+        # One field of every record, the others skipped.
+        self.fields = tuple(
+            struct.Struct(f">{start}x{width}s{self.size - start - width}x")
+            for start, width in ((0, e), (e, s), (e + s, s))
+        )
+        self.zero, self.modulus, self.order = bytes(e), group.modulus.to_bytes(e), group.order.to_bytes(s)
+
+    def fault(self, records: bytes) -> str | None:
+        """The first range rule the records break, in wire order, worded as
+        the element and scalar decoders word it; None if they keep every rule."""
+        zero, modulus, order = self.zero, self.modulus, self.order
+        for commitment, challenge, response in self.record.iter_unpack(records):
+            if not zero < commitment < modulus:
+                return "element out of range"
+            if not (challenge < order and response < order):
+                return "scalar out of range"
+        return None
+
+    def pack(self, commitments: bytes, challenges: Iterable[int], responses: Iterable[int]) -> bytes:
+        """The records of branches whose commitments are already encoded back
+        to back; raises OverflowError for a challenge or response that is
+        negative or too wide for its field."""
+        width = itertools.repeat(self.scalar_size)
+        return b"".join(map(
+            self.record.pack,
+            self.raw(commitments, self.element),
+            map(int.to_bytes, challenges, width),
+            map(int.to_bytes, responses, width),
+        ))
+
+    def pack_branches(self, branches: Sequence[SchnorrProof]) -> bytes:
+        """The records of ``SchnorrProof`` branches; raises OverflowError for a
+        value that is negative or too wide for its field."""
+        commitments = map(int.to_bytes, (b.commitment for b in branches), itertools.repeat(self.element.size))
+        return self.pack(b"".join(commitments), (b.challenge for b in branches), (b.response for b in branches))
+
+    def raw(self, records: bytes, field: struct.Struct) -> Iterator[bytes]:
+        """One field's bytes from every record, as ``field`` picks it."""
+        return map(operator.itemgetter(0), field.iter_unpack(records))
+
+    def column(self, records: bytes, field: int) -> Iterator[int]:
+        """One field's values from every record, converted as they are read."""
+        return map(int.from_bytes, self.raw(records, self.fields[field]))
+
+    def commitment_bytes(self, records: bytes) -> bytes:
+        """``_commitment_bytes`` of the records' commitments, joined from their stored bytes."""
+        return enc.u32(len(records) // self.size) + b"".join(self.raw(records, self.fields[self.COMMITMENT]))
+
+    def branches(self, records: bytes) -> tuple[SchnorrProof, ...]:
+        return tuple(map(SchnorrProof, *(self.column(records, field) for field in range(3))))
+
+
+@functools.lru_cache(maxsize=8)
+def _branch_layout(group: GroupParams) -> _BranchLayout:
+    return _BranchLayout(group)
 
 
 @dataclass(frozen=True)
@@ -194,30 +262,83 @@ class RingProof:
     Branch challenges sum to the binding challenge mod the group order, so
     exactly one branch is forced by the Fiat-Shamir hash while the rest were
     simulated; the transcript layout is identical for every witness index.
+
+    The branches are kept as their wire records (``_BranchLayout``), 96
+    bytes a branch: a decoded proof keeps the bytes it read, a proved one
+    the bytes its prover packed. Verifiers and ``to_bytes`` read those
+    bytes, so a decoded or proved proof holds no per-branch object.
+    ``branches`` is still the constructor's field: a proof built from
+    ``SchnorrProof`` objects packs them when it is first verified or
+    encoded, and a proof kept as bytes builds its ``SchnorrProof`` objects
+    on the first access to ``branches``.
     """
 
     branches: tuple[SchnorrProof, ...]
     binding_challenge: int
 
+    @classmethod
+    def _of_records(cls, layout: _BranchLayout, records: bytes, binding_challenge: int) -> "RingProof":
+        """A proof kept as its branch records, with no ``branches`` built yet."""
+        proof = cls.__new__(cls)
+        proof.__dict__.update(_kept=(layout, records), binding_challenge=binding_challenge)
+        return proof
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: the branches of a proof kept as records.
+        kept = self.__dict__.get("_kept")
+        if name != "branches" or kept is None:
+            raise AttributeError(name)
+        branches = self.__dict__["branches"] = kept[0].branches(kept[1])
+        return branches
+
+    @property
+    def branch_count(self) -> int:
+        """m, the number of branches, read without building them."""
+        if "branches" in self.__dict__:
+            return len(self.branches)
+        layout, records = self.__dict__["_kept"]
+        return len(records) // layout.size
+
+    def _records(self, layout: _BranchLayout) -> bytes | None:
+        """The branch records under ``layout``: as kept, or packed from
+        ``branches`` and then kept; None when a value does not fit its field.
+
+        Records depend on the field widths alone, which the record size fixes.
+        """
+        kept = self.__dict__.get("_kept")
+        if kept is None or kept[0].size != layout.size:
+            try:
+                records = layout.pack_branches(self.branches)
+            except OverflowError:
+                records = None
+            kept = self.__dict__["_kept"] = (layout, records)
+        return kept[1]
+
     def to_bytes(self, group: GroupParams) -> bytes:
-        parts = [enc.u32(len(self.branches))]
-        parts.extend(b.to_bytes(group) for b in self.branches)
-        parts.append(group.encode_scalar(self.binding_challenge))
-        return b"".join(parts)
+        layout = _branch_layout(group)
+        records = self._records(layout)
+        if records is None:
+            raise OverflowError("a ring branch value does not fit its encoding")
+        return enc.u32(len(records) // layout.size) + records + group.encode_scalar(self.binding_challenge)
 
     @classmethod
     def read_from(cls, reader: enc.Reader, group: GroupParams) -> "RingProof":
-        count = reader.u32()
-        branches = tuple(SchnorrProof.read_from(reader, group) for _ in range(count))
-        binding = group.decode_scalar(reader.take(group.scalar_size))
-        return cls(branches, binding)
+        """The branch records in one read, checked against the range rules;
+        a body cut short is reported as truncated before any rule is checked."""
+        layout = _branch_layout(group)
+        records = reader.take(reader.u32() * layout.size)
+        fault = layout.fault(records)
+        if fault is not None:
+            raise enc.FormatError(fault)
+        return cls._of_records(layout, records, group.decode_scalar(reader.take(group.scalar_size)))
 
 
 def _commitment_bytes(group: GroupParams, commitments: Sequence[int]) -> bytes:
     """The ring commitments as hashed: a u32 count, then each element.
 
-    Encoded once per proof or check and read by both the joint context and
-    the binding challenge.
+    The prover encodes them once, for the joint context, the binding
+    challenge and its branch records; a verifier joins them from the
+    proof's records (``_BranchLayout.commitment_bytes``).
     """
     return enc.u32(len(commitments)) + b"".join(map(group.encode_element, commitments))
 
@@ -268,14 +389,17 @@ def _ring_commit(
 
 
 def _ring_finish(
-    group: GroupParams, state: _RingCommitState, secret: int, binding: int
+    group: GroupParams, state: _RingCommitState, secret: int, binding: int, commitment_bytes: bytes
 ) -> RingProof:
+    """The proof, its records packed from ``commitment_bytes``, the
+    ``_commitment_bytes`` of the state's commitments that were hashed."""
     challenges = list(state.challenges)
     responses = list(state.responses)
     challenges[state.index] = (binding - sum(challenges)) % group.order
     responses[state.index] = _schnorr_response(group, state.nonce, challenges[state.index], secret)
-    branches = map(SchnorrProof, state.commitments, challenges, responses)
-    return RingProof(tuple(branches), binding)
+    layout = _branch_layout(group)
+    records = layout.pack(memoryview(commitment_bytes)[4:], challenges, responses)
+    return RingProof._of_records(layout, records, binding)
 
 
 def ring_prove(
@@ -288,8 +412,9 @@ def ring_prove(
 ) -> RingProof:
     """Prove knowledge of the secret for ring[index] without revealing the index."""
     state = _ring_commit(group, ring, index, secret, rng)
-    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, state.commitments))
-    return _ring_finish(group, state, secret, binding)
+    commitment_bytes = _commitment_bytes(group, state.commitments)
+    binding = _ring_binding_challenge(group, context, commitment_bytes)
+    return _ring_finish(group, state, secret, binding, commitment_bytes)
 
 
 def ring_verify(
@@ -306,60 +431,58 @@ def ring_verify(
     gate puts each y_i in the subgroup, and a holding equation puts
     t_i = g^s_i / y_i^c_i there too.
     """
-    if not _ring_gate(group, ring, proof):
+    records = _ring_gate(group, ring, proof)
+    if records is None:
         return False
-    commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.branches])
-    return _ring_equations(group, ring, proof, context, commitment_bytes)
+    commitment_bytes = _branch_layout(group).commitment_bytes(records)
+    return _ring_equations(group, ring, records, proof.binding_challenge, context, commitment_bytes)
 
 
-def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bool:
-    """The input checks of ``ring_verify``, run before anything is hashed or encoded.
+def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bytes | None:
+    """The proof's branch records if it passes the input checks of
+    ``ring_verify``, run before anything is hashed; else None.
 
-    A non-empty ring with one branch per key, every challenge and response
-    in [0, order), every commitment in [1, modulus), and every ring key in
-    the subgroup. A key of order one or two (1, p - 1) would let a proof
-    hold with no secret, and only a key in [1, modulus) has the canonical
-    encoding that ``credential_verify``'s joint context hashes. Each key's
-    verdict is kept (``GroupParams.key_is_element``), so a ring's keys
-    are tested once however many proofs over them are checked.
-    ``credential_verify`` runs the gate before its joint context encodes
-    the commitments. The length test is
-    also the bound of the registry prefix rule
-    (``consensus.verify_block``): a proof of m branches checked against
-    the first m keys of a registry with fewer keys, or with m = 0, meets a
-    ring of another length or an empty one.
+    A non-empty ring with one branch per key, every branch value fitting
+    its field and keeping the range rules of ``_BranchLayout`` (challenge
+    and response in [0, order), commitment in [1, modulus)), and every ring
+    key in the subgroup. A key of order one or two (1, p - 1) would let a
+    proof hold with no secret, and only a key in [1, modulus) has the
+    canonical encoding that ``credential_verify``'s joint context hashes.
+    Each key's verdict is kept (``GroupParams.key_is_element``), so a
+    ring's keys are tested once however many proofs over them are checked.
+    ``credential_verify`` runs the gate before its joint context hashes
+    the commitments. The length test is also the bound of the registry
+    prefix rule (``consensus.verify_block``): a proof of m branches checked
+    against the first m keys of a registry with fewer keys, or with m = 0,
+    meets a ring of another length or an empty one.
     """
-    if len(proof.branches) != len(ring) or len(ring) == 0:
-        return False
-    return all(
-        _scalar_ok(group, b.challenge) and _scalar_ok(group, b.response) and _commitment_ok(group, b.commitment)
-        for b in proof.branches
-    ) and all(map(group.key_is_element, ring))
+    layout = _branch_layout(group)
+    records = proof._records(layout)
+    if records is None or len(records) != len(ring) * layout.size or len(ring) == 0:
+        return None
+    if layout.fault(records) is not None or not all(map(group.key_is_element, ring)):
+        return None
+    return records
 
 
 def _ring_equations(
-    group: GroupParams, ring: Sequence[int], proof: RingProof, context: bytes, commitment_bytes: bytes
+    group: GroupParams, ring: Sequence[int], records: bytes, binding: int, context: bytes, commitment_bytes: bytes
 ) -> bool:
-    """The binding challenge and the branch equations of a proof past
-    ``_ring_gate`` (see ``ring_verify``); ``commitment_bytes`` is
-    ``_commitment_bytes`` of its commitments, which the caller encodes once.
+    """The binding challenge and the branch equations of the records of a
+    proof past ``_ring_gate`` (see ``ring_verify``), whose binding challenge
+    is ``binding``; ``commitment_bytes`` is joined from the records once by
+    the caller.
 
-    The branch equations are one column (``_schnorr_equations``), which
-    stops at the first branch whose equation fails.
+    The branch equations are one column (``_schnorr_equations``), over
+    int columns read from the records as it goes; it stops at the first
+    branch whose equation fails.
     """
-    branches = proof.branches
-    binding = _ring_binding_challenge(group, context, commitment_bytes)
-    if binding != proof.binding_challenge:
+    layout = _branch_layout(group)
+    if _ring_binding_challenge(group, context, commitment_bytes) != binding:
         return False
-    if sum(b.challenge for b in branches) % group.order != binding:
+    if sum(layout.column(records, layout.CHALLENGE)) % group.order != binding:
         return False
-    return _schnorr_equations(
-        group,
-        ring,
-        (b.commitment for b in branches),
-        (b.challenge for b in branches),
-        (b.response for b in branches),
-    )
+    return _schnorr_equations(group, ring, *(layout.column(records, field) for field in range(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +554,7 @@ def credential_prove(
     joint = _joint_context(group, ring, block_kp.public, possession_commitment, commitment_bytes)
 
     binding = _ring_binding_challenge(group, joint, commitment_bytes)
-    membership = _ring_finish(group, ring_state, identity_secret, binding)
+    membership = _ring_finish(group, ring_state, identity_secret, binding, commitment_bytes)
 
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession_commitment)
     response = _schnorr_response(group, possession_nonce, challenge, block_kp.secret)
@@ -447,15 +570,17 @@ def credential_verify(
     # The joint context encodes the block key and every commitment of both halves.
     if not _schnorr_gate(group, block_public, possession.commitment, possession.response):
         return False
-    if not _ring_gate(group, ring, proof.membership):
+    records = _ring_gate(group, ring, proof.membership)
+    if records is None:
         return False
-    commitment_bytes = _commitment_bytes(group, [b.commitment for b in proof.membership.branches])
+    commitment_bytes = _branch_layout(group).commitment_bytes(records)
     expected = _joint_context(group, ring, block_public, possession.commitment, commitment_bytes)
     if proof.joint_context != expected:
         return False
     if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
         return False
-    return _ring_equations(group, ring, proof.membership, expected, commitment_bytes) and _schnorr_equations(
+    binding = proof.membership.binding_challenge
+    return _ring_equations(group, ring, records, binding, expected, commitment_bytes) and _schnorr_equations(
         group, (block_public,), (possession.commitment,), (possession.challenge,), (possession.response,)
     )
 

@@ -16,10 +16,11 @@ order-q subgroup is exactly the set of quadratic residues mod p, so
 membership is a Jacobi symbol rather than an exponentiation.
 ``schnorr_commitments`` is the one home of the Schnorr equation's right
 side, g^s * y^-c, a ``BN_mod_exp2_mont`` per value with the generator
-pinned in a BIGNUM kept per (modulus, generator). It is a column computed
-lazily: a ring proof's branches in turn, or the one value of a signature,
-a Schnorr proof or a possession half, so a verifier that stops at the
-first failing branch stops the kernel there too.
+pinned in a BIGNUM kept per (modulus, generator) beside the modulus's
+Montgomery context, so a column looks up one cached object. It is a
+column computed lazily: a ring proof's branches in turn, or the one value
+of a signature, a Schnorr proof or a possession half, so a verifier that
+stops at the first failing branch stops the kernel there too.
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
@@ -202,11 +203,35 @@ def _montgomery(modulus: int) -> _Montgomery:
 
 
 class _Pinned:
-    """A fixed base in [0, modulus) as a BIGNUM, read by every thread and never written."""
+    """A generator in [0, modulus) as a BIGNUM, read by every thread and never
+    written, and its modulus's Montgomery context, held for as long as it is."""
 
     def __init__(self, modulus: int, base: int) -> None:
         self.number = None
-        self.number = _load(None, base, (modulus.bit_length() + 7) // 8)
+        self.modulus, self.exponent_modulus, self.mont = modulus, modulus - 1, _montgomery(modulus)
+        self.number = _load(None, base, self.mont.size)
+
+    def commitment(self, key: int, challenge: int, response: int) -> int:
+        """base^response * key^((-challenge) mod (modulus - 1)) mod the modulus,
+        for a response >= 0 and any int key and challenge (see
+        ``GroupParams.schnorr_commitments``)."""
+        modulus = self.modulus
+        key, exponent = key % modulus, -challenge % self.exponent_modulus
+        if not key:
+            if exponent:
+                return 0
+            key = 1
+        mont, scratch = self.mont, _THREADS.scratch
+        s_number, y_number, e_number = scratch.operands
+        size = mont.size
+        _load(s_number, response, size)
+        _load(y_number, key, size)
+        _load(e_number, exponent, size)
+        if not _BN_mod_exp2_mont(
+            scratch.result, self.number, s_number, y_number, e_number, mont.modulus, scratch.ctx, mont.context
+        ):
+            _fail("BN_mod_exp2_mont")
+        return _read(scratch.result, scratch.buffer(size))
 
     def __del__(self, free=_BN_free) -> None:
         free(self.number)
@@ -245,6 +270,15 @@ _KEY_VERDICTS = 16384
 
 @functools.lru_cache(maxsize=_KEY_VERDICTS)
 def _key_verdict(group: "GroupParams", key: int) -> bool:
+    """``is_element`` for a public key, whose verdict is kept: verifiers
+    meet the same keys again and again (every ring key is tested by
+    every ring proof over it; an enrolled researcher's key signs every
+    request; a fresh block key is tested by its possession proof,
+    again by its block's signature, and a patient block key by every
+    approval it signs). The verdicts sit in a cache keyed by (parameters, key),
+    bounded at 16384 keys; a miss goes through ``is_element``. A hit
+    costs a lookup: the parameters' hash is taken once (``__hash__``).
+    """
     return group.is_element(key)
 
 
@@ -264,6 +298,15 @@ class GroupParams(enc.Wire):
             raise ValueError("generator out of range")
         if _mod_exp(self.generator, self.order, self.modulus) != 1:
             raise ValueError("generator order does not divide the declared group order")
+
+    def __hash__(self) -> int:
+        # Kept, not generated: the dataclass's hash would hash the four fields,
+        # the 256-bit ints among them, at every lookup of a key's verdict.
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.group_id, self.modulus, self.order, self.generator))
 
     @classmethod
     def default(cls) -> "GroupParams":
@@ -296,40 +339,16 @@ class GroupParams(enc.Wire):
         is 0. Every other value is one ``BN_mod_exp2_mont``, the
         generator pinned in a BIGNUM kept per (modulus, generator), the
         operands written at the modulus's byte size. Each value is
-        computed when it is asked for, so a verifier that stops at the
-        first failing branch makes no further exponentiation. The iterator
-        belongs to the thread that first advances it.
+        computed when it is asked for, in the scratch numbers of the thread
+        that asks, so a verifier that stops at the first failing branch
+        makes no further exponentiation. The column holds its pinned
+        generator, which outlives the generator's eviction from its cache.
         """
-        modulus, exponent_modulus = self.modulus, self.modulus - 1
-        mont, scratch = _montgomery(modulus), _THREADS.scratch
-        pinned = _pinned(modulus, self.generator)
-        size, (s_number, y_number, e_number) = mont.size, scratch.operands
-        for key, challenge, response in zip(keys, challenges, responses):
-            key, exponent = key % modulus, -challenge % exponent_modulus
-            if not key:
-                if exponent:
-                    yield 0
-                    continue
-                key = 1
-            _load(s_number, response, size)
-            _load(y_number, key, size)
-            _load(e_number, exponent, size)
-            if not _BN_mod_exp2_mont(
-                scratch.result, pinned.number, s_number, y_number, e_number, mont.modulus, scratch.ctx, mont.context
-            ):
-                _fail("BN_mod_exp2_mont")
-            yield _read(scratch.result, scratch.buffer(size))
+        return map(_pinned(self.modulus, self.generator).commitment, keys, challenges, responses)
 
-    def key_is_element(self, key: int) -> bool:
-        """``is_element`` for a public key, whose verdict is kept: verifiers
-        meet the same keys again and again (every ring key is tested by
-        every ring proof over it; an enrolled researcher's key signs every
-        request; a fresh block key is tested by its possession proof,
-        again by its block's signature, and a patient block key by every
-        approval it signs). The verdicts sit in a cache keyed by (parameters, key),
-        bounded at 16384 keys; a miss goes through ``is_element``.
-        """
-        return _key_verdict(self, key)
+    # The verdict cache itself, bound as a method, so that a kept verdict is
+    # read with no Python frame in between (see ``_key_verdict``).
+    key_is_element = _key_verdict
 
     def random_scalar(self, rng: random.Random | None = None) -> int:
         """Uniform nonzero scalar in [1, order)."""
@@ -349,9 +368,12 @@ class GroupParams(enc.Wire):
     def decode_element(self, data: bytes) -> int:
         """A value in [1, modulus), not tested for subgroup membership.
 
-        Membership is tested where a value is used, because a test here
-        costs one Jacobi symbol per element and a 4000/1000-key patient
-        block decodes 5000 ring commitments. Every public key is gated, and
+        Ring-branch commitments do not come through here: a ring proof
+        keeps its branches as their wire records, and the same range rule
+        is checked on their bytes (``crypto._BranchLayout``), with the same
+        error. Membership is tested where a value is used, because a test
+        here costs one Jacobi symbol per element and a 4000/1000-key patient
+        block holds 5000 ring commitments. Every public key is gated, and
         its verdict kept (``key_is_element``): ``ring_verify`` and
         ``credential_verify`` test every ring key, and
         ``credential_verify``, ``schnorr_verify`` and ``verify_signature``

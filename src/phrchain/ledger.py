@@ -277,9 +277,11 @@ def decode_block(data: bytes, group: GroupParams) -> Block:
     """Parse canonical block bytes; raises FormatError on malformed input.
 
     Decoding is canonical (the block re-encodes to ``data``), so the
-    block's id is the hash of ``data``. The bytes themselves are not kept,
-    so a chain of decoded blocks holds no second copy of them; a block
-    that is asked for its bytes encodes them then.
+    block's id is the hash of ``data``. ``data`` itself is not kept. A
+    patient block's ring proofs keep their branch records, the bulk of its
+    bytes, as the slices they were read from (``RingProof``), so it holds
+    about its wire size and no per-branch object; a block that is asked
+    for its bytes joins them with its other fields then.
     """
     kind = _BLOCK_KINDS.get(data[0] if data else None)
     if kind is None:

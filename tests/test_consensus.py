@@ -143,7 +143,9 @@ def _negated_credential(group, ring, index, secret, block_kp, rng, branch):
         state = dataclasses.replace(state, commitments=tuple(commitments))
     commitment_bytes = _commitment_bytes(group, state.commitments)
     joint = _joint_context(group, ring, block_kp.public, possession, commitment_bytes)
-    membership = _ring_finish(group, state, secret, _ring_binding_challenge(group, joint, commitment_bytes))
+    membership = _ring_finish(
+        group, state, secret, _ring_binding_challenge(group, joint, commitment_bytes), commitment_bytes
+    )
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession)
     response = (nonce + challenge * block_kp.secret) % group.order
     return CredentialProof(membership, SchnorrProof(possession, challenge, response), joint)

@@ -495,6 +495,61 @@ def test_identity_ring_key_cannot_accept_forged_credentials(group):
         assert not credential_verify(group, [1], block_kp.public, credential)
 
 
+def _pow_credential_verdict(group, ring, public, credential):
+    """``credential_verify`` as the reference: the range rules on the ints,
+    every key in the subgroup by Euler's criterion, the joint context and
+    both challenges recomputed, and every equation through ``pow``."""
+    p, q = group.modulus, group.order
+    branches, possession = credential.membership.branches, credential.possession
+    if len(branches) != len(ring) or not ring:
+        return False
+    keys = [*ring, public]
+    values = [(b.commitment, b.challenge, b.response) for b in (*branches, possession)]
+    if not all(1 <= t < p and 0 <= c < q and 0 <= s < q for t, c, s in values):
+        return False
+    if not all(1 < y < p and pow(y, q, p) == 1 for y in keys):
+        return False
+    commitment_bytes = _commitment_bytes(group, [b.commitment for b in branches])
+    joint = _joint_context(group, ring, public, possession.commitment, commitment_bytes)
+    if credential.joint_context != joint:
+        return False
+    if credential.membership.binding_challenge != _ring_binding_challenge(group, joint, commitment_bytes):
+        return False
+    if possession.challenge != _schnorr_challenge(group, joint, public, possession.commitment):
+        return False
+    if sum(b.challenge for b in branches) % q != credential.membership.binding_challenge:
+        return False
+    return all(_pow_equation(group, y, *value) for y, value in zip(keys, values))
+
+
+def test_decoded_credentials_agree_with_in_memory_and_pow(group):
+    # The honest credential and every single-byte flip of it that still
+    # decodes: its ring kept as wire records, the same credential held as
+    # SchnorrProof ints, and the pow reference give one verdict.
+    rng = random.Random(125)
+    kps, ring = _ring(group, rng, 5)
+    block_kp = keygen(group, rng)
+    wire = credential_prove(group, ring, 3, kps[3].secret, block_kp, rng).to_bytes(group)
+    verdicts = []
+    for position in range(-1, len(wire)):
+        mutated = bytearray(wire)
+        if position >= 0:
+            mutated[position] ^= 0x01
+        try:
+            decoded = CredentialProof.from_bytes(bytes(mutated), group)
+        except FormatError:
+            continue
+        verdict = credential_verify(group, ring, block_kp.public, decoded)
+        membership = decoded.membership
+        in_memory = replace(decoded, membership=RingProof(tuple(membership.branches), membership.binding_challenge))
+        assert credential_verify(group, ring, block_kp.public, in_memory) is verdict, position
+        assert _pow_credential_verdict(group, ring, block_kp.public, in_memory) is verdict, position
+        assert decoded.to_bytes(group) == in_memory.to_bytes(group) == bytes(mutated)
+        verdicts.append(verdict)
+    assert verdicts[0] is True and verdicts.count(True) == 1
+    assert len(verdicts) > len(wire) // 2
+
+
 # Hostile values per transcript field, named so the ids read the same for every group.
 _HOSTILE = {
     "commitment": ("-1", "0", "p", "2^256"),

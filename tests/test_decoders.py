@@ -375,9 +375,9 @@ def _ring_proof(data: bytes) -> RingProof:
 
 
 class TestRingBody:
-    """``RingProof.read_from`` decodes branch by branch (``SchnorrProof.read_from``):
-    a count larger than the body, a cut at any branch boundary and an
-    out-of-range field are each a ``FormatError``."""
+    """``RingProof.read_from`` takes the branch records in one read and checks
+    their range rules on the bytes: a count larger than the body, a cut at
+    any branch boundary and an out-of-range field are each a ``FormatError``."""
 
     @pytest.fixture()
     def proof_bytes(self):

@@ -1,7 +1,9 @@
-"""Values computed once and kept: a block's canonical bytes and a public key's
-subgroup verdict."""
+"""Values computed once and kept: a block's canonical bytes, a public key's
+subgroup verdict, and a ring proof's branches as their wire records."""
 
 import dataclasses
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,6 +12,8 @@ from phrchain import (
     ApprovalBlock,
     PatientBlock,
     RequestBlock,
+    RingProof,
+    SchnorrProof,
     TimeRange,
     create_approval_block,
     create_request_block,
@@ -18,6 +22,7 @@ from phrchain import (
     digest,
     keygen,
     ring_verify,
+    ring_prove,
     run_consensus,
     schnorr_prove,
     schnorr_verify,
@@ -25,6 +30,8 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
+from phrchain.consensus import verify_block
+from phrchain.encoding import decode
 from phrchain.group import GroupParams
 from phrchain.ledger import decode_block
 
@@ -166,3 +173,66 @@ class TestKeyVerdicts:
         assert tiny_group.key_is_element(4) and tiny_group.key_is_element(4)
         assert not tiny_group.key_is_element(-1)  # evicted: the earliest keys were pushed out
         assert symbols[4] == 1 and symbols[-1] == 2 and symbols[-bound - 10] == 1
+
+
+@pytest.fixture()
+def constructions(monkeypatch):
+    """Counts ``SchnorrProof`` objects built from here on."""
+    built = Counter()
+    init = SchnorrProof.__init__
+
+    def counted(self, *args, **kwargs):
+        built["SchnorrProof"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SchnorrProof, "__init__", counted)
+    return built
+
+
+class TestRingRecords:
+    def test_a_decoded_ring_proof_holds_about_its_wire_bytes(self, group):
+        m = 512
+        rng = random.Random(126)
+        kps = [keygen(group, rng) for _ in range(m)]
+        ring = [kp.public for kp in kps]
+        wire = ring_prove(group, ring, 7, kps[7].secret, b"ctx", rng).to_bytes(group)
+        decode(wire, RingProof.read_from, group)  # the group's record layout, built once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            proof = decode(wire, RingProof.read_from, group)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 96 bytes a branch and one object: no SchnorrProof, no int per value.
+        assert held <= 1.25 * 96 * m + 4096
+        assert ring_verify(group, ring, proof, b"ctx")
+        assert proof.to_bytes(group) == wire
+
+    def test_verify_block_builds_no_ring_branch(self, make_world, constructions):
+        world = make_world(patients=6, hospitals=3)
+        block, _ = world.submit_block(world.patient(), b"visit", 1, append=False)
+        constructions.clear()
+        received = decode_block(block.canonical_bytes(), world.group)
+        credentials = (received.patient_credential, received.hospital_credential)
+        assert constructions["SchnorrProof"] == 2  # the two possession halves
+        constructions.clear()
+        assert verify_block(received, world.directories)
+        result = run_consensus(received, world.pool, world.directories, 1, chain=world.chain)
+        assert result.approved
+        world.chain.append(received, result)
+        assert received.canonical_bytes() == block.canonical_bytes()
+        assert constructions["SchnorrProof"] == 0
+        assert all("branches" not in vars(credential.membership) for credential in credentials)
+        # The count is live: asking for the branches builds one per ring key.
+        assert [credential.membership.branch_count for credential in credentials] == [6, 3]
+        assert sum(len(credential.membership.branches) for credential in credentials) == 9
+        assert constructions["SchnorrProof"] == 9
+
+    def test_a_proved_ring_proof_keeps_only_its_records(self, group, constructions):
+        rng = random.Random(127)
+        kps = [keygen(group, rng) for _ in range(8)]
+        ring = [kp.public for kp in kps]
+        proof = ring_prove(group, ring, 2, kps[2].secret, b"ctx", rng)
+        assert ring_verify(group, ring, proof, b"ctx")
+        assert constructions["SchnorrProof"] == 0 and "branches" not in vars(proof)

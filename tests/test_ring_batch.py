@@ -35,7 +35,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.crypto import _commitment_bytes, _ring_binding_challenge
-from phrchain.encoding import FormatError, Reader
+from phrchain.encoding import FormatError, Reader, decode
 from phrchain.group import GroupParams
 
 # The full corpus runs at the small sizes and a lighter one at the large.
@@ -285,6 +285,33 @@ def test_batched_verify_agrees_with_per_branch_oracle(any_group, size):
             assert reference == expected, label
         verdicts.add(reference)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("size", RING_SIZES + LARGE_RING_SIZES)
+def test_decoded_proofs_agree_with_in_memory_and_pow(any_group, size):
+    # Every corpus entry, rebuilt from SchnorrProof objects, encoded and
+    # decoded: a proof kept as its wire records gets the verdict of the
+    # same proof held as ints and of the pow oracle. An entry whose bytes
+    # break a range rule is refused at decode, and rejected in memory.
+    rng = random.Random(1000 + size)
+    cases = corpus if size in RING_SIZES else large_corpus
+    decoded_verdicts = set()
+    for label, ring, proof, _ in cases(any_group, size, rng):
+        in_memory = RingProof(tuple(proof.branches), proof.binding_challenge)
+        reference = reference_ring_verify(any_group, ring, in_memory, b"ctx")
+        assert ring_verify(any_group, ring, in_memory, b"ctx") == reference, label
+        wire = in_memory.to_bytes(any_group)
+        try:
+            decoded = decode(wire, RingProof.read_from, any_group)
+        except FormatError:
+            assert reference is False, label
+            continue
+        assert ring_verify(any_group, ring, decoded, b"ctx") == reference, label
+        assert decoded.to_bytes(any_group) == wire, label
+        assert decoded.branches == in_memory.branches, label
+        assert decoded == in_memory, label
+        decoded_verdicts.add(reference)
+    assert decoded_verdicts == {True, False}
 
 
 def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
