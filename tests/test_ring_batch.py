@@ -13,6 +13,7 @@ verifier batched, keep their own corpus and the sign attack of Boyd and
 Pavlovski, which defeats a weighted batch without a membership test.
 """
 
+import dataclasses
 import functools
 import hashlib
 import os
@@ -312,6 +313,44 @@ def test_decoded_proofs_agree_with_in_memory_and_pow(any_group, size):
         assert decoded == in_memory, label
         decoded_verdicts.add(reference)
     assert decoded_verdicts == {True, False}
+
+
+def test_out_of_range_values_that_keep_every_equation_are_rejected(group):
+    # A challenge c + q or a response s + q still fits its 32 bytes, and it
+    # keeps the challenge sum, the binding hash and every branch equation
+    # (g and each key have order q). Only the range rules refuse it: the
+    # ring gate for a proof in memory, bare or in a credential, and the
+    # decoder for its bytes.
+    rng = random.Random(128)
+    kps = [keygen(group, rng) for _ in range(4)]
+    ring = [kp.public for kp in kps]
+    p, q = group.modulus, group.order
+    block_kp = keygen(group, rng)
+    credential = credential_prove(group, ring, 2, kps[2].secret, block_kp, rng)
+    bare = ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng)
+    checks = (
+        (bare, lambda proof: ring_verify(group, ring, proof, b"ctx"), b"ctx"),
+        (credential.membership, lambda proof: credential_verify(
+            group, ring, block_kp.public, dataclasses.replace(credential, membership=proof)
+        ), credential.joint_context),
+    )
+    for honest, verify, context in checks:
+        assert verify(honest)
+        for i, branch in enumerate(honest.branches):
+            for shifted in (
+                SchnorrProof(branch.commitment, branch.challenge + q, branch.response),
+                SchnorrProof(branch.commitment, branch.challenge, branch.response + q),
+            ):
+                forged = _with_branch(honest, i, shifted)
+                assert sum(b.challenge for b in forged.branches) % q == forged.binding_challenge
+                assert all(
+                    pow(group.generator, b.response, p) == b.commitment * pow(y, b.challenge, p) % p
+                    for y, b in zip(ring, forged.branches)
+                )
+                assert reference_ring_verify(group, ring, forged, context) is False
+                assert verify(forged) is False
+                with pytest.raises(FormatError, match="scalar out of range"):
+                    decode(forged.to_bytes(group), RingProof.read_from, group)
 
 
 def test_weights_do_not_come_from_caller_rng(group, monkeypatch):
