@@ -195,7 +195,7 @@ class _BranchLayout:
 
     def __init__(self, group: GroupParams) -> None:
         e, s = group.element_size, group.scalar_size
-        self.size, self.scalar_size = e + 2 * s, s
+        self.group, self.size, self.scalar_size = group, e + 2 * s, s
         self.record = struct.Struct(f">{e}s{s}s{s}s")
         self.element = struct.Struct(f">{e}s")
         # One field of every record, the others skipped.
@@ -204,6 +204,11 @@ class _BranchLayout:
             for start, width in ((0, e), (e, s), (e + s, s))
         )
         self.zero, self.modulus, self.order = bytes(e), group.modulus.to_bytes(e), group.order.to_bytes(s)
+
+    def __reduce__(self):
+        # A Struct does not pickle, so a copied or pickled proof names its
+        # layout by its group.
+        return _branch_layout, (self.group,)
 
     def fault(self, records: bytes) -> str | None:
         """The first range rule the records break, in wire order, worded as

@@ -1,7 +1,9 @@
 """Values computed once and kept: a block's canonical bytes, a public key's
 subgroup verdict, and a ring proof's branches as their wire records."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -236,3 +238,14 @@ class TestRingRecords:
         proof = ring_prove(group, ring, 2, kps[2].secret, b"ctx", rng)
         assert ring_verify(group, ring, proof, b"ctx")
         assert constructions["SchnorrProof"] == 0 and "branches" not in vars(proof)
+
+    def test_a_kept_proof_copies_and_pickles(self, group):
+        rng = random.Random(128)
+        kps = [keygen(group, rng) for _ in range(5)]
+        ring = [kp.public for kp in kps]
+        wire = ring_prove(group, ring, 4, kps[4].secret, b"ctx", rng).to_bytes(group)
+        proof = decode(wire, RingProof.read_from, group)
+        for twin in (copy.deepcopy(proof), pickle.loads(pickle.dumps(proof))):
+            assert "branches" not in vars(twin)
+            assert twin.to_bytes(group) == wire and ring_verify(group, ring, twin, b"ctx")
+            assert twin == proof
