@@ -20,7 +20,8 @@ verifier (``key_is_element`` for every key) over 5000 keys whose
 verdicts are kept, as a 4000/1000-key block's verifier meets them; one
 consensus vote over 800 miners (40% malicious) on a request block given
 no chain, which ``verify_block`` rejects at once so that the row times the
-vote loop alone; the two chain reads of a researcher round on an
+vote loop alone, and the role draw of such a vote alone (``_draw_roles``
+with its seeded generator, checked against ``random.Random.sample``); the two chain reads of a researcher round on an
 800-block chain (640 patient blocks of 16 patients, 80 requests and 80
 approvals; see ``researcher_chain``): one ``scan_blocks`` for a
 one-condition mask and one ``pending_requests`` for a 40-visit history;
@@ -71,6 +72,7 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
+from phrchain.consensus import _draw_roles
 from phrchain.crypto import _schnorr_equations
 from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, decode_block, range_message
@@ -246,6 +248,17 @@ def main() -> None:
         raise SystemExit("a request block given no chain was approved")
     rows["run_consensus_800_s"] = median_time(
         lambda: [run_consensus(request, pool, directories, seed) for seed in range(50)], args.repeats, 50
+    )
+    # The role draw of those rounds alone, first checked against the draw it replaces.
+    for seed in range(50):
+        drawn, sampled = random.Random(seed), random.Random(seed)
+        picked = set(sampled.sample(range(800), 320))
+        if _draw_roles(drawn, 800, 320) != bytearray(i in picked for i in range(800)) or (
+            drawn.getstate() != sampled.getstate()
+        ):
+            raise SystemExit("the role draw differs from random.Random.sample")
+    rows["role_draw_800_320_s"] = median_time(
+        lambda: [_draw_roles(random.Random(seed), 800, 320) for seed in range(50)], args.repeats, 50
     )
     # Its own stream, as for the 200-key ring: the chain does not depend on
     # the draws above, and rows added before it keep their inputs.

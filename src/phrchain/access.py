@@ -37,7 +37,6 @@ from .ledger import (
     range_message,
     state_commitment,
 )
-from .registry import mask_matcher
 
 
 class RangeError(ValueError):
@@ -51,12 +50,12 @@ class NonContiguousError(ValueError):
 def scan_blocks(chain: Chain, query_mask: bytes) -> list[bytes]:
     """Ids of the patient blocks whose condition bits cover the query mask, in chain order.
 
-    Reads the chain's per-bit index: the cost is one ``codes_match`` per
-    block carrying the mask's rarest bit (every patient block for a zero
-    mask), not one per block on the chain. The mask is converted once.
+    Answered from the chain's (vector length, bit) index (``Chain.matching``):
+    a one-bit mask costs no per-block test at all, and a mask with more bits
+    one ``codes_match`` per block carrying its rarest bit (per patient block
+    for a zero mask), not one per block on the chain.
     """
-    matches = mask_matcher(query_mask)
-    return [block.block_id for block in chain.carrying(query_mask) if matches(block.condition_bits)]
+    return chain.matching(query_mask)
 
 
 def create_request_block(

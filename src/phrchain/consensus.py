@@ -11,8 +11,11 @@ square of the pool size.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
@@ -152,34 +155,95 @@ def run_consensus(
 
     The votes are stored as the result's packed records (``ledger.pack_votes``).
     A seed always gives the same result bytes, so the role draw, the jitter
-    stream and the order of the float operations must not change.
+    stream and the order of the float operations must not change. The role
+    draw is ``_draw_roles``: the set ``random.Random(seed).sample(range(n), k)``
+    picks, with the generator left where ``sample`` leaves it.
 
-    At zero jitter no jitter draw is made. The bytes stay the same: nothing
+    At zero jitter no jitter draw is made, and no per-miner float either:
+    every honest miner takes the same seconds, which ``pack_votes`` writes
+    by byte translation of the role flags. The bytes stay the same: nothing
     reads the RNG after those draws, and for every draw r in [0, 1) and a
     jitter of 0.0 or -0.0, ``r * jitter`` is ``0.0 * jitter`` bit for bit,
-    so each miner's seconds are the same float, signed zeros included.
+    so each miner's seconds are the same float, signed zeros included. The
+    slowest time is what ``max`` over the per-miner list gives: ``max``
+    keeps the first of equal values, so when the honest seconds are a zero,
+    miner 0's role decides its sign.
     """
     valid = verify_block(block, directories, chain)
-    n = pool.n_miners
+    n, k = pool.n_miners, pool.n_malicious
     rng = random.Random(seed)
-    malicious = rng.sample(range(n), pool.n_malicious)
+    flags = _draw_roles(rng, n, k)
     if pool.verify_jitter:
         # One jitter draw per miner regardless of role keeps the RNG stream
         # independent of the malicious count; a malicious miner then costs nothing.
         seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
+        for miner in itertools.compress(range(n), flags):
+            seconds[miner] = 0.0
+        slowest = max(seconds)
     else:
-        seconds = [pool.verify_seconds + 0.0 * pool.verify_jitter] * n
-    flags = bytearray(n)
-    for miner in malicious:
-        seconds[miner] = 0.0
-        flags[miner] = 1
-    approvals = n - len(malicious) if valid else 0
+        seconds = pool.verify_seconds + 0.0 * pool.verify_jitter
+        first = 0.0 if flags[0] else seconds
+        slowest = max(first, seconds) if k < n else first
+    approvals = n - k if valid else 0
     propagation = pool.pair_seconds * n * (n - 1)
     return ConsensusResult(
         approved=approvals >= approval_threshold(n),
         approvals=approvals,
         rejections=n - approvals,
-        simulated_time=max(seconds) + propagation,
+        simulated_time=slowest + propagation,
         vote_records=pack_votes(flags, valid, seconds),
     )
 
+
+def _draw_roles(rng: random.Random, n: int, k: int) -> bytearray:
+    """The role flags of n miners, 1 for each of the k that
+    ``rng.sample(range(n), k)`` would pick, with ``rng`` left in the state
+    ``sample`` leaves it in (CPython 3.11).
+
+    ``sample`` takes one of two branches, chosen by its own set-size rule:
+    a partial Fisher-Yates shuffle of a pool list for small n, else draws
+    into a set that redraws repeats. Each of its draws is
+    ``_randbelow(m)``: one 32-bit word w per try, the candidate
+    w >> (32 - m.bit_length()), accepted when below m. The words are read
+    in bulk (``_words``), and only as many as are certain to be consumed:
+    each draw still to be made takes at least one word, so a batch holds
+    the draws left in the current bit-length band of m (the shuffle, where
+    m falls by one each draw) or the members still missing (the set).
+    """
+    flags = bytearray(n)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        m, stop = n, n - k
+        while m > stop:
+            band = m.bit_length()
+            low, shift = max(stop, (1 << (band - 1)) - 1), 32 - band
+            while m > low:
+                for word in _words(rng, m - low):
+                    j = word >> shift
+                    if j < m:
+                        m -= 1
+                        flags[pool[j]] = 1
+                        pool[j] = pool[m]
+    else:
+        shift = 32 - n.bit_length()
+        missing = k
+        while missing:
+            for word in _words(rng, missing):
+                j = word >> shift
+                if j < n and not flags[j]:
+                    flags[j] = 1
+                    missing -= 1
+    return flags
+
+
+def _words(rng: random.Random, count: int) -> array:
+    """The next ``count`` 32-bit outputs of the generator, in the order one
+    ``getrandbits(32)`` each would give them: ``getrandbits`` puts its first
+    word lowest."""
+    words = array("I", rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words

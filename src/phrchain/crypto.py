@@ -283,9 +283,11 @@ class RingProof:
 
     @classmethod
     def _of_records(cls, layout: _BranchLayout, records: bytes, binding_challenge: int) -> "RingProof":
-        """A proof kept as its branch records, with no ``branches`` built yet."""
+        """A proof kept as its branch records, with no ``branches`` built yet.
+        The records must keep the range rules: the decoder has checked them,
+        and the prover's values are in range by construction."""
         proof = cls.__new__(cls)
-        proof.__dict__.update(_kept=(layout, records), binding_challenge=binding_challenge)
+        proof.__dict__.update(_kept=(layout, records, True), binding_challenge=binding_challenge)
         return proof
 
     def __getattr__(self, name: str):
@@ -301,27 +303,33 @@ class RingProof:
         """m, the number of branches, read without building them."""
         if "branches" in self.__dict__:
             return len(self.branches)
-        layout, records = self.__dict__["_kept"]
+        layout, records, _ = self.__dict__["_kept"]
         return len(records) // layout.size
 
-    def _records(self, layout: _BranchLayout) -> bytes | None:
-        """The branch records under ``layout``: as kept, or packed from
-        ``branches`` and then kept; None when a value does not fit its field.
+    def _records(self, layout: _BranchLayout) -> tuple[bytes | None, bool]:
+        """The branch records under ``layout``, and whether they keep its
+        range rules: as kept, or packed from ``branches`` and checked, then
+        kept. The records are None when a value does not fit its field.
 
-        Records depend on the field widths alone, which the record size fixes.
+        The rules are checked once, where records are made: by the decoder,
+        by the prover (``_of_records``), or here. Records kept under another
+        group's layout are packed and checked afresh.
         """
         kept = self.__dict__.get("_kept")
-        if kept is None or kept[0].size != layout.size:
+        if kept is None or kept[0].group != layout.group:
             try:
                 records = layout.pack_branches(self.branches)
             except OverflowError:
                 records = None
-            kept = self.__dict__["_kept"] = (layout, records)
-        return kept[1]
+            in_range = records is not None and layout.fault(records) is None
+            kept = self.__dict__["_kept"] = (layout, records, in_range)
+        return kept[1], kept[2]
 
     def to_bytes(self, group: GroupParams) -> bytes:
+        """The wire form; values out of range are written as they are, and
+        the decoder refuses them."""
         layout = _branch_layout(group)
-        records = self._records(layout)
+        records, _ = self._records(layout)
         if records is None:
             raise OverflowError("a ring branch value does not fit its encoding")
         return enc.u32(len(records) // layout.size) + records + group.encode_scalar(self.binding_challenge)
@@ -450,9 +458,11 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> byt
     A non-empty ring with one branch per key, every branch value fitting
     its field and keeping the range rules of ``_BranchLayout`` (challenge
     and response in [0, order), commitment in [1, modulus)), and every ring
-    key in the subgroup. A key of order one or two (1, p - 1) would let a
-    proof hold with no secret, and only a key in [1, modulus) has the
-    canonical encoding that ``credential_verify``'s joint context hashes.
+    key in the subgroup. The rules were checked where the records were made
+    (``RingProof._records``), so the gate reads that verdict and scans no
+    record. A key of order one or two (1, p - 1) would let a proof hold
+    with no secret, and only a key in [1, modulus) has the canonical
+    encoding that ``credential_verify``'s joint context hashes.
     Each key's verdict is kept (``GroupParams.key_is_element``), so a
     ring's keys are tested once however many proofs over them are checked.
     ``credential_verify`` runs the gate before its joint context hashes
@@ -462,10 +472,10 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> byt
     meets a ring of another length or an empty one.
     """
     layout = _branch_layout(group)
-    records = proof._records(layout)
-    if records is None or len(records) != len(ring) * layout.size or len(ring) == 0:
+    records, in_range = proof._records(layout)
+    if not in_range or len(records) != len(ring) * layout.size or len(ring) == 0:
         return None
-    if layout.fault(records) is not None or not all(map(group.key_is_element, ring)):
+    if not all(map(group.key_is_element, ring)):
         return None
     return records
 

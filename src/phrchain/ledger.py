@@ -19,7 +19,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import encoding as enc
 from .crypto import (
@@ -35,7 +35,7 @@ from .crypto import (
     sym_encrypt,
 )
 from .group import GroupParams, _rng
-from .registry import Directories, conditions_in
+from .registry import Directories, conditions_in, mask_matcher
 
 GENESIS_STATE = bytes(32)
 NONCE_SIZE = 32
@@ -506,35 +506,54 @@ _VOTE_MINER, _VOTE_MALICIOUS, _VOTE_APPROVE, _VOTE_SECONDS = (
 _HONEST = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def pack_votes(malicious: bytes, valid: bool, seconds: Sequence[float]) -> bytes:
+def pack_votes(malicious: bytes, valid: bool, seconds: Sequence[float] | float) -> bytes:
     """The ``VOTE_RECORD``s of one round, in miner order.
 
-    ``malicious[i]`` is miner i's flag (0 or 1) and ``seconds[i]`` its
-    virtual verification time; honest miners approve iff the block is
-    valid, malicious miners never. The records are written one field at a
-    time across all miners, with no per-miner object or ``pack`` call.
+    ``malicious[i]`` is miner i's flag (0 or 1). ``seconds`` is either each
+    miner's virtual verification time, or one float, the time of every
+    honest miner, with 0.0 for every malicious one. Honest miners approve
+    iff the block is valid, malicious miners never. The records are
+    written one byte of a field at a time across all miners, with no
+    per-miner object or ``pack`` call; for one float, each byte of the
+    seconds is a translation of the flags.
     """
     ids, seconds_column = _vote_columns(len(malicious))
     records = bytearray(ids)
     records[_VOTE_MALICIOUS :: VOTE_RECORD.size] = malicious
     if valid:
         records[_VOTE_APPROVE :: VOTE_RECORD.size] = malicious.translate(_HONEST)
-    _write_field(records, _VOTE_SECONDS, seconds_column.pack(*seconds))
+    if isinstance(seconds, float):
+        columns = map(malicious.translate, _seconds_tables(enc.f64(seconds)))
+    else:
+        columns = _byte_columns(seconds_column.pack(*seconds), 8)
+    _write_field(records, _VOTE_SECONDS, columns)
     return bytes(records)
 
 
-def _write_field(records: bytearray, offset: int, column: bytes) -> None:
-    """Scatter a column of equal-width values, one per record, into the field at offset."""
-    width = len(column) * VOTE_RECORD.size // len(records)
-    for k in range(width):
-        records[offset + k :: VOTE_RECORD.size] = column[k::width]
+def _write_field(records: bytearray, offset: int, columns: Iterable[bytes]) -> None:
+    """Write the field at offset of every record, its k-th byte from the k-th column."""
+    for k, column in enumerate(columns):
+        records[offset + k :: VOTE_RECORD.size] = column
+
+
+def _byte_columns(values: bytes, width: int) -> Iterator[bytes]:
+    """The byte columns of values of the given width packed back to back."""
+    return (values[k::width] for k in range(width))
+
+
+@lru_cache(maxsize=16)
+def _seconds_tables(honest: bytes) -> tuple[bytes, ...]:
+    """Per byte of an honest miner's packed seconds, the table that maps a
+    malicious flag to that byte of the miner's seconds: 0 to it, 1 to the
+    byte of 0.0. Keyed by the bytes, so that 0.0 and -0.0 differ."""
+    return tuple(bytes.maketrans(b"\x00\x01", bytes((byte, 0))) for byte in honest)
 
 
 @lru_cache(maxsize=16)
 def _vote_columns(n: int) -> tuple[bytes, struct.Struct]:
     """Blank records for n miners with the miner ids written, and the packer of n seconds."""
     records = bytearray(VOTE_RECORD.size * n)
-    _write_field(records, _VOTE_MINER, struct.pack(f">{n}I", *range(n)))
+    _write_field(records, _VOTE_MINER, _byte_columns(struct.pack(f">{n}I", *range(n)), 4))
     return bytes(records), struct.Struct(f">{n}d")
 
 
@@ -618,10 +637,14 @@ class Chain(enc.Stored):
 
     - ``_index``: block id -> position;
     - ``_patients``: the patient blocks in chain order, and
-      ``_by_condition``: per condition bit (``registry.conditions_in``), the patient
-      blocks that carry it, in chain order;
+      ``_by_condition``: per (vector length in bytes, condition bit), the
+      patient blocks whose condition vector has that length and carries
+      that bit (``registry.conditions_in``), in chain order;
     - ``_forks``: parent id -> positions of the request blocks that fork
       it, in chain order, whatever the parent's kind.
+
+    A vector of another length never matches a mask (``registry.mask_matcher``),
+    so a one-bit mask's (length, bit) list is its exact answer.
     """
 
     MAGIC = b"PHRC"
@@ -631,7 +654,7 @@ class Chain(enc.Stored):
         self._entries: list[ChainEntry] = []
         self._index: dict[bytes, int] = {}
         self._patients: list[PatientBlock] = []
-        self._by_condition: dict[int, list[PatientBlock]] = {}
+        self._by_condition: dict[tuple[int, int], list[PatientBlock]] = {}
         self._forks: dict[bytes, list[int]] = {}
 
     def __len__(self) -> int:
@@ -647,8 +670,9 @@ class Chain(enc.Stored):
         self._entries.append(ChainEntry(block, record))
         if isinstance(block, PatientBlock):
             self._patients.append(block)
+            size = len(block.condition_bits)
             for bit in conditions_in(block.condition_bits):
-                self._by_condition.setdefault(bit, []).append(block)
+                self._by_condition.setdefault((size, bit), []).append(block)
         elif isinstance(block, RequestBlock):
             self._forks.setdefault(block.parent_ptr, []).append(position)
 
@@ -662,14 +686,22 @@ class Chain(enc.Stored):
     def patient_blocks(self) -> tuple[PatientBlock, ...]:
         return tuple(self._patients)
 
-    def carrying(self, query_mask: bytes) -> tuple[PatientBlock, ...]:
-        """Candidates for a condition query: the patient blocks, in chain order,
-        that carry the mask's rarest set bit, or all of them for a zero mask.
+    def matching(self, query_mask: bytes) -> list[bytes]:
+        """Ids of the patient blocks whose condition bits cover the query
+        mask (``registry.codes_match``), in chain order.
 
-        A superset of the matches; the caller re-checks each candidate.
+        A one-bit mask reads its (length, bit) list as it stands. A mask
+        with more bits filters the rarest of its bits' lists, and a zero
+        mask every patient block, through ``mask_matcher``.
         """
-        lists = [self._by_condition.get(bit, ()) for bit in conditions_in(query_mask)]
-        return tuple(min(lists, key=len, default=self._patients))
+        size = len(query_mask)
+        lists = [self._by_condition.get((size, bit), ()) for bit in conditions_in(query_mask)]
+        if len(lists) == 1:
+            return [block.block_id for block in lists[0]]
+        matches = mask_matcher(query_mask)
+        return [
+            block.block_id for block in min(lists, key=len, default=self._patients) if matches(block.condition_bits)
+        ]
 
     def forks_of(self, parent_ids) -> list[RequestBlock]:
         """The request blocks forking any of the given ids, in chain order."""

@@ -1,6 +1,6 @@
 """The chain's indexes against the linear walks they replace.
 
-``scan_blocks`` reads the per-bit index of patient blocks and
+``scan_blocks`` reads the (vector length, bit) index of patient blocks and
 ``pending_requests`` the per-parent index of request blocks. The walks
 over every block that both made before are kept here as oracles; on
 random chains the indexed reads must return the same lists in the same
@@ -33,6 +33,7 @@ from phrchain import (
     scan_blocks,
     sign,
 )
+from phrchain import ledger
 from phrchain.consensus import ConsensusResult
 from phrchain.ledger import VOTE_RECORD
 
@@ -218,6 +219,32 @@ class TestCases:
         assert scan_blocks(chain, vector({2}, 33)) == [ids[2]]
         assert scan_blocks(chain, bytes(32)) == [ids[0], ids[1], ids[3]]
         assert scan_blocks(chain, vector({UNUSED_BIT})) == []
+
+    def test_the_length_and_bit_index_against_the_walk(self, parts, monkeypatch):
+        plan = [
+            ("patient", 0, {1, 2, 3}, 32),
+            ("patient", 1, {1}, 32),
+            ("patient", 2, {1, 2}, 33),
+            ("patient", 0, set(), 32),
+            ("request", "patient", 0),
+            ("patient", 1, {2, 3}, 32),
+            ("patient", 2, {1, 3}, 31),
+            ("approval", 0),
+            ("patient", 0, {1, 2}, 32),
+        ]
+        chain, _ = build(parts, plan)
+        masks = [bytes(32), bytes(33), vector({1}), vector({2}), vector({1, 2}), vector({1, 2, 3}),
+                 vector({1}, 33), vector({1, 2}, 33), vector({3}, 31), vector({UNUSED_BIT}), vector({1, UNUSED_BIT})]
+        for copy in (chain, Chain.from_bytes(chain.to_bytes()), rebuilt(chain)):
+            expected = [oracle_scan(copy, mask) for mask in masks]
+            assert [len(ids) for ids in expected] == [5, 1, 3, 3, 2, 1, 1, 1, 1, 0, 0]
+            assert [scan_blocks(copy, mask) for mask in masks] == expected
+            # A one-bit mask is answered by its (length, bit) list alone, with no
+            # per-block test.
+            monkeypatch.setattr(ledger, "mask_matcher", None)
+            for mask in (vector({1}), vector({2}), vector({1}, 33), vector({3}, 31), vector({UNUSED_BIT})):
+                assert scan_blocks(copy, mask) == expected[masks.index(mask)]
+            monkeypatch.undo()
 
     def test_requests_forking_what_is_not_a_patient_block(self, parts):
         plan = [("patient", 1, set(), 32), ("request", "held", 0), ("request", "patient", 0),

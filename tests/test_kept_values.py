@@ -33,6 +33,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.consensus import verify_block
+from phrchain.crypto import _BranchLayout
 from phrchain.encoding import decode
 from phrchain.group import GroupParams
 from phrchain.ledger import decode_block
@@ -249,3 +250,26 @@ class TestRingRecords:
             assert "branches" not in vars(twin)
             assert twin.to_bytes(group) == wire and ring_verify(group, ring, twin, b"ctx")
             assert twin == proof
+
+    def test_range_rules_are_checked_once_where_records_are_made(self, group, monkeypatch):
+        rng = random.Random(129)
+        kps = [keygen(group, rng) for _ in range(6)]
+        ring = [kp.public for kp in kps]
+        proved = ring_prove(group, ring, 3, kps[3].secret, b"ctx", rng)
+        wire = proved.to_bytes(group)
+        scans = Counter()
+        fault = _BranchLayout.fault
+
+        def counted(self, records):
+            scans["fault"] += 1
+            return fault(self, records)
+
+        monkeypatch.setattr(_BranchLayout, "fault", counted)
+        decoded = decode(wire, RingProof.read_from, group)
+        assert scans["fault"] == 1
+        # A proof built from SchnorrProof objects is checked when it is first packed.
+        in_memory = RingProof(tuple(decoded.branches), decoded.binding_challenge)
+        for _ in range(3):
+            for proof in (proved, decoded, in_memory):
+                assert ring_verify(group, ring, proof, b"ctx")
+        assert scans["fault"] == 2

@@ -2,11 +2,13 @@
 
 The per-miner loop that built one ``MinerVote`` per miner is kept here as
 the oracle: ``run_consensus`` must produce the same votes and the same
-bytes without building them.
+bytes without building them. Its role draw, ``random.Random.sample``, is
+the oracle of ``consensus._draw_roles``.
 """
 
 import dataclasses
 import gc
+import math
 import random
 import tracemalloc
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phrchain import MinerPool, run_consensus
-from phrchain.consensus import ConsensusResult, approval_threshold
+from phrchain.consensus import ConsensusResult, _draw_roles, approval_threshold
 from phrchain.encoding import FormatError, f64, u8, u32
 from phrchain.ledger import VOTE_RECORD, MinerVote
 
@@ -108,6 +110,44 @@ class TestAgainstThePerMinerLoop:
             tracemalloc.stop()
         assert result.approvals == 480
         assert kept < 16 * 1024, kept
+
+
+def sample_pools(n: int, k: int) -> bool:
+    """True when ``sample(range(n), k)`` shuffles a pool list, False when it
+    draws into a set: CPython 3.11's own set-size rule."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n <= setsize
+
+
+# (n, k): k of 0, 1 and n; n at the edges of the 10- and 11-bit bands of
+# _randbelow; n = 1; n just above 21 with k <= 5, where only sample's k > 5
+# guard makes it take the set branch; the 800-miner pool at 40%; and 400
+# miners at 10-50% malicious, the pool of acceptance criterion 06.
+ROLE_GRID = sorted(
+    {(n, k) for n in (1, 2, 5, 10, 64, 512, 513, 600, 1024, 1025) for k in (0, 1, n)}
+    | {(800, 320), (64, 16), (10, 3), (600, 300), (513, 200), (1025, 6), (1025, 700), (5000, 40)}
+    | {(22, 2), (30, 5)}
+    | {(400, 400 * percent // 100) for percent in (10, 20, 30, 40, 50)}
+)
+
+
+class TestRoleDraw:
+    def test_the_grid_takes_both_branches_of_sample(self):
+        assert {sample_pools(n, k) for n, k in ROLE_GRID} == {True, False}
+        assert not sample_pools(400, 40) and sample_pools(400, 200) and sample_pools(800, 320)
+
+    @pytest.mark.parametrize(("n", "k"), ROLE_GRID)
+    def test_flags_and_generator_state_match_sample(self, n, k):
+        for seed in range(25):
+            drawn, sampled = random.Random(seed), random.Random(seed)
+            flags = _draw_roles(drawn, n, k)
+            picked = set(sampled.sample(range(n), k))
+            assert flags == bytearray(miner in picked for miner in range(n)), (n, k, seed)
+            assert drawn.getstate() == sampled.getstate(), (n, k, seed)
+            # What follows the draw, the jitter stream, is unchanged.
+            assert drawn.random() == sampled.random()
 
 
 class TestStrictDecoding:
