@@ -19,12 +19,20 @@ per branch, checked against ``pow`` first; the ring-key gate of a ring
 verifier (``key_is_element`` for every key) over 5000 keys whose
 verdicts are kept, as a 4000/1000-key block's verifier meets them; one
 consensus vote over 800 miners (40% malicious) on a request block given
-no chain, which ``verify_block`` rejects at once so that the row times the
-vote loop alone, and the role draw of such a vote alone (``_draw_roles``
-with its seeded generator, checked against ``random.Random.sample``); the two chain reads of a researcher round on an
+no chain, which ``verify_block`` rejects at once: the row times the
+round's verdict, counts and clock alone, since a zero-jitter round draws
+no roles and packs no records until they are read; the first read of
+``vote_records`` of such an unread result, which draws and packs them,
+checked first against records packed miner by miner from
+``random.Random.sample``; and the role draw of such a vote alone
+(``_draw_roles`` with its seeded generator, checked against
+``random.Random.sample``); the two chain reads of a researcher round on an
 800-block chain (640 patient blocks of 16 patients, 80 requests and 80
-approvals; see ``researcher_chain``): one ``scan_blocks`` for a
-one-condition mask and one ``pending_requests`` for a 40-visit history;
+approvals, each voted in by 800 miners; see ``researcher_chain``): one
+``scan_blocks`` for a one-condition mask and one ``pending_requests`` for
+a 40-visit history; the first ``Chain.to_bytes`` of that chain, which
+makes the records its rounds left unread, timed on fresh chains after one
+chain's records are checked miner by miner;
 two signature checks: ``verify_signature`` under one key whose membership
 verdict is kept, as an enrolled researcher's is after its first request,
 and under a key seen for the first time; and, last of all, three
@@ -39,6 +47,7 @@ copy of that block holds (``tracemalloc``; its input is not counted).
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import platform
@@ -52,7 +61,6 @@ from phrchain import (
     BlockSecrets,
     Chain,
     ConditionCodebook,
-    ConsensusResult,
     HospitalContext,
     MinerPool,
     OffChainStore,
@@ -76,6 +84,10 @@ from phrchain.consensus import _draw_roles
 from phrchain.crypto import _schnorr_equations
 from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, decode_block, range_message
+
+
+# The vote of every block of ``researcher_chain``, and the pool of the consensus rows.
+VOTE_POOL = MinerPool(800, 0.4)
 
 
 def median_time(fn, repeats: int, per_call: int = 1) -> float:
@@ -113,6 +125,14 @@ def patient_block(group: GroupParams, rng: random.Random, patients: int, hospita
     return block
 
 
+def sampled_records(seed: int, n: int, k: int, valid: bool, seconds: float) -> bytes:
+    """A round's vote records packed miner by miner, the roles from ``random.Random.sample``."""
+    picked = set(random.Random(seed).sample(range(n), k))
+    return b"".join(
+        VOTE_RECORD.pack(i, i in picked, valid and i not in picked, 0.0 if i in picked else seconds) for i in range(n)
+    )
+
+
 def researcher_chain(group: GroupParams, rng: random.Random, patients=16, visits=40, rounds=80):
     """An 800-block chain shaped like a researcher workload's, and its patients' histories.
 
@@ -121,9 +141,10 @@ def researcher_chain(group: GroupParams, rng: random.Random, patients=16, visits
     one real block with its condition bits and commitment varied, and
     every round appends a request forking a random patient block and an
     approval of it. Nothing here is verified, so every request and
-    approval carries the same signature. Returns the chain, the
-    histories, and one one-condition mask per round, drawn as a
-    researcher would draw them.
+    approval carries the same signature. Each block's record is a vote of
+    ``VOTE_POOL`` on the real block, seeded by the block's position.
+    Returns the chain, the histories, and one one-condition mask per
+    round, drawn as a researcher would draw them.
     """
     codebook = ConditionCodebook.default()
     directories = new_directories(group)
@@ -135,20 +156,20 @@ def researcher_chain(group: GroupParams, rng: random.Random, patients=16, visits
         b"", codebook.encode([], []), directories, OffChainStore(), 1, rng,
     )
     signature = sign(group, patient, b"", rng)
-    record = ConsensusResult(True, 1, 0, 0.0, VOTE_RECORD.pack(0, 0, 1, 0.0))
+    records = (run_consensus(template, VOTE_POOL, directories, seed) for seed in itertools.count())
     lifetime = [rng.sample(codebook.lifetime_codes[:8], rng.randint(1, 2)) for _ in range(patients)]
     chain, owned = Chain(group), [[] for _ in range(patients)]
     for visit in range(visits):
         for i in range(patients):
             bits = codebook.encode(lifetime[i], rng.sample(codebook.visit_codes, rng.randint(1, 3)))
             block = dataclasses.replace(template, condition_bits=bits, commitment=rng.randbytes(32))
-            chain.append(block, record)
+            chain.append(block, next(records))
             owned[i].append(block.block_id)
     for i in range(rounds):
         parent = owned[rng.randrange(patients)][rng.randrange(visits)]
         request = RequestBlock(parent, TimeRange(i, i + 1), patient.public, signature, group)
-        chain.append(request, record)
-        chain.append(ApprovalBlock(request.block_id, TimeRange(i, i + 1), signature, group), record)
+        chain.append(request, next(records))
+        chain.append(ApprovalBlock(request.block_id, TimeRange(i, i + 1), signature, group), next(records))
     histories = []
     for ids in owned:
         secrets = PatientSecrets()
@@ -243,12 +264,27 @@ def main() -> None:
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)
     request = RequestBlock(bytes(32), TimeRange(1, 2), researcher.public, signature, group)
-    directories, pool = new_directories(group), MinerPool(800, 0.4)
+    directories, pool = new_directories(group), VOTE_POOL
     if run_consensus(request, pool, directories, 0).approvals:
         raise SystemExit("a request block given no chain was approved")
     rows["run_consensus_800_s"] = median_time(
         lambda: [run_consensus(request, pool, directories, seed) for seed in range(50)], args.repeats, 50
     )
+    # The first read of those rounds' records, on fresh results, first checked against the sampled records.
+    if any(
+        run_consensus(request, pool, directories, seed).vote_records
+        != sampled_records(seed, 800, 320, False, pool.verify_seconds)
+        for seed in range(50)
+    ):
+        raise SystemExit("a round's vote records differ from the records packed miner by miner")
+    read_samples = []
+    for _ in range(args.repeats):
+        unread = [run_consensus(request, pool, directories, seed) for seed in range(50)]
+        started = time.perf_counter()
+        for result in unread:
+            result.vote_records
+        read_samples.append((time.perf_counter() - started) / len(unread))
+    rows["vote_records_800_s"] = statistics.median(read_samples)
     # The role draw of those rounds alone, first checked against the draw it replaces.
     for seed in range(50):
         drawn, sampled = random.Random(seed), random.Random(seed)
@@ -269,6 +305,22 @@ def main() -> None:
     rows["pending_requests_s"] = median_time(
         lambda: [pending_requests(chain, secrets) for secrets in histories], args.repeats, len(histories)
     )
+    # Every block of the chain was approved by the same valid vote, so each record is that vote's under its seed.
+    if any(
+        entry.record.vote_records != sampled_records(seed, 800, 320, True, VOTE_POOL.verify_seconds)
+        for seed, entry in enumerate(chain.entries())
+    ):
+        raise SystemExit("a chain record differs from the records packed miner by miner")
+    chain_wire = chain.to_bytes()
+    if Chain.from_bytes(chain_wire).to_bytes() != chain_wire:
+        raise SystemExit("the researcher chain does not re-encode to its bytes")
+    chain_samples = []
+    for _ in range(args.repeats):
+        fresh, _, _ = researcher_chain(group, random.Random(f"chain-{args.seed}"))
+        started = time.perf_counter()
+        fresh.to_bytes()
+        chain_samples.append(time.perf_counter() - started)
+    rows["researcher_chain_to_bytes_s"] = statistics.median(chain_samples)
     # Again its own stream. 200 signatures under one key, and one under each of 200 keys.
     sig_rng = random.Random(f"signatures-{args.seed}")
     signer = keygen(group, sig_rng)

@@ -11,6 +11,7 @@ square of the pool size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -159,18 +160,36 @@ def run_consensus(
     draw is ``_draw_roles``: the set ``random.Random(seed).sample(range(n), k)``
     picks, with the generator left where ``sample`` leaves it.
 
-    At zero jitter no jitter draw is made, and no per-miner float either:
-    every honest miner takes the same seconds, which ``pack_votes`` writes
-    by byte translation of the role flags. The bytes stay the same: nothing
-    reads the RNG after those draws, and for every draw r in [0, 1) and a
-    jitter of 0.0 or -0.0, ``r * jitter`` is ``0.0 * jitter`` bit for bit,
-    so each miner's seconds are the same float, signed zeros included. The
-    slowest time is what ``max`` over the per-miner list gives: ``max``
-    keeps the first of equal values, so when the honest seconds are a zero,
-    miner 0's role decides its sign.
+    The verdict, the counts and the clock are computed at the call. The
+    counts depend on validity, n and k alone. At zero jitter every honest
+    miner takes the same seconds, ``verify_seconds + 0.0 * verify_jitter``,
+    and no jitter draw is made: nothing reads the RNG after the role draw,
+    and for every draw r in [0, 1) and a jitter of 0.0 or -0.0, ``r * jitter``
+    is ``0.0 * jitter`` bit for bit, so the records are
+    ``pack_votes(flags, valid, seconds)`` for that one float. When those
+    seconds are positive, the slowest time is what ``max`` over the
+    per-miner list gives without the draw: the seconds if any miner is
+    honest, else 0.0. The round then makes no draw and no records: it
+    returns a result that draws the roles and packs the records when its
+    ``vote_records`` are first read (``_vote_records``), and a result never
+    read never draws. Two kinds of pool stay eager, drawing at the call:
+
+    - a pool with jitter, whose jitter stream follows the role draw and
+      sets the slowest time;
+    - a pool whose honest seconds are a zero: ``max`` keeps the first of
+      equal values, so miner 0's role decides the sign of the slowest time.
     """
     valid = verify_block(block, directories, chain)
     n, k = pool.n_miners, pool.n_malicious
+    approvals = n - k if valid else 0
+    propagation = pool.pair_seconds * n * (n - 1)
+    counts = approvals >= approval_threshold(n), approvals, n - approvals
+    seconds = pool.verify_seconds + 0.0 * pool.verify_jitter
+    if not pool.verify_jitter and seconds > 0:
+        slowest = seconds if k < n else 0.0
+        return ConsensusResult._of_round(
+            *counts, slowest + propagation, functools.partial(_vote_records, seed, n, k, valid, seconds)
+        )
     rng = random.Random(seed)
     flags = _draw_roles(rng, n, k)
     if pool.verify_jitter:
@@ -181,18 +200,15 @@ def run_consensus(
             seconds[miner] = 0.0
         slowest = max(seconds)
     else:
-        seconds = pool.verify_seconds + 0.0 * pool.verify_jitter
-        first = 0.0 if flags[0] else seconds
-        slowest = max(first, seconds) if k < n else first
-    approvals = n - k if valid else 0
-    propagation = pool.pair_seconds * n * (n - 1)
-    return ConsensusResult(
-        approved=approvals >= approval_threshold(n),
-        approvals=approvals,
-        rejections=n - approvals,
-        simulated_time=slowest + propagation,
-        vote_records=pack_votes(flags, valid, seconds),
-    )
+        # What max over the per-miner list gives for seconds that are not positive.
+        slowest = 0.0 if flags[0] else seconds
+    return ConsensusResult(*counts, slowest + propagation, pack_votes(flags, valid, seconds))
+
+
+def _vote_records(seed: int, n: int, k: int, valid: bool, seconds: float) -> bytes:
+    """The records of a zero-jitter round: its roles drawn from the seed, every
+    honest miner taking the one float ``seconds``."""
+    return pack_votes(_draw_roles(random.Random(seed), n, k), valid, seconds)
 
 
 def _draw_roles(rng: random.Random, n: int, k: int) -> bytearray:

@@ -19,7 +19,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import encoding as enc
 from .crypto import (
@@ -576,6 +576,14 @@ class ConsensusResult(enc.Wire):
     seconds, big-endian. These are the bytes ``to_bytes`` writes after the
     header and the u32 vote count, so a round keeps no per-miner objects;
     ``votes`` decodes them into a fresh tuple of ``MinerVote`` on each access.
+
+    ``vote_records`` is the constructor's field, and a decoded result keeps
+    the records it read. A result made by ``_of_round`` keeps instead the
+    function that makes them from the round's inputs, and calls it once, on
+    the first read of ``vote_records``; ``to_bytes``, ``votes``, ``==``,
+    ``hash``, ``dataclasses.replace`` and ``repr`` read it, and copies and
+    pickles of an unread result carry the function, so every one of them
+    sees the same bytes.
     """
 
     approved: bool
@@ -583,6 +591,26 @@ class ConsensusResult(enc.Wire):
     rejections: int
     simulated_time: float
     vote_records: bytes
+
+    @classmethod
+    def _of_round(
+        cls, approved: bool, approvals: int, rejections: int, simulated_time: float, records: Callable[[], bytes]
+    ) -> "ConsensusResult":
+        """A result whose ``vote_records`` are ``records()``, made on first read.
+        ``records`` must pickle for the result to pickle unread."""
+        result = cls.__new__(cls)
+        result.__dict__.update(
+            approved=approved, approvals=approvals, rejections=rejections, simulated_time=simulated_time, _round=records
+        )
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: the records of a result kept as its round.
+        make = self.__dict__.get("_round")
+        if name != "vote_records" or make is None:
+            raise AttributeError(name)
+        records = self.__dict__["vote_records"] = make()
+        return records
 
     @property
     def votes(self) -> tuple[MinerVote, ...]:

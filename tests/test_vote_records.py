@@ -3,22 +3,28 @@
 The per-miner loop that built one ``MinerVote`` per miner is kept here as
 the oracle: ``run_consensus`` must produce the same votes and the same
 bytes without building them. Its role draw, ``random.Random.sample``, is
-the oracle of ``consensus._draw_roles``.
+the oracle of ``consensus._draw_roles``. A zero-jitter round with positive
+seconds makes its records on first read; every form of such a result must
+see the oracle's bytes.
 """
 
+import copy
 import dataclasses
 import gc
+import hashlib
 import math
+import pickle
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phrchain import MinerPool, run_consensus
+from phrchain import Chain, MinerPool, consensus, run_consensus
 from phrchain.consensus import ConsensusResult, _draw_roles, approval_threshold
 from phrchain.encoding import FormatError, f64, u8, u32
 from phrchain.ledger import VOTE_RECORD, MinerVote
+from test_consensus import PINNED_ROUNDS
 
 
 def oracle_votes(valid: bool, pool: MinerPool, seed: int) -> tuple[MinerVote, ...]:
@@ -110,6 +116,131 @@ class TestAgainstThePerMinerLoop:
             tracemalloc.stop()
         assert result.approvals == 480
         assert kept < 16 * 1024, kept
+
+
+# Zero-jitter pools at the edges of the draw: k = 0, k = n, and one miner.
+EDGE_POOLS = [
+    (MinerPool(6, 0.0), 31),
+    (MinerPool(6, 1.0), 37),
+    (MinerPool(1, 0.0), 41),
+    (MinerPool(1, 1.0), 43),
+]
+PINNED_DIGESTS = {(pool, seed): digest for pool, seed, digest in PINNED_ROUNDS}
+DEFERRAL_CASES = list(dict.fromkeys(ORACLE_POOLS + list(PINNED_DIGESTS) + EDGE_POOLS))
+
+
+def is_unread(result: ConsensusResult) -> bool:
+    """True while the result holds no vote records, only the means to make them."""
+    return "vote_records" not in vars(result)
+
+
+@pytest.fixture()
+def draws(monkeypatch):
+    """The (n, k) of every role draw consensus makes, in order."""
+    calls = []
+
+    def counted(rng, n, k, draw=consensus._draw_roles):
+        calls.append((n, k))
+        return draw(rng, n, k)
+
+    monkeypatch.setattr(consensus, "_draw_roles", counted)
+    return calls
+
+
+class TestDeferredRecords:
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    @pytest.mark.parametrize(("pool", "seed"), DEFERRAL_CASES)
+    def test_every_form_of_the_result_matches_the_oracle(self, blocks, pool, seed, valid):
+        world, by_validity = blocks
+        result = run_consensus(by_validity[valid], pool, world.directories, seed=seed)
+        # Eager only with jitter or honest seconds that are a zero.
+        assert is_unread(result) == (not pool.verify_jitter and pool.verify_seconds != 0)
+        expected = oracle_votes(valid, pool, seed)
+        wire = oracle_bytes(expected, pool)
+        decoded = ConsensusResult.from_bytes(wire)
+        assert hash(result) == hash(decoded)
+        assert result == decoded
+        for form in (result, ConsensusResult.from_bytes(result.to_bytes())):
+            assert form.vote_records == decoded.vote_records == wire[-len(form.vote_records) :]
+            assert form.votes == decoded.votes == expected
+            assert form.to_bytes() == decoded.to_bytes() == wire
+        if valid and (pool, seed) in PINNED_DIGESTS:
+            assert hashlib.sha256(result.to_bytes()).hexdigest() == PINNED_DIGESTS[pool, seed]
+
+    def test_a_zero_jitter_round_draws_on_its_first_read_only(self, blocks, draws):
+        world, by_validity = blocks
+        result = run_consensus(by_validity[True], MinerPool(800, 0.4), world.directories, seed=3)
+        assert (result.approved, result.approvals, result.rejections) == (True, 480, 320)
+        assert result.simulated_time == 1e-3 + 1e-6 * 800 * 799
+        assert draws == []
+        records = result.vote_records
+        assert draws == [(800, 320)]
+        assert result.vote_records is records
+        result.to_bytes(), result.votes, hash(result)
+        assert draws == [(800, 320)]
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            MinerPool(800, 0.4, verify_jitter=1e-4),
+            MinerPool(7, 0.25, verify_seconds=-0.0),
+            MinerPool(7, 0.25, verify_seconds=0.0),
+        ],
+        ids=["jitter", "negative-zero", "zero"],
+    )
+    def test_jitter_and_zero_second_pools_draw_at_the_call(self, blocks, draws, pool):
+        world, by_validity = blocks
+        result = run_consensus(by_validity[True], pool, world.directories, seed=5)
+        assert draws == [(pool.n_miners, pool.n_malicious)]
+        assert not is_unread(result)
+        result.to_bytes()
+        assert len(draws) == 1
+
+    def test_an_unread_800_miner_result_keeps_under_1_kib(self, blocks):
+        world, by_validity = blocks
+        pool = MinerPool(800, 0.4)
+        run_consensus(by_validity[True], pool, world.directories, seed=1).to_bytes()  # warm every cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_consensus(by_validity[True], pool, world.directories, seed=2)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert is_unread(result)
+        assert kept < 1024, kept
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda result: pickle.loads(pickle.dumps(result)), dataclasses.replace],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_a_duplicate_of_an_unread_result_is_equal(self, blocks, duplicate):
+        world, by_validity = blocks
+        pool = MinerPool(800, 0.4)
+        result = run_consensus(by_validity[True], pool, world.directories, seed=3)
+        duplicated = duplicate(result)
+        # replace reads every field; a copy or a pickle carries the round unread.
+        assert is_unread(duplicated) == (duplicate is not dataclasses.replace)
+        reference = run_consensus(by_validity[True], pool, world.directories, seed=3)
+        assert duplicated == reference and hash(duplicated) == hash(reference)
+        assert duplicated.to_bytes() == reference.to_bytes() == oracle_bytes(oracle_votes(True, pool, 3), pool)
+
+    def test_a_chain_of_unread_results_round_trips(self, make_world):
+        world = make_world(patients=3, miners=12, malicious=0.25, seed=19)
+        for visit in range(1, 4):
+            world.submit_block(world.patient(visit % 3), b"visit", visit)
+        records = [entry.record for entry in world.chain.entries()]
+        assert all(map(is_unread, records))
+        wire = world.chain.to_bytes()
+        loaded = Chain.from_bytes(wire)
+        assert [entry.record for entry in loaded.entries()] == records
+        assert [entry.record.to_bytes() for entry in loaded.entries()] == [
+            oracle_bytes(oracle_votes(True, world.pool, world.seed + visit), world.pool) for visit in range(1, 4)
+        ]
+        assert loaded.to_bytes() == wire
 
 
 def sample_pools(n: int, k: int) -> bool:
