@@ -43,18 +43,33 @@ block, and ``range_message`` on a block whose bytes are kept; and
 ``decode_block`` of a 4000/1000-key patient block's bytes, checked to
 re-encode to them, and ``decoded_block_held_bytes``, the bytes one decoded
 copy of that block holds (``tracemalloc``; its input is not counted).
+After those, AES-256-GCM of a 4 KiB record through the libcrypto binding:
+``sym_encrypt`` (its nonce drawn from a seeded generator) and
+``sym_decrypt``, each checked first against ``cryptography``'s AESGCM, the
+oracle; ``verify_disclosure`` of a 16-block package of 4 KiB records, its
+report checked first against one refolded through ``hashlib`` and
+decrypted through AESGCM, for the honest package and for one whose
+eighth key is wrong; and ``import_rss_mb``, the peak resident set in MiB
+(``VmHWM``, Linux) of a fresh interpreter after ``import phrchain``, the
+median over one interpreter per repeat.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
 import platform
 import random
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
+
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from phrchain import (
     ApprovalBlock,
@@ -68,6 +83,8 @@ from phrchain import (
     PatientSecrets,
     RequestBlock,
     TimeRange,
+    VerificationReport,
+    build_disclosure_package,
     create_patient_block,
     keygen,
     new_directories,
@@ -77,6 +94,9 @@ from phrchain import (
     run_consensus,
     scan_blocks,
     sign,
+    sym_decrypt,
+    sym_encrypt,
+    verify_disclosure,
     verify_signature,
 )
 from phrchain import group as group_module
@@ -178,6 +198,46 @@ def researcher_chain(group: GroupParams, rng: random.Random, patients=16, visits
         histories.append(secrets)
     masks = [codebook.encode([rng.choice(lifetime[rng.randrange(patients)])], []) for _ in range(rounds)]
     return chain, histories, masks
+
+
+def disclosure_world(group: GroupParams, rng: random.Random, k=16, size=4096):
+    """One patient's k visits of ``size`` random bytes, each appended to a
+    chain by a one-miner vote; returns the chain, the store, the package
+    over all k visits and the records' plaintexts."""
+    directories = new_directories(group)
+    patient, hospital = keygen(group, rng), keygen(group, rng)
+    directories.patients.enroll(patient.public)
+    directories.hospitals.enroll(hospital.public)
+    chain, store, secrets, pool = Chain(group), OffChainStore(), PatientSecrets(), MinerPool(1)
+    bits = ConditionCodebook.default().encode([], [])
+    plaintexts = [rng.randbytes(size) for _ in range(k)]
+    for visit, data in enumerate(plaintexts, start=1):
+        block, secrets = create_patient_block(
+            PatientContext(patient, 0, secrets), HospitalContext(hospital, 0),
+            data, bits, directories, store, visit, rng,
+        )
+        chain.append(block, run_consensus(block, pool, directories, visit, chain=chain))
+    return chain, store, build_disclosure_package(secrets, [r.block_id for r in secrets.records]), plaintexts
+
+
+def oracle_report(package, chain: Chain, store: OffChainStore) -> VerificationReport:
+    """``verify_disclosure``'s report, the states refolded through ``hashlib``
+    and the records decrypted through AESGCM."""
+    state = package.prefix_state
+    for entry in package.entries:
+        state = hashlib.sha256(b"CHAIN" + entry.sym_key + entry.data_ptr + entry.data_digest + state).digest()
+    commitment = hashlib.sha256(b"CHAIN" + state + package.last_nonce).digest()
+    data_ok = []
+    for entry in package.entries:
+        sealed = store.get(entry.data_ptr)
+        try:
+            plaintext = AESGCM(entry.sym_key).decrypt(sealed[:12], sealed[12:], None)
+        except InvalidTag:
+            data_ok.append(False)
+        else:
+            data_ok.append(hashlib.sha256(plaintext).digest() == entry.data_digest)
+    failure_index = next((i for i, ok in enumerate(data_ok) if not ok), None)
+    return VerificationReport(commitment == chain.get(package.last_block_id).commitment, tuple(data_ok), failure_index)
 
 
 def main() -> None:
@@ -371,6 +431,47 @@ def main() -> None:
     rows["decoded_block_held_bytes"] = tracemalloc.get_traced_memory()[0] - before
     tracemalloc.stop()
     del decoded
+    # Its own stream: 200 records of 4 KiB, encrypted and decrypted.
+    aes_rng = random.Random(f"aes-{args.seed}")
+    records = [(aes_rng.randbytes(32), aes_rng.randbytes(4096), aes_rng.getrandbits(64)) for _ in range(200)]
+    sealed = [sym_encrypt(key, data, random.Random(seed)) for key, data, seed in records]
+    for (key, data, seed), text in zip(records, sealed):
+        nonce = random.Random(seed).randbytes(12)
+        if text != nonce + AESGCM(key).encrypt(nonce, data, None) or sym_decrypt(key, text) != data:
+            raise SystemExit("sym_encrypt or sym_decrypt differs from AESGCM")
+    nonce_rng = random.Random(f"nonces-{args.seed}")
+    rows["sym_encrypt_4k_s"] = median_time(
+        lambda: [sym_encrypt(key, data, nonce_rng) for key, data, _ in records], args.repeats, len(records)
+    )
+    openings = [(key, text) for (key, _, _), text in zip(records, sealed)]
+    rows["sym_decrypt_4k_s"] = median_time(
+        lambda: [sym_decrypt(key, text) for key, text in openings], args.repeats, len(openings)
+    )
+    # Its own stream: a 16-block disclosure of 4 KiB records.
+    chain, store, package, plaintexts = disclosure_world(group, random.Random(f"disclosure-{args.seed}"))
+    if [sym_decrypt(e.sym_key, store.get(e.data_ptr)) for e in package.entries] != plaintexts:
+        raise SystemExit("the disclosed records differ from the plaintexts stored")
+    entries = list(package.entries)
+    entries[7] = dataclasses.replace(entries[7], sym_key=bytes(32))
+    for candidate, expected in ((package, True), (dataclasses.replace(package, entries=tuple(entries)), False)):
+        report = verify_disclosure(candidate, chain, store)
+        if report != oracle_report(candidate, chain, store) or report.all_ok != expected:
+            raise SystemExit(f"verify_disclosure differs from the oracle or is not all_ok={expected}")
+    rows["verify_disclosure_k16_s"] = median_time(
+        lambda: [verify_disclosure(package, chain, store) for _ in range(50)], args.repeats, 50
+    )
+    # A fresh interpreter per repeat, importing the package this script imported.
+    # It reads its own VmHWM: Linux carries the spawning process's peak (this
+    # script's, tens of MiB) across fork and exec into the child's ru_maxrss.
+    probe = (
+        "import phrchain\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(group_module.__file__))}
+    rows["import_rss_mb"] = statistics.median(
+        int(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True).stdout) / 1024
+        for _ in range(args.repeats)
+    )
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,

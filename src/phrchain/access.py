@@ -157,10 +157,11 @@ class DisclosurePackage(enc.Stored):
 
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "DisclosurePackage":
-        count = reader.u32()
-        entries = tuple(
-            DisclosureEntry(reader.take(32), reader.take(32), reader.take(32)) for _ in range(count)
-        )
+        flat = reader.take(96 * reader.u32())
+        entries = tuple([
+            DisclosureEntry(flat[i : i + 32], flat[i + 32 : i + 64], flat[i + 64 : i + 96])
+            for i in range(0, len(flat), 96)
+        ])
         return enc.build(cls, entries, reader.take(32), reader.take(NONCE_SIZE), reader.take(32))
 
     def describe(self) -> str:

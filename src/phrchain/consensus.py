@@ -46,8 +46,9 @@ class MinerPool:
             raise ValueError("pool needs at least one miner")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ValueError("malicious_fraction must be in [0, 1]")
-        if not all(t >= 0 for t in (self.verify_seconds, self.verify_jitter, self.pair_seconds)):
-            raise ValueError("timing constants must be nonnegative")
+        timings = (self.verify_seconds, self.verify_jitter, self.pair_seconds)
+        if not all(t >= 0 and math.isfinite(t) for t in timings):
+            raise ValueError("timing constants must be nonnegative and finite")
 
     @property
     def n_malicious(self) -> int:

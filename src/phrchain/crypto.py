@@ -17,6 +17,11 @@ distinct domain tag per use ("FS-SCHNORR", "FS-OR", "SIG"; the ledger's
 hash chain uses "CHAIN"). All proving functions take an optional
 ``random.Random`` so transcripts are reproducible under a fixed seed;
 the default is the operating system RNG.
+
+Symmetric encryption is AES-256-GCM with no associated data, stored as
+nonce(12) || ciphertext || tag(16). Like every exponentiation, it runs in
+libcrypto through the one ``ctypes`` binding in ``group.py`` (BIGNUM for
+the group, EVP for the cipher), so the package needs no other library.
 """
 
 from __future__ import annotations
@@ -30,11 +35,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from . import encoding as enc
-from .group import GroupParams, _rng
+from .group import _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _rng
 
 TAG_FS_SCHNORR = b"FS-SCHNORR"
 TAG_FS_OR = b"FS-OR"
@@ -42,7 +44,6 @@ TAG_SIG = b"SIG"
 TAG_CHAIN = b"CHAIN"
 
 SYM_KEY_SIZE = 32
-_GCM_NONCE_SIZE = 12
 
 
 class DecryptionError(ValueError):
@@ -649,22 +650,28 @@ def new_sym_key(rng: random.Random | None = None) -> bytes:
     return _rng(rng).randbytes(SYM_KEY_SIZE)
 
 
+def _octets(data) -> bytes:
+    """Any bytes-like ``data`` as ``bytes``, which is all the binding passes
+    to libcrypto: ctypes would pass a str as wide characters."""
+    return data if type(data) is bytes else bytes(memoryview(data))
+
+
 def sym_encrypt(key: bytes, plaintext: bytes, rng: random.Random | None = None) -> bytes:
-    """Encrypt under a fresh random nonce; returns nonce || ciphertext+tag."""
+    """Encrypt under a fresh random nonce; returns nonce || ciphertext || tag."""
+    key, plaintext = _octets(key), _octets(plaintext)
     if len(key) != SYM_KEY_SIZE:
         raise ValueError(f"symmetric key must be {SYM_KEY_SIZE} bytes")
-    nonce = _rng(rng).randbytes(_GCM_NONCE_SIZE)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    return _gcm_seal(key, _rng(rng).randbytes(_GCM_NONCE_SIZE), plaintext)
 
 
 def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     """Decrypt a nonce-prefixed ciphertext; raises DecryptionError on any tamper."""
+    key, ciphertext = _octets(key), _octets(ciphertext)
     if len(key) != SYM_KEY_SIZE:
         raise ValueError(f"symmetric key must be {SYM_KEY_SIZE} bytes")
-    if len(ciphertext) < _GCM_NONCE_SIZE + 16:
+    if len(ciphertext) < _GCM_NONCE_SIZE + _GCM_TAG_SIZE:
         raise DecryptionError("ciphertext too short")
-    nonce, body = ciphertext[:_GCM_NONCE_SIZE], ciphertext[_GCM_NONCE_SIZE:]
-    try:
-        return AESGCM(key).decrypt(nonce, body, None)
-    except InvalidTag as exc:
-        raise DecryptionError("authentication failed") from exc
+    plaintext = _gcm_open(key, ciphertext)
+    if plaintext is None:
+        raise DecryptionError("authentication failed")
+    return plaintext

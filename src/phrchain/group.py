@@ -31,6 +31,14 @@ BIGNUM call's return code is checked where it is made: a failure raises
 membership verdict is kept in a bounded cache, since verifiers meet the
 same keys again and again.
 
+The same binding is the package's one path into libcrypto for symmetric
+encryption too: ``_gcm_seal`` and ``_gcm_open`` are AES-256-GCM through
+EVP, behind ``crypto.sym_encrypt`` and ``crypto.sym_decrypt``. The cipher
+is fetched once; each thread's scratch holds an encrypt and a decrypt
+context, each set to the cipher once, so a call sets only its key and
+nonce, and writes into the thread's output buffer. Every EVP return code
+is checked where the call is made, and raises ``BignumError`` the same way.
+
 These parameters are sized for protocol simulation and transcript-format
 work, not for production key material.
 """
@@ -75,7 +83,14 @@ except (ImportError, OSError) as exc:
 
 
 class BignumError(RuntimeError):
-    """A libcrypto BIGNUM call reported failure: a program or library fault, never a verdict."""
+    """A libcrypto call reported failure: a program or library fault, never a verdict.
+
+    Every call the binding makes raises it, named in the message: the
+    BIGNUM calls of the group kernel and the EVP calls of AES-GCM alike.
+    A GCM tag that does not match is not a failure of this kind: it is the
+    decryption's verdict, and ``crypto.sym_decrypt`` raises
+    ``DecryptionError`` for it.
+    """
 
 
 class _Pointer(ctypes.c_void_p):
@@ -109,10 +124,20 @@ _BN_kronecker = _function("BN_kronecker")
 _BN_free = _function("BN_free", None)
 _BN_CTX_free = _function("BN_CTX_free", None)
 _BN_MONT_CTX_free = _function("BN_MONT_CTX_free", None)
+_EVP_CIPHER_fetch = _function("EVP_CIPHER_fetch", _Pointer)
+_EVP_CIPHER_CTX_new = _function("EVP_CIPHER_CTX_new", _Pointer)
+_EVP_EncryptInit_ex = _function("EVP_EncryptInit_ex")
+_EVP_EncryptUpdate = _function("EVP_EncryptUpdate")
+_EVP_EncryptFinal_ex = _function("EVP_EncryptFinal_ex")
+_EVP_DecryptInit_ex = _function("EVP_DecryptInit_ex")
+_EVP_DecryptUpdate = _function("EVP_DecryptUpdate")
+_EVP_DecryptFinal_ex = _function("EVP_DecryptFinal_ex")
+_EVP_CIPHER_CTX_ctrl = _function("EVP_CIPHER_CTX_ctrl")
+_EVP_CIPHER_CTX_free = _function("EVP_CIPHER_CTX_free", None)
 
 
 def _fail(name: str) -> NoReturn:
-    """Raise ``BignumError`` for the failed call ``name``, with OpenSSL's error code."""
+    """Raise ``BignumError`` for the failed libcrypto call ``name``, with OpenSSL's error code."""
     code = _ERR_get_error()
     _ERR_clear_error()
     raise BignumError(f"{name} failed (OpenSSL error {code:#x})")
@@ -144,9 +169,22 @@ def _read(number: _Pointer, buffer) -> int:
     return int.from_bytes(buffer.raw, "big")
 
 
+_AES_256_GCM = _allocated(_EVP_CIPHER_fetch(None, b"AES-256-GCM", None), "EVP_CIPHER_fetch")
+_GCM_NONCE_SIZE = 12  # the cipher's default IV length, so no call sets it
+_GCM_TAG_SIZE = 16
+_EVP_CTRL_GCM_GET_TAG = 0x10
+_EVP_CTRL_GCM_SET_TAG = 0x11
+# EVP takes every length as a C int.
+_INT_MAX = 2**31 - 1
+# An output buffer up to this size is kept for the thread's next call.
+_KEPT_TEXT = 1 << 20
+
+
 class _Scratch:
     """One thread's BN_CTX, three operand BIGNUMs, a result BIGNUM and one
-    output buffer per byte size.
+    output buffer per byte size; and its AES-256-GCM encrypt and decrypt
+    contexts, each set to the cipher once, the int its EVP calls write
+    lengths to, and its output buffer for ciphertexts and plaintexts.
 
     Freed with its thread. Each pointer is None (NULL, which the free
     functions ignore) until its allocation succeeds, and the free
@@ -157,9 +195,19 @@ class _Scratch:
 
     def __init__(self) -> None:
         self.ctx, self.operands, self.result, self.buffers = None, [], None, {}
+        self.sealer = self.opener = None
         self.ctx = _allocated(_BN_CTX_new(), "BN_CTX_new")
         self.operands = [_allocated(_BN_new(), "BN_new") for _ in range(3)]
         self.result = _allocated(_BN_new(), "BN_new")
+        self.sealer = _allocated(_EVP_CIPHER_CTX_new(), "EVP_CIPHER_CTX_new")
+        if not _EVP_EncryptInit_ex(self.sealer, _AES_256_GCM, None, None, None):
+            _fail("EVP_EncryptInit_ex")
+        self.opener = _allocated(_EVP_CIPHER_CTX_new(), "EVP_CIPHER_CTX_new")
+        if not _EVP_DecryptInit_ex(self.opener, _AES_256_GCM, None, None, None):
+            _fail("EVP_DecryptInit_ex")
+        self.length = ctypes.pointer(ctypes.c_int())
+        self.text = ctypes.create_string_buffer(0)
+        self.text_view = memoryview(self.text)
 
     def buffer(self, size: int):
         buffer = self.buffers.get(size)
@@ -167,10 +215,23 @@ class _Scratch:
             buffer = self.buffers[size] = ctypes.create_string_buffer(size)
         return buffer
 
-    def __del__(self, free=_BN_free, free_ctx=_BN_CTX_free) -> None:
+    def text_buffer(self, size: int):
+        """A buffer of at least ``size`` bytes and a memoryview of it: the
+        thread's own, grown to the longest text up to ``_KEPT_TEXT`` bytes,
+        or a fresh one above that."""
+        if size > len(self.text):
+            buffer = ctypes.create_string_buffer(size)
+            if size > _KEPT_TEXT:
+                return buffer, memoryview(buffer)
+            self.text, self.text_view = buffer, memoryview(buffer)
+        return self.text, self.text_view
+
+    def __del__(self, free=_BN_free, free_ctx=_BN_CTX_free, free_cipher=_EVP_CIPHER_CTX_free) -> None:
         for number in (*self.operands, self.result):
             free(number)
         free_ctx(self.ctx)
+        free_cipher(self.sealer)
+        free_cipher(self.opener)
 
 
 class _Threads(threading.local):
@@ -261,6 +322,56 @@ def _kronecker(value: int, modulus: int) -> int:
     if symbol == -2:
         _fail("BN_kronecker")
     return symbol
+
+
+# GCM is a stream mode: an Update call writes as many bytes as it reads, and
+# a Final call writes none, so neither call's written length is read back.
+
+
+def _gcm_seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """nonce || ciphertext || tag: AES-256-GCM with no associated data, for a
+    32-byte key and a 12-byte nonce, all three ``bytes``."""
+    size = len(plaintext)
+    if size > _INT_MAX:
+        raise ValueError(f"AES-GCM takes at most {_INT_MAX} bytes of plaintext")
+    scratch = _THREADS.scratch
+    context, length = scratch.sealer, scratch.length
+    buffer, view = scratch.text_buffer(size + _GCM_TAG_SIZE)
+    if not _EVP_EncryptInit_ex(context, None, None, key, nonce):
+        _fail("EVP_EncryptInit_ex")
+    if not _EVP_EncryptUpdate(context, buffer, length, plaintext, size):
+        _fail("EVP_EncryptUpdate")
+    if not _EVP_EncryptFinal_ex(context, buffer, length):
+        _fail("EVP_EncryptFinal_ex")
+    if not _EVP_CIPHER_CTX_ctrl(context, _EVP_CTRL_GCM_GET_TAG, _GCM_TAG_SIZE, ctypes.byref(buffer, size)):
+        _fail("EVP_CIPHER_CTX_ctrl")
+    return nonce + view[: size + _GCM_TAG_SIZE].tobytes()
+
+
+def _gcm_open(key: bytes, sealed: bytes) -> bytes | None:
+    """The plaintext of a ``_gcm_seal`` output of at least 28 bytes under a
+    32-byte key, both ``bytes``, or None when its tag does not match.
+
+    Nothing of an unauthenticated plaintext is returned, and the error
+    queue the failed tag check may leave is cleared.
+    """
+    size = len(sealed) - _GCM_NONCE_SIZE - _GCM_TAG_SIZE
+    if size > _INT_MAX:
+        raise ValueError(f"AES-GCM takes at most {_INT_MAX} bytes of ciphertext")
+    scratch = _THREADS.scratch
+    context, length = scratch.opener, scratch.length
+    buffer, view = scratch.text_buffer(size)
+    # The nonce is read from the first 12 bytes of the sealed text itself.
+    if not _EVP_DecryptInit_ex(context, None, None, key, sealed):
+        _fail("EVP_DecryptInit_ex")
+    if not _EVP_CIPHER_CTX_ctrl(context, _EVP_CTRL_GCM_SET_TAG, _GCM_TAG_SIZE, sealed[-_GCM_TAG_SIZE:]):
+        _fail("EVP_CIPHER_CTX_ctrl")
+    if not _EVP_DecryptUpdate(context, buffer, length, sealed[_GCM_NONCE_SIZE:-_GCM_TAG_SIZE], size):
+        _fail("EVP_DecryptUpdate")
+    if _EVP_DecryptFinal_ex(context, buffer, length) <= 0:
+        _ERR_clear_error()
+        return None
+    return view[:size].tobytes()
 
 
 # Public keys whose membership verdict is kept: enough for two registries

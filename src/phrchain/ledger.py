@@ -15,6 +15,7 @@ first block in a patient's history chains from a state of 32 zero bytes.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -52,10 +53,14 @@ class NotApprovedError(ValueError):
 
 def chain_state(sym_key: bytes, data_ptr: bytes, data_digest: bytes, prev_state: bytes) -> bytes:
     """Hidden per-block chain state: hash over key, pointer, data digest, previous state."""
-    for name, value in (("sym_key", sym_key), ("data_ptr", data_ptr),
-                        ("data_digest", data_digest), ("prev_state", prev_state)):
-        if len(value) != 32:
-            raise ValueError(f"{name} must be 32 bytes")
+    if len(sym_key) != 32:
+        raise ValueError("sym_key must be 32 bytes")
+    if len(data_ptr) != 32:
+        raise ValueError("data_ptr must be 32 bytes")
+    if len(data_digest) != 32:
+        raise ValueError("data_digest must be 32 bytes")
+    if len(prev_state) != 32:
+        raise ValueError("prev_state must be 32 bytes")
     return digest(TAG_CHAIN + sym_key + data_ptr + data_digest + prev_state)
 
 
@@ -632,11 +637,13 @@ class ConsensusResult(enc.Wire):
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "ConsensusResult":
         """Decode a record; raises FormatError unless it re-encodes to the bytes
-        read and its counts match its votes."""
+        read, its counts match its votes and its simulated time is finite."""
         approved = reader.u8()
         approvals = reader.u32()
         rejections = reader.u32()
         simulated = reader.f64()
+        if not math.isfinite(simulated):
+            raise enc.FormatError(f"simulated time {simulated} is not finite")
         n_votes = reader.u32()
         records = reader.take(n_votes * VOTE_RECORD.size)
         malicious_flags = records[_VOTE_MALICIOUS::VOTE_RECORD.size]

@@ -72,6 +72,12 @@ class TestBenchCommands:
         assert result.exit_code == 2
         assert "timing constants must be nonnegative" in result.output
 
+    def test_rejects_infinite_verify_jitter(self, runner):
+        args = ["bench", "consensus", "--verify-jitter", "inf", "--miners", "4", "--malicious", "0", "--folds", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "timing constants must be nonnegative and finite" in result.output
+
     def test_exits_nonzero_on_internal_verification_failure(self, runner, monkeypatch):
         monkeypatch.setattr("phrchain.bench.verify_block", lambda *a, **k: False)
         result = runner.invoke(

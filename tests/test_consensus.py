@@ -341,6 +341,13 @@ class TestTiming:
             MinerPool(n_miners=4, **{field: float("nan")})
         assert getattr(MinerPool(n_miners=4, **{field: 0.0}), field) == 0.0
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", ["verify_seconds", "verify_jitter", "pair_seconds"])
+    def test_pool_rejects_non_finite_timing(self, field, value):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            MinerPool(n_miners=4, **{field: value})
+        assert getattr(MinerPool(n_miners=4, **{field: 1e300}), field) == 1e300
+
 
 # (pool, seed, SHA-256 of ConsensusResult.to_bytes()) for valid_world's block,
 # recorded while the round still had a wall-clock mode: the role draw, the

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from phrchain import (
@@ -34,7 +40,7 @@ from phrchain.crypto import (
 )
 from phrchain.encoding import FormatError, Reader
 from phrchain import group as group_module
-from phrchain.group import GroupParams, _key_verdict
+from phrchain.group import BignumError, GroupParams, _key_verdict
 
 # Published SHA-256 vectors (empty input and "abc").
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -751,6 +757,197 @@ class TestSymmetric:
     def test_round_trip_property(self, data):
         key = bytes(32)
         assert sym_decrypt(key, sym_encrypt(key, data)) == data
+
+
+def oracle_encrypt(key: bytes, plaintext: bytes, seed: int) -> bytes:
+    """What ``sym_encrypt(key, plaintext, random.Random(seed))`` must return."""
+    nonce = random.Random(seed).randbytes(12)
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+
+
+# The EVP calls of one encryption and of one decryption, in call order. The
+# decryption's last call, EVP_DecryptFinal_ex, is the tag check: its refusal
+# is the verdict DecryptionError, not a fault.
+SEAL_CALLS = ("EVP_EncryptInit_ex", "EVP_EncryptUpdate", "EVP_EncryptFinal_ex", "EVP_CIPHER_CTX_ctrl")
+OPEN_CALLS = ("EVP_DecryptInit_ex", "EVP_CIPHER_CTX_ctrl", "EVP_DecryptUpdate")
+EVP_CALLS = sorted(name for name, value in vars(group_module).items() if name.startswith("_EVP_") and callable(value))
+
+
+class _Long(bytes):
+    """Bytes that claim the length ``claimed``, so no test allocates 2 GiB."""
+
+    def __new__(cls, claimed: int):
+        text = super().__new__(cls, 28)
+        text.claimed = claimed
+        return text
+
+    def __len__(self) -> int:
+        return self.claimed
+
+
+class TestSymmetricBinding:
+    """AES-256-GCM through the libcrypto binding, against ``cryptography``'s
+    AESGCM as the oracle (the package itself never imports it)."""
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 4096, 65537])
+    def test_ciphertexts_equal_the_oracles(self, size):
+        rng = random.Random(size)
+        key, plaintext = rng.randbytes(32), rng.randbytes(size)
+        sealed = sym_encrypt(key, plaintext, random.Random(7))
+        assert sealed == oracle_encrypt(key, plaintext, 7)
+        assert len(sealed) == 12 + size + 16
+        assert sym_decrypt(key, sealed) == plaintext
+        assert AESGCM(key).decrypt(sealed[:12], sealed[12:], None) == plaintext
+
+    def test_a_text_longer_than_the_kept_buffer(self):
+        rng = random.Random(8)
+        key, plaintext = rng.randbytes(32), rng.randbytes(group_module._KEPT_TEXT + 1)
+        sym_encrypt(key, b"short", rng)
+        kept = group_module._THREADS.scratch.text
+        sealed = sym_encrypt(key, plaintext, random.Random(9))
+        assert sealed == oracle_encrypt(key, plaintext, 9)
+        assert sym_decrypt(key, sealed) == plaintext
+        assert group_module._THREADS.scratch.text is kept
+
+    def test_bytes_like_inputs_and_str_refused(self):
+        key = bytes(range(32))
+        expected = oracle_encrypt(key, b"record", 3)
+        for wrap in (bytearray, memoryview):
+            assert sym_encrypt(wrap(key), wrap(b"record"), random.Random(3)) == expected
+            assert sym_decrypt(wrap(key), wrap(expected)) == b"record"
+        with pytest.raises(TypeError):
+            sym_encrypt("k" * 32, b"record")
+        with pytest.raises(TypeError):
+            sym_encrypt(key, "record")
+        with pytest.raises(TypeError):
+            sym_decrypt(key, expected.decode("latin-1"))
+
+    def test_every_single_byte_change_is_refused(self):
+        rng = random.Random(10)
+        key, plaintext = rng.randbytes(32), rng.randbytes(40)
+        sealed = sym_encrypt(key, plaintext, rng)
+        for position in range(len(sealed)):  # nonce 0-11, body 12-51, tag 52-67
+            for flip in (0x01, 0x80, 0xFF):
+                tampered = bytearray(sealed)
+                tampered[position] ^= flip
+                # An error already queued: the failed check clears the queue.
+                assert not group_module._EVP_CIPHER_fetch(None, b"NO-SUCH-CIPHER", None)
+                with pytest.raises(DecryptionError, match="authentication failed"):
+                    sym_decrypt(key, bytes(tampered))
+                assert group_module._ERR_get_error() == 0
+        assert sym_decrypt(key, sealed) == plaintext
+
+    def test_truncation_extension_and_wrong_keys_are_refused(self):
+        rng = random.Random(11)
+        key, plaintext = rng.randbytes(32), rng.randbytes(40)
+        sealed = sym_encrypt(key, plaintext, rng)
+        for length in range(len(sealed)):
+            with pytest.raises(DecryptionError):
+                sym_decrypt(key, sealed[:length])
+        for extra in (b"\x00", b"\xff", sealed[-1:]):
+            with pytest.raises(DecryptionError):
+                sym_decrypt(key, sealed + extra)
+        for wrong in (rng.randbytes(32), bytes([key[0] ^ 1]) + key[1:], key[:31] + bytes([key[31] ^ 0x80])):
+            with pytest.raises(DecryptionError):
+                sym_decrypt(wrong, sealed)
+        assert group_module._ERR_get_error() == 0
+        assert sym_decrypt(key, sealed) == plaintext
+
+    def test_interleaving_threads_get_the_oracles_bytes(self):
+        # ctypes releases the GIL around each EVP call, so the threads,
+        # switching often, overlap inside libcrypto, each in its own contexts
+        # and output buffer, with texts of different lengths.
+        jobs = []
+        for i in range(2):
+            rng = random.Random(f"thread-{i}")
+            sizes = [rng.randrange(0, 300 + 3000 * i) for _ in range(300)]
+            jobs.append([(rng.randbytes(32), rng.randbytes(size), seed) for seed, size in enumerate(sizes)])
+        start = threading.Barrier(len(jobs))
+        results = [None] * len(jobs)
+
+        def work(i):
+            start.wait(timeout=60)
+            sealed = [sym_encrypt(key, plaintext, random.Random(seed)) for key, plaintext, seed in jobs[i]]
+            results[i] = sealed, [sym_decrypt(key, text) for (key, _, _), text in zip(jobs[i], sealed)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for job, (sealed, opened) in zip(jobs, results):
+            assert sealed == [oracle_encrypt(*row) for row in job]
+            assert opened == [plaintext for _, plaintext, _ in job]
+
+    @pytest.mark.parametrize(
+        "direction, call", [("encrypt", call) for call in SEAL_CALLS] + [("decrypt", call) for call in OPEN_CALLS]
+    )
+    def test_a_failing_evp_call_raises_naming_it(self, monkeypatch, direction, call):
+        # A library fault is a program fault: no ciphertext, no plaintext, and
+        # never DecryptionError, which would read as a tampered record.
+        key, plaintext = bytes(range(32)), b"record " * 10
+        sealed = oracle_encrypt(key, plaintext, 12)
+        monkeypatch.setattr(group_module, f"_{call}", lambda *args: 0)
+        with pytest.raises(BignumError, match=f"{call} failed"):
+            if direction == "encrypt":
+                sym_encrypt(key, plaintext, random.Random(12))
+            else:
+                sym_decrypt(key, sealed)
+        monkeypatch.undo()
+        # The fault left the thread's contexts usable.
+        assert sym_encrypt(key, plaintext, random.Random(12)) == sealed
+        assert sym_decrypt(key, sealed) == plaintext
+
+    @pytest.mark.parametrize("call", ["EVP_CIPHER_CTX_new", "EVP_EncryptInit_ex", "EVP_DecryptInit_ex"])
+    def test_a_failing_evp_call_in_a_new_threads_scratch_raises(self, monkeypatch, call):
+        failure = group_module._Pointer() if call == "EVP_CIPHER_CTX_new" else 0
+        monkeypatch.setattr(group_module, f"_{call}", lambda *args: failure)
+        with pytest.raises(BignumError, match=f"{call} failed"):
+            group_module._Scratch()
+
+    def test_a_failing_cipher_fetch_fails_the_import(self):
+        # ERR_peek_error stands in for the fetch: it answers 0, a NULL cipher.
+        code = (
+            "import ctypes\n"
+            "lookup = ctypes.CDLL.__getitem__\n"
+            "ctypes.CDLL.__getitem__ = lambda lib, name: lookup(\n"
+            "    lib, 'ERR_peek_error' if name == 'EVP_CIPHER_fetch' else name\n"
+            ")\n"
+            "import phrchain\n"
+        )
+        result = _run_python(code)
+        assert result.returncode != 0
+        assert "BignumError: EVP_CIPHER_fetch failed" in result.stderr
+
+    def test_lengths_above_int_max_raise_before_any_call(self, monkeypatch):
+        made = []
+        for name in EVP_CALLS:
+            monkeypatch.setattr(group_module, name, lambda *args, name=name: made.append(name))
+        key = bytes(32)
+        with pytest.raises(ValueError, match="at most 2147483647 bytes of plaintext"):
+            group_module._gcm_seal(key, bytes(12), _Long(2**31))
+        with pytest.raises(ValueError, match="at most 2147483647 bytes of ciphertext"):
+            group_module._gcm_open(key, _Long(12 + 2**31 + 16))
+        assert made == []
+
+    def test_importing_the_package_leaves_cryptography_out(self):
+        code = "import sys, phrchain\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'cryptography'))\n"
+        result = _run_python(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's package."""
+    package_root = Path(group_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
 
 
 @given(seed=st.integers(0, 2**32), context=st.binary(max_size=64))

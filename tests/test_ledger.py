@@ -73,6 +73,14 @@ class TestChainState:
         with pytest.raises(ValueError):
             state_commitment(bytes(32), bytes(16))
 
+    @pytest.mark.parametrize("index, name", enumerate(["sym_key", "data_ptr", "data_digest", "prev_state"]))
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_each_field_length_is_checked_and_named(self, index, name, size):
+        fields = [bytes(32)] * 4
+        fields[index] = bytes(size)
+        with pytest.raises(ValueError, match=f"^{name} must be 32 bytes$"):
+            chain_state(*fields)
+
     def test_commitment_matches_oracle_and_nonce_sensitivity(self):
         rng = random.Random(2)
         state = rng.randbytes(32)

@@ -312,6 +312,13 @@ class TestStrictDecoding:
         with pytest.raises(FormatError, match="votes counted"):
             ConsensusResult.from_bytes(dataclasses.replace(result, rejections=result.rejections + 1).to_bytes())
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_simulated_time_raises(self, raw, value):
+        assert raw[9:17] == f64(ConsensusResult.from_bytes(bytes(raw)).simulated_time)
+        raw[9:17] = f64(value)
+        with pytest.raises(FormatError, match="not finite"):
+            ConsensusResult.from_bytes(bytes(raw))
+
 
 votes_strategy = st.lists(
     st.tuples(
@@ -331,7 +338,11 @@ class TestFuzz:
         records = b"".join(VOTE_RECORD.pack(*vote) for vote in votes)
         approvals = sum(approve for _, _, approve, _ in votes)
         result = ConsensusResult(approved, approvals, len(votes) - approvals, simulated, records)
-        assert ConsensusResult.from_bytes(result.to_bytes()) == result
+        if math.isfinite(simulated):
+            assert ConsensusResult.from_bytes(result.to_bytes()) == result
+        else:
+            with pytest.raises(FormatError, match="not finite"):
+                ConsensusResult.from_bytes(result.to_bytes())
         assert result.votes == tuple(MinerVote(*vote) for vote in votes)
 
     @given(votes=votes_strategy, data=st.data())
