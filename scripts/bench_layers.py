@@ -25,8 +25,9 @@ no roles and packs no records until they are read; the first read of
 ``vote_records`` of such an unread result, which draws and packs them,
 checked first against records packed miner by miner from
 ``random.Random.sample``; and the role draw of such a vote alone
-(``_draw_roles`` with its seeded generator, checked against
-``random.Random.sample``); the two chain reads of a researcher round on an
+(``_draw_roles``: one ``random.Random.sample`` call turned into flags,
+checked first against the flags of ``sample``'s picks and the state it
+leaves the generator in); the two chain reads of a researcher round on an
 800-block chain (640 patient blocks of 16 patients, 80 requests and 80
 approvals, each voted in by 800 miners; see ``researcher_chain``): one
 ``scan_blocks`` for a one-condition mask and one ``pending_requests`` for
@@ -345,7 +346,7 @@ def main() -> None:
             result.vote_records
         read_samples.append((time.perf_counter() - started) / len(unread))
     rows["vote_records_800_s"] = statistics.median(read_samples)
-    # The role draw of those rounds alone, first checked against the draw it replaces.
+    # The role draw of those rounds alone, first checked against the flags of sample's own picks.
     for seed in range(50):
         drawn, sampled = random.Random(seed), random.Random(seed)
         picked = set(sampled.sample(range(800), 320))

@@ -157,12 +157,13 @@ def demo() -> None:
 
 
 @demo.command("round-trip")
-@click.option("--patients", type=int, default=8, show_default=True)
-@click.option("--hospitals", type=int, default=8, show_default=True)
-@click.option("--blocks", type=int, default=5, show_default=True, help="Visits for the demo patient.")
-@click.option("--miners", type=int, default=None,
+@click.option("--patients", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--hospitals", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--blocks", type=click.IntRange(min=1), default=5, show_default=True, help="Visits for the demo patient.")
+@click.option("--miners", type=click.IntRange(min=1), default=None,
               help="Pool size; defaults to the hospital count (every hospital mines).")
-@click.option("--malicious", type=int, default=25, show_default=True, help="Malicious miner percentage.")
+@click.option("--malicious", type=click.IntRange(0, 100), default=25, show_default=True,
+              help="Malicious miner percentage.")
 @_seed_option
 @click.option("--save-chain", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--save-store", type=click.Path(dir_okay=False, path_type=Path), default=None)

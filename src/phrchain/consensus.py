@@ -12,11 +12,8 @@ square of the pool size.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
-import sys
-from array import array
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
@@ -155,112 +152,58 @@ def run_consensus(
     malicious miners reject without verifying. The simulated time is the
     slowest miner's verification cost plus all-to-all vote propagation.
 
-    The votes are stored as the result's packed records (``ledger.pack_votes``).
-    A seed always gives the same result bytes, so the role draw, the jitter
-    stream and the order of the float operations must not change. The role
-    draw is ``_draw_roles``: the set ``random.Random(seed).sample(range(n), k)``
-    picks, with the generator left where ``sample`` leaves it.
+    The votes are stored as the result's packed records (``ledger.pack_votes``),
+    which ``_votes`` makes from the seed: the roles that
+    ``random.Random(seed).sample(range(n), k)`` picks, then one jitter draw
+    per miner. A seed always gives the same result bytes, so that order and
+    the order of the float operations must not change.
 
     The verdict, the counts and the clock are computed at the call. The
-    counts depend on validity, n and k alone. At zero jitter every honest
-    miner takes the same seconds, ``verify_seconds + 0.0 * verify_jitter``,
-    and no jitter draw is made: nothing reads the RNG after the role draw,
-    and for every draw r in [0, 1) and a jitter of 0.0 or -0.0, ``r * jitter``
-    is ``0.0 * jitter`` bit for bit, so the records are
-    ``pack_votes(flags, valid, seconds)`` for that one float. When those
-    seconds are positive, the slowest time is what ``max`` over the
-    per-miner list gives without the draw: the seconds if any miner is
-    honest, else 0.0. The round then makes no draw and no records: it
-    returns a result that draws the roles and packs the records when its
-    ``vote_records`` are first read (``_vote_records``), and a result never
-    read never draws. Two kinds of pool stay eager, drawing at the call:
-
-    - a pool with jitter, whose jitter stream follows the role draw and
-      sets the slowest time;
-    - a pool whose honest seconds are a zero: ``max`` keeps the first of
-      equal values, so miner 0's role decides the sign of the slowest time.
+    counts depend on validity, n and k alone. At zero jitter an honest
+    miner's seconds, ``verify_seconds + r * jitter`` for its draw r in
+    [0, 1), are ``verify_seconds`` bit for bit when that is positive, since
+    ``r * ±0.0`` is a zero. The slowest time is then what ``max`` over the
+    per-miner list gives without the draw: ``verify_seconds`` if any miner
+    is honest, else 0.0. Such a round returns a result that calls
+    ``_votes`` when its ``vote_records`` are first read, and a result never
+    read never draws. Every other round calls ``_votes`` at the call: a
+    pool with jitter, whose jitter stream sets the slowest time, and a pool
+    whose honest seconds are a zero, where ``max`` keeps the first of equal
+    values, so miner 0's role decides the sign of the slowest time.
     """
     valid = verify_block(block, directories, chain)
     n, k = pool.n_miners, pool.n_malicious
     approvals = n - k if valid else 0
     propagation = pool.pair_seconds * n * (n - 1)
     counts = approvals >= approval_threshold(n), approvals, n - approvals
-    seconds = pool.verify_seconds + 0.0 * pool.verify_jitter
-    if not pool.verify_jitter and seconds > 0:
-        slowest = seconds if k < n else 0.0
+    if not pool.verify_jitter and pool.verify_seconds > 0:
+        slowest = pool.verify_seconds if k < n else 0.0
         return ConsensusResult._of_round(
-            *counts, slowest + propagation, functools.partial(_vote_records, seed, n, k, valid, seconds)
+            *counts, slowest + propagation, functools.partial(_vote_records, seed, pool, valid)
         )
+    slowest, records = _votes(seed, pool, valid)
+    return ConsensusResult(*counts, slowest + propagation, records)
+
+
+def _votes(seed: int, pool: MinerPool, valid: bool) -> tuple[float, bytes]:
+    """The slowest miner's seconds and the packed records of the round the seed draws."""
     rng = random.Random(seed)
-    flags = _draw_roles(rng, n, k)
-    if pool.verify_jitter:
-        # One jitter draw per miner regardless of role keeps the RNG stream
-        # independent of the malicious count; a malicious miner then costs nothing.
-        seconds = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in range(n)]
-        for miner in itertools.compress(range(n), flags):
-            seconds[miner] = 0.0
-        slowest = max(seconds)
-    else:
-        # What max over the per-miner list gives for seconds that are not positive.
-        slowest = 0.0 if flags[0] else seconds
-    return ConsensusResult(*counts, slowest + propagation, pack_votes(flags, valid, seconds))
+    flags = _draw_roles(rng, pool.n_miners, pool.n_malicious)
+    # One jitter draw per miner regardless of role keeps the RNG stream
+    # independent of the malicious count; a malicious miner then costs nothing.
+    jittered = [pool.verify_seconds + rng.random() * pool.verify_jitter for _ in flags]
+    seconds = [0.0 if malicious else honest for malicious, honest in zip(flags, jittered)]
+    return max(seconds), pack_votes(flags, valid, seconds)
 
 
-def _vote_records(seed: int, n: int, k: int, valid: bool, seconds: float) -> bytes:
-    """The records of a zero-jitter round: its roles drawn from the seed, every
-    honest miner taking the one float ``seconds``."""
-    return pack_votes(_draw_roles(random.Random(seed), n, k), valid, seconds)
+def _vote_records(seed: int, pool: MinerPool, valid: bool) -> bytes:
+    """The records alone, for a result that makes them on first read."""
+    return _votes(seed, pool, valid)[1]
 
 
 def _draw_roles(rng: random.Random, n: int, k: int) -> bytearray:
-    """The role flags of n miners, 1 for each of the k that
-    ``rng.sample(range(n), k)`` would pick, with ``rng`` left in the state
-    ``sample`` leaves it in (CPython 3.11).
-
-    ``sample`` takes one of two branches, chosen by its own set-size rule:
-    a partial Fisher-Yates shuffle of a pool list for small n, else draws
-    into a set that redraws repeats. Each of its draws is
-    ``_randbelow(m)``: one 32-bit word w per try, the candidate
-    w >> (32 - m.bit_length()), accepted when below m. The words are read
-    in bulk (``_words``), and only as many as are certain to be consumed:
-    each draw still to be made takes at least one word, so a batch holds
-    the draws left in the current bit-length band of m (the shuffle, where
-    m falls by one each draw) or the members still missing (the set).
-    """
+    """The role flags of n miners, 1 for each of the k that ``rng.sample(range(n), k)`` picks."""
     flags = bytearray(n)
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(range(n))
-        m, stop = n, n - k
-        while m > stop:
-            band = m.bit_length()
-            low, shift = max(stop, (1 << (band - 1)) - 1), 32 - band
-            while m > low:
-                for word in _words(rng, m - low):
-                    j = word >> shift
-                    if j < m:
-                        m -= 1
-                        flags[pool[j]] = 1
-                        pool[j] = pool[m]
-    else:
-        shift = 32 - n.bit_length()
-        missing = k
-        while missing:
-            for word in _words(rng, missing):
-                j = word >> shift
-                if j < n and not flags[j]:
-                    flags[j] = 1
-                    missing -= 1
+    for miner in rng.sample(range(n), k):
+        flags[miner] = 1
     return flags
-
-
-def _words(rng: random.Random, count: int) -> array:
-    """The next ``count`` 32-bit outputs of the generator, in the order one
-    ``getrandbits(32)`` each would give them: ``getrandbits`` puts its first
-    word lowest."""
-    words = array("I", rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words

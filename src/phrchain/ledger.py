@@ -19,8 +19,8 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from . import encoding as enc
 from .crypto import (
@@ -503,63 +503,19 @@ def _check_enrolled(keys: tuple[int, ...], index: int, public: int, who: str) ->
 
 # One vote as stored: u32 miner, u8 malicious, u8 approve, f64 seconds.
 VOTE_RECORD = struct.Struct(">IBBd")
-# Byte offset of each field within a record: the size of the fields before it.
-_VOTE_MINER, _VOTE_MALICIOUS, _VOTE_APPROVE, _VOTE_SECONDS = (
-    struct.calcsize(VOTE_RECORD.format[:i]) for i in range(1, 5)
-)
-# Maps a malicious flag to the approve flag of a vote on a valid block.
-_HONEST = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# Byte offset of each flag within a record: the size of the fields before it.
+_VOTE_MALICIOUS, _VOTE_APPROVE = (struct.calcsize(VOTE_RECORD.format[:i]) for i in (2, 3))
 
 
-def pack_votes(malicious: bytes, valid: bool, seconds: Sequence[float] | float) -> bytes:
+def pack_votes(malicious: bytes, valid: bool, seconds: Sequence[float]) -> bytes:
     """The ``VOTE_RECORD``s of one round, in miner order.
 
-    ``malicious[i]`` is miner i's flag (0 or 1). ``seconds`` is either each
-    miner's virtual verification time, or one float, the time of every
-    honest miner, with 0.0 for every malicious one. Honest miners approve
-    iff the block is valid, malicious miners never. The records are
-    written one byte of a field at a time across all miners, with no
-    per-miner object or ``pack`` call; for one float, each byte of the
-    seconds is a translation of the flags.
+    ``malicious[i]`` is miner i's flag (0 or 1) and ``seconds[i]`` its
+    virtual verification time. Honest miners approve iff the block is
+    valid, malicious miners never.
     """
-    ids, seconds_column = _vote_columns(len(malicious))
-    records = bytearray(ids)
-    records[_VOTE_MALICIOUS :: VOTE_RECORD.size] = malicious
-    if valid:
-        records[_VOTE_APPROVE :: VOTE_RECORD.size] = malicious.translate(_HONEST)
-    if isinstance(seconds, float):
-        columns = map(malicious.translate, _seconds_tables(enc.f64(seconds)))
-    else:
-        columns = _byte_columns(seconds_column.pack(*seconds), 8)
-    _write_field(records, _VOTE_SECONDS, columns)
-    return bytes(records)
-
-
-def _write_field(records: bytearray, offset: int, columns: Iterable[bytes]) -> None:
-    """Write the field at offset of every record, its k-th byte from the k-th column."""
-    for k, column in enumerate(columns):
-        records[offset + k :: VOTE_RECORD.size] = column
-
-
-def _byte_columns(values: bytes, width: int) -> Iterator[bytes]:
-    """The byte columns of values of the given width packed back to back."""
-    return (values[k::width] for k in range(width))
-
-
-@lru_cache(maxsize=16)
-def _seconds_tables(honest: bytes) -> tuple[bytes, ...]:
-    """Per byte of an honest miner's packed seconds, the table that maps a
-    malicious flag to that byte of the miner's seconds: 0 to it, 1 to the
-    byte of 0.0. Keyed by the bytes, so that 0.0 and -0.0 differ."""
-    return tuple(bytes.maketrans(b"\x00\x01", bytes((byte, 0))) for byte in honest)
-
-
-@lru_cache(maxsize=16)
-def _vote_columns(n: int) -> tuple[bytes, struct.Struct]:
-    """Blank records for n miners with the miner ids written, and the packer of n seconds."""
-    records = bytearray(VOTE_RECORD.size * n)
-    _write_field(records, _VOTE_MINER, _byte_columns(struct.pack(f">{n}I", *range(n)), 4))
-    return bytes(records), struct.Struct(f">{n}d")
+    approve = (valid and not flag for flag in malicious)
+    return b"".join(map(VOTE_RECORD.pack, range(len(malicious)), malicious, approve, seconds))
 
 
 @dataclass(frozen=True, slots=True)
@@ -637,7 +593,8 @@ class ConsensusResult(enc.Wire):
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "ConsensusResult":
         """Decode a record; raises FormatError unless it re-encodes to the bytes
-        read, its counts match its votes and its simulated time is finite."""
+        read, its counts match its votes, its simulated time is finite and
+        every vote's seconds lie in [0, simulated time] (-0.0 included)."""
         approved = reader.u8()
         approvals = reader.u32()
         rejections = reader.u32()
@@ -655,6 +612,9 @@ class ConsensusResult(enc.Wire):
             raise enc.FormatError(f"{approvals} approvals recorded, {approving} votes approve")
         if approvals + rejections != n_votes:
             raise enc.FormatError(f"{approvals} + {rejections} votes counted, {n_votes} recorded")
+        # The comparison is false for a NaN, and -0.0 is not below 0.
+        if not all(0 <= seconds <= simulated for *_, seconds in VOTE_RECORD.iter_unpack(records)):
+            raise enc.FormatError(f"a vote's seconds are outside [0, {simulated}]")
         return cls(bool(approved), approvals, rejections, simulated, records)
 
 

@@ -166,3 +166,14 @@ class TestDemoAndInspect:
         assert result.exit_code == 0, result.output
         assert "patient registry: 2 keys" in result.output
         assert "researcher registry: 1 keys" in result.output
+
+    @pytest.mark.parametrize(
+        ("option", "value"),
+        [("--patients", "0"), ("--hospitals", "0"), ("--blocks", "0"), ("--miners", "0"),
+         ("--malicious", "-1"), ("--malicious", "150")],
+    )
+    def test_demo_rejects_out_of_range_options_as_usage_errors(self, runner, option, value):
+        result = runner.invoke(main, ["demo", "round-trip", option, value])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)

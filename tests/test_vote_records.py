@@ -2,10 +2,10 @@
 
 The per-miner loop that built one ``MinerVote`` per miner is kept here as
 the oracle: ``run_consensus`` must produce the same votes and the same
-bytes without building them. Its role draw, ``random.Random.sample``, is
-the oracle of ``consensus._draw_roles``. A zero-jitter round with positive
-seconds makes its records on first read; every form of such a result must
-see the oracle's bytes.
+bytes. A zero-jitter round with positive seconds makes its records on
+first read; every form of such a result must see the oracle's bytes. The
+role draw, ``consensus._draw_roles``, must pick what
+``random.Random.sample`` picks and leave the generator where it leaves it.
 """
 
 import copy
@@ -319,20 +319,34 @@ class TestStrictDecoding:
         with pytest.raises(FormatError, match="not finite"):
             ConsensusResult.from_bytes(bytes(raw))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -5.0, 1.5], ids=["inf", "nan", "negative", "above-time"])
+    def test_vote_seconds_outside_the_simulated_time_raise(self, value):
+        result = ConsensusResult(True, 1, 0, 1.0, VOTE_RECORD.pack(0, 0, 1, value))
+        with pytest.raises(FormatError, match="seconds are outside"):
+            ConsensusResult.from_bytes(result.to_bytes())
 
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 1.0])
+    def test_vote_seconds_from_zero_to_the_simulated_time_decode(self, value):
+        wire = ConsensusResult(True, 1, 0, 1.0, VOTE_RECORD.pack(0, 0, 1, value)).to_bytes()
+        decoded = ConsensusResult.from_bytes(wire)
+        assert decoded.to_bytes() == wire
+        assert math.copysign(1.0, decoded.votes[0].seconds) == math.copysign(1.0, value)
+
+
+# Seconds a decoded vote may carry under a simulated time of at least 1.0.
 votes_strategy = st.lists(
     st.tuples(
         st.integers(0, 2**32 - 1),
         st.booleans(),
         st.booleans(),
-        st.floats(allow_nan=False),
+        st.floats(-0.0, 1.0),
     ),
     max_size=40,
 )
 
 
 class TestFuzz:
-    @given(votes=votes_strategy, approved=st.booleans(), simulated=st.floats(allow_nan=False))
+    @given(votes=votes_strategy, approved=st.booleans(), simulated=st.floats(min_value=1.0) | st.just(-math.inf))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_of_arbitrary_votes(self, votes, approved, simulated):
         records = b"".join(VOTE_RECORD.pack(*vote) for vote in votes)
