@@ -15,7 +15,13 @@ against Euler's criterion). Then ring prove and ring verify at m = 8,
 128, 1000 and 4000, each proof first checked branch by branch through
 ``pow``, an honest one accepted and one with a forged response rejected;
 the commitment column (``schnorr_commitments``) over the 4000-key ring,
-per branch, checked against ``pow`` first; the ring-key gate of a ring
+per branch, checked against ``pow`` first, with the CPU seconds one
+column costs this process (``column_m4000_caller_cpu_s``) and, summed,
+the live child processes of this process, the column's workers
+(``column_m4000_worker_cpu_s``, from ``/proc/<pid>/schedstat``), and the
+workers' summed peak resident set (``column_workers_vmhwm_mb``,
+``VmHWM``); a program that computes its columns in one process has no
+children there, and reads 0 for both; the ring-key gate of a ring
 verifier (``key_is_element`` for every key) over 5000 keys whose
 verdicts are kept, as a 4000/1000-key block's verifier meets them; one
 consensus vote over 800 miners (40% malicious) on a request block given
@@ -118,6 +124,26 @@ def median_time(fn, repeats: int, per_call: int = 1) -> float:
         fn()
         samples.append((time.perf_counter() - started) / per_call)
     return statistics.median(samples)
+
+
+def children() -> list[int]:
+    """The pids of this process's live children (Linux ``/proc``)."""
+    pids = []
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/children") as listing:
+            pids += map(int, listing.read().split())
+    return pids
+
+
+def cpu_seconds(pid: int) -> float:
+    """The CPU time process ``pid`` has run, from its ``schedstat`` (nanoseconds)."""
+    with open(f"/proc/{pid}/schedstat") as stat:
+        return int(stat.read().split()[0]) / 1e9
+
+
+def vmhwm_mb(pid: int) -> float:
+    with open(f"/proc/{pid}/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 
 
 def pow_ring_verdict(group: GroupParams, ring, proof) -> bool:
@@ -308,10 +334,17 @@ def main() -> None:
         pow(g, s, p) * pow(y, -c % (p - 1), p) % p for y, c, s in zip(ring, column_challenges, column_responses)
     ]:
         raise SystemExit("the commitment column differs from pow")
-    rows["ring_commitments_per_branch_s"] = median_time(
-        lambda: list(group.schnorr_commitments(ring, column_challenges, column_responses)),
-        args.repeats, len(ring),
-    )
+    workers = {pid: cpu_seconds(pid) for pid in children()}
+    wall, caller = [], []
+    for _ in range(args.repeats):
+        started, cpu = time.perf_counter(), time.process_time()
+        list(group.schnorr_commitments(ring, column_challenges, column_responses))
+        wall.append(time.perf_counter() - started)
+        caller.append(time.process_time() - cpu)
+    rows["ring_commitments_per_branch_s"] = statistics.median(wall) / len(ring)
+    rows["column_m4000_caller_cpu_s"] = statistics.median(caller)
+    rows["column_m4000_worker_cpu_s"] = sum(cpu_seconds(pid) - spent for pid, spent in workers.items()) / args.repeats
+    rows["column_workers_vmhwm_mb"] = sum(map(vmhwm_mb, workers))
     # The ring-key gate over the 4000-key ring and 1000 of the keys above,
     # every verdict kept, as after the first check of a block over them.
     gate_keys = ring + keys[:1000]

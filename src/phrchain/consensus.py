@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .crypto import credential_verify, verify_signature
-from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock, pack_votes
-from .ledger import range_message
+from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock, approval_threshold
+from .ledger import pack_votes, range_message
 from .registry import Directories
 
 
@@ -52,11 +52,6 @@ class MinerPool:
         # The epsilon absorbs float error in fraction * n when the fraction
         # was written as count/n (e.g. 15/22 * 22 rounds below 15).
         return math.floor(self.malicious_fraction * self.n_miners + 1e-9)
-
-
-def approval_threshold(n_miners: int) -> int:
-    """Votes needed for approval: at least half the pool."""
-    return math.ceil(n_miners / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ whatever decodes re-encodes to the bytes it was read from.
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -131,10 +133,26 @@ def build(make: Callable[..., T], *fields) -> T:
 
 
 def write_versioned(path: Path | str, magic: bytes, version: int, payload: bytes) -> None:
-    """Persist a payload under a 4-byte magic and u16 version header."""
+    """Persist a payload under a 4-byte magic and u16 version header.
+
+    The bytes go to a new file beside the target, flushed to disk, which
+    then replaces the target in one step (``os.replace``): a save that
+    fails partway leaves the previous file whole and no new file behind.
+    """
     if len(magic) != 4:
         raise ValueError("magic must be 4 bytes")
-    Path(path).write_bytes(magic + u16(version) + payload)
+    target = Path(path)
+    temporary = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    file = open(temporary, "xb")
+    try:
+        with file:
+            file.write(magic + u16(version) + payload)
+            file.flush()
+            os.fsync(file.fileno())
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def read_versioned(path: Path | str, magic: bytes, version: int) -> Reader:

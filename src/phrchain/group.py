@@ -22,6 +22,20 @@ column computed lazily: a ring proof's branches in turn, or the one value
 of a signature, a Schnorr proof or a possession half, so a verifier that
 stops at the first failing branch stops the kernel there too.
 
+A column of at least ``_SPLIT`` values is shared evenly with worker
+processes, one per CPU beyond the first (``os.sched_getaffinity``),
+forked on the first such column from a process with one thread alive.
+The caller computes the head lazily and each worker one share of the
+tail, sent over a pipe as pickled int lists, on a CPU other than the
+caller's; values are yielded in column order, so the caller sees the same
+column either way. Only public values cross to a
+worker: keys, challenges and responses, which are a proof's fields or the
+simulated branches of one. A column closed early cancels the shares not
+yet read, and a worker that fails or dies is stopped and its share
+computed by the caller. A worker exits at EOF on its request pipe and is
+reaped at interpreter exit; a child forked later closes its parent's pipes
+and starts workers of its own.
+
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
 context in a bounded cache, each thread its own scratch BIGNUMs and
@@ -45,12 +59,19 @@ work, not for production key material.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import ctypes
 import functools
+import os
+import pickle
 import random
+import select
+import signal
+import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from . import encoding as enc
 
@@ -303,6 +324,248 @@ def _pinned(modulus: int, base: int) -> _Pinned:
     return _Pinned(modulus, base)
 
 
+# ---------------------------------------------------------------------------
+# Worker processes for long columns
+# ---------------------------------------------------------------------------
+
+# A column of at least this many values is split evenly between the caller
+# and the workers. A split already pays from 32 values (BENCH_26.json), but
+# a worker computes up to a run past the point where its column is closed.
+# Shorter columns, the researcher workload's 16/8-key rings and the rings of
+# up to 129 keys whose kernel calls the tests count among them, stay in one
+# process, where the kernel stops exactly where the reader stops. At this
+# bound a split saves about 4 ms.
+_SPLIT = 192
+# A worker looks for a cancel between runs of this many values.
+_RUN = 32
+# Each message is its pickle's byte length, then the pickle; a length of 0
+# is a cancel from the caller, or a share the worker did not compute.
+_LENGTH = struct.Struct(">Q")
+# The CPU the calling thread runs on, from the C library.
+_sched_getcpu = ctypes.CDLL(None).sched_getcpu
+
+
+def _send(fd: int, message: object) -> None:
+    data = b"" if message is None else pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_LENGTH.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(fd: int) -> object:
+    """The next ``_send`` message on ``fd``, None for a length of 0; EOFError at EOF."""
+    (size,) = _LENGTH.unpack(_take(fd, _LENGTH.size))
+    return pickle.loads(_take(fd, size)) if size else None
+
+
+def _take(fd: int, size: int) -> bytes:
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            raise EOFError
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _serve(requests: int, replies: int) -> NoReturn:
+    """A worker's life: answer each share it is sent, until EOF on ``requests``.
+
+    A cancel read between shares is one whose share was answered before
+    the cancel arrived. The worker never returns into its parent's code: it
+    leaves through ``os._exit``, with status 0 at EOF.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # its parent decides when it ends
+        while True:
+            share = _receive(requests)
+            if share is not None:
+                _send(replies, _answer(requests, *share))
+    except EOFError:
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _answer(requests: int, cpu: int, modulus: int, base: int, keys, challenges, responses) -> list[int] | None:
+    """A share's values, computed on ``cpu``, or None if a cancel arrives first
+    or a value cannot be computed: the caller then computes the share, and
+    raises the error itself. The caller sends nothing else while a share is
+    out, so whatever arrives during one is its cancel.
+
+    The caller names a CPU other than its own. A worker woken by its
+    caller's pipe write was otherwise often run on the caller's CPU, and a
+    split column then took as long as one computed whole.
+    """
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cpu})
+    commitment = _pinned(modulus, base).commitment
+    waiting = select.poll()
+    waiting.register(requests, select.POLLIN)
+    values: list[int] = []
+    try:
+        for start in range(0, len(keys), _RUN):
+            if waiting.poll(0):
+                _receive(requests)  # a cancel, or EOFError at EOF
+                return None
+            stop = start + _RUN
+            values += map(commitment, keys[start:stop], challenges[start:stop], responses[start:stop])
+    except Exception:
+        return None
+    return values
+
+
+class _Worker:
+    """A forked process that computes shares of columns: its pid, the write end
+    of its request pipe and the read end of its reply pipe. A column holds
+    ``lock`` while it has a share out with the worker. A stopped worker
+    has pid 0 and is never asked again."""
+
+    def __init__(self) -> None:
+        pipes: list[int] = []
+        try:
+            pipes += os.pipe()
+            pipes += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in pipes:
+                os.close(fd)
+            raise
+        requests, self.requests, self.replies, replies = pipes
+        if not pid:
+            os.close(self.requests)
+            os.close(self.replies)
+            _serve(requests, replies)
+        os.close(requests)
+        os.close(replies)
+        self.pid, self.lock = pid, threading.Lock()
+
+    def ask(self, share: tuple | None) -> bool:
+        """Send a share, or a cancel for None; False, with the worker stopped,
+        if it cannot be sent."""
+        sent = False
+        try:
+            if self.pid:
+                _send(self.requests, share)
+                sent = True
+        except OSError:
+            pass
+        finally:
+            if not sent:
+                self.stop(kill=True)
+        return sent
+
+    def answer(self, count: int) -> list[int] | None:
+        """The ``count`` values of the share asked for, or None when they are
+        not all there: the worker did not compute them, or it failed (it is
+        then stopped)."""
+        answered = False
+        values = None
+        try:
+            if self.pid:
+                values = _receive(self.replies)
+                answered = True
+        except (OSError, EOFError):
+            pass
+        finally:
+            if not answered:
+                self.stop(kill=True)
+        return values if isinstance(values, list) and len(values) == count else None
+
+    def cancel(self) -> None:
+        """Withdraw the share asked for and discard its reply, whichever the worker sends."""
+        if self.ask(None):
+            self.answer(0)
+
+    def stop(self, kill: bool = False) -> None:
+        """Close the pipes (the worker exits at EOF), kill the worker if asked,
+        reap it and take it out of the pool. In a child forked later, the
+        worker is not the child's own: the child closes its copies of the
+        pipes, so that the worker still sees EOF when its parent ends, and
+        finds nothing to reap."""
+        pid, self.pid = self.pid, 0
+        if not pid:
+            return
+        os.close(self.requests)
+        os.close(self.replies)
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if _workers and self in _workers:
+            _workers.remove(self)
+
+
+# This process's workers; None until the first long column starts them.
+_workers: list[_Worker] | None = None
+
+
+def _idle_workers() -> list[_Worker]:
+    """The workers no other column holds, each now held for the caller's
+    column. A process starts its workers on its first call made with one
+    thread alive: a fork while another thread runs could copy a lock that
+    thread holds into the worker."""
+    global _workers
+    if _workers is None:
+        if threading.active_count() > 1:
+            return []
+        _workers = []
+        with contextlib.suppress(OSError):
+            for _ in range(len(os.sched_getaffinity(0)) - 1):
+                _workers.append(_Worker())
+    return [worker for worker in tuple(_workers) if worker.lock.acquire(blocking=False)]
+
+
+def _shared_column(modulus: int, base: int, keys, challenges, responses) -> Iterator[int]:
+    """``GroupParams.schnorr_commitments`` with its tail shared among the idle
+    workers: the head computed here as it is asked for, each worker's share
+    read when the column reaches it, or computed here if the worker fails."""
+    commitment = _pinned(modulus, base).commitment
+    keys, challenges, responses = list(keys), list(challenges), list(responses)
+    count = min(len(keys), len(challenges), len(responses))
+    workers = _idle_workers()
+    bounds = [count * i // (len(workers) + 1) for i in range(len(workers) + 2)]
+    shares = list(zip(workers, bounds[1:], bounds[2:]))
+    here = _sched_getcpu()
+    elsewhere = [cpu for cpu in sorted(os.sched_getaffinity(0)) if cpu != here] or [here]
+    unread = []
+    try:
+        for j, (worker, start, stop) in enumerate(shares):
+            cpu = elsewhere[j % len(elsewhere)]
+            if worker.ask((cpu, modulus, base, keys[start:stop], challenges[start:stop], responses[start:stop])):
+                unread.append(worker)
+        head = bounds[1]
+        yield from map(commitment, keys[:head], challenges[:head], responses[:head])
+        for worker, start, stop in shares:
+            values = None
+            if worker in unread:
+                unread.remove(worker)
+                values = worker.answer(stop - start)
+            if values is None:
+                values = map(commitment, keys[start:stop], challenges[start:stop], responses[start:stop])
+            yield from values
+    finally:
+        for worker in unread:
+            worker.cancel()
+        for worker in workers:
+            worker.lock.release()
+
+
+def _stop_workers() -> None:
+    """Stop this process's workers; the next long column starts new ones.
+    Run at interpreter exit, and in every child forked later."""
+    global _workers
+    workers, _workers = _workers or [], None
+    for worker in workers:
+        worker.stop()
+
+
+atexit.register(_stop_workers)
+os.register_at_fork(after_in_child=_stop_workers)
+
+
 def _mod_exp(base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod an odd modulus > 1, for 0 <= base < modulus and exponent >= 0."""
     mont, scratch = _montgomery(modulus), _THREADS.scratch
@@ -437,7 +700,7 @@ class GroupParams(enc.Wire):
         return _mod_exp(base % self.modulus, exponent % self.order, self.modulus)
 
     def schnorr_commitments(
-        self, keys: Iterable[int], challenges: Iterable[int], responses: Iterable[int]
+        self, keys: Sequence[int], challenges: Iterable[int], responses: Iterable[int]
     ) -> Iterator[int]:
         """Lazily, for each (key y, challenge c, response s >= 0), the commitment
         g^s * y^((-c) mod (p - 1)) that makes the Schnorr equation hold, for
@@ -454,7 +717,14 @@ class GroupParams(enc.Wire):
         that asks, so a verifier that stops at the first failing branch
         makes no further exponentiation. The column holds its pinned
         generator, which outlives the generator's eviction from its cache.
+
+        With at least ``_SPLIT`` keys, the column reads its inputs into lists
+        at its first value and shares its tail with the worker processes
+        (see the module docstring). It yields the same values in the same
+        order; a share the column is closed before reaching is cancelled.
         """
+        if len(keys) >= _SPLIT:
+            return _shared_column(self.modulus, self.generator, keys, challenges, responses)
         return map(_pinned(self.modulus, self.generator).commitment, keys, challenges, responses)
 
     # The verdict cache itself, bound as a method, so that a kept verdict is

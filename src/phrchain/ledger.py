@@ -518,14 +518,9 @@ def pack_votes(malicious: bytes, valid: bool, seconds: Sequence[float]) -> bytes
     return b"".join(map(VOTE_RECORD.pack, range(len(malicious)), malicious, approve, seconds))
 
 
-@dataclass(frozen=True, slots=True)
-class MinerVote:
-    """One miner's vote, decoded from its ``VOTE_RECORD``."""
-
-    miner: int
-    malicious: bool
-    approve: bool
-    seconds: float
+def approval_threshold(n_miners: int) -> int:
+    """Votes needed for approval: at least half the pool."""
+    return math.ceil(n_miners / 2)
 
 
 @dataclass(frozen=True)
@@ -535,13 +530,12 @@ class ConsensusResult(enc.Wire):
     ``vote_records`` holds one 14-byte ``VOTE_RECORD`` per miner, in miner
     order: u32 miner, u8 malicious flag, u8 approve flag, f64 virtual
     seconds, big-endian. These are the bytes ``to_bytes`` writes after the
-    header and the u32 vote count, so a round keeps no per-miner objects;
-    ``votes`` decodes them into a fresh tuple of ``MinerVote`` on each access.
+    header and the u32 vote count, so a round keeps no per-miner objects.
 
     ``vote_records`` is the constructor's field, and a decoded result keeps
     the records it read. A result made by ``_of_round`` keeps instead the
     function that makes them from the round's inputs, and calls it once, on
-    the first read of ``vote_records``; ``to_bytes``, ``votes``, ``==``,
+    the first read of ``vote_records``; ``to_bytes``, ``==``,
     ``hash``, ``dataclasses.replace`` and ``repr`` read it, and copies and
     pickles of an unread result carry the function, so every one of them
     sees the same bytes.
@@ -573,13 +567,6 @@ class ConsensusResult(enc.Wire):
         records = self.__dict__["vote_records"] = make()
         return records
 
-    @property
-    def votes(self) -> tuple[MinerVote, ...]:
-        return tuple(
-            MinerVote(miner, bool(malicious), bool(approve), seconds)
-            for miner, malicious, approve, seconds in VOTE_RECORD.iter_unpack(self.vote_records)
-        )
-
     def to_bytes(self) -> bytes:
         return b"".join((
             enc.u8(self.approved),
@@ -593,8 +580,10 @@ class ConsensusResult(enc.Wire):
     @classmethod
     def read_from(cls, reader: enc.Reader) -> "ConsensusResult":
         """Decode a record; raises FormatError unless it re-encodes to the bytes
-        read, its counts match its votes, its simulated time is finite and
-        every vote's seconds lie in [0, simulated time] (-0.0 included)."""
+        read, it holds at least one vote, its counts match its votes, its
+        ``approved`` byte is the verdict ``approval_threshold`` gives those
+        counts, its simulated time is finite and every vote's seconds lie in
+        [0, simulated time] (-0.0 included)."""
         approved = reader.u8()
         approvals = reader.u32()
         rejections = reader.u32()
@@ -612,6 +601,10 @@ class ConsensusResult(enc.Wire):
             raise enc.FormatError(f"{approvals} approvals recorded, {approving} votes approve")
         if approvals + rejections != n_votes:
             raise enc.FormatError(f"{approvals} + {rejections} votes counted, {n_votes} recorded")
+        if not n_votes:
+            raise enc.FormatError("a round holds no vote")
+        if approved != (approvals >= approval_threshold(n_votes)):
+            raise enc.FormatError(f"approved byte {approved} disagrees with {approvals} of {n_votes} votes")
         # The comparison is false for a NaN, and -0.0 is not below 0.
         if not all(0 <= seconds <= simulated for *_, seconds in VOTE_RECORD.iter_unpack(records)):
             raise enc.FormatError(f"a vote's seconds are outside [0, {simulated}]")

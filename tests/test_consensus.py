@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import namedtuple
 from statistics import fmean
 
 import pytest
@@ -30,7 +31,15 @@ from phrchain.crypto import (
     _schnorr_challenge,
 )
 from phrchain.encoding import FormatError
-from phrchain.ledger import decode_block
+from phrchain.ledger import VOTE_RECORD, decode_block
+
+# One vote of a round, as its VOTE_RECORD reads.
+Vote = namedtuple("Vote", "miner malicious approve seconds")
+
+
+def votes(result: ConsensusResult) -> tuple[Vote, ...]:
+    """The round's votes, unpacked from its records."""
+    return tuple(map(Vote._make, VOTE_RECORD.iter_unpack(result.vote_records)))
 
 
 @pytest.fixture()
@@ -321,7 +330,7 @@ class TestTiming:
         world, block, _ = valid_world
         pool = MinerPool(n_miners=6, verify_seconds=1e-3, verify_jitter=1e-4)
         result = run_consensus(block, pool, world.directories, seed=4)
-        honest = [v.seconds for v in result.votes if not v.malicious]
+        honest = [v.seconds for v in votes(result) if not v.malicious]
         assert len(set(honest)) > 1
         assert all(1e-3 <= s < 1e-3 + 1e-4 for s in honest)
 
@@ -329,7 +338,7 @@ class TestTiming:
         world, block, _ = valid_world
         pool = MinerPool(n_miners=8, malicious_fraction=0.5)
         result = run_consensus(block, pool, world.directories, seed=5)
-        malicious = [v for v in result.votes if v.malicious]
+        malicious = [v for v in votes(result) if v.malicious]
         assert len(malicious) == 4
         assert all(v.seconds == 0.0 and not v.approve for v in malicious)
 
@@ -383,7 +392,7 @@ class TestDeterminism:
         pool = MinerPool(n_miners=12, malicious_fraction=0.25)
         a = run_consensus(block, pool, world.directories, seed=1)
         b = run_consensus(block, pool, world.directories, seed=2)
-        assert [v.malicious for v in a.votes] != [v.malicious for v in b.votes]
+        assert [v.malicious for v in votes(a)] != [v.malicious for v in votes(b)]
 
     def test_result_serialization_round_trip(self, valid_world):
         world, block, _ = valid_world

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import random
 
@@ -26,6 +27,7 @@ from phrchain import (
     verify_block,
 )
 from phrchain.consensus import ConsensusResult
+from phrchain import encoding
 from phrchain.encoding import FormatError, prefixed, u32
 from phrchain.ledger import VOTE_RECORD, BlockSecrets, EnrollmentError, NotApprovedError, decode_block
 
@@ -374,6 +376,37 @@ class TestChainFormat:
     def test_seeded_chain_bytes_pinned(self, small_chain):
         assert len(small_chain) == 3
         assert hashlib.sha256(small_chain.to_bytes()).hexdigest() == PINNED_CHAIN_SHA256
+
+    def test_a_save_that_fails_partway_leaves_the_old_chain(self, small_chain, tmp_path, monkeypatch):
+        # The disk fills after half of the new chain's bytes are written.
+        path = tmp_path / "ledger.chain"
+        small_chain.save(path)
+        saved = path.read_bytes()
+        assert saved[:6] == Chain.MAGIC + b"\x00\x01" and saved[6:] == small_chain.to_bytes()
+        real_open = open
+
+        class Full:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                self.file.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(encoding, "open", lambda *args: Full(real_open(*args)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            small_chain.save(path)
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == saved
+        assert Chain.load(path).to_bytes() == small_chain.to_bytes()
 
     @given(data=st.data())
     @settings(

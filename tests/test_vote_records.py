@@ -1,6 +1,6 @@
 """Consensus records hold their votes as packed 14-byte records.
 
-The per-miner loop that built one ``MinerVote`` per miner is kept here as
+The per-miner loop that built one vote object per miner is kept here as
 the oracle: ``run_consensus`` must produce the same votes and the same
 bytes. A zero-jitter round with positive seconds makes its records on
 first read; every form of such a result must see the oracle's bytes. The
@@ -20,27 +20,27 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phrchain import Chain, MinerPool, consensus, run_consensus
+from phrchain import Chain, MinerPool, consensus, ledger, run_consensus
 from phrchain.consensus import ConsensusResult, _draw_roles, approval_threshold
 from phrchain.encoding import FormatError, f64, u8, u32
-from phrchain.ledger import VOTE_RECORD, MinerVote
-from test_consensus import PINNED_ROUNDS
+from phrchain.ledger import VOTE_RECORD
+from test_consensus import PINNED_ROUNDS, Vote, votes
 
 
-def oracle_votes(valid: bool, pool: MinerPool, seed: int) -> tuple[MinerVote, ...]:
+def oracle_votes(valid: bool, pool: MinerPool, seed: int) -> tuple[Vote, ...]:
     """The per-miner vote loop, one object per miner."""
     rng = random.Random(seed)
     malicious = frozenset(rng.sample(range(pool.n_miners), pool.n_malicious))
     jitters = [rng.random() * pool.verify_jitter for _ in range(pool.n_miners)]
     return tuple(
-        MinerVote(miner, True, False, 0.0)
+        Vote(miner, True, False, 0.0)
         if miner in malicious
-        else MinerVote(miner, False, valid, pool.verify_seconds + jitter)
+        else Vote(miner, False, valid, pool.verify_seconds + jitter)
         for miner, jitter in enumerate(jitters)
     )
 
 
-def oracle_bytes(votes: tuple[MinerVote, ...], pool: MinerPool) -> bytes:
+def oracle_bytes(votes: tuple[Vote, ...], pool: MinerPool) -> bytes:
     """A consensus record serialized field by field from vote objects."""
     approvals = sum(vote.approve for vote in votes)
     propagation = pool.pair_seconds * pool.n_miners * (pool.n_miners - 1)
@@ -85,7 +85,7 @@ class TestAgainstThePerMinerLoop:
         world, by_validity = blocks
         result = run_consensus(by_validity[valid], pool, world.directories, seed=seed)
         expected = oracle_votes(valid, pool, seed)
-        assert result.votes == expected
+        assert votes(result) == expected
         assert result.to_bytes() == oracle_bytes(expected, pool)
         assert len(result.vote_records) == VOTE_RECORD.size * pool.n_miners == 14 * pool.n_miners
 
@@ -162,7 +162,7 @@ class TestDeferredRecords:
         assert result == decoded
         for form in (result, ConsensusResult.from_bytes(result.to_bytes())):
             assert form.vote_records == decoded.vote_records == wire[-len(form.vote_records) :]
-            assert form.votes == decoded.votes == expected
+            assert votes(form) == votes(decoded) == expected
             assert form.to_bytes() == decoded.to_bytes() == wire
         if valid and (pool, seed) in PINNED_DIGESTS:
             assert hashlib.sha256(result.to_bytes()).hexdigest() == PINNED_DIGESTS[pool, seed]
@@ -176,7 +176,7 @@ class TestDeferredRecords:
         records = result.vote_records
         assert draws == [(800, 320)]
         assert result.vote_records is records
-        result.to_bytes(), result.votes, hash(result)
+        result.to_bytes(), votes(result), hash(result)
         assert draws == [(800, 320)]
 
     @pytest.mark.parametrize(
@@ -325,12 +325,33 @@ class TestStrictDecoding:
         with pytest.raises(FormatError, match="seconds are outside"):
             ConsensusResult.from_bytes(result.to_bytes())
 
+    @pytest.mark.parametrize("valid", [True, False], ids=["approved", "rejected"])
+    def test_an_approved_byte_against_the_counts_raises(self, blocks, valid):
+        world, by_validity = blocks
+        pool = MinerPool(5, 0.4, verify_jitter=1e-4)
+        raw = bytearray(run_consensus(by_validity[valid], pool, world.directories, seed=7).to_bytes())
+        assert raw[0] == valid
+        raw[0] ^= 1
+        with pytest.raises(FormatError, match="disagrees"):
+            ConsensusResult.from_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("approved", [False, True])
+    def test_a_round_of_no_votes_raises(self, approved):
+        # approval_threshold(0) is 0, so only the vote count refuses the
+        # record that claims approval by none of its votes.
+        for simulated in (0.0, -3.0):
+            with pytest.raises(FormatError, match="holds no vote"):
+                ConsensusResult.from_bytes(ConsensusResult(approved, 0, 0, simulated, b"").to_bytes())
+
+    def test_the_threshold_has_one_home(self):
+        assert consensus.approval_threshold is ledger.approval_threshold is approval_threshold
+
     @pytest.mark.parametrize("value", [-0.0, 0.0, 1.0])
     def test_vote_seconds_from_zero_to_the_simulated_time_decode(self, value):
         wire = ConsensusResult(True, 1, 0, 1.0, VOTE_RECORD.pack(0, 0, 1, value)).to_bytes()
         decoded = ConsensusResult.from_bytes(wire)
         assert decoded.to_bytes() == wire
-        assert math.copysign(1.0, decoded.votes[0].seconds) == math.copysign(1.0, value)
+        assert math.copysign(1.0, votes(decoded)[0].seconds) == math.copysign(1.0, value)
 
 
 # Seconds a decoded vote may carry under a simulated time of at least 1.0.
@@ -346,25 +367,30 @@ votes_strategy = st.lists(
 
 
 class TestFuzz:
-    @given(votes=votes_strategy, approved=st.booleans(), simulated=st.floats(min_value=1.0) | st.just(-math.inf))
+    @given(drawn=votes_strategy, simulated=st.floats(min_value=1.0) | st.just(-math.inf))
     @settings(max_examples=200, deadline=None)
-    def test_round_trip_of_arbitrary_votes(self, votes, approved, simulated):
-        records = b"".join(VOTE_RECORD.pack(*vote) for vote in votes)
-        approvals = sum(approve for _, _, approve, _ in votes)
-        result = ConsensusResult(approved, approvals, len(votes) - approvals, simulated, records)
-        if math.isfinite(simulated):
-            assert ConsensusResult.from_bytes(result.to_bytes()) == result
-        else:
+    def test_round_trip_of_arbitrary_votes(self, drawn, simulated):
+        records = b"".join(VOTE_RECORD.pack(*vote) for vote in drawn)
+        approvals = sum(approve for _, _, approve, _ in drawn)
+        approved = approvals >= approval_threshold(len(drawn))
+        result = ConsensusResult(approved, approvals, len(drawn) - approvals, simulated, records)
+        if not math.isfinite(simulated):
             with pytest.raises(FormatError, match="not finite"):
                 ConsensusResult.from_bytes(result.to_bytes())
-        assert result.votes == tuple(MinerVote(*vote) for vote in votes)
+        elif not drawn:
+            with pytest.raises(FormatError, match="holds no vote"):
+                ConsensusResult.from_bytes(result.to_bytes())
+        else:
+            assert ConsensusResult.from_bytes(result.to_bytes()) == result
+        assert votes(result) == tuple(Vote(*vote) for vote in drawn)
 
     @given(votes=votes_strategy, data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_from_bytes_on_mutated_records_returns_or_raises_format_error(self, votes, data):
         records = b"".join(VOTE_RECORD.pack(*vote) for vote in votes)
         approvals = sum(approve for _, _, approve, _ in votes)
-        raw = bytearray(ConsensusResult(True, approvals, len(votes) - approvals, 1.0, records).to_bytes())
+        approved = approvals >= approval_threshold(len(votes))
+        raw = bytearray(ConsensusResult(approved, approvals, len(votes) - approvals, 1.0, records).to_bytes())
         for _ in range(data.draw(st.integers(0, 3))):
             raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
         raw = raw[: data.draw(st.integers(0, len(raw)))] + data.draw(st.binary(max_size=16))
