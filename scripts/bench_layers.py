@@ -17,9 +17,9 @@ against Euler's criterion). Then ring prove and ring verify at m = 8,
 the commitment column (``schnorr_commitments``) over the 4000-key ring,
 per branch, checked against ``pow`` first, with the CPU seconds one
 column costs this process (``column_m4000_caller_cpu_s``) and, summed,
-the live child processes of this process, the column's workers
+the live child processes of this process, the column's worker
 (``column_m4000_worker_cpu_s``, from ``/proc/<pid>/schedstat``), and the
-workers' summed peak resident set (``column_workers_vmhwm_mb``,
+worker's peak resident set (``column_workers_vmhwm_mb``,
 ``VmHWM``); a program that computes its columns in one process has no
 children there, and reads 0 for both; the ring-key gate of a ring
 verifier (``key_is_element`` for every key) over 5000 keys whose

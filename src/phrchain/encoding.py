@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import stat
 import struct
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -138,14 +139,24 @@ def write_versioned(path: Path | str, magic: bytes, version: int, payload: bytes
     The bytes go to a new file beside the target, flushed to disk, which
     then replaces the target in one step (``os.replace``): a save that
     fails partway leaves the previous file whole and no new file behind.
+    A symlinked target is followed, so the link stays and the file it
+    names is replaced; a file saved over keeps its permission bits. The
+    directory is flushed after the rename, so that the rename itself
+    survives a crash.
     """
     if len(magic) != 4:
         raise ValueError("magic must be 4 bytes")
-    target = Path(path)
+    target = Path(os.path.realpath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        mode = None
     temporary = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
     file = open(temporary, "xb")
     try:
         with file:
+            if mode is not None:
+                os.chmod(temporary, mode)
             file.write(magic + u16(version) + payload)
             file.flush()
             os.fsync(file.fileno())
@@ -153,6 +164,11 @@ def write_versioned(path: Path | str, magic: bytes, version: int, payload: bytes
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+    directory = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def read_versioned(path: Path | str, magic: bytes, version: int) -> Reader:

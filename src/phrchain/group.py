@@ -22,19 +22,19 @@ column computed lazily: a ring proof's branches in turn, or the one value
 of a signature, a Schnorr proof or a possession half, so a verifier that
 stops at the first failing branch stops the kernel there too.
 
-A column of at least ``_SPLIT`` values is shared evenly with worker
-processes, one per CPU beyond the first (``os.sched_getaffinity``),
-forked on the first such column from a process with one thread alive.
-The caller computes the head lazily and each worker one share of the
-tail, sent over a pipe as pickled int lists, on a CPU other than the
+A column of at least ``_SPLIT`` values is split in half with one worker
+process, forked on the first such column from a process with one thread
+alive, on a machine of more than one CPU (``os.sched_getaffinity``). The
+caller computes the head lazily and the worker the tail, sent over a
+``multiprocessing`` pipe as pickled int lists, on a CPU other than the
 caller's; values are yielded in column order, so the caller sees the same
-column either way. Only public values cross to a
-worker: keys, challenges and responses, which are a proof's fields or the
-simulated branches of one. A column closed early cancels the shares not
-yet read, and a worker that fails or dies is stopped and its share
-computed by the caller. A worker exits at EOF on its request pipe and is
-reaped at interpreter exit; a child forked later closes its parent's pipes
-and starts workers of its own.
+column either way. Only public values cross to the worker: keys,
+challenges and responses, which are a proof's fields or the simulated
+branches of one. A column closed early cancels a tail not yet read, and a
+worker that fails or dies is stopped and its tail computed by the caller.
+The worker exits at EOF on its request pipe and is reaped at interpreter
+exit; a child forked later closes its parent's pipes and forks a worker
+of its own.
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
@@ -64,16 +64,16 @@ import contextlib
 import ctypes
 import functools
 import os
-import pickle
 import random
-import select
 import signal
-import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 from . import encoding as enc
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 # Largest safe prime below 2**256: p = 2**256 - 36113, q = (p - 1) // 2.
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF72EF
@@ -325,74 +325,47 @@ def _pinned(modulus: int, base: int) -> _Pinned:
 
 
 # ---------------------------------------------------------------------------
-# Worker processes for long columns
+# The worker process for long columns
 # ---------------------------------------------------------------------------
 
-# A column of at least this many values is split evenly between the caller
-# and the workers. A split already pays from 32 values (BENCH_26.json), but
-# a worker computes up to a run past the point where its column is closed.
+# A column of at least this many values is split in half between the caller
+# and the worker. A split already pays from 32 values (BENCH_26.json), but
+# the worker computes up to a run past the point where its column is closed.
 # Shorter columns, the researcher workload's 16/8-key rings and the rings of
 # up to 129 keys whose kernel calls the tests count among them, stay in one
 # process, where the kernel stops exactly where the reader stops. At this
 # bound a split saves about 4 ms.
 _SPLIT = 192
-# A worker looks for a cancel between runs of this many values.
+# The worker looks for a cancel between runs of this many values.
 _RUN = 32
-# Each message is its pickle's byte length, then the pickle; a length of 0
-# is a cancel from the caller, or a share the worker did not compute.
-_LENGTH = struct.Struct(">Q")
 # The CPU the calling thread runs on, from the C library.
 _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 
 
-def _send(fd: int, message: object) -> None:
-    data = b"" if message is None else pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_LENGTH.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view) :]
+def _serve(requests: Connection, replies: Connection) -> NoReturn:
+    """The worker's life: answer each tail it is sent, until EOF on ``requests``.
 
-
-def _receive(fd: int) -> object:
-    """The next ``_send`` message on ``fd``, None for a length of 0; EOFError at EOF."""
-    (size,) = _LENGTH.unpack(_take(fd, _LENGTH.size))
-    return pickle.loads(_take(fd, size)) if size else None
-
-
-def _take(fd: int, size: int) -> bytes:
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            raise EOFError
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _serve(requests: int, replies: int) -> NoReturn:
-    """A worker's life: answer each share it is sent, until EOF on ``requests``.
-
-    A cancel read between shares is one whose share was answered before
-    the cancel arrived. The worker never returns into its parent's code: it
-    leaves through ``os._exit``, with status 0 at EOF.
+    A cancel (None) read between tails is one whose tail was answered
+    before the cancel arrived. The worker never returns into its parent's
+    code: it leaves through ``os._exit``, with status 0 at EOF.
     """
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # its parent decides when it ends
         while True:
-            share = _receive(requests)
-            if share is not None:
-                _send(replies, _answer(requests, *share))
+            tail = requests.recv()
+            if tail is not None:
+                replies.send(_answer(requests, *tail))
     except EOFError:
         status = 0
     finally:
         os._exit(status)
 
 
-def _answer(requests: int, cpu: int, modulus: int, base: int, keys, challenges, responses) -> list[int] | None:
-    """A share's values, computed on ``cpu``, or None if a cancel arrives first
-    or a value cannot be computed: the caller then computes the share, and
-    raises the error itself. The caller sends nothing else while a share is
+def _answer(requests: Connection, cpu: int, modulus: int, base: int, keys, challenges, responses) -> list[int] | None:
+    """A tail's values, computed on ``cpu``, or None if a cancel arrives first
+    or a value cannot be computed: the caller then computes the tail, and
+    raises the error itself. The caller sends nothing else while a tail is
     out, so whatever arrives during one is its cancel.
 
     The caller names a CPU other than its own. A worker woken by its
@@ -402,53 +375,48 @@ def _answer(requests: int, cpu: int, modulus: int, base: int, keys, challenges, 
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, {cpu})
     commitment = _pinned(modulus, base).commitment
-    waiting = select.poll()
-    waiting.register(requests, select.POLLIN)
     values: list[int] = []
-    try:
-        for start in range(0, len(keys), _RUN):
-            if waiting.poll(0):
-                _receive(requests)  # a cancel, or EOFError at EOF
-                return None
-            stop = start + _RUN
+    for start in range(0, len(keys), _RUN):
+        if requests.poll():
+            requests.recv()  # the cancel, or EOFError at EOF
+            return None
+        stop = start + _RUN
+        try:
             values += map(commitment, keys[start:stop], challenges[start:stop], responses[start:stop])
-    except Exception:
-        return None
+        except Exception:
+            return None
     return values
 
 
 class _Worker:
-    """A forked process that computes shares of columns: its pid, the write end
-    of its request pipe and the read end of its reply pipe. A column holds
-    ``lock`` while it has a share out with the worker. A stopped worker
+    """A forked process that computes the tails of long columns: its pid, the
+    connection it is sent requests on and the one it replies on. A column
+    holds ``lock`` while it has a tail out with the worker. A stopped worker
     has pid 0 and is never asked again."""
 
     def __init__(self) -> None:
-        pipes: list[int] = []
-        try:
-            pipes += os.pipe()
-            pipes += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in pipes:
-                os.close(fd)
-            raise
-        requests, self.requests, self.replies, replies = pipes
+        # Imported here, so that a process that never splits a column does
+        # not carry multiprocessing (about 0.5 MiB of resident set).
+        from multiprocessing.connection import Pipe
+
+        requests, self.requests = Pipe(duplex=False)
+        self.replies, replies = Pipe(duplex=False)
+        pid = os.fork()
         if not pid:
-            os.close(self.requests)
-            os.close(self.replies)
+            self.requests.close()
+            self.replies.close()
             _serve(requests, replies)
-        os.close(requests)
-        os.close(replies)
+        requests.close()
+        replies.close()
         self.pid, self.lock = pid, threading.Lock()
 
-    def ask(self, share: tuple | None) -> bool:
-        """Send a share, or a cancel for None; False, with the worker stopped,
-        if it cannot be sent."""
+    def ask(self, tail: tuple | None) -> bool:
+        """Send a tail, or a cancel for None; False, with the worker stopped,
+        if it cannot be sent whole."""
         sent = False
         try:
             if self.pid:
-                _send(self.requests, share)
+                self.requests.send(tail)
                 sent = True
         except OSError:
             pass
@@ -458,14 +426,14 @@ class _Worker:
         return sent
 
     def answer(self, count: int) -> list[int] | None:
-        """The ``count`` values of the share asked for, or None when they are
+        """The ``count`` values of the tail asked for, or None when they are
         not all there: the worker did not compute them, or it failed (it is
         then stopped)."""
         answered = False
         values = None
         try:
             if self.pid:
-                values = _receive(self.replies)
+                values = self.replies.recv()
                 answered = True
         except (OSError, EOFError):
             pass
@@ -475,7 +443,7 @@ class _Worker:
         return values if isinstance(values, list) and len(values) == count else None
 
     def cancel(self) -> None:
-        """Withdraw the share asked for and discard its reply, whichever the worker sends."""
+        """Withdraw the tail asked for and discard its reply, whichever the worker sends."""
         if self.ask(None):
             self.answer(0)
 
@@ -488,8 +456,8 @@ class _Worker:
         pid, self.pid = self.pid, 0
         if not pid:
             return
-        os.close(self.requests)
-        os.close(self.replies)
+        self.requests.close()
+        self.replies.close()
         with contextlib.suppress(ProcessLookupError, ChildProcessError):
             if kill:
                 os.kill(pid, signal.SIGKILL)
@@ -498,63 +466,62 @@ class _Worker:
             _workers.remove(self)
 
 
-# This process's workers; None until the first long column starts them.
+# This process's pool: None until the first long column, then the one worker
+# it forked, or no worker on a machine of one CPU or once the worker has
+# been stopped. One worker is all that has been measured (BENCH_26.json, on
+# two CPUs); more would each need a share of the column and a CPU of their own.
 _workers: list[_Worker] | None = None
 
 
-def _idle_workers() -> list[_Worker]:
-    """The workers no other column holds, each now held for the caller's
-    column. A process starts its workers on its first call made with one
-    thread alive: a fork while another thread runs could copy a lock that
-    thread holds into the worker."""
+def _idle_worker() -> _Worker | None:
+    """The worker, now held for the caller's column, or None if there is
+    none or another column holds it. A process forks its worker on its
+    first call made with one thread alive: a fork while another thread runs
+    could copy a lock that thread holds into the worker."""
     global _workers
     if _workers is None:
         if threading.active_count() > 1:
-            return []
+            return None
         _workers = []
-        with contextlib.suppress(OSError):
-            for _ in range(len(os.sched_getaffinity(0)) - 1):
+        if len(os.sched_getaffinity(0)) > 1:
+            with contextlib.suppress(OSError):
                 _workers.append(_Worker())
-    return [worker for worker in tuple(_workers) if worker.lock.acquire(blocking=False)]
+    return next((worker for worker in tuple(_workers) if worker.lock.acquire(blocking=False)), None)
 
 
 def _shared_column(modulus: int, base: int, keys, challenges, responses) -> Iterator[int]:
-    """``GroupParams.schnorr_commitments`` with its tail shared among the idle
-    workers: the head computed here as it is asked for, each worker's share
-    read when the column reaches it, or computed here if the worker fails."""
+    """``GroupParams.schnorr_commitments`` with its tail half sent to the idle
+    worker: the head computed here as it is asked for, the tail read when
+    the column reaches it, or computed here if there is no idle worker or it
+    fails."""
     commitment = _pinned(modulus, base).commitment
     keys, challenges, responses = list(keys), list(challenges), list(responses)
     count = min(len(keys), len(challenges), len(responses))
-    workers = _idle_workers()
-    bounds = [count * i // (len(workers) + 1) for i in range(len(workers) + 2)]
-    shares = list(zip(workers, bounds[1:], bounds[2:]))
-    here = _sched_getcpu()
-    elsewhere = [cpu for cpu in sorted(os.sched_getaffinity(0)) if cpu != here] or [here]
-    unread = []
+    head = count // 2
+    worker = _idle_worker()
+    unread = False
     try:
-        for j, (worker, start, stop) in enumerate(shares):
-            cpu = elsewhere[j % len(elsewhere)]
-            if worker.ask((cpu, modulus, base, keys[start:stop], challenges[start:stop], responses[start:stop])):
-                unread.append(worker)
-        head = bounds[1]
+        if worker:
+            here = _sched_getcpu()
+            cpu = min((cpu for cpu in os.sched_getaffinity(0) if cpu != here), default=here)
+            unread = worker.ask((cpu, modulus, base, keys[head:count], challenges[head:count], responses[head:count]))
         yield from map(commitment, keys[:head], challenges[:head], responses[:head])
-        for worker, start, stop in shares:
-            values = None
-            if worker in unread:
-                unread.remove(worker)
-                values = worker.answer(stop - start)
-            if values is None:
-                values = map(commitment, keys[start:stop], challenges[start:stop], responses[start:stop])
-            yield from values
+        values = None
+        if unread:
+            unread = False
+            values = worker.answer(count - head)
+        if values is None:
+            values = map(commitment, keys[head:count], challenges[head:count], responses[head:count])
+        yield from values
     finally:
-        for worker in unread:
+        if unread:
             worker.cancel()
-        for worker in workers:
+        if worker:
             worker.lock.release()
 
 
 def _stop_workers() -> None:
-    """Stop this process's workers; the next long column starts new ones.
+    """Stop this process's worker; the next long column forks a new one.
     Run at interpreter exit, and in every child forked later."""
     global _workers
     workers, _workers = _workers or [], None
@@ -719,9 +686,9 @@ class GroupParams(enc.Wire):
         generator, which outlives the generator's eviction from its cache.
 
         With at least ``_SPLIT`` keys, the column reads its inputs into lists
-        at its first value and shares its tail with the worker processes
+        at its first value and sends its tail half to the worker process
         (see the module docstring). It yields the same values in the same
-        order; a share the column is closed before reaching is cancelled.
+        order; a tail the column is closed before reaching is cancelled.
         """
         if len(keys) >= _SPLIT:
             return _shared_column(self.modulus, self.generator, keys, challenges, responses)

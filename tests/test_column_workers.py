@@ -1,11 +1,11 @@
-"""Long commitment columns shared with worker processes.
+"""Long commitment columns shared with a worker process.
 
-A column of at least ``group._SPLIT`` values is computed partly in forked
-workers, one per CPU beyond the first, each with an even share of its
-tail. Whatever happens to a worker or to the column (closed early, read
-by two threads, carried into a forked child, its worker killed), the
-values must be the ones ``pow`` gives, in column order, and no worker may
-outlive its process.
+A column of at least ``group._SPLIT`` values has its tail half computed in
+one forked worker, on a machine of more than one CPU. Whatever happens to
+the worker or to the column (closed early, read by several threads,
+carried into a forked child, its worker killed), the values must be the
+ones ``pow`` gives, in column order, and no worker may outlive its
+process.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import pytest
@@ -27,21 +28,20 @@ from test_ring_batch import _with_branch
 
 SPLIT = group_module._SPLIT
 PACKAGE_ROOT = Path(group_module.__file__).resolve().parents[1]
-CPUS = len(os.sched_getaffinity(0))
 
 
 def _head(count: int) -> int:
     """How many values of a long column the caller computes itself."""
-    return count // CPUS
+    return count // 2
 
 
-many_cpus = pytest.mark.skipif(CPUS < 2, reason="no worker is forked on a machine of one CPU")
+many_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no worker is forked on a machine of one CPU")
 
 
 @pytest.fixture()
 def workers():
-    """This process's column workers, started afresh by the test's first
-    long column and stopped after it."""
+    """This process's column worker, forked afresh by the test's first long
+    column and stopped after it."""
     group_module._stop_workers()
     yield
     group_module._stop_workers()
@@ -49,15 +49,15 @@ def workers():
 
 @pytest.fixture()
 def traffic(monkeypatch):
-    """What crosses to the workers: under ``asked``, the length of every share
-    sent, and under ``answered``, whether each share read came back computed."""
+    """What crosses to the worker: under ``asked``, the length of every tail
+    sent, and under ``answered``, whether each tail read came back computed."""
     seen = {"asked": [], "answered": []}
     ask, answer = group_module._Worker.ask, group_module._Worker.answer
 
-    def recorded_ask(self, share):
-        if share is not None:
-            seen["asked"].append(len(share[3]))
-        return ask(self, share)
+    def recorded_ask(self, tail):
+        if tail is not None:
+            seen["asked"].append(len(tail[3]))
+        return ask(self, tail)
 
     def recorded_answer(self, count):
         values = answer(self, count)
@@ -87,21 +87,19 @@ def test_a_long_column_equals_pow_with_hostile_keys_in_the_tail(group, workers, 
         keys[i], challenges[i], responses[i] = row
     column = list(group.schnorr_commitments(keys, challenges, responses))
     assert column == _column_oracle(group, keys, challenges, responses)
-    shares = traffic["asked"]
     if count < SPLIT:
-        assert shares == [] and group_module._workers is None
+        assert traffic["asked"] == [] and group_module._workers is None
     else:
-        assert len(shares) == CPUS - 1 and len(_pids()) == CPUS - 1
-        assert traffic["answered"] == [True] * (CPUS - 1)
-        # The caller keeps the head; the hostile rows sat in the last share.
-        assert count - sum(shares) == _head(count) and shares[-1] >= len(hostile)
+        # The caller keeps the head; the hostile rows sat in the tail.
+        assert traffic["asked"] == [count - _head(count)] and count - _head(count) >= len(hostile)
+        assert traffic["answered"] == [True] and len(_pids()) == 1
 
 
 @many_cpus
 def test_a_column_closed_in_its_head_or_tail_leaves_the_workers_ready(group, workers, traffic):
     # Each closed column is followed at once by a column over other inputs,
-    # which must not read the closed one's shares, and whose own shares the
-    # workers compute.
+    # which must not read the closed one's tail, and whose own tail the
+    # worker computes.
     closed = _column_inputs(group, 4000, 61)
     expected = _column_oracle(group, *closed)
     following = _column_inputs(group, 4000, 60)
@@ -113,15 +111,15 @@ def test_a_column_closed_in_its_head_or_tail_leaves_the_workers_ready(group, wor
         column.close()
         traffic["answered"].clear()
         assert list(group.schnorr_commitments(*following)) == following_expected
-        assert traffic["answered"] == [True] * (CPUS - 1)
-    # An abandoned column cancels its shares when it is collected, too.
+        assert traffic["answered"] == [True]
+    # An abandoned column cancels its tail when it is collected, too.
     column = group.schnorr_commitments(*closed)
     next(column)
     del column
     traffic["answered"].clear()
     assert list(group.schnorr_commitments(*following)) == following_expected
-    assert traffic["answered"] == [True] * (CPUS - 1)
-    assert len(_pids()) == CPUS - 1 and all(_pids())
+    assert traffic["answered"] == [True]
+    assert len(_pids()) == 1 and all(_pids())
 
 
 @many_cpus
@@ -137,16 +135,16 @@ def test_a_forgery_in_the_head_or_the_tail_is_rejected_and_the_next_proof_verifi
         )
         assert not ring_verify(group, ring, forged, b"ctx")
         assert ring_verify(group, ring, proof, b"ctx")
-    assert len(_pids()) == CPUS - 1
+    assert len(_pids()) == 1
 
 
 @many_cpus
 def test_threads_computing_long_columns_get_exact_values(group, workers):
-    # More threads than workers, switching often: one holds each worker,
-    # the others compute their columns whole.
+    # Several threads, switching often: one holds the worker, the others
+    # compute their columns whole.
     jobs = [_column_inputs(group, 1200, 70 + i) for i in range(4)]
     expected = [_column_oracle(group, *job) for job in jobs]
-    assert list(group.schnorr_commitments(*jobs[0])) == expected[0]  # starts the workers
+    assert list(group.schnorr_commitments(*jobs[0])) == expected[0]  # forks the worker
     start = threading.Barrier(len(jobs))
     results = [None] * len(jobs)
 
@@ -166,7 +164,7 @@ def test_threads_computing_long_columns_get_exact_values(group, workers):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[values] * 3 for values in expected]
-    assert all(worker.lock.acquire(blocking=False) for worker in group_module._workers)
+    assert len(_pids()) == 1 and group_module._workers[0].lock.acquire(blocking=False)
 
 
 def test_no_worker_is_forked_while_another_thread_runs(group, workers):
@@ -197,26 +195,42 @@ def test_one_cpu_forks_nothing(group, workers, monkeypatch):
     assert forks == [] and group_module._workers == []
 
 
+def test_many_cpus_fork_one_worker_for_the_tail(group, workers, traffic, monkeypatch):
+    # Only one worker has been measured, so more CPUs fork no more workers.
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for count, seed in ((SPLIT, 69), (4000, 70)):
+        keys, challenges, responses = _column_inputs(group, count, seed)
+        assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
+            group, keys, challenges, responses
+        )
+    assert forks == [1] and len(_pids()) == 1
+    assert traffic["asked"] == [SPLIT - _head(SPLIT), 4000 - _head(4000)]
+    assert traffic["answered"] == [True, True]
+
+
 @many_cpus
 def test_a_forked_child_never_uses_its_parents_workers(group, workers):
     keys, challenges, responses = _column_inputs(group, 1000, 65)
     expected = _column_oracle(group, keys, challenges, responses)
     assert list(group.schnorr_commitments(keys, challenges, responses)) == expected
     parents = _pids()
-    # A share of this column is out with the parent's worker across the fork.
+    # This column's tail is out with the parent's worker across the fork.
     column = group.schnorr_commitments(keys, challenges, responses)
     assert next(column) == expected[0]
     child = os.fork()
     if not child:
         status = 1
         try:
-            # The child starts workers of its own first, so that their pipes
-            # may reuse the numbers of the parent's, then finishes the column
-            # it inherited: it must compute the share itself.
+            # The child forks a worker of its own first, so that its pipes may
+            # reuse the numbers of the parent's, then finishes the column it
+            # inherited: it must compute the tail itself.
             fresh = list(group.schnorr_commitments(keys, challenges, responses))
             own = _pids()
             inherited = [expected[0], *column]
-            if fresh == inherited == expected and len(own) == CPUS - 1 and not set(own) & set(parents):
+            if fresh == inherited == expected and len(own) == 1 and not set(own) & set(parents):
                 status = 0
             group_module._stop_workers()
         finally:
@@ -242,7 +256,7 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers):
     for pid in killed:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # already reaped
-    # Killed while their shares are out.
+    # Killed while its tail is out.
     group_module._stop_workers()
     column = group.schnorr_commitments(keys, challenges, responses)
     values = [next(column)]
@@ -259,28 +273,30 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers):
 def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
     # Every exponent the provers hand to exp (identity secrets in the witness
     # checks, nonces, block secrets) stays in the caller; the ring keys and
-    # the simulated challenges and responses do cross.
+    # the simulated challenges and responses do cross. What is recorded is
+    # each request's pickle, the bytes the connection writes to the pipe.
     rng = random.Random(67)
     kps = [keygen(group, rng) for _ in range(SPLIT + 40)]
     ring = [kp.public for kp in kps]
     sent, exponents = [], []
-    send, exp = group_module._send, group_module.GroupParams.exp
+    ask, exp = group_module._Worker.ask, group_module.GroupParams.exp
 
-    def recorded_send(fd, message):
-        sent.append(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
-        return send(fd, message)
+    def recorded_ask(self, tail):
+        if tail is not None:
+            sent.append(bytes(ForkingPickler.dumps(tail)))
+        return ask(self, tail)
 
     def recorded_exp(self, base, exponent):
         exponents.append(exponent)
         return exp(self, base, exponent)
 
-    monkeypatch.setattr(group_module, "_send", recorded_send)
+    monkeypatch.setattr(group_module._Worker, "ask", recorded_ask)
     monkeypatch.setattr(group_module.GroupParams, "exp", recorded_exp)
     for index in (2, len(ring) - 2):
         ring_prove(group, ring, index, kps[index].secret, b"ctx", rng)
         credential_prove(group, ring, index, kps[index].secret, keygen(group, rng), rng)
     monkeypatch.undo()
-    assert len(sent) == 4 * (CPUS - 1)
+    assert len(sent) == 4
     blob = b"".join(sent)
     numbers = {n for message in map(pickle.loads, sent) for column in message[3:] for n in column}
     assert ring[-1] in numbers and ring[-1].to_bytes(32, "little") in blob  # the search can see a value
@@ -307,7 +323,7 @@ def test_a_process_that_verifies_a_large_ring_leaves_no_worker_behind():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert result.returncode == 0, result.stderr
     pids = [int(pid) for pid in result.stdout.split()]
-    assert len(pids) == CPUS - 1
+    assert len(pids) == 1
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)

@@ -1,3 +1,5 @@
+import stat
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,3 +52,19 @@ def test_versioned_file_rejects_wrong_magic_or_version(tmp_path):
         enc.read_versioned(path, b"ELSE", 2)
     with pytest.raises(enc.FormatError):
         enc.read_versioned(path, b"TEST", 1)
+
+
+def test_a_save_over_a_file_keeps_its_mode_and_a_symlink_keeps_its_link(tmp_path):
+    path = tmp_path / "blob.bin"
+    enc.write_versioned(path, b"TEST", 1, b"old")
+    path.chmod(0o600)
+    enc.write_versioned(path, b"TEST", 1, b"new")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert enc.read_versioned(path, b"TEST", 1).take(3) == b"new"
+    link = tmp_path / "link.bin"
+    link.symlink_to(path)
+    enc.write_versioned(link, b"TEST", 1, b"via")
+    assert link.is_symlink() and link.resolve() == path
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert enc.read_versioned(path, b"TEST", 1).take(3) == b"via"
+    assert sorted(tmp_path.iterdir()) == [path, link]
