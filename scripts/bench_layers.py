@@ -14,14 +14,17 @@ exponent taken mod p - 1), and the subgroup test ``is_element`` (checked
 against Euler's criterion). Then ring prove and ring verify at m = 8,
 128, 1000 and 4000, each proof first checked branch by branch through
 ``pow``, an honest one accepted and one with a forged response rejected;
-the commitment column (``schnorr_commitments``) over the 4000-key ring,
-per branch, checked against ``pow`` first, with the CPU seconds one
-column costs this process (``column_m4000_caller_cpu_s``) and, summed,
-the live child processes of this process, the column's worker
-(``column_m4000_worker_cpu_s``, from ``/proc/<pid>/schedstat``), and the
-worker's peak resident set (``column_workers_vmhwm_mb``,
-``VmHWM``); a program that computes its columns in one process has no
-children there, and reads 0 for both; the ring-key gate of a ring
+the prover's commitment column (``schnorr_commitments``) over the
+4000-key ring, per branch, checked against ``pow`` first, and how it is
+shared with the worker process (``column_evidence``): the caller's and
+the worker's microseconds per value, the meeting index as a fraction of
+the column, the caller's wait and the caller's CPU at each column's start
+and end; the worker's peak resident set (``column_workers_vmhwm_mb``,
+``VmHWM`` of this process's live children, 0 when it has none); a
+verifier's column over that ring whose first record fails, which ends
+after one value, shared and in one process
+(``column_m4000_closed_after_one_value_s`` and ``..._one_process_s``);
+the ring-key gate of a ring
 verifier (``key_is_element`` for every key) over 5000 keys whose
 verdicts are kept, as a 4000/1000-key block's verifier meets them; one
 consensus vote over 800 miners (40% malicious) on a request block given
@@ -108,7 +111,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.consensus import _draw_roles
-from phrchain.crypto import _schnorr_equations
+from phrchain.crypto import _schnorr_equation
 from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, decode_block, range_message
 
@@ -139,6 +142,62 @@ def cpu_seconds(pid: int) -> float:
     """The CPU time process ``pid`` has run, from its ``schedstat`` (nanoseconds)."""
     with open(f"/proc/{pid}/schedstat") as stat:
         return int(stat.read().split()[0]) / 1e9
+
+
+def _fields(data: bytes, width: int) -> list[bytes]:
+    return [data[i : i + width] for i in range(0, len(data), width)]
+
+
+def column_evidence(group: GroupParams, keys, scalars: bytes, repeats: int) -> dict:
+    """How a prover's column over ``keys`` is shared, over ``repeats`` columns.
+
+    The caller's runs are timed by wrapping ``_Pinned.run`` in this process
+    (the worker, forked earlier, is not wrapped), with the CPU the caller is
+    on when the column starts and ends (``sched_getcpu``). Rows: the
+    caller's and the worker's microseconds per value (the worker's CPU time,
+    from ``schedstat``, over the values past the meeting index), where the
+    two met as a fraction of the column, the caller's wait (the column's
+    wall time less the caller's runs), and per column the caller's CPU at
+    its start and end.
+    """
+    run, cpu = group_module._Pinned.run, group_module._sched_getcpu
+    runs, samples = [], []
+
+    def timed(self, group, keys, records, start, width, out):
+        keys = list(keys)
+        started = time.perf_counter()
+        failed = run(self, group, keys, records, start, width, out)
+        runs.append((start + len(keys), time.perf_counter() - started))
+        return failed
+
+    group_module._Pinned.run = timed
+    try:
+        for _ in range(repeats):
+            runs.clear()
+            workers = {pid: cpu_seconds(pid) for pid in children()}
+            first, started = cpu(), time.perf_counter()
+            group.schnorr_commitments(keys, scalars)
+            wall, last = time.perf_counter() - started, cpu()
+            worker = sum(cpu_seconds(pid) - spent for pid, spent in workers.items())
+            met, caller = max(stop for stop, _ in runs), sum(seconds for _, seconds in runs)
+            samples.append({
+                "wall": wall,
+                "caller_us": caller / met * 1e6,
+                "worker_us": worker / (len(keys) - met) * 1e6 if met < len(keys) else 0.0,
+                "met": met / len(keys),
+                "wait": wall - caller,
+                "cpus": [first, last],
+            })
+    finally:
+        group_module._Pinned.run = run
+    return {
+        "ring_commitments_per_branch_s": statistics.median(s["wall"] for s in samples) / len(keys),
+        "column_m4000_caller_us_per_value": statistics.median(s["caller_us"] for s in samples),
+        "column_m4000_worker_us_per_value": statistics.median(s["worker_us"] for s in samples),
+        "column_m4000_meeting_fraction": statistics.median(s["met"] for s in samples),
+        "column_m4000_caller_wait_s": statistics.median(s["wait"] for s in samples),
+        "column_m4000_caller_cpu_start_end": [s["cpus"] for s in samples],
+    }
 
 
 def vmhwm_mb(pid: int) -> float:
@@ -286,11 +345,11 @@ def main() -> None:
     # One Schnorr-shaped check per key, its commitment the column's value, checked through pow.
     schnorr_checks = []
     for y, s, c in zip(keys, scalars, challenges):
-        t = next(group.schnorr_commitments((y,), (c,), (s,)))
+        t = int.from_bytes(group.schnorr_commitments((y,), group.encode_scalar(c) + group.encode_scalar(s)))
         if t * pow(y, c, p) % p != pow(g, s, p):
             raise SystemExit("g^s * y^-c differs from pow")
-        schnorr_checks.append(((y,), (t,), (c,), (s,)))
-    if not all(_schnorr_equations(group, *check) for check in schnorr_checks):
+        schnorr_checks.append((y, t, c, s))
+    if not all(_schnorr_equation(group, *check) for check in schnorr_checks):
         raise SystemExit("an honest Schnorr equation was rejected")
     if any(group.is_element(x) != (pow(x, q, p) == 1) for x in elements + [p - x for x in elements]):
         raise SystemExit("is_element differs from Euler's criterion")
@@ -301,7 +360,7 @@ def main() -> None:
             lambda: [group.exp(y, x) for y, x in zip(keys, scalars)], args.repeats, len(scalars)
         ),
         "exp2_schnorr_s": median_time(
-            lambda: [_schnorr_equations(group, *check) for check in schnorr_checks], args.repeats, len(scalars)
+            lambda: [_schnorr_equation(group, *check) for check in schnorr_checks], args.repeats, len(scalars)
         ),
         "is_element_s": median_time(
             lambda: [group.is_element(x) for x in elements], args.repeats, len(elements)
@@ -329,22 +388,30 @@ def main() -> None:
     column_rng = random.Random(f"column-{args.seed}")
     column_challenges = [group.random_scalar(column_rng) for _ in ring]
     column_responses = [group.random_scalar(column_rng) for _ in ring]
-    column = list(group.schnorr_commitments(ring, column_challenges, column_responses))
-    if column != [
+    column_scalars = b"".join(map(group.encode_scalar, itertools.chain(*zip(column_challenges, column_responses))))
+    column = group.schnorr_commitments(ring, column_scalars)
+    expected = [
         pow(g, s, p) * pow(y, -c % (p - 1), p) % p for y, c, s in zip(ring, column_challenges, column_responses)
-    ]:
+    ]
+    if column != b"".join(map(group.encode_element, expected)):
         raise SystemExit("the commitment column differs from pow")
-    workers = {pid: cpu_seconds(pid) for pid in children()}
-    wall, caller = [], []
-    for _ in range(args.repeats):
-        started, cpu = time.perf_counter(), time.process_time()
-        list(group.schnorr_commitments(ring, column_challenges, column_responses))
-        wall.append(time.perf_counter() - started)
-        caller.append(time.process_time() - cpu)
-    rows["ring_commitments_per_branch_s"] = statistics.median(wall) / len(ring)
-    rows["column_m4000_caller_cpu_s"] = statistics.median(caller)
-    rows["column_m4000_worker_cpu_s"] = sum(cpu_seconds(pid) - spent for pid, spent in workers.items()) / args.repeats
-    rows["column_workers_vmhwm_mb"] = sum(map(vmhwm_mb, workers))
+    rows.update(column_evidence(group, ring, column_scalars, args.repeats))
+    rows["column_workers_vmhwm_mb"] = sum(map(vmhwm_mb, children()))
+    # A verifier's column over the same ring whose first record fails: it
+    # ends after one value, shared with the worker and in one process.
+    forged = bytearray(b"".join(map(bytes.__add__, _fields(column, 32), _fields(column_scalars, 64))))
+    forged[0] ^= 1
+    forged = bytes(forged)
+    if group.schnorr_failure(ring, forged) != 0:
+        raise SystemExit("the verifier's column did not name the forged first record")
+    rows["column_m4000_closed_after_one_value_s"] = median_time(
+        lambda: group.schnorr_failure(ring, forged), 5 * args.repeats
+    )
+    pool, group_module._workers = group_module._workers, []  # an empty pool: no worker to share with
+    rows["column_m4000_closed_after_one_value_one_process_s"] = median_time(
+        lambda: group.schnorr_failure(ring, forged), 5 * args.repeats
+    )
+    group_module._workers = pool
     # The ring-key gate over the 4000-key ring and 1000 of the keys above,
     # every verdict kept, as after the first check of a block over them.
     gate_keys = ring + keys[:1000]

@@ -33,7 +33,7 @@ import operator
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import encoding as enc
 from .group import _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _rng
@@ -135,7 +135,7 @@ def schnorr_verify(group: GroupParams, public: int, proof: SchnorrProof, context
     # The recomputed challenge is in [0, order), so this also range-checks it.
     if proof.challenge != _schnorr_challenge(group, context, public, proof.commitment):
         return False
-    return _schnorr_equations(group, (public,), (proof.commitment,), (proof.challenge,), (proof.response,))
+    return _schnorr_equation(group, public, proof.commitment, proof.challenge, proof.response)
 
 
 def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: int) -> bool:
@@ -150,25 +150,19 @@ def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: in
     return 0 <= response < group.order and 1 <= commitment < group.modulus and group.key_is_element(public)
 
 
-def _schnorr_equations(
-    group: GroupParams,
-    keys: Iterable[int],
-    commitments: Iterable[int],
-    challenges: Iterable[int],
-    responses: Iterable[int],
-) -> bool:
-    """g^s == t * y^c (mod p) for each key y, commitment t in [1, p),
-    challenge c and response s in turn.
+def _schnorr_equation(group: GroupParams, key: int, commitment: int, challenge: int, response: int) -> bool:
+    """g^s == t * y^c (mod p) for key y, commitment t in [1, p), and
+    challenge c and response s in [0, order).
 
-    Each is checked as t == g^s * y^-c, its value in the commitment
-    column (``GroupParams.schnorr_commitments``): the verdict ``pow``
-    gives, for any int key. The column is lazy, so the check stops at the
-    first equation that fails, and the ones after it cost no
-    exponentiation. A Schnorr proof, a signature and the possession half
-    are one-key columns, checked after ``_schnorr_gate``; ring branches
-    are checked by ``_ring_equations`` after ``_ring_gate``.
+    Checked as t == g^s * y^-c: the one record t || c || s, encoded, is a
+    column of one value (``GroupParams.schnorr_failure``), whose verdict is
+    the one ``pow`` gives. A Schnorr proof, a signature and the possession
+    half are checked here, after ``_schnorr_gate``; ring branches are one
+    column of their records, checked by ``_ring_equations`` after
+    ``_ring_gate``.
     """
-    return all(map(operator.eq, commitments, group.schnorr_commitments(keys, challenges, responses)))
+    record = group.encode_element(commitment) + group.encode_scalar(challenge) + group.encode_scalar(response)
+    return group.schnorr_failure((key,), record) is None
 
 
 def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:
@@ -199,6 +193,7 @@ class _BranchLayout:
         self.group, self.size, self.scalar_size = group, e + 2 * s, s
         self.record = struct.Struct(f">{e}s{s}s{s}s")
         self.element = struct.Struct(f">{e}s")
+        self.scalars = struct.Struct(f">{2 * s}s")
         # One field of every record, the others skipped.
         self.fields = tuple(
             struct.Struct(f">{start}x{width}s{self.size - start - width}x")
@@ -222,30 +217,29 @@ class _BranchLayout:
                 return "scalar out of range"
         return None
 
-    def pack(self, commitments: bytes, challenges: Iterable[int], responses: Iterable[int]) -> bytes:
-        """The records of branches whose commitments are already encoded back
-        to back; raises OverflowError for a challenge or response that is
-        negative or too wide for its field."""
-        width = itertools.repeat(self.scalar_size)
-        return b"".join(map(
-            self.record.pack,
-            self.raw(commitments, self.element),
-            map(int.to_bytes, challenges, width),
-            map(int.to_bytes, responses, width),
-        ))
+    def pack(self, commitments: bytes, scalars: bytes) -> bytes:
+        """The records of branches whose commitments, and whose challenge and
+        response pairs, are already encoded back to back."""
+        return b"".join(map(operator.add, self.raw(commitments, self.element), self.raw(scalars, self.scalars)))
 
     def pack_branches(self, branches: Sequence[SchnorrProof]) -> bytes:
         """The records of ``SchnorrProof`` branches; raises OverflowError for a
         value that is negative or too wide for its field."""
-        commitments = map(int.to_bytes, (b.commitment for b in branches), itertools.repeat(self.element.size))
-        return self.pack(b"".join(commitments), (b.challenge for b in branches), (b.response for b in branches))
+        widths = itertools.repeat(self.scalar_size)
+        return b"".join(map(
+            self.record.pack,
+            map(int.to_bytes, (b.commitment for b in branches), itertools.repeat(self.element.size)),
+            map(int.to_bytes, (b.challenge for b in branches), widths),
+            map(int.to_bytes, (b.response for b in branches), widths),
+        ))
 
     def raw(self, records: bytes, field: struct.Struct) -> Iterator[bytes]:
         """One field's bytes from every record, as ``field`` picks it."""
         return map(operator.itemgetter(0), field.iter_unpack(records))
 
     def column(self, records: bytes, field: int) -> Iterator[int]:
-        """One field's values from every record, converted as they are read."""
+        """One field's values from every record, converted as they are read:
+        the challenges a verifier sums, or the fields of ``branches``."""
         return map(int.from_bytes, self.raw(records, self.fields[field]))
 
     def commitment_bytes(self, records: bytes) -> bytes:
@@ -347,14 +341,14 @@ class RingProof:
         return cls._of_records(layout, records, group.decode_scalar(reader.take(group.scalar_size)))
 
 
-def _commitment_bytes(group: GroupParams, commitments: Sequence[int]) -> bytes:
-    """The ring commitments as hashed: a u32 count, then each element.
+def _commitment_bytes(group: GroupParams, commitments: bytes) -> bytes:
+    """The ring commitments as hashed: a u32 count, then the encoded elements.
 
-    The prover encodes them once, for the joint context, the binding
-    challenge and its branch records; a verifier joins them from the
-    proof's records (``_BranchLayout.commitment_bytes``).
+    The prover has them encoded from its commitment column, for the joint
+    context, the binding challenge and its branch records; a verifier joins
+    them from the proof's records (``_BranchLayout.commitment_bytes``).
     """
-    return enc.u32(len(commitments)) + b"".join(map(group.encode_element, commitments))
+    return enc.u32(len(commitments) // group.element_size) + commitments
 
 
 def _ring_binding_challenge(group: GroupParams, context: bytes, commitment_bytes: bytes) -> int:
@@ -363,11 +357,16 @@ def _ring_binding_challenge(group: GroupParams, context: bytes, commitment_bytes
 
 @dataclass(frozen=True)
 class _RingCommitState:
+    """A ring proof before its binding challenge: the witness index and
+    nonce, every branch's encoded commitment in ring order, the simulated
+    branches' challenge and response pairs, encoded in ring order with the
+    witness skipped, and the sum of their challenges."""
+
     index: int
     nonce: int
-    commitments: tuple[int, ...]
-    challenges: tuple[int, ...]
-    responses: tuple[int, ...]
+    commitments: bytes
+    scalars: bytes
+    challenge_sum: int
 
 
 def _ring_commit(
@@ -378,42 +377,40 @@ def _ring_commit(
     The draws come in branch order: a simulated branch's challenge and
     response, the witness branch's nonce. Then the simulated branches'
     commitments, the ones that satisfy their verification equations, come
-    from one commitment column, and the witness commitment is g^nonce.
+    from one commitment column, handed the encoded challenges and
+    responses, and the witness commitment is g^nonce. Nothing of the
+    witness branch goes into the column.
     """
     if not 0 <= index < len(ring):
         raise IndexError(f"witness index {index} outside ring of {len(ring)}")
     if group.exp(group.generator, secret) != ring[index]:
         raise ValueError("witness secret does not match the ring key at the given index")
-    challenges: list[int] = []
-    responses: list[int] = []
-    nonce = 0
+    size = group.scalar_size
+    scalars = []
+    challenge_sum = nonce = 0
     for i in range(len(ring)):
         if i == index:
             nonce = group.random_scalar(rng)
         else:
-            challenges.append(group.random_scalar(rng))
-            responses.append(group.random_scalar(rng))
-    others = [*ring[:index], *ring[index + 1 :]]
-    commitments = list(group.schnorr_commitments(others, challenges, responses))
-    commitments.insert(index, group.exp(group.generator, nonce))
-    # The witness slot holds 0 until _ring_finish fills it.
-    challenges.insert(index, 0)
-    responses.insert(index, 0)
-    return _RingCommitState(index, nonce, tuple(commitments), tuple(challenges), tuple(responses))
+            challenge, response = group.random_scalar(rng), group.random_scalar(rng)
+            challenge_sum += challenge
+            scalars.append(challenge.to_bytes(size) + response.to_bytes(size))
+    simulated = b"".join(scalars)
+    commitments = group.schnorr_commitments([*ring[:index], *ring[index + 1 :]], simulated)
+    at = index * group.element_size
+    witness = group.encode_element(group.exp(group.generator, nonce))
+    return _RingCommitState(index, nonce, commitments[:at] + witness + commitments[at:], simulated, challenge_sum)
 
 
-def _ring_finish(
-    group: GroupParams, state: _RingCommitState, secret: int, binding: int, commitment_bytes: bytes
-) -> RingProof:
-    """The proof, its records packed from ``commitment_bytes``, the
-    ``_commitment_bytes`` of the state's commitments that were hashed."""
-    challenges = list(state.challenges)
-    responses = list(state.responses)
-    challenges[state.index] = (binding - sum(challenges)) % group.order
-    responses[state.index] = _schnorr_response(group, state.nonce, challenges[state.index], secret)
+def _ring_finish(group: GroupParams, state: _RingCommitState, secret: int, binding: int) -> RingProof:
+    """The proof: the witness branch solved for the binding challenge, and
+    the records packed from the state's encoded commitments and pairs."""
+    challenge = (binding - state.challenge_sum) % group.order
+    response = _schnorr_response(group, state.nonce, challenge, secret)
+    at = state.index * 2 * group.scalar_size
+    scalars = state.scalars[:at] + group.encode_scalar(challenge) + group.encode_scalar(response) + state.scalars[at:]
     layout = _branch_layout(group)
-    records = layout.pack(memoryview(commitment_bytes)[4:], challenges, responses)
-    return RingProof._of_records(layout, records, binding)
+    return RingProof._of_records(layout, layout.pack(state.commitments, scalars), binding)
 
 
 def ring_prove(
@@ -426,9 +423,8 @@ def ring_prove(
 ) -> RingProof:
     """Prove knowledge of the secret for ring[index] without revealing the index."""
     state = _ring_commit(group, ring, index, secret, rng)
-    commitment_bytes = _commitment_bytes(group, state.commitments)
-    binding = _ring_binding_challenge(group, context, commitment_bytes)
-    return _ring_finish(group, state, secret, binding, commitment_bytes)
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, state.commitments))
+    return _ring_finish(group, state, secret, binding)
 
 
 def ring_verify(
@@ -438,12 +434,15 @@ def ring_verify(
     recomputed binding and every branch equation holds.
 
     Each equation g^s_i == t_i * y_i^c_i is checked on its own, at every
-    ring size, as t_i == g^s_i * y_i^-c_i, the branch's value in the
-    commitment column (``_schnorr_equations``). So the verdict is the one
-    ``pow`` gives branch by branch; it draws no randomness and stops at
-    the first failing branch. No commitment needs a membership test: the
-    gate puts each y_i in the subgroup, and a holding equation puts
-    t_i = g^s_i / y_i^c_i there too.
+    ring size, as t_i == g^s_i * y_i^-c_i: the proof's branch records, as
+    they are, are one commitment column (``GroupParams.schnorr_failure``),
+    which reads c_i and s_i from their bytes, compares each value with the
+    bytes of t_i, and stops at a failing branch. So the verdict is the one
+    ``pow`` gives branch by branch, and it draws no randomness. A ring of
+    at least ``group._SPLIT`` keys is shared with the worker process, which
+    is sent the keys and records, public bytes both. No commitment needs a
+    membership test: the gate puts each y_i in the subgroup, and a holding
+    equation puts t_i = g^s_i / y_i^c_i there too.
     """
     records = _ring_gate(group, ring, proof)
     if records is None:
@@ -489,16 +488,17 @@ def _ring_equations(
     is ``binding``; ``commitment_bytes`` is joined from the records once by
     the caller.
 
-    The branch equations are one column (``_schnorr_equations``), over
-    int columns read from the records as it goes; it stops at the first
-    branch whose equation fails.
+    The challenges are read as ints for their sum alone. The branch
+    equations are one column over the records' bytes
+    (``GroupParams.schnorr_failure``), which stops at a branch whose
+    equation fails: the first, in a column computed in one process.
     """
     layout = _branch_layout(group)
     if _ring_binding_challenge(group, context, commitment_bytes) != binding:
         return False
     if sum(layout.column(records, layout.CHALLENGE)) % group.order != binding:
         return False
-    return _schnorr_equations(group, ring, *(layout.column(records, field) for field in range(3)))
+    return group.schnorr_failure(ring, records) is None
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def credential_prove(
     joint = _joint_context(group, ring, block_kp.public, possession_commitment, commitment_bytes)
 
     binding = _ring_binding_challenge(group, joint, commitment_bytes)
-    membership = _ring_finish(group, ring_state, identity_secret, binding, commitment_bytes)
+    membership = _ring_finish(group, ring_state, identity_secret, binding)
 
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession_commitment)
     response = _schnorr_response(group, possession_nonce, challenge, block_kp.secret)
@@ -596,8 +596,8 @@ def credential_verify(
     if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
         return False
     binding = proof.membership.binding_challenge
-    return _ring_equations(group, ring, records, binding, expected, commitment_bytes) and _schnorr_equations(
-        group, (block_public,), (possession.commitment,), (possession.challenge,), (possession.response,)
+    return _ring_equations(group, ring, records, binding, expected, commitment_bytes) and _schnorr_equation(
+        group, block_public, possession.commitment, possession.challenge, possession.response
     )
 
 
@@ -638,7 +638,7 @@ def verify_signature(group: GroupParams, public: int, message: bytes, sig: Signa
     if not _schnorr_gate(group, public, sig.commitment, sig.response):
         return False
     challenge = _signature_challenge(group, public, sig.commitment, message)
-    return _schnorr_equations(group, (public,), (sig.commitment,), (challenge,), (sig.response,))
+    return _schnorr_equation(group, public, sig.commitment, challenge, sig.response)
 
 
 # ---------------------------------------------------------------------------

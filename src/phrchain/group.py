@@ -14,36 +14,49 @@ library that ``hashlib`` already loads. ``exp`` is ``BN_mod_exp_mont``
 and ``is_element`` is ``BN_kronecker``: because p is a safe prime, the
 order-q subgroup is exactly the set of quadratic residues mod p, so
 membership is a Jacobi symbol rather than an exponentiation.
-``schnorr_commitments`` is the one home of the Schnorr equation's right
-side, g^s * y^-c, a ``BN_mod_exp2_mont`` per value with the generator
-pinned in a BIGNUM kept per (modulus, generator) beside the modulus's
-Montgomery context, so a column looks up one cached object. It is a
-column computed lazily: a ring proof's branches in turn, or the one value
-of a signature, a Schnorr proof or a possession half, so a verifier that
-stops at the first failing branch stops the kernel there too.
+The commitment column is the one home of the Schnorr equation's right
+side, g^s * y^-c, and it works on bytes: a prover hands it its simulated
+branches' challenge and response bytes and gets back the commitments'
+encodings (``schnorr_commitments``); a verifier hands it the records
+t || c || s of a ring proof's branches, or the one record of a signature,
+a Schnorr proof or a possession half, and gets back the index of a
+failing record, or None (``schnorr_failure``). Each value is one
+``BN_mod_exp2_mont`` of the generator, pinned in a BIGNUM kept per
+(modulus, generator) beside the modulus's Montgomery context, and of the
+key's inverse y^-1 mod p, a BIGNUM prepared at the key's first column and
+kept in the key's entry beside its membership verdict, so the challenge
+is the exponent as it stands; c and s are read into BIGNUMs from their
+bytes, and the value is written to, or compared with, bytes. A verifier's
+column stops at the first record that fails, the kernel with it.
 
-A column of at least ``_SPLIT`` values is split in half with one worker
+A column of at least ``_SPLIT`` values is shared with one worker
 process, forked on the first such column from a process with one thread
 alive, on a machine of more than one CPU (``os.sched_getaffinity``). The
-caller computes the head lazily and the worker the tail, sent over a
-``multiprocessing`` pipe as pickled int lists, on a CPU other than the
-caller's; values are yielded in column order, so the caller sees the same
-column either way. Only public values cross to the worker: keys,
-challenges and responses, which are a proof's fields or the simulated
-branches of one. A column closed early cancels a tail not yet read, and a
-worker that fails or dies is stopped and its tail computed by the caller.
-The worker exits at EOF on its request pipe and is reaped at interpreter
-exit; a child forked later closes its parent's pipes and forks a worker
-of its own.
+worker is sent the column's bytes, the keys at the element size and the
+records as they are, over a ``multiprocessing`` pipe, and works backward
+from the tail on a CPU other than the caller's, in runs of ``_RUN``
+values, sending each run's commitments or verdict back as it is done.
+The caller works forward from the head and reads the replies between its
+runs; the column is done where the two meet, wherever their speeds put
+them. So the caller covers whatever the worker has not: all of it when
+the worker is slow or stopped, or dies. A failing record found on either
+side ends the column, and a column that ends sends the worker its stop
+without waiting for the run in flight; every request is numbered, and
+the next column drops the replies to an earlier one. Only public bytes
+cross to the worker: keys, challenges and responses, which are a proof's
+fields or the simulated branches of one, never a witness branch, a nonce
+or a secret. The worker exits at EOF on its request pipe and is reaped at
+interpreter exit; a child forked later closes its parent's pipes and
+forks a worker of its own.
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
 context in a bounded cache, each thread its own scratch BIGNUMs and
 output buffers (ctypes releases the GIL around every call), and every
 BIGNUM call's return code is checked where it is made: a failure raises
-``BignumError`` naming the call, never a value. A public key's
-membership verdict is kept in a bounded cache, since verifiers meet the
-same keys again and again.
+``BignumError`` naming the call, never a value. A public key's entry,
+its membership verdict and its prepared inverse, is kept in a bounded
+cache, since verifiers meet the same keys again and again.
 
 The same binding is the package's one path into libcrypto for symmetric
 encryption too: ``_gcm_seal`` and ``_gcm_open`` are AES-256-GCM through
@@ -62,13 +75,15 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
+import fcntl
 import functools
+import itertools
 import os
 import random
 import signal
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
 
 from . import encoding as enc
 
@@ -141,6 +156,7 @@ _BN_MONT_CTX_new = _function("BN_MONT_CTX_new", _Pointer)
 _BN_MONT_CTX_set = _function("BN_MONT_CTX_set")
 _BN_mod_exp_mont = _function("BN_mod_exp_mont")
 _BN_mod_exp2_mont = _function("BN_mod_exp2_mont")
+_BN_mod_inverse = _function("BN_mod_inverse", _Pointer)
 _BN_kronecker = _function("BN_kronecker")
 _BN_free = _function("BN_free", None)
 _BN_CTX_free = _function("BN_CTX_free", None)
@@ -202,8 +218,9 @@ _KEPT_TEXT = 1 << 20
 
 
 class _Scratch:
-    """One thread's BN_CTX, three operand BIGNUMs, a result BIGNUM and one
-    output buffer per byte size; and its AES-256-GCM encrypt and decrypt
+    """One thread's BN_CTX, three operand BIGNUMs, a result BIGNUM, a box
+    that hands a kept BIGNUM's address to libcrypto as a pointer (``box``)
+    and one output buffer per byte size; and its AES-256-GCM encrypt and decrypt
     contexts, each set to the cipher once, the int its EVP calls write
     lengths to, and its output buffer for ciphertexts and plaintexts.
 
@@ -220,6 +237,7 @@ class _Scratch:
         self.ctx = _allocated(_BN_CTX_new(), "BN_CTX_new")
         self.operands = [_allocated(_BN_new(), "BN_new") for _ in range(3)]
         self.result = _allocated(_BN_new(), "BN_new")
+        self.box = _Pointer()
         self.sealer = _allocated(_EVP_CIPHER_CTX_new(), "EVP_CIPHER_CTX_new")
         if not _EVP_EncryptInit_ex(self.sealer, _AES_256_GCM, None, None, None):
             _fail("EVP_EncryptInit_ex")
@@ -290,30 +308,60 @@ class _Pinned:
 
     def __init__(self, modulus: int, base: int) -> None:
         self.number = None
-        self.modulus, self.exponent_modulus, self.mont = modulus, modulus - 1, _montgomery(modulus)
+        self.modulus, self.base, self.mont = modulus, base, _montgomery(modulus)
         self.number = _load(None, base, self.mont.size)
 
-    def commitment(self, key: int, challenge: int, response: int) -> int:
-        """base^response * key^((-challenge) mod (modulus - 1)) mod the modulus,
-        for a response >= 0 and any int key and challenge (see
-        ``GroupParams.schnorr_commitments``)."""
-        modulus = self.modulus
-        key, exponent = key % modulus, -challenge % self.exponent_modulus
-        if not key:
-            if exponent:
-                return 0
-            key = 1
-        mont, scratch = self.mont, _THREADS.scratch
-        s_number, y_number, e_number = scratch.operands
-        size = mont.size
-        _load(s_number, response, size)
-        _load(y_number, key, size)
-        _load(e_number, exponent, size)
-        if not _BN_mod_exp2_mont(
-            scratch.result, self.number, s_number, y_number, e_number, mont.modulus, scratch.ctx, mont.context
-        ):
-            _fail("BN_mod_exp2_mont")
-        return _read(scratch.result, scratch.buffer(size))
+    def run(
+        self, group: "GroupParams", keys: Iterable[int], records: bytes, start: int, width: int, out: bytearray | None
+    ) -> int | None:
+        """Values ``start``, ``start + 1``, ... of a column, one per key (see
+        ``GroupParams.schnorr_commitments``), in the calling thread.
+
+        Record i is the ``width`` bytes at ``i * width`` in ``records`` and
+        ends in its challenge and response. A record of more than those two
+        scalars starts with a commitment, and the run returns the index of
+        the first one that differs from its value, or None; otherwise each
+        value is written to ``out`` at ``i * element_size``. Each key's
+        operand is read from its kept entry, and prepared there at its first
+        column; the entry is held while its value is computed.
+        """
+        mont, scratch, scalar = self.mont, _THREADS.scratch, group.scalar_size
+        size, verdict = mont.size, _key_verdict
+        challenge_number, response_number = scratch.operands[:2]
+        result, ctx, box, buffer = scratch.result, scratch.ctx, scratch.box, scratch.buffer(size)
+        base, modulus, context = self.number, mont.modulus, mont.context
+        bin2bn, exp2, bn2binpad = _BN_bin2bn, _BN_mod_exp2_mont, _BN_bn2binpad
+        checked = width - 2 * scalar  # the commitment's width, 0 in a column that computes them
+        at = start * width + checked
+        for i, key in enumerate(keys, start):
+            entry = verdict(group, key)
+            inverse = entry.inverse
+            if inverse is None:
+                inverse = _prepare(group, key, entry)
+            challenge, response = records[at : at + scalar], records[at + scalar : at + 2 * scalar]
+            if inverse:
+                box.value = inverse
+                if not bin2bn(challenge, scalar, challenge_number) or not bin2bn(response, scalar, response_number):
+                    _fail("BN_bin2bn")
+                if not exp2(result, base, response_number, box, challenge_number, modulus, ctx, context):
+                    _fail("BN_mod_exp2_mont")
+                if bn2binpad(result, buffer, size) < 0:
+                    _fail("BN_bn2binpad")
+                value = buffer.raw
+            else:
+                # A key of 0 mod p: its power is 0, or 0^0 = 1 when the
+                # exponent -c is 0 mod p - 1, and the value is then g^s.
+                value = 0
+                if not int.from_bytes(challenge, "big") % (self.modulus - 1):
+                    value = _mod_exp(self.base, int.from_bytes(response, "big"), self.modulus)
+                value = value.to_bytes(size)
+            if checked:
+                if value != records[at - checked : at]:
+                    return i
+            else:
+                out[i * size : (i + 1) * size] = value
+            at += width
+        return None
 
     def __del__(self, free=_BN_free) -> None:
         free(self.number)
@@ -324,49 +372,77 @@ def _pinned(modulus: int, base: int) -> _Pinned:
     return _Pinned(modulus, base)
 
 
+def _column(group: "GroupParams", keys: Sequence[int], records: bytes, width: int, out: bytearray | None) -> int | None:
+    """``_Pinned.run`` over a whole column: shared with the idle worker when
+    it has at least ``_SPLIT`` values (``_Worker.share``), else computed
+    here, each value as it is reached."""
+    if len(records) != len(keys) * width:
+        raise ValueError(f"a column of {len(keys)} keys takes {len(keys) * width} bytes of records")
+    pinned = _pinned(group.modulus, group.generator)
+    worker = _idle_worker() if len(keys) >= _SPLIT else None
+    if worker is None:
+        return pinned.run(group, keys, records, 0, width, out)
+    try:
+        return worker.share(group, pinned, keys, records, width, out)
+    finally:
+        worker.lock.release()
+
+
 # ---------------------------------------------------------------------------
 # The worker process for long columns
 # ---------------------------------------------------------------------------
 
-# A column of at least this many values is split in half between the caller
-# and the worker. A split already pays from 32 values (BENCH_26.json), but
-# the worker computes up to a run past the point where its column is closed.
-# Shorter columns, the researcher workload's 16/8-key rings and the rings of
-# up to 129 keys whose kernel calls the tests count among them, stay in one
-# process, where the kernel stops exactly where the reader stops. At this
-# bound a split saves about 4 ms.
+# A column of at least this many values is shared between the caller and the
+# worker. A split already pays from 32 values (BENCH_26.json), but the worker
+# computes up to a run past the point where its column ends. Shorter columns,
+# the researcher workload's 16/8-key rings and the rings of up to 129 keys
+# whose kernel calls the tests count among them, stay in one process, where
+# the kernel stops exactly where the column does. At this bound a split saves
+# about 4 ms.
 _SPLIT = 192
-# The worker looks for a cancel between runs of this many values.
+# The worker computes a column in runs of this many values, and looks for its
+# stop between runs; the caller reads the worker's replies between its own.
 _RUN = 32
+# The request pipe's size (F_SETPIPE_SZ): the most a process may ask for
+# without privileges, by default.
+_PIPE_BYTES = 1 << 20
 # The CPU the calling thread runs on, from the C library.
 _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 
 
 def _serve(requests: Connection, replies: Connection) -> NoReturn:
-    """The worker's life: answer each tail it is sent, until EOF on ``requests``.
+    """The worker's life: answer each column it is sent, until EOF on ``requests``.
 
-    A cancel (None) read between tails is one whose tail was answered
-    before the cancel arrived. The worker never returns into its parent's
-    code: it leaves through ``os._exit``, with status 0 at EOF.
+    A stop (None) read between columns is one for a column the worker had
+    finished, or left, before the stop arrived. The worker never returns
+    into its parent's code: it leaves through ``os._exit``, with status 0
+    at EOF.
     """
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # its parent decides when it ends
         while True:
-            tail = requests.recv()
-            if tail is not None:
-                replies.send(_answer(requests, *tail))
+            request = requests.recv()
+            if request is not None:
+                _answer(requests, replies, *request, requests.recv_bytes(), requests.recv_bytes())
     except EOFError:
         status = 0
     finally:
         os._exit(status)
 
 
-def _answer(requests: Connection, cpu: int, modulus: int, base: int, keys, challenges, responses) -> list[int] | None:
-    """A tail's values, computed on ``cpu``, or None if a cancel arrives first
-    or a value cannot be computed: the caller then computes the tail, and
-    raises the error itself. The caller sends nothing else while a tail is
-    out, so whatever arrives during one is its cancel.
+def _answer(
+    requests: Connection, replies: Connection, column: int, cpu: int, group: "GroupParams", keys: bytes, records: bytes
+) -> None:
+    """Compute a column backward from its tail, on ``cpu``, one run at a time,
+    each run's reply sent as it is done: (column, the run's first index, its
+    values' bytes or, for a column of commitments to check, the index of the
+    first that fails or None).
+
+    The worker stops at its column's stop, which the caller sends when the
+    column is done or ends early, and which is read by ``_serve``; at the
+    head of the column; at a failing commitment; and at a value it cannot
+    compute, which the caller then reaches and raises itself.
 
     The caller names a CPU other than its own. A worker woken by its
     caller's pipe write was otherwise often run on the caller's CPU, and a
@@ -374,25 +450,48 @@ def _answer(requests: Connection, cpu: int, modulus: int, base: int, keys, chall
     """
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, {cpu})
-    commitment = _pinned(modulus, base).commitment
-    values: list[int] = []
-    for start in range(0, len(keys), _RUN):
-        if requests.poll():
-            requests.recv()  # the cancel, or EOFError at EOF
-            return None
-        stop = start + _RUN
+    group = _received(group)
+    pinned, size = _pinned(group.modulus, group.generator), group.element_size
+    count = len(keys) // size
+    width = len(records) // count
+    out = bytearray(len(keys)) if width == 2 * group.scalar_size else None
+    high = count
+    while high and not requests.poll():
+        low = max(high - _RUN, 0)
+        run = map(int.from_bytes, (keys[i * size : (i + 1) * size] for i in range(low, high)))
         try:
-            values += map(commitment, keys[start:stop], challenges[start:stop], responses[start:stop])
+            failed = pinned.run(group, run, records, low, width, out)
         except Exception:
-            return None
-    return values
+            return
+        replies.send((column, low, failed if out is None else bytes(out[low * size : high * size])))
+        if failed is not None:
+            return
+        high = low
+
+
+@functools.lru_cache(maxsize=8)
+def _received(group: "GroupParams") -> "GroupParams":
+    """The worker's one copy of each group it is sent: its key entries are
+    keyed by (group, key), and a lookup by the copy that was sent first
+    compares the group by identity, not field by field."""
+    return group
+
+
+def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
+    """The keys at the element size, each reduced mod p if it does not fit:
+    a key's values depend on it mod p alone."""
+    widths = itertools.repeat(group.element_size)
+    try:
+        return b"".join(map(int.to_bytes, keys, widths))
+    except OverflowError:
+        return b"".join(map(int.to_bytes, (key % group.modulus for key in keys), widths))
 
 
 class _Worker:
-    """A forked process that computes the tails of long columns: its pid, the
-    connection it is sent requests on and the one it replies on. A column
-    holds ``lock`` while it has a tail out with the worker. A stopped worker
-    has pid 0 and is never asked again."""
+    """A forked process that shares long columns with their callers: its pid,
+    the connection it is sent requests on, the one it replies on, and the
+    number of the last column it was sent. A column holds ``lock`` while it
+    shares the worker. A stopped worker has pid 0 and is never asked again."""
 
     def __init__(self) -> None:
         # Imported here, so that a process that never splits a column does
@@ -401,6 +500,10 @@ class _Worker:
 
         requests, self.requests = Pipe(duplex=False)
         self.replies, replies = Pipe(duplex=False)
+        with contextlib.suppress(OSError):
+            # Room for a 4000-key column's bytes, so that its caller writes
+            # them without waiting for the worker to read.
+            fcntl.fcntl(self.requests.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         pid = os.fork()
         if not pid:
             self.requests.close()
@@ -408,15 +511,18 @@ class _Worker:
             _serve(requests, replies)
         requests.close()
         replies.close()
-        self.pid, self.lock = pid, threading.Lock()
+        self.pid, self.lock, self.column = pid, threading.Lock(), 0
 
-    def ask(self, tail: tuple | None) -> bool:
-        """Send a tail, or a cancel for None; False, with the worker stopped,
-        if it cannot be sent whole."""
+    def ask(self, request: tuple | None, *data: bytes) -> bool:
+        """Send a column, its header and then its keys' and records' bytes
+        as they are, or a stop for None; False, with the worker stopped, if
+        it cannot be sent whole."""
         sent = False
         try:
             if self.pid:
-                self.requests.send(tail)
+                self.requests.send(request)
+                for blob in data:
+                    self.requests.send_bytes(blob)
                 sent = True
         except OSError:
             pass
@@ -425,27 +531,64 @@ class _Worker:
                 self.stop(kill=True)
         return sent
 
-    def answer(self, count: int) -> list[int] | None:
-        """The ``count`` values of the tail asked for, or None when they are
-        not all there: the worker did not compute them, or it failed (it is
-        then stopped)."""
-        answered = False
-        values = None
-        try:
-            if self.pid:
-                values = self.replies.recv()
-                answered = True
-        except (OSError, EOFError):
-            pass
-        finally:
-            if not answered:
-                self.stop(kill=True)
-        return values if isinstance(values, list) and len(values) == count else None
+    def share(
+        self, group: "GroupParams", pinned: _Pinned, keys: Sequence[int], records: bytes, width: int, out: bytearray | None
+    ) -> int | None:
+        """``_Pinned.run`` over the column, split where the caller and the worker meet.
 
-    def cancel(self) -> None:
-        """Withdraw the tail asked for and discard its reply, whichever the worker sends."""
-        if self.ask(None):
-            self.answer(0)
+        The worker is sent the column's bytes and works backward from its
+        tail. The caller works forward from its head in runs of ``_RUN``,
+        reading the worker's replies between runs, and a value at a time
+        once it is within a run of the worker; the column is done where the
+        two meet. Whatever the worker has not reached is the caller's: all
+        of it when the worker is slow or stopped, or dies. A failing
+        commitment found on either side ends the column. Either way the
+        worker is sent the column's stop, and the column returns without
+        waiting for it.
+        """
+        self.column += 1
+        here = _sched_getcpu()
+        cpu = min((cpu for cpu in os.sched_getaffinity(0) if cpu != here), default=here)
+        listening = self.ask((self.column, cpu, group), _key_bytes(group, keys), records)
+        start, met = 0, len(keys)
+        try:
+            while start < met:
+                if listening:
+                    listening, met, failed = self.hear(met, out, group.element_size)
+                    if failed is not None:
+                        return failed
+                    if start >= met:
+                        break
+                stop = min(start + (_RUN if met - start > _RUN or not listening else 1), met)
+                failed = pinned.run(group, keys[start:stop], records, start, width, out)
+                if failed is not None:
+                    return failed
+                start = stop
+            return None
+        finally:
+            if listening:
+                self.ask(None)
+
+    def hear(self, met: int, out: bytearray | None, size: int) -> tuple[bool, int, int | None]:
+        """Read the replies that have arrived, dropping those to earlier
+        columns: whether the worker is still listening, the first index of
+        the tail it has computed, and the index of a failing commitment it
+        found, or None. A worker whose replies cannot be read is stopped."""
+        replies = self.replies
+        try:
+            while replies.poll():
+                column, low, found = replies.recv()
+                if column != self.column:
+                    continue
+                if type(found) is int:
+                    return True, low, found
+                if out is not None:
+                    out[low * size : low * size + len(found)] = found
+                met = low
+        except (OSError, EOFError):
+            self.stop(kill=True)
+            return False, met, None
+        return True, met, None
 
     def stop(self, kill: bool = False) -> None:
         """Close the pipes (the worker exits at EOF), kill the worker if asked,
@@ -487,37 +630,6 @@ def _idle_worker() -> _Worker | None:
             with contextlib.suppress(OSError):
                 _workers.append(_Worker())
     return next((worker for worker in tuple(_workers) if worker.lock.acquire(blocking=False)), None)
-
-
-def _shared_column(modulus: int, base: int, keys, challenges, responses) -> Iterator[int]:
-    """``GroupParams.schnorr_commitments`` with its tail half sent to the idle
-    worker: the head computed here as it is asked for, the tail read when
-    the column reaches it, or computed here if there is no idle worker or it
-    fails."""
-    commitment = _pinned(modulus, base).commitment
-    keys, challenges, responses = list(keys), list(challenges), list(responses)
-    count = min(len(keys), len(challenges), len(responses))
-    head = count // 2
-    worker = _idle_worker()
-    unread = False
-    try:
-        if worker:
-            here = _sched_getcpu()
-            cpu = min((cpu for cpu in os.sched_getaffinity(0) if cpu != here), default=here)
-            unread = worker.ask((cpu, modulus, base, keys[head:count], challenges[head:count], responses[head:count]))
-        yield from map(commitment, keys[:head], challenges[:head], responses[:head])
-        values = None
-        if unread:
-            unread = False
-            values = worker.answer(count - head)
-        if values is None:
-            values = map(commitment, keys[head:count], challenges[head:count], responses[head:count])
-        yield from values
-    finally:
-        if unread:
-            worker.cancel()
-        if worker:
-            worker.lock.release()
 
 
 def _stop_workers() -> None:
@@ -604,23 +716,77 @@ def _gcm_open(key: bytes, sealed: bytes) -> bytes | None:
     return view[:size].tobytes()
 
 
-# Public keys whose membership verdict is kept: enough for two registries
-# of 8192 keys, or for the ring keys and the verified keys of a smaller world.
+# Public keys whose entry is kept: enough for two registries of 8192 keys,
+# or for the ring keys and the verified keys of a smaller world.
 _KEY_VERDICTS = 16384
 
 
-@functools.lru_cache(maxsize=_KEY_VERDICTS)
-def _key_verdict(group: "GroupParams", key: int) -> bool:
-    """``is_element`` for a public key, whose verdict is kept: verifiers
-    meet the same keys again and again (every ring key is tested by
-    every ring proof over it; an enrolled researcher's key signs every
-    request; a fresh block key is tested by its possession proof,
-    again by its block's signature, and a patient block key by every
-    approval it signs). The verdicts sit in a cache keyed by (parameters, key),
-    bounded at 16384 keys; a miss goes through ``is_element``. A hit
-    costs a lookup: the parameters' hash is taken once (``__hash__``).
+class _Key:
+    """A key's kept entry: its membership verdict, as its truth value, and,
+    from the key's first column on, its operand there (``inverse``): the
+    address of y^-1 mod p as a BIGNUM, or 0 for a key of 0 mod p, which has
+    no inverse. The column raises y^-1 to the challenge as it stands, so it
+    takes no exponent mod p - 1. The address is a plain int, so a prepared
+    key costs its BIGNUM and no ctypes object; the BIGNUM is freed with
+    the entry."""
+
+    __slots__ = ("inverse",)
+
+    def __init__(self) -> None:
+        self.inverse: int | None = None
+
+    def __del__(self, free=_BN_free, pointer=_Pointer) -> None:
+        if self.inverse:
+            free(pointer(self.inverse))
+
+
+class _Outsider(_Key):
+    """The entry of a key outside the subgroup: false, and prepared like any other."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+
+_PREPARING = threading.Lock()
+
+
+def _prepare(group: "GroupParams", key: int, entry: _Key) -> int:
+    """Set the operand of ``key``'s entry, unless another thread has, and return it.
+
+    ``BN_mod_inverse``, once per kept key: about one and a half of the
+    column's values. A key is prepared at its first column, not when its
+    verdict is made, so a registry enrolls its keys at the cost of their
+    verdicts alone.
     """
-    return group.is_element(key)
+    modulus = group.modulus
+    value, inverse = key % modulus, 0
+    if value:
+        mont, scratch = _montgomery(modulus), _THREADS.scratch
+        number = _load(scratch.operands[2], value, mont.size)
+        inverse = _allocated(_BN_mod_inverse(None, number, mont.modulus, scratch.ctx), "BN_mod_inverse").value
+    with _PREPARING:
+        if entry.inverse is None:
+            entry.inverse = inverse
+            return inverse
+    _BN_free(_Pointer(inverse))
+    return entry.inverse
+
+
+@functools.lru_cache(maxsize=_KEY_VERDICTS)
+def _key_verdict(group: "GroupParams", key: int) -> _Key:
+    """The kept entry of a public key: ``is_element`` as its truth value,
+    kept because verifiers meet the same keys again and again (every ring
+    key is tested by every ring proof over it; an enrolled researcher's key
+    signs every request; a fresh block key is tested by its possession
+    proof, again by its block's signature, and a patient block key by every
+    approval it signs), and the key's operand in the commitment column
+    (``_Key``). The entries sit in a cache keyed by (parameters, key),
+    bounded at 16384 keys; a miss goes through ``is_element``. A hit costs
+    a lookup: the parameters' hash is taken once (``__hash__``).
+    """
+    return _Key() if group.is_element(key) else _Outsider()
 
 
 @dataclass(frozen=True)
@@ -666,36 +832,47 @@ class GroupParams(enc.Wire):
         negative), for any int base; exact for subgroup elements."""
         return _mod_exp(base % self.modulus, exponent % self.order, self.modulus)
 
-    def schnorr_commitments(
-        self, keys: Sequence[int], challenges: Iterable[int], responses: Iterable[int]
-    ) -> Iterator[int]:
-        """Lazily, for each (key y, challenge c, response s >= 0), the commitment
-        g^s * y^((-c) mod (p - 1)) that makes the Schnorr equation hold, for
-        any int key and challenge: ``pow`` gives the same value.
+    def schnorr_commitments(self, keys: Sequence[int], scalars: bytes) -> bytes:
+        """For each key y, and the challenge c and response s that ``scalars``
+        holds for it (c || s, each ``scalar_size`` bytes big-endian, pair
+        after pair), the commitment g^s * y^-c mod p that makes the Schnorr
+        equation hold, encoded at ``element_size``, one after another. This
+        is how a ring prover gets its simulated branches' commitments.
 
-        The exponent is reduced mod p - 1, not mod the order, so the value
-        is exact for every invertible key, not only for subgroup elements.
-        A key of 0 mod p is settled here, since the kernel answers 0
-        whenever a base is 0: its power is 0, or 0^0 = 1 when its exponent
-        is 0. Every other value is one ``BN_mod_exp2_mont``, the
-        generator pinned in a BIGNUM kept per (modulus, generator), the
-        operands written at the modulus's byte size. Each value is
-        computed when it is asked for, in the scratch numbers of the thread
-        that asks, so a verifier that stops at the first failing branch
-        makes no further exponentiation. The column holds its pinned
-        generator, which outlives the generator's eviction from its cache.
-
-        With at least ``_SPLIT`` keys, the column reads its inputs into lists
-        at its first value and sends its tail half to the worker process
-        (see the module docstring). It yields the same values in the same
-        order; a tail the column is closed before reaching is cancelled.
+        It is one column (``_Pinned.run``): for any int key, the value
+        ``pow`` gives, g^s * y^((-c) mod (p - 1)). The exponent is taken mod
+        p - 1, not mod the order, so the value is exact for every
+        invertible key, not only for subgroup elements, and a key of 0 mod
+        p is settled as ``pow`` settles it: its power is 0, or 1 when c is
+        0 mod p - 1. Every other value is one ``BN_mod_exp2_mont`` of the
+        generator, pinned in a BIGNUM kept per (modulus, generator), and of
+        y^-1 mod p, prepared in the key's kept entry (``_key_verdict``) at
+        its first column, with c and s read into BIGNUMs from their bytes.
+        A column of at least ``_SPLIT`` keys is shared with the worker
+        process (see the module docstring).
         """
-        if len(keys) >= _SPLIT:
-            return _shared_column(self.modulus, self.generator, keys, challenges, responses)
-        return map(_pinned(self.modulus, self.generator).commitment, keys, challenges, responses)
+        out = bytearray(len(keys) * self.element_size)
+        _column(self, keys, scalars, 2 * self.scalar_size, out)
+        return bytes(out)
 
-    # The verdict cache itself, bound as a method, so that a kept verdict is
-    # read with no Python frame in between (see ``_key_verdict``).
+    def schnorr_failure(self, keys: Sequence[int], records: bytes) -> int | None:
+        """The index of a record t || c || s (``element_size`` and twice
+        ``scalar_size`` bytes, big-endian, one record per key, back to back)
+        whose commitment t is not the value g^s * y^-c that
+        ``schnorr_commitments`` gives for its key y, c and s; None when
+        every record holds. This is how every verifier checks the Schnorr
+        equation g^s == t * y^c: a ring proof's branch records, and the one
+        record of a signature, a Schnorr proof or a possession half.
+
+        In one process the column stops at the first record that fails,
+        and that is the index returned; a column shared with the worker
+        stops at the first failure either side finds.
+        """
+        return _column(self, keys, records, self.element_size + 2 * self.scalar_size, None)
+
+    # The entry cache itself, bound as a method, so that a kept verdict is
+    # read with no Python frame in between (see ``_key_verdict``); an entry
+    # is true exactly when its key is in the subgroup.
     key_is_element = _key_verdict
 
     def random_scalar(self, rng: random.Random | None = None) -> int:

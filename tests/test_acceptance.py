@@ -259,7 +259,7 @@ def test_criterion_08_proof_soundness_and_completeness(group):
             c, s = group.random_scalar(rng), group.random_scalar(rng)
             t = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
             branches.append(SchnorrProof(t, c, s))
-        commitments = _commitment_bytes(group, [b.commitment for b in branches])
+        commitments = _commitment_bytes(group, b"".join(group.encode_element(b.commitment) for b in branches))
         possession_nonce = group.random_scalar(rng)
         possession_commitment = group.exp(group.generator, possession_nonce)
         joint = _joint_context(group, ring, block_kp.public, possession_commitment, commitments)

@@ -1,14 +1,14 @@
 """Long commitment columns shared with a worker process.
 
-A column of at least ``group._SPLIT`` values has its tail half computed in
-one forked worker, on a machine of more than one CPU. Whatever happens to
-the worker or to the column (closed early, read by several threads,
-carried into a forked child, its worker killed), the values must be the
-ones ``pow`` gives, in column order, and no worker may outlive its
-process.
+A column of at least ``group._SPLIT`` values is shared with one forked
+worker, on a machine of more than one CPU: the worker works backward from
+the tail, the caller forward from the head, and they meet wherever their
+speeds put them. Wherever they meet, and whatever happens to the worker or
+to the column (ended early, computed by several threads, carried into a
+forked child, its worker stopped or killed), the values must be the ones
+``pow`` gives, and no worker may outlive its process.
 """
 
-import itertools
 import os
 import pickle
 import random
@@ -16,24 +16,20 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import pytest
 
 from phrchain import group as group_module
-from phrchain.crypto import SchnorrProof, credential_prove, keygen, ring_prove, ring_verify
-from test_group import _column_inputs, _column_oracle
+from phrchain.crypto import SchnorrProof, _branch_layout, credential_prove, keygen, ring_prove, ring_verify
+from test_group import _column_inputs, _column_oracle, _elements, _records, _scalars
 from test_ring_batch import _with_branch
 
 SPLIT = group_module._SPLIT
+RUN = group_module._RUN
 PACKAGE_ROOT = Path(group_module.__file__).resolve().parents[1]
-
-
-def _head(count: int) -> int:
-    """How many values of a long column the caller computes itself."""
-    return count // 2
-
 
 many_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no worker is forked on a machine of one CPU")
 
@@ -49,24 +45,43 @@ def workers():
 
 @pytest.fixture()
 def traffic(monkeypatch):
-    """What crosses to the worker: under ``asked``, the length of every tail
-    sent, and under ``answered``, whether each tail read came back computed."""
-    seen = {"asked": [], "answered": []}
-    ask, answer = group_module._Worker.ask, group_module._Worker.answer
+    """What crosses to the worker: under ``asked``, the number of keys of
+    every column sent, and under ``stops``, the number of stops sent."""
+    seen = {"asked": [], "stops": 0}
+    ask = group_module._Worker.ask
 
-    def recorded_ask(self, tail):
-        if tail is not None:
-            seen["asked"].append(len(tail[3]))
-        return ask(self, tail)
-
-    def recorded_answer(self, count):
-        values = answer(self, count)
-        if count:  # a cancel reads its reply with a count of 0
-            seen["answered"].append(values is not None)
-        return values
+    def recorded_ask(self, request, *data):
+        if request is None:
+            seen["stops"] += 1
+        else:
+            seen["asked"].append(len(data[0]) // request[2].element_size)
+        return ask(self, request, *data)
 
     monkeypatch.setattr(group_module._Worker, "ask", recorded_ask)
-    monkeypatch.setattr(group_module._Worker, "answer", recorded_answer)
+    return seen
+
+
+@pytest.fixture()
+def caller(monkeypatch):
+    """The runs this process computes, as (start, stop) pairs under
+    ``runs``; with ``pause`` set, each full run of the caller first sleeps
+    that many seconds, and ``after_run``, if set, is called after each."""
+    seen = {"runs": [], "pause": 0.0, "after_run": None}
+    run, me = group_module._Pinned.run, os.getpid()
+
+    def recorded(self, group, keys, records, start, width, out):
+        if os.getpid() != me:  # the worker, forked from this process
+            return run(self, group, keys, records, start, width, out)
+        keys = list(keys)
+        if seen["pause"] and len(keys) == RUN:
+            time.sleep(seen["pause"])
+        failed = run(self, group, keys, records, start, width, out)
+        seen["runs"].append((start, start + len(keys) if failed is None else failed + 1))
+        if seen["after_run"]:
+            seen["after_run"]()
+        return failed
+
+    monkeypatch.setattr(group_module._Pinned, "run", recorded)
     return seen
 
 
@@ -74,60 +89,88 @@ def _pids() -> list[int]:
     return [worker.pid for worker in group_module._workers or ()]
 
 
-@many_cpus
-@pytest.mark.parametrize("count", [SPLIT - 1, SPLIT, SPLIT + 1, 4000])
-def test_a_long_column_equals_pow_with_hostile_keys_in_the_tail(group, workers, traffic, count):
-    keys, challenges, responses = _column_inputs(group, count, count)
+def _met(caller) -> int:
+    """Where the caller's share of the last column ended."""
+    return max((stop for _, stop in caller["runs"]), default=0)
+
+
+def _hostile_inputs(group, count, seed):
+    """A column's inputs whose last rows hold keys a registry refuses: 0 mod
+    p, 1, p - 1, a non-residue and keys of p and above, with challenges
+    that meet 0^0."""
+    keys, challenges, responses = _column_inputs(group, count, seed)
     p = group.modulus
     hostile = [
-        (0, 0, 0), (0, 5, 3), (1, 2**300, 7), (p - 1, 1, 0), (p, group.order - 1, 2**300),
-        (-1, -(2**300), 1), (2**256, 0, 9), (2 * p, 3, 0), (-p, 0, 0), (p - keys[0], 11, 12),
+        (0, 0, 0), (0, 5, 3), (1, 2**256 - 1, 7), (p - 1, 1, 0), (p, group.order - 1, 2**256 - 1),
+        (2**256 - 1, p - 1, 1), (2 * p, 3, 0), (p - keys[0], 11, 12), (0, p - 1, 9),
     ]
     for i, row in enumerate(hostile, start=count - len(hostile)):
         keys[i], challenges[i], responses[i] = row
-    column = list(group.schnorr_commitments(keys, challenges, responses))
-    assert column == _column_oracle(group, keys, challenges, responses)
-    if count < SPLIT:
-        assert traffic["asked"] == [] and group_module._workers is None
-    else:
-        # The caller keeps the head; the hostile rows sat in the tail.
-        assert traffic["asked"] == [count - _head(count)] and count - _head(count) >= len(hostile)
-        assert traffic["answered"] == [True] and len(_pids()) == 1
+    return keys, challenges, responses
+
+
+def _stalled():
+    """``_Worker.ask`` that stops the worker right after its column is sent,
+    so that the caller computes the whole column."""
+    ask = group_module._Worker.ask
+
+    def stalling(self, request, *data):
+        sent = ask(self, request, *data)
+        if sent and request is not None:
+            os.kill(self.pid, signal.SIGSTOP)
+        return sent
+
+    return stalling
 
 
 @many_cpus
-def test_a_column_closed_in_its_head_or_tail_leaves_the_workers_ready(group, workers, traffic):
-    # Each closed column is followed at once by a column over other inputs,
-    # which must not read the closed one's tail, and whose own tail the
-    # worker computes.
-    closed = _column_inputs(group, 4000, 61)
-    expected = _column_oracle(group, *closed)
-    following = _column_inputs(group, 4000, 60)
-    following_expected = _column_oracle(group, *following)
-    head = _head(4000)
-    for stop in (1, head - 1, head, head + 1, 3999):
-        column = group.schnorr_commitments(*closed)
-        assert list(itertools.islice(column, stop)) == expected[:stop]
-        column.close()
-        traffic["answered"].clear()
-        assert list(group.schnorr_commitments(*following)) == following_expected
-        assert traffic["answered"] == [True]
-    # An abandoned column cancels its tail when it is collected, too.
-    column = group.schnorr_commitments(*closed)
-    next(column)
-    del column
-    traffic["answered"].clear()
-    assert list(group.schnorr_commitments(*following)) == following_expected
-    assert traffic["answered"] == [True]
-    assert len(_pids()) == 1 and all(_pids())
+@pytest.mark.parametrize("count", [SPLIT - 1, SPLIT, SPLIT + 1, 4000])
+@pytest.mark.parametrize("meeting", ["head", "middle", "tail"])
+def test_both_columns_equal_pow_with_hostile_keys_wherever_the_two_meet(
+    group, workers, traffic, caller, monkeypatch, count, meeting
+):
+    keys, challenges, responses = _hostile_inputs(group, count, count)
+    expected = _column_oracle(group, keys, challenges, responses)
+    records = _records(group, expected, challenges, responses)
+    # The worker is forked by a first column, so that the caller's pause
+    # and the stall below touch the caller and the worker alone.
+    assert _elements(group, group.schnorr_commitments(keys, _scalars(group, challenges, responses))) == expected
+    if meeting == "head":
+        caller["pause"] = 0.02  # the worker computes most of the column
+    elif meeting == "tail":
+        monkeypatch.setattr(group_module._Worker, "ask", _stalled())
+    for column in ("prover", "verifier"):
+        caller["runs"].clear()
+        if column == "prover":
+            values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+            assert _elements(group, values) == expected
+        else:
+            assert group.schnorr_failure(keys, records) is None
+        if count < SPLIT:
+            assert traffic["asked"] == [] and group_module._workers is None
+            assert caller["runs"] == [(0, count)]
+            continue
+        for pid in _pids():
+            os.kill(pid, signal.SIGCONT)  # the next column's bytes need a reader
+        met = _met(caller)
+        if meeting == "head":
+            assert met <= count // 2
+        elif meeting == "tail":
+            assert met == count
+    if count >= SPLIT:
+        assert len(_pids()) == 1 and traffic["asked"] == [count] * len(traffic["asked"])
 
 
 @many_cpus
-def test_a_forgery_in_the_head_or_the_tail_is_rejected_and_the_next_proof_verifies(group, workers):
+def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, workers, caller):
     rng = random.Random(62)
     kps = [keygen(group, rng) for _ in range(SPLIT + 100)]
     ring = [kp.public for kp in kps]
     proof = ring_prove(group, ring, 7, kps[7].secret, b"ctx", rng)
+    records, _ = proof._records(_branch_layout(group))
+    assert group.schnorr_failure(ring, records) is None
+    met = _met(caller)
+    assert 0 < met <= len(ring)
     for branch in (3, len(ring) - 3):
         original = proof.branches[branch]
         forged = _with_branch(
@@ -135,7 +178,30 @@ def test_a_forgery_in_the_head_or_the_tail_is_rejected_and_the_next_proof_verifi
         )
         assert not ring_verify(group, ring, forged, b"ctx")
         assert ring_verify(group, ring, proof, b"ctx")
+        # The column names the forged branch, whichever side reached it.
+        forged_records = bytearray(records)
+        forged_records[branch * 96 + 95] ^= 1
+        assert group.schnorr_failure(ring, bytes(forged_records)) == branch
     assert len(_pids()) == 1
+
+
+@many_cpus
+def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traffic):
+    # A verifier's column whose first record fails ends after one value, and
+    # sends the worker its stop without waiting for the run the worker has
+    # in hand. The next column, at once, must drop that run's reply and
+    # get its own values, the worker taking part.
+    keys, challenges, responses = _column_inputs(group, 4000, 61)
+    values = _column_oracle(group, keys, challenges, responses)
+    forged = _records(group, [values[0] ^ 1, *values[1:]], challenges, responses)
+    following = _column_inputs(group, 4000, 60)
+    following_expected = _column_oracle(group, *following)
+    following_scalars = _scalars(group, *following[1:])
+    for _ in range(3):
+        assert group.schnorr_failure(keys, forged) == 0
+        assert _elements(group, group.schnorr_commitments(following[0], following_scalars)) == following_expected
+    assert traffic["asked"] == [4000] * 6 and traffic["stops"] == 6
+    assert len(_pids()) == 1 and all(_pids())
 
 
 @many_cpus
@@ -144,13 +210,14 @@ def test_threads_computing_long_columns_get_exact_values(group, workers):
     # compute their columns whole.
     jobs = [_column_inputs(group, 1200, 70 + i) for i in range(4)]
     expected = [_column_oracle(group, *job) for job in jobs]
-    assert list(group.schnorr_commitments(*jobs[0])) == expected[0]  # forks the worker
+    scalars = [_scalars(group, *job[1:]) for job in jobs]
+    assert _elements(group, group.schnorr_commitments(jobs[0][0], scalars[0])) == expected[0]  # forks the worker
     start = threading.Barrier(len(jobs))
     results = [None] * len(jobs)
 
     def work(i):
         start.wait(timeout=60)
-        results[i] = [list(group.schnorr_commitments(*jobs[i])) for _ in range(3)]
+        results[i] = [_elements(group, group.schnorr_commitments(jobs[i][0], scalars[i])) for _ in range(3)]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -173,9 +240,8 @@ def test_no_worker_is_forked_while_another_thread_runs(group, workers):
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
-            group, keys, challenges, responses
-        )
+        values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+        assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
         assert group_module._workers is None
     finally:
         release.set()
@@ -189,13 +255,12 @@ def test_one_cpu_forks_nothing(group, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     keys, challenges, responses = _column_inputs(group, SPLIT + 1, 64)
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
-        group, keys, challenges, responses
-    )
+    values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+    assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [] and group_module._workers == []
 
 
-def test_many_cpus_fork_one_worker_for_the_tail(group, workers, traffic, monkeypatch):
+def test_many_cpus_fork_one_worker(group, workers, traffic, monkeypatch):
     # Only one worker has been measured, so more CPUs fork no more workers.
     forks = []
     fork = os.fork
@@ -203,70 +268,72 @@ def test_many_cpus_fork_one_worker_for_the_tail(group, workers, traffic, monkeyp
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for count, seed in ((SPLIT, 69), (4000, 70)):
         keys, challenges, responses = _column_inputs(group, count, seed)
-        assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
-            group, keys, challenges, responses
-        )
+        values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+        assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [1] and len(_pids()) == 1
-    assert traffic["asked"] == [SPLIT - _head(SPLIT), 4000 - _head(4000)]
-    assert traffic["answered"] == [True, True]
+    assert traffic["asked"] == [SPLIT, 4000] and traffic["stops"] == 2
 
 
 @many_cpus
 def test_a_forked_child_never_uses_its_parents_workers(group, workers):
     keys, challenges, responses = _column_inputs(group, 1000, 65)
-    expected = _column_oracle(group, keys, challenges, responses)
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == expected
+    scalars = _scalars(group, challenges, responses)
+    expected = group.schnorr_commitments(keys, scalars)
+    assert _elements(group, expected) == _column_oracle(group, keys, challenges, responses)
     parents = _pids()
-    # This column's tail is out with the parent's worker across the fork.
-    column = group.schnorr_commitments(keys, challenges, responses)
-    assert next(column) == expected[0]
     child = os.fork()
     if not child:
         status = 1
         try:
-            # The child forks a worker of its own first, so that its pipes may
-            # reuse the numbers of the parent's, then finishes the column it
-            # inherited: it must compute the tail itself.
-            fresh = list(group.schnorr_commitments(keys, challenges, responses))
+            # The child forks a worker of its own, whose pipes may reuse the
+            # numbers of the parent's, and computes with it.
+            fresh = [group.schnorr_commitments(keys, scalars) for _ in range(2)]
             own = _pids()
-            inherited = [expected[0], *column]
-            if fresh == inherited == expected and len(own) == 1 and not set(own) & set(parents):
+            if fresh == [expected] * 2 and len(own) == 1 and not set(own) & set(parents):
                 status = 0
             group_module._stop_workers()
         finally:
             os._exit(status)
-    assert [expected[0], *column] == expected
     _, status = os.waitpid(child, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert _pids() == parents
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == expected
+    assert group.schnorr_commitments(keys, scalars) == expected
 
 
 @many_cpus
-def test_a_killed_workers_share_is_computed_by_the_caller(group, workers):
+def test_a_killed_workers_share_is_computed_by_the_caller(group, workers, caller):
     keys, challenges, responses = _column_inputs(group, 1000, 66)
+    scalars = _scalars(group, challenges, responses)
     expected = _column_oracle(group, keys, challenges, responses)
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == expected
+    assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
     # Killed between columns.
     killed = _pids()
     for pid in killed:
         os.kill(pid, signal.SIGKILL)
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == expected
+    assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
     assert group_module._workers == []
     for pid in killed:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # already reaped
-    # Killed while its tail is out.
-    group_module._stop_workers()
-    column = group.schnorr_commitments(keys, challenges, responses)
-    values = [next(column)]
-    killed = _pids()
-    assert killed
-    for pid in killed:
-        os.kill(pid, signal.SIGKILL)
-    values.extend(column)
-    assert values == expected
-    assert group_module._workers == []
+    # Killed mid-column, after the caller's first run, for each column.
+    records = _records(group, expected, challenges, responses)
+    for compute in (lambda: _elements(group, group.schnorr_commitments(keys, scalars)) == expected,
+                    lambda: group.schnorr_failure(keys, records) is None):
+        group_module._stop_workers()
+        assert compute()  # forks a fresh worker
+        killed = _pids()
+
+        def kill():
+            caller["after_run"] = None
+            for pid in killed:
+                os.kill(pid, signal.SIGKILL)
+
+        caller["after_run"] = kill
+        assert compute()
+        assert group_module._workers == []
+        for pid in killed:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 @many_cpus
@@ -274,17 +341,18 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
     # Every exponent the provers hand to exp (identity secrets in the witness
     # checks, nonces, block secrets) stays in the caller; the ring keys and
     # the simulated challenges and responses do cross. What is recorded is
-    # each request's pickle, the bytes the connection writes to the pipe.
+    # what the connection writes to the pipe for each column: the header's
+    # pickle, then the keys' and the records' bytes as they are.
     rng = random.Random(67)
     kps = [keygen(group, rng) for _ in range(SPLIT + 40)]
     ring = [kp.public for kp in kps]
     sent, exponents = [], []
     ask, exp = group_module._Worker.ask, group_module.GroupParams.exp
 
-    def recorded_ask(self, tail):
-        if tail is not None:
-            sent.append(bytes(ForkingPickler.dumps(tail)))
-        return ask(self, tail)
+    def recorded_ask(self, request, *data):
+        if request is not None:
+            sent.append((bytes(ForkingPickler.dumps(request)), *data))
+        return ask(self, request, *data)
 
     def recorded_exp(self, base, exponent):
         exponents.append(exponent)
@@ -297,11 +365,13 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
         credential_prove(group, ring, index, kps[index].secret, keygen(group, rng), rng)
     monkeypatch.undo()
     assert len(sent) == 4
-    blob = b"".join(sent)
-    numbers = {n for message in map(pickle.loads, sent) for column in message[3:] for n in column}
-    assert ring[-1] in numbers and ring[-1].to_bytes(32, "little") in blob  # the search can see a value
+    blob = b"".join(part for message in sent for part in message)
+    headers = [pickle.loads(header) for header, *_ in sent]
+    assert all(len(header) == 3 and header[2] == group for header in headers)
+    assert all(len(keys) == (len(ring) - 1) * 32 == len(records) // 2 for _, keys, records in sent)
+    assert ring[-1].to_bytes(32, "big") in blob  # the search can see a value
     secrets = set(exponents) | {kp.secret for kp in kps}
-    assert len(exponents) >= 8 and not secrets & numbers
+    assert len(exponents) >= 8
     for secret in secrets:
         assert secret.to_bytes(32, "big") not in blob and secret.to_bytes(32, "little") not in blob
 

@@ -147,14 +147,14 @@ def _negated_credential(group, ring, index, secret, block_kp, rng, branch):
     if branch is None:
         possession = group.modulus - possession
     else:
-        commitments = list(state.commitments)
-        commitments[branch] = group.modulus - commitments[branch]
-        state = dataclasses.replace(state, commitments=tuple(commitments))
+        size = group.element_size
+        at = branch * size
+        negated = group.modulus - group.decode_element(state.commitments[at : at + size])
+        commitments = state.commitments[:at] + group.encode_element(negated) + state.commitments[at + size :]
+        state = dataclasses.replace(state, commitments=commitments)
     commitment_bytes = _commitment_bytes(group, state.commitments)
     joint = _joint_context(group, ring, block_kp.public, possession, commitment_bytes)
-    membership = _ring_finish(
-        group, state, secret, _ring_binding_challenge(group, joint, commitment_bytes), commitment_bytes
-    )
+    membership = _ring_finish(group, state, secret, _ring_binding_challenge(group, joint, commitment_bytes))
     challenge = _schnorr_challenge(group, joint, block_kp.public, possession)
     response = (nonce + challenge * block_kp.secret) % group.order
     return CredentialProof(membership, SchnorrProof(possession, challenge, response), joint)

@@ -180,7 +180,8 @@ class TestRingProof:
                 c, s = group.random_scalar(rng), group.random_scalar(rng)
                 t = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
                 branches.append(SchnorrProof(t, c, s))
-            binding = _ring_binding_challenge(group, b"ctx", _commitment_bytes(group, [b.commitment for b in branches]))
+            commitments = b"".join(group.encode_element(b.commitment) for b in branches)
+            binding = _ring_binding_challenge(group, b"ctx", _commitment_bytes(group, commitments))
             forgery = RingProof(tuple(branches), binding)
             rejected += not ring_verify(group, ring, forgery, b"ctx")
         assert rejected == 1000
@@ -305,7 +306,7 @@ class TestCredentialProof:
         for branches in (membership.branches[:-1], membership.branches + membership.branches[:1]):
             nonce = group.random_scalar(rng)
             commitment = group.exp(group.generator, nonce)
-            commitment_bytes = _commitment_bytes(group, [b.commitment for b in branches])
+            commitment_bytes = _commitment_bytes(group, b"".join(group.encode_element(b.commitment) for b in branches))
             joint = _joint_context(group, ring, block_kp.public, commitment, commitment_bytes)
             challenge = _schnorr_challenge(group, joint, block_kp.public, commitment)
             possession = SchnorrProof(commitment, challenge, (nonce + challenge * block_kp.secret) % group.order)
@@ -464,7 +465,8 @@ def _forged_ring_proof(group, ring, index, context, rng):
             c, s = group.random_scalar(rng), group.random_scalar(rng)
             branches[i] = (pow(group.generator, s, p) * pow(key, -c % (p - 1), p) % p, c, s)
     commitments = [branches[i][0] if i != index else pow(group.generator, nonce, p) for i in range(len(ring))]
-    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, commitments))
+    encoded = b"".join(map(group.encode_element, commitments))
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, encoded))
     challenge = (binding - sum(c for _, c, _ in branches.values())) % q
     branches[index] = (commitments[index], challenge, nonce)
     return RingProof(tuple(SchnorrProof(*branches[i]) for i in range(len(ring))), binding)
@@ -515,7 +517,7 @@ def _pow_credential_verdict(group, ring, public, credential):
         return False
     if not all(1 < y < p and pow(y, q, p) == 1 for y in keys):
         return False
-    commitment_bytes = _commitment_bytes(group, [b.commitment for b in branches])
+    commitment_bytes = _commitment_bytes(group, b"".join(group.encode_element(b.commitment) for b in branches))
     joint = _joint_context(group, ring, public, possession.commitment, commitment_bytes)
     if credential.joint_context != joint:
         return False
@@ -681,16 +683,21 @@ class TestVerifiersAgainstThePowEquation:
             assert schnorr_verify(group, public, proof, context) is expected
 
     def test_one_table_per_verified_key(self, group):
-        # The one per-key table a verifier keeps is the key's membership
-        # verdict: the first check of a key makes it, the second reads it.
+        # The one per-key table a verifier keeps is the key's entry, its
+        # membership verdict and its operand in the column: the first check
+        # of a key makes it, and every later read, the gate's and the
+        # column's, finds it.
         rng = random.Random(120)
         kp = keygen(group, rng)
         sig = sign(group, kp, b"m", rng)
         _key_verdict.cache_clear()
         assert verify_signature(group, kp.public, b"m", sig)
+        entry = _key_verdict(group, kp.public)
+        assert entry.inverse
         assert verify_signature(group, kp.public, b"m", sig)
+        assert _key_verdict(group, kp.public) is entry
         info = _key_verdict.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 5)
 
     def test_gate_rejected_key_gets_no_table(self, group, monkeypatch):
         # A key the gate refuses reaches no exponentiation at all.
@@ -699,14 +706,13 @@ class TestVerifiersAgainstThePowEquation:
         sig, proof = sign(group, kp, b"m", rng), schnorr_prove(group, kp, b"ctx", rng)
         p = group.modulus
         keyed = []
-        column = GroupParams.schnorr_commitments
+        column = GroupParams.schnorr_failure
 
-        def recording(self, keys, challenges, responses):
-            keys = list(keys)
+        def recording(self, keys, records):
             keyed.extend(keys)
-            return column(self, keys, challenges, responses)
+            return column(self, keys, records)
 
-        monkeypatch.setattr(GroupParams, "schnorr_commitments", recording)
+        monkeypatch.setattr(GroupParams, "schnorr_failure", recording)
         assert verify_signature(group, kp.public, b"m", sig)
         assert keyed == [kp.public]
         # Out of range, the identity, order two, and a non-residue (-1 is one mod a safe prime).

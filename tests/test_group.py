@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import threading
-import weakref
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.encoding import FormatError
-from phrchain.group import BignumError, GroupParams
+from phrchain.group import BignumError, GroupParams, _Key
 
 PACKAGE_ROOT = Path(group_module.__file__).resolve().parents[1]
 
@@ -233,11 +232,56 @@ def test_exp_equals_pow(group, base, exponent):
 
 # The kernel's one two-base product, g^s * y^e (``BN_mod_exp2_mont``), is a
 # value of the commitment column; a signature's check takes a column of one.
+# The column reads each challenge and response as ``scalar_size`` bytes; the
+# helpers below hand it an int outside that range by its class mod p - 1,
+# which is all that the value depends on (g^(p - 1) = y^(p - 1) = 1, and a
+# key of 0 meets 0^0 exactly when -c is 0 mod p - 1).
+
+
+def _fit(group, value):
+    if not 0 <= value < 256**group.scalar_size:
+        value %= group.modulus - 1
+    return value.to_bytes(group.scalar_size, "big")
+
+
+def _scalars(group, challenges, responses):
+    """The prover column's input: c || s for each branch."""
+    return b"".join(_fit(group, c) + _fit(group, s) for c, s in zip(challenges, responses))
+
+
+def _elements(group, data):
+    size = group.element_size
+    return [int.from_bytes(data[i : i + size], "big") for i in range(0, len(data), size)]
+
+
+def _commitments(group, keys, challenges, responses):
+    """The prover's column (``schnorr_commitments``) over int inputs, decoded."""
+    return _elements(group, group.schnorr_commitments(keys, _scalars(group, challenges, responses)))
+
+
+def _records(group, commitments, challenges, responses):
+    """The verifier column's input: t || c || s for each branch."""
+    return b"".join(
+        group.encode_element(t) + _fit(group, c) + _fit(group, s) for t, c, s in zip(commitments, challenges, responses)
+    )
+
+
+def _both_columns(group, keys, challenges, responses):
+    """The prover's column, checked by the verifier's (``schnorr_failure``):
+    every value holds as its record's commitment, and a commitment one off
+    fails at its own index."""
+    values = _commitments(group, keys, challenges, responses)
+    assert group.schnorr_failure(keys, _records(group, values, challenges, responses)) is None
+    if values:
+        last = len(values) - 1
+        wrong = values[:last] + [values[last] ^ 1]
+        assert group.schnorr_failure(keys, _records(group, wrong, challenges, responses)) == last
+    return values
 
 
 def _one_value(group, key, challenge, response):
     """g^response * key^((-challenge) mod (p - 1)) as a signature's check takes it."""
-    [value] = group.schnorr_commitments((key,), (challenge,), (response,))
+    [value] = _commitments(group, (key,), (challenge,), (response,))
     return value
 
 
@@ -337,9 +381,7 @@ def test_key_exp_cold_and_warm_cache_agree(group):
 @settings(max_examples=60, deadline=None)
 def test_multi_exp_equals_pow_product(group, rows):
     keys, challenges, responses = zip(*rows)
-    assert list(group.schnorr_commitments(keys, challenges, responses)) == _column_oracle(
-        group, keys, challenges, responses
-    )
+    assert _both_columns(group, keys, challenges, responses) == _column_oracle(group, keys, challenges, responses)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 6, 7, 64, 300])
@@ -353,8 +395,7 @@ def test_multi_exp_at_fixed_sizes(group, tiny_group, count):
             [0] * (count + 1),
         ):
             responses = exponents[1:] + exponents[:1]
-            column = g.schnorr_commitments(keys, exponents, responses)
-            assert list(column) == _column_oracle(g, keys, exponents, responses)
+            assert _both_columns(g, keys, exponents, responses) == _column_oracle(g, keys, exponents, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +419,13 @@ def _column_inputs(group, m, seed):
 @pytest.mark.parametrize("m", [1, 2, 128, 4000])
 def test_commitment_column_equals_pow(group, m):
     keys, challenges, responses = _column_inputs(group, m, 40 + m)
-    column = group.schnorr_commitments(keys, challenges, responses)
-    assert list(column) == _column_oracle(group, keys, challenges, responses)
+    assert _both_columns(group, keys, challenges, responses) == _column_oracle(group, keys, challenges, responses)
 
 
 def test_commitment_column_on_hostile_keys(group):
-    # Keys a Registry refuses, each with every challenge shape: 0 (so a key
-    # of 0 mod p meets 0^0), 1, order - 1 and a random one; responses 0 and random.
+    # Keys a Registry refuses, each with every challenge shape: 0 and p - 1
+    # (so a key of 0 mod p meets 0^0), 1, order - 1, the widest the bytes
+    # hold and a random one; responses 0, the widest and random.
     p = group.modulus
     rng = random.Random(41)
     non_residue = p - keygen(group, rng).public
@@ -393,13 +434,21 @@ def test_commitment_column_on_hostile_keys(group):
     rows = [
         (key, challenge, response)
         for key in hostile
-        for challenge in (0, 1, group.order - 1, group.random_scalar(rng))
-        for response in (0, group.random_scalar(rng))
+        for challenge in (0, 1, group.order - 1, p - 1, 2**256 - 1, group.random_scalar(rng))
+        for response in (0, 2**256 - 1, group.random_scalar(rng))
     ]
     keys, challenges, responses = zip(*rows)
-    column = list(group.schnorr_commitments(keys, challenges, responses))
+    column = _both_columns(group, keys, challenges, responses)
     assert column == _column_oracle(group, keys, challenges, responses)
     assert column == [_one_value(group, *row) for row in rows]
+
+
+def test_columns_refuse_records_of_the_wrong_length(group):
+    keys = [group.generator] * 3
+    with pytest.raises(ValueError, match="takes 192 bytes"):
+        group.schnorr_commitments(keys, bytes(191))
+    with pytest.raises(ValueError, match="takes 288 bytes"):
+        group.schnorr_failure(keys, bytes(289))
 
 
 @pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
@@ -414,7 +463,22 @@ def test_commitment_column_exhaustive_on_tiny_groups(modulus):
         for response in range(g.order)
     ]
     keys, challenges, responses = zip(*rows)
-    assert list(g.schnorr_commitments(keys, challenges, responses)) == _column_oracle(g, keys, challenges, responses)
+    assert _both_columns(g, keys, challenges, responses) == _column_oracle(g, keys, challenges, responses)
+
+
+def _watch_the_column(monkeypatch, inside, values):
+    """While the column computes a run of values (``_Pinned.run``), ``inside``
+    is not empty; each key it reaches, one per value, goes to ``values``."""
+    run = group_module._Pinned.run
+
+    def watched(self, group, keys, *args):
+        inside.append(True)
+        try:
+            return run(self, group, (values.append(key) or key for key in keys), *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(group_module._Pinned, "run", watched)
 
 
 def test_provers_and_verifiers_reach_the_kernel_only_through_the_column(group, monkeypatch):
@@ -424,28 +488,15 @@ def test_provers_and_verifiers_reach_the_kernel_only_through_the_column(group, m
     kps = [keygen(group, rng) for _ in range(4)]
     ring = [kp.public for kp in kps]
     block_kp = keygen(group, rng)
-    real, column = group_module._BN_mod_exp2_mont, GroupParams.schnorr_commitments
+    real = group_module._BN_mod_exp2_mont
     inside, kernel, values = [], [], []
 
     def recorded(*args):
         kernel.append(bool(inside))
         return real(*args)
 
-    def watched(self, *args):
-        computing = column(self, *args)
-        while True:
-            inside.append(True)
-            try:
-                value = next(computing)
-            except StopIteration:
-                return
-            finally:
-                inside.pop()
-            values.append(value)
-            yield value
-
     monkeypatch.setattr(group_module, "_BN_mod_exp2_mont", recorded)
-    monkeypatch.setattr(GroupParams, "schnorr_commitments", watched)
+    _watch_the_column(monkeypatch, inside, values)
     signature = sign(group, kps[0], b"message", rng)
     proof = schnorr_prove(group, kps[0], b"ctx", rng)
     membership = ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng)
@@ -459,20 +510,18 @@ def test_provers_and_verifiers_reach_the_kernel_only_through_the_column(group, m
     assert all(kernel)
 
 
-def test_interleaved_columns_in_one_thread(group, tiny_group):
-    # Two columns share the thread's scratch numbers, advanced in turn,
-    # with a one-value column, an exp and a membership test between their steps.
+def test_columns_between_other_kernel_calls_in_one_thread(group, tiny_group):
+    # Columns of two groups share the thread's scratch numbers, taken in
+    # turn, with a one-value column, an exp and a membership test between them.
     first = _column_inputs(group, 50, 42)
     second = _column_inputs(tiny_group, 50, 43)
     second = ([y + 23 * i for i, y in enumerate(second[0])], *second[1:])
-    a, b = group.schnorr_commitments(*first), tiny_group.schnorr_commitments(*second)
     a_values, b_values = [], []
-    for _ in range(50):
-        a_values.append(next(a))
+    for i in range(0, 50, 10):
+        a_values += _both_columns(group, *(column[i : i + 10] for column in first))
         assert _one_value(group, 7, -11, 5) == pow(4, 5, group.modulus) * pow(7, 11, group.modulus) % group.modulus
         assert group.exp(3, 5) == 243 and not group.is_element(group.modulus - 4)
-        b_values.append(next(b))
-    assert next(a, None) is next(b, None) is None
+        b_values += _both_columns(tiny_group, *(column[i : i + 10] for column in second))
     assert a_values == _column_oracle(group, *first)
     assert b_values == _column_oracle(tiny_group, *second)
 
@@ -488,7 +537,7 @@ def test_threads_compute_columns_exactly(group, tiny_group):
 
     def work(i):
         start.wait(timeout=60)
-        results[i] = list(groups[i].schnorr_commitments(*jobs[i]))
+        results[i] = _both_columns(groups[i], *jobs[i])
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(groups))]
     interval = sys.getswitchinterval()
@@ -510,29 +559,34 @@ def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
     for _ in range(2):
         for g in groups:
             p = g.modulus
-            assert _one_value(g, 3, -5, 7) == pow(3, 5, p) * pow(4, 7, p) % p
+            assert _one_value(g, 3, 5, 7) == pow(3, -5 % (p - 1), p) * pow(4, 7, p) % p
     for cache in (group_module._montgomery, group_module._pinned):
         assert cache.cache_info().currsize <= cache.cache_info().maxsize == 8
 
 
-def test_a_suspended_column_keeps_its_generator_through_eviction(group):
-    # A ring verifier advances its column branch by branch. Meanwhile other
-    # groups' checks push the column's pinned generator and Montgomery
-    # context out of their caches; the column must still hold them, so
-    # that no later value reads a freed BIGNUM.
+def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monkeypatch):
+    # A key is prepared once, at its first column, in its kept entry, and a
+    # later column reads the operand there; an evicted entry frees its
+    # BIGNUM, and the key is prepared afresh at its next column.
     keys, challenges, responses = _column_inputs(group, 6, 47)
-    column = group.schnorr_commitments(keys, challenges, responses)
-    values = [next(column)]
-    pinned = weakref.ref(group_module._pinned(group.modulus, group.generator))
-    for p in SAFE_PRIMES:
-        g = GroupParams(f"tiny-{p}", p, p // 2, 4)
-        assert _one_value(g, 3, -5, 7) == pow(3, 5, p) * pow(4, 7, p) % p
-    assert pinned() is not None
-    assert group_module._pinned(group.modulus, group.generator) is not pinned()  # evicted: built afresh
-    values.extend(column)
-    assert values == _column_oracle(group, keys, challenges, responses)
-    del column
-    assert pinned() is None
+    expected = _column_oracle(group, keys, challenges, responses)
+    group_module._key_verdict.cache_clear()
+    prepared, prepare = [], group_module._prepare
+    freed, finalize = [], _Key.__del__
+    monkeypatch.setattr(group_module, "_prepare", lambda g, key, entry: prepared.append(key) or prepare(g, key, entry))
+    monkeypatch.setattr(_Key, "__del__", lambda self: freed.append(self.inverse) or finalize(self))
+    assert group.key_is_element(keys[0]).inverse is None  # a verdict alone prepares nothing
+    assert _commitments(group, keys, challenges, responses) == expected
+    assert _commitments(group, keys, challenges, responses) == expected
+    assert prepared == keys
+    addresses = [group.key_is_element(key).inverse for key in keys]
+    assert all(addresses) and len(set(addresses)) == 6
+    for value in range(-1, -group_module._KEY_VERDICTS - 1, -1):
+        group.key_is_element(value)  # cheap non-members push the six keys out
+    assert set(addresses) <= set(freed)
+    assert _commitments(group, keys, challenges, responses) == expected
+    assert prepared == keys + keys
+    group_module._key_verdict.cache_clear()
 
 
 def test_threads_compute_exp2_exactly(group, tiny_group):
@@ -637,25 +691,18 @@ def test_provers_raise_on_a_failing_bignum_call_in_the_column(group, monkeypatch
     kps = [keygen(group, rng) for _ in range(3)]
     ring = [kp.public for kp in kps]
     block_kp = keygen(group, rng)
-    real, column = getattr(group_module, f"_{call}"), GroupParams.schnorr_commitments
+    real = getattr(group_module, f"_{call}")
     inside = []
 
     def refused(*args):
         return failure if inside else real(*args)
 
-    def watched(self, *args):
-        inside.append(True)
-        try:
-            yield from column(self, *args)
-        finally:
-            inside.clear()
-
     monkeypatch.setattr(group_module, f"_{call}", refused)
-    monkeypatch.setattr(GroupParams, "schnorr_commitments", watched)
+    _watch_the_column(monkeypatch, inside, [])
     provers = (
         lambda: ring_prove(group, ring, 1, kps[1].secret, b"ctx", rng),
         lambda: credential_prove(group, ring, 2, kps[2].secret, block_kp, rng),
-        lambda: list(group.schnorr_commitments(ring, [1, 2, 3], [4, 5, 6])),
+        lambda: _commitments(group, ring, [1, 2, 3], [4, 5, 6]),
     )
     for prove in provers:
         with pytest.raises(BignumError, match=call):

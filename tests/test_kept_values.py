@@ -147,14 +147,13 @@ class TestKeyVerdicts:
     def test_a_non_member_key_is_rejected_every_time_and_gets_no_table(self, group, monkeypatch, symbols):
         # The gate stops the key before any keyed exponentiation.
         tabled = []
-        column = GroupParams.schnorr_commitments
+        column = GroupParams.schnorr_failure
 
-        def recording(self, keys, challenges, responses):
-            keys = list(keys)
+        def recording(self, keys, records):
             tabled.extend(keys)
-            return column(self, keys, challenges, responses)
+            return column(self, keys, records)
 
-        monkeypatch.setattr(GroupParams, "schnorr_commitments", recording)
+        monkeypatch.setattr(GroupParams, "schnorr_failure", recording)
         kp = keygen(group)
         signature = sign(group, kp, b"message")
         # -y is a non-residue (p = 3 mod 4); p - 1 has order 2.

@@ -61,7 +61,8 @@ def reference_ring_verify(group, ring, proof, context):
             return False
         if not (1 <= branch.commitment < group.modulus):
             return False
-    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, [b.commitment for b in proof.branches]))
+    commitments = b"".join(group.encode_element(b.commitment) for b in proof.branches)
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, commitments))
     if binding != proof.binding_challenge:
         return False
     if sum(b.challenge for b in proof.branches) % group.order != binding:
@@ -102,7 +103,8 @@ def bind(group, context, commitments, index, secret, nonce, simulated):
 
     ``simulated`` maps every other branch to its (challenge, response).
     """
-    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, commitments))
+    encoded = b"".join(map(group.encode_element, commitments))
+    binding = _ring_binding_challenge(group, context, _commitment_bytes(group, encoded))
     real_c = (binding - sum(c for c, _ in simulated.values())) % group.order
     real_s = (nonce + real_c * secret) % group.order
     branches = tuple(
@@ -173,7 +175,8 @@ def corpus(group, size, rng):
         c, s = group.random_scalar(rng), group.random_scalar(rng)
         t = group.exp(group.generator, s) * group.exp(key, -c) % group.modulus
         branches.append(SchnorrProof(t, c, s))
-    binding = _ring_binding_challenge(group, ctx, _commitment_bytes(group, [b.commitment for b in branches]))
+    commitments = b"".join(group.encode_element(b.commitment) for b in branches)
+    binding = _ring_binding_challenge(group, ctx, _commitment_bytes(group, commitments))
     yield "witness-free", ring, RingProof(tuple(branches), binding), None
 
     # Acceptance 07: omission, transposition, wrong context.
@@ -374,11 +377,13 @@ def calls(monkeypatch):
     """Records the draws from the operating system RNG (``secrets.randbits``,
     ``random.SystemRandom`` and ``os.urandom``), the values tested for
     membership during a check, and under ``commitments`` the products of
-    two powers: each value the commitment column (``schnorr_commitments``)
-    yields, one per ring branch and one per Schnorr-shaped check."""
+    two powers: each value the commitment column computes, one per ring
+    branch and one per Schnorr-shaped check. The prover's column
+    (``schnorr_commitments``) computes every value; the verifier's
+    (``schnorr_failure``) stops at the first that fails, in one process."""
     seen = {"system_draws": 0, "commitments": 0, "is_element": []}
     randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
-    column, is_element = GroupParams.schnorr_commitments, GroupParams.is_element
+    column, failure, is_element = GroupParams.schnorr_commitments, GroupParams.schnorr_failure, GroupParams.is_element
 
     def counted(draw):
         def wrapper(*args):
@@ -386,10 +391,14 @@ def calls(monkeypatch):
             return draw(*args)
         return wrapper
 
-    def counted_column(self, keys, challenges, responses):
-        for commitment in column(self, keys, challenges, responses):
-            seen["commitments"] += 1
-            yield commitment
+    def counted_column(self, keys, scalars):
+        seen["commitments"] += len(keys)
+        return column(self, keys, scalars)
+
+    def counted_failure(self, keys, records):
+        failed = failure(self, keys, records)
+        seen["commitments"] += len(keys) if failed is None else failed + 1
+        return failed
 
     def counted_is_element(self, value):
         seen["is_element"].append(value)
@@ -399,6 +408,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(random.SystemRandom, "getrandbits", counted(getrandbits))
     monkeypatch.setattr(os, "urandom", counted(urandom))
     monkeypatch.setattr(GroupParams, "schnorr_commitments", counted_column)
+    monkeypatch.setattr(GroupParams, "schnorr_failure", counted_failure)
     monkeypatch.setattr(GroupParams, "is_element", counted_is_element)
     return seen
 
