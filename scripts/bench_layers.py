@@ -15,18 +15,20 @@ against Euler's criterion). Then ring prove and ring verify at m = 8,
 128, 1000 and 4000, each proof first checked branch by branch through
 ``pow``, an honest one accepted and one with a forged response rejected;
 the prover's commitment column (``schnorr_commitments``) over the
-4000-key ring, per branch, checked against ``pow`` first, and how it is
-shared with the worker process (``column_evidence``): the caller's and
-the worker's microseconds per value, the meeting index as a fraction of
-the column, the caller's wait and the caller's CPU at each column's start
-and end; the worker's peak resident set (``column_workers_vmhwm_mb``,
-``VmHWM`` of this process's live children, 0 when it has none); a
-verifier's column over that ring whose first record fails, which ends
-after one value, shared and in one process
-(``column_m4000_closed_after_one_value_s`` and ``..._one_process_s``);
-the ring-key gate of a ring
-verifier (``key_is_element`` for every key) over 5000 keys whose
-verdicts are kept, as a 4000/1000-key block's verifier meets them; one
+4000-key ring's table, its pairs drawn beforehand, per branch, checked
+against ``pow`` first, and how a ring prover's column, whose draws stream
+to the worker, is shared with it (``column_evidence``): the caller's and
+the worker's microseconds per value, the worker's head start, its share
+of the column, the caller's time outside its runs and the caller's CPU
+at each column's start and end; the worker's peak resident set
+(``column_workers_vmhwm_mb``, ``VmHWM`` of this process's live children,
+0 when it has none); a verifier's column over that ring whose first
+record fails (the worker's first value) or whose last does (in the
+caller's first run), shared and in one process
+(``column_m4000_closed_after_one_value_s``,
+``..._at_the_tail_s`` and each ``..._one_process_s``);
+the ring-key gate of a 4000/1000-key block's verifier (the membership
+verdicts of its two rings, read from their kept tables); one
 consensus vote over 800 miners (40% malicious) on a request block given
 no chain, which ``verify_block`` rejects at once: the row times the
 round's verdict, counts and clock alone, since a zero-jitter round draws
@@ -111,7 +113,7 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.consensus import _draw_roles
-from phrchain.crypto import _schnorr_equation
+from phrchain.crypto import _ring_commit, _schnorr_equation
 from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, decode_block, range_message
 
@@ -148,54 +150,68 @@ def _fields(data: bytes, width: int) -> list[bytes]:
     return [data[i : i + width] for i in range(0, len(data), width)]
 
 
-def column_evidence(group: GroupParams, keys, scalars: bytes, repeats: int) -> dict:
-    """How a prover's column over ``keys`` is shared, over ``repeats`` columns.
+def column_evidence(group: GroupParams, kps, repeats: int) -> dict:
+    """How a prover's column over the ring of ``kps`` is shared, over ``repeats`` columns.
 
-    The caller's runs are timed by wrapping ``_Pinned.run`` in this process
-    (the worker, forked earlier, is not wrapped), with the CPU the caller is
-    on when the column starts and ends (``sched_getcpu``). Rows: the
-    caller's and the worker's microseconds per value (the worker's CPU time,
-    from ``schedstat``, over the values past the meeting index), where the
-    two met as a fraction of the column, the caller's wait (the column's
-    wall time less the caller's runs), and per column the caller's CPU at
-    its start and end.
+    Each column is a ring prover's (``crypto._ring_commit``, the witness in
+    the middle of the ring), whose draws reach the worker in chunks as they
+    are made. The caller's runs are timed by wrapping ``_Pinned.run`` in
+    this process (the worker, forked earlier, is not wrapped), and what the
+    caller hears of the worker by wrapping ``_Worker.hear``. Rows: the
+    caller's and the worker's microseconds per value (the worker's CPU
+    time, from ``schedstat``, over the values before the meeting index);
+    the worker's head start, the values it had finished, as the caller last
+    heard, when the caller's first run began; the worker's share of the
+    column (the meeting index as a fraction of it); the caller's time
+    outside its runs (the commit's wall time less the runs: the witness's
+    two exponentiations, the draws, the pipe and the replies); and per
+    column the caller's CPU at its start and end.
     """
-    run, cpu = group_module._Pinned.run, group_module._sched_getcpu
-    runs, samples = [], []
+    run, hear, cpu = group_module._Pinned.run, group_module._Worker.hear, group_module._sched_getcpu
+    runs, heard, samples = [], [], []
 
-    def timed(self, group, keys, records, start, width, out):
+    def timed_run(self, group, keys, entries, records, at, start, width, out):
         keys = list(keys)
         started = time.perf_counter()
-        failed = run(self, group, keys, records, start, width, out)
-        runs.append((start + len(keys), time.perf_counter() - started))
+        failed = run(self, group, keys, entries, records, at, start, width, out)
+        runs.append((start, started, time.perf_counter() - started))
         return failed
 
-    group_module._Pinned.run = timed
+    def timed_hear(self, work, met):
+        result = hear(self, work, met)
+        heard.append((time.perf_counter(), result[1]))
+        return result
+
+    table, index = group.ring_table([kp.public for kp in kps]), len(kps) // 2
+    count, rng = len(table) - 1, random.Random(f"column-evidence-{len(kps)}")
+    group_module._Pinned.run, group_module._Worker.hear = timed_run, timed_hear
     try:
         for _ in range(repeats):
             runs.clear()
+            heard.clear()
             workers = {pid: cpu_seconds(pid) for pid in children()}
             first, started = cpu(), time.perf_counter()
-            group.schnorr_commitments(keys, scalars)
+            _ring_commit(group, table, index, kps[index].secret, rng)
             wall, last = time.perf_counter() - started, cpu()
             worker = sum(cpu_seconds(pid) - spent for pid, spent in workers.items())
-            met, caller = max(stop for stop, _ in runs), sum(seconds for _, seconds in runs)
+            met, caller = min(start for start, _, _ in runs), sum(seconds for _, _, seconds in runs)
+            opened = min(began for _, began, _ in runs)
             samples.append({
-                "wall": wall,
-                "caller_us": caller / met * 1e6,
-                "worker_us": worker / (len(keys) - met) * 1e6 if met < len(keys) else 0.0,
-                "met": met / len(keys),
-                "wait": wall - caller,
+                "caller_us": caller / (count - met) * 1e6,
+                "worker_us": worker / met * 1e6 if met else 0.0,
+                "head_start": max((done for at, done in heard if at <= opened), default=0),
+                "met": met / count,
+                "outside": wall - caller,
                 "cpus": [first, last],
             })
     finally:
-        group_module._Pinned.run = run
+        group_module._Pinned.run, group_module._Worker.hear = run, hear
     return {
-        "ring_commitments_per_branch_s": statistics.median(s["wall"] for s in samples) / len(keys),
         "column_m4000_caller_us_per_value": statistics.median(s["caller_us"] for s in samples),
         "column_m4000_worker_us_per_value": statistics.median(s["worker_us"] for s in samples),
+        "column_m4000_worker_head_start_values": statistics.median(s["head_start"] for s in samples),
         "column_m4000_meeting_fraction": statistics.median(s["met"] for s in samples),
-        "column_m4000_caller_wait_s": statistics.median(s["wait"] for s in samples),
+        "column_m4000_caller_outside_runs_s": statistics.median(s["outside"] for s in samples),
         "column_m4000_caller_cpu_start_end": [s["cpus"] for s in samples],
     }
 
@@ -348,7 +364,7 @@ def main() -> None:
         t = int.from_bytes(group.schnorr_commitments((y,), group.encode_scalar(c) + group.encode_scalar(s)))
         if t * pow(y, c, p) % p != pow(g, s, p):
             raise SystemExit("g^s * y^-c differs from pow")
-        schnorr_checks.append((y, t, c, s))
+        schnorr_checks.append((y, group.key_is_element(y), t, c, s))
     if not all(_schnorr_equation(group, *check) for check in schnorr_checks):
         raise SystemExit("an honest Schnorr equation was rejected")
     if any(group.is_element(x) != (pow(x, q, p) == 1) for x in elements + [p - x for x in elements]):
@@ -395,32 +411,41 @@ def main() -> None:
     ]
     if column != b"".join(map(group.encode_element, expected)):
         raise SystemExit("the commitment column differs from pow")
-    rows.update(column_evidence(group, ring, column_scalars, args.repeats))
+    table = group.ring_table(ring)
+    rows["ring_commitments_per_branch_s"] = median_time(
+        lambda: group.schnorr_commitments(table, column_scalars), args.repeats, len(ring)
+    )
+    rows.update(column_evidence(group, kps, args.repeats))
     rows["column_workers_vmhwm_mb"] = sum(map(vmhwm_mb, children()))
-    # A verifier's column over the same ring whose first record fails: it
-    # ends after one value, shared with the worker and in one process.
-    forged = bytearray(b"".join(map(bytes.__add__, _fields(column, 32), _fields(column_scalars, 64))))
-    forged[0] ^= 1
-    forged = bytes(forged)
-    if group.schnorr_failure(ring, forged) != 0:
-        raise SystemExit("the verifier's column did not name the forged first record")
-    rows["column_m4000_closed_after_one_value_s"] = median_time(
-        lambda: group.schnorr_failure(ring, forged), 5 * args.repeats
-    )
-    pool, group_module._workers = group_module._workers, []  # an empty pool: no worker to share with
-    rows["column_m4000_closed_after_one_value_one_process_s"] = median_time(
-        lambda: group.schnorr_failure(ring, forged), 5 * args.repeats
-    )
-    group_module._workers = pool
-    # The ring-key gate over the 4000-key ring and 1000 of the keys above,
-    # every verdict kept, as after the first check of a block over them.
-    gate_keys = ring + keys[:1000]
+    # A verifier's column over the same ring whose first or last record
+    # fails: the worker meets the first at its first value, the caller the
+    # last in its first run. Shared with the worker, and in one process.
+    records = b"".join(map(bytes.__add__, _fields(column, 32), _fields(column_scalars, 64)))
+    for name, at in (("", 0), ("_at_the_tail", len(ring) - 1)):
+        forged = bytearray(records)
+        forged[at * 96] ^= 1
+        forged = bytes(forged)
+        if group.schnorr_failure(table, forged) != at:
+            raise SystemExit(f"the verifier's column did not name the forged record {at}")
+        rows[f"column_m4000_closed_after_one_value{name}_s"] = median_time(
+            lambda: group.schnorr_failure(table, forged), 5 * args.repeats
+        )
+        pool, group_module._workers = group_module._workers, []  # an empty pool: no worker to share with
+        rows[f"column_m4000_closed_after_one_value{name}_one_process_s"] = median_time(
+            lambda: group.schnorr_failure(table, forged), 5 * args.repeats
+        )
+        group_module._workers = pool
+    # The ring-key gate of a 4000/1000-key block's verifier: the verdicts of
+    # the 4000-key ring and of a 1000-key ring of the keys above, each read
+    # from the ring's kept table, as after the first check of a block over them.
+    gate_rings = (tuple(ring), tuple(keys[:1000]))
+    gate_keys = gate_rings[0] + gate_rings[1]
     if len(set(gate_keys)) != 5000 or not all(pow(y, q, p) == 1 for y in gate_keys):
         raise SystemExit("the gate's keys are not 5000 distinct subgroup elements")
-    if not all(map(group.key_is_element, gate_keys)):
-        raise SystemExit("key_is_element refused a subgroup element")
+    if not all(group.ring_table(keys).members for keys in gate_rings):
+        raise SystemExit("a ring table refused subgroup elements")
     rows["ring_key_gate_m5000_s"] = median_time(
-        lambda: all(map(group.key_is_element, gate_keys)), args.repeats
+        lambda: [group.ring_table(keys).members for keys in gate_rings], args.repeats
     )
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)

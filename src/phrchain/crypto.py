@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import encoding as enc
-from .group import _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _rng
+from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _Ring, _rng
 
 TAG_FS_SCHNORR = b"FS-SCHNORR"
 TAG_FS_OR = b"FS-OR"
@@ -65,13 +65,6 @@ def key_list_digest(group: GroupParams, keys: Sequence[int]) -> bytes:
     parts = [enc.u32(len(keys))]
     parts.extend(group.encode_element(k) for k in keys)
     return digest(b"".join(parts))
-
-
-@functools.lru_cache(maxsize=8)
-def _ring_digest(group: GroupParams, ring: tuple[int, ...]) -> bytes:
-    # A registry's key tuple is proved against and verified against several
-    # times per block; hashing the tuple is far cheaper than re-encoding it.
-    return key_list_digest(group, ring)
 
 
 @dataclass(frozen=True)
@@ -130,39 +123,44 @@ def schnorr_prove(
 
 def schnorr_verify(group: GroupParams, public: int, proof: SchnorrProof, context: bytes) -> bool:
     """True iff the challenge recomputes from the context and the equation holds."""
-    if not _schnorr_gate(group, public, proof.commitment, proof.response):
+    entry = _schnorr_gate(group, public, proof.commitment, proof.response)
+    if not entry:
         return False
     # The recomputed challenge is in [0, order), so this also range-checks it.
     if proof.challenge != _schnorr_challenge(group, context, public, proof.commitment):
         return False
-    return _schnorr_equation(group, public, proof.commitment, proof.challenge, proof.response)
+    return _schnorr_equation(group, public, entry, proof.commitment, proof.challenge, proof.response)
 
 
-def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: int) -> bool:
-    """The input checks of a Schnorr-shaped verifier, run before anything is hashed.
+def _schnorr_gate(group: GroupParams, public: int, commitment: int, response: int):
+    """The input checks of a Schnorr-shaped verifier, run before anything is
+    hashed: the public key's kept entry, true, if they pass, else false.
 
     Response in [0, order), commitment in [1, modulus), public key in the
     subgroup: no int that ``encode_element`` cannot write reaches it, and a
     small-order key cannot make the equation hold without a secret. The
-    key's verdict is kept (``GroupParams.key_is_element``), so a key is
-    tested once however often it signs.
+    key's entry is kept (``GroupParams.key_is_element``), so a key is
+    tested once however often it signs, and the verifier hands the entry
+    to its column (``_schnorr_equation``), which looks up nothing.
     """
     return 0 <= response < group.order and 1 <= commitment < group.modulus and group.key_is_element(public)
 
 
-def _schnorr_equation(group: GroupParams, key: int, commitment: int, challenge: int, response: int) -> bool:
-    """g^s == t * y^c (mod p) for key y, commitment t in [1, p), and
-    challenge c and response s in [0, order).
+def _schnorr_equation(group: GroupParams, key: int, entry, commitment: int, challenge: int, response: int) -> bool:
+    """g^s == t * y^c (mod p) for key y, whose kept entry ``_schnorr_gate``
+    returned, commitment t in [1, p), and challenge c and response s in
+    [0, order).
 
     Checked as t == g^s * y^-c: the one record t || c || s, encoded, is a
-    column of one value (``GroupParams.schnorr_failure``), whose verdict is
-    the one ``pow`` gives. A Schnorr proof, a signature and the possession
-    half are checked here, after ``_schnorr_gate``; ring branches are one
-    column of their records, checked by ``_ring_equations`` after
-    ``_ring_gate``.
+    column of one value over a table of the key and its entry
+    (``GroupParams.schnorr_failure``), whose verdict is the one ``pow``
+    gives. A Schnorr proof, a signature and the possession half are checked
+    here, after ``_schnorr_gate``; ring branches are one column of their
+    records, checked by ``_ring_equations`` after ``_ring_gate``.
     """
-    record = group.encode_element(commitment) + group.encode_scalar(challenge) + group.encode_scalar(response)
-    return group.schnorr_failure((key,), record) is None
+    size, scalar = group.element_size, group.scalar_size
+    record = commitment.to_bytes(size) + challenge.to_bytes(scalar) + response.to_bytes(scalar)
+    return group.schnorr_failure(_Ring(group, (key,), (entry,)), record) is None
 
 
 def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:
@@ -374,32 +372,48 @@ def _ring_commit(
 ) -> _RingCommitState:
     """Commit to every branch, after checking the witness and before any RNG draw.
 
-    The draws come in branch order: a simulated branch's challenge and
-    response, the witness branch's nonce. Then the simulated branches'
-    commitments, the ones that satisfy their verification equations, come
-    from one commitment column, handed the encoded challenges and
-    responses, and the witness commitment is g^nonce. Nothing of the
-    witness branch goes into the column.
+    The draws come in branch order, through one bound ``randrange``: a
+    simulated branch's challenge and response, the witness branch's nonce.
+    The simulated branches' commitments, the ones that satisfy their
+    verification equations, come from one commitment column over the
+    ring's table (``GroupParams.ring_table``) that skips the witness
+    position. The column is handed the encoded challenges and responses in
+    chunks of ``_CHUNK`` pairs, each as soon as it is drawn, so a worker
+    sharing the column starts on its head while the tail is still drawn:
+    a simulated branch depends on its own draws alone. The witness
+    commitment is g^nonce. Nothing of the witness branch goes into the column.
     """
-    if not 0 <= index < len(ring):
-        raise IndexError(f"witness index {index} outside ring of {len(ring)}")
-    if group.exp(group.generator, secret) != ring[index]:
+    table = group.ring_table(ring)
+    if not 0 <= index < len(table):
+        raise IndexError(f"witness index {index} outside ring of {len(table)}")
+    if group.exp(group.generator, secret) != table.keys[index]:
         raise ValueError("witness secret does not match the ring key at the given index")
-    size = group.scalar_size
-    scalars = []
-    challenge_sum = nonce = 0
-    for i in range(len(ring)):
-        if i == index:
-            nonce = group.random_scalar(rng)
-        else:
-            challenge, response = group.random_scalar(rng), group.random_scalar(rng)
+    draw, order, size = _rng(rng).randrange, group.order, group.scalar_size
+    drawn = []
+    nonce = challenge_sum = 0
+
+    def chunks() -> Iterator[bytes]:
+        nonlocal nonce, challenge_sum
+        pairs = []
+        for i in range(len(table)):
+            if i == index:
+                nonce = draw(1, order)
+                continue
+            challenge = draw(1, order)
             challenge_sum += challenge
-            scalars.append(challenge.to_bytes(size) + response.to_bytes(size))
-    simulated = b"".join(scalars)
-    commitments = group.schnorr_commitments([*ring[:index], *ring[index + 1 :]], simulated)
+            pairs.append(challenge.to_bytes(size) + draw(1, order).to_bytes(size))
+            if len(pairs) == _CHUNK:
+                drawn.append(b"".join(pairs))
+                pairs.clear()
+                yield drawn[-1]
+        if pairs:
+            drawn.append(b"".join(pairs))
+            yield drawn[-1]
+
+    commitments = group.schnorr_commitments(table, chunks(), index)
     at = index * group.element_size
     witness = group.encode_element(group.exp(group.generator, nonce))
-    return _RingCommitState(index, nonce, commitments[:at] + witness + commitments[at:], simulated, challenge_sum)
+    return _RingCommitState(index, nonce, commitments[:at] + witness + commitments[at:], b"".join(drawn), challenge_sum)
 
 
 def _ring_finish(group: GroupParams, state: _RingCommitState, secret: int, binding: int) -> RingProof:
@@ -422,7 +436,7 @@ def ring_prove(
     rng: random.Random | None = None,
 ) -> RingProof:
     """Prove knowledge of the secret for ring[index] without revealing the index."""
-    state = _ring_commit(group, ring, index, secret, rng)
+    state = _ring_commit(group, group.ring_table(ring), index, secret, rng)
     binding = _ring_binding_challenge(group, context, _commitment_bytes(group, state.commitments))
     return _ring_finish(group, state, secret, binding)
 
@@ -435,25 +449,28 @@ def ring_verify(
 
     Each equation g^s_i == t_i * y_i^c_i is checked on its own, at every
     ring size, as t_i == g^s_i * y_i^-c_i: the proof's branch records, as
-    they are, are one commitment column (``GroupParams.schnorr_failure``),
-    which reads c_i and s_i from their bytes, compares each value with the
-    bytes of t_i, and stops at a failing branch. So the verdict is the one
-    ``pow`` gives branch by branch, and it draws no randomness. A ring of
-    at least ``group._SPLIT`` keys is shared with the worker process, which
-    is sent the keys and records, public bytes both. No commitment needs a
-    membership test: the gate puts each y_i in the subgroup, and a holding
-    equation puts t_i = g^s_i / y_i^c_i there too.
+    they are, are one commitment column over the ring's table
+    (``GroupParams.schnorr_failure``), which reads c_i and s_i from their
+    bytes, compares each value with the bytes of t_i, and stops at a
+    failing branch. So the verdict is the one ``pow`` gives branch by
+    branch, and it draws no randomness. A ring of at least
+    ``group._SPLIT`` keys is shared with the worker process, which is sent
+    the records, and the keys unless it keeps the ring's table: public
+    bytes all. No commitment needs a membership test: the gate puts each
+    y_i in the subgroup, and a holding equation puts t_i = g^s_i / y_i^c_i
+    there too.
     """
-    records = _ring_gate(group, ring, proof)
-    if records is None:
+    gated = _ring_gate(group, ring, proof)
+    if gated is None:
         return False
+    records, table = gated
     commitment_bytes = _branch_layout(group).commitment_bytes(records)
-    return _ring_equations(group, ring, records, proof.binding_challenge, context, commitment_bytes)
+    return _ring_equations(group, table, records, proof.binding_challenge, context, commitment_bytes)
 
 
-def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> bytes | None:
-    """The proof's branch records if it passes the input checks of
-    ``ring_verify``, run before anything is hashed; else None.
+def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> tuple[bytes, _Ring] | None:
+    """The proof's branch records and the ring's table if the proof passes
+    the input checks of ``ring_verify``, run before anything is hashed; else None.
 
     A non-empty ring with one branch per key, every branch value fitting
     its field and keeping the range rules of ``_BranchLayout`` (challenge
@@ -463,8 +480,10 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> byt
     record. A key of order one or two (1, p - 1) would let a proof hold
     with no secret, and only a key in [1, modulus) has the canonical
     encoding that ``credential_verify``'s joint context hashes.
-    Each key's verdict is kept (``GroupParams.key_is_element``), so a
-    ring's keys are tested once however many proofs over them are checked.
+    The keys' verdict is the ring table's one verdict
+    (``GroupParams.ring_table``), made from the keys' kept entries when
+    the ring is first resolved and kept with the table, so a ring's keys
+    are not scanned again however many proofs over them are checked.
     ``credential_verify`` runs the gate before its joint context hashes
     the commitments. The length test is also the bound of the registry
     prefix rule (``consensus.verify_block``): a proof of m branches checked
@@ -475,18 +494,19 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> byt
     records, in_range = proof._records(layout)
     if not in_range or len(records) != len(ring) * layout.size or len(ring) == 0:
         return None
-    if not all(map(group.key_is_element, ring)):
+    table = group.ring_table(ring)
+    if not table.members:
         return None
-    return records
+    return records, table
 
 
 def _ring_equations(
-    group: GroupParams, ring: Sequence[int], records: bytes, binding: int, context: bytes, commitment_bytes: bytes
+    group: GroupParams, ring: _Ring, records: bytes, binding: int, context: bytes, commitment_bytes: bytes
 ) -> bool:
     """The binding challenge and the branch equations of the records of a
     proof past ``_ring_gate`` (see ``ring_verify``), whose binding challenge
-    is ``binding``; ``commitment_bytes`` is joined from the records once by
-    the caller.
+    is ``binding``, over the ring's table the gate resolved;
+    ``commitment_bytes`` is joined from the records once by the caller.
 
     The challenges are read as ints for their sum alone. The branch
     equations are one column over the records' bytes
@@ -546,9 +566,10 @@ def _joint_context(
     commitment_bytes: bytes,
 ) -> bytes:
     """Ring digest, block key, and the digest of both halves' commitments;
-    ``commitment_bytes`` is ``_commitment_bytes`` of the ring commitments."""
+    ``commitment_bytes`` is ``_commitment_bytes`` of the ring commitments.
+    The ring digest is ``key_list_digest`` of its keys, kept with the ring's table."""
     return (
-        _ring_digest(group, tuple(ring))
+        group.ring_table(ring).digest
         + group.encode_element(block_public)
         + digest(group.encode_element(possession_commitment) + commitment_bytes)
     )
@@ -563,11 +584,12 @@ def credential_prove(
     rng: random.Random | None = None,
 ) -> CredentialProof:
     """Bind ring membership of an identity key to possession of a block key."""
-    ring_state = _ring_commit(group, ring, index, identity_secret, rng)
+    table = group.ring_table(ring)
+    ring_state = _ring_commit(group, table, index, identity_secret, rng)
     possession_nonce = group.random_scalar(rng)
     possession_commitment = group.exp(group.generator, possession_nonce)
     commitment_bytes = _commitment_bytes(group, ring_state.commitments)
-    joint = _joint_context(group, ring, block_kp.public, possession_commitment, commitment_bytes)
+    joint = _joint_context(group, table, block_kp.public, possession_commitment, commitment_bytes)
 
     binding = _ring_binding_challenge(group, joint, commitment_bytes)
     membership = _ring_finish(group, ring_state, identity_secret, binding)
@@ -584,20 +606,22 @@ def credential_verify(
     """True iff both halves verify under the joint context recomputed from inputs."""
     possession = proof.possession
     # The joint context encodes the block key and every commitment of both halves.
-    if not _schnorr_gate(group, block_public, possession.commitment, possession.response):
+    entry = _schnorr_gate(group, block_public, possession.commitment, possession.response)
+    if not entry:
         return False
-    records = _ring_gate(group, ring, proof.membership)
-    if records is None:
+    gated = _ring_gate(group, ring, proof.membership)
+    if gated is None:
         return False
+    records, table = gated
     commitment_bytes = _branch_layout(group).commitment_bytes(records)
-    expected = _joint_context(group, ring, block_public, possession.commitment, commitment_bytes)
+    expected = _joint_context(group, table, block_public, possession.commitment, commitment_bytes)
     if proof.joint_context != expected:
         return False
     if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
         return False
     binding = proof.membership.binding_challenge
-    return _ring_equations(group, ring, records, binding, expected, commitment_bytes) and _schnorr_equation(
-        group, block_public, possession.commitment, possession.challenge, possession.response
+    return _ring_equations(group, table, records, binding, expected, commitment_bytes) and _schnorr_equation(
+        group, block_public, entry, possession.commitment, possession.challenge, possession.response
     )
 
 
@@ -635,10 +659,11 @@ def sign(group: GroupParams, kp: KeyPair, message: bytes, rng: random.Random | N
 
 
 def verify_signature(group: GroupParams, public: int, message: bytes, sig: Signature) -> bool:
-    if not _schnorr_gate(group, public, sig.commitment, sig.response):
+    entry = _schnorr_gate(group, public, sig.commitment, sig.response)
+    if not entry:
         return False
     challenge = _signature_challenge(group, public, sig.commitment, message)
-    return _schnorr_equation(group, public, sig.commitment, challenge, sig.response)
+    return _schnorr_equation(group, public, entry, sig.commitment, challenge, sig.response)
 
 
 # ---------------------------------------------------------------------------

@@ -29,25 +29,41 @@ is the exponent as it stands; c and s are read into BIGNUMs from their
 bytes, and the value is written to, or compared with, bytes. A verifier's
 column stops at the first record that fails, the kernel with it.
 
+A column runs over a ring table (``_Ring``, ``GroupParams.ring_table``):
+a ring resolved once, at its first use, and kept per key tuple. It holds
+the keys' entries by strong reference, one membership verdict for the
+whole ring, which a verifier's gate reads instead of testing each key,
+and the keys' encoding and its digest, which is the ring's digest in a
+credential's joint context and the table's name to the worker. A prover's
+column is its ring and the witness position it skips; a one-record check
+is a table of its key and the entry its gate looked up.
+
 A column of at least ``_SPLIT`` values is shared with one worker
 process, forked on the first such column from a process with one thread
-alive, on a machine of more than one CPU (``os.sched_getaffinity``). The
-worker is sent the column's bytes, the keys at the element size and the
-records as they are, over a ``multiprocessing`` pipe, and works backward
-from the tail on a CPU other than the caller's, in runs of ``_RUN``
-values, sending each run's commitments or verdict back as it is done.
-The caller works forward from the head and reads the replies between its
+alive, on a machine of more than one CPU (``os.sched_getaffinity``). It
+is sent the column's header over a ``multiprocessing`` pipe, then the
+ring's keys unless it keeps the ring's table (it keeps the last
+``_RINGS``, and the caller mirrors which), then the records in chunks:
+a prover's as its draws make them, ``_CHUNK`` at a time, a verifier's in
+one. The worker works forward from the head over what has arrived, on a
+CPU other than the caller's, in runs of ``_RUN`` values, sending each
+run's commitments or verdict back as it is done, and waits when it has
+caught up. So it starts while the prover is still drawing: a simulated
+branch depends on its own draws alone. Once its records are all in, the
+caller works backward from the tail and reads the replies between its
 runs; the column is done where the two meet, wherever their speeds put
 them. So the caller covers whatever the worker has not: all of it when
 the worker is slow or stopped, or dies. A failing record found on either
-side ends the column, and a column that ends sends the worker its stop
-without waiting for the run in flight; every request is numbered, and
-the next column drops the replies to an earlier one. Only public bytes
-cross to the worker: keys, challenges and responses, which are a proof's
-fields or the simulated branches of one, never a witness branch, a nonce
-or a secret. The worker exits at EOF on its request pipe and is reaped at
-interpreter exit; a child forked later closes its parent's pipes and
-forks a worker of its own.
+side ends the column, and a column that ends, its draws raising
+included, sends the worker its stop, an empty message it can read at any
+point of the stream, without waiting for the run in flight; every
+request is numbered, and the next column drops the replies to an earlier
+one. Both sides poll their pipe through ``select.poll``. Only public
+bytes cross to the worker: keys, challenges and responses, which are a
+proof's fields or the simulated branches of one, and the position a
+prover skips, never a witness branch, a nonce or a secret. The worker
+exits at EOF on its request pipe and is reaped at interpreter exit; a
+child forked later closes its parent's pipes and forks a worker of its own.
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
@@ -56,7 +72,8 @@ output buffers (ctypes releases the GIL around every call), and every
 BIGNUM call's return code is checked where it is made: a failure raises
 ``BignumError`` naming the call, never a value. A public key's entry,
 its membership verdict and its prepared inverse, is kept in a bounded
-cache, since verifiers meet the same keys again and again.
+cache, since verifiers meet the same keys again and again, and in the
+table of every kept ring it is in.
 
 The same binding is the package's one path into libcrypto for symmetric
 encryption too: ``_gcm_seal`` and ``_gcm_open`` are AES-256-GCM through
@@ -73,14 +90,17 @@ work, not for production key material.
 from __future__ import annotations
 
 import atexit
+import collections
 import contextlib
 import ctypes
 import fcntl
 import functools
+import hashlib
 import itertools
 import os
 import random
 import signal
+import struct
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
@@ -312,29 +332,30 @@ class _Pinned:
         self.number = _load(None, base, self.mont.size)
 
     def run(
-        self, group: "GroupParams", keys: Iterable[int], records: bytes, start: int, width: int, out: bytearray | None
+        self, group: "GroupParams", keys: Iterable[int], entries: Iterable["_Key"], records: bytes, at: int, start: int,
+        width: int, out: bytearray | None,
     ) -> int | None:
-        """Values ``start``, ``start + 1``, ... of a column, one per key (see
+        """Values ``start``, ``start + 1``, ... of a column, one per key of
+        ``keys`` and its kept entry, in the same place of ``entries`` (see
         ``GroupParams.schnorr_commitments``), in the calling thread.
 
-        Record i is the ``width`` bytes at ``i * width`` in ``records`` and
-        ends in its challenge and response. A record of more than those two
-        scalars starts with a commitment, and the run returns the index of
-        the first one that differs from its value, or None; otherwise each
-        value is written to ``out`` at ``i * element_size``. Each key's
-        operand is read from its kept entry, and prepared there at its first
-        column; the entry is held while its value is computed.
+        The run's records are the ``width`` bytes each from byte ``at`` of
+        ``records`` on, one per value, and end in its challenge and
+        response. A record of more than those two scalars starts with a
+        commitment, and the run returns the index of the first one that
+        differs from its value, or None; otherwise value i is written to
+        ``out`` at ``i * element_size``. A key's operand is read from its
+        entry, and prepared there at the key's first column.
         """
         mont, scratch, scalar = self.mont, _THREADS.scratch, group.scalar_size
-        size, verdict = mont.size, _key_verdict
+        size = mont.size
         challenge_number, response_number = scratch.operands[:2]
         result, ctx, box, buffer = scratch.result, scratch.ctx, scratch.box, scratch.buffer(size)
         base, modulus, context = self.number, mont.modulus, mont.context
         bin2bn, exp2, bn2binpad = _BN_bin2bn, _BN_mod_exp2_mont, _BN_bn2binpad
         checked = width - 2 * scalar  # the commitment's width, 0 in a column that computes them
-        at = start * width + checked
-        for i, key in enumerate(keys, start):
-            entry = verdict(group, key)
+        at += checked
+        for i, key, entry in zip(itertools.count(start), keys, entries):
             inverse = entry.inverse
             if inverse is None:
                 inverse = _prepare(group, key, entry)
@@ -372,20 +393,60 @@ def _pinned(modulus: int, base: int) -> _Pinned:
     return _Pinned(modulus, base)
 
 
-def _column(group: "GroupParams", keys: Sequence[int], records: bytes, width: int, out: bytearray | None) -> int | None:
-    """``_Pinned.run`` over a whole column: shared with the idle worker when
-    it has at least ``_SPLIT`` values (``_Worker.share``), else computed
-    here, each value as it is reached."""
-    if len(records) != len(keys) * width:
-        raise ValueError(f"a column of {len(keys)} keys takes {len(keys) * width} bytes of records")
-    pinned = _pinned(group.modulus, group.generator)
-    worker = _idle_worker() if len(keys) >= _SPLIT else None
-    if worker is None:
-        return pinned.run(group, keys, records, 0, width, out)
-    try:
-        return worker.share(group, pinned, keys, records, width, out)
-    finally:
-        worker.lock.release()
+class _Column:
+    """What the caller and the worker both compute a column from: its group,
+    the generator pinned for it, its ring table, the ring position it skips
+    (the ring's length when it skips none), its number of values, the width
+    of its records, and the buffer its values go to, or None for a column
+    of commitments to check.
+
+    Value j is the ring's key j before the skipped position and key j + 1
+    from it on, so a prover's column is its ring and its witness position:
+    the witness's key takes no value, and its record is not in the column.
+    """
+
+    __slots__ = ("group", "pinned", "ring", "skip", "count", "width", "out")
+
+    def __init__(self, group: "GroupParams", ring: "_Ring", skip: int, width: int) -> None:
+        self.group, self.ring, self.skip, self.width = group, ring, skip, width
+        self.pinned = _pinned(group.modulus, group.generator)
+        self.count = len(ring.keys) - (skip < len(ring.keys))
+        self.out = bytearray(self.count * group.element_size) if width == 2 * group.scalar_size else None
+
+    def values(self, records: bytes, first: int, low: int, high: int) -> int | None:
+        """Values ``low`` to ``high - 1`` (``_Pinned.run``), whose records are
+        in ``records``, which starts at the record of value ``first``."""
+        ring, width, skip = self.ring, self.width, self.skip
+        at = (low - first) * width
+        if low < skip:
+            stop = min(high, skip)
+            failed = self.pinned.run(
+                self.group, ring.keys[low:stop], ring.entries[low:stop], records, at, low, width, self.out
+            )
+            if failed is not None or stop == high:
+                return failed
+            at, low = at + (stop - low) * width, stop
+        keys, entries = ring.keys[low + 1 : high + 1], ring.entries[low + 1 : high + 1]
+        return self.pinned.run(self.group, keys, entries, records, at, low, width, self.out)
+
+    def compute(self, chunks: Iterable[bytes]) -> int | None:
+        """The column, its records read from ``chunks`` as they come: shared
+        with the idle worker when it has at least ``_SPLIT`` values
+        (``_Worker.share``), else computed here once its records are all in."""
+        worker = None if self.count < _SPLIT else _idle_worker()
+        if worker is None:
+            return self.values(b"".join(chunks), 0, 0, self.count)
+        try:
+            return worker.share(self, chunks)
+        finally:
+            worker.lock.release()
+
+
+def _length_checked(count: int, records: bytes, width: int) -> tuple[bytes]:
+    """``records`` as a column's one chunk, if it holds ``count`` records of ``width`` bytes."""
+    if len(records) != count * width:
+        raise ValueError(f"a column of {count} keys takes {count * width} bytes of records")
+    return (records,)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +464,18 @@ _SPLIT = 192
 # The worker computes a column in runs of this many values, and looks for its
 # stop between runs; the caller reads the worker's replies between its own.
 _RUN = 32
-# The request pipe's size (F_SETPIPE_SZ): the most a process may ask for
-# without privileges, by default.
+# A prover's draws reach the worker in chunks of this many records: the
+# worker starts on the head once the first chunk is drawn.
+_CHUNK = 128
+# Ring tables kept: the caller's cache (``GroupParams.ring_table``), the
+# worker's tables, and the caller's mirror of the worker's names.
+_RINGS = 4
+# Each pipe's size (F_SETPIPE_SZ): the most a process may ask for without
+# privileges, by default.
 _PIPE_BYTES = 1 << 20
+# A worker's reply: the column's number, the first and end index of the run,
+# and the index of a failing commitment in it, or -1; a prover's values follow.
+_REPLY = struct.Struct(">QIIi")
 # The CPU the calling thread runs on, from the C library.
 _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 
@@ -413,18 +483,21 @@ _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 def _serve(requests: Connection, replies: Connection) -> NoReturn:
     """The worker's life: answer each column it is sent, until EOF on ``requests``.
 
-    A stop (None) read between columns is one for a column the worker had
-    finished, or left, before the stop arrived. The worker never returns
-    into its parent's code: it leaves through ``os._exit``, with status 0
-    at EOF.
+    Every request is a column's header, and each column reads its own
+    messages up to and including its stop. The worker never returns into
+    its parent's code: it leaves through ``os._exit``, with status 0 at EOF.
     """
+    import pickle  # both loaded by the parent, before the fork
+    import select
+
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # its parent decides when it ends
+        waiting = select.poll()
+        waiting.register(requests.fileno(), select.POLLIN)
+        rings: dict[bytes, _Ring] = {}
         while True:
-            request = requests.recv()
-            if request is not None:
-                _answer(requests, replies, *request, requests.recv_bytes(), requests.recv_bytes())
+            _answer(requests, replies, waiting.poll, rings, *pickle.loads(requests.recv_bytes()))
     except EOFError:
         status = 0
     finally:
@@ -432,17 +505,21 @@ def _serve(requests: Connection, replies: Connection) -> NoReturn:
 
 
 def _answer(
-    requests: Connection, replies: Connection, column: int, cpu: int, group: "GroupParams", keys: bytes, records: bytes
+    requests: Connection, replies: Connection, waiting, rings: dict, column: int, cpu: int, group: "GroupParams",
+    name: bytes, skip: int, width: int, keyed: bool,
 ) -> None:
-    """Compute a column backward from its tail, on ``cpu``, one run at a time,
-    each run's reply sent as it is done: (column, the run's first index, its
-    values' bytes or, for a column of commitments to check, the index of the
-    first that fails or None).
+    """Compute a column forward from its head, on ``cpu``, one run at a time
+    over the records that have arrived, each run's reply sent as it is done
+    (``_REPLY``), and wait for more records when it has caught up.
 
-    The worker stops at its column's stop, which the caller sends when the
-    column is done or ends early, and which is read by ``_serve``; at the
-    head of the column; at a failing commitment; and at a value it cannot
-    compute, which the caller then reaches and raises itself.
+    The column's ring is the table named ``name``: the one whose keys' bytes
+    follow the header when ``keyed``, or one the worker kept (``_use``).
+    Its records come in chunks, and its stop, an empty message, can come
+    at any point: before a chunk the worker waits for, or between runs,
+    when ``waiting`` finds a message. The worker leaves the column at its
+    stop, and otherwise reads on to it: after its last value, after a
+    failing commitment, and after a value it cannot compute, which the
+    caller then reaches and raises itself.
 
     The caller names a CPU other than its own. A worker woken by its
     caller's pipe write was otherwise often run on the caller's CPU, and a
@@ -451,22 +528,47 @@ def _answer(
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, {cpu})
     group = _received(group)
-    pinned, size = _pinned(group.modulus, group.generator), group.element_size
-    count = len(keys) // size
-    width = len(records) // count
-    out = bytearray(len(keys)) if width == 2 * group.scalar_size else None
-    high = count
-    while high and not requests.poll():
-        low = max(high - _RUN, 0)
-        run = map(int.from_bytes, (keys[i * size : (i + 1) * size] for i in range(low, high)))
-        try:
-            failed = pinned.run(group, run, records, low, width, out)
-        except Exception:
-            return
-        replies.send((column, low, failed if out is None else bytes(out[low * size : high * size])))
-        if failed is not None:
-            return
-        high = low
+    ring = _use(rings, name, _ring_of_bytes(group, requests.recv_bytes()) if keyed else None)
+    work, size = _Column(group, ring, skip, width), group.element_size
+    arrived = collections.deque()
+    records, first, end, done = b"", 0, 0, 0  # the chunk in hand, its first value, its end, the values done
+    while done < work.count:
+        if done == end and not arrived or waiting(0):
+            message = requests.recv_bytes()
+            if not message:
+                return
+            arrived.append(message)
+        elif done == end:
+            records, first = arrived.popleft(), done
+            end = first + len(records) // width
+        else:
+            high = min(done + _RUN, end)
+            try:
+                failed = work.values(records, first, done, high)
+            except BignumError:
+                break
+            values = b"" if work.out is None else work.out[done * size : high * size]
+            replies.send_bytes(_REPLY.pack(column, done, high, -1 if failed is None else failed) + values)
+            if failed is not None:
+                break
+            done = high
+    while requests.recv_bytes():
+        pass
+
+
+def _use(tables: dict, name: bytes, table=None):
+    """The table kept under ``name`` (``table`` itself, kept under it, when
+    given), now the most recently used; past ``_RINGS`` tables the least
+    recently used is dropped. The worker keeps its ring tables so, and the
+    caller its mirror of their names, in the same order."""
+    if table is None:
+        table = tables.pop(name)
+    else:
+        tables.pop(name, None)
+    tables[name] = table
+    if len(tables) > _RINGS:
+        del tables[next(iter(tables))]
+    return table
 
 
 @functools.lru_cache(maxsize=8)
@@ -487,23 +589,35 @@ def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
         return b"".join(map(int.to_bytes, (key % group.modulus for key in keys), widths))
 
 
+def _ring_of_bytes(group: "GroupParams", data: bytes) -> "_Ring":
+    """The worker's table of the ring whose keys' bytes it was sent."""
+    size = group.element_size
+    keys = tuple(int.from_bytes(data[at : at + size]) for at in range(0, len(data), size))
+    return _Ring(group, keys, tuple(map(group.key_is_element, keys)))
+
+
 class _Worker:
     """A forked process that shares long columns with their callers: its pid,
-    the connection it is sent requests on, the one it replies on, and the
-    number of the last column it was sent. A column holds ``lock`` while it
-    shares the worker. A stopped worker has pid 0 and is never asked again."""
+    the connection it is sent requests on, the one it replies on and a poll
+    of that one, the number of the last column it was sent, and the names
+    of the ring tables it keeps (``rings``, mirrored from the columns sent).
+    A column holds ``lock`` while it shares the worker. A stopped worker
+    has pid 0 and is never asked again."""
 
     def __init__(self) -> None:
         # Imported here, so that a process that never splits a column does
-        # not carry multiprocessing (about 0.5 MiB of resident set).
+        # not carry multiprocessing, pickle and select (about 0.5 MiB of
+        # resident set).
+        import select
         from multiprocessing.connection import Pipe
 
         requests, self.requests = Pipe(duplex=False)
         self.replies, replies = Pipe(duplex=False)
-        with contextlib.suppress(OSError):
-            # Room for a 4000-key column's bytes, so that its caller writes
-            # them without waiting for the worker to read.
-            fcntl.fcntl(self.requests.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        for connection in (self.requests, self.replies):
+            with contextlib.suppress(OSError):
+                # Room for a 4000-key column's keys and records, and for its
+                # replies, so that neither side waits for the other to read.
+                fcntl.fcntl(connection.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         pid = os.fork()
         if not pid:
             self.requests.close()
@@ -511,18 +625,19 @@ class _Worker:
             _serve(requests, replies)
         requests.close()
         replies.close()
-        self.pid, self.lock, self.column = pid, threading.Lock(), 0
+        waiting = select.poll()
+        waiting.register(self.replies.fileno(), select.POLLIN)
+        self.pid, self.lock, self.column, self.waiting = pid, threading.Lock(), 0, waiting.poll
+        self.rings: dict[bytes, bool] = {}
 
-    def ask(self, request: tuple | None, *data: bytes) -> bool:
-        """Send a column, its header and then its keys' and records' bytes
-        as they are, or a stop for None; False, with the worker stopped, if
-        it cannot be sent whole."""
+    def ask(self, *messages: bytes) -> bool:
+        """Send the messages, each whole and in order; False, with the worker
+        stopped, if they cannot all be sent."""
         sent = False
         try:
             if self.pid:
-                self.requests.send(request)
-                for blob in data:
-                    self.requests.send_bytes(blob)
+                for message in messages:
+                    self.requests.send_bytes(message)
                 sent = True
         except OSError:
             pass
@@ -531,60 +646,89 @@ class _Worker:
                 self.stop(kill=True)
         return sent
 
-    def share(
-        self, group: "GroupParams", pinned: _Pinned, keys: Sequence[int], records: bytes, width: int, out: bytearray | None
-    ) -> int | None:
-        """``_Pinned.run`` over the column, split where the caller and the worker meet.
+    def share(self, work: _Column, chunks: Iterable[bytes]) -> int | None:
+        """``_Pinned.run`` over the column, split where the worker and the caller meet.
 
-        The worker is sent the column's bytes and works backward from its
-        tail. The caller works forward from its head in runs of ``_RUN``,
-        reading the worker's replies between runs, and a value at a time
-        once it is within a run of the worker; the column is done where the
-        two meet. Whatever the worker has not reached is the caller's: all
-        of it when the worker is slow or stopped, or dies. A failing
-        commitment found on either side ends the column. Either way the
-        worker is sent the column's stop, and the column returns without
-        waiting for it.
+        The worker is sent the column's header, then its ring's keys unless
+        it keeps the ring's table, then each chunk of records as the caller
+        has it, and it works forward from the head over what has arrived.
+        Once the last chunk is in, the caller works backward from the tail
+        in runs that double from one value to ``_RUN``, so that it meets a
+        failing last record at once and hears early of a failing first one,
+        reading the worker's replies between runs (and between chunks), and
+        a value at a time once it is within a run of the worker; the column
+        is done where the two meet. Whatever the
+        worker has not reached is the caller's: all of it when the worker
+        is slow or stopped, or dies. A failing commitment found on either
+        side ends the column. However the column ends, an exception from
+        ``chunks`` included, the worker is sent the column's stop, and the
+        column returns without waiting for it.
+
+        Only public bytes cross: the group, the ring's keys and the table's
+        name, the records and the skipped position. A prover's records are
+        its simulated branches' challenges and responses, never its witness
+        nonce; the skipped position says no more than the ring's keys
+        without the witness's, which a column that left it out sent before.
         """
+        import pickle  # loaded with multiprocessing, by ``__init__``
+
         self.column += 1
         here = _sched_getcpu()
         cpu = min((cpu for cpu in os.sched_getaffinity(0) if cpu != here), default=here)
-        listening = self.ask((self.column, cpu, group), _key_bytes(group, keys), records)
-        start, met = 0, len(keys)
+        ring = work.ring
+        name = ring.digest
+        keyed = name not in self.rings
+        header = pickle.dumps((self.column, cpu, work.group, name, work.skip, work.width, keyed))
+        listening = self.ask(header, ring.encoding) if keyed else self.ask(header)
+        if listening:
+            _use(self.rings, name, True if keyed else None)
+        parts, met = [], 0
         try:
-            while start < met:
+            for chunk in chunks:
+                if not chunk:
+                    continue  # an empty message is the stop
+                parts.append(chunk)
                 if listening:
-                    listening, met, failed = self.hear(met, out, group.element_size)
+                    listening = self.ask(chunk)
+                if listening:
+                    listening, met, failed = self.hear(work, met)
                     if failed is not None:
                         return failed
-                    if start >= met:
+            records, high, length = b"".join(parts), work.count, 1
+            while high > met:
+                if listening:
+                    listening, met, failed = self.hear(work, met)
+                    if failed is not None:
+                        return failed
+                    if high <= met:
                         break
-                stop = min(start + (_RUN if met - start > _RUN or not listening else 1), met)
-                failed = pinned.run(group, keys[start:stop], records, start, width, out)
+                low = max(high - (length if high - met > _RUN or not listening else 1), met)
+                failed = work.values(records, 0, low, high)
                 if failed is not None:
                     return failed
-                start = stop
+                high, length = low, min(2 * length, _RUN)
             return None
         finally:
             if listening:
-                self.ask(None)
+                self.ask(b"")
 
-    def hear(self, met: int, out: bytearray | None, size: int) -> tuple[bool, int, int | None]:
+    def hear(self, work: _Column, met: int) -> tuple[bool, int, int | None]:
         """Read the replies that have arrived, dropping those to earlier
-        columns: whether the worker is still listening, the first index of
-        the tail it has computed, and the index of a failing commitment it
-        found, or None. A worker whose replies cannot be read is stopped."""
-        replies = self.replies
+        columns: whether the worker is still listening, the end of the head
+        it has computed, and the index of a failing commitment it found, or
+        None. A worker whose replies cannot be read is stopped."""
+        replies, out, size = self.replies, work.out, work.group.element_size
         try:
-            while replies.poll():
-                column, low, found = replies.recv()
+            while self.waiting(0):
+                reply = replies.recv_bytes()
+                column, low, high, failed = _REPLY.unpack_from(reply)
                 if column != self.column:
                     continue
-                if type(found) is int:
-                    return True, low, found
+                if failed >= 0:
+                    return True, met, failed
                 if out is not None:
-                    out[low * size : low * size + len(found)] = found
-                met = low
+                    out[low * size : high * size] = memoryview(reply)[_REPLY.size :]
+                met = high
         except (OSError, EOFError):
             self.stop(kill=True)
             return False, met, None
@@ -789,6 +933,63 @@ def _key_verdict(group: "GroupParams", key: int) -> _Key:
     return _Key() if group.is_element(key) else _Outsider()
 
 
+class _Ring:
+    """A ring resolved once: its keys, and the kept entry of each
+    (``_key_verdict``), held here by strong reference, so that the per-key
+    cache evicting an entry does not drop it while its ring is kept. Worked
+    out at first use and kept: one membership verdict for the whole ring,
+    the keys' encoding, and its digest, which is the ring's digest in a
+    credential's joint context and the table's name to the worker."""
+
+    __slots__ = ("group", "keys", "entries", "_members", "_encoding", "_digest")
+
+    def __init__(self, group: "GroupParams", keys: Sequence[int], entries: Sequence[_Key]) -> None:
+        self.group, self.keys, self.entries = group, keys, entries
+        self._members = self._encoding = self._digest = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        return iter(self.keys)
+
+    @property
+    def members(self) -> bool:
+        """Whether every key is in the subgroup: every entry is true."""
+        if self._members is None:
+            self._members = all(self.entries)
+        return self._members
+
+    @property
+    def encoding(self) -> bytes:
+        """The keys at the element size (``_key_bytes``): for keys that fit,
+        the bytes ``crypto.key_list_digest`` hashes after the count."""
+        if self._encoding is None:
+            self._encoding = _key_bytes(self.group, self.keys)
+        return self._encoding
+
+    @property
+    def digest(self) -> bytes:
+        """SHA-256 of the key count (u32) and the encoding: ``crypto.key_list_digest`` of the keys."""
+        if self._digest is None:
+            digest = hashlib.sha256(enc.u32(len(self.keys)))
+            digest.update(self.encoding)
+            self._digest = digest.digest()
+        return self._digest
+
+
+@functools.lru_cache(maxsize=_RINGS)
+def _ring_table(group: "GroupParams", keys: tuple[int, ...]) -> _Ring:
+    """The kept table of a ring (``GroupParams.ring_table``), keyed by (parameters, key tuple)."""
+    return _Ring(group, keys, tuple(map(group.key_is_element, keys)))
+
+
+def _resolved(group: "GroupParams", keys: Sequence[int]) -> _Ring:
+    """``keys`` as a ring table: itself if it is one, else a table made for
+    one column, whose entries are the keys' kept entries."""
+    return keys if type(keys) is _Ring else _Ring(group, keys, tuple(map(group.key_is_element, keys)))
+
+
 @dataclass(frozen=True)
 class GroupParams(enc.Wire):
     """The prime-order subgroup of Z_modulus* for a safe prime modulus = 2 * order + 1."""
@@ -832,12 +1033,17 @@ class GroupParams(enc.Wire):
         negative), for any int base; exact for subgroup elements."""
         return _mod_exp(base % self.modulus, exponent % self.order, self.modulus)
 
-    def schnorr_commitments(self, keys: Sequence[int], scalars: bytes) -> bytes:
+    def schnorr_commitments(
+        self, keys: Sequence[int], scalars: bytes | Iterable[bytes], skip: int | None = None
+    ) -> bytes:
         """For each key y, and the challenge c and response s that ``scalars``
         holds for it (c || s, each ``scalar_size`` bytes big-endian, pair
         after pair), the commitment g^s * y^-c mod p that makes the Schnorr
         equation hold, encoded at ``element_size``, one after another. This
-        is how a ring prover gets its simulated branches' commitments.
+        is how a ring prover gets its simulated branches' commitments: its
+        ring's table (``ring_table``) as ``keys``, its witness position as
+        ``skip`` (that key takes no pair and no value), and its draws as
+        ``scalars``, an iterable of chunks of whole pairs, read as they come.
 
         It is one column (``_Pinned.run``): for any int key, the value
         ``pow`` gives, g^s * y^((-c) mod (p - 1)). The exponent is taken mod
@@ -848,12 +1054,16 @@ class GroupParams(enc.Wire):
         generator, pinned in a BIGNUM kept per (modulus, generator), and of
         y^-1 mod p, prepared in the key's kept entry (``_key_verdict``) at
         its first column, with c and s read into BIGNUMs from their bytes.
-        A column of at least ``_SPLIT`` keys is shared with the worker
-        process (see the module docstring).
+        A column of at least ``_SPLIT`` values is shared with the worker
+        process, which starts on the head as soon as the first chunk is in
+        (see the module docstring).
         """
-        out = bytearray(len(keys) * self.element_size)
-        _column(self, keys, scalars, 2 * self.scalar_size, out)
-        return bytes(out)
+        ring = _resolved(self, keys)
+        work = _Column(self, ring, len(ring) if skip is None else skip, 2 * self.scalar_size)
+        if isinstance(scalars, bytes):
+            scalars = _length_checked(work.count, scalars, work.width)
+        work.compute(scalars)
+        return bytes(work.out)
 
     def schnorr_failure(self, keys: Sequence[int], records: bytes) -> int | None:
         """The index of a record t || c || s (``element_size`` and twice
@@ -861,14 +1071,27 @@ class GroupParams(enc.Wire):
         whose commitment t is not the value g^s * y^-c that
         ``schnorr_commitments`` gives for its key y, c and s; None when
         every record holds. This is how every verifier checks the Schnorr
-        equation g^s == t * y^c: a ring proof's branch records, and the one
-        record of a signature, a Schnorr proof or a possession half.
+        equation g^s == t * y^c: a ring proof's branch records over its
+        ring's table, and the one record of a signature, a Schnorr proof or
+        a possession half, over a table of its key and the entry its gate
+        looked up.
 
         In one process the column stops at the first record that fails,
-        and that is the index returned; a column shared with the worker
-        stops at the first failure either side finds.
+        and that is the index returned; a column shared with the worker is
+        one chunk, and stops at the first failure either side finds.
         """
-        return _column(self, keys, records, self.element_size + 2 * self.scalar_size, None)
+        ring, width = _resolved(self, keys), self.element_size + 2 * self.scalar_size
+        chunks = _length_checked(len(ring.keys), records, width)
+        if len(ring.keys) < _SPLIT:  # one run, as ``_Column.compute`` makes it, without the column's setup
+            return _pinned(self.modulus, self.generator).run(self, ring.keys, ring.entries, records, 0, 0, width, None)
+        return _Column(self, ring, len(ring.keys), width).compute(chunks)
+
+    def ring_table(self, keys: Sequence[int]) -> _Ring:
+        """The ring's table (``_Ring``), made at the ring's first use and kept
+        per key tuple, the last ``_RINGS`` of them: a verifier's gate reads
+        its membership verdict, and its columns its keys' entries. A table
+        is its own table."""
+        return keys if type(keys) is _Ring else _ring_table(self, tuple(keys))
 
     # The entry cache itself, bound as a method, so that a kept verdict is
     # read with no Python frame in between (see ``_key_verdict``); an entry

@@ -1,12 +1,15 @@
 """Long commitment columns shared with a worker process.
 
 A column of at least ``group._SPLIT`` values is shared with one forked
-worker, on a machine of more than one CPU: the worker works backward from
-the tail, the caller forward from the head, and they meet wherever their
-speeds put them. Wherever they meet, and whatever happens to the worker or
-to the column (ended early, computed by several threads, carried into a
-forked child, its worker stopped or killed), the values must be the ones
-``pow`` gives, and no worker may outlive its process.
+worker, on a machine of more than one CPU: the worker works forward from
+the head over the records that have arrived, the caller backward from the
+tail once its records are all in, and they meet wherever their speeds put
+them. A prover's records reach the worker in chunks as they are drawn.
+Wherever the two meet, and whatever happens to the worker, to the stream
+or to the column (chunks late, the stream raising, the column ended early,
+computed by several threads, carried into a forked child, its worker
+stopped or killed), the values must be the ones ``pow`` gives, and no
+worker may outlive its process.
 """
 
 import os
@@ -17,7 +20,6 @@ import subprocess
 import sys
 import threading
 import time
-from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import pytest
@@ -29,34 +31,58 @@ from test_ring_batch import _with_branch
 
 SPLIT = group_module._SPLIT
 RUN = group_module._RUN
+CHUNK = group_module._CHUNK
+RINGS = group_module._RINGS
 PACKAGE_ROOT = Path(group_module.__file__).resolve().parents[1]
 
 many_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no worker is forked on a machine of one CPU")
 
 
+def _pids() -> list[int]:
+    return [worker.pid for worker in group_module._workers or ()]
+
+
+def _resume() -> None:
+    for pid in _pids():
+        os.kill(pid, signal.SIGCONT)
+
+
 @pytest.fixture()
 def workers():
     """This process's column worker, forked afresh by the test's first long
-    column and stopped after it."""
+    column, and stopped after it (resumed first, if the test stopped it)."""
     group_module._stop_workers()
     yield
+    _resume()
     group_module._stop_workers()
 
 
 @pytest.fixture()
 def traffic(monkeypatch):
-    """What crosses to the worker: under ``asked``, the number of keys of
-    every column sent, and under ``stops``, the number of stops sent."""
-    seen = {"asked": [], "stops": 0}
-    ask = group_module._Worker.ask
+    """What crosses to the worker: under ``headers``, each column's header
+    as the worker unpickles it, with the keys' bytes sent after it, or None;
+    under ``counts``, the number of values of each column shared; under
+    ``chunks``, the number of record chunks sent; under ``stops``, the
+    number of stops sent."""
+    seen = {"headers": [], "counts": [], "chunks": 0, "stops": 0, "opening": False}
+    ask, share = group_module._Worker.ask, group_module._Worker.share
 
-    def recorded_ask(self, request, *data):
-        if request is None:
+    def recorded_share(self, work, chunks):
+        seen["opening"] = True
+        seen["counts"].append(work.count)
+        return share(self, work, chunks)
+
+    def recorded_ask(self, *messages):
+        if seen["opening"]:
+            seen["opening"] = False
+            seen["headers"].append((pickle.loads(messages[0]), messages[1] if len(messages) > 1 else None))
+        elif messages == (b"",):
             seen["stops"] += 1
         else:
-            seen["asked"].append(len(data[0]) // request[2].element_size)
-        return ask(self, request, *data)
+            seen["chunks"] += len(messages)
+        return ask(self, *messages)
 
+    monkeypatch.setattr(group_module._Worker, "share", recorded_share)
     monkeypatch.setattr(group_module._Worker, "ask", recorded_ask)
     return seen
 
@@ -69,13 +95,13 @@ def caller(monkeypatch):
     seen = {"runs": [], "pause": 0.0, "after_run": None}
     run, me = group_module._Pinned.run, os.getpid()
 
-    def recorded(self, group, keys, records, start, width, out):
+    def recorded(self, group, keys, entries, records, at, start, width, out):
         if os.getpid() != me:  # the worker, forked from this process
-            return run(self, group, keys, records, start, width, out)
+            return run(self, group, keys, entries, records, at, start, width, out)
         keys = list(keys)
         if seen["pause"] and len(keys) == RUN:
             time.sleep(seen["pause"])
-        failed = run(self, group, keys, records, start, width, out)
+        failed = run(self, group, keys, entries, records, at, start, width, out)
         seen["runs"].append((start, start + len(keys) if failed is None else failed + 1))
         if seen["after_run"]:
             seen["after_run"]()
@@ -85,38 +111,48 @@ def caller(monkeypatch):
     return seen
 
 
-def _pids() -> list[int]:
-    return [worker.pid for worker in group_module._workers or ()]
-
-
-def _met(caller) -> int:
-    """Where the caller's share of the last column ended."""
-    return max((stop for _, stop in caller["runs"]), default=0)
+def _reached(caller) -> int:
+    """Where the caller's share of the last column began: the lowest index it computed."""
+    return min((start for start, _ in caller["runs"]), default=None)
 
 
 def _hostile_inputs(group, count, seed):
-    """A column's inputs whose last rows hold keys a registry refuses: 0 mod
-    p, 1, p - 1, a non-residue and keys of p and above, with challenges
-    that meet 0^0."""
+    """A column's inputs whose first and last rows hold keys a registry
+    refuses: 0 mod p, 1, p - 1, a non-residue, p, 2p and 2^256 - 1, with
+    challenges that meet 0^0."""
     keys, challenges, responses = _column_inputs(group, count, seed)
     p = group.modulus
     hostile = [
         (0, 0, 0), (0, 5, 3), (1, 2**256 - 1, 7), (p - 1, 1, 0), (p, group.order - 1, 2**256 - 1),
         (2**256 - 1, p - 1, 1), (2 * p, 3, 0), (p - keys[0], 11, 12), (0, p - 1, 9),
     ]
-    for i, row in enumerate(hostile, start=count - len(hostile)):
+    for i, row in zip([*range(len(hostile)), *range(count - len(hostile), count)], hostile + hostile):
         keys[i], challenges[i], responses[i] = row
     return keys, challenges, responses
 
 
+def _chunks(scalars, pause=0.0, after=None, fail_after=None):
+    """A prover's pairs as its draws yield them, in chunks of ``CHUNK``:
+    each chunk after ``pause`` seconds, ``after(n)`` called once chunk n is
+    taken, and ``RuntimeError`` raised once ``fail_after`` chunks are taken."""
+    width = 2 * 32
+    for n, at in enumerate(range(0, len(scalars), CHUNK * width)):
+        time.sleep(pause)
+        yield scalars[at : at + CHUNK * width]
+        if after:
+            after(n)
+        if n + 1 == fail_after:
+            raise RuntimeError("the draws failed")
+
+
 def _stalled():
-    """``_Worker.ask`` that stops the worker right after its column is sent,
-    so that the caller computes the whole column."""
+    """``_Worker.ask`` that stops the worker right after each message of a
+    column, so that the caller computes the whole column."""
     ask = group_module._Worker.ask
 
-    def stalling(self, request, *data):
-        sent = ask(self, request, *data)
-        if sent and request is not None:
+    def stalling(self, *messages):
+        sent = ask(self, *messages)
+        if sent and messages != (b"",):
             os.kill(self.pid, signal.SIGSTOP)
         return sent
 
@@ -125,40 +161,94 @@ def _stalled():
 
 @many_cpus
 @pytest.mark.parametrize("count", [SPLIT - 1, SPLIT, SPLIT + 1, 4000])
-@pytest.mark.parametrize("meeting", ["head", "middle", "tail"])
+@pytest.mark.parametrize("meeting", ["tail", "speeds", "head"])
 def test_both_columns_equal_pow_with_hostile_keys_wherever_the_two_meet(
     group, workers, traffic, caller, monkeypatch, count, meeting
 ):
     keys, challenges, responses = _hostile_inputs(group, count, count)
     expected = _column_oracle(group, keys, challenges, responses)
-    records = _records(group, expected, challenges, responses)
+    records, scalars = _records(group, expected, challenges, responses), _scalars(group, challenges, responses)
     # The worker is forked by a first column, so that the caller's pause
     # and the stall below touch the caller and the worker alone.
-    assert _elements(group, group.schnorr_commitments(keys, _scalars(group, challenges, responses))) == expected
-    if meeting == "head":
+    assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
+    if meeting == "tail":
         caller["pause"] = 0.02  # the worker computes most of the column
-    elif meeting == "tail":
+    elif meeting == "head":
         monkeypatch.setattr(group_module._Worker, "ask", _stalled())
-    for column in ("prover", "verifier"):
+    for column in ("prover", "streamed prover", "verifier"):
         caller["runs"].clear()
         if column == "prover":
-            values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
-            assert _elements(group, values) == expected
+            assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
+        elif column == "streamed prover":
+            assert _elements(group, group.schnorr_commitments(keys, _chunks(scalars))) == expected
         else:
             assert group.schnorr_failure(keys, records) is None
         if count < SPLIT:
-            assert traffic["asked"] == [] and group_module._workers is None
+            assert traffic["headers"] == [] and group_module._workers is None
             assert caller["runs"] == [(0, count)]
             continue
-        for pid in _pids():
-            os.kill(pid, signal.SIGCONT)  # the next column's bytes need a reader
-        met = _met(caller)
-        if meeting == "head":
-            assert met <= count // 2
-        elif meeting == "tail":
-            assert met == count
+        _resume()  # the next column's bytes need a reader
+        reached = _reached(caller)
+        if meeting == "tail":
+            assert reached >= count // 2
+        elif meeting == "head":
+            assert reached == 0
     if count >= SPLIT:
-        assert len(_pids()) == 1 and traffic["asked"] == [count] * len(traffic["asked"])
+        assert len(_pids()) == 1 and traffic["counts"] == [count] * 4
+        # The ring's keys crossed once; the worker kept its table.
+        assert [keyed is not None for _, keyed in traffic["headers"]] == [True, False, False, False]
+
+
+@many_cpus
+@pytest.mark.parametrize("count", [SPLIT - 1, SPLIT, SPLIT + 1, 4000])
+@pytest.mark.parametrize("stream", ["late chunks", "worker stopped", "worker killed", "draws raise"])
+def test_a_streamed_column_equals_pow_whatever_happens_mid_stream(
+    group, workers, traffic, caller, count, stream
+):
+    # Hostile keys at both ends, and the ring's position 5 skipped, as a
+    # prover skips its witness: its key and its pair are not in the column.
+    keys, challenges, responses = _hostile_inputs(group, count, 100 + count)
+    expected = _column_oracle(group, keys, challenges, responses)
+    scalars = _scalars(group, challenges, responses)
+    ring = group.ring_table([*keys[:5], group.generator, *keys[5:]])
+    assert _elements(group, group.schnorr_commitments(ring, scalars, 5)) == expected  # forks the worker
+    forked = _pids()
+
+    def stop(n):
+        if n == 1:
+            for pid in forked:
+                os.kill(pid, signal.SIGSTOP if stream == "worker stopped" else signal.SIGKILL)
+
+    caller["runs"].clear()
+    if stream == "draws raise":
+        with pytest.raises(RuntimeError, match="the draws failed"):
+            group.schnorr_commitments(ring, _chunks(scalars, fail_after=2), 5)
+    else:
+        chunks = _chunks(scalars, pause=0.01) if stream == "late chunks" else _chunks(scalars, after=stop)
+        assert _elements(group, group.schnorr_commitments(ring, chunks, 5)) == expected
+    if count < SPLIT:
+        assert traffic["headers"] == [] and not forked
+        return
+    if stream == "late chunks":
+        assert _reached(caller) > 0  # the worker computed the head as its chunks came
+    elif stream == "worker stopped":
+        assert _reached(caller) < count - CHUNK  # the caller computed past the worker's chunks
+        _resume()
+    elif stream == "worker killed":
+        assert group_module._workers == []
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped
+        return
+    else:
+        assert traffic["chunks"] == 1 + 2  # the first column's one chunk, then two drawn
+    assert traffic["stops"] == 2
+    # The next column, at once, gets its own values with the same worker.
+    caller["runs"].clear()
+    assert _elements(group, group.schnorr_commitments(ring, _chunks(scalars), 5)) == expected
+    records = _records(group, expected, challenges, responses)
+    assert group.schnorr_failure([*keys[:5], *keys[5:]], records) is None
+    assert _pids() == forked and traffic["stops"] == 4
 
 
 @many_cpus
@@ -168,9 +258,9 @@ def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, worker
     ring = [kp.public for kp in kps]
     proof = ring_prove(group, ring, 7, kps[7].secret, b"ctx", rng)
     records, _ = proof._records(_branch_layout(group))
+    caller["runs"].clear()
     assert group.schnorr_failure(ring, records) is None
-    met = _met(caller)
-    assert 0 < met <= len(ring)
+    assert 0 <= _reached(caller) < len(ring)
     for branch in (3, len(ring) - 3):
         original = proof.branches[branch]
         forged = _with_branch(
@@ -186,22 +276,50 @@ def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, worker
 
 
 @many_cpus
-def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traffic):
-    # A verifier's column whose first record fails ends after one value, and
-    # sends the worker its stop without waiting for the run the worker has
-    # in hand. The next column, at once, must drop that run's reply and
-    # get its own values, the worker taking part.
+@pytest.mark.parametrize("end", ["head", "tail"])
+def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traffic, caller, end):
+    # A verifier's column whose failing record the caller or the worker
+    # meets first ends after a few values, and sends the worker its stop
+    # without waiting for the run the worker has in hand. The caller's runs
+    # double from one value, so it meets a failing last record at its first
+    # value and hears of a failing first one early. The next column, at
+    # once, must drop the worker's last reply and get its own values, the
+    # worker taking part.
     keys, challenges, responses = _column_inputs(group, 4000, 61)
     values = _column_oracle(group, keys, challenges, responses)
-    forged = _records(group, [values[0] ^ 1, *values[1:]], challenges, responses)
+    at = 0 if end == "head" else len(values) - 1
+    forged = _records(group, [*values[:at], values[at] ^ 1, *values[at + 1 :]], challenges, responses)
     following = _column_inputs(group, 4000, 60)
     following_expected = _column_oracle(group, *following)
     following_scalars = _scalars(group, *following[1:])
     for _ in range(3):
-        assert group.schnorr_failure(keys, forged) == 0
+        caller["runs"].clear()
+        assert group.schnorr_failure(keys, forged) == at
+        lengths = [stop - start for start, stop in caller["runs"]]
+        assert lengths == [min(2**i, RUN) for i in range(len(lengths))]
+        if end == "tail":
+            assert caller["runs"] == [(at, at + 1)]
         assert _elements(group, group.schnorr_commitments(following[0], following_scalars)) == following_expected
-    assert traffic["asked"] == [4000] * 6 and traffic["stops"] == 6
+    assert traffic["counts"] == [4000] * 6 and traffic["stops"] == 6
+    assert [keyed is not None for _, keyed in traffic["headers"]] == [True, True] + [False] * 4
     assert len(_pids()) == 1 and all(_pids())
+
+
+@many_cpus
+def test_more_rings_than_the_worker_keeps_are_sent_again(group, workers, traffic):
+    # The worker keeps the tables of the last RINGS rings it was sent. Going
+    # round RINGS + 1 rings, each has been dropped by the time it comes
+    # back, so its keys cross again; a ring met twice running does not.
+    jobs = [_column_inputs(group, SPLIT, 80 + i) for i in range(RINGS + 1)]
+    expected = [_column_oracle(group, *job) for job in jobs]
+    for _ in range(2):
+        for job, values in zip(jobs, expected):
+            for _ in range(2):
+                assert _elements(group, group.schnorr_commitments(job[0], _scalars(group, *job[1:]))) == values
+    sent = [keyed for _, keyed in traffic["headers"]]
+    assert [keyed is not None for keyed in sent] == [True, False] * (2 * len(jobs))
+    assert [keyed for keyed in sent if keyed] == [group_module._key_bytes(group, job[0]) for job in jobs] * 2
+    assert len(group_module._workers[0].rings) == RINGS
 
 
 @many_cpus
@@ -217,7 +335,7 @@ def test_threads_computing_long_columns_get_exact_values(group, workers):
 
     def work(i):
         start.wait(timeout=60)
-        results[i] = [_elements(group, group.schnorr_commitments(jobs[i][0], scalars[i])) for _ in range(3)]
+        results[i] = [_elements(group, group.schnorr_commitments(jobs[i][0], _chunks(scalars[i]))) for _ in range(3)]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -255,7 +373,7 @@ def test_one_cpu_forks_nothing(group, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     keys, challenges, responses = _column_inputs(group, SPLIT + 1, 64)
-    values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+    values = group.schnorr_commitments(keys, _chunks(_scalars(group, challenges, responses)))
     assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [] and group_module._workers == []
 
@@ -271,7 +389,7 @@ def test_many_cpus_fork_one_worker(group, workers, traffic, monkeypatch):
         values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
         assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [1] and len(_pids()) == 1
-    assert traffic["asked"] == [SPLIT, 4000] and traffic["stops"] == 2
+    assert traffic["counts"] == [SPLIT, 4000] and traffic["stops"] == 2
 
 
 @many_cpus
@@ -286,7 +404,8 @@ def test_a_forked_child_never_uses_its_parents_workers(group, workers):
         status = 1
         try:
             # The child forks a worker of its own, whose pipes may reuse the
-            # numbers of the parent's, and computes with it.
+            # numbers of the parent's, and computes with it: the parent's
+            # worker keeps this ring's table, the child's is sent the keys.
             fresh = [group.schnorr_commitments(keys, scalars) for _ in range(2)]
             own = _pids()
             if fresh == [expected] * 2 and len(own) == 1 and not set(own) & set(parents):
@@ -339,20 +458,20 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers, caller
 @many_cpus
 def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
     # Every exponent the provers hand to exp (identity secrets in the witness
-    # checks, nonces, block secrets) stays in the caller; the ring keys and
-    # the simulated challenges and responses do cross. What is recorded is
-    # what the connection writes to the pipe for each column: the header's
-    # pickle, then the keys' and the records' bytes as they are.
+    # checks, witness and possession nonces, block secrets) stays in the
+    # caller; the ring keys, the table's name, the skipped position and the
+    # simulated challenges and responses do cross. What is recorded is every
+    # message written to the pipe: each column's header, the keys' bytes
+    # when the worker does not keep the ring, the chunks and the stops.
     rng = random.Random(67)
     kps = [keygen(group, rng) for _ in range(SPLIT + 40)]
     ring = [kp.public for kp in kps]
     sent, exponents = [], []
     ask, exp = group_module._Worker.ask, group_module.GroupParams.exp
 
-    def recorded_ask(self, request, *data):
-        if request is not None:
-            sent.append((bytes(ForkingPickler.dumps(request)), *data))
-        return ask(self, request, *data)
+    def recorded_ask(self, *messages):
+        sent.append(messages)
+        return ask(self, *messages)
 
     def recorded_exp(self, base, exponent):
         exponents.append(exponent)
@@ -364,11 +483,19 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
         ring_prove(group, ring, index, kps[index].secret, b"ctx", rng)
         credential_prove(group, ring, index, kps[index].secret, keygen(group, rng), rng)
     monkeypatch.undo()
-    assert len(sent) == 4
-    blob = b"".join(part for message in sent for part in message)
-    headers = [pickle.loads(header) for header, *_ in sent]
-    assert all(len(header) == 3 and header[2] == group for header in headers)
-    assert all(len(keys) == (len(ring) - 1) * 32 == len(records) // 2 for _, keys, records in sent)
+    # A header is a pickle, whose first byte is 0x80; a chunk's first byte
+    # is a challenge's, below the order's 0x7f.
+    headers = [pickle.loads(messages[0]) for messages in sent if messages[0][:1] == b"\x80"]
+    assert len(headers) == 4
+    table = group.ring_table(ring)
+    for column, (number, _, sent_group, name, skip, width, keyed) in enumerate(headers, start=1):
+        assert (number, sent_group, name, width) == (column, group, table.digest, 64)
+        assert skip in (2, len(ring) - 2) and keyed == (column == 1)
+    messages = [message for messages in sent for message in messages]
+    assert messages.count(table.encoding) == 1 and messages.count(b"") == 4
+    chunks = [m for m in messages if m and m != table.encoding and m[:1] != b"\x80"]
+    assert sum(map(len, chunks)) == 4 * (len(ring) - 1) * 64 and all(len(m) % 64 == 0 for m in chunks)
+    blob = b"".join(messages)
     assert ring[-1].to_bytes(32, "big") in blob  # the search can see a value
     secrets = set(exponents) | {kp.secret for kp in kps}
     assert len(exponents) >= 8

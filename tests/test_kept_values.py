@@ -105,8 +105,10 @@ class TestBlockBytes:
 
 @pytest.fixture()
 def symbols(monkeypatch):
-    """Counts ``is_element`` calls per value, from an empty verdict cache."""
+    """Counts ``is_element`` calls per value, from an empty verdict cache
+    and no kept ring table, whose entries would hold earlier verdicts."""
     group_module._key_verdict.cache_clear()
+    group_module._ring_table.cache_clear()
     calls = Counter()
     original = GroupParams.is_element
 
@@ -143,6 +145,34 @@ class TestKeyVerdicts:
             assert credential_verify(group, ring, block_kp.public, credential)
             assert ring_verify(group, ring, credential.membership, credential.joint_context)
         assert all(symbols[key] == 2 for key in ring)
+
+    def test_a_kept_ring_is_neither_tested_nor_prepared_again(self, group, monkeypatch):
+        # A ring's table holds its keys' entries and its one verdict, so with
+        # the per-key cache emptied, a second check of the ring makes no
+        # Jacobi symbol and no inverse. The first check is made in one
+        # process, so that every entry is prepared here whichever side of
+        # the column a worker computes later.
+        rng = random.Random(122)
+        kps = [keygen(group, rng) for _ in range(300)]
+        ring = [kp.public for kp in kps]
+        proof = ring_prove(group, ring, 150, kps[150].secret, b"ctx", rng)
+        with monkeypatch.context() as alone:
+            alone.setattr(group_module, "_workers", [])
+            assert ring_verify(group, ring, proof, b"ctx")
+        group_module._key_verdict.cache_clear()
+        calls = Counter()
+        for name in ("_BN_kronecker", "_BN_mod_inverse"):
+
+            def counted(*args, name=name, real=getattr(group_module, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(group_module, name, counted)
+        for _ in range(2):
+            assert ring_verify(group, ring, proof, b"ctx")
+        assert not ring_verify(group, ring, proof, b"other ctx")
+        assert calls == Counter()
+        assert group.is_element(ring[0]) and calls == Counter({"_BN_kronecker": 1})  # the count sees a symbol
 
     def test_a_non_member_key_is_rejected_every_time_and_gets_no_table(self, group, monkeypatch, symbols):
         # The gate stops the key before any keyed exponentiation.

@@ -379,8 +379,9 @@ def calls(monkeypatch):
     membership during a check, and under ``commitments`` the products of
     two powers: each value the commitment column computes, one per ring
     branch and one per Schnorr-shaped check. The prover's column
-    (``schnorr_commitments``) computes every value; the verifier's
-    (``schnorr_failure``) stops at the first that fails, in one process."""
+    (``schnorr_commitments``, over its ring without the witness position)
+    computes every value; the verifier's (``schnorr_failure``) stops at the
+    first that fails, in one process."""
     seen = {"system_draws": 0, "commitments": 0, "is_element": []}
     randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
     column, failure, is_element = GroupParams.schnorr_commitments, GroupParams.schnorr_failure, GroupParams.is_element
@@ -391,9 +392,9 @@ def calls(monkeypatch):
             return draw(*args)
         return wrapper
 
-    def counted_column(self, keys, scalars):
-        seen["commitments"] += len(keys)
-        return column(self, keys, scalars)
+    def counted_column(self, keys, scalars, skip=None):
+        seen["commitments"] += len(keys) - (skip is not None)
+        return column(self, keys, scalars, skip)
 
     def counted_failure(self, keys, records):
         failed = failure(self, keys, records)
