@@ -361,7 +361,8 @@ def main() -> None:
     # One Schnorr-shaped check per key, its commitment the column's value, checked through pow.
     schnorr_checks = []
     for y, s, c in zip(keys, scalars, challenges):
-        t = int.from_bytes(group.schnorr_commitments((y,), group.encode_scalar(c) + group.encode_scalar(s)))
+        pair = group.encode_scalar(c) + group.encode_scalar(s)
+        t = int.from_bytes(group.schnorr_commitments(group.ring_table((y,)), pair))
         if t * pow(y, c, p) % p != pow(g, s, p):
             raise SystemExit("g^s * y^-c differs from pow")
         schnorr_checks.append((y, group.key_is_element(y), t, c, s))
@@ -405,13 +406,13 @@ def main() -> None:
     column_challenges = [group.random_scalar(column_rng) for _ in ring]
     column_responses = [group.random_scalar(column_rng) for _ in ring]
     column_scalars = b"".join(map(group.encode_scalar, itertools.chain(*zip(column_challenges, column_responses))))
-    column = group.schnorr_commitments(ring, column_scalars)
+    table = group.ring_table(ring)
+    column = group.schnorr_commitments(table, column_scalars)
     expected = [
         pow(g, s, p) * pow(y, -c % (p - 1), p) % p for y, c, s in zip(ring, column_challenges, column_responses)
     ]
     if column != b"".join(map(group.encode_element, expected)):
         raise SystemExit("the commitment column differs from pow")
-    table = group.ring_table(ring)
     rows["ring_commitments_per_branch_s"] = median_time(
         lambda: group.schnorr_commitments(table, column_scalars), args.repeats, len(ring)
     )

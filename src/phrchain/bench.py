@@ -85,7 +85,7 @@ class BenchConfig:
 
 @contextmanager
 def _gc_paused():
-    """Keep the collector out of timing windows."""
+    """Keep the collector out of sub-millisecond timing windows."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -105,15 +105,6 @@ def bench_block_creation(config: BenchConfig) -> list[dict]:
 
     transcript_bytes is the serialized size of the two credential proofs in
     the block header; it is exact and identical across folds.
-
-    Each grid point first creates one untimed block: the first creation over
-    a registry pays one-time costs (the column worker's fork, each new key's
-    verdict and inverse, the ring tables), and in the first, smallest arm
-    they outweighed the arm's own work, so creation_seconds fell from the
-    first arm to the second. The collector is paused while a block is
-    created: a full collection of this process's heap took 12-15 ms, longer
-    than a small arm's creation, and which fold it landed in depended only on
-    the allocation count.
     """
     group = GroupParams.default()
     rng = random.Random(config.seed)
@@ -135,19 +126,16 @@ def bench_block_creation(config: BenchConfig) -> list[dict]:
             hospital = HospitalContext(identity=hospital_kps[0], index=0)
             timings = []
             block = None
-            for fold in range(config.folds + 1):
+            for _ in range(config.folds):
                 patient = PatientContext(
                     identity=patient_kps[0], index=0, secrets=PatientSecrets()
                 )
                 store = OffChainStore()
-                with _gc_paused():
-                    started = time.perf_counter()
-                    block, _ = create_patient_block(
-                        patient, hospital, b"record payload", bits, directories, store, visit_time=1, rng=rng
-                    )
-                    elapsed = time.perf_counter() - started
-                if fold:
-                    timings.append(elapsed)
+                started = time.perf_counter()
+                block, _ = create_patient_block(
+                    patient, hospital, b"record payload", bits, directories, store, visit_time=1, rng=rng
+                )
+                timings.append(time.perf_counter() - started)
             if block is None or not verify_block(block, directories):
                 raise BenchError(
                     f"created block failed verification at p={n_patients} h={n_hospitals}"

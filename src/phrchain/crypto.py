@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import encoding as enc
-from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _Ring, _rng
+from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _pinned, _Ring, _rng
 
 TAG_FS_SCHNORR = b"FS-SCHNORR"
 TAG_FS_OR = b"FS-OR"
@@ -152,15 +152,16 @@ def _schnorr_equation(group: GroupParams, key: int, entry, commitment: int, chal
     [0, order).
 
     Checked as t == g^s * y^-c: the one record t || c || s, encoded, is a
-    column of one value over a table of the key and its entry
-    (``GroupParams.schnorr_failure``), whose verdict is the one ``pow``
-    gives. A Schnorr proof, a signature and the possession half are checked
+    run of one value over the key and its entry (``group._Pinned.run``,
+    the kernel of ``GroupParams.schnorr_failure``), whose verdict is the
+    one ``pow`` gives. A Schnorr proof, a signature and the possession half are checked
     here, after ``_schnorr_gate``; ring branches are one column of their
     records, checked by ``_ring_equations`` after ``_ring_gate``.
     """
     size, scalar = group.element_size, group.scalar_size
     record = commitment.to_bytes(size) + challenge.to_bytes(scalar) + response.to_bytes(scalar)
-    return group.schnorr_failure(_Ring(group, (key,), (entry,)), record) is None
+    pinned = _pinned(group.modulus, group.generator)
+    return pinned.run(group, (key,), (entry,), record, 0, 0, size + 2 * scalar, None) is None
 
 
 def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:
@@ -436,7 +437,7 @@ def ring_prove(
     rng: random.Random | None = None,
 ) -> RingProof:
     """Prove knowledge of the secret for ring[index] without revealing the index."""
-    state = _ring_commit(group, group.ring_table(ring), index, secret, rng)
+    state = _ring_commit(group, ring, index, secret, rng)
     binding = _ring_binding_challenge(group, context, _commitment_bytes(group, state.commitments))
     return _ring_finish(group, state, secret, binding)
 

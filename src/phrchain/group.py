@@ -18,9 +18,10 @@ The commitment column is the one home of the Schnorr equation's right
 side, g^s * y^-c, and it works on bytes: a prover hands it its simulated
 branches' challenge and response bytes and gets back the commitments'
 encodings (``schnorr_commitments``); a verifier hands it the records
-t || c || s of a ring proof's branches, or the one record of a signature,
-a Schnorr proof or a possession half, and gets back the index of a
-failing record, or None (``schnorr_failure``). Each value is one
+t || c || s of a ring proof's branches and gets back the index of a
+failing record, or None (``schnorr_failure``); the one record of a
+signature, a Schnorr proof or a possession half is the column's kernel
+run once (``_Pinned.run``). Each value is one
 ``BN_mod_exp2_mont`` of the generator, pinned in a BIGNUM kept per
 (modulus, generator) beside the modulus's Montgomery context, and of the
 key's inverse y^-1 mod p, a BIGNUM prepared at the key's first column and
@@ -36,7 +37,7 @@ whole ring, which a verifier's gate reads instead of testing each key,
 and the keys' encoding and its digest, which is the ring's digest in a
 credential's joint context and the table's name to the worker. A prover's
 column is its ring and the witness position it skips; a one-record check
-is a table of its key and the entry its gate looked up.
+hands the kernel its key and the entry its gate looked up, with no table.
 
 A column of at least ``_SPLIT`` values is shared with one worker
 process, forked on the first such column from a process with one thread
@@ -984,12 +985,6 @@ def _ring_table(group: "GroupParams", keys: tuple[int, ...]) -> _Ring:
     return _Ring(group, keys, tuple(map(group.key_is_element, keys)))
 
 
-def _resolved(group: "GroupParams", keys: Sequence[int]) -> _Ring:
-    """``keys`` as a ring table: itself if it is one, else a table made for
-    one column, whose entries are the keys' kept entries."""
-    return keys if type(keys) is _Ring else _Ring(group, keys, tuple(map(group.key_is_element, keys)))
-
-
 @dataclass(frozen=True)
 class GroupParams(enc.Wire):
     """The prime-order subgroup of Z_modulus* for a safe prime modulus = 2 * order + 1."""
@@ -1034,14 +1029,14 @@ class GroupParams(enc.Wire):
         return _mod_exp(base % self.modulus, exponent % self.order, self.modulus)
 
     def schnorr_commitments(
-        self, keys: Sequence[int], scalars: bytes | Iterable[bytes], skip: int | None = None
+        self, ring: _Ring, scalars: bytes | Iterable[bytes], skip: int | None = None
     ) -> bytes:
         """For each key y, and the challenge c and response s that ``scalars``
         holds for it (c || s, each ``scalar_size`` bytes big-endian, pair
         after pair), the commitment g^s * y^-c mod p that makes the Schnorr
         equation hold, encoded at ``element_size``, one after another. This
         is how a ring prover gets its simulated branches' commitments: its
-        ring's table (``ring_table``) as ``keys``, its witness position as
+        ring's table (``ring_table``) as ``ring``, its witness position as
         ``skip`` (that key takes no pair and no value), and its draws as
         ``scalars``, an iterable of chunks of whole pairs, read as they come.
 
@@ -1058,33 +1053,28 @@ class GroupParams(enc.Wire):
         process, which starts on the head as soon as the first chunk is in
         (see the module docstring).
         """
-        ring = _resolved(self, keys)
         work = _Column(self, ring, len(ring) if skip is None else skip, 2 * self.scalar_size)
         if isinstance(scalars, bytes):
             scalars = _length_checked(work.count, scalars, work.width)
         work.compute(scalars)
         return bytes(work.out)
 
-    def schnorr_failure(self, keys: Sequence[int], records: bytes) -> int | None:
+    def schnorr_failure(self, ring: _Ring, records: bytes) -> int | None:
         """The index of a record t || c || s (``element_size`` and twice
         ``scalar_size`` bytes, big-endian, one record per key, back to back)
         whose commitment t is not the value g^s * y^-c that
         ``schnorr_commitments`` gives for its key y, c and s; None when
-        every record holds. This is how every verifier checks the Schnorr
-        equation g^s == t * y^c: a ring proof's branch records over its
-        ring's table, and the one record of a signature, a Schnorr proof or
-        a possession half, over a table of its key and the entry its gate
-        looked up.
+        every record holds. This is how a ring verifier checks the Schnorr
+        equation g^s == t * y^c of its branch records, over its ring's
+        table; the one record of a signature, a Schnorr proof or a
+        possession half is a run of one value (``crypto._schnorr_equation``).
 
         In one process the column stops at the first record that fails,
         and that is the index returned; a column shared with the worker is
         one chunk, and stops at the first failure either side finds.
         """
-        ring, width = _resolved(self, keys), self.element_size + 2 * self.scalar_size
-        chunks = _length_checked(len(ring.keys), records, width)
-        if len(ring.keys) < _SPLIT:  # one run, as ``_Column.compute`` makes it, without the column's setup
-            return _pinned(self.modulus, self.generator).run(self, ring.keys, ring.entries, records, 0, 0, width, None)
-        return _Column(self, ring, len(ring.keys), width).compute(chunks)
+        width = self.element_size + 2 * self.scalar_size
+        return _Column(self, ring, len(ring.keys), width).compute(_length_checked(len(ring.keys), records, width))
 
     def ring_table(self, keys: Sequence[int]) -> _Ring:
         """The ring's table (``_Ring``), made at the ring's first use and kept

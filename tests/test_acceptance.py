@@ -82,27 +82,24 @@ def test_criterion_03_block_creation_scaling(group):
 
     from phrchain.registry import Directories, Registry
 
-    # Two passes through the sizes: a host slowdown that spans one size's
-    # back-to-back folds skews its best time, and a second pass some time
-    # later gives that size another chance at the host's usual speed.
-    samples = {2 * size: [] for size in sizes}
-    for _ in range(2):
-        for size in sizes:
-            directories = Directories(
-                patients=Registry(group, "patient", [kp.public for kp in patient_kps[:size]]),
-                hospitals=Registry(group, "hospital", [kp.public for kp in hospital_kps[:size]]),
-                researchers=Registry(group, "researcher", []),
+    timings = {}
+    for size in sizes:
+        directories = Directories(
+            patients=Registry(group, "patient", [kp.public for kp in patient_kps[:size]]),
+            hospitals=Registry(group, "hospital", [kp.public for kp in hospital_kps[:size]]),
+            researchers=Registry(group, "researcher", []),
+        )
+        hospital = _hospital_ctx(hospital_kps[0])
+        samples = []
+        for _ in range(folds):
+            patient = PatientContext(identity=patient_kps[0], index=0, secrets=PatientSecrets())
+            store = OffChainStore()
+            started = time.perf_counter()
+            create_patient_block(
+                patient, hospital, b"payload", bytes(32), directories, store, visit_time=1, rng=rng
             )
-            hospital = _hospital_ctx(hospital_kps[0])
-            for _ in range(folds):
-                patient = PatientContext(identity=patient_kps[0], index=0, secrets=PatientSecrets())
-                store = OffChainStore()
-                started = time.perf_counter()
-                create_patient_block(
-                    patient, hospital, b"payload", bytes(32), directories, store, visit_time=1, rng=rng
-                )
-                samples[2 * size].append(time.perf_counter() - started)
-    timings = {total: min(times) for total, times in samples.items()}
+            samples.append(time.perf_counter() - started)
+        timings[2 * size] = min(samples)
     r1 = timings[4000] / timings[2000]
     r2 = timings[8000] / timings[4000]
     ok = 1.6 <= r1 <= 2.4 and 1.6 <= r2 <= 2.4

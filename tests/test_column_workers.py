@@ -170,7 +170,7 @@ def test_both_columns_equal_pow_with_hostile_keys_wherever_the_two_meet(
     records, scalars = _records(group, expected, challenges, responses), _scalars(group, challenges, responses)
     # The worker is forked by a first column, so that the caller's pause
     # and the stall below touch the caller and the worker alone.
-    assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
+    assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
     if meeting == "tail":
         caller["pause"] = 0.02  # the worker computes most of the column
     elif meeting == "head":
@@ -178,11 +178,11 @@ def test_both_columns_equal_pow_with_hostile_keys_wherever_the_two_meet(
     for column in ("prover", "streamed prover", "verifier"):
         caller["runs"].clear()
         if column == "prover":
-            assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
+            assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
         elif column == "streamed prover":
-            assert _elements(group, group.schnorr_commitments(keys, _chunks(scalars))) == expected
+            assert _elements(group, group.schnorr_commitments(group.ring_table(keys), _chunks(scalars))) == expected
         else:
-            assert group.schnorr_failure(keys, records) is None
+            assert group.schnorr_failure(group.ring_table(keys), records) is None
         if count < SPLIT:
             assert traffic["headers"] == [] and group_module._workers is None
             assert caller["runs"] == [(0, count)]
@@ -247,7 +247,7 @@ def test_a_streamed_column_equals_pow_whatever_happens_mid_stream(
     caller["runs"].clear()
     assert _elements(group, group.schnorr_commitments(ring, _chunks(scalars), 5)) == expected
     records = _records(group, expected, challenges, responses)
-    assert group.schnorr_failure([*keys[:5], *keys[5:]], records) is None
+    assert group.schnorr_failure(group.ring_table([*keys[:5], *keys[5:]]), records) is None
     assert _pids() == forked and traffic["stops"] == 4
 
 
@@ -259,7 +259,7 @@ def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, worker
     proof = ring_prove(group, ring, 7, kps[7].secret, b"ctx", rng)
     records, _ = proof._records(_branch_layout(group))
     caller["runs"].clear()
-    assert group.schnorr_failure(ring, records) is None
+    assert group.schnorr_failure(group.ring_table(ring), records) is None
     assert 0 <= _reached(caller) < len(ring)
     for branch in (3, len(ring) - 3):
         original = proof.branches[branch]
@@ -271,7 +271,7 @@ def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, worker
         # The column names the forged branch, whichever side reached it.
         forged_records = bytearray(records)
         forged_records[branch * 96 + 95] ^= 1
-        assert group.schnorr_failure(ring, bytes(forged_records)) == branch
+        assert group.schnorr_failure(group.ring_table(ring), bytes(forged_records)) == branch
     assert len(_pids()) == 1
 
 
@@ -291,15 +291,15 @@ def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traf
     forged = _records(group, [*values[:at], values[at] ^ 1, *values[at + 1 :]], challenges, responses)
     following = _column_inputs(group, 4000, 60)
     following_expected = _column_oracle(group, *following)
-    following_scalars = _scalars(group, *following[1:])
+    following_ring, following_scalars = group.ring_table(following[0]), _scalars(group, *following[1:])
     for _ in range(3):
         caller["runs"].clear()
-        assert group.schnorr_failure(keys, forged) == at
+        assert group.schnorr_failure(group.ring_table(keys), forged) == at
         lengths = [stop - start for start, stop in caller["runs"]]
         assert lengths == [min(2**i, RUN) for i in range(len(lengths))]
         if end == "tail":
             assert caller["runs"] == [(at, at + 1)]
-        assert _elements(group, group.schnorr_commitments(following[0], following_scalars)) == following_expected
+        assert _elements(group, group.schnorr_commitments(following_ring, following_scalars)) == following_expected
     assert traffic["counts"] == [4000] * 6 and traffic["stops"] == 6
     assert [keyed is not None for _, keyed in traffic["headers"]] == [True, True] + [False] * 4
     assert len(_pids()) == 1 and all(_pids())
@@ -315,7 +315,8 @@ def test_more_rings_than_the_worker_keeps_are_sent_again(group, workers, traffic
     for _ in range(2):
         for job, values in zip(jobs, expected):
             for _ in range(2):
-                assert _elements(group, group.schnorr_commitments(job[0], _scalars(group, *job[1:]))) == values
+                values_of_job = group.schnorr_commitments(group.ring_table(job[0]), _scalars(group, *job[1:]))
+                assert _elements(group, values_of_job) == values
     sent = [keyed for _, keyed in traffic["headers"]]
     assert [keyed is not None for keyed in sent] == [True, False] * (2 * len(jobs))
     assert [keyed for keyed in sent if keyed] == [group_module._key_bytes(group, job[0]) for job in jobs] * 2
@@ -329,13 +330,14 @@ def test_threads_computing_long_columns_get_exact_values(group, workers):
     jobs = [_column_inputs(group, 1200, 70 + i) for i in range(4)]
     expected = [_column_oracle(group, *job) for job in jobs]
     scalars = [_scalars(group, *job[1:]) for job in jobs]
-    assert _elements(group, group.schnorr_commitments(jobs[0][0], scalars[0])) == expected[0]  # forks the worker
+    rings = [group.ring_table(job[0]) for job in jobs]
+    assert _elements(group, group.schnorr_commitments(rings[0], scalars[0])) == expected[0]  # forks the worker
     start = threading.Barrier(len(jobs))
     results = [None] * len(jobs)
 
     def work(i):
         start.wait(timeout=60)
-        results[i] = [_elements(group, group.schnorr_commitments(jobs[i][0], _chunks(scalars[i]))) for _ in range(3)]
+        results[i] = [_elements(group, group.schnorr_commitments(rings[i], _chunks(scalars[i]))) for _ in range(3)]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -358,7 +360,7 @@ def test_no_worker_is_forked_while_another_thread_runs(group, workers):
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+        values = group.schnorr_commitments(group.ring_table(keys), _scalars(group, challenges, responses))
         assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
         assert group_module._workers is None
     finally:
@@ -373,7 +375,7 @@ def test_one_cpu_forks_nothing(group, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     keys, challenges, responses = _column_inputs(group, SPLIT + 1, 64)
-    values = group.schnorr_commitments(keys, _chunks(_scalars(group, challenges, responses)))
+    values = group.schnorr_commitments(group.ring_table(keys), _chunks(_scalars(group, challenges, responses)))
     assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [] and group_module._workers == []
 
@@ -386,7 +388,7 @@ def test_many_cpus_fork_one_worker(group, workers, traffic, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for count, seed in ((SPLIT, 69), (4000, 70)):
         keys, challenges, responses = _column_inputs(group, count, seed)
-        values = group.schnorr_commitments(keys, _scalars(group, challenges, responses))
+        values = group.schnorr_commitments(group.ring_table(keys), _scalars(group, challenges, responses))
         assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [1] and len(_pids()) == 1
     assert traffic["counts"] == [SPLIT, 4000] and traffic["stops"] == 2
@@ -396,7 +398,7 @@ def test_many_cpus_fork_one_worker(group, workers, traffic, monkeypatch):
 def test_a_forked_child_never_uses_its_parents_workers(group, workers):
     keys, challenges, responses = _column_inputs(group, 1000, 65)
     scalars = _scalars(group, challenges, responses)
-    expected = group.schnorr_commitments(keys, scalars)
+    expected = group.schnorr_commitments(group.ring_table(keys), scalars)
     assert _elements(group, expected) == _column_oracle(group, keys, challenges, responses)
     parents = _pids()
     child = os.fork()
@@ -406,7 +408,7 @@ def test_a_forked_child_never_uses_its_parents_workers(group, workers):
             # The child forks a worker of its own, whose pipes may reuse the
             # numbers of the parent's, and computes with it: the parent's
             # worker keeps this ring's table, the child's is sent the keys.
-            fresh = [group.schnorr_commitments(keys, scalars) for _ in range(2)]
+            fresh = [group.schnorr_commitments(group.ring_table(keys), scalars) for _ in range(2)]
             own = _pids()
             if fresh == [expected] * 2 and len(own) == 1 and not set(own) & set(parents):
                 status = 0
@@ -416,7 +418,7 @@ def test_a_forked_child_never_uses_its_parents_workers(group, workers):
     _, status = os.waitpid(child, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert _pids() == parents
-    assert group.schnorr_commitments(keys, scalars) == expected
+    assert group.schnorr_commitments(group.ring_table(keys), scalars) == expected
 
 
 @many_cpus
@@ -424,20 +426,20 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers, caller
     keys, challenges, responses = _column_inputs(group, 1000, 66)
     scalars = _scalars(group, challenges, responses)
     expected = _column_oracle(group, keys, challenges, responses)
-    assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
+    assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
     # Killed between columns.
     killed = _pids()
     for pid in killed:
         os.kill(pid, signal.SIGKILL)
-    assert _elements(group, group.schnorr_commitments(keys, scalars)) == expected
+    assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
     assert group_module._workers == []
     for pid in killed:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # already reaped
     # Killed mid-column, after the caller's first run, for each column.
     records = _records(group, expected, challenges, responses)
-    for compute in (lambda: _elements(group, group.schnorr_commitments(keys, scalars)) == expected,
-                    lambda: group.schnorr_failure(keys, records) is None):
+    for compute in (lambda: _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected,
+                    lambda: group.schnorr_failure(group.ring_table(keys), records) is None):
         group_module._stop_workers()
         assert compute()  # forks a fresh worker
         killed = _pids()

@@ -706,13 +706,13 @@ class TestVerifiersAgainstThePowEquation:
         sig, proof = sign(group, kp, b"m", rng), schnorr_prove(group, kp, b"ctx", rng)
         p = group.modulus
         keyed = []
-        column = GroupParams.schnorr_failure
+        run = group_module._Pinned.run
 
-        def recording(self, keys, records):
+        def recording(self, group, keys, *rest):
             keyed.extend(keys)
-            return column(self, keys, records)
+            return run(self, group, keys, *rest)
 
-        monkeypatch.setattr(GroupParams, "schnorr_failure", recording)
+        monkeypatch.setattr(group_module._Pinned, "run", recording)
         assert verify_signature(group, kp.public, b"m", sig)
         assert keyed == [kp.public]
         # Out of range, the identity, order two, and a non-residue (-1 is one mod a safe prime).

@@ -256,7 +256,7 @@ def _elements(group, data):
 
 def _commitments(group, keys, challenges, responses):
     """The prover's column (``schnorr_commitments``) over int inputs, decoded."""
-    return _elements(group, group.schnorr_commitments(keys, _scalars(group, challenges, responses)))
+    return _elements(group, group.schnorr_commitments(group.ring_table(keys), _scalars(group, challenges, responses)))
 
 
 def _records(group, commitments, challenges, responses):
@@ -270,12 +270,12 @@ def _both_columns(group, keys, challenges, responses):
     """The prover's column, checked by the verifier's (``schnorr_failure``):
     every value holds as its record's commitment, and a commitment one off
     fails at its own index."""
-    values = _commitments(group, keys, challenges, responses)
-    assert group.schnorr_failure(keys, _records(group, values, challenges, responses)) is None
+    values, ring = _commitments(group, keys, challenges, responses), group.ring_table(keys)
+    assert group.schnorr_failure(ring, _records(group, values, challenges, responses)) is None
     if values:
         last = len(values) - 1
         wrong = values[:last] + [values[last] ^ 1]
-        assert group.schnorr_failure(keys, _records(group, wrong, challenges, responses)) == last
+        assert group.schnorr_failure(ring, _records(group, wrong, challenges, responses)) == last
     return values
 
 
@@ -444,11 +444,11 @@ def test_commitment_column_on_hostile_keys(group):
 
 
 def test_columns_refuse_records_of_the_wrong_length(group):
-    keys = [group.generator] * 3
+    ring = group.ring_table([group.generator] * 3)
     with pytest.raises(ValueError, match="takes 192 bytes"):
-        group.schnorr_commitments(keys, bytes(191))
+        group.schnorr_commitments(ring, bytes(191))
     with pytest.raises(ValueError, match="takes 288 bytes"):
-        group.schnorr_failure(keys, bytes(289))
+        group.schnorr_failure(ring, bytes(289))
 
 
 @pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
@@ -567,10 +567,12 @@ def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
 def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monkeypatch):
     # A key is prepared once, at its first column, in its kept entry, and a
     # later column reads the operand there; an evicted entry frees its
-    # BIGNUM, and the key is prepared afresh at its next column.
+    # BIGNUM once no kept ring table holds it either, and the key is
+    # prepared afresh at its next column.
     keys, challenges, responses = _column_inputs(group, 6, 47)
     expected = _column_oracle(group, keys, challenges, responses)
     group_module._key_verdict.cache_clear()
+    group_module._ring_table.cache_clear()
     prepared, prepare = [], group_module._prepare
     freed, finalize = [], _Key.__del__
     monkeypatch.setattr(group_module, "_prepare", lambda g, key, entry: prepared.append(key) or prepare(g, key, entry))
@@ -583,6 +585,7 @@ def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monke
     assert all(addresses) and len(set(addresses)) == 6
     for value in range(-1, -group_module._KEY_VERDICTS - 1, -1):
         group.key_is_element(value)  # cheap non-members push the six keys out
+    group_module._ring_table.cache_clear()
     assert set(addresses) <= set(freed)
     assert _commitments(group, keys, challenges, responses) == expected
     assert prepared == keys + keys

@@ -381,10 +381,12 @@ def calls(monkeypatch):
     branch and one per Schnorr-shaped check. The prover's column
     (``schnorr_commitments``, over its ring without the witness position)
     computes every value; the verifier's (``schnorr_failure``) stops at the
-    first that fails, in one process."""
+    first that fails, in one process. A Schnorr-shaped check runs the
+    column's kernel on its one record (``crypto._schnorr_equation``)."""
     seen = {"system_draws": 0, "commitments": 0, "is_element": []}
     randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
     column, failure, is_element = GroupParams.schnorr_commitments, GroupParams.schnorr_failure, GroupParams.is_element
+    equation = crypto._schnorr_equation
 
     def counted(draw):
         def wrapper(*args):
@@ -401,6 +403,10 @@ def calls(monkeypatch):
         seen["commitments"] += len(keys) if failed is None else failed + 1
         return failed
 
+    def counted_equation(*args):
+        seen["commitments"] += 1
+        return equation(*args)
+
     def counted_is_element(self, value):
         seen["is_element"].append(value)
         return is_element(self, value)
@@ -410,6 +416,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(os, "urandom", counted(urandom))
     monkeypatch.setattr(GroupParams, "schnorr_commitments", counted_column)
     monkeypatch.setattr(GroupParams, "schnorr_failure", counted_failure)
+    monkeypatch.setattr(crypto, "_schnorr_equation", counted_equation)
     monkeypatch.setattr(GroupParams, "is_element", counted_is_element)
     return seen
 
