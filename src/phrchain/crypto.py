@@ -154,9 +154,10 @@ def _schnorr_equation(group: GroupParams, key: int, entry, commitment: int, chal
     Checked as t == g^s * y^-c: the one record t || c || s, encoded, is a
     run of one value over the key and its entry (``group._Pinned.run``,
     the kernel of ``GroupParams.schnorr_failure``), whose verdict is the
-    one ``pow`` gives. A Schnorr proof, a signature and the possession half are checked
-    here, after ``_schnorr_gate``; ring branches are one column of their
-    records, checked by ``_ring_equations`` after ``_ring_gate``.
+    one ``pow`` gives. A Schnorr proof, a signature and the possession
+    half are checked here, after ``_schnorr_gate``; ring branches are one
+    column of their records, checked by ``_ring_equations`` after
+    ``_ring_gate``.
     """
     size, scalar = group.element_size, group.scalar_size
     record = commitment.to_bytes(size) + challenge.to_bytes(scalar) + response.to_bytes(scalar)

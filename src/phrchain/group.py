@@ -74,7 +74,8 @@ BIGNUM call's return code is checked where it is made: a failure raises
 ``BignumError`` naming the call, never a value. A public key's entry,
 its membership verdict and its prepared inverse, is kept in a bounded
 cache, since verifiers meet the same keys again and again, and in the
-table of every kept ring it is in.
+table of every kept ring it is in; the worker keeps entries of its own,
+which hold the inverse alone, since it gates nothing.
 
 The same binding is the package's one path into libcrypto for symmetric
 encryption too: ``_gcm_seal`` and ``_gcm_open`` are AES-256-GCM through
@@ -591,10 +592,12 @@ def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
 
 
 def _ring_of_bytes(group: "GroupParams", data: bytes) -> "_Ring":
-    """The worker's table of the ring whose keys' bytes it was sent."""
+    """The worker's table of the ring whose keys' bytes it was sent, with
+    the keys' operand entries (``_operand_entry``): the worker computes
+    values and gates nothing, so it reads no verdict."""
     size = group.element_size
     keys = tuple(int.from_bytes(data[at : at + size]) for at in range(0, len(data), size))
-    return _Ring(group, keys, tuple(map(group.key_is_element, keys)))
+    return _Ring(group, keys, tuple(_operand_entry(group, key) for key in keys))
 
 
 class _Worker:
@@ -922,8 +925,9 @@ def _prepare(group: "GroupParams", key: int, entry: _Key) -> int:
 @functools.lru_cache(maxsize=_KEY_VERDICTS)
 def _key_verdict(group: "GroupParams", key: int) -> _Key:
     """The kept entry of a public key: ``is_element`` as its truth value,
-    kept because verifiers meet the same keys again and again (every ring
-    key is tested by every ring proof over it; an enrolled researcher's key
+    kept because verifiers meet the same keys again and again (a registry
+    makes it at enrollment, and every ring proof over the key reads it
+    through its ring's table; an enrolled researcher's key
     signs every request; a fresh block key is tested by its possession
     proof, again by its block's signature, and a patient block key by every
     approval it signs), and the key's operand in the commitment column
@@ -932,6 +936,14 @@ def _key_verdict(group: "GroupParams", key: int) -> _Key:
     a lookup: the parameters' hash is taken once (``__hash__``).
     """
     return _Key() if group.is_element(key) else _Outsider()
+
+
+@functools.lru_cache(maxsize=_KEY_VERDICTS)
+def _operand_entry(group: "GroupParams", key: int) -> _Key:
+    """The worker's kept entry of a key: its operand alone, with no
+    membership test, which would cost a Jacobi symbol (about 12 µs) per
+    key the worker meets that was enrolled after it was forked."""
+    return _Key()
 
 
 class _Ring:

@@ -31,8 +31,10 @@ class Registry(enc.Stored):
     """Ordered public-key registry for one role. Single-writer.
 
     Every key is a distinct prime-order subgroup element, checked at
-    construction, at ``enroll`` and so at ``load``. The key tuple and the
-    digest are cached and rebuilt at most once per change.
+    construction, at ``enroll`` and so at ``load``, through the key's kept
+    verdict (``GroupParams.key_is_element``), which a ring's table over
+    the registry's keys then reads instead of testing the key again. The
+    key tuple and the digest are cached and rebuilt at most once per change.
     """
 
     MAGIC = b"PHRR"
@@ -71,7 +73,7 @@ class Registry(enc.Stored):
 
     def enroll(self, public: int) -> int:
         """Append a verified public key; returns its stable index."""
-        if not self.group.is_element(public):
+        if not self.group.key_is_element(public):
             raise ValueError("public key is not a valid group element")
         if public in self._index:
             raise DuplicateKeyError(f"key already enrolled in {self.role} registry")

@@ -12,12 +12,15 @@ stopped or killed), the values must be the ones ``pow`` gives, and no
 worker may outlive its process.
 """
 
+import fcntl
 import os
 import pickle
 import random
 import signal
+import struct
 import subprocess
 import sys
+import termios
 import threading
 import time
 from pathlib import Path
@@ -43,8 +46,23 @@ def _pids() -> list[int]:
 
 
 def _resume() -> None:
-    for pid in _pids():
-        os.kill(pid, signal.SIGCONT)
+    """Let a stopped worker run again, and wait until it has read every
+    message sent to it: a worker stopped again at once, by the next column,
+    would otherwise leave the earlier columns' bytes in its pipe, and the
+    pipe would fill."""
+    for worker in group_module._workers or ():
+        if not worker.pid:
+            continue
+        os.kill(worker.pid, signal.SIGCONT)
+        deadline = time.monotonic() + 30
+        while _unread(worker) and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+
+def _unread(worker) -> int:
+    """The bytes in the worker's request pipe that it has not read yet."""
+    pending = fcntl.ioctl(worker.requests.fileno(), termios.FIONREAD, bytes(4))
+    return struct.unpack("i", pending)[0]
 
 
 @pytest.fixture()
@@ -303,6 +321,20 @@ def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traf
     assert traffic["counts"] == [4000] * 6 and traffic["stops"] == 6
     assert [keyed is not None for _, keyed in traffic["headers"]] == [True, True] + [False] * 4
     assert len(_pids()) == 1 and all(_pids())
+
+
+def test_a_table_made_from_sent_keys_tests_no_key(group, monkeypatch):
+    # The worker gates nothing, so the table it makes from a ring's bytes
+    # holds entries with no verdict, and its values are still pow's, for
+    # hostile keys too.
+    keys, challenges, responses = _hostile_inputs(group, 20, 90)
+    tested = []
+    is_element = group_module.GroupParams.is_element
+    monkeypatch.setattr(group_module.GroupParams, "is_element", lambda self, v: tested.append(v) or is_element(self, v))
+    table = group_module._ring_of_bytes(group, group_module._key_bytes(group, keys))
+    values = group.schnorr_commitments(table, _scalars(group, challenges, responses))
+    assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
+    assert tested == []
 
 
 @many_cpus
