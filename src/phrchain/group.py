@@ -941,8 +941,8 @@ def _key_verdict(group: "GroupParams", key: int) -> _Key:
 @functools.lru_cache(maxsize=_KEY_VERDICTS)
 def _operand_entry(group: "GroupParams", key: int) -> _Key:
     """The worker's kept entry of a key: its operand alone, with no
-    membership test, which would cost a Jacobi symbol (about 12 µs) per
-    key the worker meets that was enrolled after it was forked."""
+    membership test, which would cost a Jacobi symbol for every key the
+    worker meets that was enrolled after it was forked."""
     return _Key()
 
 

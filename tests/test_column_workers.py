@@ -55,8 +55,17 @@ def _resume() -> None:
             continue
         os.kill(worker.pid, signal.SIGCONT)
         deadline = time.monotonic() + 30
-        while _unread(worker) and time.monotonic() < deadline:
+        while _unread(worker) and _alive(worker.pid) and time.monotonic() < deadline:
             time.sleep(0.001)
+
+
+def _alive(pid: int) -> bool:
+    """Whether the process runs, or is stopped: not dead and not yet reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 def _unread(worker) -> int:
