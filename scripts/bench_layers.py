@@ -28,7 +28,15 @@ caller's first run), shared and in one process
 (``column_m4000_closed_after_one_value_s``,
 ``..._at_the_tail_s`` and each ``..._one_process_s``);
 the ring-key gate of a 4000/1000-key block's verifier (the membership
-verdicts of its two rings, read from their kept tables); one
+verdicts of its two rings, read from their kept tables, each found by
+its key tuple); a patient block proved and checked at 2000/64 and
+4000/1000 keys, each block first checked against ``pow`` and against
+branches forged at the end of its patient ring and the start of its
+hospital ring (``block_prove_*_s``, ``block_verify_*_s``), how the
+4000/1000-key block's one prover column is shared
+(``block_column_m4000_1000_*``, as ``column_evidence`` reports it), and a
+ring prover over a 2000-key ring one 100-key batch past a ring whose table
+the caller and the worker keep (``ring_prove_grown_by_100_s``); one
 consensus vote over 800 miners (40% malicious) on a request block given
 no chain, which ``verify_block`` rejects at once: the row times the
 round's verdict, counts and clock alone, since a zero-jitter round draws
@@ -112,8 +120,8 @@ from phrchain import (
     verify_signature,
 )
 from phrchain import group as group_module
-from phrchain.consensus import _draw_roles
-from phrchain.crypto import _ring_commit, _schnorr_equation
+from phrchain.consensus import _draw_roles, verify_block
+from phrchain.crypto import _rings_commit, _schnorr_equation
 from phrchain.group import GroupParams
 from phrchain.ledger import VOTE_RECORD, decode_block, range_message
 
@@ -150,22 +158,24 @@ def _fields(data: bytes, width: int) -> list[bytes]:
     return [data[i : i + width] for i in range(0, len(data), width)]
 
 
-def column_evidence(group: GroupParams, kps, repeats: int) -> dict:
-    """How a prover's column over the ring of ``kps`` is shared, over ``repeats`` columns.
+def column_evidence(group: GroupParams, rings, repeats: int, name: str) -> dict:
+    """How a prover's column over ``rings`` is shared, over ``repeats`` columns.
 
-    Each column is a ring prover's (``crypto._ring_commit``, the witness in
-    the middle of the ring), whose draws reach the worker in chunks as they
-    are made. The caller's runs are timed by wrapping ``_Pinned.run`` in
-    this process (the worker, forked earlier, is not wrapped), and what the
-    caller hears of the worker by wrapping ``_Worker.hear``. Rows: the
-    caller's and the worker's microseconds per value (the worker's CPU
-    time, from ``schedstat``, over the values before the meeting index);
-    the worker's head start, the values it had finished, as the caller last
-    heard, when the caller's first run began; the worker's share of the
-    column (the meeting index as a fraction of it); the caller's time
-    outside its runs (the commit's wall time less the runs: the witness's
-    two exponentiations, the draws, the pipe and the replies); and per
-    column the caller's CPU at its start and end.
+    ``rings`` is a list of key pairs per ring, each proved over with its
+    witness in the middle. Each column is a prover's
+    (``crypto._rings_commit``: a ring prover's for one ring, a patient
+    block's for two), whose draws reach the worker in chunks as they are
+    made. The caller's runs are timed by wrapping ``_Pinned.run`` in this
+    process (the worker, forked earlier, is not wrapped), and what the
+    caller hears of the worker by wrapping ``_Worker.hear``. Rows, each
+    named after ``name``: the caller's and the worker's microseconds per
+    value (the worker's CPU time, from ``schedstat``, over the values
+    before the meeting index); the worker's head start, the values it had
+    finished, as the caller last heard, when the caller's first run began;
+    the worker's share of the column (the meeting index as a fraction of
+    it); the caller's time outside its runs (the commit's wall time less
+    the runs: the witnesses' exponentiations, the draws, the pipe and the
+    replies); and per column the caller's CPU at its start and end.
     """
     run, hear, cpu = group_module._Pinned.run, group_module._Worker.hear, group_module._sched_getcpu
     runs, heard, samples = [], [], []
@@ -182,8 +192,10 @@ def column_evidence(group: GroupParams, kps, repeats: int) -> dict:
         heard.append((time.perf_counter(), result[1]))
         return result
 
-    table, index = group.ring_table([kp.public for kp in kps]), len(kps) // 2
-    count, rng = len(table) - 1, random.Random(f"column-evidence-{len(kps)}")
+    witnesses = [
+        (group.ring_table([kp.public for kp in kps]), len(kps) // 2, kps[len(kps) // 2].secret) for kps in rings
+    ]
+    count, rng = sum(len(kps) - 1 for kps in rings), random.Random(f"column-evidence-{name}")
     group_module._Pinned.run, group_module._Worker.hear = timed_run, timed_hear
     try:
         for _ in range(repeats):
@@ -191,7 +203,7 @@ def column_evidence(group: GroupParams, kps, repeats: int) -> dict:
             heard.clear()
             workers = {pid: cpu_seconds(pid) for pid in children()}
             first, started = cpu(), time.perf_counter()
-            _ring_commit(group, table, index, kps[index].secret, rng)
+            _rings_commit(group, witnesses, rng, possession=len(rings) > 1)
             wall, last = time.perf_counter() - started, cpu()
             worker = sum(cpu_seconds(pid) - spent for pid, spent in workers.items())
             met, caller = min(start for start, _, _ in runs), sum(seconds for _, _, seconds in runs)
@@ -207,12 +219,12 @@ def column_evidence(group: GroupParams, kps, repeats: int) -> dict:
     finally:
         group_module._Pinned.run, group_module._Worker.hear = run, hear
     return {
-        "column_m4000_caller_us_per_value": statistics.median(s["caller_us"] for s in samples),
-        "column_m4000_worker_us_per_value": statistics.median(s["worker_us"] for s in samples),
-        "column_m4000_worker_head_start_values": statistics.median(s["head_start"] for s in samples),
-        "column_m4000_meeting_fraction": statistics.median(s["met"] for s in samples),
-        "column_m4000_caller_outside_runs_s": statistics.median(s["outside"] for s in samples),
-        "column_m4000_caller_cpu_start_end": [s["cpus"] for s in samples],
+        f"{name}_caller_us_per_value": statistics.median(s["caller_us"] for s in samples),
+        f"{name}_worker_us_per_value": statistics.median(s["worker_us"] for s in samples),
+        f"{name}_worker_head_start_values": statistics.median(s["head_start"] for s in samples),
+        f"{name}_meeting_fraction": statistics.median(s["met"] for s in samples),
+        f"{name}_caller_outside_runs_s": statistics.median(s["outside"] for s in samples),
+        f"{name}_caller_cpu_start_end": [s["cpus"] for s in samples],
     }
 
 
@@ -342,6 +354,70 @@ def oracle_report(package, chain: Chain, store: OffChainStore) -> VerificationRe
     return VerificationReport(commitment == chain.get(package.last_block_id).commitment, tuple(data_ok), failure_index)
 
 
+def block_rows(group: GroupParams, seed: int, repeats: int) -> dict:
+    """A patient block proved (``create_patient_block``) and checked
+    (``verify_block``) against registries of 2000/64 and 4000/1000 keys
+    whose tables are kept, each block first checked against ``pow`` branch
+    by branch, accepted, and rejected with a branch forged at the end of
+    its patient ring and at the start of its hospital ring; a ring prover
+    over a 2000-key ring one 100-key batch past a ring whose table the
+    caller and the worker keep (a fresh registry per repeat); and the block
+    prover's column, shared as ``column_evidence`` reports it."""
+    rows, bits = {}, ConditionCodebook.default().encode([], [])
+    for patients, hospitals in ((2000, 64), (4000, 1000)):
+        world = random.Random(f"block-{patients}-{hospitals}-{seed}")
+        directories = new_directories(group)
+        patient_kps = [keygen(group, world) for _ in range(patients)]
+        hospital_kps = [keygen(group, world) for _ in range(hospitals)]
+        for registry, kps in ((directories.patients, patient_kps), (directories.hospitals, hospital_kps)):
+            for kp in kps:
+                registry.enroll(kp.public)
+        p, h = patients // 2, hospitals // 2
+
+        def prove():
+            return create_patient_block(
+                PatientContext(patient_kps[p], p, PatientSecrets()), HospitalContext(hospital_kps[h], h),
+                b"", bits, directories, OffChainStore(), 1, world,
+            )[0]
+
+        block = prove()
+        for credential, registry in ((block.patient_credential, directories.patients),
+                                     (block.hospital_credential, directories.hospitals)):
+            if not pow_ring_verdict(group, registry.keys, credential.membership):
+                raise SystemExit(f"a {patients}/{hospitals}-key block's branches fail the pow check")
+        if not verify_block(block, directories):
+            raise SystemExit(f"verify_block rejected an honest {patients}/{hospitals}-key block")
+        for party, branch in (("patient", patients - 1), ("hospital", 0)):
+            credential = getattr(block, f"{party}_credential")
+            branches = list(credential.membership.branches)
+            response = (branches[branch].response + 1) % group.order
+            branches[branch] = dataclasses.replace(branches[branch], response=response)
+            membership = dataclasses.replace(credential.membership, branches=tuple(branches))
+            credential = dataclasses.replace(credential, membership=membership)
+            if verify_block(dataclasses.replace(block, **{f"{party}_credential": credential}), directories):
+                raise SystemExit(f"verify_block accepted a {patients}/{hospitals}-key block forged at {party} {branch}")
+        rows[f"block_prove_{patients}_{hospitals}_s"] = median_time(prove, repeats)
+        rows[f"block_verify_{patients}_{hospitals}_s"] = median_time(
+            lambda: verify_block(block, directories), repeats
+        )
+        if patients == 4000:
+            rows.update(column_evidence(group, [patient_kps, hospital_kps], repeats, "block_column_m4000_1000"))
+    grown = []
+    for repeat in range(repeats):
+        registry_rng = random.Random(f"grown-{seed}-{repeat}")
+        kps = [keygen(group, registry_rng) for _ in range(2000)]
+        kept = tuple(kp.public for kp in kps[:1900])
+        ring_prove(group, kept, 7, kps[7].secret, b"ctx", registry_rng)  # kept by the caller and the worker
+        ring = kept + tuple(kp.public for kp in kps[1900:])
+        started = time.perf_counter()
+        proof = ring_prove(group, ring, 1000, kps[1000].secret, b"ctx", registry_rng)
+        grown.append(time.perf_counter() - started)
+        if not pow_ring_verdict(group, ring, proof):
+            raise SystemExit("a proof over a grown ring fails the pow check")
+    rows["ring_prove_grown_by_100_s"] = statistics.median(grown)
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=2)
@@ -362,7 +438,7 @@ def main() -> None:
     schnorr_checks = []
     for y, s, c in zip(keys, scalars, challenges):
         pair = group.encode_scalar(c) + group.encode_scalar(s)
-        t = int.from_bytes(group.schnorr_commitments(group.ring_table((y,)), pair))
+        t = int.from_bytes(group.schnorr_commitments([(group.ring_table((y,)), 1)], pair))
         if t * pow(y, c, p) % p != pow(g, s, p):
             raise SystemExit("g^s * y^-c differs from pow")
         schnorr_checks.append((y, group.key_is_element(y), t, c, s))
@@ -407,16 +483,16 @@ def main() -> None:
     column_responses = [group.random_scalar(column_rng) for _ in ring]
     column_scalars = b"".join(map(group.encode_scalar, itertools.chain(*zip(column_challenges, column_responses))))
     table = group.ring_table(ring)
-    column = group.schnorr_commitments(table, column_scalars)
+    column = group.schnorr_commitments([(table, len(table))], column_scalars)
     expected = [
         pow(g, s, p) * pow(y, -c % (p - 1), p) % p for y, c, s in zip(ring, column_challenges, column_responses)
     ]
     if column != b"".join(map(group.encode_element, expected)):
         raise SystemExit("the commitment column differs from pow")
     rows["ring_commitments_per_branch_s"] = median_time(
-        lambda: group.schnorr_commitments(table, column_scalars), args.repeats, len(ring)
+        lambda: group.schnorr_commitments([(table, len(table))], column_scalars), args.repeats, len(ring)
     )
-    rows.update(column_evidence(group, kps, args.repeats))
+    rows.update(column_evidence(group, [kps], args.repeats, "column_m4000"))
     rows["column_workers_vmhwm_mb"] = sum(map(vmhwm_mb, children()))
     # A verifier's column over the same ring whose first or last record
     # fails: the worker meets the first at its first value, the caller the
@@ -426,14 +502,14 @@ def main() -> None:
         forged = bytearray(records)
         forged[at * 96] ^= 1
         forged = bytes(forged)
-        if group.schnorr_failure(table, forged) != at:
+        if group.schnorr_failure([table], forged) != at:
             raise SystemExit(f"the verifier's column did not name the forged record {at}")
         rows[f"column_m4000_closed_after_one_value{name}_s"] = median_time(
-            lambda: group.schnorr_failure(table, forged), 5 * args.repeats
+            lambda: group.schnorr_failure([table], forged), 5 * args.repeats
         )
         pool, group_module._workers = group_module._workers, []  # an empty pool: no worker to share with
         rows[f"column_m4000_closed_after_one_value{name}_one_process_s"] = median_time(
-            lambda: group.schnorr_failure(table, forged), 5 * args.repeats
+            lambda: group.schnorr_failure([table], forged), 5 * args.repeats
         )
         group_module._workers = pool
     # The ring-key gate of a 4000/1000-key block's verifier: the verdicts of
@@ -448,6 +524,7 @@ def main() -> None:
     rows["ring_key_gate_m5000_s"] = median_time(
         lambda: [group.ring_table(keys).members for keys in gate_rings], args.repeats
     )
+    rows.update(block_rows(group, args.seed, args.repeats))
     researcher = keygen(group, rng)
     signature = sign(group, researcher, b"", rng)
     request = RequestBlock(bytes(32), TimeRange(1, 2), researcher.public, signature, group)

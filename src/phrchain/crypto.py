@@ -33,7 +33,7 @@ import operator
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import encoding as enc
 from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _pinned, _Ring, _rng
@@ -156,7 +156,7 @@ def _schnorr_equation(group: GroupParams, key: int, entry, commitment: int, chal
     the kernel of ``GroupParams.schnorr_failure``), whose verdict is the
     one ``pow`` gives. A Schnorr proof, a signature and the possession
     half are checked here, after ``_schnorr_gate``; ring branches are one
-    column of their records, checked by ``_ring_equations`` after
+    column of their records, checked by ``_column_holds`` after
     ``_ring_gate``.
     """
     size, scalar = group.element_size, group.scalar_size
@@ -360,62 +360,90 @@ class _RingCommitState:
     """A ring proof before its binding challenge: the witness index and
     nonce, every branch's encoded commitment in ring order, the simulated
     branches' challenge and response pairs, encoded in ring order with the
-    witness skipped, and the sum of their challenges."""
+    witness skipped, the sum of their challenges, and the nonce of the
+    possession half drawn after them, or None for a bare ring proof."""
 
     index: int
     nonce: int
     commitments: bytes
     scalars: bytes
     challenge_sum: int
+    possession_nonce: int | None
 
 
 def _ring_commit(
     group: GroupParams, ring: Sequence[int], index: int, secret: int, rng: random.Random | None
 ) -> _RingCommitState:
-    """Commit to every branch, after checking the witness and before any RNG draw.
+    """``_rings_commit`` of one ring, with no possession nonce: a bare ring proof's commitments."""
+    [state] = _rings_commit(group, [(group.ring_table(ring), index, secret)], rng, possession=False)
+    return state
 
-    The draws come in branch order, through one bound ``randrange``: a
-    simulated branch's challenge and response, the witness branch's nonce.
+
+def _rings_commit(
+    group: GroupParams, witnesses: Sequence[tuple[_Ring, int, int]], rng: random.Random | None, possession: bool
+) -> list[_RingCommitState]:
+    """Commit to every branch of each ring of ``witnesses``, a ring table,
+    the witness index in it and the witness's secret: the rings' simulated
+    branches are one commitment column.
+
+    The draws come in ring order, and in branch order within a ring,
+    through one bound ``randrange``: a simulated branch's challenge and
+    response, the witness branch's nonce, and after the ring's branches its
+    possession nonce when ``possession``. Each ring's witness is checked
+    before the ring's first draw (an index outside the ring before any).
     The simulated branches' commitments, the ones that satisfy their
     verification equations, come from one commitment column over the
-    ring's table (``GroupParams.ring_table``) that skips the witness
-    position. The column is handed the encoded challenges and responses in
-    chunks of ``_CHUNK`` pairs, each as soon as it is drawn, so a worker
-    sharing the column starts on its head while the tail is still drawn:
-    a simulated branch depends on its own draws alone. The witness
-    commitment is g^nonce. Nothing of the witness branch goes into the column.
+    rings' tables, each skipping its witness position
+    (``GroupParams.schnorr_commitments``). The column is handed the encoded
+    challenges and responses in chunks of ``_CHUNK`` pairs, each as soon as
+    it is drawn, so a worker sharing the column starts on its head while
+    the tail is still drawn: a simulated branch depends on its own draws
+    alone (Cramer, Damgard and Schoenmakers, CRYPTO 1994), so the rings of
+    a block can be one stream. A witness commitment is g^nonce. Nothing of
+    a witness branch goes into the column.
     """
-    table = group.ring_table(ring)
-    if not 0 <= index < len(table):
-        raise IndexError(f"witness index {index} outside ring of {len(table)}")
-    if group.exp(group.generator, secret) != table.keys[index]:
-        raise ValueError("witness secret does not match the ring key at the given index")
+    for table, index, _ in witnesses:
+        if not 0 <= index < len(table):
+            raise IndexError(f"witness index {index} outside ring of {len(table)}")
     draw, order, size = _rng(rng).randrange, group.order, group.scalar_size
-    drawn = []
-    nonce = challenge_sum = 0
+    drawn, nonces, sums, possession_nonces = [], [], [], []
 
     def chunks() -> Iterator[bytes]:
-        nonlocal nonce, challenge_sum
         pairs = []
-        for i in range(len(table)):
-            if i == index:
-                nonce = draw(1, order)
-                continue
-            challenge = draw(1, order)
-            challenge_sum += challenge
-            pairs.append(challenge.to_bytes(size) + draw(1, order).to_bytes(size))
-            if len(pairs) == _CHUNK:
-                drawn.append(b"".join(pairs))
-                pairs.clear()
-                yield drawn[-1]
+        for table, index, secret in witnesses:
+            if group.exp(group.generator, secret) != table.keys[index]:
+                raise ValueError("witness secret does not match the ring key at the given index")
+            challenge_sum = 0
+            for i in range(len(table)):
+                if i == index:
+                    nonces.append(draw(1, order))
+                    continue
+                challenge = draw(1, order)
+                challenge_sum += challenge
+                pairs.append(challenge.to_bytes(size) + draw(1, order).to_bytes(size))
+                if len(pairs) == _CHUNK:
+                    drawn.append(b"".join(pairs))
+                    pairs.clear()
+                    yield drawn[-1]
+            sums.append(challenge_sum)
+            possession_nonces.append(draw(1, order) if possession else None)
         if pairs:
             drawn.append(b"".join(pairs))
             yield drawn[-1]
 
-    commitments = group.schnorr_commitments(table, chunks(), index)
-    at = index * group.element_size
-    witness = group.encode_element(group.exp(group.generator, nonce))
-    return _RingCommitState(index, nonce, commitments[:at] + witness + commitments[at:], b"".join(drawn), challenge_sum)
+    commitments = group.schnorr_commitments([(table, index) for table, index, _ in witnesses], chunks())
+    scalars, element, pair = b"".join(drawn), group.element_size, 2 * size
+    states, at = [], 0
+    for (table, index, _), nonce, challenge_sum, possession_nonce in zip(witnesses, nonces, sums, possession_nonces):
+        simulated = len(table) - 1
+        ring = commitments[at * element : (at + simulated) * element]
+        witness = group.encode_element(group.exp(group.generator, nonce))
+        ring = ring[: index * element] + witness + ring[index * element :]
+        states.append(_RingCommitState(
+            index, nonce, ring, scalars[at * pair : (at + simulated) * pair], challenge_sum, possession_nonce
+        ))
+        at += simulated
+    return states
 
 
 def _ring_finish(group: GroupParams, state: _RingCommitState, secret: int, binding: int) -> RingProof:
@@ -455,19 +483,25 @@ def ring_verify(
     (``GroupParams.schnorr_failure``), which reads c_i and s_i from their
     bytes, compares each value with the bytes of t_i, and stops at a
     failing branch. So the verdict is the one ``pow`` gives branch by
-    branch, and it draws no randomness. A ring of at least
-    ``group._SPLIT`` keys is shared with the worker process, which is sent
-    the records, and the keys unless it keeps the ring's table: public
-    bytes all. No commitment needs a membership test: the gate puts each
-    y_i in the subgroup, and a holding equation puts t_i = g^s_i / y_i^c_i
-    there too.
+    branch, and it draws no randomness. The gate runs first; the binding
+    challenge and the challenge sum are checked once the records are
+    handed to the column (``_column_holds``): while the worker process
+    computes, for a ring of at least ``group._SPLIT`` keys, which is sent
+    the records, and the keys unless it keeps the ring's table or one it
+    grew from: public bytes all. No commitment needs a membership test:
+    the gate puts each y_i in the subgroup, and a holding equation puts
+    t_i = g^s_i / y_i^c_i there too.
     """
     gated = _ring_gate(group, ring, proof)
     if gated is None:
         return False
-    records, table = gated
-    commitment_bytes = _branch_layout(group).commitment_bytes(records)
-    return _ring_equations(group, table, records, proof.binding_challenge, context, commitment_bytes)
+    records, _ = gated
+
+    def challenges() -> bool:
+        commitment_bytes = _branch_layout(group).commitment_bytes(records)
+        return _ring_challenges(group, records, proof.binding_challenge, context, commitment_bytes)
+
+    return _column_holds(group, [gated], challenges)
 
 
 def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> tuple[bytes, _Ring] | None:
@@ -502,25 +536,45 @@ def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> tup
     return records, table
 
 
-def _ring_equations(
-    group: GroupParams, ring: _Ring, records: bytes, binding: int, context: bytes, commitment_bytes: bytes
-) -> bool:
-    """The binding challenge and the branch equations of the records of a
-    proof past ``_ring_gate`` (see ``ring_verify``), whose binding challenge
-    is ``binding``, over the ring's table the gate resolved;
-    ``commitment_bytes`` is joined from the records once by the caller.
-
-    The challenges are read as ints for their sum alone. The branch
-    equations are one column over the records' bytes
-    (``GroupParams.schnorr_failure``), which stops at a branch whose
-    equation fails: the first, in a column computed in one process.
-    """
-    layout = _branch_layout(group)
+def _ring_challenges(group: GroupParams, records: bytes, binding: int, context: bytes, commitment_bytes: bytes) -> bool:
+    """Whether the binding challenge ``binding`` of a proof past
+    ``_ring_gate`` recomputes from ``context`` and the commitments
+    (``commitment_bytes``, joined from the records), and the records'
+    challenges, read as ints for their sum alone, sum to it."""
     if _ring_binding_challenge(group, context, commitment_bytes) != binding:
         return False
-    if sum(layout.column(records, layout.CHALLENGE)) % group.order != binding:
+    layout = _branch_layout(group)
+    return sum(layout.column(records, layout.CHALLENGE)) % group.order == binding
+
+
+class _Refused(Exception):
+    """A verifier's check, run while its column computes, failed."""
+
+
+def _column_holds(group: GroupParams, gated: Sequence[tuple[bytes, _Ring]], checks: Callable[[], bool]) -> bool:
+    """Whether every branch equation of the records of proofs past
+    ``_ring_gate`` (``gated``, each its records and its ring's table) holds
+    and ``checks()`` is true.
+
+    The equations are one column over the rings' tables in turn
+    (``GroupParams.schnorr_failure``), each proof's records one chunk of
+    it, handed over as they are, with no copy; it stops at a failing
+    branch. ``checks`` runs once every chunk is in the column: after the
+    chunks are sent to a worker sharing it, so while the worker computes,
+    and before the caller's own share, which it spares when it fails. A
+    failing check ends the column the way any exception from its chunks
+    does: its worker is sent the stop.
+    """
+    def chunks() -> Iterator[bytes]:
+        for records, _ in gated:
+            yield records
+        if not checks():
+            raise _Refused
+
+    try:
+        return group.schnorr_failure([table for _, table in gated], chunks()) is None
+    except _Refused:
         return False
-    return group.schnorr_failure(ring, records) is None
 
 
 # ---------------------------------------------------------------------------
@@ -585,46 +639,97 @@ def credential_prove(
     block_kp: KeyPair,
     rng: random.Random | None = None,
 ) -> CredentialProof:
-    """Bind ring membership of an identity key to possession of a block key."""
-    table = group.ring_table(ring)
-    ring_state = _ring_commit(group, table, index, identity_secret, rng)
-    possession_nonce = group.random_scalar(rng)
-    possession_commitment = group.exp(group.generator, possession_nonce)
-    commitment_bytes = _commitment_bytes(group, ring_state.commitments)
-    joint = _joint_context(group, table, block_kp.public, possession_commitment, commitment_bytes)
+    """Bind ring membership of an identity key to possession of a block key:
+    ``credentials_prove`` of this one credential."""
+    [proof] = credentials_prove(group, [(ring, index, identity_secret, block_kp)], rng)
+    return proof
 
-    binding = _ring_binding_challenge(group, joint, commitment_bytes)
-    membership = _ring_finish(group, ring_state, identity_secret, binding)
 
-    challenge = _schnorr_challenge(group, joint, block_kp.public, possession_commitment)
-    response = _schnorr_response(group, possession_nonce, challenge, block_kp.secret)
-    possession = SchnorrProof(possession_commitment, challenge, response)
-    return CredentialProof(membership, possession, joint)
+def credentials_prove(
+    group: GroupParams,
+    claims: Sequence[tuple[Sequence[int], int, int, KeyPair]],
+    rng: random.Random | None = None,
+) -> list[CredentialProof]:
+    """A credential for each claim (a ring, the identity's index in it, its
+    secret and the block key pair), as ``credential_prove`` makes them one
+    after another, with the same draws in the same order (each ring's
+    branches, then its possession nonce), and the same transcripts: every
+    ring's simulated branches are one commitment column (``_rings_commit``),
+    so a patient block's two credentials are one stream to the worker."""
+    witnesses = [(group.ring_table(ring), index, secret) for ring, index, secret, _ in claims]
+    states = _rings_commit(group, witnesses, rng, possession=True)
+    proofs = []
+    for (table, _, identity_secret), (_, _, _, block_kp), state in zip(witnesses, claims, states):
+        possession_commitment = group.exp(group.generator, state.possession_nonce)
+        commitment_bytes = _commitment_bytes(group, state.commitments)
+        joint = _joint_context(group, table, block_kp.public, possession_commitment, commitment_bytes)
+
+        binding = _ring_binding_challenge(group, joint, commitment_bytes)
+        membership = _ring_finish(group, state, identity_secret, binding)
+
+        challenge = _schnorr_challenge(group, joint, block_kp.public, possession_commitment)
+        response = _schnorr_response(group, state.possession_nonce, challenge, block_kp.secret)
+        proofs.append(CredentialProof(membership, SchnorrProof(possession_commitment, challenge, response), joint))
+    return proofs
 
 
 def credential_verify(
     group: GroupParams, ring: Sequence[int], block_public: int, proof: CredentialProof
 ) -> bool:
-    """True iff both halves verify under the joint context recomputed from inputs."""
-    possession = proof.possession
-    # The joint context encodes the block key and every commitment of both halves.
-    entry = _schnorr_gate(group, block_public, possession.commitment, possession.response)
-    if not entry:
-        return False
-    gated = _ring_gate(group, ring, proof.membership)
-    if gated is None:
-        return False
-    records, table = gated
-    commitment_bytes = _branch_layout(group).commitment_bytes(records)
-    expected = _joint_context(group, table, block_public, possession.commitment, commitment_bytes)
-    if proof.joint_context != expected:
-        return False
-    if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
-        return False
-    binding = proof.membership.binding_challenge
-    return _ring_equations(group, table, records, binding, expected, commitment_bytes) and _schnorr_equation(
-        group, block_public, entry, possession.commitment, possession.challenge, possession.response
-    )
+    """True iff both halves verify under the joint context recomputed from
+    inputs: ``credentials_verify`` of this one credential. Both gates run
+    first; the ring's branch records are then handed to the commitment
+    column, and the joint context, the possession challenge, the binding
+    challenge, the challenge sum and the possession equation are checked
+    while a worker sharing the column computes."""
+    return credentials_verify(group, [(ring, block_public, proof)])
+
+
+def credentials_verify(group: GroupParams, claims: Sequence[tuple[Sequence[int], int, CredentialProof]]) -> bool:
+    """True iff every claim's credential (checked against its ring and block
+    key) verifies, as ``credential_verify`` would find one by one.
+
+    Every possession half and every ring proof passes its gate
+    (``_schnorr_gate``, ``_ring_gate``) before anything is hashed. Then the
+    ring proofs' branch records are one commitment column over the rings
+    (``_column_holds``), sent to the worker sharing it without a copy, and
+    only then, while the worker computes, are the joint contexts, the
+    possession challenges, the binding challenges and the challenge sums
+    recomputed and the possession equations checked; a failing one stops
+    the column.
+    """
+    gated, entries = [], []
+    for ring, block_public, proof in claims:
+        possession = proof.possession
+        # The joint context encodes the block key and every commitment of both halves.
+        entry = _schnorr_gate(group, block_public, possession.commitment, possession.response)
+        if not entry:
+            return False
+        ring_gated = _ring_gate(group, ring, proof.membership)
+        if ring_gated is None:
+            return False
+        gated.append(ring_gated)
+        entries.append(entry)
+
+    def checks() -> bool:
+        layout = _branch_layout(group)
+        for (records, table), entry, (_, block_public, proof) in zip(gated, entries, claims):
+            possession = proof.possession
+            commitment_bytes = layout.commitment_bytes(records)
+            expected = _joint_context(group, table, block_public, possession.commitment, commitment_bytes)
+            if proof.joint_context != expected:
+                return False
+            if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
+                return False
+            if not _ring_challenges(group, records, proof.membership.binding_challenge, expected, commitment_bytes):
+                return False
+            if not _schnorr_equation(
+                group, block_public, entry, possession.commitment, possession.challenge, possession.response
+            ):
+                return False
+        return True
+
+    return _column_holds(group, gated, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ The commitment column is the one home of the Schnorr equation's right
 side, g^s * y^-c, and it works on bytes: a prover hands it its simulated
 branches' challenge and response bytes and gets back the commitments'
 encodings (``schnorr_commitments``); a verifier hands it the records
-t || c || s of a ring proof's branches and gets back the index of a
+t || c || s of its ring proofs' branches and gets back the index of a
 failing record, or None (``schnorr_failure``); the one record of a
 signature, a Schnorr proof or a possession half is the column's kernel
 run once (``_Pinned.run``). Each value is one
@@ -30,38 +30,57 @@ is the exponent as it stands; c and s are read into BIGNUMs from their
 bytes, and the value is written to, or compared with, bytes. A verifier's
 column stops at the first record that fails, the kernel with it.
 
-A column runs over a ring table (``_Ring``, ``GroupParams.ring_table``):
-a ring resolved once, at its first use, and kept per key tuple. It holds
-the keys' entries by strong reference, one membership verdict for the
-whole ring, which a verifier's gate reads instead of testing each key,
-and the keys' encoding and its digest, which is the ring's digest in a
-credential's joint context and the table's name to the worker. A prover's
-column is its ring and the witness position it skips; a one-record check
-hands the kernel its key and the entry its gate looked up, with no table.
+A column runs over an ordered list of segments, each a ring table and
+the position it skips (``_Column``): a prover's column is each ring it
+proves over without its witness position, and a verifier's the rings of
+the proofs it checks, so a patient block's two credentials are one column
+to prove and one to check. A ring table (``_Ring``,
+``GroupParams.ring_table``) is a ring resolved once, at its first use, and
+kept, the last ``_RINGS``: it holds the keys' entries by strong
+reference, one membership verdict for the whole ring, which a verifier's
+gate reads instead of testing each key, and the keys' encoding and its
+digest, which is the ring's digest in a credential's joint context and
+the table's name to the worker. A kept table is found by the identity of
+its key tuple, as a registry hands it out, before any key is read. A
+ring with no kept table is extended from, or cut from, the kept table
+that shares the longest prefix with it (registries only append), so a
+ring grown by a batch of enrollments looks up and encodes that batch
+alone. A one-record check hands the kernel its key and the entry its
+gate looked up, with no table.
 
 A column of at least ``_SPLIT`` values is shared with one worker
 process, forked on the first such column from a process with one thread
 alive, on a machine of more than one CPU (``os.sched_getaffinity``). It
-is sent the column's header over a ``multiprocessing`` pipe, then the
-ring's keys unless it keeps the ring's table (it keeps the last
-``_RINGS``, and the caller mirrors which), then the records in chunks:
-a prover's as its draws make them, ``_CHUNK`` at a time, a verifier's in
-one. The worker works forward from the head over what has arrived, on a
-CPU other than the caller's, in runs of ``_RUN`` values, sending each
+is sent the column's header over a ``multiprocessing`` pipe, asked to
+hold ``_PIPE_BYTES``, which names each segment's table and the kept
+table it is made from, with the number of keys taken from that one (the
+worker keeps the last ``_RINGS`` tables, and the caller mirrors their
+keys), then the bytes of the keys appended to those, if any, then the
+records: a prover's as its draws make them, a verifier's as its proofs
+hold them, with no copy; keys and records go in messages of at most
+``_CHUNK`` records' bytes. A message is written only whole and without
+waiting, and only when it leaves at most three quarters of the pipe's
+size unread; one that does not is sent at the caller's next chance, so
+a worker that reads slowly gets its messages late, one that is stopped
+is never waited for, and one that cannot be written to is killed. The
+worker works forward from the head over what has arrived, on
+a CPU other than the caller's, in runs of ``_RUN`` values, sending each
 run's commitments or verdict back as it is done, and waits when it has
-caught up. So it starts while the prover is still drawing: a simulated
-branch depends on its own draws alone. Once its records are all in, the
+caught up. So it starts while the prover is still drawing, a simulated
+branch depending on its own draws alone, and while the verifier is still
+hashing its proofs' contexts. Once its records are all in, the
 caller works backward from the tail and reads the replies between its
 runs; the column is done where the two meet, wherever their speeds put
 them. So the caller covers whatever the worker has not: all of it when
 the worker is slow or stopped, or dies. A failing record found on either
 side ends the column, and a column that ends, its draws raising
 included, sends the worker its stop, an empty message it can read at any
-point of the stream, without waiting for the run in flight; every
-request is numbered, and the next column drops the replies to an earlier
-one. Both sides poll their pipe through ``select.poll``. Only public
-bytes cross to the worker: keys, challenges and responses, which are a
-proof's fields or the simulated branches of one, and the position a
+point of the stream, without waiting for the run in flight; a worker
+found then to have exited is reaped. Every request is numbered, and the
+next column drops the replies to an earlier one. Both sides poll their
+pipe through ``select.poll``. Only public bytes cross to the worker:
+keys, table names and counts, challenges and responses, which are a
+proof's fields or the simulated branches of one, and the positions a
 prover skips, never a witness branch, a nonce or a secret. The worker
 exits at EOF on its request pipe and is reaped at interpreter exit; a
 child forked later closes its parent's pipes and forks a worker of its own.
@@ -97,15 +116,17 @@ import contextlib
 import ctypes
 import fcntl
 import functools
+import gc
 import hashlib
 import itertools
 import os
 import random
 import signal
 import struct
+import termios
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 from . import encoding as enc
 
@@ -397,58 +418,87 @@ def _pinned(modulus: int, base: int) -> _Pinned:
 
 class _Column:
     """What the caller and the worker both compute a column from: its group,
-    the generator pinned for it, its ring table, the ring position it skips
-    (the ring's length when it skips none), its number of values, the width
-    of its records, and the buffer its values go to, or None for a column
-    of commitments to check.
+    the generator pinned for it, its segments and their pieces, its number
+    of values, the width of its records, and the buffer its values go to,
+    or None for a column of commitments to check.
 
-    Value j is the ring's key j before the skipped position and key j + 1
-    from it on, so a prover's column is its ring and its witness position:
-    the witness's key takes no value, and its record is not in the column.
+    A column runs over an ordered list of segments, each a ring table and
+    the ring position it skips (the ring's length when it skips none). A
+    segment's values are its ring's keys in order, the skipped one left
+    out, and each segment's values follow the last one's: so a prover's
+    column is each of its rings without its witness position, whose key
+    takes no value and whose record is not in the column, and a verifier's
+    is the rings of the proofs it checks. A piece is a run of keys with no
+    gap: (its first value, its end, its ring, the key index of value v
+    less v).
     """
 
-    __slots__ = ("group", "pinned", "ring", "skip", "count", "width", "out")
+    __slots__ = ("group", "pinned", "segments", "pieces", "count", "width", "out")
 
-    def __init__(self, group: "GroupParams", ring: "_Ring", skip: int, width: int) -> None:
-        self.group, self.ring, self.skip, self.width = group, ring, skip, width
+    def __init__(self, group: "GroupParams", segments: Iterable[tuple["_Ring", int]], width: int) -> None:
+        self.group, self.segments, self.width = group, tuple(segments), width
         self.pinned = _pinned(group.modulus, group.generator)
-        self.count = len(ring.keys) - (skip < len(ring.keys))
-        self.out = bytearray(self.count * group.element_size) if width == 2 * group.scalar_size else None
+        pieces, count = [], 0
+        for ring, skip in self.segments:
+            length = len(ring.keys)
+            if not 0 <= skip <= length:
+                raise IndexError(f"position {skip} outside a ring of {length}")
+            for low, high in ((0, skip), (skip + 1, length)):
+                if low < high:
+                    pieces.append((count, count + high - low, ring, low - count))
+                    count += high - low
+        self.pieces, self.count = tuple(pieces), count
+        self.out = bytearray(count * group.element_size) if width == 2 * group.scalar_size else None
 
     def values(self, records: bytes, first: int, low: int, high: int) -> int | None:
         """Values ``low`` to ``high - 1`` (``_Pinned.run``), whose records are
         in ``records``, which starts at the record of value ``first``."""
-        ring, width, skip = self.ring, self.width, self.skip
+        width = self.width
         at = (low - first) * width
-        if low < skip:
-            stop = min(high, skip)
-            failed = self.pinned.run(
-                self.group, ring.keys[low:stop], ring.entries[low:stop], records, at, low, width, self.out
-            )
+        for start, end, ring, offset in self.pieces:
+            if low >= end:
+                continue
+            stop = min(high, end)
+            keys, entries = ring.keys[low + offset : stop + offset], ring.entries[low + offset : stop + offset]
+            failed = self.pinned.run(self.group, keys, entries, records, at, low, width, self.out)
             if failed is not None or stop == high:
                 return failed
             at, low = at + (stop - low) * width, stop
-        keys, entries = ring.keys[low + 1 : high + 1], ring.entries[low + 1 : high + 1]
-        return self.pinned.run(self.group, keys, entries, records, at, low, width, self.out)
+        return None
 
     def compute(self, chunks: Iterable[bytes]) -> int | None:
-        """The column, its records read from ``chunks`` as they come: shared
-        with the idle worker when it has at least ``_SPLIT`` values
-        (``_Worker.share``), else computed here once its records are all in."""
+        """The column, its records read from ``chunks`` as they come, each
+        chunk whole records: shared with the idle worker when it has at
+        least ``_SPLIT`` values (``_Worker.share``), else computed here,
+        chunk by chunk, once its records are all in."""
         worker = None if self.count < _SPLIT else _idle_worker()
-        if worker is None:
-            return self.values(b"".join(chunks), 0, 0, self.count)
-        try:
-            return worker.share(self, chunks)
-        finally:
-            worker.lock.release()
+        if worker is not None:
+            try:
+                return worker.share(self, chunks)
+            finally:
+                worker.lock.release()
+        for first, records in list(self.stream(chunks)):
+            failed = self.values(records, first, first, first + len(records) // self.width)
+            if failed is not None:
+                return failed
+        return None
 
-
-def _length_checked(count: int, records: bytes, width: int) -> tuple[bytes]:
-    """``records`` as a column's one chunk, if it holds ``count`` records of ``width`` bytes."""
-    if len(records) != count * width:
-        raise ValueError(f"a column of {count} keys takes {count * width} bytes of records")
-    return (records,)
+    def stream(self, chunks: Iterable[bytes]) -> Iterator[tuple[int, bytes]]:
+        """The chunks that hold records, each with the index of its first
+        value, as they come; ValueError unless they are whole records, the
+        column's count of them."""
+        first, width = 0, self.width
+        for chunk in chunks:
+            count, left = divmod(len(chunk), width)
+            if left or first + count > self.count:
+                break
+            if count:
+                yield first, chunk
+                first += count
+        else:
+            if first == self.count:
+                return
+        raise ValueError(f"a column of {self.count} values takes {self.count * width} bytes of records")
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +508,10 @@ def _length_checked(count: int, records: bytes, width: int) -> tuple[bytes]:
 # A column of at least this many values is shared between the caller and the
 # worker. A split already pays from 32 values (BENCH_26.json), but the worker
 # computes up to a run past the point where its column ends. Shorter columns,
-# the researcher workload's 16/8-key rings and the rings of up to 129 keys
-# whose kernel calls the tests count among them, stay in one process, where
-# the kernel stops exactly where the column does. At this bound a split saves
-# about 4 ms.
+# the researcher workload's 16/8-key blocks (a column of 22 values to prove
+# one, of 24 to check it) and the rings of up to 129 keys whose kernel calls
+# the tests count among them, stay in one process, where the kernel stops
+# exactly where the column does. At this bound a split saves about 4 ms.
 _SPLIT = 192
 # The worker computes a column in runs of this many values, and looks for its
 # stop between runs; the caller reads the worker's replies between its own.
@@ -470,14 +520,17 @@ _RUN = 32
 # worker starts on the head once the first chunk is drawn.
 _CHUNK = 128
 # Ring tables kept: the caller's cache (``GroupParams.ring_table``), the
-# worker's tables, and the caller's mirror of the worker's names.
+# worker's tables, and the caller's mirror of their names and keys.
 _RINGS = 4
-# Each pipe's size (F_SETPIPE_SZ): the most a process may ask for without
-# privileges, by default.
+# Each pipe's size asked for (F_SETPIPE_SZ): the most a process may ask for
+# without privileges, by default. A pipe that cannot be given it keeps the
+# size it has.
 _PIPE_BYTES = 1 << 20
 # A worker's reply: the column's number, the first and end index of the run,
 # and the index of a failing commitment in it, or -1; a prover's values follow.
 _REPLY = struct.Struct(">QIIi")
+# The flag Linux sets on a process once it has begun to exit (its stat's ninth field).
+_PF_EXITING = 0x4
 # The CPU the calling thread runs on, from the C library.
 _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 
@@ -495,6 +548,9 @@ def _serve(requests: Connection, replies: Connection) -> NoReturn:
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # its parent decides when it ends
+        # The objects it was forked with are its parent's: a collection that
+        # walked them would copy their pages and stall the worker.
+        gc.freeze()
         waiting = select.poll()
         waiting.register(requests.fileno(), select.POLLIN)
         rings: dict[bytes, _Ring] = {}
@@ -508,20 +564,26 @@ def _serve(requests: Connection, replies: Connection) -> NoReturn:
 
 def _answer(
     requests: Connection, replies: Connection, waiting, rings: dict, column: int, cpu: int, group: "GroupParams",
-    name: bytes, skip: int, width: int, keyed: bool,
+    width: int, segments: tuple,
 ) -> None:
     """Compute a column forward from its head, on ``cpu``, one run at a time
     over the records that have arrived, each run's reply sent as it is done
     (``_REPLY``), and wait for more records when it has caught up.
 
-    The column's ring is the table named ``name``: the one whose keys' bytes
-    follow the header when ``keyed``, or one the worker kept (``_use``).
-    Its records come in chunks, and its stop, an empty message, can come
-    at any point: before a chunk the worker waits for, or between runs,
-    when ``waiting`` finds a message. The worker leaves the column at its
-    stop, and otherwise reads on to it: after its last value, after a
-    failing commitment, and after a value it cannot compute, which the
-    caller then reaches and raises itself.
+    Each segment of the column is (its table's name, the position it
+    skips, the name of the kept table it is made from or None, the number
+    of keys taken from that one, its number of keys). The table is the one
+    kept under its name when that is the base; else it is made from the
+    base's first keys and, when the base has fewer, the bytes of the keys
+    appended, which follow the header in messages of any size
+    (``_ring_of_bytes``), and kept once they are all in, segment after
+    segment. The records come in chunks, and the column's stop, an empty
+    message, can come at any point: before a table's keys are all in (the
+    table is then not kept), before a chunk the worker waits for, or
+    between runs, when ``waiting`` finds a message. The worker leaves the
+    column at its stop, and otherwise reads on to it: after its last value,
+    after a failing commitment, and after a value it cannot compute, which
+    the caller then reaches and raises itself.
 
     The caller names a CPU other than its own. A worker woken by its
     caller's pipe write was otherwise often run on the caller's CPU, and a
@@ -530,8 +592,20 @@ def _answer(
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, {cpu})
     group = _received(group)
-    ring = _use(rings, name, _ring_of_bytes(group, requests.recv_bytes()) if keyed else None)
-    work, size = _Column(group, ring, skip, width), group.element_size
+    tables = []
+    for name, skip, base, offset, length in segments:
+        if base == name:
+            table = _use(rings, name)
+        else:
+            appended, left = [], (length - offset) * group.element_size
+            while left > 0:
+                appended.append(requests.recv_bytes())
+                if not appended[-1]:
+                    return
+                left -= len(appended[-1])
+            table = _use(rings, name, _ring_of_bytes(group, b"".join(appended), rings.get(base), offset))
+        tables.append((table, skip))
+    work, size = _Column(group, tables, width), group.element_size
     arrived = collections.deque()
     records, first, end, done = b"", 0, 0, 0  # the chunk in hand, its first value, its end, the values done
     while done < work.count:
@@ -562,7 +636,7 @@ def _use(tables: dict, name: bytes, table=None):
     """The table kept under ``name`` (``table`` itself, kept under it, when
     given), now the most recently used; past ``_RINGS`` tables the least
     recently used is dropped. The worker keeps its ring tables so, and the
-    caller its mirror of their names, in the same order."""
+    caller its mirror of them, in the same order."""
     if table is None:
         table = tables.pop(name)
     else:
@@ -591,22 +665,28 @@ def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
         return b"".join(map(int.to_bytes, (key % group.modulus for key in keys), widths))
 
 
-def _ring_of_bytes(group: "GroupParams", data: bytes) -> "_Ring":
-    """The worker's table of the ring whose keys' bytes it was sent, with
-    the keys' operand entries (``_operand_entry``): the worker computes
-    values and gates nothing, so it reads no verdict."""
+def _ring_of_bytes(group: "GroupParams", data: bytes, base: "_Ring | None" = None, offset: int = 0) -> "_Ring":
+    """The worker's table of a ring: the first ``offset`` keys of ``base``,
+    and their entries, then the keys whose bytes it was sent, with their
+    operand entries (``_operand_entry``): the worker computes values and
+    gates nothing, so it reads no verdict."""
     size = group.element_size
     keys = tuple(int.from_bytes(data[at : at + size]) for at in range(0, len(data), size))
-    return _Ring(group, keys, tuple(_operand_entry(group, key) for key in keys))
+    entries = tuple(_operand_entry(group, key) for key in keys)
+    if base is not None:
+        keys, entries = base.keys[:offset] + keys, base.entries[:offset] + entries
+    return _Ring(group, keys, entries)
 
 
 class _Worker:
     """A forked process that shares long columns with their callers: its pid,
-    the connection it is sent requests on, the one it replies on and a poll
-    of that one, the number of the last column it was sent, and the names
-    of the ring tables it keeps (``rings``, mirrored from the columns sent).
-    A column holds ``lock`` while it shares the worker. A stopped worker
-    has pid 0 and is never asked again."""
+    the connection it is sent requests on, never blocking, the most bytes
+    that may be left unread there (``budget``), the one it replies on and a
+    poll of that one, the number of the last column it was sent, and the
+    mirror of its ring tables (``rings``): the group and the keys of each,
+    under the table's name and in the worker's order. A column holds
+    ``lock`` while it shares the worker. A stopped worker has pid 0 and is
+    never asked again."""
 
     def __init__(self) -> None:
         # Imported here, so that a process that never splits a column does
@@ -619,9 +699,14 @@ class _Worker:
         self.replies, replies = Pipe(duplex=False)
         for connection in (self.requests, self.replies):
             with contextlib.suppress(OSError):
-                # Room for a 4000-key column's keys and records, and for its
-                # replies, so that neither side waits for the other to read.
+                # Room for a 4000/1000-key block's keys and records, and for
+                # their replies, so that neither side waits for the other.
                 fcntl.fcntl(connection.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        # A pipe holds whole pages, and a message may leave one part-filled,
+        # so it holds fewer bytes than its size: 102 messages of 8 KiB fill a
+        # 1 MiB pipe at 820 KiB. Three quarters of it may be left unread; the
+        # rest is room for the columns' stops.
+        self.budget = fcntl.fcntl(self.requests.fileno(), fcntl.F_GETPIPE_SZ) * 3 // 4
         pid = os.fork()
         if not pid:
             self.requests.close()
@@ -629,14 +714,20 @@ class _Worker:
             _serve(requests, replies)
         requests.close()
         replies.close()
+        os.set_blocking(self.requests.fileno(), False)
         waiting = select.poll()
         waiting.register(self.replies.fileno(), select.POLLIN)
         self.pid, self.lock, self.column, self.waiting = pid, threading.Lock(), 0, waiting.poll
-        self.rings: dict[bytes, bool] = {}
+        self.rings: dict[bytes, tuple["GroupParams", tuple[int, ...]]] = {}
 
     def ask(self, *messages: bytes) -> bool:
-        """Send the messages, each whole and in order; False, with the worker
-        stopped, if they cannot all be sent."""
+        """Send the messages, each whole and in order, without waiting: False,
+        with the worker stopped (killed and reaped), if one cannot be written
+        whole at once. So the caller never waits for a worker that does not
+        read, and a worker never acts on a torn message: it is killed while
+        it waits for the rest. A column sends only what leaves at most
+        ``budget`` bytes unread (``feed``), so this is for a worker that has
+        died, and a column's stop always finds room."""
         sent = False
         try:
             if self.pid:
@@ -650,71 +741,121 @@ class _Worker:
                 self.stop(kill=True)
         return sent
 
+    def feed(self, pending: collections.deque) -> bool:
+        """Send the ``pending`` messages of a column, in order, up to the first
+        that would leave more than ``budget`` bytes unread in the request
+        pipe, which waits there for the next call: so a worker that is slow
+        or stopped is sent no more than its pipe holds, and is not killed.
+        A (name, (group, keys)) item in ``pending`` is a table the worker
+        keeps from there on in the stream, and goes into the mirror when the
+        messages before it are sent. Whether a message was sent."""
+        if not self.pid:
+            return False
+        unread = struct.unpack("i", fcntl.ioctl(self.requests.fileno(), termios.FIONREAD, bytes(4)))[0]
+        messages = []
+        while pending:
+            if type(pending[0]) is tuple:
+                _use(self.rings, *pending[0])
+            else:
+                unread += len(pending[0]) + 8
+                if unread > self.budget:
+                    break
+                messages.append(pending[0])
+            pending.popleft()
+        return bool(messages) and self.ask(*messages)
+
     def share(self, work: _Column, chunks: Iterable[bytes]) -> int | None:
         """``_Pinned.run`` over the column, split where the worker and the caller meet.
 
-        The worker is sent the column's header, then its ring's keys unless
-        it keeps the ring's table, then each chunk of records as the caller
-        has it, and it works forward from the head over what has arrived.
-        Once the last chunk is in, the caller works backward from the tail
-        in runs that double from one value to ``_RUN``, so that it meets a
-        failing last record at once and hears early of a failing first one,
-        reading the worker's replies between runs (and between chunks), and
-        a value at a time once it is within a run of the worker; the column
-        is done where the two meet. Whatever the
-        worker has not reached is the caller's: all of it when the worker
-        is slow or stopped, or dies. A failing commitment found on either
-        side ends the column. However the column ends, an exception from
-        ``chunks`` included, the worker is sent the column's stop, and the
-        column returns without waiting for it.
+        The worker is sent the column's header, with each segment's table
+        named (``_answer``): by its own name when the worker keeps it,
+        else by the kept table with which it shares the longest prefix
+        (``_longest_prefix``; registries only append), and the number of
+        keys it takes from that one, followed by the bytes of the keys
+        appended to them, or of all its keys when no kept table shares a
+        prefix with it. Then each chunk of records as the caller has it,
+        with no copy, and the worker works forward from the head over what
+        has arrived. Keys and records go in messages of up to ``_CHUNK``
+        records' bytes, each sent once the pipe has room for it (``feed``),
+        tried after each chunk and between the caller's runs: a worker
+        that reads slowly gets its messages late, a stopped one none past
+        its pipe's room, and the worker's head ends where its records do.
+        Once the last chunk is in, the caller works backward from the tail,
+        over the chunks as it has them, in runs that double from one value
+        to ``_RUN``, so that it meets a failing last record at once and
+        hears early of a failing first one, reading the worker's replies
+        between runs (and between chunks), and a value at a time once it is
+        within a run of the worker; the column is done where the two meet.
+        Whatever the worker has not reached is the caller's: all of it when
+        the worker is slow or stopped, or dies. A failing commitment found
+        on either side ends the column. However the column ends, an
+        exception from ``chunks`` included, a worker sent the header is
+        sent the column's stop, and the column returns without waiting for
+        it; a worker found to have exited then is stopped (``reap``).
 
-        Only public bytes cross: the group, the ring's keys and the table's
-        name, the records and the skipped position. A prover's records are
-        its simulated branches' challenges and responses, never its witness
-        nonce; the skipped position says no more than the ring's keys
-        without the witness's, which a column that left it out sent before.
+        Only public bytes cross: the group, the rings' keys and the tables'
+        names, the records and the skipped positions. A prover's records
+        are its simulated branches' challenges and responses, never a
+        witness nonce; a skipped position says no more than the ring's
+        keys without the witness's, which a column that left it out sent
+        before.
         """
         import pickle  # loaded with multiprocessing, by ``__init__``
 
         self.column += 1
         here = _sched_getcpu()
         cpu = min((cpu for cpu in os.sched_getaffinity(0) if cpu != here), default=here)
-        ring = work.ring
-        name = ring.digest
-        keyed = name not in self.rings
-        header = pickle.dumps((self.column, cpu, work.group, name, work.skip, work.width, keyed))
-        listening = self.ask(header, ring.encoding) if keyed else self.ask(header)
-        if listening:
-            _use(self.rings, name, True if keyed else None)
+        rings, segments, step = dict(self.rings), [], _CHUNK * work.width
+        pending = collections.deque([b""])  # the header's place
+        for ring, skip in work.segments:
+            name, length, kept = ring.digest, len(ring.keys), (ring.group, ring.keys)
+            if rings.get(name, (None,))[0] == ring.group:
+                base, offset = name, length
+            else:
+                base, offset = _longest_prefix(((name, *kept) for name, kept in rings.items()), *kept)
+                encoding, size = memoryview(ring.encoding), ring.group.element_size
+                pending.extend(encoding[at : at + step] for at in range(offset * size, length * size, step))
+            _use(rings, name, kept)
+            pending.append((name, kept))
+            segments.append((name, skip, base, offset, length))
+        pending[0] = pickle.dumps((self.column, cpu, work.group, work.width, tuple(segments)))
+        opened = listening = self.feed(pending)  # whatever is sent first is the header
         parts, met = [], 0
         try:
-            for chunk in chunks:
-                if not chunk:
-                    continue  # an empty message is the stop
-                parts.append(chunk)
-                if listening:
-                    listening = self.ask(chunk)
+            for first, chunk in work.stream(chunks):
+                parts.append((first, chunk))
+                if self.pid:
+                    view = memoryview(chunk)
+                    pending.extend(view[at : at + step] for at in range(0, len(chunk), step))
+                    if self.feed(pending) and not opened:
+                        opened = listening = True
                 if listening:
                     listening, met, failed = self.hear(work, met)
                     if failed is not None:
                         return failed
-            records, high, length = b"".join(parts), work.count, 1
+            high, length = work.count, 1
             while high > met:
+                if pending and self.feed(pending) and not opened:
+                    opened = listening = True
                 if listening:
                     listening, met, failed = self.hear(work, met)
                     if failed is not None:
                         return failed
                     if high <= met:
                         break
-                low = max(high - (length if high - met > _RUN or not listening else 1), met)
-                failed = work.values(records, 0, low, high)
+                while parts[-1][0] >= high:
+                    parts.pop()
+                first, records = parts[-1]
+                low = max(high - (length if high - met > _RUN or not listening else 1), met, first)
+                failed = work.values(records, first, low, high)
                 if failed is not None:
                     return failed
                 high, length = low, min(2 * length, _RUN)
             return None
         finally:
-            if listening:
+            if opened and self.pid:
                 self.ask(b"")
+            self.reap()
 
     def hear(self, work: _Column, met: int) -> tuple[bool, int, int | None]:
         """Read the replies that have arrived, dropping those to earlier
@@ -738,29 +879,46 @@ class _Worker:
             return False, met, None
         return True, met, None
 
-    def stop(self, kill: bool = False) -> None:
+    def reap(self) -> None:
+        """Stop the worker if it has exited, or is exiting (``_PF_EXITING``
+        among the flags in its ``/proc`` stat), so that a worker that dies
+        during a column is reaped by that column, whether or not the caller
+        read its end of the pipe: a worker forked from a large process takes
+        milliseconds to exit once it is killed."""
+        pid = self.pid
+        with contextlib.suppress(ChildProcessError):
+            if pid and os.waitpid(pid, os.WNOHANG)[0]:
+                self.stop(reaped=True)
+                return
+        with contextlib.suppress(OSError, ValueError, IndexError):
+            with open(f"/proc/{pid}/stat", "rb") as stat:
+                if pid and int(stat.read().rsplit(b")", 1)[1].split()[6]) & _PF_EXITING:
+                    self.stop()
+
+    def stop(self, kill: bool = False, reaped: bool = False) -> None:
         """Close the pipes (the worker exits at EOF), kill the worker if asked,
-        reap it and take it out of the pool. In a child forked later, the
-        worker is not the child's own: the child closes its copies of the
-        pipes, so that the worker still sees EOF when its parent ends, and
-        finds nothing to reap."""
+        reap it unless it has been, and take it out of the pool. In a child
+        forked later, the worker is not the child's own: the child closes
+        its copies of the pipes, so that the worker still sees EOF when its
+        parent ends, and finds nothing to reap."""
         pid, self.pid = self.pid, 0
         if not pid:
             return
         self.requests.close()
         self.replies.close()
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if not reaped:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                if kill:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         if _workers and self in _workers:
             _workers.remove(self)
 
 
 # This process's pool: None until the first long column, then the one worker
-# it forked, or no worker on a machine of one CPU or once the worker has
-# been stopped. One worker is all that has been measured (BENCH_26.json, on
-# two CPUs); more would each need a share of the column and a CPU of their own.
+# it forked, or no worker on a machine of one CPU, or once the worker has been
+# stopped. One worker is all that has been measured (BENCH_26.json, on two
+# CPUs); more would each need a share of the column and a CPU of their own.
 _workers: list[_Worker] | None = None
 
 
@@ -991,10 +1149,47 @@ class _Ring:
         return self._digest
 
 
-@functools.lru_cache(maxsize=_RINGS)
-def _ring_table(group: "GroupParams", keys: tuple[int, ...]) -> _Ring:
-    """The kept table of a ring (``GroupParams.ring_table``), keyed by (parameters, key tuple)."""
-    return _Ring(group, keys, tuple(map(group.key_is_element, keys)))
+# The kept ring tables (``GroupParams.ring_table``), the most recently used
+# last: under (parameters, the id of a key tuple), that tuple, held so that
+# its id stays its own, and its table. A tuple equal to a kept one takes
+# that entry over: one entry per table.
+_ring_tables: collections.OrderedDict = collections.OrderedDict()
+_RING_TABLES = threading.Lock()
+
+
+def _longest_prefix(kept: Iterable[tuple], group: "GroupParams", keys: tuple[int, ...]) -> tuple[object, int]:
+    """The value of the entry of ``kept``, each (value, group, key tuple),
+    over ``group``, that shares the longest prefix with ``keys``, the
+    shorter of the two being a prefix of the other, and the length of that
+    prefix, an entry of ``keys`` themselves first among equals; (None, 0)
+    when none does. A registry only appends, so a ring over it is a prefix
+    of every later ring over it, and every earlier one is a prefix of it."""
+    best, shared, equal = None, 0, False
+    for value, kept_group, kept_keys in kept:
+        n = min(len(kept_keys), len(keys))
+        whole = n == len(keys) == len(kept_keys)
+        if (
+            n and (n, whole) > (shared, equal) and kept_keys[n - 1] == keys[n - 1] and kept_group == group
+            and kept_keys[:n] == keys[:n]
+        ):
+            best, shared, equal = value, n, whole
+    return best, shared
+
+
+def _grown(group: "GroupParams", keys: tuple[int, ...], base: _Ring | None, shared: int) -> _Ring:
+    """The table of ``keys``, whose first ``shared`` keys are those of
+    ``base``: their entries, their encoding when ``base`` has made it, and
+    its verdict when every key of ``base`` is a member are read from it, so
+    only the keys past it are looked up (``key_is_element``) and encoded."""
+    appended = tuple(map(group.key_is_element, keys[shared:]))
+    if base is None:
+        return _Ring(group, keys, appended)
+    table = _Ring(group, keys, base.entries[:shared] + appended)
+    if base._members:
+        table._members = all(appended)
+    if base._encoding is not None:
+        table._encoding = base._encoding[: shared * group.element_size] + _key_bytes(group, keys[shared:])
+    return table
 
 
 @dataclass(frozen=True)
@@ -1041,16 +1236,18 @@ class GroupParams(enc.Wire):
         return _mod_exp(base % self.modulus, exponent % self.order, self.modulus)
 
     def schnorr_commitments(
-        self, ring: _Ring, scalars: bytes | Iterable[bytes], skip: int | None = None
+        self, segments: Sequence[tuple[_Ring, int]], scalars: bytes | Iterable[bytes]
     ) -> bytes:
-        """For each key y, and the challenge c and response s that ``scalars``
-        holds for it (c || s, each ``scalar_size`` bytes big-endian, pair
-        after pair), the commitment g^s * y^-c mod p that makes the Schnorr
-        equation hold, encoded at ``element_size``, one after another. This
-        is how a ring prover gets its simulated branches' commitments: its
-        ring's table (``ring_table``) as ``ring``, its witness position as
-        ``skip`` (that key takes no pair and no value), and its draws as
-        ``scalars``, an iterable of chunks of whole pairs, read as they come.
+        """For each key y of each segment (a ring table, ``ring_table``, and
+        the position it skips: that key takes no pair and no value), and the
+        challenge c and response s that ``scalars`` holds for it (c || s,
+        each ``scalar_size`` bytes big-endian, pair after pair, segment
+        after segment), the commitment g^s * y^-c mod p that makes the
+        Schnorr equation hold, encoded at ``element_size``, one after
+        another. This is how a prover gets its simulated branches'
+        commitments: a segment per ring it proves over, with its witness
+        position skipped, and its draws as ``scalars``, an iterable of
+        chunks of whole pairs, read as they come.
 
         It is one column (``_Pinned.run``): for any int key, the value
         ``pow`` gives, g^s * y^((-c) mod (p - 1)). The exponent is taken mod
@@ -1065,35 +1262,68 @@ class GroupParams(enc.Wire):
         process, which starts on the head as soon as the first chunk is in
         (see the module docstring).
         """
-        work = _Column(self, ring, len(ring) if skip is None else skip, 2 * self.scalar_size)
-        if isinstance(scalars, bytes):
-            scalars = _length_checked(work.count, scalars, work.width)
-        work.compute(scalars)
+        work = _Column(self, segments, 2 * self.scalar_size)
+        work.compute((scalars,) if isinstance(scalars, bytes) else scalars)
         return bytes(work.out)
 
-    def schnorr_failure(self, ring: _Ring, records: bytes) -> int | None:
+    def schnorr_failure(self, rings: Sequence[_Ring], records: bytes | Iterable[bytes]) -> int | None:
         """The index of a record t || c || s (``element_size`` and twice
-        ``scalar_size`` bytes, big-endian, one record per key, back to back)
-        whose commitment t is not the value g^s * y^-c that
+        ``scalar_size`` bytes, big-endian, one record per key of each ring
+        table in turn, back to back, in chunks of whole records) whose
+        commitment t is not the value g^s * y^-c that
         ``schnorr_commitments`` gives for its key y, c and s; None when
-        every record holds. This is how a ring verifier checks the Schnorr
-        equation g^s == t * y^c of its branch records, over its ring's
-        table; the one record of a signature, a Schnorr proof or a
-        possession half is a run of one value (``crypto._schnorr_equation``).
+        every record holds. This is how a verifier checks the Schnorr
+        equations g^s == t * y^c of the branch records of its ring proofs,
+        one chunk per proof; the one record of a signature, a Schnorr proof
+        or a possession half is a run of one value (``crypto._schnorr_equation``).
 
         In one process the column stops at the first record that fails,
-        and that is the index returned; a column shared with the worker is
-        one chunk, and stops at the first failure either side finds.
+        and that is the index returned; a column shared with the worker
+        stops at the first failure either side finds.
         """
         width = self.element_size + 2 * self.scalar_size
-        return _Column(self, ring, len(ring.keys), width).compute(_length_checked(len(ring.keys), records, width))
+        work = _Column(self, ((ring, len(ring.keys)) for ring in rings), width)
+        return work.compute((records,) if isinstance(records, bytes) else records)
 
     def ring_table(self, keys: Sequence[int]) -> _Ring:
-        """The ring's table (``_Ring``), made at the ring's first use and kept
-        per key tuple, the last ``_RINGS`` of them: a verifier's gate reads
-        its membership verdict, and its columns its keys' entries. A table
-        is its own table."""
-        return keys if type(keys) is _Ring else _ring_table(self, tuple(keys))
+        """The ring's table (``_Ring``), made at the ring's first use and kept,
+        the last ``_RINGS`` of them: a verifier's gate reads its membership
+        verdict, and its columns its keys' entries. A table is its own table.
+
+        A kept table is found by the identity of its key tuple, which is how
+        a registry hands out its keys (``Registry.keys``, and a prefix of
+        all of them), before any key is read; then by its keys, so that a
+        tuple equal to a kept one, such as a stale prefix of a registry
+        sliced afresh at each call, finds that table, which is kept under
+        the new tuple instead and takes no second slot. A ring
+        with no kept table is made from the kept table that shares the
+        longest prefix with it (``_longest_prefix``, ``_grown``), so a ring
+        grown by a batch of enrollments looks up and encodes that batch alone.
+        """
+        if type(keys) is _Ring:
+            return keys
+        with _RING_TABLES:
+            kept = _ring_tables.get((self, id(keys)))
+            if kept is not None and kept[0] is keys:
+                _ring_tables.move_to_end((self, id(keys)))
+                return kept[1]
+            tables = [(slot, table.group, table.keys) for slot, (_, table) in _ring_tables.items()]
+        keys = tuple(keys)
+        slot, shared = _longest_prefix(tables, self, keys)
+        with _RING_TABLES:
+            kept = _ring_tables.get(slot)
+            if kept is not None and shared == len(keys) == len(kept[1].keys):
+                # An equal tuple: the table, kept under this tuple from now on.
+                del _ring_tables[slot]
+                _ring_tables[(self, id(keys))] = keys, kept[1]
+                return kept[1]
+        table = _grown(self, keys, None, 0) if kept is None else _grown(self, keys, kept[1], shared)
+        with _RING_TABLES:
+            _ring_tables[(self, id(keys))] = keys, table
+            _ring_tables.move_to_end((self, id(keys)))
+            while len(_ring_tables) > _RINGS:
+                _ring_tables.popitem(last=False)
+        return table
 
     # The entry cache itself, bound as a method, so that a kept verdict is
     # read with no Python frame in between (see ``_key_verdict``); an entry

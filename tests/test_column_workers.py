@@ -12,6 +12,7 @@ stopped or killed), the values must be the ones ``pow`` gives, and no
 worker may outlive its process.
 """
 
+import dataclasses
 import fcntl
 import os
 import pickle
@@ -28,7 +29,11 @@ from pathlib import Path
 import pytest
 
 from phrchain import group as group_module
-from phrchain.crypto import SchnorrProof, _branch_layout, credential_prove, keygen, ring_prove, ring_verify
+from phrchain.consensus import verify_block
+from phrchain.crypto import (
+    SchnorrProof, _branch_layout, credential_prove, key_list_digest, keygen, ring_prove, ring_verify,
+)
+from phrchain.registry import Registry
 from test_group import _column_inputs, _column_oracle, _elements, _records, _scalars
 from test_ring_batch import _with_branch
 
@@ -87,11 +92,11 @@ def workers():
 @pytest.fixture()
 def traffic(monkeypatch):
     """What crosses to the worker: under ``headers``, each column's header
-    as the worker unpickles it, with the keys' bytes sent after it, or None;
-    under ``counts``, the number of values of each column shared; under
-    ``chunks``, the number of record chunks sent; under ``stops``, the
-    number of stops sent."""
-    seen = {"headers": [], "counts": [], "chunks": 0, "stops": 0, "opening": False}
+    as the worker unpickles it, with the bytes of the keys sent after it,
+    or None; under ``counts``, the number of values of each column shared;
+    under ``chunks``, the number of record messages sent; under ``stops``,
+    the number of stops sent."""
+    seen = {"headers": [], "counts": [], "chunks": 0, "stops": 0, "opening": False, "keyed": 0}
     ask, share = group_module._Worker.ask, group_module._Worker.share
 
     def recorded_share(self, work, chunks):
@@ -100,13 +105,22 @@ def traffic(monkeypatch):
         return share(self, work, chunks)
 
     def recorded_ask(self, *messages):
-        if seen["opening"]:
-            seen["opening"] = False
-            seen["headers"].append((pickle.loads(messages[0]), messages[1] if len(messages) > 1 else None))
-        elif messages == (b"",):
-            seen["stops"] += 1
-        else:
-            seen["chunks"] += len(messages)
+        for message in messages:
+            if seen["opening"]:
+                seen["opening"] = False
+                header = pickle.loads(message)
+                seen["keyed"] = sum(
+                    (length - offset) * header[2].element_size
+                    for name, _, base, offset, length in header[4] if base != name
+                )
+                seen["headers"].append([header, b"" if seen["keyed"] else None])
+            elif not message:
+                seen["stops"] += 1
+            elif seen["keyed"]:
+                seen["headers"][-1][1] += bytes(message)
+                seen["keyed"] -= len(message)
+            else:
+                seen["chunks"] += 1
         return ask(self, *messages)
 
     monkeypatch.setattr(group_module._Worker, "share", recorded_share)
@@ -136,6 +150,12 @@ def caller(monkeypatch):
 
     monkeypatch.setattr(group_module._Pinned, "run", recorded)
     return seen
+
+
+def _whole(group, keys):
+    """A prover column's one segment: the ring's table, skipping no position."""
+    ring = group.ring_table(keys)
+    return [(ring, len(ring))]
 
 
 def _reached(caller) -> int:
@@ -197,7 +217,7 @@ def test_both_columns_equal_pow_with_hostile_keys_wherever_the_two_meet(
     records, scalars = _records(group, expected, challenges, responses), _scalars(group, challenges, responses)
     # The worker is forked by a first column, so that the caller's pause
     # and the stall below touch the caller and the worker alone.
-    assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
+    assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected
     if meeting == "tail":
         caller["pause"] = 0.02  # the worker computes most of the column
     elif meeting == "head":
@@ -205,14 +225,17 @@ def test_both_columns_equal_pow_with_hostile_keys_wherever_the_two_meet(
     for column in ("prover", "streamed prover", "verifier"):
         caller["runs"].clear()
         if column == "prover":
-            assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
+            assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected
         elif column == "streamed prover":
-            assert _elements(group, group.schnorr_commitments(group.ring_table(keys), _chunks(scalars))) == expected
+            assert _elements(group, group.schnorr_commitments(_whole(group, keys), _chunks(scalars))) == expected
         else:
-            assert group.schnorr_failure(group.ring_table(keys), records) is None
+            assert group.schnorr_failure([group.ring_table(keys)], records) is None
         if count < SPLIT:
             assert traffic["headers"] == [] and group_module._workers is None
-            assert caller["runs"] == [(0, count)]
+            # One run per chunk, in order: a column computed in one process joins no copy of its chunks.
+            chunked = column == "streamed prover"
+            runs = [(at, min(at + CHUNK, count)) for at in range(0, count, CHUNK)]
+            assert caller["runs"] == (runs if chunked else [(0, count)])
             continue
         _resume()  # the next column's bytes need a reader
         reached = _reached(caller)
@@ -238,7 +261,7 @@ def test_a_streamed_column_equals_pow_whatever_happens_mid_stream(
     expected = _column_oracle(group, keys, challenges, responses)
     scalars = _scalars(group, challenges, responses)
     ring = group.ring_table([*keys[:5], group.generator, *keys[5:]])
-    assert _elements(group, group.schnorr_commitments(ring, scalars, 5)) == expected  # forks the worker
+    assert _elements(group, group.schnorr_commitments([(ring, 5)], scalars)) == expected  # forks the worker
     forked = _pids()
 
     def stop(n):
@@ -249,10 +272,10 @@ def test_a_streamed_column_equals_pow_whatever_happens_mid_stream(
     caller["runs"].clear()
     if stream == "draws raise":
         with pytest.raises(RuntimeError, match="the draws failed"):
-            group.schnorr_commitments(ring, _chunks(scalars, fail_after=2), 5)
+            group.schnorr_commitments([(ring, 5)], _chunks(scalars, fail_after=2))
     else:
         chunks = _chunks(scalars, pause=0.01) if stream == "late chunks" else _chunks(scalars, after=stop)
-        assert _elements(group, group.schnorr_commitments(ring, chunks, 5)) == expected
+        assert _elements(group, group.schnorr_commitments([(ring, 5)], chunks)) == expected
     if count < SPLIT:
         assert traffic["headers"] == [] and not forked
         return
@@ -268,13 +291,14 @@ def test_a_streamed_column_equals_pow_whatever_happens_mid_stream(
                 os.waitpid(pid, os.WNOHANG)  # already reaped
         return
     else:
-        assert traffic["chunks"] == 1 + 2  # the first column's one chunk, then two drawn
+        # The first column's records in messages of CHUNK, then two chunks drawn.
+        assert traffic["chunks"] == -(-count // CHUNK) + 2
     assert traffic["stops"] == 2
     # The next column, at once, gets its own values with the same worker.
     caller["runs"].clear()
-    assert _elements(group, group.schnorr_commitments(ring, _chunks(scalars), 5)) == expected
+    assert _elements(group, group.schnorr_commitments([(ring, 5)], _chunks(scalars))) == expected
     records = _records(group, expected, challenges, responses)
-    assert group.schnorr_failure(group.ring_table([*keys[:5], *keys[5:]]), records) is None
+    assert group.schnorr_failure([group.ring_table([*keys[:5], *keys[5:]])], records) is None
     assert _pids() == forked and traffic["stops"] == 4
 
 
@@ -286,7 +310,7 @@ def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, worker
     proof = ring_prove(group, ring, 7, kps[7].secret, b"ctx", rng)
     records, _ = proof._records(_branch_layout(group))
     caller["runs"].clear()
-    assert group.schnorr_failure(group.ring_table(ring), records) is None
+    assert group.schnorr_failure([group.ring_table(ring)], records) is None
     assert 0 <= _reached(caller) < len(ring)
     for branch in (3, len(ring) - 3):
         original = proof.branches[branch]
@@ -298,7 +322,7 @@ def test_a_forgery_on_either_side_of_the_meeting_point_is_rejected(group, worker
         # The column names the forged branch, whichever side reached it.
         forged_records = bytearray(records)
         forged_records[branch * 96 + 95] ^= 1
-        assert group.schnorr_failure(group.ring_table(ring), bytes(forged_records)) == branch
+        assert group.schnorr_failure([group.ring_table(ring)], bytes(forged_records)) == branch
     assert len(_pids()) == 1
 
 
@@ -321,12 +345,13 @@ def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traf
     following_ring, following_scalars = group.ring_table(following[0]), _scalars(group, *following[1:])
     for _ in range(3):
         caller["runs"].clear()
-        assert group.schnorr_failure(group.ring_table(keys), forged) == at
+        assert group.schnorr_failure([group.ring_table(keys)], forged) == at
         lengths = [stop - start for start, stop in caller["runs"]]
         assert lengths == [min(2**i, RUN) for i in range(len(lengths))]
         if end == "tail":
             assert caller["runs"] == [(at, at + 1)]
-        assert _elements(group, group.schnorr_commitments(following_ring, following_scalars)) == following_expected
+        following_values = group.schnorr_commitments(_whole(group, following_ring), following_scalars)
+        assert _elements(group, following_values) == following_expected
     assert traffic["counts"] == [4000] * 6 and traffic["stops"] == 6
     assert [keyed is not None for _, keyed in traffic["headers"]] == [True, True] + [False] * 4
     assert len(_pids()) == 1 and all(_pids())
@@ -341,7 +366,7 @@ def test_a_table_made_from_sent_keys_tests_no_key(group, monkeypatch):
     is_element = group_module.GroupParams.is_element
     monkeypatch.setattr(group_module.GroupParams, "is_element", lambda self, v: tested.append(v) or is_element(self, v))
     table = group_module._ring_of_bytes(group, group_module._key_bytes(group, keys))
-    values = group.schnorr_commitments(table, _scalars(group, challenges, responses))
+    values = group.schnorr_commitments(_whole(group, table), _scalars(group, challenges, responses))
     assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert tested == []
 
@@ -356,7 +381,7 @@ def test_more_rings_than_the_worker_keeps_are_sent_again(group, workers, traffic
     for _ in range(2):
         for job, values in zip(jobs, expected):
             for _ in range(2):
-                values_of_job = group.schnorr_commitments(group.ring_table(job[0]), _scalars(group, *job[1:]))
+                values_of_job = group.schnorr_commitments(_whole(group, job[0]), _scalars(group, *job[1:]))
                 assert _elements(group, values_of_job) == values
     sent = [keyed for _, keyed in traffic["headers"]]
     assert [keyed is not None for keyed in sent] == [True, False] * (2 * len(jobs))
@@ -372,13 +397,15 @@ def test_threads_computing_long_columns_get_exact_values(group, workers):
     expected = [_column_oracle(group, *job) for job in jobs]
     scalars = [_scalars(group, *job[1:]) for job in jobs]
     rings = [group.ring_table(job[0]) for job in jobs]
-    assert _elements(group, group.schnorr_commitments(rings[0], scalars[0])) == expected[0]  # forks the worker
+    # The first column forks the worker.
+    assert _elements(group, group.schnorr_commitments(_whole(group, rings[0]), scalars[0])) == expected[0]
     start = threading.Barrier(len(jobs))
     results = [None] * len(jobs)
 
     def work(i):
         start.wait(timeout=60)
-        results[i] = [_elements(group, group.schnorr_commitments(rings[i], _chunks(scalars[i]))) for _ in range(3)]
+        segments = _whole(group, rings[i])
+        results[i] = [_elements(group, group.schnorr_commitments(segments, _chunks(scalars[i]))) for _ in range(3)]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -401,7 +428,7 @@ def test_no_worker_is_forked_while_another_thread_runs(group, workers):
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        values = group.schnorr_commitments(group.ring_table(keys), _scalars(group, challenges, responses))
+        values = group.schnorr_commitments(_whole(group, keys), _scalars(group, challenges, responses))
         assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
         assert group_module._workers is None
     finally:
@@ -416,7 +443,7 @@ def test_one_cpu_forks_nothing(group, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     keys, challenges, responses = _column_inputs(group, SPLIT + 1, 64)
-    values = group.schnorr_commitments(group.ring_table(keys), _chunks(_scalars(group, challenges, responses)))
+    values = group.schnorr_commitments(_whole(group, keys), _chunks(_scalars(group, challenges, responses)))
     assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [] and group_module._workers == []
 
@@ -429,7 +456,7 @@ def test_many_cpus_fork_one_worker(group, workers, traffic, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for count, seed in ((SPLIT, 69), (4000, 70)):
         keys, challenges, responses = _column_inputs(group, count, seed)
-        values = group.schnorr_commitments(group.ring_table(keys), _scalars(group, challenges, responses))
+        values = group.schnorr_commitments(_whole(group, keys), _scalars(group, challenges, responses))
         assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     assert forks == [1] and len(_pids()) == 1
     assert traffic["counts"] == [SPLIT, 4000] and traffic["stops"] == 2
@@ -439,7 +466,7 @@ def test_many_cpus_fork_one_worker(group, workers, traffic, monkeypatch):
 def test_a_forked_child_never_uses_its_parents_workers(group, workers):
     keys, challenges, responses = _column_inputs(group, 1000, 65)
     scalars = _scalars(group, challenges, responses)
-    expected = group.schnorr_commitments(group.ring_table(keys), scalars)
+    expected = group.schnorr_commitments(_whole(group, keys), scalars)
     assert _elements(group, expected) == _column_oracle(group, keys, challenges, responses)
     parents = _pids()
     child = os.fork()
@@ -449,7 +476,7 @@ def test_a_forked_child_never_uses_its_parents_workers(group, workers):
             # The child forks a worker of its own, whose pipes may reuse the
             # numbers of the parent's, and computes with it: the parent's
             # worker keeps this ring's table, the child's is sent the keys.
-            fresh = [group.schnorr_commitments(group.ring_table(keys), scalars) for _ in range(2)]
+            fresh = [group.schnorr_commitments(_whole(group, keys), scalars) for _ in range(2)]
             own = _pids()
             if fresh == [expected] * 2 and len(own) == 1 and not set(own) & set(parents):
                 status = 0
@@ -459,7 +486,7 @@ def test_a_forked_child_never_uses_its_parents_workers(group, workers):
     _, status = os.waitpid(child, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert _pids() == parents
-    assert group.schnorr_commitments(group.ring_table(keys), scalars) == expected
+    assert group.schnorr_commitments(_whole(group, keys), scalars) == expected
 
 
 @many_cpus
@@ -467,20 +494,20 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers, caller
     keys, challenges, responses = _column_inputs(group, 1000, 66)
     scalars = _scalars(group, challenges, responses)
     expected = _column_oracle(group, keys, challenges, responses)
-    assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
+    assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected
     # Killed between columns.
     killed = _pids()
     for pid in killed:
         os.kill(pid, signal.SIGKILL)
-    assert _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected
+    assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected
     assert group_module._workers == []
     for pid in killed:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # already reaped
     # Killed mid-column, after the caller's first run, for each column.
     records = _records(group, expected, challenges, responses)
-    for compute in (lambda: _elements(group, group.schnorr_commitments(group.ring_table(keys), scalars)) == expected,
-                    lambda: group.schnorr_failure(group.ring_table(keys), records) is None):
+    for compute in (lambda: _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected,
+                    lambda: group.schnorr_failure([group.ring_table(keys)], records) is None):
         group_module._stop_workers()
         assert compute()  # forks a fresh worker
         killed = _pids()
@@ -531,9 +558,11 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
     headers = [pickle.loads(messages[0]) for messages in sent if messages[0][:1] == b"\x80"]
     assert len(headers) == 4
     table = group.ring_table(ring)
-    for column, (number, _, sent_group, name, skip, width, keyed) in enumerate(headers, start=1):
-        assert (number, sent_group, name, width) == (column, group, table.digest, 64)
-        assert skip in (2, len(ring) - 2) and keyed == (column == 1)
+    for column, (number, _, sent_group, width, segments) in enumerate(headers, start=1):
+        [(name, skip, base, offset, length)] = segments
+        assert (number, sent_group, name, width, length) == (column, group, table.digest, 64, len(ring))
+        assert skip in (2, len(ring) - 2)
+        assert (base, offset) == ((None, 0) if column == 1 else (name, len(ring)))
     messages = [message for messages in sent for message in messages]
     assert messages.count(table.encoding) == 1 and messages.count(b"") == 4
     chunks = [m for m in messages if m and m != table.encoding and m[:1] != b"\x80"]
@@ -567,3 +596,251 @@ def test_a_process_that_verifies_a_large_ring_leaves_no_worker_behind():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def _block(group, sizes, skips, seed):
+    """Two rings with hostile keys at both ends (``_hostile_inputs``), as one
+    column's segments, each skipping its position in ``skips`` (its length
+    for none), and the column's inputs: the keys that take values, in
+    order, their challenges and responses."""
+    segments, keys, challenges, responses = [], [], [], []
+    for n, (size, skip) in enumerate(zip(sizes, skips)):
+        ring_keys, ring_challenges, ring_responses = _hostile_inputs(group, size, seed + n)
+        segments.append((group.ring_table(ring_keys), skip))
+        kept = [i for i in range(size) if i != skip]
+        keys += [ring_keys[i] for i in kept]
+        challenges += [ring_challenges[i] for i in kept]
+        responses += [ring_responses[i] for i in kept]
+    return segments, keys, challenges, responses
+
+
+@many_cpus
+@pytest.mark.parametrize("stream", ["whole", "worker stopped", "worker killed"])
+@pytest.mark.parametrize("skips", [(299, 0), (0, 69)])
+def test_a_block_column_equals_pow_with_hostile_keys_in_either_ring(group, workers, traffic, stream, skips):
+    # A prover's block column: a 300-key ring and a 70-key ring, each with
+    # hostile keys at both ends and its witness position skipped, one column
+    # of 368 values, its draws streamed in chunks that run across the two
+    # rings. Whatever happens to the worker mid-block, the values are pow's.
+    segments, keys, challenges, responses = _block(group, (300, 70), skips, 700 + skips[0])
+    expected = _column_oracle(group, keys, challenges, responses)
+    scalars = _scalars(group, challenges, responses)
+    assert _elements(group, group.schnorr_commitments(segments, scalars)) == expected  # forks the worker
+    forked = _pids()
+    assert len(forked) == 1 and traffic["counts"] == [368]
+
+    def stop(n):
+        if n == 1 and stream != "whole":
+            for pid in forked:
+                os.kill(pid, signal.SIGSTOP if stream == "worker stopped" else signal.SIGKILL)
+
+    assert _elements(group, group.schnorr_commitments(segments, _chunks(scalars, after=stop))) == expected
+    if stream == "worker killed":
+        assert group_module._workers == []
+        return
+    _resume()
+    # The verifier's block column over the same two rings, every key, one chunk a ring.
+    segments, keys, challenges, responses = _block(group, (300, 70), (300, 70), 700 + skips[0])
+    records = _records(group, _column_oracle(group, keys, challenges, responses), challenges, responses)
+    rings = [ring for ring, _ in segments]
+    assert group.schnorr_failure(rings, [records[: 300 * 96], records[300 * 96 :]]) is None
+    assert _pids() == forked and traffic["counts"] == [368, 368, 370]
+
+
+@many_cpus
+@pytest.mark.parametrize("at", [0, 299, 300, 369])
+def test_a_forged_record_at_either_end_of_either_ring_fails_the_block_column(group, workers, at):
+    # The first and last records of each ring's segment: the last patient
+    # record and the first hospital one meet at the segments' border.
+    segments, keys, challenges, responses = _block(group, (300, 70), (300, 70), 800)
+    values = _column_oracle(group, keys, challenges, responses)
+    rings = [ring for ring, _ in segments]
+    forged = _records(group, [*values[:at], values[at] ^ 1, *values[at + 1 :]], challenges, responses)
+    for _ in range(2):  # forks the worker, then shares the column with it
+        assert group.schnorr_failure(rings, [forged[: 300 * 96], forged[300 * 96 :]]) == at
+    assert len(_pids()) == 1
+
+
+@many_cpus
+@pytest.mark.parametrize(
+    "forged", ["patient first", "patient last", "hospital first", "hospital last", "hospital context"]
+)
+def test_a_block_forged_at_either_end_of_either_ring_is_rejected(make_world, workers, traffic, forged):
+    # A block whose 200/64-key credentials are checked as one shared column
+    # is refused for a branch forged at either end of either ring, or for a
+    # joint context that the checks run beside the worker's share refuse,
+    # each column sent its stop, and its honest twin accepted after.
+    world = make_world(patients=200, hospitals=64, seed=81)
+    block, _ = world.submit_block(world.patient(5), b"data", 1, hospital_index=7, append=False)
+    assert verify_block(block, world.directories)
+    party, end = forged.split()
+    credential = getattr(block, f"{party}_credential")
+    if end == "context":
+        credential = dataclasses.replace(credential, joint_context=credential.joint_context[:-1] + b"\0")
+    else:
+        branches = list(credential.membership.branches)
+        i = 0 if end == "first" else len(branches) - 1
+        branches[i] = dataclasses.replace(branches[i], response=(branches[i].response + 1) % world.group.order)
+        membership = dataclasses.replace(credential.membership, branches=tuple(branches))
+        credential = dataclasses.replace(credential, membership=membership)
+    forgery = dataclasses.replace(block, **{f"{party}_credential": credential})
+    assert not verify_block(forgery, world.directories)
+    assert verify_block(block, world.directories)
+    assert len(_pids()) == 1 and traffic["counts"] == [262, 264, 264, 264] and traffic["stops"] == 4
+
+
+@many_cpus
+def test_a_grown_ring_sends_the_worker_its_new_keys_alone(group, workers, traffic):
+    # A registry grown by 100 keys: the caller's table of the grown ring is
+    # made from the kept one, looking up the new keys alone, and the worker
+    # is sent their bytes alone; a prefix of a kept ring sends no key. A
+    # registry hands out one key tuple, which finds its table by identity.
+    rng = random.Random(72)
+    kps = [keygen(group, rng) for _ in range(400)]
+    registry = Registry(group, "patient")
+    for kp in kps[:300]:
+        registry.enroll(kp.public)
+    first = registry.keys
+    assert ring_verify(group, first, ring_prove(group, first, 4, kps[4].secret, b"ctx", rng), b"ctx")
+    for kp in kps[300:]:
+        registry.enroll(kp.public)
+    grown = registry.keys
+    lookups = group_module._key_verdict.cache_info()
+    table = group.ring_table(grown)
+    after = group_module._key_verdict.cache_info()
+    assert after.hits + after.misses - lookups.hits - lookups.misses == 100
+    assert group.ring_table(registry.keys[: len(registry.keys)]) is table
+    assert group_module._key_verdict.cache_info() == after  # found by identity: no key read
+    assert table.encoding == group_module._key_bytes(group, grown) and table.digest == key_list_digest(group, grown)
+    assert ring_verify(group, grown, ring_prove(group, grown, 350, kps[350].secret, b"ctx", rng), b"ctx")
+    prefix = grown[:250]
+    assert ring_verify(group, prefix, ring_prove(group, prefix, 9, kps[9].secret, b"ctx", rng), b"ctx")
+    headers = [(header[4], keyed) for header, keyed in traffic["headers"]]
+    digests = {len(ring): key_list_digest(group, ring) for ring in (first, grown, prefix)}
+    assert headers[0] == (((digests[300], 4, None, 0, 300),), headers[0][1])
+    assert bytes(headers[0][1]) == group_module._key_bytes(group, first)
+    assert headers[2] == (((digests[400], 350, digests[300], 300, 400),), headers[2][1])
+    assert bytes(headers[2][1]) == group_module._key_bytes(group, grown[300:])
+    [(name, skip, base, offset, length)], keyed = headers[4]
+    assert (name, skip, offset, length, keyed) == (digests[250], 9, 250, 250, None) and base in digests.values()
+    # Each proof's check found its ring's table kept by the worker.
+    assert [header[0][0][2:4] for header in headers[1::2]] == [(digests[n], n) for n in (300, 400, 250)]
+    assert len(_pids()) == 1
+
+
+@many_cpus
+def test_a_stopped_worker_never_blocks_its_caller(group, workers, traffic):
+    # With the worker stopped, columns go on being offered to it until far
+    # more than its pipe holds has been asked of it: each returns pow's
+    # values at once, the caller computing what the worker cannot, and is
+    # never left waiting on a full pipe. Resumed, the worker drains its pipe
+    # and shares the next column.
+    keys, challenges, responses = _column_inputs(group, 4000, 91)
+    expected = _column_oracle(group, keys, challenges, responses)
+    scalars, records = _scalars(group, challenges, responses), _records(group, expected, challenges, responses)
+    ring = group.ring_table(keys)
+    assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected  # forks the worker
+    [pid] = _pids()
+    os.kill(pid, signal.SIGSTOP)
+
+    def timeout(*_):
+        raise TimeoutError("a column waited on its stopped worker")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for _ in range(4):  # 4 x (256 + 384) KB of records asked of a 1 MiB pipe
+            signal.alarm(30)
+            assert _elements(group, group.schnorr_commitments(_whole(group, keys), _chunks(scalars))) == expected
+            assert group.schnorr_failure([ring], records) is None
+            signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert _pids() == [pid] and _unread(group_module._workers[0]) < 1 << 20
+    _resume()
+    assert group.schnorr_failure([ring], records) is None
+    assert _pids() == [pid] and traffic["counts"] == [4000] * 10
+
+
+@many_cpus
+def test_a_proof_longer_than_the_pipe_holds_is_shared(group, workers, traffic, caller):
+    # One proof's records, one chunk of 8300 records of 96 bytes, and its
+    # ring's keys are more than the request pipe may hold unread. They are
+    # sent in messages as the worker reads them, so the worker computes the
+    # head of the column, and the ring's table reaches it: the next check
+    # sends no key.
+    keys, challenges, responses = _column_inputs(group, 8300, 93)
+    records = _records(group, _column_oracle(group, keys, challenges, responses), challenges, responses)
+    ring = group.ring_table(keys)
+    for _ in range(2):
+        caller["runs"].clear()
+        assert group.schnorr_failure([ring], records) is None
+        assert _reached(caller) > 0
+    assert len(records) > group_module._workers[0].budget
+    assert [keyed for _, keyed in traffic["headers"]] == [group_module._key_bytes(group, keys), None]
+    assert len(_pids()) == 1 and traffic["stops"] == 2
+
+
+@many_cpus
+def test_a_small_pipe_carries_a_rings_keys_and_records_in_turn(group, workers, traffic, caller, monkeypatch):
+    # Pipes of 64 KiB, of which 48 KiB may be left unread: a 2000-key
+    # ring's keys (64 KB) and a prover's pairs (128 KB) are sent as the
+    # worker reads them, and the worker takes part from the first column.
+    monkeypatch.setattr(group_module, "_PIPE_BYTES", 1 << 16)
+    keys, challenges, responses = _column_inputs(group, 2000, 94)
+    expected = _column_oracle(group, keys, challenges, responses)
+    scalars = _scalars(group, challenges, responses)
+    for _ in range(2):
+        caller["runs"].clear()
+        assert _elements(group, group.schnorr_commitments(_whole(group, keys), _chunks(scalars))) == expected
+        assert _reached(caller) > 0
+    assert group_module._workers[0].budget == (1 << 16) * 3 // 4
+    assert [keyed for _, keyed in traffic["headers"]] == [group_module._key_bytes(group, keys), None]
+    assert len(_pids()) == 1 and traffic["stops"] == 2
+
+
+@many_cpus
+def test_a_pipe_that_refuses_the_size_asked_keeps_its_own(group, workers, monkeypatch):
+    # A worker is forked all the same, and what may be left unread in its
+    # request pipe is three quarters of the size the pipe has.
+    real = fcntl.fcntl
+
+    def refusing(fd, command, *args):
+        if command == fcntl.F_SETPIPE_SZ:
+            raise PermissionError("pipe size refused")
+        return real(fd, command, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refusing)
+    keys, challenges, responses = _column_inputs(group, SPLIT + 8, 95)
+    values = group.schnorr_commitments(_whole(group, keys), _scalars(group, challenges, responses))
+    assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
+    [worker] = group_module._workers
+    assert worker.pid and worker.budget == real(worker.requests.fileno(), fcntl.F_GETPIPE_SZ) * 3 // 4
+
+
+@many_cpus
+def test_a_column_stopped_before_its_keys_are_in_sends_them_again(group, workers, traffic, monkeypatch):
+    # 64 KiB pipes, the worker stopped: a 2000-key ring's keys (64 KB) are
+    # only part sent when a verifier's column, whose last record fails, ends
+    # at the caller's first value. Resumed, the worker reads the stop before
+    # the rest of the keys and keeps no table of the ring, and the caller's
+    # mirror has not taken it either: the next column sends the keys again
+    # and gets pow's values from the same worker.
+    monkeypatch.setattr(group_module, "_PIPE_BYTES", 1 << 16)
+    warm = _column_inputs(group, SPLIT, 97)
+    group.schnorr_commitments(_whole(group, warm[0]), _scalars(group, *warm[1:]))  # forks the worker
+    [pid] = _pids()
+    keys, challenges, responses = _column_inputs(group, 2000, 96)
+    values = _column_oracle(group, keys, challenges, responses)
+    forged = _records(group, [*values[:-1], values[-1] ^ 1], challenges, responses)
+    ring = group.ring_table(keys)
+    os.kill(pid, signal.SIGSTOP)
+    assert group.schnorr_failure([ring], forged) == len(values) - 1
+    _resume()
+    assert ring.digest not in group_module._workers[0].rings
+    following = group.schnorr_commitments(_whole(group, keys), _chunks(_scalars(group, challenges, responses)))
+    assert _elements(group, following) == values
+    keyed = [keyed for _, keyed in traffic["headers"]]
+    assert len(keyed) == 3 and keyed[2] == group_module._key_bytes(group, keys)
+    assert 0 < len(keyed[1]) < len(keyed[2])  # the stopped column's keys, part sent
+    assert _pids() == [pid] and ring.digest in group_module._workers[0].rings

@@ -256,7 +256,8 @@ def _elements(group, data):
 
 def _commitments(group, keys, challenges, responses):
     """The prover's column (``schnorr_commitments``) over int inputs, decoded."""
-    return _elements(group, group.schnorr_commitments(group.ring_table(keys), _scalars(group, challenges, responses)))
+    ring = group.ring_table(keys)
+    return _elements(group, group.schnorr_commitments([(ring, len(ring))], _scalars(group, challenges, responses)))
 
 
 def _records(group, commitments, challenges, responses):
@@ -271,11 +272,11 @@ def _both_columns(group, keys, challenges, responses):
     every value holds as its record's commitment, and a commitment one off
     fails at its own index."""
     values, ring = _commitments(group, keys, challenges, responses), group.ring_table(keys)
-    assert group.schnorr_failure(ring, _records(group, values, challenges, responses)) is None
+    assert group.schnorr_failure([ring], _records(group, values, challenges, responses)) is None
     if values:
         last = len(values) - 1
         wrong = values[:last] + [values[last] ^ 1]
-        assert group.schnorr_failure(ring, _records(group, wrong, challenges, responses)) == last
+        assert group.schnorr_failure([ring], _records(group, wrong, challenges, responses)) == last
     return values
 
 
@@ -446,9 +447,9 @@ def test_commitment_column_on_hostile_keys(group):
 def test_columns_refuse_records_of_the_wrong_length(group):
     ring = group.ring_table([group.generator] * 3)
     with pytest.raises(ValueError, match="takes 192 bytes"):
-        group.schnorr_commitments(ring, bytes(191))
+        group.schnorr_commitments([(ring, 3)], bytes(191))
     with pytest.raises(ValueError, match="takes 288 bytes"):
-        group.schnorr_failure(ring, bytes(289))
+        group.schnorr_failure([ring], bytes(289))
 
 
 @pytest.mark.parametrize("modulus", SAFE_PRIMES[:4])
@@ -572,7 +573,7 @@ def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monke
     keys, challenges, responses = _column_inputs(group, 6, 47)
     expected = _column_oracle(group, keys, challenges, responses)
     group_module._key_verdict.cache_clear()
-    group_module._ring_table.cache_clear()
+    group_module._ring_tables.clear()
     prepared, prepare = [], group_module._prepare
     freed, finalize = [], _Key.__del__
     monkeypatch.setattr(group_module, "_prepare", lambda g, key, entry: prepared.append(key) or prepare(g, key, entry))
@@ -585,12 +586,28 @@ def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monke
     assert all(addresses) and len(set(addresses)) == 6
     for value in range(-1, -group_module._KEY_VERDICTS - 1, -1):
         group.key_is_element(value)  # cheap non-members push the six keys out
-    group_module._ring_table.cache_clear()
+    group_module._ring_tables.clear()
     assert set(addresses) <= set(freed)
     assert _commitments(group, keys, challenges, responses) == expected
     assert prepared == keys + keys
     group_module._key_verdict.cache_clear()
 
+
+
+def test_equal_key_tuples_share_one_kept_table(group):
+    # A stale prefix of a registry, sliced afresh at each check, is a new
+    # tuple each time: it finds the table kept for the first such slice and
+    # takes that slot over, so the live ring's table stays kept, and a tuple
+    # that stays finds the table by its identity from then on.
+    keys = tuple(_column_inputs(group, 300, 48)[0])
+    group_module._ring_tables.clear()
+    live, stale = group.ring_table(keys), group.ring_table(keys[:200])
+    for _ in range(2 * group_module._RINGS):
+        assert group.ring_table(keys[:200]) is stale
+    assert len(group_module._ring_tables) == 2 and group.ring_table(keys) is live
+    kept = keys[:200]
+    assert group.ring_table(kept) is stale and group_module._ring_tables[(group, id(kept))] == (kept, stale)
+    group_module._ring_tables.clear()
 
 def test_threads_compute_exp2_exactly(group, tiny_group):
     # ctypes releases the GIL around each libcrypto call, so the threads

@@ -108,7 +108,7 @@ def symbols(monkeypatch):
     """Counts ``is_element`` calls per value, from an empty verdict cache
     and no kept ring table, whose entries would hold earlier verdicts."""
     group_module._key_verdict.cache_clear()
-    group_module._ring_table.cache_clear()
+    group_module._ring_tables.clear()
     calls = Counter()
     original = GroupParams.is_element
 

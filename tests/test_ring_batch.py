@@ -23,16 +23,25 @@ import secrets
 import pytest
 
 from phrchain import (
+    ConditionCodebook,
+    HospitalContext,
+    KeyPair,
+    OffChainStore,
+    PatientContext,
+    PatientSecrets,
     RingProof,
     SchnorrProof,
     credential_prove,
     credential_verify,
     crypto,
     keygen,
+    create_patient_block,
+    new_directories,
     ring_prove,
     ring_verify,
     schnorr_prove,
     sign,
+    verify_block,
 )
 from phrchain import group as group_module
 from phrchain.crypto import _commitment_bytes, _ring_binding_challenge
@@ -378,12 +387,13 @@ def calls(monkeypatch):
     ``random.SystemRandom`` and ``os.urandom``), the values tested for
     membership during a check, and under ``commitments`` the products of
     two powers: each value the commitment column computes, one per ring
-    branch and one per Schnorr-shaped check. The prover's column
-    (``schnorr_commitments``, over its ring without the witness position)
-    computes every value; the verifier's (``schnorr_failure``) stops at the
-    first that fails, in one process. A Schnorr-shaped check runs the
-    column's kernel on its one record (``crypto._schnorr_equation``)."""
-    seen = {"system_draws": 0, "commitments": 0, "is_element": []}
+    branch and one per Schnorr-shaped check; under ``columns``, each
+    column's number of values computed. The prover's column
+    (``schnorr_commitments``, over its rings without their witness
+    positions) computes every value; the verifier's (``schnorr_failure``)
+    stops at the first that fails, in one process. A Schnorr-shaped check
+    runs the column's kernel on its one record (``crypto._schnorr_equation``)."""
+    seen = {"system_draws": 0, "commitments": 0, "columns": [], "is_element": []}
     randbits, getrandbits, urandom = secrets.randbits, random.SystemRandom.getrandbits, os.urandom
     column, failure, is_element = GroupParams.schnorr_commitments, GroupParams.schnorr_failure, GroupParams.is_element
     equation = crypto._schnorr_equation
@@ -394,13 +404,16 @@ def calls(monkeypatch):
             return draw(*args)
         return wrapper
 
-    def counted_column(self, keys, scalars, skip=None):
-        seen["commitments"] += len(keys) - (skip is not None)
-        return column(self, keys, scalars, skip)
+    def counted_column(self, segments, scalars):
+        values = column(self, segments, scalars)
+        seen["columns"].append(sum(len(ring) - (skip < len(ring)) for ring, skip in segments))
+        seen["commitments"] += seen["columns"][-1]
+        return values
 
-    def counted_failure(self, keys, records):
-        failed = failure(self, keys, records)
-        seen["commitments"] += len(keys) if failed is None else failed + 1
+    def counted_failure(self, rings, records):
+        failed = failure(self, rings, records)
+        seen["columns"].append(sum(map(len, rings)) if failed is None else failed + 1)
+        seen["commitments"] += seen["columns"][-1]
         return failed
 
     def counted_equation(*args):
@@ -511,6 +524,121 @@ def test_seeded_transcripts_match_recorded_digest(group):
     assert hashlib.sha256(blob).hexdigest() == (
         "100952b125bf627beefa3ead02c0795847c73dae2db96783a98b430bf7480079"
     )
+
+
+class _RecordedRandom(random.Random):
+    """A seeded generator that records every draw: its call, arguments and result."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.log.append(("randrange", args, value))
+        return value
+
+    def randbytes(self, n):
+        value = super().randbytes(n)
+        self.log.append(("randbytes", n, value))
+        return value
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.log.append(("getrandbits", k, value))
+        return value
+
+
+def _block_world(group, patients, hospitals, seed):
+    directories = new_directories(group)
+    setup = random.Random(seed)
+    patient_kps = [keygen(group, setup) for _ in range(patients)]
+    hospital_kps = [keygen(group, setup) for _ in range(hospitals)]
+    for registry, kps in ((directories.patients, patient_kps), (directories.hospitals, hospital_kps)):
+        for kp in kps:
+            registry.enroll(kp.public)
+    return directories, patient_kps, hospital_kps
+
+
+def _recorded_block(group, directories, patient, p, hospital, h, seed):
+    rng = _RecordedRandom(seed)
+    block, _ = create_patient_block(
+        PatientContext(patient, p, PatientSecrets()), HospitalContext(hospital, h), b"data" * 100,
+        ConditionCodebook.default().encode([], []), directories, OffChainStore(), 5, rng,
+    )
+    return block, rng.log
+
+
+# Recorded from the implementation that proved a block's two credentials one
+# after the other, each its own column: (m_p, m_h, patient index, hospital
+# index) -> draws, SHA-256 of the block's bytes, SHA-256 of the draw log.
+PINNED_BLOCKS = {
+    (16, 8, 3, 5): (112, "3d7fde531667100b16f3a9b8308fc77bb4f010b59f103875d4b051d73f93332b",
+                    "db3181070b8940aac73b21e11ae473d4b47ef8dfd96898798df96c71d4649741"),
+    (300, 70, 299, 0): (1496, "f96649676401d2b9cef108d1a3975647ba053817a4e791c71dda36a0a2704fa6",
+                        "ef354116d8886b860fd7eb08e47bab935079c760ecf0d3e9e996bfe5ebf25380"),
+    (300, 70, 0, 69): (1496, "df24b93b3587614a5013737753723ee80594589e8825cbaa9f59b6fb26d777da",
+                      "fd79ff892a6cafe859309620e51f5059406349271474e609eeffe51f0bb1fd02"),
+}
+
+
+@pytest.mark.parametrize(("patients", "hospitals", "p", "h"), list(PINNED_BLOCKS))
+def test_seeded_blocks_and_their_draws_match_recorded_digests(group, patients, hospitals, p, h):
+    # A 16/8-key block computed in one process, and 300/70-key blocks whose
+    # one column (368 values) is shared with the worker, the witnesses at
+    # the ends of the rings: the same draws in the same order, and the same bytes.
+    directories, patient_kps, hospital_kps = _block_world(group, patients, hospitals, 2929 + patients)
+    block, log = _recorded_block(group, directories, patient_kps[p], p, hospital_kps[h], h, 31 + patients + p)
+    draws, block_digest, log_digest = PINNED_BLOCKS[patients, hospitals, p, h]
+    assert len(log) == draws
+    assert hashlib.sha256(block.canonical_bytes()).hexdigest() == block_digest
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == log_digest
+
+
+# Recorded as above: a block whose patient or hospital identity secret does
+# not match its key raises after the same draws as when each credential
+# was proved on its own: none for the patient, the patient's credential's
+# for the hospital. (m_p, m_h, the party) -> draws, SHA-256 of the draw log.
+PINNED_REFUSALS = {
+    (300, 70, "patient"): (4, "3b6eef1f659fccdee43d352bfe5b4f7b84d2916ec9eb1077610395cba35774bd"),
+    (300, 70, "hospital"): (1204, "a14286dba8eaacc856082a2f0396a92b025840a2938cf19cc15f382034c5f8fc"),
+    (16, 8, "hospital"): (68, "4df587d19a771ea9ad0878fdc392501a4e8162f386adecea2f9f2aa0a4343527"),
+}
+
+
+@pytest.mark.parametrize(("patients", "hospitals", "party"), list(PINNED_REFUSALS))
+def test_a_bad_witness_in_a_block_raises_after_the_recorded_draws(group, patients, hospitals, party):
+    directories, patient_kps, hospital_kps = _block_world(group, patients, hospitals, 77 + patients)
+    patient, hospital = patient_kps[7], hospital_kps[3]
+    if party == "patient":
+        patient = KeyPair(patient.secret + 1, patient.public)
+    else:
+        hospital = KeyPair(hospital.secret + 1, hospital.public)
+    rng = _RecordedRandom(5)
+    with pytest.raises(ValueError, match="witness secret does not match"):
+        create_patient_block(
+            PatientContext(patient, 7, PatientSecrets()), HospitalContext(hospital, 3), b"x",
+            ConditionCodebook.default().encode([], []), directories, OffChainStore(), 5, rng,
+        )
+    draws, log_digest = PINNED_REFUSALS[patients, hospitals, party]
+    assert len(rng.log) == draws
+    assert hashlib.sha256(repr(rng.log).encode()).hexdigest() == log_digest
+
+
+@pytest.mark.parametrize(("patients", "hospitals"), [(16, 8), (200, 64)])
+def test_a_block_is_one_column_to_prove_and_one_to_check(group, calls, patients, hospitals):
+    # Proving a block computes m_p + m_h - 2 values, its two witnesses left
+    # out, in one column; checking it, m_p + m_h in one column, and four
+    # one-record checks: its two possession halves and its two signatures.
+    directories, patient_kps, hospital_kps = _block_world(group, patients, hospitals, 90 + patients)
+    block, _ = _recorded_block(group, directories, patient_kps[1], 1, hospital_kps[2], 2, 91)
+    assert calls["columns"] == [patients + hospitals - 2]
+    calls["columns"].clear()
+    calls["commitments"] = 0
+    assert verify_block(block, directories)
+    assert calls["columns"] == [patients + hospitals]
+    assert calls["commitments"] == patients + hospitals + 4
+    assert calls["system_draws"] == 0
 
 
 def batch_only_verify(group, ring, proof, rng):
