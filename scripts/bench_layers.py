@@ -50,16 +50,21 @@ leaves the generator in); the two chain reads of a researcher round on an
 800-block chain (640 patient blocks of 16 patients, 80 requests and 80
 approvals, each voted in by 800 miners; see ``researcher_chain``): one
 ``scan_blocks`` for a one-condition mask and one ``pending_requests`` for
-a 40-visit history; the first ``Chain.to_bytes`` of that chain, which
+a 40-visit history, each checked first against a walk over the chain,
+and ``pending_requests_forked_s``, one ``pending_requests`` for the
+history whose blocks the most requests fork, as the patient of a
+researcher round answers it; the first ``Chain.to_bytes`` of that chain, which
 makes the records its rounds left unread, timed on fresh chains after one
 chain's records are checked miner by miner;
 two signature checks: ``verify_signature`` under one key whose membership
 verdict is kept, as an enrolled researcher's is after its first request,
 and under a key seen for the first time; and, last of all, three
 block-bytes rows on a 16/8-key patient block (16 patient and 8 hospital
-keys): its first ``canonical_bytes`` (an encoding, timed on fresh
-``dataclasses.replace`` copies), a repeat ``canonical_bytes`` of the same
-block, and ``range_message`` on a block whose bytes are kept; and
+keys): its ``canonical_bytes`` (an encoding, timed on fresh
+``dataclasses.replace`` copies; a block keeps no bytes, so every call
+encodes), ``range_message`` on it, and ``range_digest``, the prehashed
+message a request signs and a miner checks, hashed on from the block's
+kept state and checked first against the digest of ``range_message``; and
 ``decode_block`` of a 4000/1000-key patient block's bytes, checked to
 re-encode to them, and ``decoded_block_held_bytes``, the bytes one decoded
 copy of that block holds (``tracemalloc``; its input is not counted).
@@ -99,12 +104,14 @@ from phrchain import (
     HospitalContext,
     MinerPool,
     OffChainStore,
+    PatientBlock,
     PatientContext,
     PatientSecrets,
     RequestBlock,
     TimeRange,
     VerificationReport,
     build_disclosure_package,
+    codes_match,
     create_patient_block,
     keygen,
     new_directories,
@@ -121,9 +128,9 @@ from phrchain import (
 )
 from phrchain import group as group_module
 from phrchain.consensus import _draw_roles, verify_block
-from phrchain.crypto import _rings_commit, _schnorr_equation
+from phrchain.crypto import _rings_commit, _schnorr_equation, digest
 from phrchain.group import GroupParams
-from phrchain.ledger import VOTE_RECORD, decode_block, range_message
+from phrchain.ledger import VOTE_RECORD, decode_block, range_digest, range_message
 
 
 # The vote of every block of ``researcher_chain``, and the pool of the consensus rows.
@@ -563,11 +570,26 @@ def main() -> None:
     # Its own stream, as for the 200-key ring: the chain does not depend on
     # the draws above, and rows added before it keep their inputs.
     chain, histories, masks = researcher_chain(group, random.Random(f"chain-{args.seed}"))
+    blocks = [entry.block for entry in chain.entries()]
+    if any(scan_blocks(chain, mask) != [
+        b.block_id for b in blocks if isinstance(b, PatientBlock) and codes_match(b.condition_bits, mask)
+    ] for mask in masks):
+        raise SystemExit("scan_blocks differs from the walk over the chain")
+    walks = [
+        [b for b in blocks if isinstance(b, RequestBlock) and b.parent_ptr in secrets.positions]
+        for secrets in histories
+    ]
+    if [pending_requests(chain, secrets) for secrets in histories] != walks:
+        raise SystemExit("pending_requests differs from the walk over the chain")
     rows["scan_blocks_s"] = median_time(
         lambda: [scan_blocks(chain, mask) for mask in masks], args.repeats, len(masks)
     )
     rows["pending_requests_s"] = median_time(
         lambda: [pending_requests(chain, secrets) for secrets in histories], args.repeats, len(histories)
+    )
+    busiest = max(range(len(histories)), key=lambda i: len(walks[i]))
+    rows["pending_requests_forked_s"] = median_time(
+        lambda: [pending_requests(chain, histories[busiest]) for _ in range(200)], args.repeats, 200
     )
     # Every block of the chain was approved by the same valid vote, so each record is that vote's under its seed.
     if any(
@@ -615,13 +637,14 @@ def main() -> None:
             copy.canonical_bytes()
         first_samples.append((time.perf_counter() - started) / len(fresh))
     rows["patient_block_first_bytes_s"] = statistics.median(first_samples)
-    block.canonical_bytes()
-    rows["patient_block_repeat_bytes_s"] = median_time(
-        lambda: [block.canonical_bytes() for _ in range(200)], args.repeats, 200
-    )
     window = TimeRange(1, 2)
-    rows["range_message_kept_s"] = median_time(
+    rows["range_message_s"] = median_time(
         lambda: [range_message(block, window) for _ in range(200)], args.repeats, 200
+    )
+    if range_digest(block, window).digest != digest(range_message(block, window)):
+        raise SystemExit("range_digest differs from the digest of range_message")
+    rows["range_digest_s"] = median_time(
+        lambda: [range_digest(block, window) for _ in range(200)], args.repeats, 200
     )
     # Its own stream: one 4000/1000-key patient block, decoded from its bytes.
     wire = patient_block(group, random.Random(f"large-block-{args.seed}"), 4000, 1000).canonical_bytes()

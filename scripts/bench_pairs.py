@@ -10,8 +10,12 @@ change's ``BENCHMARK.json`` names, it prints each side's median and
 inclusive quartiles, the pairs in which the change reads better, and
 whether the gain rule holds: better in at least nine of every ten pairs,
 and the difference in medians larger than the parent's interquartile
-range. ``--out FILE`` also writes every run's result as JSON. Nothing
-under ``benchmark/`` is changed.
+range. Beside each scaled median it prints each side's unscaled
+(as measured) median, and each side's median speed factor, both read from
+the report every run saves under ``<root>/.bench_out/results/``: the
+scaled figures divide by a factor that the harness measures, so a gain
+should show in the unscaled medians too. ``--out FILE`` also writes every
+run's result as JSON. Nothing under ``benchmark/`` is changed.
 """
 
 import argparse
@@ -24,14 +28,19 @@ from pathlib import Path
 
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line (the last line of standard output) of one run from ``root``."""
+    """The result line (the last line of standard output) of one run from
+    ``root``, with the unscaled metrics and the speed factor of the report it saved."""
     command = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{root}: no result\n{done.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    saved = json.loads((root / ".bench_out" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    result["measured"] = saved["end_to_end_measured"]
+    result["speed_factor"] = saved["end_to_end"]["speed_factor"]
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -60,6 +69,11 @@ def main() -> None:
             runs[side].append(run(root, args.workload, args.seed, args.seconds))
         print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
     report = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs, "metrics": {}}
+    factors = {side: [result["speed_factor"] for result in results] for side, results in runs.items()}
+    report["speed_factor"] = {side: {"median": statistics.median(values), "runs": values}
+                              for side, values in factors.items()}
+    print(f"speed factor: parent {report['speed_factor']['parent']['median']:.4f}  "
+          f"change {report['speed_factor']['change']['median']:.4f}")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [result["metrics"][name]["value"] for result in runs["parent"]]
@@ -68,14 +82,18 @@ def main() -> None:
         (p_low, p_median, p_high), (c_low, c_median, c_high) = quartiles(parent), quartiles(change)
         gain = (p_median - c_median) if lower else (c_median - p_median)
         holds = won >= math.ceil(0.9 * args.pairs) and gain > p_high - p_low
+        unscaled = {side: statistics.median(result["measured"][name] for result in results)
+                    for side, results in runs.items()}
         report["metrics"][name] = {
             "parent": {"median": p_median, "quartiles": [p_low, p_high], "runs": parent},
             "change": {"median": c_median, "quartiles": [c_low, c_high], "runs": change},
             "change_pct": 100 * (c_median - p_median) / p_median if p_median else None,
             "pairs_won": won, "gain_rule_holds": holds,
+            "unscaled_median": unscaled,
         }
         print(f"{name}: parent {p_median:.6g} [{p_low:.6g}, {p_high:.6g}]  change {c_median:.6g} "
-              f"[{c_low:.6g}, {c_high:.6g}]  won {won}/{args.pairs}  rule {'holds' if holds else 'fails'}")
+              f"[{c_low:.6g}, {c_high:.6g}]  won {won}/{args.pairs}  rule {'holds' if holds else 'fails'}  "
+              f"unscaled parent {unscaled['parent']:.6g} change {unscaled['change']:.6g}")
     report["failed"] = {side: [result["failed"] for result in results] for side, results in runs.items()}
     report["attempted"] = {side: [result["attempted"] for result in results] for side, results in runs.items()}
     if args.out:

@@ -34,7 +34,7 @@ from .ledger import (
     RequestBlock,
     TimeRange,
     chain_state,
-    range_message,
+    range_digest,
     state_commitment,
 )
 
@@ -51,7 +51,7 @@ def scan_blocks(chain: Chain, query_mask: bytes) -> list[bytes]:
     """Ids of the patient blocks whose condition bits cover the query mask, in chain order.
 
     Answered from the chain's (vector length, bit) index (``Chain.matching``):
-    a one-bit mask costs no per-block test at all, and a mask with more bits
+    a one-bit mask is a copy of a kept id list, and a mask with more bits
     one ``codes_match`` per block carrying its rarest bit (per patient block
     for a zero mask), not one per block on the chain.
     """
@@ -70,7 +70,7 @@ def create_request_block(
         parent_ptr=parent.block_id,
         requested_range=requested_range,
         researcher_pk=researcher_kp.public,
-        signature=sign(group, researcher_kp, range_message(parent, requested_range), rng),
+        signature=sign(group, researcher_kp, range_digest(parent, requested_range), rng),
         group=group,
     )
 
@@ -78,10 +78,11 @@ def create_request_block(
 def pending_requests(chain: Chain, secrets: PatientSecrets) -> list[RequestBlock]:
     """Requests on chain that fork one of this patient's own blocks, in chain order.
 
-    Reads the chain's per-parent index: the cost grows with the patient's
-    history and the requests found, not with the chain.
+    The chain's per-parent index meets the patient's kept id map
+    (``PatientSecrets.positions``) in one set intersection: the cost grows
+    with the smaller of the two and the requests found, not with the chain.
     """
-    return chain.forks_of(record.block_id for record in secrets.records)
+    return chain.forks_of(secrets.positions.keys())
 
 
 def create_approval_block(
@@ -103,7 +104,7 @@ def create_approval_block(
     return ApprovalBlock(
         parent_ptr=request.block_id,
         granted_range=granted_range,
-        signature=sign(group, record.block_key, range_message(request, granted_range), rng),
+        signature=sign(group, record.block_key, range_digest(request, granted_range), rng),
         group=group,
     )
 

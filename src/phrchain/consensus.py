@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .crypto import credential_verify  # noqa: F401 -- a name the benchmark's tracer wraps
 from .crypto import credentials_verify, verify_signature
 from .ledger import ApprovalBlock, Block, Chain, ConsensusResult, PatientBlock, RequestBlock, approval_threshold
-from .ledger import pack_votes, range_message
+from .ledger import pack_votes, range_digest
 from .registry import Directories
 
 
@@ -114,7 +114,7 @@ def _verify_request_block(block: RequestBlock, directories: Directories, chain: 
         return False
     if block.researcher_pk not in directories.researchers:
         return False
-    message = range_message(parent, block.requested_range)
+    message = range_digest(parent, block.requested_range)
     return verify_signature(group, block.researcher_pk, message, block.signature)
 
 
@@ -128,7 +128,7 @@ def _verify_approval_block(block: ApprovalBlock, directories: Directories, chain
         return False
     if not request.requested_range.encloses(block.granted_range):
         return False
-    message = range_message(request, block.granted_range)
+    message = range_digest(request, block.granted_range)
     return verify_signature(group, forked.patient_block_pk, message, block.signature)
 
 

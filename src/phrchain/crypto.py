@@ -55,6 +55,12 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def digest_state(data: bytes):
+    """A hash state fed with ``data``: its ``digest()`` is ``digest(data)``,
+    and a ``copy()`` of it hashes on from there."""
+    return hashlib.sha256(data)
+
+
 def hash_to_scalar(group: GroupParams, tag: bytes, payload: bytes) -> int:
     """Fiat-Shamir challenge: domain-tagged hash reduced mod the group order."""
     return int.from_bytes(digest(tag + payload), "big") % group.order
@@ -752,12 +758,22 @@ class Signature:
         return cls(commitment, response)
 
 
-def _signature_challenge(group: GroupParams, public: int, commitment: int, message: bytes) -> int:
-    payload = group.encode_element(public) + group.encode_element(commitment) + digest(message)
+@dataclass(frozen=True)
+class Prehashed:
+    """A message given by its ``digest``: ``sign`` and ``verify_signature``
+    take it in place of the message's bytes, and sign or check exactly what
+    they would over those bytes."""
+
+    digest: bytes
+
+
+def _signature_challenge(group: GroupParams, public: int, commitment: int, message: bytes | Prehashed) -> int:
+    hashed = message.digest if type(message) is Prehashed else digest(message)
+    payload = group.encode_element(public) + group.encode_element(commitment) + hashed
     return hash_to_scalar(group, TAG_SIG, payload)
 
 
-def sign(group: GroupParams, kp: KeyPair, message: bytes, rng: random.Random | None = None) -> Signature:
+def sign(group: GroupParams, kp: KeyPair, message: bytes | Prehashed, rng: random.Random | None = None) -> Signature:
     """Schnorr signature over the digest of the message."""
     r = group.random_scalar(rng)
     commitment = group.exp(group.generator, r)
@@ -765,7 +781,7 @@ def sign(group: GroupParams, kp: KeyPair, message: bytes, rng: random.Random | N
     return Signature(commitment, _schnorr_response(group, r, challenge, kp.secret))
 
 
-def verify_signature(group: GroupParams, public: int, message: bytes, sig: Signature) -> bool:
+def verify_signature(group: GroupParams, public: int, message: bytes | Prehashed, sig: Signature) -> bool:
     entry = _schnorr_gate(group, public, sig.commitment, sig.response)
     if not entry:
         return False

@@ -26,11 +26,13 @@ from . import encoding as enc
 from .crypto import (
     CredentialProof,
     KeyPair,
+    Prehashed,
     Signature,
     TAG_CHAIN,
     credential_prove,  # noqa: F401 -- a name the benchmark's tracer wraps, kept beside the one the flow calls
     credentials_prove,
     digest,
+    digest_state,
     keygen,
     new_sym_key,
     sign,
@@ -108,24 +110,28 @@ class _Block:
     """Content addressing, shared by the three block kinds. Each kind's
     canonical bytes open with its ``KIND`` byte, which ``decode_block`` reads.
 
-    Blocks are frozen, so their bytes are kept once made: a kind's
-    ``_encode`` runs on the first ``canonical_bytes`` call (``block_id`` and
-    ``range_message`` ask through it), and later calls return the same
-    bytes, as ``block_id`` returns the same id. ``dataclasses.replace``
-    builds a new block, which encodes and hashes itself afresh. Each kind
-    keeps its own ``canonical_bytes`` so that a tracer can time the kinds
-    apart.
+    Blocks are frozen, so a block keeps one SHA-256 state fed with its
+    canonical bytes (``_hashed``), made on the first ``block_id`` or
+    ``range_digest``, or by ``decode_block`` from its input, and not its
+    bytes: ``canonical_bytes`` encodes on every call. The id is that
+    state's digest, and a range digest hashes on from a copy of it.
+    ``dataclasses.replace`` builds a new block, which hashes itself afresh.
+    A copy or a pickle leaves the state out, and makes its own on first need.
     """
 
     KIND: int
 
     @cached_property
-    def _encoding(self) -> bytes:
-        return self._encode()
+    def _hashed(self):
+        return digest_state(self.canonical_bytes())
 
     @cached_property
     def block_id(self) -> bytes:
-        return digest(self.canonical_bytes())
+        return self._hashed.digest()
+
+    def __getstate__(self) -> dict:
+        # A hash state neither copies nor pickles.
+        return {name: value for name, value in self.__dict__.items() if name != "_hashed"}
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,6 @@ class PatientBlock(_Block):
         )
 
     def canonical_bytes(self) -> bytes:
-        return self._encoding
-
-    def _encode(self) -> bytes:
         header = (
             enc.prefixed(self.patient_credential.to_bytes(self.group))
             + enc.prefixed(self.hospital_credential.to_bytes(self.group))
@@ -202,9 +205,6 @@ class RequestBlock(_Block):
     group: GroupParams
 
     def canonical_bytes(self) -> bytes:
-        return self._encoding
-
-    def _encode(self) -> bytes:
         return (
             enc.u8(self.KIND)
             + self.parent_ptr
@@ -235,9 +235,6 @@ class ApprovalBlock(_Block):
     group: GroupParams
 
     def canonical_bytes(self) -> bytes:
-        return self._encoding
-
-    def _encode(self) -> bytes:
         return (
             enc.u8(self.KIND)
             + self.parent_ptr
@@ -269,9 +266,17 @@ def range_message(block: PatientBlock | RequestBlock, window: TimeRange) -> byte
     """What a request or an approval signs: the block it answers, then a range.
 
     A request signs its parent patient block's bytes ‖ the requested range;
-    an approval signs its request's bytes ‖ the granted range.
+    an approval signs its request's bytes ‖ the granted range. Signers and
+    verifiers take it as ``range_digest``.
     """
     return block.canonical_bytes() + window.to_bytes()
+
+
+def range_digest(block: PatientBlock | RequestBlock, window: TimeRange) -> Prehashed:
+    """``range_message`` prehashed: the block's kept hash state, copied and fed the range."""
+    state = block._hashed.copy()
+    state.update(window.to_bytes())
+    return Prehashed(state.digest())
 
 
 Block = PatientBlock | RequestBlock | ApprovalBlock
@@ -283,17 +288,17 @@ def decode_block(data: bytes, group: GroupParams) -> Block:
     """Parse canonical block bytes; raises FormatError on malformed input.
 
     Decoding is canonical (the block re-encodes to ``data``), so the
-    block's id is the hash of ``data``. ``data`` itself is not kept. A
-    patient block's ring proofs keep their branch records, the bulk of its
-    bytes, as the slices they were read from (``RingProof``), so it holds
-    about its wire size and no per-branch object; a block that is asked
-    for its bytes joins them with its other fields then.
+    block's hash state is the one fed with ``data``. ``data`` itself is not
+    kept. A patient block's ring proofs keep their branch records, the bulk
+    of its bytes, as the slices they were read from (``RingProof``), so it
+    holds about its wire size and no per-branch object; a block that is
+    asked for its bytes joins them with its other fields then.
     """
     kind = _BLOCK_KINDS.get(data[0] if data else None)
     if kind is None:
         raise enc.FormatError("missing or unknown block kind")
     block = enc.decode(data[1:], kind.read_from, group)
-    block.__dict__["block_id"] = digest(data)
+    block.__dict__["_hashed"] = digest_state(data)
     return block
 
 
@@ -332,7 +337,7 @@ class PatientSecrets:
         return PatientSecrets(self.records + (record,))
 
     @cached_property
-    def _positions(self) -> dict[bytes, int]:
+    def positions(self) -> dict[bytes, int]:
         """Block id -> index of its first record, built on the first lookup."""
         positions: dict[bytes, int] = {}
         for i, record in enumerate(self.records):
@@ -341,12 +346,12 @@ class PatientSecrets:
 
     def index_of(self, block_id: bytes) -> int:
         try:
-            return self._positions[block_id]
+            return self.positions[block_id]
         except KeyError:
             raise KeyError("block not in this patient's history") from None
 
     def find(self, block_id: bytes) -> BlockSecrets | None:
-        i = self._positions.get(block_id)
+        i = self.positions.get(block_id)
         return None if i is None else self.records[i]
 
     def state_before(self, index: int) -> bytes:
@@ -624,10 +629,10 @@ class Chain(enc.Stored):
     from bytes or rebuilt by re-appending its entries has them too:
 
     - ``_index``: block id -> position;
-    - ``_patients``: the patient blocks in chain order, and
+    - ``_patients``: patient block id -> block, in chain order, and
       ``_by_condition``: per (vector length in bytes, condition bit), the
-      patient blocks whose condition vector has that length and carries
-      that bit (``registry.conditions_in``), in chain order;
+      ids of the patient blocks whose condition vector has that length and
+      carries that bit (``registry.conditions_in``), in chain order;
     - ``_forks``: parent id -> positions of the request blocks that fork
       it, in chain order, whatever the parent's kind.
 
@@ -641,8 +646,8 @@ class Chain(enc.Stored):
         self.group = group
         self._entries: list[ChainEntry] = []
         self._index: dict[bytes, int] = {}
-        self._patients: list[PatientBlock] = []
-        self._by_condition: dict[tuple[int, int], list[PatientBlock]] = {}
+        self._patients: dict[bytes, PatientBlock] = {}
+        self._by_condition: dict[tuple[int, int], list[bytes]] = {}
         self._forks: dict[bytes, list[int]] = {}
 
     def __len__(self) -> int:
@@ -651,16 +656,17 @@ class Chain(enc.Stored):
     def append(self, block: Block, record: ConsensusResult) -> None:
         if not record.approved:
             raise NotApprovedError("consensus record is not approved")
-        if block.block_id in self._index:
+        block_id = block.block_id
+        if block_id in self._index:
             raise ValueError("block already on chain")
         position = len(self._entries)
-        self._index[block.block_id] = position
+        self._index[block_id] = position
         self._entries.append(ChainEntry(block, record))
         if isinstance(block, PatientBlock):
-            self._patients.append(block)
+            self._patients[block_id] = block
             size = len(block.condition_bits)
             for bit in conditions_in(block.condition_bits):
-                self._by_condition.setdefault((size, bit), []).append(block)
+                self._by_condition.setdefault((size, bit), []).append(block_id)
         elif isinstance(block, RequestBlock):
             self._forks.setdefault(block.parent_ptr, []).append(position)
 
@@ -672,29 +678,37 @@ class Chain(enc.Stored):
         return tuple(self._entries)
 
     def patient_blocks(self) -> tuple[PatientBlock, ...]:
-        return tuple(self._patients)
+        return tuple(self._patients.values())
 
     def matching(self, query_mask: bytes) -> list[bytes]:
         """Ids of the patient blocks whose condition bits cover the query
         mask (``registry.codes_match``), in chain order.
 
-        A one-bit mask reads its (length, bit) list as it stands. A mask
+        A one-bit mask returns a copy of its (length, bit) list. A mask
         with more bits filters the rarest of its bits' lists, and a zero
         mask every patient block, through ``mask_matcher``.
         """
         size = len(query_mask)
         lists = [self._by_condition.get((size, bit), ()) for bit in conditions_in(query_mask)]
         if len(lists) == 1:
-            return [block.block_id for block in lists[0]]
+            return list(lists[0])
         matches = mask_matcher(query_mask)
+        patients = self._patients
         return [
-            block.block_id for block in min(lists, key=len, default=self._patients) if matches(block.condition_bits)
+            block_id for block_id in min(lists, key=len, default=patients) if matches(patients[block_id].condition_bits)
         ]
 
     def forks_of(self, parent_ids) -> list[RequestBlock]:
-        """The request blocks forking any of the given ids, in chain order."""
-        positions = [pos for parent in set(parent_ids) for pos in self._forks.get(parent, ())]
-        return [self._entries[pos].block for pos in sorted(positions)]
+        """The request blocks forking any of the given ids, in chain order.
+
+        The ids forked are one set intersection with the per-parent index,
+        which walks the smaller side when ``parent_ids`` is a set or a
+        dict's keys.
+        """
+        forks = self._forks
+        positions = sorted([pos for parent in forks.keys() & parent_ids for pos in forks[parent]])
+        entries = self._entries
+        return [entries[pos].block for pos in positions]
 
     def to_bytes(self) -> bytes:
         parts = [enc.prefixed(self.group.to_bytes()), enc.u32(len(self._entries))]

@@ -246,6 +246,28 @@ class TestCases:
                 assert scan_blocks(copy, mask) == expected[masks.index(mask)]
             monkeypatch.undo()
 
+    def test_a_scan_returns_a_list_the_chain_does_not_keep(self, parts):
+        plan = [("patient", 0, {1}, 32), ("patient", 1, {1, 2}, 32), ("patient", 2, {2}, 32)]
+        chain, _ = build(parts, plan)
+        for mask in (vector({1}), vector({2}), vector({1, 2}), bytes(32), vector({UNUSED_BIT})):
+            expected = oracle_scan(chain, mask)
+            found = scan_blocks(chain, mask)
+            found.append(b"\x02" * 32)
+            found.reverse()
+            assert scan_blocks(chain, mask) == expected
+            found.clear()
+            assert scan_blocks(chain, mask) == expected
+
+    def test_forks_of_takes_any_iterable_of_ids(self, parts):
+        plan = [("patient", 0, set(), 32), ("patient", 0, set(), 32), ("request", "held", 0)]
+        plan += [("request", "patient", pick) for pick in (1, 0, 1)]
+        chain, owners = build(parts, plan)
+        ids = list(owners[0].positions)
+        expected = oracle_pending(chain, owners[0])
+        assert [b.requested_range.start for b in expected] == [2, 3, 4, 5]
+        for parent_ids in (ids, iter(ids), set(ids), owners[0].positions.keys(), ids + ids):
+            assert chain.forks_of(parent_ids) == expected
+
     def test_requests_forking_what_is_not_a_patient_block(self, parts):
         plan = [("patient", 1, set(), 32), ("request", "held", 0), ("request", "patient", 0),
                 ("request", "request", 0), ("approval", 1)]

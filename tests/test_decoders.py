@@ -1,9 +1,14 @@
 """Canonical decoding: every decoder returns a value or raises FormatError,
 and whatever it returns re-encodes to exactly the bytes it was given."""
 
+import copy
+import dataclasses
+import hashlib
+import pickle
 import random
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,16 +38,18 @@ from phrchain import (
     run_consensus,
 )
 from phrchain import encoding as enc
+from phrchain.consensus import verify_block
 from phrchain.encoding import FILE_VERSION, FormatError, Reader, prefixed, prefixed_str, u16, u32, write_versioned
 from phrchain.group import GroupParams
-from phrchain.ledger import PTR_SIZE, decode_block
+from phrchain.ledger import PTR_SIZE, decode_block, range_digest, range_message
 
 GROUP = GroupParams.default()
 
 
 @pytest.fixture(scope="module")
-def samples():
-    """Canonical bytes of one value of every wire type, from a seeded run."""
+def seeded():
+    """A seeded run: two patient blocks, a request for the second and its
+    approval, each voted in, and what the parties kept."""
     rng = random.Random(41)
     directories = new_directories(GROUP)
     patient_kp, hospital_kp, researcher_kp = (keygen(GROUP, rng) for _ in range(3))
@@ -66,6 +73,17 @@ def samples():
     chain.append(request, run_consensus(request, pool, directories, 3, chain=chain))
     approval = create_approval_block(GROUP, secrets, request, TimeRange(1, 2), rng)
     chain.append(approval, run_consensus(approval, pool, directories, 4, chain=chain))
+    return SimpleNamespace(
+        directories=directories, researcher_kp=researcher_kp, codebook=codebook, store=store, pool=pool,
+        chain=chain, secrets=secrets, block=block, request=request, approval=approval,
+    )
+
+
+@pytest.fixture(scope="module")
+def samples(seeded):
+    """Canonical bytes of one value of every wire type, from the seeded run."""
+    block, request, approval, chain = seeded.block, seeded.request, seeded.approval, seeded.chain
+    directories, codebook, secrets = seeded.directories, seeded.codebook, seeded.secrets
     return {
         "patient-block": block.canonical_bytes(),
         "request-block": request.canonical_bytes(),
@@ -73,7 +91,7 @@ def samples():
         "credential": block.patient_credential.to_bytes(GROUP),
         "consensus-result": chain.entries()[-1].record.to_bytes(),
         "chain": chain.to_bytes(),
-        "store": store.to_bytes(),
+        "store": seeded.store.to_bytes(),
         "package": build_disclosure_package(secrets, [e.block_id for e in secrets.records]).to_bytes(),
         "group": GROUP.to_bytes(),
         "registry": Registry.MAGIC + u16(FILE_VERSION) + directories.hospitals.to_bytes(),
@@ -328,9 +346,72 @@ def test_decoder_on_field_built_input(recorded, file_dir, name, data):
 def test_decoded_block_id_is_the_hash_of_its_input(samples, name):
     data = samples[name]
     block = decode_block(data, GROUP)
-    assert "_encoding" not in vars(block)  # the input bytes are not kept
-    assert block.block_id == digest(data) == digest(block._encode())
+    assert not _held_bytes(block, data)  # the input bytes are not kept
+    assert block.block_id == digest(data) == digest(block.canonical_bytes())
     assert block.canonical_bytes() == data
+
+
+def _held_bytes(block, data: bytes) -> list[str]:
+    """The names under which a block holds a bytes value as long as its encoding."""
+    return [name for name, value in vars(block).items() if isinstance(value, bytes) and len(value) >= len(data)]
+
+
+# SHA-256 of request and approval blocks, signatures included, recorded
+# while a block kept its bytes and each range message was hashed whole:
+# the seeded run's request and approval, then a request against its
+# decoded parent and an approval of that request decoded.
+PINNED_RANGE_BLOCKS = {
+    "request": "7a88792d41169d909f3667a3acae380c0f6f979a33e78f037f8e660d570b9a79",
+    "approval": "cace1cd82816966067af617483c1a2ca0bb163657585a3678a708d65b644a78c",
+    "decoded-parent request": "1070fbf09148861dcc09e36d8c8468b3d96a4dbf1f9fcf2ad534748da7e36049",
+    "decoded-request approval": "3d00f585781aaf1cc7995597915e58b02538dcc27711f9a524836798fd62fc6c",
+}
+
+
+class TestRangeSignatures:
+    """Requests and approvals sign and check ``range_digest``, hashed on from
+    each block's kept state; ``range_message`` is the oracle."""
+
+    def test_the_range_digest_is_the_digest_of_the_range_message(self, seeded):
+        decoded = Chain.from_bytes(seeded.chain.to_bytes())
+        created = [seeded.block, seeded.request]
+        # Decoded copies, and fresh copies whose state a range digest makes first.
+        blocks = created + [decoded.get(b.block_id) for b in created] + [dataclasses.replace(b) for b in created]
+        for block in blocks:
+            for window in (TimeRange(0, 0), TimeRange(3, 7), TimeRange(2**63, 2**64 - 1)):
+                expected = digest(range_message(block, window))
+                assert range_digest(block, window).digest == expected
+                assert range_digest(block, window).digest == expected  # the kept state is copied, not fed
+            assert block.block_id == digest(block.canonical_bytes())
+
+    def test_a_decoded_parent_keeps_no_bytes_once_signed_over(self, seeded, samples):
+        chain = Chain.from_bytes(seeded.chain.to_bytes())
+        parent = chain.get(seeded.block.block_id)
+        request = create_request_block(GROUP, seeded.researcher_kp, parent, TimeRange(2, 2), random.Random(7))
+        assert verify_block(request, seeded.directories, chain)
+        received = decode_block(request.canonical_bytes(), GROUP)
+        chain.append(received, run_consensus(received, seeded.pool, seeded.directories, 5, chain=chain))
+        approval = create_approval_block(GROUP, seeded.secrets, received, TimeRange(2, 2), random.Random(8))
+        assert verify_block(approval, seeded.directories, chain)
+        for block, data in ((parent, samples["patient-block"]), (received, request.canonical_bytes())):
+            assert "_encoding" not in vars(block) and not _held_bytes(block, data)
+        signed = {
+            "request": seeded.request, "approval": seeded.approval,
+            "decoded-parent request": request, "decoded-request approval": approval,
+        }
+        assert {name: hashlib.sha256(block.canonical_bytes()).hexdigest() for name, block in signed.items()} == (
+            PINNED_RANGE_BLOCKS
+        )
+
+    @pytest.mark.parametrize("name", ["patient-block", "request-block", "approval-block"])
+    def test_a_block_copies_and_pickles_without_its_hash_state(self, samples, name):
+        block = decode_block(samples[name], GROUP)
+        for twin in (copy.copy(block), copy.deepcopy(block), pickle.loads(pickle.dumps(block))):
+            assert twin == block and twin.block_id == block.block_id
+            assert twin._hashed is not block._hashed
+            if name != "approval-block":
+                window = TimeRange(1, 2)
+                assert range_digest(twin, window) == range_digest(block, window)
 
 
 def _store_bytes(*entries):

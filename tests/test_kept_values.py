@@ -1,4 +1,4 @@
-"""Values computed once and kept: a block's canonical bytes, a public key's
+"""Values computed once and kept: a block's hash state, a public key's
 subgroup verdict, and a ring proof's branches as their wire records."""
 
 import copy
@@ -44,11 +44,11 @@ def encodings(monkeypatch):
     """Counts each block kind's encoder runs, per block object."""
     calls = Counter()
     for kind in (PatientBlock, RequestBlock, ApprovalBlock):
-        def counted(self, encode=kind._encode):
+        def counted(self, encode=kind.canonical_bytes):
             calls[id(self)] += 1
             return encode(self)
 
-        monkeypatch.setattr(kind, "_encode", counted)
+        monkeypatch.setattr(kind, "canonical_bytes", counted)
     return calls
 
 
@@ -62,13 +62,13 @@ def publish(world, block, seed):
 
 
 class TestBlockBytes:
-    def test_each_block_is_encoded_at_most_once(self, make_world, encodings):
+    def test_a_decoded_block_is_never_encoded(self, make_world, encodings):
         world = make_world(patients=2, hospitals=2)
         block, patient = world.submit_block(world.patient(), b"visit", 1, append=False)
-        assert encodings[id(block)] == 1  # block_id, taken for the patient's record
+        assert encodings[id(block)] == 1  # its hash state, made for block_id, taken for the patient's record
         received = publish(world, block, 1)
-        assert encodings[id(block)] == 1
-        assert encodings[id(received)] == 0  # its id is the hash of the bytes it came from
+        assert encodings[id(block)] == 2  # the bytes shipped are not kept
+        assert encodings[id(received)] == 0  # its hash state is fed with the bytes it came from
 
         request = create_request_block(world.group, world.researcher_kps[0], received, TimeRange(1, 1), world.rng)
         received_request = publish(world, request, 2)
@@ -76,11 +76,11 @@ class TestBlockBytes:
         received_approval = publish(world, approval, 3)
 
         # The parent was signed over by the researcher and checked by every
-        # miner, the request likewise by the patient; each was encoded once.
-        # Nothing asks the approval on the chain for its bytes.
+        # miner, the request likewise by the patient, each from its decoded
+        # copy's hash state: only the blocks shipped were encoded.
         blocks = (block, received, request, received_request, approval, received_approval)
-        assert [encodings[id(b)] for b in blocks] == [1, 1, 1, 1, 1, 0]
-        assert sum(encodings.values()) == 5
+        assert [encodings[id(b)] for b in blocks] == [2, 0, 1, 0, 1, 0]
+        assert sum(encodings.values()) == 4
 
     def test_replace_encodes_and_hashes_afresh(self, make_world):
         world = make_world(patients=2, hospitals=2)
@@ -93,14 +93,14 @@ class TestBlockBytes:
         membership = dataclasses.replace(proof.membership, branches=tuple(branches))
         forged = dataclasses.replace(block, patient_credential=dataclasses.replace(proof, membership=membership))
         assert forged.canonical_bytes() != honest_bytes
-        assert forged.block_id == digest(forged._encode()) != honest_id
+        assert forged.block_id == digest(forged.canonical_bytes()) != honest_id
         assert block.canonical_bytes() == honest_bytes and block.block_id == honest_id
 
         request = create_request_block(world.group, world.researcher_kps[0], block, TimeRange(1, 2), world.rng)
-        assert request.block_id == digest(request.canonical_bytes())  # both now kept
+        assert request.block_id == digest(request.canonical_bytes())
         widened = dataclasses.replace(request, requested_range=TimeRange(0, 2))
-        assert widened.canonical_bytes() == widened._encode() != request.canonical_bytes()
-        assert widened.block_id == digest(widened._encode()) != request.block_id
+        assert widened.canonical_bytes() != request.canonical_bytes()
+        assert widened.block_id == digest(widened.canonical_bytes()) != request.block_id
 
 
 @pytest.fixture()
