@@ -14,6 +14,7 @@ worker may outlive its process.
 
 import dataclasses
 import fcntl
+import functools
 import os
 import pickle
 import random
@@ -27,6 +28,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phrchain import group as group_module
 from phrchain.consensus import verify_block
@@ -844,3 +846,110 @@ def test_a_column_stopped_before_its_keys_are_in_sends_them_again(group, workers
     assert len(keyed) == 3 and keyed[2] == group_module._key_bytes(group, keys)
     assert 0 < len(keyed[1]) < len(keyed[2])  # the stopped column's keys, part sent
     assert _pids() == [pid] and ring.digest in group_module._workers[0].rings
+
+
+# ---------------------------------------------------------------------------
+# The guard: drawn sequences of rings through one live worker
+# ---------------------------------------------------------------------------
+
+GUARD_POOL = 2400
+
+
+@functools.lru_cache(maxsize=1)
+def _guard_pool(group):
+    """Distinct subgroup keys (squares mod p), each with a fixed challenge
+    and response, and their position: every ring of the guard is drawn from
+    these keys, so each key's ``pow`` value is computed once per session."""
+    rng, p = random.Random(2718), group.modulus
+    keys = list(dict.fromkeys(pow(rng.randrange(2, p - 1), 2, p) for _ in range(GUARD_POOL + 16)))[:GUARD_POOL]
+    pairs = [(group.random_scalar(rng), group.random_scalar(rng)) for _ in keys]
+    return keys, pairs, {key: i for i, key in enumerate(keys)}, {}
+
+
+def _guard_oracle(group, keys):
+    """The ``pow`` value of each key, with its pool challenge and response."""
+    pool, pairs, position, values = _guard_pool(group)
+    for key in keys:
+        if key not in values:
+            c, s = pairs[position[key]]
+            values[key] = _column_oracle(group, [key], [c], [s])[0]
+    return [values[key] for key in keys]
+
+
+def _guard_pairs(group, keys):
+    pool, pairs, position, _ = _guard_pool(group)
+    return [pairs[position[key]] for key in keys]
+
+
+LENGTHS = st.one_of(st.sampled_from([SPLIT - 1, SPLIT, SPLIT + 1, SPLIT + 2]), st.integers(1, 2000))
+MOVES = st.one_of(
+    st.tuples(st.just("fresh"), LENGTHS, st.integers(0, GUARD_POOL)),
+    st.tuples(st.just("kept"), st.integers(0, 99)),
+    st.tuples(st.just("grown"), st.integers(1, 150)),
+    st.tuples(st.just("prefix"), st.integers(0, 99), st.integers(1, 2000)),
+    st.tuples(st.just("equal"), st.integers(0, 99)),
+)
+COLUMNS = st.tuples(
+    st.sampled_from(["prove", "stream", "verify"]),
+    st.booleans(),  # a second ring, the last one met, as a block's column has
+    st.integers(0, 2**32),  # where the prover skips, or which records fail
+    st.integers(0, 2),  # how many records fail
+)
+
+
+@many_cpus
+@settings(max_examples=30, deadline=None)
+@given(initial=st.integers(1, 1200), steps=st.lists(st.tuples(MOVES, COLUMNS), min_size=1, max_size=7))
+def test_drawn_rings_through_a_live_worker_give_pows_values(group, initial, steps):
+    # Rings fresh, kept (the same tuple), grown by an enrollment batch, a
+    # prefix sliced afresh or an equal tuple sliced afresh, up to more live
+    # rings than the caller and the worker keep, each proved over (whole
+    # or streamed, one witness position skipped) or checked with drawn
+    # records forged, through the one worker this process forks.
+    pool, _, _, _ = _guard_pool(group)
+    registry = Registry(group, "patient")
+    for key in pool[:initial]:
+        registry.enroll(key)
+    rings = [registry.keys]
+    group_module._stop_workers()
+    try:
+        for (move, *arguments), (column, pair, drawn, failing) in steps:
+            if move == "fresh":
+                length, start = arguments
+                start = min(start, GUARD_POOL - length)
+                ring = tuple(pool[start : start + length])
+            elif move == "grown":
+                for key in pool[len(registry) : len(registry) + arguments[0]]:
+                    registry.enroll(key)
+                ring = registry.keys
+            else:
+                kept = rings[arguments[0] % len(rings)]
+                if move == "kept":
+                    ring = kept
+                elif move == "equal":
+                    ring = tuple(list(kept))
+                else:
+                    ring = kept[: max(1, arguments[1] % len(kept))]
+            rings.append(ring)
+            chosen = [ring, rings[-2]] if pair else [ring]
+            tables = [group.ring_table(keys) for keys in chosen]
+            rng = random.Random(drawn)
+            if column == "verify":
+                keys = [key for keys in chosen for key in keys]
+                values = _guard_oracle(group, keys)
+                forged = set(rng.sample(range(len(keys)), min(failing, len(keys))))
+                challenges, responses = zip(*_guard_pairs(group, keys))
+                written = [value ^ 1 if i in forged else value for i, value in enumerate(values)]
+                records = _records(group, written, challenges, responses)
+                failed = group.schnorr_failure(tables, records)
+                assert failed in forged if forged else failed is None
+            else:
+                segments = [(table, rng.randrange(len(table) + 1)) for table in tables]
+                keys = [key for table, skip in segments for i, key in enumerate(table.keys) if i != skip]
+                scalars = _scalars(group, *zip(*_guard_pairs(group, keys))) if keys else b""
+                if column == "stream":
+                    scalars = _chunks(scalars)
+                assert _elements(group, group.schnorr_commitments(segments, scalars)) == _guard_oracle(group, keys)
+            assert len(_pids()) <= 1 and all(_pids())
+    finally:
+        group_module._stop_workers()
