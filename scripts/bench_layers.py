@@ -36,7 +36,9 @@ hospital ring (``block_prove_*_s``, ``block_verify_*_s``), how the
 4000/1000-key block's one prover column is shared
 (``block_column_m4000_1000_*``, as ``column_evidence`` reports it), and a
 ring prover over a 2000-key ring one 100-key batch past a ring whose table
-the caller and the worker keep (``ring_prove_grown_by_100_s``); one
+the caller and the worker keep: the grown ring's table is made from its
+2000 keys, their entries read from the per-key cache for all but the new
+100, and all 2000 keys are sent to the worker (``ring_prove_grown_by_100_s``); one
 consensus vote over 800 miners (40% malicious) on a request block given
 no chain, which ``verify_block`` rejects at once: the row times the
 round's verdict, counts and clock alone, since a zero-jitter round draws

@@ -41,22 +41,19 @@ reference, one membership verdict for the whole ring, which a verifier's
 gate reads instead of testing each key, and the keys' encoding and its
 digest, which is the ring's digest in a credential's joint context and
 the table's name to the worker. A kept table is found by the identity of
-its key tuple, as a registry hands it out, before any key is read. A
-ring with no kept table is extended from, or cut from, the kept table
-that shares the longest prefix with it (registries only append), so a
-ring grown by a batch of enrollments looks up and encodes that batch
-alone. A one-record check hands the kernel its key and the entry its
-gate looked up, with no table.
+its key tuple, as a registry hands it out, before any key is read; any
+other ring's table is made from its keys, whose entries the per-key
+cache mostly holds already. A one-record check hands the kernel its key
+and the entry its gate looked up, with no table.
 
 A column of at least ``_SPLIT`` values is shared with one worker
 process, forked on the first such column from a process with one thread
 alive, on a machine of more than one CPU (``os.sched_getaffinity``). It
 is sent the column's header over a ``multiprocessing`` pipe, asked to
-hold ``_PIPE_BYTES``, which names each segment's table and the kept
-table it is made from, with the number of keys taken from that one (the
-worker keeps the last ``_RINGS`` tables, and the caller mirrors their
-keys), then the bytes of the keys appended to those, if any, then the
-records: a prover's as its draws make them, a verifier's as its proofs
+hold ``_PIPE_BYTES``, which names each segment's table and says whether
+its keys follow (the worker keeps the last ``_RINGS`` tables by name, and
+the caller mirrors their names and groups), then the bytes of the keys of
+each table the worker does not keep, then the records: a prover's as its draws make them, a verifier's as its proofs
 hold them, with no copy; keys and records go in messages of at most
 ``_CHUNK`` records' bytes. A message is written only whole and without
 waiting, and only when it leaves at most three quarters of the pipe's
@@ -79,7 +76,7 @@ point of the stream, without waiting for the run in flight; a worker
 found then to have exited is reaped. Every request is numbered, and the
 next column drops the replies to an earlier one. Both sides poll their
 pipe through ``select.poll``. Only public bytes cross to the worker:
-keys, table names and counts, challenges and responses, which are a
+keys, table names, challenges and responses, which are a
 proof's fields or the simulated branches of one, and the positions a
 prover skips, never a witness branch, a nonce or a secret. The worker
 exits at EOF on its request pipe and is reaped at interpreter exit; a
@@ -520,7 +517,7 @@ _RUN = 32
 # worker starts on the head once the first chunk is drawn.
 _CHUNK = 128
 # Ring tables kept: the caller's cache (``GroupParams.ring_table``), the
-# worker's tables, and the caller's mirror of their names and keys.
+# worker's tables, and the caller's mirror of their names and groups.
 _RINGS = 4
 # Each pipe's size asked for (F_SETPIPE_SZ): the most a process may ask for
 # without privileges, by default. A pipe that cannot be given it keeps the
@@ -571,12 +568,10 @@ def _answer(
     (``_REPLY``), and wait for more records when it has caught up.
 
     Each segment of the column is (its table's name, the position it
-    skips, the name of the kept table it is made from or None, the number
-    of keys taken from that one, its number of keys). The table is the one
-    kept under its name when that is the base; else it is made from the
-    base's first keys and, when the base has fewer, the bytes of the keys
-    appended, which follow the header in messages of any size
-    (``_ring_of_bytes``), and kept once they are all in, segment after
+    skips, its number of keys, whether its keys follow). The table is the
+    one kept under its name when its keys do not follow; else it is made
+    from the bytes of its keys, which follow the header in messages of any
+    size (``_ring_of_bytes``), and kept once they are all in, segment after
     segment. The records come in chunks, and the column's stop, an empty
     message, can come at any point: before a table's keys are all in (the
     table is then not kept), before a chunk the worker waits for, or
@@ -593,17 +588,17 @@ def _answer(
         os.sched_setaffinity(0, {cpu})
     group = _received(group)
     tables = []
-    for name, skip, base, offset, length in segments:
-        if base == name:
-            table = _use(rings, name)
-        else:
-            appended, left = [], (length - offset) * group.element_size
+    for name, skip, length, keyed in segments:
+        if keyed:
+            data, left = [], length * group.element_size
             while left > 0:
-                appended.append(requests.recv_bytes())
-                if not appended[-1]:
+                data.append(requests.recv_bytes())
+                if not data[-1]:
                     return
-                left -= len(appended[-1])
-            table = _use(rings, name, _ring_of_bytes(group, b"".join(appended), rings.get(base), offset))
+                left -= len(data[-1])
+            table = _use(rings, name, _ring_of_bytes(group, b"".join(data)))
+        else:
+            table = _use(rings, name)
         tables.append((table, skip))
     work, size = _Column(group, tables, width), group.element_size
     arrived = collections.deque()
@@ -665,17 +660,13 @@ def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
         return b"".join(map(int.to_bytes, (key % group.modulus for key in keys), widths))
 
 
-def _ring_of_bytes(group: "GroupParams", data: bytes, base: "_Ring | None" = None, offset: int = 0) -> "_Ring":
-    """The worker's table of a ring: the first ``offset`` keys of ``base``,
-    and their entries, then the keys whose bytes it was sent, with their
-    operand entries (``_operand_entry``): the worker computes values and
-    gates nothing, so it reads no verdict."""
+def _ring_of_bytes(group: "GroupParams", data: bytes) -> "_Ring":
+    """The worker's table of a ring: the keys whose bytes it was sent, with
+    their operand entries (``_operand_entry``): the worker computes values
+    and gates nothing, so it reads no verdict."""
     size = group.element_size
     keys = tuple(int.from_bytes(data[at : at + size]) for at in range(0, len(data), size))
-    entries = tuple(_operand_entry(group, key) for key in keys)
-    if base is not None:
-        keys, entries = base.keys[:offset] + keys, base.entries[:offset] + entries
-    return _Ring(group, keys, entries)
+    return _Ring(group, keys, tuple(_operand_entry(group, key) for key in keys))
 
 
 class _Worker:
@@ -683,8 +674,8 @@ class _Worker:
     the connection it is sent requests on, never blocking, the most bytes
     that may be left unread there (``budget``), the one it replies on and a
     poll of that one, the number of the last column it was sent, and the
-    mirror of its ring tables (``rings``): the group and the keys of each,
-    under the table's name and in the worker's order. A column holds
+    mirror of its ring tables (``rings``): the group of each, under the
+    table's name and in the worker's order. A column holds
     ``lock`` while it shares the worker. A stopped worker has pid 0 and is
     never asked again."""
 
@@ -718,7 +709,7 @@ class _Worker:
         waiting = select.poll()
         waiting.register(self.replies.fileno(), select.POLLIN)
         self.pid, self.lock, self.column, self.waiting = pid, threading.Lock(), 0, waiting.poll
-        self.rings: dict[bytes, tuple["GroupParams", tuple[int, ...]]] = {}
+        self.rings: dict[bytes, "GroupParams"] = {}
 
     def ask(self, *messages: bytes) -> bool:
         """Send the messages, each whole and in order, without waiting: False,
@@ -746,7 +737,7 @@ class _Worker:
         that would leave more than ``budget`` bytes unread in the request
         pipe, which waits there for the next call: so a worker that is slow
         or stopped is sent no more than its pipe holds, and is not killed.
-        A (name, (group, keys)) item in ``pending`` is a table the worker
+        A (name, group) item in ``pending`` is a table the worker
         keeps from there on in the stream, and goes into the mirror when the
         messages before it are sent. Whether a message was sent."""
         if not self.pid:
@@ -768,12 +759,9 @@ class _Worker:
         """``_Pinned.run`` over the column, split where the worker and the caller meet.
 
         The worker is sent the column's header, with each segment's table
-        named (``_answer``): by its own name when the worker keeps it,
-        else by the kept table with which it shares the longest prefix
-        (``_longest_prefix``; registries only append), and the number of
-        keys it takes from that one, followed by the bytes of the keys
-        appended to them, or of all its keys when no kept table shares a
-        prefix with it. Then each chunk of records as the caller has it,
+        named (``_answer``), followed by the bytes of all the keys of each
+        table the worker does not keep under that name and group, and none
+        of a table it keeps. Then each chunk of records as the caller has it,
         with no copy, and the worker works forward from the head over what
         has arrived. Keys and records go in messages of up to ``_CHUNK``
         records' bytes, each sent once the pipe has room for it (``feed``),
@@ -808,16 +796,13 @@ class _Worker:
         rings, segments, step = dict(self.rings), [], _CHUNK * work.width
         pending = collections.deque([b""])  # the header's place
         for ring, skip in work.segments:
-            name, length, kept = ring.digest, len(ring.keys), (ring.group, ring.keys)
-            if rings.get(name, (None,))[0] == ring.group:
-                base, offset = name, length
-            else:
-                base, offset = _longest_prefix(((name, *kept) for name, kept in rings.items()), *kept)
-                encoding, size = memoryview(ring.encoding), ring.group.element_size
-                pending.extend(encoding[at : at + step] for at in range(offset * size, length * size, step))
-            _use(rings, name, kept)
-            pending.append((name, kept))
-            segments.append((name, skip, base, offset, length))
+            name, keyed = ring.digest, rings.get(ring.digest) != ring.group
+            if keyed:
+                encoding = memoryview(ring.encoding)
+                pending.extend(encoding[at : at + step] for at in range(0, len(encoding), step))
+            _use(rings, name, ring.group)
+            pending.append((name, ring.group))
+            segments.append((name, skip, len(ring.keys), keyed))
         pending[0] = pickle.dumps((self.column, cpu, work.group, work.width, tuple(segments)))
         opened = listening = self.feed(pending)  # whatever is sent first is the header
         parts, met = [], 0
@@ -1150,46 +1135,10 @@ class _Ring:
 
 
 # The kept ring tables (``GroupParams.ring_table``), the most recently used
-# last: under (parameters, the id of a key tuple), that tuple, held so that
-# its id stays its own, and its table. A tuple equal to a kept one takes
-# that entry over: one entry per table.
+# last, under (parameters, the id of the key tuple the table holds, which
+# keeps that id its own).
 _ring_tables: collections.OrderedDict = collections.OrderedDict()
 _RING_TABLES = threading.Lock()
-
-
-def _longest_prefix(kept: Iterable[tuple], group: "GroupParams", keys: tuple[int, ...]) -> tuple[object, int]:
-    """The value of the entry of ``kept``, each (value, group, key tuple),
-    over ``group``, that shares the longest prefix with ``keys``, the
-    shorter of the two being a prefix of the other, and the length of that
-    prefix, an entry of ``keys`` themselves first among equals; (None, 0)
-    when none does. A registry only appends, so a ring over it is a prefix
-    of every later ring over it, and every earlier one is a prefix of it."""
-    best, shared, equal = None, 0, False
-    for value, kept_group, kept_keys in kept:
-        n = min(len(kept_keys), len(keys))
-        whole = n == len(keys) == len(kept_keys)
-        if (
-            n and (n, whole) > (shared, equal) and kept_keys[n - 1] == keys[n - 1] and kept_group == group
-            and kept_keys[:n] == keys[:n]
-        ):
-            best, shared, equal = value, n, whole
-    return best, shared
-
-
-def _grown(group: "GroupParams", keys: tuple[int, ...], base: _Ring | None, shared: int) -> _Ring:
-    """The table of ``keys``, whose first ``shared`` keys are those of
-    ``base``: their entries, their encoding when ``base`` has made it, and
-    its verdict when every key of ``base`` is a member are read from it, so
-    only the keys past it are looked up (``key_is_element``) and encoded."""
-    appended = tuple(map(group.key_is_element, keys[shared:]))
-    if base is None:
-        return _Ring(group, keys, appended)
-    table = _Ring(group, keys, base.entries[:shared] + appended)
-    if base._members:
-        table._members = all(appended)
-    if base._encoding is not None:
-        table._encoding = base._encoding[: shared * group.element_size] + _key_bytes(group, keys[shared:])
-    return table
 
 
 @dataclass(frozen=True)
@@ -1292,37 +1241,26 @@ class GroupParams(enc.Wire):
 
         A kept table is found by the identity of its key tuple, which is how
         a registry hands out its keys (``Registry.keys``, and a prefix of
-        all of them), before any key is read; then by its keys, so that a
-        tuple equal to a kept one, such as a stale prefix of a registry
-        sliced afresh at each call, finds that table, which is kept under
-        the new tuple instead and takes no second slot. A ring
-        with no kept table is made from the kept table that shares the
-        longest prefix with it (``_longest_prefix``, ``_grown``), so a ring
-        grown by a batch of enrollments looks up and encodes that batch alone.
+        all of them), before any key is read. Any other ring, a tuple equal
+        to a kept one included, gets a table made from its keys, their
+        entries read from the per-key cache (``key_is_element``); the table
+        of a tuple is kept, and that of any other sequence is not.
         """
         if type(keys) is _Ring:
             return keys
+        slot = (self, id(keys))
         with _RING_TABLES:
-            kept = _ring_tables.get((self, id(keys)))
-            if kept is not None and kept[0] is keys:
-                _ring_tables.move_to_end((self, id(keys)))
-                return kept[1]
-            tables = [(slot, table.group, table.keys) for slot, (_, table) in _ring_tables.items()]
-        keys = tuple(keys)
-        slot, shared = _longest_prefix(tables, self, keys)
-        with _RING_TABLES:
-            kept = _ring_tables.get(slot)
-            if kept is not None and shared == len(keys) == len(kept[1].keys):
-                # An equal tuple: the table, kept under this tuple from now on.
-                del _ring_tables[slot]
-                _ring_tables[(self, id(keys))] = keys, kept[1]
-                return kept[1]
-        table = _grown(self, keys, None, 0) if kept is None else _grown(self, keys, kept[1], shared)
-        with _RING_TABLES:
-            _ring_tables[(self, id(keys))] = keys, table
-            _ring_tables.move_to_end((self, id(keys)))
-            while len(_ring_tables) > _RINGS:
-                _ring_tables.popitem(last=False)
+            table = _ring_tables.get(slot)
+            if table is not None and table.keys is keys:
+                _ring_tables.move_to_end(slot)
+                return table
+        table = _Ring(self, tuple(keys), tuple(map(self.key_is_element, keys)))
+        if table.keys is keys:  # a tuple: any other sequence is copied, and no later call could find the copy
+            with _RING_TABLES:
+                _ring_tables[slot] = table
+                _ring_tables.move_to_end(slot)
+                while len(_ring_tables) > _RINGS:
+                    _ring_tables.popitem(last=False)
         return table
 
     # The entry cache itself, bound as a method, so that a kept verdict is

@@ -111,10 +111,7 @@ def traffic(monkeypatch):
             if seen["opening"]:
                 seen["opening"] = False
                 header = pickle.loads(message)
-                seen["keyed"] = sum(
-                    (length - offset) * header[2].element_size
-                    for name, _, base, offset, length in header[4] if base != name
-                )
+                seen["keyed"] = sum(length * header[2].element_size for _, _, length, keyed in header[4] if keyed)
                 seen["headers"].append([header, b"" if seen["keyed"] else None])
             elif not message:
                 seen["stops"] += 1
@@ -561,10 +558,10 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
     assert len(headers) == 4
     table = group.ring_table(ring)
     for column, (number, _, sent_group, width, segments) in enumerate(headers, start=1):
-        [(name, skip, base, offset, length)] = segments
+        [(name, skip, length, keyed)] = segments
         assert (number, sent_group, name, width, length) == (column, group, table.digest, 64, len(ring))
         assert skip in (2, len(ring) - 2)
-        assert (base, offset) == ((None, 0) if column == 1 else (name, len(ring)))
+        assert keyed == (column == 1)
     messages = [message for messages in sent for message in messages]
     assert messages.count(table.encoding) == 1 and messages.count(b"") == 4
     chunks = [m for m in messages if m and m != table.encoding and m[:1] != b"\x80"]
@@ -692,11 +689,12 @@ def test_a_block_forged_at_either_end_of_either_ring_is_rejected(make_world, wor
 
 
 @many_cpus
-def test_a_grown_ring_sends_the_worker_its_new_keys_alone(group, workers, traffic):
-    # A registry grown by 100 keys: the caller's table of the grown ring is
-    # made from the kept one, looking up the new keys alone, and the worker
-    # is sent their bytes alone; a prefix of a kept ring sends no key. A
-    # registry hands out one key tuple, which finds its table by identity.
+def test_a_grown_ring_sends_the_worker_all_its_keys_once(group, workers, traffic):
+    # A registry grown by 100 keys hands out a new key tuple: the caller
+    # makes its table from its keys, and the worker, which keeps the table
+    # of the ring before the batch, is sent every key of the grown ring
+    # once; the grown ring's next check finds both tables kept and sends
+    # no key.
     rng = random.Random(72)
     kps = [keygen(group, rng) for _ in range(400)]
     registry = Registry(group, "patient")
@@ -707,26 +705,21 @@ def test_a_grown_ring_sends_the_worker_its_new_keys_alone(group, workers, traffi
     for kp in kps[300:]:
         registry.enroll(kp.public)
     grown = registry.keys
-    lookups = group_module._key_verdict.cache_info()
     table = group.ring_table(grown)
-    after = group_module._key_verdict.cache_info()
-    assert after.hits + after.misses - lookups.hits - lookups.misses == 100
+    lookups = group_module._key_verdict.cache_info()
     assert group.ring_table(registry.keys[: len(registry.keys)]) is table
-    assert group_module._key_verdict.cache_info() == after  # found by identity: no key read
+    assert group_module._key_verdict.cache_info() == lookups  # found by identity: no key read
     assert table.encoding == group_module._key_bytes(group, grown) and table.digest == key_list_digest(group, grown)
     assert ring_verify(group, grown, ring_prove(group, grown, 350, kps[350].secret, b"ctx", rng), b"ctx")
-    prefix = grown[:250]
-    assert ring_verify(group, prefix, ring_prove(group, prefix, 9, kps[9].secret, b"ctx", rng), b"ctx")
+    digests = {len(ring): key_list_digest(group, ring) for ring in (first, grown)}
     headers = [(header[4], keyed) for header, keyed in traffic["headers"]]
-    digests = {len(ring): key_list_digest(group, ring) for ring in (first, grown, prefix)}
-    assert headers[0] == (((digests[300], 4, None, 0, 300),), headers[0][1])
-    assert bytes(headers[0][1]) == group_module._key_bytes(group, first)
-    assert headers[2] == (((digests[400], 350, digests[300], 300, 400),), headers[2][1])
-    assert bytes(headers[2][1]) == group_module._key_bytes(group, grown[300:])
-    [(name, skip, base, offset, length)], keyed = headers[4]
-    assert (name, skip, offset, length, keyed) == (digests[250], 9, 250, 250, None) and base in digests.values()
-    # Each proof's check found its ring's table kept by the worker.
-    assert [header[0][0][2:4] for header in headers[1::2]] == [(digests[n], n) for n in (300, 400, 250)]
+    assert [segments for segments, _ in headers] == [
+        ((digests[300], 4, 300, True),), ((digests[300], 300, 300, False),),
+        ((digests[400], 350, 400, True),), ((digests[400], 400, 400, False),),
+    ]
+    assert [bytes(keyed) if keyed is not None else None for _, keyed in headers] == [
+        group_module._key_bytes(group, first), None, group_module._key_bytes(group, grown), None,
+    ]
     assert len(_pids()) == 1
 
 

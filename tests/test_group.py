@@ -593,22 +593,6 @@ def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monke
     group_module._key_verdict.cache_clear()
 
 
-
-def test_equal_key_tuples_share_one_kept_table(group):
-    # A stale prefix of a registry, sliced afresh at each check, is a new
-    # tuple each time: it finds the table kept for the first such slice and
-    # takes that slot over, so the live ring's table stays kept, and a tuple
-    # that stays finds the table by its identity from then on.
-    keys = tuple(_column_inputs(group, 300, 48)[0])
-    group_module._ring_tables.clear()
-    live, stale = group.ring_table(keys), group.ring_table(keys[:200])
-    for _ in range(2 * group_module._RINGS):
-        assert group.ring_table(keys[:200]) is stale
-    assert len(group_module._ring_tables) == 2 and group.ring_table(keys) is live
-    kept = keys[:200]
-    assert group.ring_table(kept) is stale and group_module._ring_tables[(group, id(kept))] == (kept, stale)
-    group_module._ring_tables.clear()
-
 def test_threads_compute_exp2_exactly(group, tiny_group):
     # ctypes releases the GIL around each libcrypto call, so the threads
     # (more of them than cores, switching often) overlap inside the kernel,

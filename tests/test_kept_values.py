@@ -153,8 +153,10 @@ class TestKeyVerdicts:
         # process, so that every entry is prepared here whichever side of
         # the column a worker computes later.
         rng = random.Random(122)
+        # One key tuple, as a registry hands out its keys: its table is found
+        # by the tuple's identity.
         kps = [keygen(group, rng) for _ in range(300)]
-        ring = [kp.public for kp in kps]
+        ring = tuple(kp.public for kp in kps)
         proof = ring_prove(group, ring, 150, kps[150].secret, b"ctx", rng)
         with monkeypatch.context() as alone:
             alone.setattr(group_module, "_workers", [])
