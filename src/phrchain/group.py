@@ -627,19 +627,20 @@ def _answer(
         pass
 
 
-def _use(tables: dict, name: bytes, table=None):
-    """The table kept under ``name`` (``table`` itself, kept under it, when
-    given), now the most recently used; past ``_RINGS`` tables the least
-    recently used is dropped. The worker keeps its ring tables so, and the
-    caller its mirror of them, in the same order."""
-    if table is None:
-        table = tables.pop(name)
+def _use(kept: dict, name: bytes, value=None):
+    """The value kept under ``name`` in ``kept`` (``value`` itself, kept
+    under it, when given), now the most recently used; past ``_RINGS``
+    names the least recently used is dropped. The worker keeps its ring
+    tables so, under their names, and the caller its mirror of them, each
+    table's group under its name, in the same order."""
+    if value is None:
+        value = kept.pop(name)
     else:
-        tables.pop(name, None)
-    tables[name] = table
-    if len(tables) > _RINGS:
-        del tables[next(iter(tables))]
-    return table
+        kept.pop(name, None)
+    kept[name] = value
+    if len(kept) > _RINGS:
+        del kept[next(iter(kept))]
+    return value
 
 
 @functools.lru_cache(maxsize=8)
