@@ -52,12 +52,12 @@ alive, on a machine of more than one CPU (``os.sched_getaffinity``). It
 is sent the column's header over a ``multiprocessing`` pipe, asked to
 hold ``_PIPE_BYTES``, which names each segment's table and says whether
 its keys follow (the worker keeps the last ``_RINGS`` tables by name, and
-the caller mirrors their names and groups), then the bytes of the keys of
-each table the worker does not keep, then the records: a prover's as its draws make them, a verifier's as its proofs
-hold them, with no copy; keys and records go in messages of at most
-``_CHUNK`` records' bytes. A message is written only whole and without
-waiting, and only when it leaves at most three quarters of the pipe's
-size unread; one that does not is sent at the caller's next chance, so
+the caller mirrors their names and groups), then all the keys of each
+table the worker does not keep, then the records: a prover's as its
+draws make them, a verifier's as its proofs hold them, with no copy;
+keys and records go in messages of at most ``_CHUNK`` records' bytes.
+A message is written only whole and without waiting, and only when it
+leaves at most three quarters of the pipe's size unread; one that does not is sent at the caller's next chance, so
 a worker that reads slowly gets its messages late, one that is stopped
 is never waited for, and one that cannot be written to is killed. The
 worker works forward from the head over what has arrived, on
@@ -73,12 +73,13 @@ the worker is slow or stopped, or dies. A failing record found on either
 side ends the column, and a column that ends, its draws raising
 included, sends the worker its stop, an empty message it can read at any
 point of the stream, without waiting for the run in flight; a worker
-found then to have exited is reaped. Every request is numbered, and the
+found then to have exited is reaped, and one still exiting by a later
+column. Every request is numbered, and the
 next column drops the replies to an earlier one. Both sides poll their
 pipe through ``select.poll``. Only public bytes cross to the worker:
-keys, table names, challenges and responses, which are a
-proof's fields or the simulated branches of one, and the positions a
-prover skips, never a witness branch, a nonce or a secret. The worker
+keys, table names, challenges and responses, which are a proof's fields
+or the simulated branches of one, and the positions a prover skips,
+never a witness branch, a nonce or a secret. The worker
 exits at EOF on its request pipe and is reaped at interpreter exit; a
 child forked later closes its parent's pipes and forks a worker of its own.
 
@@ -526,8 +527,6 @@ _PIPE_BYTES = 1 << 20
 # A worker's reply: the column's number, the first and end index of the run,
 # and the index of a failing commitment in it, or -1; a prover's values follow.
 _REPLY = struct.Struct(">QIIi")
-# The flag Linux sets on a process once it has begun to exit (its stat's ninth field).
-_PF_EXITING = 0x4
 # The CPU the calling thread runs on, from the C library.
 _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 
@@ -866,20 +865,15 @@ class _Worker:
         return True, met, None
 
     def reap(self) -> None:
-        """Stop the worker if it has exited, or is exiting (``_PF_EXITING``
-        among the flags in its ``/proc`` stat), so that a worker that dies
+        """Stop the worker if it has exited, so that a worker that dies
         during a column is reaped by that column, whether or not the caller
-        read its end of the pipe: a worker forked from a large process takes
-        milliseconds to exit once it is killed."""
-        pid = self.pid
+        read its end of the pipe. One still exiting (a worker forked from a
+        large process takes milliseconds to exit once it is killed) is
+        reaped by the first later column that writes to it, reads from it
+        or ends."""
         with contextlib.suppress(ChildProcessError):
-            if pid and os.waitpid(pid, os.WNOHANG)[0]:
+            if self.pid and os.waitpid(self.pid, os.WNOHANG)[0]:
                 self.stop(reaped=True)
-                return
-        with contextlib.suppress(OSError, ValueError, IndexError):
-            with open(f"/proc/{pid}/stat", "rb") as stat:
-                if pid and int(stat.read().rsplit(b")", 1)[1].split()[6]) & _PF_EXITING:
-                    self.stop()
 
     def stop(self, kill: bool = False, reaped: bool = False) -> None:
         """Close the pipes (the worker exits at EOF), kill the worker if asked,

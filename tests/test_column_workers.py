@@ -75,6 +75,16 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def _kill(pids) -> None:
+    """SIGKILL each worker and wait until it has exited: a column finds a
+    dead worker, and reaps it, at its next write, read or end."""
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def _unread(worker) -> int:
     """The bytes in the worker's request pipe that it has not read yet."""
     pending = fcntl.ioctl(worker.requests.fileno(), termios.FIONREAD, bytes(4))
@@ -264,9 +274,11 @@ def test_a_streamed_column_equals_pow_whatever_happens_mid_stream(
     forked = _pids()
 
     def stop(n):
-        if n == 1:
+        if n == 1 and stream == "worker stopped":
             for pid in forked:
-                os.kill(pid, signal.SIGSTOP if stream == "worker stopped" else signal.SIGKILL)
+                os.kill(pid, signal.SIGSTOP)
+        elif n == 1:
+            _kill(forked)
 
     caller["runs"].clear()
     if stream == "draws raise":
@@ -496,8 +508,7 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers, caller
     assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected
     # Killed between columns.
     killed = _pids()
-    for pid in killed:
-        os.kill(pid, signal.SIGKILL)
+    _kill(killed)
     assert _elements(group, group.schnorr_commitments(_whole(group, keys), scalars)) == expected
     assert group_module._workers == []
     for pid in killed:
@@ -513,8 +524,7 @@ def test_a_killed_workers_share_is_computed_by_the_caller(group, workers, caller
 
         def kill():
             caller["after_run"] = None
-            for pid in killed:
-                os.kill(pid, signal.SIGKILL)
+            _kill(killed)
 
         caller["after_run"] = kill
         assert compute()
@@ -629,9 +639,11 @@ def test_a_block_column_equals_pow_with_hostile_keys_in_either_ring(group, worke
     assert len(forked) == 1 and traffic["counts"] == [368]
 
     def stop(n):
-        if n == 1 and stream != "whole":
+        if n == 1 and stream == "worker stopped":
             for pid in forked:
-                os.kill(pid, signal.SIGSTOP if stream == "worker stopped" else signal.SIGKILL)
+                os.kill(pid, signal.SIGSTOP)
+        elif n == 1 and stream == "worker killed":
+            _kill(forked)
 
     assert _elements(group, group.schnorr_commitments(segments, _chunks(scalars, after=stop))) == expected
     if stream == "worker killed":
