@@ -769,11 +769,10 @@ class _Worker:
         that reads slowly gets its messages late, a stopped one none past
         its pipe's room, and the worker's head ends where its records do.
         Once the last chunk is in, the caller works backward from the tail,
-        over the chunks as it has them, in runs that double from one value
-        to ``_RUN``, so that it meets a failing last record at once and
-        hears early of a failing first one, reading the worker's replies
-        between runs (and between chunks), and a value at a time once it is
-        within a run of the worker; the column is done where the two meet.
+        over the chunks as it has them, in runs of ``_RUN`` values, reading
+        the worker's replies between runs (and between chunks), and a value
+        at a time once it is within a run of the worker; the column is done
+        where the two meet.
         Whatever the worker has not reached is the caller's: all of it when
         the worker is slow or stopped, or dies. A failing commitment found
         on either side ends the column. However the column ends, an
@@ -818,7 +817,7 @@ class _Worker:
                     listening, met, failed = self.hear(work, met)
                     if failed is not None:
                         return failed
-            high, length = work.count, 1
+            high = work.count
             while high > met:
                 if pending and self.feed(pending) and not opened:
                     opened = listening = True
@@ -831,11 +830,11 @@ class _Worker:
                 while parts[-1][0] >= high:
                     parts.pop()
                 first, records = parts[-1]
-                low = max(high - (length if high - met > _RUN or not listening else 1), met, first)
+                low = max(high - (_RUN if high - met > _RUN or not listening else 1), met, first)
                 failed = work.values(records, first, low, high)
                 if failed is not None:
                     return failed
-                high, length = low, min(2 * length, _RUN)
+                high = low
             return None
         finally:
             if opened and self.pid:

@@ -343,10 +343,10 @@ def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traf
     # A verifier's column whose failing record the caller or the worker
     # meets first ends after a few values, and sends the worker its stop
     # without waiting for the run the worker has in hand. The caller's runs
-    # double from one value, so it meets a failing last record at its first
-    # value and hears of a failing first one early. The next column, at
-    # once, must drop the worker's last reply and get its own values, the
-    # worker taking part.
+    # are RUN values each, so it meets a failing last record in its first
+    # run and hears of a failing first one between runs. The next column,
+    # at once, must drop the worker's last reply and get its own values,
+    # the worker taking part.
     keys, challenges, responses = _column_inputs(group, 4000, 61)
     values = _column_oracle(group, keys, challenges, responses)
     at = 0 if end == "head" else len(values) - 1
@@ -358,9 +358,9 @@ def test_a_column_that_ends_at_once_leaves_the_worker_ready(group, workers, traf
         caller["runs"].clear()
         assert group.schnorr_failure([group.ring_table(keys)], forged) == at
         lengths = [stop - start for start, stop in caller["runs"]]
-        assert lengths == [min(2**i, RUN) for i in range(len(lengths))]
+        assert lengths == [RUN] * len(lengths)
         if end == "tail":
-            assert caller["runs"] == [(at, at + 1)]
+            assert caller["runs"] == [(at + 1 - RUN, at + 1)]
         following_values = group.schnorr_commitments(_whole(group, following_ring), following_scalars)
         assert _elements(group, following_values) == following_expected
     assert traffic["counts"] == [4000] * 6 and traffic["stops"] == 6
