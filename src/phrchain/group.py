@@ -57,10 +57,10 @@ table the worker does not keep, then the records: a prover's as its
 draws make them, a verifier's as its proofs hold them, with no copy;
 keys and records go in messages of at most ``_CHUNK`` records' bytes.
 A message is written only whole and without waiting, and only when it
-leaves at most three quarters of the pipe's size unread; one that does not is sent at the caller's next chance, so
-a worker that reads slowly gets its messages late, one that is stopped
-is never waited for, and one that cannot be written to is killed. The
-worker works forward from the head over what has arrived, on
+leaves at most three quarters of the pipe's size unread; one that does
+not is sent at the caller's next chance, so a worker that reads slowly
+gets its messages late, one that is stopped is never waited for, and one
+that cannot be written to is killed. The worker works forward from the head over what has arrived, on
 a CPU other than the caller's, in runs of ``_RUN`` values, sending each
 run's commitments or verdict back as it is done, and waits when it has
 caught up. So it starts while the prover is still drawing, a simulated
@@ -74,14 +74,14 @@ side ends the column, and a column that ends, its draws raising
 included, sends the worker its stop, an empty message it can read at any
 point of the stream, without waiting for the run in flight; a worker
 found then to have exited is reaped, and one still exiting by a later
-column. Every request is numbered, and the
-next column drops the replies to an earlier one. Both sides poll their
-pipe through ``select.poll``. Only public bytes cross to the worker:
-keys, table names, challenges and responses, which are a proof's fields
-or the simulated branches of one, and the positions a prover skips,
-never a witness branch, a nonce or a secret. The worker
-exits at EOF on its request pipe and is reaped at interpreter exit; a
-child forked later closes its parent's pipes and forks a worker of its own.
+column. Every request is numbered, and the next column drops the replies
+to an earlier one. Both sides poll their pipe through ``select.poll``.
+Only public bytes cross to the worker: keys, table names, challenges and
+responses, which are a proof's fields or the simulated branches of one,
+and the positions a prover skips, never a witness branch, a nonce or a
+secret. The worker exits at EOF on its request pipe and is reaped at
+interpreter exit; a child forked later closes its parent's pipes and
+forks a worker of its own.
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
@@ -675,9 +675,9 @@ class _Worker:
     that may be left unread there (``budget``), the one it replies on and a
     poll of that one, the number of the last column it was sent, and the
     mirror of its ring tables (``rings``): the group of each, under the
-    table's name and in the worker's order. A column holds
-    ``lock`` while it shares the worker. A stopped worker has pid 0 and is
-    never asked again."""
+    table's name and in the worker's order. A column holds ``lock`` while
+    it shares the worker. A stopped worker has pid 0 and is never asked
+    again."""
 
     def __init__(self) -> None:
         # Imported here, so that a process that never splits a column does
@@ -761,21 +761,20 @@ class _Worker:
         The worker is sent the column's header, with each segment's table
         named (``_answer``), followed by the bytes of all the keys of each
         table the worker does not keep under that name and group, and none
-        of a table it keeps. Then each chunk of records as the caller has it,
-        with no copy, and the worker works forward from the head over what
-        has arrived. Keys and records go in messages of up to ``_CHUNK``
-        records' bytes, each sent once the pipe has room for it (``feed``),
-        tried after each chunk and between the caller's runs: a worker
-        that reads slowly gets its messages late, a stopped one none past
-        its pipe's room, and the worker's head ends where its records do.
-        Once the last chunk is in, the caller works backward from the tail,
-        over the chunks as it has them, in runs of ``_RUN`` values, reading
-        the worker's replies between runs (and between chunks), and a value
-        at a time once it is within a run of the worker; the column is done
-        where the two meet.
-        Whatever the worker has not reached is the caller's: all of it when
-        the worker is slow or stopped, or dies. A failing commitment found
-        on either side ends the column. However the column ends, an
+        of a table it keeps. Then each chunk of records as the caller has
+        it, with no copy, and the worker works forward from the head over
+        what has arrived. Keys and records go in messages of up to
+        ``_CHUNK`` records' bytes, each sent once the pipe has room for it
+        (``feed``), tried after each chunk and between the caller's runs: a
+        worker that reads slowly gets its messages late, a stopped one none
+        past its pipe's room, and the worker's head ends where its records
+        do. Once the last chunk is in, the caller works backward from the
+        tail, over the chunks as it has them, in runs of ``_RUN`` values,
+        reading the worker's replies between runs (and between chunks), and
+        a value at a time once it is within a run of the worker; the column
+        is done where the two meet. Whatever the worker has not reached is
+        the caller's: all of it when the worker is slow or stopped, or dies.
+        A failing commitment found on either side ends the column. However the column ends, an
         exception from ``chunks`` included, a worker sent the header is
         sent the column's stop, and the column returns without waiting for
         it; a worker found to have exited then is stopped (``reap``).
