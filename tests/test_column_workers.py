@@ -873,7 +873,7 @@ def _guard_pool(group):
 
 def _guard_oracle(group, keys):
     """The ``pow`` value of each key, with its pool challenge and response."""
-    pool, pairs, position, values = _guard_pool(group)
+    _, pairs, position, values = _guard_pool(group)
     for key in keys:
         if key not in values:
             c, s = pairs[position[key]]
@@ -882,7 +882,7 @@ def _guard_oracle(group, keys):
 
 
 def _guard_pairs(group, keys):
-    pool, pairs, position, _ = _guard_pool(group)
+    _, pairs, position, _ = _guard_pool(group)
     return [pairs[position[key]] for key in keys]
 
 
@@ -911,7 +911,7 @@ def test_drawn_rings_through_a_live_worker_give_pows_values(group, initial, step
     # rings than the caller and the worker keep, each proved over (whole
     # or streamed, one witness position skipped) or checked with drawn
     # records forged, through the one worker this process forks.
-    pool, _, _, _ = _guard_pool(group)
+    pool = _guard_pool(group)[0]
     registry = Registry(group, "patient")
     for key in pool[:initial]:
         registry.enroll(key)
