@@ -124,12 +124,9 @@ import struct
 import termios
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from . import encoding as enc
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 # Largest safe prime below 2**256: p = 2**256 - 36113, q = (p - 1) // 2.
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF72EF
@@ -524,6 +521,15 @@ _RINGS = 4
 # without privileges, by default. A pipe that cannot be given it keeps the
 # size it has.
 _PIPE_BYTES = 1 << 20
+# Every message on either pipe is a frame: its length, then its bytes.
+_FRAME = struct.Struct(">I")
+# A column's header: its number, the CPU the worker is to run on, the width of
+# its records and its number of segments; then each segment, then the bytes of
+# its group (``GroupParams.to_bytes``).
+_HEADER = struct.Struct(">QIII")
+# A segment of a header: its table's name, the position it skips, its number
+# of keys, and whether they follow.
+_SEGMENT = struct.Struct(">32sII?")
 # A worker's reply: the column's number, the first and end index of the run,
 # and the index of a failing commitment in it, or -1; a prover's values follow.
 _REPLY = struct.Struct(">QIIi")
@@ -531,43 +537,55 @@ _REPLY = struct.Struct(">QIIi")
 _sched_getcpu = ctypes.CDLL(None).sched_getcpu
 
 
-def _serve(requests: Connection, replies: Connection) -> NoReturn:
+def _receive(pipe: int) -> bytes:
+    """The next frame's bytes from ``pipe``, waiting for all of them: EOFError at the pipe's end."""
+    return _take(pipe, _FRAME.unpack(_take(pipe, _FRAME.size))[0])
+
+
+def _take(pipe: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        more = os.read(pipe, size - len(data))
+        if not more:
+            raise EOFError
+        data += more
+    return data
+
+
+def _serve(requests: int, replies: int) -> NoReturn:
     """The worker's life: answer each column it is sent, until EOF on ``requests``.
 
     Every request is a column's header, and each column reads its own
     messages up to and including its stop. The worker never returns into
     its parent's code: it leaves through ``os._exit``, with status 0 at EOF.
     """
-    import pickle  # both loaded by the parent, before the fork
-    import select
+    import select  # loaded by the parent, before the fork
 
-    status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # its parent decides when it ends
         # The objects it was forked with are its parent's: a collection that
         # walked them would copy their pages and stall the worker.
         gc.freeze()
         waiting = select.poll()
-        waiting.register(requests.fileno(), select.POLLIN)
+        waiting.register(requests, select.POLLIN)
         rings: dict[bytes, _Ring] = {}
         while True:
-            _answer(requests, replies, waiting.poll, rings, *pickle.loads(requests.recv_bytes()))
+            _answer(requests, replies, waiting.poll, rings, _receive(requests))
     except EOFError:
-        status = 0
-    finally:
-        os._exit(status)
+        os._exit(0)
+    finally:  # any other way out
+        os._exit(1)
 
 
-def _answer(
-    requests: Connection, replies: Connection, waiting, rings: dict, column: int, cpu: int, group: "GroupParams",
-    width: int, segments: tuple,
-) -> None:
+def _answer(requests: int, replies: int, waiting, rings: dict, header: bytes) -> None:
     """Compute a column forward from its head, on ``cpu``, one run at a time
     over the records that have arrived, each run's reply sent as it is done
     (``_REPLY``), and wait for more records when it has caught up.
 
-    Each segment of the column is (its table's name, the position it
-    skips, its number of keys, whether its keys follow). The table is the
+    The header (``_HEADER``) names the column, the CPU to run on and the
+    width of the records, and each segment of the column (``_SEGMENT``):
+    its table's name, the position it skips, its number of keys and whether
+    its keys follow; its group's bytes close it (``_group_of_bytes``). The table is the
     one kept under its name when its keys do not follow; else it is made
     from the bytes of its keys, which follow the header in messages of any
     size (``_ring_of_bytes``), and kept once they are all in, segment after
@@ -583,28 +601,25 @@ def _answer(
     caller's pipe write was otherwise often run on the caller's CPU, and a
     split column then took as long as one computed whole.
     """
+    column, cpu, width, count = _HEADER.unpack_from(header)
+    at = _HEADER.size + count * _SEGMENT.size  # where the group's bytes start
+    group = _group_of_bytes(header[at:])
     with contextlib.suppress(OSError):
         os.sched_setaffinity(0, {cpu})
-    group = _received(group)
     tables = []
-    for name, skip, length, keyed in segments:
-        if keyed:
-            data, left = [], length * group.element_size
-            while left > 0:
-                data.append(requests.recv_bytes())
-                if not data[-1]:
-                    return
-                left -= len(data[-1])
-            table = _use(rings, name, _ring_of_bytes(group, b"".join(data)))
-        else:
-            table = _use(rings, name)
-        tables.append((table, skip))
+    for name, skip, length, keyed in _SEGMENT.iter_unpack(header[_HEADER.size : at]):
+        data = []
+        while keyed and sum(map(len, data)) < length * group.element_size:
+            data.append(_receive(requests))
+            if not data[-1]:
+                return
+        tables.append((_use(rings, name, _ring_of_bytes(group, b"".join(data)) if keyed else None), skip))
     work, size = _Column(group, tables, width), group.element_size
     arrived = collections.deque()
     records, first, end, done = b"", 0, 0, 0  # the chunk in hand, its first value, its end, the values done
     while done < work.count:
         if done == end and not arrived or waiting(0):
-            message = requests.recv_bytes()
+            message = _receive(requests)
             if not message:
                 return
             arrived.append(message)
@@ -618,11 +633,12 @@ def _answer(
             except BignumError:
                 break
             values = b"" if work.out is None else work.out[done * size : high * size]
-            replies.send_bytes(_REPLY.pack(column, done, high, -1 if failed is None else failed) + values)
+            reply = _REPLY.pack(column, done, high, -1 if failed is None else failed) + values
+            os.write(replies, _FRAME.pack(len(reply)) + reply)  # a blocking write: written whole
             if failed is not None:
                 break
             done = high
-    while requests.recv_bytes():
+    while _receive(requests):
         pass
 
 
@@ -632,22 +648,11 @@ def _use(kept: dict, name: bytes, value=None):
     names the least recently used is dropped. The worker keeps its ring
     tables so, under their names, and the caller its mirror of them, each
     table's group under its name, in the same order."""
-    if value is None:
-        value = kept.pop(name)
-    else:
-        kept.pop(name, None)
-    kept[name] = value
+    kept_value = kept.pop(name, None)
+    kept[name] = value = kept_value if value is None else value
     if len(kept) > _RINGS:
         del kept[next(iter(kept))]
     return value
-
-
-@functools.lru_cache(maxsize=8)
-def _received(group: "GroupParams") -> "GroupParams":
-    """The worker's one copy of each group it is sent: its key entries are
-    keyed by (group, key), and a lookup by the copy that was sent first
-    compares the group by identity, not field by field."""
-    return group
 
 
 def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
@@ -671,45 +676,46 @@ def _ring_of_bytes(group: "GroupParams", data: bytes) -> "_Ring":
 
 class _Worker:
     """A forked process that shares long columns with their callers: its pid,
-    the connection it is sent requests on, never blocking, the most bytes
-    that may be left unread there (``budget``), the one it replies on and a
-    poll of that one, the number of the last column it was sent, and the
+    the pipe it is sent requests on, never blocking, the most bytes that may
+    be left unread there (``budget``), the pipe it replies on and a poll of
+    that one (each pipe a file descriptor, carrying frames, ``_FRAME``), the number of the last column it was sent, and the
     mirror of its ring tables (``rings``): the group of each, under the
     table's name and in the worker's order. A column holds ``lock`` while
     it shares the worker. A stopped worker has pid 0 and is never asked
     again."""
 
     def __init__(self) -> None:
-        # Imported here, so that a process that never splits a column does
-        # not carry multiprocessing, pickle and select (about 0.5 MiB of
-        # resident set).
-        import select
-        from multiprocessing.connection import Pipe
+        import select  # here, so that a process that never splits a column does not load it
 
-        requests, self.requests = Pipe(duplex=False)
-        self.replies, replies = Pipe(duplex=False)
-        for connection in (self.requests, self.replies):
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        for pipe in (self.requests, self.replies):
             with contextlib.suppress(OSError):
                 # Room for a 4000/1000-key block's keys and records, and for
                 # their replies, so that neither side waits for the other.
-                fcntl.fcntl(connection.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         # A pipe holds whole pages, and a message may leave one part-filled,
         # so it holds fewer bytes than its size: 102 messages of 8 KiB fill a
         # 1 MiB pipe at 820 KiB. Three quarters of it may be left unread; the
         # rest is room for the columns' stops.
-        self.budget = fcntl.fcntl(self.requests.fileno(), fcntl.F_GETPIPE_SZ) * 3 // 4
-        pid = os.fork()
+        self.budget = fcntl.fcntl(self.requests, fcntl.F_GETPIPE_SZ) * 3 // 4
+        try:
+            pid = os.fork()
+        except OSError:
+            for pipe in (requests, self.requests, self.replies, replies):
+                os.close(pipe)
+            raise
         if not pid:
-            self.requests.close()
-            self.replies.close()
+            os.close(self.requests)
+            os.close(self.replies)
             _serve(requests, replies)
-        requests.close()
-        replies.close()
-        os.set_blocking(self.requests.fileno(), False)
+        os.close(requests)
+        os.close(replies)
+        os.set_blocking(self.requests, False)
         waiting = select.poll()
-        waiting.register(self.replies.fileno(), select.POLLIN)
+        waiting.register(self.replies, select.POLLIN)
         self.pid, self.lock, self.column, self.waiting = pid, threading.Lock(), 0, waiting.poll
-        self.rings: dict[bytes, "GroupParams"] = {}
+        self.rings: dict[bytes, GroupParams] = {}
 
     def ask(self, *messages: bytes) -> bool:
         """Send the messages, each whole and in order, without waiting: False,
@@ -721,10 +727,9 @@ class _Worker:
         died, and a column's stop always finds room."""
         sent = False
         try:
-            if self.pid:
-                for message in messages:
-                    self.requests.send_bytes(message)
-                sent = True
+            sent = bool(self.pid) and all(
+                os.writev(self.requests, (_FRAME.pack(len(m)), m)) == _FRAME.size + len(m) for m in messages
+            )
         except OSError:
             pass
         finally:
@@ -742,13 +747,13 @@ class _Worker:
         messages before it are sent. Whether a message was sent."""
         if not self.pid:
             return False
-        unread = struct.unpack("i", fcntl.ioctl(self.requests.fileno(), termios.FIONREAD, bytes(4)))[0]
+        unread = struct.unpack("i", fcntl.ioctl(self.requests, termios.FIONREAD, bytes(4)))[0]
         messages = []
         while pending:
             if type(pending[0]) is tuple:
                 _use(self.rings, *pending[0])
             else:
-                unread += len(pending[0]) + 8
+                unread += _FRAME.size + len(pending[0])
                 if unread > self.budget:
                     break
                 messages.append(pending[0])
@@ -786,8 +791,6 @@ class _Worker:
         keys without the witness's, which a column that left it out sent
         before.
         """
-        import pickle  # loaded with multiprocessing, by ``__init__``
-
         self.column += 1
         here = _sched_getcpu()
         cpu = min((cpu for cpu in os.sched_getaffinity(0) if cpu != here), default=here)
@@ -800,18 +803,18 @@ class _Worker:
                 pending.extend(encoding[at : at + step] for at in range(0, len(encoding), step))
             _use(rings, name, ring.group)
             pending.append((name, ring.group))
-            segments.append((name, skip, len(ring.keys), keyed))
-        pending[0] = pickle.dumps((self.column, cpu, work.group, work.width, tuple(segments)))
+            segments.append(_SEGMENT.pack(name, skip, len(ring.keys), keyed))
+        head = _HEADER.pack(self.column, cpu, work.width, len(segments))
+        pending[0] = b"".join([head, *segments, work.group.to_bytes()])
         opened = listening = self.feed(pending)  # whatever is sent first is the header
         parts, met = [], 0
         try:
             for first, chunk in work.stream(chunks):
                 parts.append((first, chunk))
-                if self.pid:
-                    view = memoryview(chunk)
-                    pending.extend(view[at : at + step] for at in range(0, len(chunk), step))
-                    if self.feed(pending) and not opened:
-                        opened = listening = True
+                view = memoryview(chunk)
+                pending.extend(view[at : at + step] for at in range(0, len(chunk), step))
+                if self.feed(pending) and not opened:
+                    opened = listening = True
                 if listening:
                     listening, met, failed = self.hear(work, met)
                     if failed is not None:
@@ -845,10 +848,10 @@ class _Worker:
         columns: whether the worker is still listening, the end of the head
         it has computed, and the index of a failing commitment it found, or
         None. A worker whose replies cannot be read is stopped."""
-        replies, out, size = self.replies, work.out, work.group.element_size
+        out, size = work.out, work.group.element_size
         try:
-            while self.waiting(0):
-                reply = replies.recv_bytes()
+            while self.pid and self.waiting(0):
+                reply = _receive(self.replies)
                 column, low, high, failed = _REPLY.unpack_from(reply)
                 if column != self.column:
                     continue
@@ -859,8 +862,7 @@ class _Worker:
                 met = high
         except (OSError, EOFError):
             self.stop(kill=True)
-            return False, met, None
-        return True, met, None
+        return bool(self.pid), met, None
 
     def reap(self) -> None:
         """Stop the worker if it has exited, so that a worker that dies
@@ -882,8 +884,8 @@ class _Worker:
         pid, self.pid = self.pid, 0
         if not pid:
             return
-        self.requests.close()
-        self.replies.close()
+        os.close(self.requests)
+        os.close(self.replies)
         if not reaped:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 if kill:
@@ -1324,3 +1326,10 @@ class GroupParams(enc.Wire):
         return enc.build(
             cls, reader.prefixed_str(), reader.prefixed_int(), reader.prefixed_int(), reader.prefixed_int()
         )
+
+
+# The worker's one copy of each group it is sent, found by the group's bytes
+# (the end of a column's header): its key entries are keyed by (group, key),
+# and a lookup by that one copy compares the group by identity, not field by
+# field.
+_group_of_bytes = functools.lru_cache(maxsize=8)(GroupParams.from_bytes)

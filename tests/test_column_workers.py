@@ -16,7 +16,6 @@ import dataclasses
 import fcntl
 import functools
 import os
-import pickle
 import random
 import signal
 import struct
@@ -35,6 +34,7 @@ from phrchain.consensus import verify_block
 from phrchain.crypto import (
     SchnorrProof, _branch_layout, credential_prove, key_list_digest, keygen, ring_prove, ring_verify,
 )
+from phrchain.group import GroupParams
 from phrchain.registry import Registry
 from test_group import _column_inputs, _column_oracle, _elements, _records, _scalars
 from test_ring_batch import _with_branch
@@ -85,9 +85,20 @@ def _kill(pids) -> None:
         time.sleep(0.001)
 
 
+def _header(message) -> tuple:
+    """A column's header as the worker reads it (``group._HEADER``, then each
+    segment, ``group._SEGMENT``, then the group's bytes): (column, CPU, group,
+    width, segments), each segment (name, skip, length, keyed)."""
+    message = bytes(message)
+    column, cpu, width, count = group_module._HEADER.unpack_from(message)
+    at = group_module._HEADER.size + count * group_module._SEGMENT.size
+    segments = tuple(group_module._SEGMENT.iter_unpack(message[group_module._HEADER.size : at]))
+    return column, cpu, GroupParams.from_bytes(message[at:]), width, segments
+
+
 def _unread(worker) -> int:
     """The bytes in the worker's request pipe that it has not read yet."""
-    pending = fcntl.ioctl(worker.requests.fileno(), termios.FIONREAD, bytes(4))
+    pending = fcntl.ioctl(worker.requests, termios.FIONREAD, bytes(4))
     return struct.unpack("i", pending)[0]
 
 
@@ -104,7 +115,7 @@ def workers():
 @pytest.fixture()
 def traffic(monkeypatch):
     """What crosses to the worker: under ``headers``, each column's header
-    as the worker unpickles it, with the bytes of the keys sent after it,
+    as the worker decodes it (``_header``), with the bytes of the keys sent after it,
     or None; under ``counts``, the number of values of each column shared;
     under ``chunks``, the number of record messages sent; under ``stops``,
     the number of stops sent."""
@@ -120,7 +131,7 @@ def traffic(monkeypatch):
         for message in messages:
             if seen["opening"]:
                 seen["opening"] = False
-                header = pickle.loads(message)
+                header = _header(message)
                 seen["keyed"] = sum(length * header[2].element_size for _, _, length, keyed in header[4] if keyed)
                 seen["headers"].append([header, b"" if seen["keyed"] else None])
             elif not message:
@@ -540,31 +551,35 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
     # checks, witness and possession nonces, block secrets) stays in the
     # caller; the ring keys, the table's name, the skipped position and the
     # simulated challenges and responses do cross. What is recorded is every
-    # message written to the pipe: each column's header, the keys' bytes
-    # when the worker does not keep the ring, the chunks and the stops.
+    # message written to the pipe: each column's header (the first message
+    # a column sends), the keys' bytes when the worker does not keep the
+    # ring, the chunks and the stops.
     rng = random.Random(67)
     kps = [keygen(group, rng) for _ in range(SPLIT + 40)]
     ring = [kp.public for kp in kps]
-    sent, exponents = [], []
-    ask, exp = group_module._Worker.ask, group_module.GroupParams.exp
+    sent, exponents, opening = [], [], []
+    ask, share, exp = group_module._Worker.ask, group_module._Worker.share, group_module.GroupParams.exp
+
+    def recorded_share(self, work, chunks):
+        opening.append(True)
+        return share(self, work, chunks)
 
     def recorded_ask(self, *messages):
-        sent.append(messages)
+        sent.append((opening.pop() if opening else False, messages))
         return ask(self, *messages)
 
     def recorded_exp(self, base, exponent):
         exponents.append(exponent)
         return exp(self, base, exponent)
 
+    monkeypatch.setattr(group_module._Worker, "share", recorded_share)
     monkeypatch.setattr(group_module._Worker, "ask", recorded_ask)
     monkeypatch.setattr(group_module.GroupParams, "exp", recorded_exp)
     for index in (2, len(ring) - 2):
         ring_prove(group, ring, index, kps[index].secret, b"ctx", rng)
         credential_prove(group, ring, index, kps[index].secret, keygen(group, rng), rng)
     monkeypatch.undo()
-    # A header is a pickle, whose first byte is 0x80; a chunk's first byte
-    # is a challenge's, below the order's 0x7f.
-    headers = [pickle.loads(messages[0]) for messages in sent if messages[0][:1] == b"\x80"]
+    headers = [_header(messages[0]) for opened, messages in sent if opened]
     assert len(headers) == 4
     table = group.ring_table(ring)
     for column, (number, _, sent_group, width, segments) in enumerate(headers, start=1):
@@ -572,9 +587,10 @@ def test_no_secret_is_sent_to_a_worker(group, workers, monkeypatch):
         assert (number, sent_group, name, width, length) == (column, group, table.digest, 64, len(ring))
         assert skip in (2, len(ring) - 2)
         assert keyed == (column == 1)
-    messages = [message for messages in sent for message in messages]
+    messages = [message for _, messages in sent for message in messages]
     assert messages.count(table.encoding) == 1 and messages.count(b"") == 4
-    chunks = [m for m in messages if m and m != table.encoding and m[:1] != b"\x80"]
+    opened = [messages[0] for opened, messages in sent if opened]
+    chunks = [m for m in messages if m and m != table.encoding and m not in opened]
     assert sum(map(len, chunks)) == 4 * (len(ring) - 1) * 64 and all(len(m) % 64 == 0 for m in chunks)
     blob = b"".join(messages)
     assert ring[-1].to_bytes(32, "big") in blob  # the search can see a value
@@ -605,6 +621,57 @@ def test_a_process_that_verifies_a_large_ring_leaves_no_worker_behind():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@many_cpus
+def test_a_shared_column_loads_no_multiprocessing_and_its_worker_exits_at_eof():
+    # The worker speaks frames over two os.pipe()s: a process that has
+    # shared a column has loaded neither multiprocessing nor pickle. Its
+    # worker, stopped without a kill, exits with status 0 at EOF on its
+    # request pipe, and is reaped.
+    code = (
+        "import os, random, sys\n"
+        "from phrchain import group\n"
+        "g = group.GroupParams.default()\n"
+        "rng = random.Random(69)\n"
+        "keys = tuple(pow(rng.randrange(2, g.modulus - 1), 2, g.modulus) for _ in range(400))\n"
+        "pairs = b''.join(g.encode_scalar(rng.randrange(g.order)) for _ in range(2 * 400))\n"
+        "table = g.ring_table(keys)\n"
+        "values = g.schnorr_commitments([(table, len(table))], pairs)\n"
+        "[worker] = group._workers\n"
+        "forked = worker.pid\n"
+        "import fcntl, struct, termios, time\n"
+        "def unread():\n"
+        "    return struct.unpack('i', fcntl.ioctl(worker.requests, termios.FIONREAD, bytes(4)))[0]\n"
+        "def state():\n"
+        "    return open(f'/proc/{forked}/stat').read().rsplit(')', 1)[1].split()[0]\n"
+        "deadline = time.monotonic() + 30\n"
+        "while (unread() or state() != 'S') and time.monotonic() < deadline:\n"
+        "    time.sleep(0.001)  # until the worker has read its stop and waits for the next header\n"
+        "print(forked, 'multiprocessing' in sys.modules, 'pickle' in sys.modules)\n"
+        "reaped, waitpid = [], os.waitpid\n"
+        "os.waitpid = lambda pid, options: reaped.append(waitpid(pid, options)) or reaped[-1]\n"
+        "group._stop_workers()\n"
+        "print(*(os.waitstatus_to_exitcode(status) for pid, status in reaped if pid == forked))\n"
+        "print(group._workers, values.hex())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    shared, statuses, rest = result.stdout.splitlines()
+    pid, multiprocessing, pickled = shared.split()
+    assert (multiprocessing, pickled) == ("False", "False")
+    assert statuses == "0"  # exited at EOF, and reaped by the stop
+    stopped, values = rest.split()
+    assert stopped == "None"
+    group = GroupParams.default()
+    rng = random.Random(69)
+    keys = [pow(rng.randrange(2, group.modulus - 1), 2, group.modulus) for _ in range(400)]
+    scalars = [rng.randrange(group.order) for _ in range(2 * 400)]
+    challenges, responses = scalars[0::2], scalars[1::2]
+    assert _elements(group, bytes.fromhex(values)) == _column_oracle(group, keys, challenges, responses)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
 
 
 def _block(group, sizes, skips, seed):
@@ -822,7 +889,7 @@ def test_a_pipe_that_refuses_the_size_asked_keeps_its_own(group, workers, monkey
     values = group.schnorr_commitments(_whole(group, keys), _scalars(group, challenges, responses))
     assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
     [worker] = group_module._workers
-    assert worker.pid and worker.budget == real(worker.requests.fileno(), fcntl.F_GETPIPE_SZ) * 3 // 4
+    assert worker.pid and worker.budget == real(worker.requests, fcntl.F_GETPIPE_SZ) * 3 // 4
 
 
 @many_cpus
