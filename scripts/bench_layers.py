@@ -189,10 +189,10 @@ def column_evidence(group: GroupParams, rings, repeats: int, name: str) -> dict:
     run, hear, cpu = group_module._Pinned.run, group_module._Worker.hear, group_module._sched_getcpu
     runs, heard, samples = [], [], []
 
-    def timed_run(self, group, keys, entries, records, at, start, width, out):
-        keys = list(keys)
+    def timed_run(self, group, entries, records, at, start, width, out):
+        entries = list(entries)
         started = time.perf_counter()
-        failed = run(self, group, keys, entries, records, at, start, width, out)
+        failed = run(self, group, entries, records, at, start, width, out)
         runs.append((start, started, time.perf_counter() - started))
         return failed
 

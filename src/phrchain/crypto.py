@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import encoding as enc
-from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _pinned, _Ring, _rng
+from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _pinned, _prepare, _Ring, _rng
 
 TAG_FS_SCHNORR = b"FS-SCHNORR"
 TAG_FS_OR = b"FS-OR"
@@ -168,7 +168,9 @@ def _schnorr_equation(group: GroupParams, key: int, entry, commitment: int, chal
     size, scalar = group.element_size, group.scalar_size
     record = commitment.to_bytes(size) + challenge.to_bytes(scalar) + response.to_bytes(scalar)
     pinned = _pinned(group.modulus, group.generator)
-    return pinned.run(group, (key,), (entry,), record, 0, 0, size + 2 * scalar, None) is None
+    if entry.inverse is None:
+        _prepare(group, (key,), (entry,))
+    return pinned.run(group, (entry,), record, 0, 0, size + 2 * scalar, None) is None
 
 
 def _schnorr_response(group: GroupParams, nonce: int, challenge: int, secret: int) -> int:

@@ -350,12 +350,12 @@ class _Pinned:
         self.number = _load(None, base, self.mont.size)
 
     def run(
-        self, group: "GroupParams", keys: Iterable[int], entries: Iterable["_Key"], records: bytes, at: int, start: int,
-        width: int, out: bytearray | None,
+        self, group: "GroupParams", entries: Iterable["_Key"], records: bytes, at: int, start: int, width: int,
+        out: bytearray | None,
     ) -> int | None:
-        """Values ``start``, ``start + 1``, ... of a column, one per key of
-        ``keys`` and its kept entry, in the same place of ``entries`` (see
-        ``GroupParams.schnorr_commitments``), in the calling thread.
+        """Values ``start``, ``start + 1``, ... of a column, one per key's
+        kept entry of ``entries`` (see ``GroupParams.schnorr_commitments``),
+        in the calling thread.
 
         The run's records are the ``width`` bytes each from byte ``at`` of
         ``records`` on, one per value, and end in its challenge and
@@ -363,7 +363,7 @@ class _Pinned:
         commitment, and the run returns the index of the first one that
         differs from its value, or None; otherwise value i is written to
         ``out`` at ``i * element_size``. A key's operand is read from its
-        entry, and prepared there at the key's first column.
+        entry, which is prepared before the run (``_prepare``).
         """
         mont, scratch, scalar = self.mont, _THREADS.scratch, group.scalar_size
         size = mont.size
@@ -373,10 +373,8 @@ class _Pinned:
         bin2bn, exp2, bn2binpad = _BN_bin2bn, _BN_mod_exp2_mont, _BN_bn2binpad
         checked = width - 2 * scalar  # the commitment's width, 0 in a column that computes them
         at += checked
-        for i, key, entry in zip(itertools.count(start), keys, entries):
+        for i, entry in zip(itertools.count(start), entries):
             inverse = entry.inverse
-            if inverse is None:
-                inverse = _prepare(group, key, entry)
             challenge, response = records[at : at + scalar], records[at + scalar : at + 2 * scalar]
             if inverse:
                 box.value = inverse
@@ -454,8 +452,8 @@ class _Column:
             if low >= end:
                 continue
             stop = min(high, end)
-            keys, entries = ring.keys[low + offset : stop + offset], ring.entries[low + offset : stop + offset]
-            failed = self.pinned.run(self.group, keys, entries, records, at, low, width, self.out)
+            entries = ring.entries[low + offset : stop + offset]
+            failed = self.pinned.run(self.group, entries, records, at, low, width, self.out)
             if failed is not None or stop == high:
                 return failed
             at, low = at + (stop - low) * width, stop
@@ -1009,9 +1007,10 @@ _KEY_VERDICTS = 16384
 
 class _Key:
     """A key's kept entry: its membership verdict, as its truth value, and,
-    from the key's first column on, its operand there (``inverse``): the
-    address of y^-1 mod p as a BIGNUM, or 0 for a key of 0 mod p, which has
-    no inverse. The column raises y^-1 to the challenge as it stands, so it
+    from the first ring table made over the key or the key's first
+    one-record check on (``_prepare``), its operand in the column
+    (``inverse``): the address of y^-1 mod p as a BIGNUM, or 0 for a key of
+    0 mod p, which has no inverse. The column raises y^-1 to the challenge as it stands, so it
     takes no exponent mod p - 1. The address is a plain int, so a prepared
     key costs its BIGNUM and no ctypes object; the BIGNUM is freed with
     the entry."""
@@ -1038,26 +1037,37 @@ class _Outsider(_Key):
 _PREPARING = threading.Lock()
 
 
-def _prepare(group: "GroupParams", key: int, entry: _Key) -> int:
-    """Set the operand of ``key``'s entry, unless another thread has, and return it.
+def _prepare(group: "GroupParams", keys: Iterable[int], entries: Iterable[_Key]) -> None:
+    """Set the operand of each entry of ``entries`` not yet prepared, for the
+    key in the same place of ``keys``: once per entry, whatever the threads.
 
-    ``BN_mod_inverse``, once per kept key: about one and a half of the
-    column's values. A key is prepared at its first column, not when its
-    verdict is made, so a registry enrolls its keys at the cost of their
-    verdicts alone.
+    Montgomery's trick (Montgomery, "Speeding the Pollard and elliptic
+    curve methods of factorization", Math. Comp. 1987): one
+    ``BN_mod_inverse``, of the product of the keys mod p, and each key's
+    inverse recovered from it and the product of the keys before it, at
+    two multiplications mod p and one ``BN_bin2bn`` a key, against a
+    ``BN_mod_inverse`` a key. A key of 0 mod p stays out of the product,
+    and its operand is 0. A ring table prepares its keys when it is made
+    (``_Ring``), and a one-record check its key before its run
+    (``crypto._schnorr_equation``): not when a verdict is made, so a
+    registry enrolls its keys at the cost of their verdicts alone.
     """
-    modulus = group.modulus
-    value, inverse = key % modulus, 0
-    if value:
-        mont, scratch = _montgomery(modulus), _THREADS.scratch
-        number = _load(scratch.operands[2], value, mont.size)
-        inverse = _allocated(_BN_mod_inverse(None, number, mont.modulus, scratch.ctx), "BN_mod_inverse").value
+    modulus, mont, scratch = group.modulus, _montgomery(group.modulus), _THREADS.scratch
     with _PREPARING:
-        if entry.inverse is None:
-            entry.inverse = inverse
-            return inverse
-    _BN_free(_Pointer(inverse))
-    return entry.inverse
+        pending = {entry: key % modulus for key, entry in zip(keys, entries) if entry.inverse is None}
+        if not pending:
+            return
+        prefixes, product = [], 1
+        for value in pending.values():
+            prefixes.append(product)
+            product = product * value % modulus if value else product
+        number = _load(scratch.operands[2], product, mont.size)
+        if not _BN_mod_inverse(scratch.result, number, mont.modulus, scratch.ctx):
+            _fail("BN_mod_inverse")
+        inverse = _read(scratch.result, scratch.buffer(mont.size))  # of the product up to the entry, walking back
+        for (entry, value), prefix in zip(reversed(pending.items()), reversed(prefixes)):
+            entry.inverse = _load(None, inverse * prefix % modulus, mont.size).value if value else 0
+            inverse = inverse * value % modulus if value else inverse
 
 
 @functools.lru_cache(maxsize=_KEY_VERDICTS)
@@ -1096,6 +1106,7 @@ class _Ring:
 
     def __init__(self, group: "GroupParams", keys: Sequence[int], entries: Sequence[_Key]) -> None:
         self.group, self.keys, self.entries = group, keys, entries
+        _prepare(group, keys, entries)
         self._members = self._encoding = self._digest = None
 
     def __len__(self) -> int:

@@ -156,14 +156,14 @@ def caller(monkeypatch):
     seen = {"runs": [], "pause": 0.0, "after_run": None}
     run, me = group_module._Pinned.run, os.getpid()
 
-    def recorded(self, group, keys, entries, records, at, start, width, out):
+    def recorded(self, group, entries, records, at, start, width, out):
         if os.getpid() != me:  # the worker, forked from this process
-            return run(self, group, keys, entries, records, at, start, width, out)
-        keys = list(keys)
-        if seen["pause"] and len(keys) == RUN:
+            return run(self, group, entries, records, at, start, width, out)
+        entries = list(entries)
+        if seen["pause"] and len(entries) == RUN:
             time.sleep(seen["pause"])
-        failed = run(self, group, keys, entries, records, at, start, width, out)
-        seen["runs"].append((start, start + len(keys) if failed is None else failed + 1))
+        failed = run(self, group, entries, records, at, start, width, out)
+        seen["runs"].append((start, start + len(entries) if failed is None else failed + 1))
         if seen["after_run"]:
             seen["after_run"]()
         return failed

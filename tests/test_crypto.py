@@ -708,18 +708,18 @@ class TestVerifiersAgainstThePowEquation:
         keyed = []
         run = group_module._Pinned.run
 
-        def recording(self, group, keys, *rest):
-            keyed.extend(keys)
-            return run(self, group, keys, *rest)
+        def recording(self, group, entries, *rest):
+            keyed.extend(entries)
+            return run(self, group, entries, *rest)
 
         monkeypatch.setattr(group_module._Pinned, "run", recording)
         assert verify_signature(group, kp.public, b"m", sig)
-        assert keyed == [kp.public]
+        assert keyed == [group.key_is_element(kp.public)]
         # Out of range, the identity, order two, and a non-residue (-1 is one mod a safe prime).
         for public in (-1, 0, 1, p - 1, p, 2**256, p - kp.public):
             assert not verify_signature(group, public, b"m", sig)
             assert not schnorr_verify(group, public, proof, b"ctx")
-        assert keyed == [kp.public]
+        assert keyed == [group.key_is_element(kp.public)]
 
 
 class TestSymmetric:

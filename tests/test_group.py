@@ -1,3 +1,4 @@
+import ctypes
 import os
 import random
 import subprocess
@@ -469,13 +470,13 @@ def test_commitment_column_exhaustive_on_tiny_groups(modulus):
 
 def _watch_the_column(monkeypatch, inside, values):
     """While the column computes a run of values (``_Pinned.run``), ``inside``
-    is not empty; each key it reaches, one per value, goes to ``values``."""
+    is not empty; each key's entry it reaches, one per value, goes to ``values``."""
     run = group_module._Pinned.run
 
-    def watched(self, group, keys, *args):
+    def watched(self, group, entries, *args):
         inside.append(True)
         try:
-            return run(self, group, (values.append(key) or key for key in keys), *args)
+            return run(self, group, (values.append(entry) or entry for entry in entries), *args)
         finally:
             inside.pop()
 
@@ -566,17 +567,23 @@ def test_contexts_are_bounded_and_rebuilt_after_eviction(group):
 
 
 def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monkeypatch):
-    # A key is prepared once, at its first column, in its kept entry, and a
-    # later column reads the operand there; an evicted entry frees its
-    # BIGNUM once no kept ring table holds it either, and the key is
-    # prepared afresh at its next column.
+    # A key is prepared once, when the first table over it is made, in its
+    # kept entry, and a later column reads the operand there; an evicted
+    # entry frees its BIGNUM once no kept ring table holds it either, and
+    # the key is prepared afresh by the next table made over it. What is
+    # recorded is each key whose entry a call finds unprepared.
     keys, challenges, responses = _column_inputs(group, 6, 47)
     expected = _column_oracle(group, keys, challenges, responses)
     group_module._key_verdict.cache_clear()
     group_module._ring_tables.clear()
     prepared, prepare = [], group_module._prepare
     freed, finalize = [], _Key.__del__
-    monkeypatch.setattr(group_module, "_prepare", lambda g, key, entry: prepared.append(key) or prepare(g, key, entry))
+    def recorded(g, keys, entries):
+        keys, entries = list(keys), list(entries)
+        prepared.extend(key for key, entry in zip(keys, entries) if entry.inverse is None)
+        return prepare(g, keys, entries)
+
+    monkeypatch.setattr(group_module, "_prepare", recorded)
     monkeypatch.setattr(_Key, "__del__", lambda self: freed.append(self.inverse) or finalize(self))
     assert group.key_is_element(keys[0]).inverse is None  # a verdict alone prepares nothing
     assert _commitments(group, keys, challenges, responses) == expected
@@ -591,6 +598,98 @@ def test_key_entries_keep_their_operands_and_free_them_when_evicted(group, monke
     assert _commitments(group, keys, challenges, responses) == expected
     assert prepared == keys + keys
     group_module._key_verdict.cache_clear()
+
+
+def _operand(group, entry) -> int:
+    """The int a prepared entry's operand holds: y^-1 mod p, or 0."""
+    if not entry.inverse:
+        return entry.inverse
+    return group_module._read(group_module._Pointer(entry.inverse), ctypes.create_string_buffer(group.element_size))
+
+
+def _hostile_batch(group):
+    """One ring's keys of every kind a batch of inverses meets: subgroup
+    keys, 0, p and 2p (0 mod p, a zero among them mid-batch), a negative
+    key, keys at least p and at least 2^256, outsiders (a non-residue,
+    p - 1 of order two, 1), and duplicates."""
+    p, rng = group.modulus, random.Random(48)
+    squares = [pow(rng.randrange(2, p - 1), 2, p) for _ in range(12)]
+    return [
+        *squares[:4], 0, squares[4], p, -squares[5], squares[6] + p, 2 * p, 2**256 - 1, p - squares[7], p - 1, 1,
+        squares[0], squares[8], 0, squares[8], *squares[9:], -1,
+    ]
+
+
+@pytest.mark.parametrize("side", ["caller", "worker"])
+def test_a_table_prepares_hostile_keys_together_with_one_inverse(group, monkeypatch, side):
+    # A table made over fresh keys of every kind (the caller's from the
+    # per-key cache, the worker's from the keys' bytes) prepares all of
+    # them with one BN_mod_inverse: each operand is pow's y^-1 mod p, or 0
+    # for a key of 0 mod p, and every value of a column over the table is
+    # pow's.
+    keys = _hostile_batch(group)
+    p = group.modulus
+    group_module._key_verdict.cache_clear()
+    group_module._operand_entry.cache_clear()
+    group_module._ring_tables.clear()
+    inversions, inverse = [], group_module._BN_mod_inverse
+    monkeypatch.setattr(group_module, "_BN_mod_inverse", lambda *args: inversions.append(1) or inverse(*args))
+    if side == "caller":
+        table = group.ring_table(tuple(keys))
+    else:
+        table = group_module._ring_of_bytes(group, group_module._key_bytes(group, keys))
+    assert len(inversions) == 1
+    assert table.keys == (tuple(keys) if side == "caller" else tuple(key % p for key in keys))
+    for key, entry in zip(keys, table.entries):
+        assert _operand(group, entry) == (pow(key, -1, p) if key % p else 0)
+    rng = random.Random(49)
+    challenges = [0, p - 1, *(rng.randrange(p) for _ in keys[2:])]  # 0 and p - 1 meet 0^0 at the zero keys
+    responses = [rng.randrange(group.order) for _ in keys]
+    values = group.schnorr_commitments([(table, len(table))], _scalars(group, challenges, responses))
+    assert _elements(group, values) == _column_oracle(group, keys, challenges, responses)
+    assert len(inversions) == 1  # the column prepares nothing
+    group_module._key_verdict.cache_clear()
+    group_module._operand_entry.cache_clear()
+    group_module._ring_tables.clear()
+
+
+def test_threads_making_tables_over_the_same_fresh_keys_prepare_each_entry_once(group, monkeypatch):
+    # Threads (more of them than cores, switching often) make tables over
+    # the same fresh keys at once: every entry either table holds ends with
+    # exactly one operand, pow's, and no other BIGNUM is allocated for them.
+    p = group.modulus
+    keys = [key for _ in range(40) for key in _hostile_batch(group)][:600]
+    group_module._key_verdict.cache_clear()
+    group_module._ring_tables.clear()
+    allocated, bin2bn = [], group_module._BN_bin2bn
+    monkeypatch.setattr(
+        group_module, "_BN_bin2bn", lambda data, n, number: allocated.append(number is None) or bin2bn(data, n, number)
+    )
+    start, tables = threading.Barrier(4), []
+
+    def make():
+        start.wait(timeout=60)
+        tables.append(group.ring_table(tuple(keys)))
+
+    threads = [threading.Thread(target=make) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(tables) == 4
+    entries = {id(entry): (key, entry) for table in tables for key, entry in zip(keys, table.entries)}
+    assert sum(allocated) == sum(1 for key, _ in entries.values() if key % p)
+    addresses = [entry.inverse for _, entry in entries.values() if entry.inverse]
+    assert len(set(addresses)) == len(addresses)
+    for key, entry in entries.values():
+        assert _operand(group, entry) == (pow(key, -1, p) if key % p else 0)
+    group_module._key_verdict.cache_clear()
+    group_module._ring_tables.clear()
 
 
 def test_threads_compute_exp2_exactly(group, tiny_group):

@@ -181,9 +181,9 @@ class TestKeyVerdicts:
         tabled = []
         run = group_module._Pinned.run
 
-        def recording(self, group, keys, *rest):
-            tabled.extend(keys)
-            return run(self, group, keys, *rest)
+        def recording(self, group, entries, *rest):
+            tabled.extend(entries)
+            return run(self, group, entries, *rest)
 
         monkeypatch.setattr(group_module._Pinned, "run", recording)
         kp = keygen(group)
@@ -195,7 +195,7 @@ class TestKeyVerdicts:
             assert symbols[key] == 1
         assert tabled == []
         assert verify_signature(group, kp.public, b"message", signature)
-        assert tabled == [kp.public]
+        assert tabled == [group.key_is_element(kp.public)]
 
     def test_the_verdicts_are_bounded_like_the_tables(self, tiny_group, symbols):
         bound = group_module._KEY_VERDICTS
