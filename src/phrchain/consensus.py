@@ -93,7 +93,7 @@ def _verify_patient_block(block: PatientBlock, directories: Directories) -> bool
     """Both credentials, checked as one commitment column (``crypto.credentials_verify``), then both signatures."""
     group = directories.group
     claims = [
-        (registry.keys[: credential.membership.branch_count], block_public, credential)
+        (registry.prefix(credential.membership.branch_count), block_public, credential)
         for registry, block_public, credential in (
             (directories.patients, block.patient_block_pk, block.patient_credential),
             (directories.hospitals, block.hospital_block_pk, block.hospital_credential),

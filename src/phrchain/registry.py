@@ -16,6 +16,9 @@ from .crypto import key_list_digest
 from .group import GroupParams
 
 ROLES = ("patient", "hospital", "researcher")
+# Proper prefixes of a registry's keys kept (``Registry.prefix``): as many as
+# the ring tables a process keeps (``group._RINGS``).
+_PREFIXES = 4
 
 
 class DuplicateKeyError(ValueError):
@@ -34,7 +37,8 @@ class Registry(enc.Stored):
     construction, at ``enroll`` and so at ``load``, through the key's kept
     verdict (``GroupParams.key_is_element``), which a ring's table over
     the registry's keys then reads instead of testing the key again. The
-    key tuple and the digest are cached and rebuilt at most once per change.
+    key tuple and the digest are cached and rebuilt at most once per change;
+    a prefix of the keys is one kept tuple per length (``prefix``).
     """
 
     MAGIC = b"PHRR"
@@ -50,6 +54,7 @@ class Registry(enc.Stored):
         self._index: dict[int, int] = {}
         self._keys_cache: tuple[int, ...] | None = None
         self._digest_cache: bytes | None = None
+        self._prefixes: dict[int, tuple[int, ...]] = {}
         for public in initial:
             self.enroll(public)
 
@@ -58,6 +63,22 @@ class Registry(enc.Stored):
         if self._keys_cache is None:
             self._keys_cache = tuple(self._keys)
         return self._keys_cache
+
+    def prefix(self, length: int) -> tuple[int, ...]:
+        """The first ``length`` keys, or all of them when there are no more
+        (``keys`` itself), as one tuple per length, kept for the last
+        ``_PREFIXES`` lengths asked for: a ring table is found by its key
+        tuple's identity (``GroupParams.ring_table``), so every proof
+        checked over the same prefix meets one table. Keys are only
+        appended, so a prefix holds for the life of the registry."""
+        keys = self.keys
+        if length >= len(keys):
+            return keys
+        prefix = self._prefixes.pop(length, None) or keys[:length]
+        self._prefixes[length] = prefix
+        if len(self._prefixes) > _PREFIXES:
+            del self._prefixes[next(iter(self._prefixes))]
+        return prefix
 
     @property
     def digest(self) -> bytes:

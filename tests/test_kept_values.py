@@ -197,6 +197,30 @@ class TestKeyVerdicts:
         assert verify_signature(group, kp.public, b"message", signature)
         assert tabled == [group.key_is_element(kp.public)]
 
+    def test_a_block_over_a_proper_prefix_meets_one_table(self, make_world, monkeypatch):
+        # A block proved before its registries grew is checked over a
+        # prefix of each, which the registry hands out as one kept tuple:
+        # checking it twice makes one table per ring, and four checks leave
+        # the grown registry's own table kept.
+        world = make_world(patients=250, hospitals=6, seed=123)
+        block, _ = world.submit_block(world.patient(3), b"data", 1, append=False)
+        rng = random.Random(124)
+        for _ in range(50):
+            world.directories.patients.enroll(keygen(world.group, rng).public)
+        group_module._ring_tables.clear()
+        full = world.group.ring_table(world.directories.patients.keys)
+        made, init = [], group_module._Ring.__init__
+        monkeypatch.setattr(group_module._Ring, "__init__", lambda self, *args: made.append(len(args[1])) or init(self, *args))
+        for _ in range(2):
+            assert verify_block(block, world.directories)
+        assert sorted(made) == [6, 250]  # the patient ring's prefix and the hospital ring, once each
+        for _ in range(4):
+            assert verify_block(block, world.directories)
+        assert sorted(made) == [6, 250]
+        assert world.group.ring_table(world.directories.patients.keys) is full
+        assert len(made) == 2
+        group_module._ring_tables.clear()
+
     def test_the_verdicts_are_bounded_like_the_tables(self, tiny_group, symbols):
         bound = group_module._KEY_VERDICTS
         assert group_module._key_verdict.cache_info().maxsize == bound == 16384

@@ -26,6 +26,25 @@ class TestRegistry:
         assert kp.public in registry
         assert registry.index_of(kp.public) == 0
 
+    def test_a_prefix_is_one_kept_tuple_per_length(self, group, monkeypatch):
+        # A proper prefix is the same tuple at every call, across later
+        # enrollments, which only append; a length at or past the end is the
+        # key tuple itself; the last four lengths asked for are kept.
+        rng = random.Random(31)
+        registry = Registry(group, "patient")
+        for _ in range(10):
+            registry.enroll(keygen(group, rng).public)
+        first = registry.prefix(6)
+        assert first == registry.keys[:6] and registry.prefix(6) is first
+        assert registry.prefix(10) is registry.keys and registry.prefix(11) is registry.keys
+        registry.enroll(keygen(group, rng).public)
+        assert registry.prefix(6) is first and registry.prefix(10) == registry.keys[:10]
+        assert registry.prefix(0) == ()
+        for length in (1, 2, 3, 4):
+            registry.prefix(length)
+        assert registry.prefix(6) is not first and registry.prefix(6) == first  # dropped, made again
+        assert len(registry._prefixes) == registry_module._PREFIXES == 4
+
     def test_duplicate_enrollment_rejected(self, group):
         registry = Registry(group, "hospital")
         kp = keygen(group, random.Random(1))
