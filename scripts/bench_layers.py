@@ -79,6 +79,18 @@ decrypted through AESGCM, for the honest package and for one whose
 eighth key is wrong; and ``import_rss_mb``, the peak resident set in MiB
 (``VmHWM``, Linux) of a fresh interpreter after ``import phrchain``, the
 median over one interpreter per repeat.
+
+Last, the first-use rows (``first_use_rows``; ``--first-use`` runs them
+alone, so that they can time another tree's package, put first on
+``PYTHONPATH``): each repeat a fresh interpreter that imports only the
+package. ``first_worker_fork_s`` is its first ``group._idle_worker()``,
+which forks the column worker, and ``first_worker_fork_hwm_mb`` how much
+that call raised its ``VmHWM``. The block rows build 4000/1000-key
+registries, then time the first patient block proved in the process
+(``first_block_prove_4000_1000_s``) and its check
+(``first_block_verify_4000_1000_s``), then a second block's
+(``second_block_*``), the same process warm; every block must be accepted,
+over a full ring of each registry, or the script exits.
 """
 
 import argparse
@@ -427,11 +439,90 @@ def block_rows(group: GroupParams, seed: int, repeats: int) -> dict:
     return rows
 
 
+# The first-use probes: each prints one JSON object.
+FIRST_FORK_PROBE = """
+import json, time
+from phrchain import group
+
+def hwm():
+    return next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+
+before = hwm()
+started = time.perf_counter()
+worker = group._idle_worker()
+elapsed = time.perf_counter() - started
+print(json.dumps({"s": elapsed, "hwm_mb": (hwm() - before) / 1024, "forked": worker is not None}))
+"""
+FIRST_BLOCK_PROBE = """
+import json, random, sys, time
+from phrchain import (
+    ConditionCodebook, HospitalContext, OffChainStore, PatientContext, PatientSecrets, create_patient_block, keygen,
+    new_directories,
+)
+from phrchain.consensus import verify_block
+from phrchain.group import GroupParams
+
+group = GroupParams.default()
+rng = random.Random(sys.argv[1])
+directories = new_directories(group)
+kps = {}
+for registry, size in ((directories.patients, 4000), (directories.hospitals, 1000)):
+    kps[registry.role] = [keygen(group, rng) for _ in range(size)]
+    for kp in kps[registry.role]:
+        registry.enroll(kp.public)
+bits, rows = ConditionCodebook.default().encode([], []), {}
+for name, p, h in (("first", 2000, 500), ("second", 1000, 250)):
+    patient = PatientContext(kps["patient"][p], p, PatientSecrets())
+    started = time.perf_counter()
+    block = create_patient_block(
+        patient, HospitalContext(kps["hospital"][h], h), b"", bits, directories, OffChainStore(), 1, rng
+    )[0]
+    proved = time.perf_counter()
+    accepted = verify_block(block, directories)
+    rows[name] = [proved - started, time.perf_counter() - proved, accepted and [
+        block.patient_credential.membership.branch_count, block.hospital_credential.membership.branch_count
+    ] == [4000, 1000]]
+print(json.dumps(rows))
+"""
+
+
+def first_use_rows(seed: int, repeats: int) -> dict:
+    """The first-use rows (see the module docstring), each the median over
+    ``repeats`` fresh interpreters that import the package this script
+    imported."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(group_module.__file__))}
+
+    def probe(code: str, *arguments: str) -> dict:
+        done = subprocess.run([sys.executable, "-c", code, *arguments], env=env, capture_output=True, text=True)
+        if done.returncode:
+            raise SystemExit(f"a first-use probe failed:\n{done.stderr}")
+        return json.loads(done.stdout)
+
+    forks = [probe(FIRST_FORK_PROBE) for _ in range(repeats)]
+    blocks = [probe(FIRST_BLOCK_PROBE, f"first-use-{seed}-{repeat}") for repeat in range(repeats)]
+    if not all(ok for block in blocks for _, _, ok in block.values()):
+        raise SystemExit("a first-use block was rejected, or not proved over a full ring of each registry")
+    rows = {
+        "first_worker_fork_s": statistics.median(fork["s"] for fork in forks),
+        "first_worker_fork_hwm_mb": statistics.median(fork["hwm_mb"] for fork in forks),
+        "first_worker_forked": all(fork["forked"] for fork in forks),
+    }
+    for name in ("first", "second"):
+        rows[f"{name}_block_prove_4000_1000_s"] = statistics.median(block[name][0] for block in blocks)
+        rows[f"{name}_block_verify_4000_1000_s"] = statistics.median(block[name][1] for block in blocks)
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--first-use", action="store_true", help="run the first-use rows alone")
     args = parser.parse_args()
+    if args.first_use:
+        rows = first_use_rows(args.seed, args.repeats)
+        print(json.dumps({"seed": args.seed, "repeats": args.repeats, "cpus": os.cpu_count(), "medians": rows}))
+        return
     group = GroupParams.default()
     rng = random.Random(args.seed)
     p, q, g = group.modulus, group.order, group.generator
@@ -701,6 +792,7 @@ def main() -> None:
         int(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True).stdout) / 1024
         for _ in range(args.repeats)
     )
+    rows.update(first_use_rows(args.seed, args.repeats))
     print(json.dumps({
         "seed": args.seed,
         "repeats": args.repeats,
