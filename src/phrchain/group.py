@@ -24,9 +24,8 @@ signature, a Schnorr proof or a possession half is the column's kernel
 run once (``_Pinned.run``). Each value is one
 ``BN_mod_exp2_mont`` of the generator, pinned in a BIGNUM kept per
 (modulus, generator) beside the modulus's Montgomery context, and of the
-key's inverse y^-1 mod p, a BIGNUM prepared at the key's first column and
-kept in the key's entry beside its membership verdict, so the challenge
-is the exponent as it stands; c and s are read into BIGNUMs from their
+key's inverse y^-1 mod p, a BIGNUM kept in the key's entry beside its
+membership verdict, so the challenge is the exponent as it stands; c and s are read into BIGNUMs from their
 bytes, and the value is written to, or compared with, bytes. A verifier's
 column stops at the first record that fails, the kernel with it.
 
@@ -41,18 +40,27 @@ reference, one membership verdict for the whole ring, which a verifier's
 gate reads instead of testing each key, and the keys' encoding and its
 digest, which is the ring's digest in a credential's joint context and
 the table's name to the worker. A kept table is found by the identity of
-its key tuple, as a registry hands it out, before any key is read; any
-other ring's table is made from its keys, whose entries the per-key
-cache mostly holds already. A one-record check hands the kernel its key
-and the entry its gate looked up, with no table.
+its key tuple, as a registry hands it out (all its keys, or one kept
+tuple per prefix length), before any key is read; any other ring's table
+is made from its keys, whose entries the per-key cache mostly holds
+already. A table prepares the inverses of its keys that have none yet
+when it is made, all together, by Montgomery's trick: one
+``BN_mod_inverse`` of their product and two multiplications a key
+(``_prepare``); so a column reads its operands and prepares nothing. A
+one-record check hands the kernel the entry its gate looked up, prepared
+first if it is not, with no table.
 
 A column of at least ``_SPLIT`` values is shared with one worker
 process, forked on the first such column from a process with one thread
-alive, on a machine of more than one CPU (``os.sched_getaffinity``). It
-is sent the column's header over a ``multiprocessing`` pipe, asked to
-hold ``_PIPE_BYTES``, which names each segment's table and says whether
-its keys follow (the worker keeps the last ``_RINGS`` tables by name, and
-the caller mirrors their names and groups), then all the keys of each
+alive, on a machine of more than one CPU (``os.sched_getaffinity``).
+Caller and worker speak over two ``os.pipe``s, each asked to hold
+``_PIPE_BYTES``, in frames: a length (``_FRAME``), then the message's
+bytes, so a process that shares a column loads no ``multiprocessing``
+and no ``pickle``. The worker is sent the column's header, packed with
+``struct`` (``_HEADER``, ``_SEGMENT``) and closed by the group's bytes,
+which names each segment's table and says whether its keys follow (the
+worker keeps the last ``_RINGS`` tables by name, and the caller mirrors
+their names and groups), then all the keys of each
 table the worker does not keep, then the records: a prover's as its
 draws make them, a verifier's as its proofs hold them, with no copy;
 keys and records go in messages of at most ``_CHUNK`` records' bytes.
@@ -92,7 +100,8 @@ BIGNUM call's return code is checked where it is made: a failure raises
 its membership verdict and its prepared inverse, is kept in a bounded
 cache, since verifiers meet the same keys again and again, and in the
 table of every kept ring it is in; the worker keeps entries of its own,
-which hold the inverse alone, since it gates nothing.
+which hold the inverse alone, since it gates nothing, and its own copy
+of each group, found by the group's bytes.
 
 The same binding is the package's one path into libcrypto for symmetric
 encryption too: ``_gcm_seal`` and ``_gcm_open`` are AES-256-GCM through
@@ -541,6 +550,9 @@ def _receive(pipe: int) -> bytes:
 
 
 def _take(pipe: int, size: int) -> bytes:
+    """``size`` bytes from ``pipe``, read as they come: EOFError at its end
+    (a pipe whose writer is blocked on a full pipe can hand a frame over in
+    parts)."""
     data = b""
     while len(data) < size:
         more = os.read(pipe, size - len(data))
@@ -583,11 +595,11 @@ def _answer(requests: int, replies: int, waiting, rings: dict, header: bytes) ->
     The header (``_HEADER``) names the column, the CPU to run on and the
     width of the records, and each segment of the column (``_SEGMENT``):
     its table's name, the position it skips, its number of keys and whether
-    its keys follow; its group's bytes close it (``_group_of_bytes``). The table is the
-    one kept under its name when its keys do not follow; else it is made
-    from the bytes of its keys, which follow the header in messages of any
-    size (``_ring_of_bytes``), and kept once they are all in, segment after
-    segment. The records come in chunks, and the column's stop, an empty
+    its keys follow; its group's bytes close it (``_group_of_bytes``). The
+    table is the one kept under its name when its keys do not follow; else
+    it is made from the bytes of its keys, which follow the header in
+    messages of any size (``_ring_of_bytes``), and kept once they are all
+    in, segment after segment. The records come in chunks, and the column's stop, an empty
     message, can come at any point: before a table's keys are all in (the
     table is then not kept), before a chunk the worker waits for, or
     between runs, when ``waiting`` finds a message. The worker leaves the
@@ -665,22 +677,25 @@ def _key_bytes(group: "GroupParams", keys: Sequence[int]) -> bytes:
 
 def _ring_of_bytes(group: "GroupParams", data: bytes) -> "_Ring":
     """The worker's table of a ring: the keys whose bytes it was sent, with
-    their operand entries (``_operand_entry``): the worker computes values
-    and gates nothing, so it reads no verdict."""
+    their operand entries (``_operand_entry``), those not yet prepared
+    prepared together as the table is made: the worker computes values and
+    gates nothing, so it reads no verdict."""
     size = group.element_size
     keys = tuple(int.from_bytes(data[at : at + size]) for at in range(0, len(data), size))
     return _Ring(group, keys, tuple(_operand_entry(group, key) for key in keys))
 
 
 class _Worker:
-    """A forked process that shares long columns with their callers: its pid,
-    the pipe it is sent requests on, never blocking, the most bytes that may
-    be left unread there (``budget``), the pipe it replies on and a poll of
-    that one (each pipe a file descriptor, carrying frames, ``_FRAME``), the number of the last column it was sent, and the
-    mirror of its ring tables (``rings``): the group of each, under the
+    """A forked process that shares long columns with their callers: its
+    pid, the pipe it is sent requests on, never blocking, the most bytes
+    that may be left unread there (``budget``), the pipe it replies on and
+    a poll of that one (each pipe an ``os.pipe`` file descriptor carrying
+    frames, ``_FRAME``), the number of the last column it was sent, and
+    the mirror of its ring tables (``rings``): the group of each, under the
     table's name and in the worker's order. A column holds ``lock`` while
-    it shares the worker. A stopped worker has pid 0 and is never asked
-    again."""
+    it shares the worker. A stopped worker has pid 0 and is never asked,
+    read from or written to again: its pipes are closed, and their numbers
+    may belong to other files by then."""
 
     def __init__(self) -> None:
         import select  # here, so that a process that never splits a column does not load it
@@ -1010,10 +1025,10 @@ class _Key:
     from the first ring table made over the key or the key's first
     one-record check on (``_prepare``), its operand in the column
     (``inverse``): the address of y^-1 mod p as a BIGNUM, or 0 for a key of
-    0 mod p, which has no inverse. The column raises y^-1 to the challenge as it stands, so it
-    takes no exponent mod p - 1. The address is a plain int, so a prepared
-    key costs its BIGNUM and no ctypes object; the BIGNUM is freed with
-    the entry."""
+    0 mod p, which has no inverse. The column raises y^-1 to the challenge
+    as it stands, so it takes no exponent mod p - 1. The address is a plain
+    int, so a prepared key costs its BIGNUM and no ctypes object; the
+    BIGNUM is freed with the entry."""
 
     __slots__ = ("inverse",)
 
@@ -1097,9 +1112,10 @@ def _operand_entry(group: "GroupParams", key: int) -> _Key:
 class _Ring:
     """A ring resolved once: its keys, and the kept entry of each
     (``_key_verdict``), held here by strong reference, so that the per-key
-    cache evicting an entry does not drop it while its ring is kept. Worked
-    out at first use and kept: one membership verdict for the whole ring,
-    the keys' encoding, and its digest, which is the ring's digest in a
+    cache evicting an entry does not drop it while its ring is kept, every
+    entry prepared when the table is made (``_prepare``). Worked out at
+    first use and kept: one membership verdict for the whole ring, the
+    keys' encoding, and its digest, which is the ring's digest in a
     credential's joint context and the table's name to the worker."""
 
     __slots__ = ("group", "keys", "entries", "_members", "_encoding", "_digest")
@@ -1246,11 +1262,13 @@ class GroupParams(enc.Wire):
         verdict, and its columns its keys' entries. A table is its own table.
 
         A kept table is found by the identity of its key tuple, which is how
-        a registry hands out its keys (``Registry.keys``, and a prefix of
-        all of them), before any key is read. Any other ring, a tuple equal
-        to a kept one included, gets a table made from its keys, their
-        entries read from the per-key cache (``key_is_element``); the table
-        of a tuple is kept, and that of any other sequence is not.
+        a registry hands out its keys (``Registry.keys``, and
+        ``Registry.prefix``, one kept tuple per prefix length), before any
+        key is read. Any other ring, a tuple equal to a kept one included,
+        gets a table made from its keys, their entries read from the
+        per-key cache (``key_is_element``) and those not yet prepared
+        prepared together (``_prepare``); the table of a tuple is kept, and
+        that of any other sequence is not.
         """
         if type(keys) is _Ring:
             return keys
