@@ -25,8 +25,9 @@ run once (``_Pinned.run``). Each value is one
 ``BN_mod_exp2_mont`` of the generator, pinned in a BIGNUM kept per
 (modulus, generator) beside the modulus's Montgomery context, and of the
 key's inverse y^-1 mod p, a BIGNUM kept in the key's entry beside its
-membership verdict, so the challenge is the exponent as it stands; c and s are read into BIGNUMs from their
-bytes, and the value is written to, or compared with, bytes. A verifier's
+membership verdict, so the challenge is the exponent as it stands; c and
+s are read into BIGNUMs from their bytes, and the value is written to,
+or compared with, bytes. A verifier's
 column stops at the first record that fails, the kernel with it.
 
 A column runs over an ordered list of segments, each a ring table and

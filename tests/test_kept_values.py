@@ -210,7 +210,9 @@ class TestKeyVerdicts:
         group_module._ring_tables.clear()
         full = world.group.ring_table(world.directories.patients.keys)
         made, init = [], group_module._Ring.__init__
-        monkeypatch.setattr(group_module._Ring, "__init__", lambda self, *args: made.append(len(args[1])) or init(self, *args))
+        monkeypatch.setattr(
+            group_module._Ring, "__init__", lambda self, *args: made.append(len(args[1])) or init(self, *args)
+        )
         for _ in range(2):
             assert verify_block(block, world.directories)
         assert sorted(made) == [6, 250]  # the patient ring's prefix and the hospital ring, once each
