@@ -33,7 +33,7 @@ import operator
 import random
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import encoding as enc
 from .group import _CHUNK, _GCM_NONCE_SIZE, _GCM_TAG_SIZE, GroupParams, _gcm_open, _gcm_seal, _pinned, _prepare, _Ring, _rng
@@ -162,8 +162,8 @@ def _schnorr_equation(group: GroupParams, key: int, entry, commitment: int, chal
     the kernel of ``GroupParams.schnorr_failure``), whose verdict is the
     one ``pow`` gives. A Schnorr proof, a signature and the possession
     half are checked here, after ``_schnorr_gate``; ring branches are one
-    column of their records, checked by ``_column_holds`` after
-    ``_ring_gate``.
+    column of their records (``GroupParams.schnorr_failure``), checked
+    after ``_ring_gate`` and every hash check of their proofs.
     """
     size, scalar = group.element_size, group.scalar_size
     record = commitment.to_bytes(size) + challenge.to_bytes(scalar) + response.to_bytes(scalar)
@@ -491,25 +491,24 @@ def ring_verify(
     (``GroupParams.schnorr_failure``), which reads c_i and s_i from their
     bytes, compares each value with the bytes of t_i, and stops at a
     failing branch. So the verdict is the one ``pow`` gives branch by
-    branch, and it draws no randomness. The gate runs first; the binding
-    challenge and the challenge sum are checked once the records are
-    handed to the column (``_column_holds``): while the worker process
-    computes, for a ring of at least ``group._SPLIT`` keys, which is sent
-    the records, and the keys unless it keeps the ring's table or one it
-    grew from: public bytes all. No commitment needs a membership test:
-    the gate puts each y_i in the subgroup, and a holding equation puts
-    t_i = g^s_i / y_i^c_i there too.
+    branch, and it draws no randomness. The checks run in one straight
+    line, each returning False where it fails: the gate (``_ring_gate``),
+    then the binding challenge and the challenge sum (``_ring_challenges``),
+    then the column, which a ring of at least ``group._SPLIT`` keys shares
+    with the worker process. Only a proof past every hash check reaches the
+    column, so a worker is sent the records, and the keys unless it keeps
+    the ring's table, of such proofs alone: public bytes all. No commitment
+    needs a membership test: the gate puts each y_i in the subgroup, and a
+    holding equation puts t_i = g^s_i / y_i^c_i there too.
     """
     gated = _ring_gate(group, ring, proof)
     if gated is None:
         return False
-    records, _ = gated
-
-    def challenges() -> bool:
-        commitment_bytes = _branch_layout(group).commitment_bytes(records)
-        return _ring_challenges(group, records, proof.binding_challenge, context, commitment_bytes)
-
-    return _column_holds(group, [gated], challenges)
+    records, table = gated
+    commitment_bytes = _branch_layout(group).commitment_bytes(records)
+    if not _ring_challenges(group, records, proof.binding_challenge, context, commitment_bytes):
+        return False
+    return group.schnorr_failure([table], [records]) is None
 
 
 def _ring_gate(group: GroupParams, ring: Sequence[int], proof: RingProof) -> tuple[bytes, _Ring] | None:
@@ -553,36 +552,6 @@ def _ring_challenges(group: GroupParams, records: bytes, binding: int, context: 
         return False
     layout = _branch_layout(group)
     return sum(layout.column(records, layout.CHALLENGE)) % group.order == binding
-
-
-class _Refused(Exception):
-    """A verifier's check, run while its column computes, failed."""
-
-
-def _column_holds(group: GroupParams, gated: Sequence[tuple[bytes, _Ring]], checks: Callable[[], bool]) -> bool:
-    """Whether every branch equation of the records of proofs past
-    ``_ring_gate`` (``gated``, each its records and its ring's table) holds
-    and ``checks()`` is true.
-
-    The equations are one column over the rings' tables in turn
-    (``GroupParams.schnorr_failure``), each proof's records one chunk of
-    it, handed over as they are, with no copy; it stops at a failing
-    branch. ``checks`` runs once every chunk is in the column: after the
-    chunks are sent to a worker sharing it, so while the worker computes,
-    and before the caller's own share, which it spares when it fails. A
-    failing check ends the column the way any exception from its chunks
-    does: its worker is sent the stop.
-    """
-    def chunks() -> Iterator[bytes]:
-        for records, _ in gated:
-            yield records
-        if not checks():
-            raise _Refused
-
-    try:
-        return group.schnorr_failure([table for _, table in gated], chunks()) is None
-    except _Refused:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +655,9 @@ def credential_verify(
 ) -> bool:
     """True iff both halves verify under the joint context recomputed from
     inputs: ``credentials_verify`` of this one credential. Both gates run
-    first; the ring's branch records are then handed to the commitment
-    column, and the joint context, the possession challenge, the binding
-    challenge, the challenge sum and the possession equation are checked
-    while a worker sharing the column computes."""
+    first; then the joint context, the possession challenge, the binding
+    challenge, the challenge sum and the possession equation are checked;
+    last, the ring's branch records are one commitment column."""
     return credentials_verify(group, [(ring, block_public, proof)])
 
 
@@ -697,16 +665,18 @@ def credentials_verify(group: GroupParams, claims: Sequence[tuple[Sequence[int],
     """True iff every claim's credential (checked against its ring and block
     key) verifies, as ``credential_verify`` would find one by one.
 
+    One straight line, returning False at the first check that fails.
     Every possession half and every ring proof passes its gate
-    (``_schnorr_gate``, ``_ring_gate``) before anything is hashed. Then the
-    ring proofs' branch records are one commitment column over the rings
-    (``_column_holds``), sent to the worker sharing it without a copy, and
-    only then, while the worker computes, are the joint contexts, the
-    possession challenges, the binding challenges and the challenge sums
-    recomputed and the possession equations checked; a failing one stops
-    the column.
+    (``_schnorr_gate``, ``_ring_gate``) before anything is hashed. Then,
+    claim by claim, the joint context, the possession challenge, the
+    binding challenge and the challenge sum are recomputed and the
+    possession equation is checked. Last, the ring proofs' branch records
+    are one commitment column over the rings
+    (``GroupParams.schnorr_failure``), each proof's records one chunk of
+    it, as the proof holds them, with no copy: claims of which one fails a
+    hash send a worker nothing.
     """
-    gated, entries = [], []
+    gated = []
     for ring, block_public, proof in claims:
         possession = proof.possession
         # The joint context encodes the block key and every commitment of both halves.
@@ -716,28 +686,23 @@ def credentials_verify(group: GroupParams, claims: Sequence[tuple[Sequence[int],
         ring_gated = _ring_gate(group, ring, proof.membership)
         if ring_gated is None:
             return False
-        gated.append(ring_gated)
-        entries.append(entry)
-
-    def checks() -> bool:
-        layout = _branch_layout(group)
-        for (records, table), entry, (_, block_public, proof) in zip(gated, entries, claims):
-            possession = proof.possession
-            commitment_bytes = layout.commitment_bytes(records)
-            expected = _joint_context(group, table, block_public, possession.commitment, commitment_bytes)
-            if proof.joint_context != expected:
-                return False
-            if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
-                return False
-            if not _ring_challenges(group, records, proof.membership.binding_challenge, expected, commitment_bytes):
-                return False
-            if not _schnorr_equation(
-                group, block_public, entry, possession.commitment, possession.challenge, possession.response
-            ):
-                return False
-        return True
-
-    return _column_holds(group, gated, checks)
+        gated.append((*ring_gated, entry))
+    layout = _branch_layout(group)
+    for (records, table, entry), (_, block_public, proof) in zip(gated, claims):
+        possession = proof.possession
+        commitment_bytes = layout.commitment_bytes(records)
+        expected = _joint_context(group, table, block_public, possession.commitment, commitment_bytes)
+        if proof.joint_context != expected:
+            return False
+        if possession.challenge != _schnorr_challenge(group, expected, block_public, possession.commitment):
+            return False
+        if not _ring_challenges(group, records, proof.membership.binding_challenge, expected, commitment_bytes):
+            return False
+        if not _schnorr_equation(
+            group, block_public, entry, possession.commitment, possession.challenge, possession.response
+        ):
+            return False
+    return group.schnorr_failure([table for _, table, _ in gated], [records for records, _, _ in gated]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,13 @@ A message is written only whole and without waiting, and only when it
 leaves at most three quarters of the pipe's size unread; one that does
 not is sent at the caller's next chance, so a worker that reads slowly
 gets its messages late, one that is stopped is never waited for, and one
-that cannot be written to is killed. The worker works forward from the head over what has arrived, on
-a CPU other than the caller's, in runs of ``_RUN`` values, sending each
-run's commitments or verdict back as it is done, and waits when it has
-caught up. So it starts while the prover is still drawing, a simulated
-branch depending on its own draws alone, and while the verifier is still
-hashing its proofs' contexts. Once its records are all in, the
+that cannot be written to is killed. The worker works forward from the
+head over what has arrived, on a CPU other than the caller's, in runs of
+``_RUN`` values, sending each run's commitments or verdict back as it is
+done, and waits when it has caught up. So it starts while the prover is
+still drawing, a simulated branch depending on its own draws alone; a
+verifier has checked every hash of its proofs before its column starts,
+and hands it their records as they are. Once its records are all in, the
 caller works backward from the tail and reads the replies between its
 runs; the column is done where the two meet, wherever their speeds put
 them. So the caller covers whatever the worker has not: all of it when
@@ -88,9 +89,10 @@ to an earlier one. Both sides poll their pipe through ``select.poll``.
 Only public bytes cross to the worker: keys, table names, challenges and
 responses, which are a proof's fields or the simulated branches of one,
 and the positions a prover skips, never a witness branch, a nonce or a
-secret. The worker exits at EOF on its request pipe and is reaped at
-interpreter exit; a child forked later closes its parent's pipes and
-forks a worker of its own.
+secret. The worker exits with status 0 at EOF on its request pipe, or
+when a reply finds its reply pipe closed by a caller that stopped it
+mid-run, and is reaped at interpreter exit; a child forked later
+closes its parent's pipes and forks a worker of its own.
 
 The functions are bound without ``argtypes`` and are handed ctypes
 pointers, so a call converts nothing. Each modulus keeps a Montgomery
@@ -235,13 +237,9 @@ def _allocated(pointer: _Pointer, name: str) -> _Pointer:
 
 
 def _load(number: _Pointer | None, value: int, size: int) -> _Pointer:
-    """Set a BIGNUM (a new one when ``number`` is None) to a non-negative
-    int, written at ``size`` bytes, or at its own length when it is wider."""
-    try:
-        data = value.to_bytes(size, "big")
-    except OverflowError:
-        data = value.to_bytes((value.bit_length() + 7) // 8, "big")
-    number = _BN_bin2bn(data, len(data), number)
+    """Set a BIGNUM (a new one when ``number`` is None) to an int in
+    [0, 2**(8 * size)), written at ``size`` bytes; OverflowError for any other."""
+    number = _BN_bin2bn(value.to_bytes(size, "big"), size, number)
     if not number:
         _fail("BN_bin2bn")
     return number
@@ -421,53 +419,39 @@ def _pinned(modulus: int, base: int) -> _Pinned:
 
 class _Column:
     """What the caller and the worker both compute a column from: its group,
-    the generator pinned for it, its segments and their pieces, its number
-    of values, the width of its records, and the buffer its values go to,
-    or None for a column of commitments to check.
+    the generator pinned for it, its segments, the key entry of each of its
+    values, its number of values, the width of its records, and the buffer
+    its values go to, or None for a column of commitments to check.
 
     A column runs over an ordered list of segments, each a ring table and
-    the ring position it skips (the ring's length when it skips none). A
-    segment's values are its ring's keys in order, the skipped one left
-    out, and each segment's values follow the last one's: so a prover's
-    column is each of its rings without its witness position, whose key
-    takes no value and whose record is not in the column, and a verifier's
-    is the rings of the proofs it checks. A piece is a run of keys with no
-    gap: (its first value, its end, its ring, the key index of value v
-    less v).
+    the ring position it skips (the ring's length when it skips none;
+    IndexError for a position outside the ring). A segment's values are
+    its ring's keys in order, the skipped one left out, and each segment's
+    values follow the last one's: so a prover's column is each of its rings
+    without its witness position, whose key takes no value and whose record
+    is not in the column, and a verifier's is the rings of the proofs it
+    checks. ``entries`` is that one list: value i is computed from
+    ``entries[i]``.
     """
 
-    __slots__ = ("group", "pinned", "segments", "pieces", "count", "width", "out")
+    __slots__ = ("group", "pinned", "segments", "entries", "count", "width", "out")
 
     def __init__(self, group: "GroupParams", segments: Iterable[tuple["_Ring", int]], width: int) -> None:
         self.group, self.segments, self.width = group, tuple(segments), width
         self.pinned = _pinned(group.modulus, group.generator)
-        pieces, count = [], 0
+        self.entries = []
         for ring, skip in self.segments:
-            length = len(ring.keys)
-            if not 0 <= skip <= length:
-                raise IndexError(f"position {skip} outside a ring of {length}")
-            for low, high in ((0, skip), (skip + 1, length)):
-                if low < high:
-                    pieces.append((count, count + high - low, ring, low - count))
-                    count += high - low
-        self.pieces, self.count = tuple(pieces), count
-        self.out = bytearray(count * group.element_size) if width == 2 * group.scalar_size else None
+            if not 0 <= skip <= len(ring.keys):
+                raise IndexError(f"position {skip} outside a ring of {len(ring.keys)}")
+            self.entries += ring.entries[:skip] + ring.entries[skip + 1 :]
+        self.count = len(self.entries)
+        self.out = bytearray(self.count * group.element_size) if width == 2 * group.scalar_size else None
 
     def values(self, records: bytes, first: int, low: int, high: int) -> int | None:
         """Values ``low`` to ``high - 1`` (``_Pinned.run``), whose records are
         in ``records``, which starts at the record of value ``first``."""
-        width = self.width
-        at = (low - first) * width
-        for start, end, ring, offset in self.pieces:
-            if low >= end:
-                continue
-            stop = min(high, end)
-            entries = ring.entries[low + offset : stop + offset]
-            failed = self.pinned.run(self.group, entries, records, at, low, width, self.out)
-            if failed is not None or stop == high:
-                return failed
-            at, low = at + (stop - low) * width, stop
-        return None
+        at = (low - first) * self.width
+        return self.pinned.run(self.group, self.entries[low:high], records, at, low, self.width, self.out)
 
     def compute(self, chunks: Iterable[bytes]) -> int | None:
         """The column, its records read from ``chunks`` as they come, each
@@ -568,7 +552,9 @@ def _serve(requests: int, replies: int) -> NoReturn:
 
     Every request is a column's header, and each column reads its own
     messages up to and including its stop. The worker never returns into
-    its parent's code: it leaves through ``os._exit``, with status 0 at EOF.
+    its parent's code: it leaves through ``os._exit``, with status 0 at EOF
+    and at a reply written after its caller has closed the pipes, which a
+    stop made while the worker computes a run brings about.
     """
     import select  # loaded by the parent, before the fork
 
@@ -582,7 +568,7 @@ def _serve(requests: int, replies: int) -> NoReturn:
         rings: dict[bytes, _Ring] = {}
         while True:
             _answer(requests, replies, waiting.poll, rings, _receive(requests))
-    except EOFError:
+    except (EOFError, BrokenPipeError):
         os._exit(0)
     finally:  # any other way out
         os._exit(1)
@@ -1115,16 +1101,14 @@ class _Ring:
     (``_key_verdict``), held here by strong reference, so that the per-key
     cache evicting an entry does not drop it while its ring is kept, every
     entry prepared when the table is made (``_prepare``). Worked out at
-    first use and kept: one membership verdict for the whole ring, the
-    keys' encoding, and its digest, which is the ring's digest in a
-    credential's joint context and the table's name to the worker."""
-
-    __slots__ = ("group", "keys", "entries", "_members", "_encoding", "_digest")
+    first use and kept, each a cached property: one membership verdict for
+    the whole ring, the keys' encoding, and its digest, which is the ring's
+    digest in a credential's joint context and the table's name to the
+    worker. The worker reads none of them, so it never hashes a table."""
 
     def __init__(self, group: "GroupParams", keys: Sequence[int], entries: Sequence[_Key]) -> None:
         self.group, self.keys, self.entries = group, keys, entries
         _prepare(group, keys, entries)
-        self._members = self._encoding = self._digest = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -1132,29 +1116,23 @@ class _Ring:
     def __iter__(self):
         return iter(self.keys)
 
-    @property
+    @functools.cached_property
     def members(self) -> bool:
         """Whether every key is in the subgroup: every entry is true."""
-        if self._members is None:
-            self._members = all(self.entries)
-        return self._members
+        return all(self.entries)
 
-    @property
+    @functools.cached_property
     def encoding(self) -> bytes:
         """The keys at the element size (``_key_bytes``): for keys that fit,
         the bytes ``crypto.key_list_digest`` hashes after the count."""
-        if self._encoding is None:
-            self._encoding = _key_bytes(self.group, self.keys)
-        return self._encoding
+        return _key_bytes(self.group, self.keys)
 
-    @property
+    @functools.cached_property
     def digest(self) -> bytes:
         """SHA-256 of the key count (u32) and the encoding: ``crypto.key_list_digest`` of the keys."""
-        if self._digest is None:
-            digest = hashlib.sha256(enc.u32(len(self.keys)))
-            digest.update(self.encoding)
-            self._digest = digest.digest()
-        return self._digest
+        digest = hashlib.sha256(enc.u32(len(self.keys)))
+        digest.update(self.encoding)
+        return digest.digest()
 
 
 # The kept ring tables (``GroupParams.ring_table``), the most recently used
@@ -1188,7 +1166,9 @@ class GroupParams(enc.Wire):
 
     @functools.cached_property
     def _hash(self) -> int:
-        return hash((self.group_id, self.modulus, self.order, self.generator))
+        # The ints alone: a str's hash is salted per process, and a pickle
+        # carries this kept value to processes salted otherwise.
+        return hash((self.modulus, self.order, self.generator))
 
     @classmethod
     def default(cls) -> "GroupParams":

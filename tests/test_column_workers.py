@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from phrchain import group as group_module
 from phrchain.consensus import verify_block
 from phrchain.crypto import (
-    SchnorrProof, _branch_layout, credential_prove, key_list_digest, keygen, ring_prove, ring_verify,
+    SchnorrProof, _branch_layout, credential_prove, credential_verify, key_list_digest, keygen, ring_prove, ring_verify,
 )
 from phrchain.group import GroupParams
 from phrchain.registry import Registry
@@ -745,9 +745,10 @@ def test_a_forged_record_at_either_end_of_either_ring_fails_the_block_column(gro
 )
 def test_a_block_forged_at_either_end_of_either_ring_is_rejected(make_world, workers, traffic, forged):
     # A block whose 200/64-key credentials are checked as one shared column
-    # is refused for a branch forged at either end of either ring, or for a
-    # joint context that the checks run beside the worker's share refuse,
-    # each column sent its stop, and its honest twin accepted after.
+    # is refused for a branch forged at either end of either ring, its
+    # column sent its stop, or for a joint context that the hash checks
+    # refuse before the column, which then sends the worker nothing; and
+    # its honest twin is accepted after.
     world = make_world(patients=200, hospitals=64, seed=81)
     block, _ = world.submit_block(world.patient(5), b"data", 1, hospital_index=7, append=False)
     assert verify_block(block, world.directories)
@@ -764,7 +765,131 @@ def test_a_block_forged_at_either_end_of_either_ring_is_rejected(make_world, wor
     forgery = dataclasses.replace(block, **{f"{party}_credential": credential})
     assert not verify_block(forgery, world.directories)
     assert verify_block(block, world.directories)
-    assert len(_pids()) == 1 and traffic["counts"] == [262, 264, 264, 264] and traffic["stops"] == 4
+    shared = [262, 264, 264] if end == "context" else [262, 264, 264, 264]
+    assert len(_pids()) == 1 and traffic["counts"] == shared and traffic["stops"] == len(shared)
+
+
+@functools.lru_cache(maxsize=2)
+def _honest_proofs(size):
+    """A ring of ``size`` keys, a block key, and an honest ring proof and
+    credential over them."""
+    group = GroupParams.default()
+    rng = random.Random(83 + size)
+    kps = [keygen(group, rng) for _ in range(size)]
+    ring, block_kp = [kp.public for kp in kps], keygen(group, rng)
+    proof = ring_prove(group, ring, size // 2, kps[size // 2].secret, b"ctx", rng)
+    credential = credential_prove(group, ring, size // 3, kps[size // 3].secret, block_kp, rng)
+    return ring, block_kp.public, proof, credential
+
+
+def _hash_forgery(group, proof, check):
+    """The ring proof with one hash check broken and every gate kept: its
+    binding challenge moved, or one branch's challenge, so that the
+    challenges no longer sum to it."""
+    q = group.order
+    if check == "binding challenge":
+        return dataclasses.replace(proof, binding_challenge=(proof.binding_challenge + 1) % q)
+    branch = proof.branches[1]
+    return _with_branch(proof, 1, dataclasses.replace(branch, challenge=(branch.challenge + 1) % q))
+
+
+@pytest.mark.parametrize("size", [8, pytest.param(300, marks=many_cpus)])
+@pytest.mark.parametrize(
+    "verifier, check",
+    [
+        ("ring", "binding challenge"), ("ring", "challenge sum"),
+        ("credential", "joint context"), ("credential", "possession challenge"),
+        ("credential", "binding challenge"), ("credential", "challenge sum"),
+    ],
+)
+def test_a_proof_whose_hashes_fail_is_refused_before_its_column(group, workers, traffic, caller, size, verifier, check):
+    # Gates, then hashes, then the column: a proof that passes its gates and
+    # fails a hash check computes no column value here and sends the worker
+    # no header; its honest twin then computes its column, shared with the
+    # worker at 300 keys.
+    ring, block_public, proof, credential = _honest_proofs(size)
+    caller["runs"].clear()  # the proving's own columns
+    traffic["headers"].clear()
+    traffic["counts"].clear()
+    if verifier == "ring":
+        forged = _hash_forgery(group, proof, check)
+
+        def verify(p):
+            return ring_verify(group, ring, p, b"ctx")
+    else:
+        possession = credential.possession
+        if check == "joint context":
+            context = credential.joint_context
+            forged = dataclasses.replace(credential, joint_context=context[:-1] + bytes([context[-1] ^ 1]))
+        elif check == "possession challenge":
+            moved = dataclasses.replace(possession, challenge=(possession.challenge + 1) % group.order)
+            forged = dataclasses.replace(credential, possession=moved)
+        else:
+            forged = dataclasses.replace(credential, membership=_hash_forgery(group, credential.membership, check))
+        proof = credential
+
+        def verify(p):
+            return credential_verify(group, ring, block_public, p)
+
+    assert not verify(forged)
+    assert caller["runs"] == [] and traffic["headers"] == [] and traffic["counts"] == []
+    assert verify(proof)
+    if size >= SPLIT:
+        assert traffic["counts"] == [size]
+    else:
+        assert caller["runs"] and traffic["counts"] == []
+
+
+@pytest.mark.parametrize("size", [8, pytest.param(300, marks=many_cpus)])
+def test_a_skip_outside_its_ring_is_refused_before_the_column(group, workers, traffic, caller, size):
+    keys, challenges, responses = _column_inputs(group, size, 90 + size)
+    table = group.ring_table(keys)
+    scalars = _scalars(group, challenges, responses)
+    for skip in (-1, size + 1):
+        with pytest.raises(IndexError, match=f"position {skip} outside a ring of {size}"):
+            group.schnorr_commitments([(table, skip)], scalars)
+    assert caller["runs"] == [] and traffic["headers"] == []
+    # Skipping the last key, or none, is a column of its own.
+    expected = _column_oracle(group, keys, challenges, responses)
+    assert _elements(group, group.schnorr_commitments([(table, size - 1)], scalars[: -2 * 32])) == expected[:-1]
+    assert _elements(group, group.schnorr_commitments([(table, size)], scalars)) == expected
+    assert traffic["counts"] == ([size - 1, size] if size >= SPLIT else [])
+
+
+@many_cpus
+def test_a_worker_stopped_mid_run_exits_with_status_0():
+    # A column whose last record fails ends at the caller's first run, from
+    # the tail, while the worker computes the head; stopped at once, the
+    # worker finds its reply pipe closed, and exits with status 0, round
+    # after round. Each round forks a worker afresh, with an honest column
+    # that leaves it the ring's table, so that the forged column's worker
+    # starts on its head at once.
+    code = (
+        "import os\n"
+        "import random\n"
+        "from phrchain import group\n"
+        "g = group.GroupParams.default()\n"
+        "rng = random.Random(71)\n"
+        "keys = tuple(pow(rng.randrange(2, g.modulus - 1), 2, g.modulus) for _ in range(4000))\n"
+        "pairs = b''.join(g.encode_scalar(rng.randrange(g.order)) for _ in range(2 * 4000))\n"
+        "table = g.ring_table(keys)\n"
+        "values = g.schnorr_commitments([(table, len(table))], pairs)\n"
+        "records = b''.join(values[i * 32 : (i + 1) * 32] + pairs[i * 64 : (i + 1) * 64] for i in range(4000))\n"
+        "forged = records[: -65] + bytes([records[-65] ^ 1]) + records[-64 :]\n"
+        "reaped, waitpid = [], os.waitpid\n"
+        "os.waitpid = lambda pid, options: reaped.append(waitpid(pid, options)) or reaped[-1]\n"
+        "for _ in range(20):\n"
+        "    assert g.schnorr_failure([table], records) is None\n"
+        "    assert g.schnorr_failure([table], forged) == 3999\n"
+        "    [worker] = group._workers\n"
+        "    forked = worker.pid\n"
+        "    group._stop_workers()\n"
+        "    print(*(os.waitstatus_to_exitcode(status) for pid, status in reaped if pid == forked))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"] * 20
 
 
 @many_cpus

@@ -46,6 +46,42 @@ def test_element_and_scalar_sizes(group):
     assert group.scalar_size == 32
 
 
+def test_a_group_pickled_in_one_process_hashes_alike_in_another():
+    # A str's hash is salted per process, and a pickle carries the group's
+    # kept hash with it: a group hashed and pickled under one salt, and
+    # loaded under another, must still find what an equal group keys, its
+    # kept key entries included.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")])}
+    dump = (
+        "import pickle, sys\n"
+        "from phrchain.group import GroupParams\n"
+        "group = GroupParams.default()\n"
+        "hash(group), group.key_is_element(4)\n"
+        "sys.stdout.write(pickle.dumps(group).hex())\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from phrchain.group import GroupParams, _key_verdict\n"
+        "group = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "default = GroupParams.default()\n"
+        "default.key_is_element(4)\n"
+        "hits = _key_verdict.cache_info().hits\n"
+        "group.key_is_element(4)\n"
+        "hits = _key_verdict.cache_info().hits - hits\n"
+        "print(group == default, hash(group) == hash(default), {default: 1}[group], hits)\n"
+    )
+    pickled = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, text=True, timeout=60, env={**env, "PYTHONHASHSEED": "1"}
+    )
+    assert pickled.returncode == 0, pickled.stderr
+    loaded = subprocess.run(
+        [sys.executable, "-c", load], input=pickled.stdout, capture_output=True, text=True, timeout=60,
+        env={**env, "PYTHONHASHSEED": "2"},
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.split() == ["True", "True", "1", "1"]
+
+
 def test_encode_decode_round_trip(group):
     rng = random.Random(0)
     for _ in range(50):
